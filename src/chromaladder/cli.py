@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -26,6 +27,7 @@ from .errors import (
     PlanTargetUnknown,
 )
 from .ladder import (
+    CandidateIndex,
     Ladder,
     Method,
     OptimizerMode,
@@ -121,27 +123,39 @@ def _load_plan(cfg: RunConfig, methods: tuple[Method, ...] = ()) -> list[tuple[f
 
 
 class _LadderCache:
+    """Ladders of one title, and the title's candidate index.
+
+    Both are dropped when a different title is requested, so callers loop
+    title-first and only one title's index is alive at a time.
+    """
+
     def __init__(self, cfg: RunConfig, plan):
         self.cfg = cfg
         self.plan = plan
+        self._key: tuple[str, QualityMetric] | None = None
+        self._index: CandidateIndex | None = None
         self._cache: dict[tuple, Ladder] = {}
 
     def get(self, key: tuple[str, QualityMetric], ds: TitleDataset,
             method: Method, alpha: float | None) -> Ladder:
+        if key != self._key:
+            self._key, self._index, self._cache = key, None, {}
         alpha = alpha if method in ALPHA_METHODS else None
-        ck = (key, method, alpha)
+        ck = (method, alpha)
         if ck not in self._cache:
             self._cache[ck] = self._build(ds, method, alpha)
         return self._cache[ck]
 
     def _build(self, ds: TitleDataset, method: Method, alpha: float | None) -> Ladder:
         cfg = self.cfg
+        if method in ALPHA_METHODS and self._index is None:
+            self._index = CandidateIndex(ds, cfg.tolerance, cross_target=cfg.cross_target)
         if method is Method.ARCS:
             return optimize_arcs(ds, Alpha(alpha), cfg.tolerance, cfg.mode,
-                                 cross_target=cfg.cross_target)
+                                 cross_target=cfg.cross_target, index=self._index)
         if method is Method.DYNRES_JOD:
             return build_dynres(ds, Alpha(alpha), cfg.tolerance, cfg.chroma_fixed,
-                                cfg.mode, cross_target=cfg.cross_target)
+                                cfg.mode, cross_target=cfg.cross_target, index=self._index)
         if method is Method.DEFAULT:
             return build_default(ds, cfg.tolerance, cross_target=cfg.cross_target)
         if self.plan is None:
@@ -243,9 +257,9 @@ def cmd_synth(args) -> int:
     else:
         spec = default_spec()
     if args.seed is not None:
-        spec = _respec(spec, seed=args.seed)
+        spec = replace(spec, seed=args.seed)
     if args.titles is not None:
-        spec = _respec(spec, titles=args.titles)
+        spec = replace(spec, titles=args.titles)
     datasets = generate(spec)
     text = serialize_dataset(datasets, fmt=args.format)
     if args.out is None:
@@ -255,12 +269,6 @@ def cmd_synth(args) -> int:
         n = sum(len(d.records) for d in datasets)
         print(f"wrote {len(datasets)} title(s), {n} record(s) to {args.out}")
     return EXIT_OK
-
-
-def _respec(spec, **kw):
-    from dataclasses import replace
-
-    return replace(spec, **kw)
 
 
 def cmd_optimize(args) -> int:
@@ -318,7 +326,8 @@ def _compare_report(cfg: RunConfig, datasets, methods: tuple[Method, ...]) -> di
         for method in methods:
             alphas = cfg.alphas if (method in ALPHA_METHODS or cfg.reference in ALPHA_METHODS) else (None,)
             for alpha in alphas:
-                group = (method, alpha if method in ALPHA_METHODS else None, metric)
+                # alpha is None unless the method or the reference is built with it.
+                group = (method, alpha, metric)
                 try:
                     ref = cache.get(key, ds, cfg.reference, alpha)
                     test = cache.get(key, ds, method, alpha)
@@ -338,7 +347,7 @@ def _compare_report(cfg: RunConfig, datasets, methods: tuple[Method, ...]) -> di
                 entry["bd"]["rows"].append(
                     {
                         "method": method.value,
-                        "alpha": alpha if method in ALPHA_METHODS else None,
+                        "alpha": alpha,
                         "metric": metric.value,
                         "reference": cfg.reference.value,
                         "bdr_percent": rate.value_percent,
@@ -353,7 +362,9 @@ def _compare_report(cfg: RunConfig, datasets, methods: tuple[Method, ...]) -> di
         rows_by_group,
         key=lambda g: (g[0].value, -1.0 if g[1] is None else g[1], g[2].value),
     )
-    n_titles = len(datasets)
+    # Titles are counted per metric: a title measured in both metrics has a
+    # dataset, and a row, for each.
+    n_titles = Counter(metric for _, metric in datasets)
     for group in group_keys:
         vals = rows_by_group[group]
         method, alpha, metric = group
@@ -366,7 +377,7 @@ def _compare_report(cfg: RunConfig, datasets, methods: tuple[Method, ...]) -> di
                 "mean_bdr_percent": aggregate([rate for rate, _ in vals]),
                 "mean_bddt_percent": aggregate([time for _, time in vals]),
                 "titles_used": len(vals),
-                "titles_excluded": n_titles - len(vals),
+                "titles_excluded": n_titles[metric] - len(vals),
             }
         )
     return {
@@ -518,7 +529,7 @@ def cmd_sweep(args) -> int:
     if len(cfg.alphas) < 2:
         print("error: sweep needs at least two --alpha values", file=sys.stderr)
         return EXIT_INPUT
-    cfg = _replace_cfg(cfg, alphas=tuple(sorted(cfg.alphas)))
+    cfg = replace(cfg, alphas=tuple(sorted(cfg.alphas)))
     datasets = _load_datasets(cfg)
     if not datasets:
         print("error: no datasets in input", file=sys.stderr)
@@ -572,27 +583,31 @@ def cmd_pmf(args) -> int:
         print("error: no datasets in input", file=sys.stderr)
         return EXIT_INPUT
     cache = _LadderCache(cfg, _load_plan(cfg, cfg.methods))
+    groups = [(method, alpha) for method in cfg.methods
+              for alpha in (cfg.alphas if method in ALPHA_METHODS else (None,))]
+    ladders = {group: [] for group in groups}
+    failures = {group: [] for group in groups}
+    for key, ds in datasets.items():
+        for method, alpha in groups:
+            try:
+                ladders[method, alpha].append(cache.get(key, ds, method, alpha))
+            except LadderError as exc:
+                failures[method, alpha].append(_exclusion(key[0], key[1], method, alpha, exc))
     rows, excluded = [], []
-    for method in cfg.methods:
-        alphas = cfg.alphas if method in ALPHA_METHODS else (None,)
-        for alpha in alphas:
-            ladders = []
-            for key, ds in datasets.items():
-                try:
-                    ladders.append(cache.get(key, ds, method, alpha))
-                except LadderError as exc:
-                    excluded.append(_exclusion(key[0], key[1], method, alpha, exc))
-            if not ladders:
-                continue
-            pmf = chroma_pmf(ladders)
-            rows.append(
-                {
-                    "method": method.value,
-                    "alpha": alpha,
-                    "pmf": {fmt.value: pmf[fmt] for fmt in ChromaFormat},
-                    "present_rungs": sum(len(l.present_rungs) for l in ladders),
-                }
-            )
+    for method, alpha in groups:
+        excluded.extend(failures[method, alpha])
+        built = ladders[method, alpha]
+        if not built:
+            continue
+        pmf = chroma_pmf(built)
+        rows.append(
+            {
+                "method": method.value,
+                "alpha": alpha,
+                "pmf": {fmt.value: pmf[fmt] for fmt in ChromaFormat},
+                "present_rungs": sum(len(l.present_rungs) for l in built),
+            }
+        )
     if not rows:
         print("error: no ladder could be built", file=sys.stderr)
         return EXIT_COMPUTE
@@ -628,19 +643,14 @@ def cmd_pmf(args) -> int:
 # -- argument plumbing ---------------------------------------------------------
 
 
-def _replace_cfg(cfg: RunConfig, **kw) -> RunConfig:
-    from dataclasses import replace
-
-    return replace(cfg, **kw)
-
-
 def _config_from_args(args, default_alphas: tuple[float, ...] = (0.0,)) -> RunConfig:
     return RunConfig(
         inputs=tuple(Path(p) for p in args.input),
-        alphas=tuple(args.alpha) if args.alpha else default_alphas,
+        alphas=tuple(dict.fromkeys(args.alpha)) if args.alpha else default_alphas,
         tolerance=args.tolerance,
         mode=OptimizerMode(args.mode),
-        methods=tuple(Method(m) for m in args.method) if getattr(args, "method", None) else (Method.ARCS,),
+        methods=(tuple(dict.fromkeys(Method(m) for m in args.method))
+                 if getattr(args, "method", None) else (Method.ARCS,)),
         reference=Method(getattr(args, "reference", "default")),
         plan_path=Path(args.plan) if getattr(args, "plan", None) else None,
         chroma_fixed=ChromaFormat(args.chroma_fixed),

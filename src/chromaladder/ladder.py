@@ -45,7 +45,14 @@ from .measurements import (
     TitleDataset,
     candidates_for,
 )
-from .objective import Alpha, as_alpha, bounds_for, composite_normalized
+from .objective import (
+    Alpha,
+    as_alpha,
+    bounds_for,
+    check_in_bounds,
+    normalized_log_time,
+    normalized_quality,
+)
 
 ENUMERATION_GUARD = 10**7
 
@@ -129,61 +136,101 @@ def _step_ok(prev: tuple[int, int], nxt: tuple[int, int]) -> bool:
     return nxt[1] >= prev[1]
 
 
-# -- candidates and assignment comparison -----------------------------------
+# -- candidate index -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Cand:
-    record: MeasurementRecord
-    j: float
-    hf: tuple[int, int]
+class CandidateIndex:
+    """The alpha-free part of ladder building for one title.
+
+    ``pools[i]`` holds the window candidates of the i-th target bitrate, in
+    ``candidates_for`` order, as ``(record, q', d', (height, fidelity_rank))``.
+    ``q'`` and ``d'`` are the normalized quality and log decode time over all
+    records of the title, so ``q' - alpha * d'`` equals
+    ``composite_normalized(record, bounds_for(dataset), alpha)`` bit for bit.
+    Chroma-filtered pools and the compiled DP graphs are made on first use and
+    kept, so building ladders for many alphas repeats only the scoring and one
+    relaxation pass each.
+
+    Builders accept an index through ``index=`` and reject one built for a
+    different dataset, tolerance or ``cross_target``.
+    """
+
+    def __init__(
+        self, dataset: TitleDataset, tolerance: float = 0.10, *, cross_target: bool = False
+    ):
+        self.dataset = dataset
+        self.tolerance = tolerance
+        self.cross_target = cross_target
+        bounds = bounds_for(dataset)
+        terms = {}
+        for r in dataset.records:
+            check_in_bounds(r, bounds)
+            terms[id(r)] = (
+                normalized_quality(r.quality.value, bounds),
+                normalized_log_time(r.decode_time, bounds),
+            )
+        self.pools = tuple(
+            tuple(
+                (r, *terms[id(r)], (r.resolution.height, r.chroma.fidelity_rank))
+                for r in candidates_for(dataset, t, tolerance, cross_target=cross_target)
+            )
+            for t in dataset.bitrate_targets
+        )
+        self._filtered: dict[ChromaFormat, tuple] = {}
+        self._graphs: dict[ChromaFormat | None, _Graph] = {}
+
+    def _check(self, dataset: TitleDataset, tolerance: float, cross_target: bool) -> None:
+        if (
+            (self.dataset is not dataset and self.dataset != dataset)
+            or self.tolerance != tolerance
+            or self.cross_target != cross_target
+        ):
+            raise ValueError(
+                f"candidate index of title {self.dataset.title_id!r} (tolerance "
+                f"{self.tolerance}, cross_target={self.cross_target}) does not match "
+                f"title {dataset.title_id!r} (tolerance {tolerance}, "
+                f"cross_target={cross_target})"
+            )
+
+    def _pools(self, chroma: ChromaFormat | None) -> tuple:
+        if chroma is None:
+            return self.pools
+        if chroma not in self._filtered:
+            rank = chroma.fidelity_rank
+            self._filtered[chroma] = tuple(
+                tuple(c for c in pool if c[3][1] == rank) for pool in self.pools
+            )
+        return self._filtered[chroma]
+
+    def _graph(self, chroma: ChromaFormat | None) -> _Graph:
+        if chroma not in self._graphs:
+            self._graphs[chroma] = _compile(self._pools(chroma))
+        return self._graphs[chroma]
 
 
-def _rung_key(c: _Cand) -> tuple:
+def _rung_key(cand: tuple, j: float) -> tuple:
     # Greater tuple = preferred. Present beats absent; then the documented
     # tie order; target/actual tails make the key unique per record.
+    record, _, _, hf = cand
     return (
         1,
-        c.j,
-        -c.record.decode_time,
-        -c.hf[0],
-        -c.hf[1],
-        -c.record.target_bitrate,
-        -c.record.actual_bitrate,
+        j,
+        -record.decode_time,
+        -hf[0],
+        -hf[1],
+        -record.target_bitrate,
+        -record.actual_bitrate,
     )
 
 
 _ABSENT_KEY = (0, 0.0, 0.0, 0, 0, 0.0, 0.0)
 
 
-def _candidate_pools(
-    dataset: TitleDataset,
-    alpha: Alpha,
-    tolerance: float,
-    *,
-    chroma: ChromaFormat | None = None,
-    cross_target: bool = False,
-) -> list[list[_Cand]]:
-    bounds = bounds_for(dataset)
-    pools = []
-    for t in dataset.bitrate_targets:
-        recs = candidates_for(dataset, t, tolerance, cross_target=cross_target)
-        if chroma is not None:
-            recs = [r for r in recs if r.chroma is chroma]
-        pools.append(
-            [
-                _Cand(
-                    r,
-                    composite_normalized(r, bounds, alpha),
-                    (r.resolution.height, r.chroma.fidelity_rank),
-                )
-                for r in recs
-            ]
-        )
-    return pools
-
-
 # -- solvers -----------------------------------------------------------------
+#
+# Every solver takes the pools of one chroma view and ``js``, the objective of
+# each candidate for one alpha (``_relax`` also takes the compiled graph), and
+# returns one candidate position per rung (None for an absent rung).
 #
 # Both exact solvers search the space of maximal assignments. An absent rung
 # whose pool still holds candidates feasible w.r.t. the previous present rung
@@ -197,59 +244,120 @@ def _candidate_pools(
 # needs the lexicographic minimum of the pending candidates as a cap on the
 # next present choice, while the enumeration oracle keeps the literal pending
 # list and applies the definition directly.
+#
+# The DP states are (last present (height, fidelity), cap), each None when
+# unset. Which states are reachable, and the edges between them, depend only
+# on the candidates' (height, fidelity), so ``_compile`` builds that graph
+# once per title and chroma view. ``_relax`` then runs one max-plus pass over
+# the edges per alpha. Each state keeps its best path by (summed objective,
+# then the sequence of rung keys) as a backpointer; the key sequences are
+# rebuilt from the backpointers only when two sums are exactly equal.
 
 
-def _solve_dp(pools: Sequence[Sequence[_Cand]]) -> tuple[_Cand | None, ...]:
-    # state: (last present (h,f) or None, cap or None) -> (score, keys, choices)
-    states: dict[tuple, tuple] = {(None, None): (0.0, (), ())}
+@dataclass(frozen=True)
+class _Graph:
+    # Per rung: edges (source state, destination state, candidate position or
+    # -1 for an absent rung); states are numbered per layer, the start is 0.
+    layers: tuple[tuple[tuple[int, int, int], ...], ...]
+    widths: tuple[int, ...]  # number of states after each rung
+    finals: tuple[int, ...]  # states after the last rung with no pending cap
+
+
+def _compile(pools: Sequence[Sequence[tuple]]) -> _Graph:
+    states: dict[tuple, int] = {(None, None): 0}
+    layers, widths = [], []
     for pool in pools:
-        nxt: dict[tuple, tuple] = {}
-        for (last, cap), (score, keys, choices) in states.items():
-            feasible = [c for c in pool if last is None or _step_ok(last, c.hf)]
+        nxt: dict[tuple, int] = {}
+        edges = []
+        for (last, cap), src in states.items():
+            feasible = [k for k, c in enumerate(pool) if last is None or _step_ok(last, c[3])]
             new_cap = cap
             if feasible:
-                m = min(c.hf for c in feasible)
+                m = min(pool[k][3] for k in feasible)
                 new_cap = m if cap is None or m < cap else cap
-            _keep_best(
-                nxt,
-                (last, new_cap),
-                (score, keys + (_ABSENT_KEY,), choices + (None,)),
-            )
-            for c in feasible:
-                if cap is not None and not c.hf < cap:
-                    continue
-                _keep_best(
-                    nxt,
-                    (c.hf, None),
-                    (score + c.j, keys + (_rung_key(c),), choices + (c,)),
-                )
+            edges.append((src, nxt.setdefault((last, new_cap), len(nxt)), -1))
+            for k in feasible:
+                hf = pool[k][3]
+                if cap is None or hf < cap:
+                    edges.append((src, nxt.setdefault((hf, None), len(nxt)), k))
+        layers.append(tuple(edges))
+        widths.append(len(nxt))
         states = nxt
-    complete = [v for (last, cap), v in states.items() if cap is None]
-    best = max(complete, key=lambda v: (v[0], v[1]))
-    return best[2]
+    finals = tuple(i for (_, cap), i in states.items() if cap is None)
+    return _Graph(tuple(layers), tuple(widths), finals)
 
 
-def _keep_best(states: dict, key: tuple, value: tuple) -> None:
-    old = states.get(key)
-    if old is None or (value[0], value[1]) > (old[0], old[1]):
-        states[key] = value
+def _relax(graph: _Graph, pools, js) -> list[int | None]:
+    score = [0.0]
+    backs: list[list[tuple[int, int]]] = []  # per rung: (source state, candidate)
+    for edges, width, jl in zip(graph.layers, graph.widths, js):
+        best: list = [None] * width
+        back: list = [None] * width
+        for src, dst, k in edges:
+            s = score[src] if k < 0 else score[src] + jl[k]
+            b = best[dst]
+            if (
+                b is None
+                or s > b
+                or (
+                    s == b
+                    and _path_keys(backs, pools, js, src, k)
+                    > _path_keys(backs, pools, js, *back[dst])
+                )
+            ):
+                best[dst] = s
+                back[dst] = (src, k)
+        score = best
+        backs.append(back)
+    end = None
+    for f in graph.finals:
+        if (
+            end is None
+            or score[f] > score[end]
+            or (
+                score[f] == score[end]
+                and _path_keys(backs, pools, js, f) > _path_keys(backs, pools, js, end)
+            )
+        ):
+            end = f
+    choices: list[int | None] = [None] * len(backs)
+    state = end
+    for i in range(len(backs) - 1, -1, -1):
+        state, k = backs[i][state]
+        choices[i] = None if k < 0 else k
+    return choices
 
 
-def _solve_greedy(pools: Sequence[Sequence[_Cand]]) -> tuple[_Cand | None, ...]:
+def _path_keys(backs, pools, js, state: int, last: int | None = None) -> list[tuple]:
+    """Rung keys, first rung first, of the path kept for ``state`` after the
+    ``len(backs)`` rungs relaxed so far; ``last`` appends one more rung's
+    choice (-1 for absent)."""
+    keys = []
+    if last is not None:
+        i = len(backs)
+        keys.append(_ABSENT_KEY if last < 0 else _rung_key(pools[i][last], js[i][last]))
+    for i in range(len(backs) - 1, -1, -1):
+        state, k = backs[i][state]
+        keys.append(_ABSENT_KEY if k < 0 else _rung_key(pools[i][k], js[i][k]))
+    keys.reverse()
+    return keys
+
+
+def _solve_greedy(pools, js) -> list[int | None]:
     last: tuple[int, int] | None = None
-    out: list[_Cand | None] = []
-    for pool in pools:
-        feasible = [c for c in pool if last is None or _step_ok(last, c.hf)]
+    out: list[int | None] = []
+    for pool, jl in zip(pools, js):
+        feasible = [k for k, c in enumerate(pool) if last is None or _step_ok(last, c[3])]
         if feasible:
-            pick = max(feasible, key=_rung_key)
+            pick = max(feasible, key=lambda k: _rung_key(pool[k], jl[k]))
             out.append(pick)
-            last = pick.hf
+            last = pool[pick][3]
         else:
             out.append(None)
-    return tuple(out)
+    return out
 
 
-def _solve_enumerate(pools: Sequence[Sequence[_Cand]]) -> tuple[_Cand | None, ...]:
+def _solve_enumerate(pools, js) -> list[int | None]:
     size = 1
     for pool in pools:
         size *= max(1, len(pool))
@@ -268,44 +376,60 @@ def _solve_enumerate(pools: Sequence[Sequence[_Cand]]) -> tuple[_Cand | None, ..
             if best is None or (score, keys) > (best[0], best[1]):
                 best = (score, keys, choices)
             return
-        pool = pools[i]
-        feasible = tuple(c for c in pool if last is None or _step_ok(last, c.hf))
+        pool, jl = pools[i], js[i]
+        feasible = tuple(k for k, c in enumerate(pool) if last is None or _step_ok(last, c[3]))
         walk(
             i + 1,
             last,
-            pending + tuple(c.hf for c in feasible),
+            pending + tuple(pool[k][3] for k in feasible),
             score,
             keys + (_ABSENT_KEY,),
             choices + (None,),
         )
-        for c in feasible:
-            if any(_step_ok(x, c.hf) for x in pending):
-                continue  # some skipped candidate would still fit before c
-            walk(i + 1, c.hf, (), score + c.j, keys + (_rung_key(c),), choices + (c,))
+        for k in feasible:
+            hf = pool[k][3]
+            if any(_step_ok(x, hf) for x in pending):
+                continue  # some skipped candidate would still fit before this one
+            walk(i + 1, hf, (), score + jl[k], keys + (_rung_key(pool[k], jl[k]),),
+                 choices + (k,))
 
     walk(0, None, (), 0.0, (), ())
     assert best is not None
-    return best[2]
+    return list(best[2])
 
 
 # -- builders -----------------------------------------------------------------
 
 
-def _assemble(
+def _build(
     dataset: TitleDataset,
     method: Method,
-    alpha: Alpha | None,
-    pools: Sequence[Sequence[_Cand]],
+    alpha: Alpha | float,
+    tolerance: float,
+    cross_target: bool,
+    index: CandidateIndex | None,
+    chroma: ChromaFormat | None,
     solver,
 ) -> Ladder:
+    alpha = as_alpha(alpha)
+    if index is None:
+        index = CandidateIndex(dataset, tolerance, cross_target=cross_target)
+    else:
+        index._check(dataset, tolerance, cross_target)
+    pools = index._pools(chroma)
     if all(not pool for pool in pools):
         raise AllRungsAbsent(
             f"title {dataset.title_id!r}: no candidate at any target bitrate"
         )
-    choices = solver(pools)
+    a = alpha.value
+    js = [[q - a * d for _, q, d, _ in pool] for pool in pools]
+    if solver is _relax:
+        choices = _relax(index._graph(chroma), pools, js)
+    else:
+        choices = solver(pools, js)
     rungs = tuple(
-        Rung(t, c.record, c.j) if c is not None else Rung(t)
-        for t, c in zip(dataset.bitrate_targets, choices)
+        Rung(t, pools[i][k][0], js[i][k]) if k is not None else Rung(t)
+        for i, (t, k) in enumerate(zip(dataset.bitrate_targets, choices))
     )
     return Ladder(dataset.title_id, method, rungs, alpha)
 
@@ -317,18 +441,18 @@ def optimize_arcs(
     mode: OptimizerMode = OptimizerMode.GLOBAL_DP,
     *,
     cross_target: bool = False,
+    index: CandidateIndex | None = None,
 ) -> Ladder:
     """Jointly select (resolution, chroma) per target bitrate.
 
     ``GLOBAL_DP`` maximizes the summed normalized objective exactly over all
     maximal feasible assignments via dynamic programming; ``GREEDY_SEQUENTIAL``
     scans targets in ascending order, picking the objective argmax among
-    candidates feasible w.r.t. the previous present rung.
+    candidates feasible w.r.t. the previous present rung. ``index`` reuses a
+    ``CandidateIndex`` of this dataset, tolerance and ``cross_target``.
     """
-    alpha = as_alpha(alpha)
-    pools = _candidate_pools(dataset, alpha, tolerance, cross_target=cross_target)
-    solver = _solve_dp if mode is OptimizerMode.GLOBAL_DP else _solve_greedy
-    return _assemble(dataset, Method.ARCS, alpha, pools, solver)
+    solver = _relax if mode is OptimizerMode.GLOBAL_DP else _solve_greedy
+    return _build(dataset, Method.ARCS, alpha, tolerance, cross_target, index, None, solver)
 
 
 def enumerate_optimal(
@@ -337,12 +461,13 @@ def enumerate_optimal(
     tolerance: float = 0.10,
     *,
     cross_target: bool = False,
+    index: CandidateIndex | None = None,
 ) -> Ladder:
     """Exhaustive-search oracle; identical contract and tie-breaking as
     ``optimize_arcs`` with ``GLOBAL_DP``. Guarded against large search spaces."""
-    alpha = as_alpha(alpha)
-    pools = _candidate_pools(dataset, alpha, tolerance, cross_target=cross_target)
-    return _assemble(dataset, Method.ARCS, alpha, pools, _solve_enumerate)
+    return _build(
+        dataset, Method.ARCS, alpha, tolerance, cross_target, index, None, _solve_enumerate
+    )
 
 
 def build_dynres(
@@ -353,15 +478,14 @@ def build_dynres(
     mode: OptimizerMode = OptimizerMode.GLOBAL_DP,
     *,
     cross_target: bool = False,
+    index: CandidateIndex | None = None,
 ) -> Ladder:
     """Resolution-only ablation: same machinery, candidate pool pinned to one
     chroma format (default the full-fidelity source format)."""
-    alpha = as_alpha(alpha)
-    pools = _candidate_pools(
-        dataset, alpha, tolerance, chroma=fixed_chroma, cross_target=cross_target
+    solver = _relax if mode is OptimizerMode.GLOBAL_DP else _solve_greedy
+    return _build(
+        dataset, Method.DYNRES_JOD, alpha, tolerance, cross_target, index, fixed_chroma, solver
     )
-    solver = _solve_dp if mode is OptimizerMode.GLOBAL_DP else _solve_greedy
-    return _assemble(dataset, Method.DYNRES_JOD, alpha, pools, solver)
 
 
 def build_default(

@@ -99,6 +99,13 @@ def composite_normalized(
     The record must lie within ``bounds`` (tolerance ``1e-9``); constant terms
     from degenerate bounds are mapped to 0, which cannot affect an argmax.
     """
+    check_in_bounds(record, bounds)
+    q_norm = normalized_quality(record.quality.value, bounds)
+    return q_norm - as_alpha(alpha).value * normalized_log_time(record.decode_time, bounds)
+
+
+def check_in_bounds(record: MeasurementRecord, bounds: NormalizationBounds) -> None:
+    """Raise BoundsMismatch unless the record lies within ``bounds`` (tolerance ``1e-9``)."""
     q = record.quality.value
     ld = record.log_decode_time
     if q < bounds.q_min - BOUNDS_TOLERANCE or q > bounds.q_max + BOUNDS_TOLERANCE:
@@ -110,6 +117,3 @@ def composite_normalized(
             f"log decode time {ld!r} outside bounds "
             f"[{bounds.log_d_min}, {bounds.log_d_max}]"
         )
-    return normalized_quality(q, bounds) - as_alpha(alpha).value * normalized_log_time(
-        record.decode_time, bounds
-    )

@@ -4,9 +4,14 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chromaladder import (
     Alpha,
+    Method,
+    QualityMetric,
+    QualityScore,
     TitleDataset,
     default_spec,
     enumerate_optimal,
@@ -233,6 +238,28 @@ class TestCompare:
         row = report["aggregate"]["rows"][0]
         assert row["titles_used"] == 4 and row["titles_excluded"] == 1
 
+    def test_titles_counted_per_metric(self, small_corpus, tmp_path):
+        # The same titles measured in both metrics, in two files.
+        datasets = parse_dataset(small_corpus.read_text(encoding="utf-8"))
+        psnr = [
+            TitleDataset.from_records(
+                replace(r, quality=QualityScore(QualityMetric.YUVPSNR_DB, 30.0 + r.quality.value))
+                for r in ds.records
+            )
+            for ds in datasets
+        ]
+        psnr_path = tmp_path / "psnr.csv"
+        psnr_path.write_text(serialize_dataset(psnr), encoding="utf-8")
+        out = tmp_path / "rep"
+        code = run(
+            "compare", "--input", small_corpus, "--input", psnr_path, "--method", "arcs",
+            "--alpha", 0, "--out", out,
+        )
+        assert code == 0
+        rows = json.loads((out / "report.json").read_text(encoding="utf-8"))["aggregate"]["rows"]
+        assert sorted(r["metric"] for r in rows) == ["cvvdp", "psnr"]
+        assert all(r["titles_used"] == 4 and r["titles_excluded"] == 0 for r in rows)
+
     def test_csv_and_markdown_outputs(self, small_corpus, tmp_path):
         out = tmp_path / "rep"
         code = run(
@@ -315,6 +342,77 @@ class TestExitCodes:
         path = tmp_path / "miss.csv"
         path.write_text(serialize_dataset([TitleDataset.from_records(recs)]), encoding="utf-8")
         assert run("compare", "--input", path, "--method", "arcs", "--out", tmp_path / "r") == 2
+
+
+@pytest.fixture(scope="module")
+def flag_corpus(tmp_path_factory):
+    """Two synthetic titles plus one whose native-resolution reference
+    degenerates, so some evaluations are excluded."""
+    tmp = tmp_path_factory.mktemp("flags")
+    datasets = generate(replace(default_spec(titles=2), targets_kbps=SMALL_TARGETS))
+    lonely = TitleDataset.from_records(
+        replace_title(rec, "zz-lonely")
+        for rec in datasets[0].records
+        if not (rec.resolution.height == 2160 and rec.chroma is C444)
+        or rec.target_bitrate == 600.0
+    )
+    corpus = tmp / "corpus.csv"
+    corpus.write_text(serialize_dataset(datasets + [lonely]), encoding="utf-8")
+    plan = tmp / "plan.csv"
+    plan.write_text(
+        "target_kbps,height\n600,1080\n1200,1080\n2400,1080\n4800,2160\n9600,2160\n",
+        encoding="utf-8",
+    )
+    return corpus, plan, tmp / "out", [ds.title_id for ds in datasets] + ["zz-lonely"]
+
+
+ALPHA_METHODS = {"arcs", "dynres"}
+
+
+class TestFlagCombinations:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        alphas=st.lists(st.sampled_from([0.0, 0.04, 0.08]), min_size=1, max_size=4),
+        methods=st.lists(st.sampled_from([m.value for m in Method]), min_size=1, max_size=4),
+        reference=st.sampled_from([m.value for m in Method]),
+    )
+    @example(alphas=[0.04, 0.04], methods=["arcs"], reference="default")
+    @example(alphas=[0.0, 0.08], methods=["default"], reference="arcs")
+    @example(alphas=[0.04], methods=["arcs", "arcs"], reference="default")
+    def test_each_evaluation_reported_once(self, flag_corpus, alphas, methods, reference):
+        corpus, plan, out, titles = flag_corpus
+        flags = [f for a in alphas for f in ("--alpha", a)]
+        flags += [f for m in methods for f in ("--method", m)]
+        flags += ["--input", corpus, "--plan", plan, "--out", out]
+        alpha_set = list(dict.fromkeys(alphas))
+        method_set = list(dict.fromkeys(methods))
+
+        assert run("compare", "--reference", reference, *flags) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        seen = [
+            (entry["title"], row["method"], row["alpha"])
+            for entry in report["titles"]
+            for row in entry["bd"]["rows"]
+        ]
+        seen += [(x["title"], x["method"], x["alpha"]) for x in report["aggregate"]["excluded"]]
+        expected = {
+            (title, m, a)
+            for title in titles
+            for m in method_set
+            for a in (alpha_set if ALPHA_METHODS & {m, reference} else [None])
+        }
+        assert sorted(seen, key=str) == sorted(expected, key=str)
+        rows = report["aggregate"]["rows"]
+        assert len({(r["method"], r["alpha"], r["metric"]) for r in rows}) == len(rows)
+        for row in rows:
+            assert row["reference"] == reference
+            assert row["titles_used"] + row["titles_excluded"] == len(titles)
+
+        assert run("pmf", *flags) == 0
+        payload = json.loads((out / "pmf.json").read_text(encoding="utf-8"))
+        assert [(r["method"], r["alpha"]) for r in payload["pmf"]] == [
+            (m, a) for m in method_set for a in (alpha_set if m in ALPHA_METHODS else [None])
+        ]
 
 
 class TestDeterminism:

@@ -13,8 +13,10 @@ import itertools
 import numpy as np
 import pytest
 
+import chromaladder.ladder as ladder_module
 from chromaladder import (
     Alpha,
+    CandidateIndex,
     Ladder,
     Method,
     OptimizerMode,
@@ -28,8 +30,10 @@ from chromaladder import (
     chroma_pmf,
     composite_normalized,
     enumerate_optimal,
+    generate,
     load_plan,
     optimize_arcs,
+    sparse_spec,
 )
 from chromaladder.errors import (
     AllRungsAbsent,
@@ -509,3 +513,130 @@ class TestChromaPmf:
     def test_no_present_rungs_rejected(self):
         with pytest.raises(NoPresentRungs):
             chroma_pmf([])
+
+
+class TestCandidateIndex:
+    """The per-title index and compiled DP graph reused across alphas."""
+
+    ALPHAS = (0.0, 0.01, 0.02, 0.04, 0.08, 0.3, 1.0)
+
+    @staticmethod
+    def _ladder_or_error(build, *args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except AllRungsAbsent:
+            return AllRungsAbsent
+
+    @pytest.mark.parametrize("cross_target", [False, True])
+    def test_shared_index_equals_fresh_builds(self, cross_target):
+        # One index per title, methods then alphas as the CLI loops; every
+        # ladder must equal a build that makes its own index.
+        rng = np.random.default_rng(515)
+        corpus = [random_dataset(rng) for _ in range(25)]
+        corpus += generate(sparse_spec(seed=0, titles=6))
+        kw = {"cross_target": cross_target}
+        for ds in corpus:
+            index = CandidateIndex(ds, 0.10, cross_target=cross_target)
+            for mode in OptimizerMode:
+                builders = (
+                    lambda a, **k: optimize_arcs(ds, a, 0.10, mode, **k),
+                    lambda a, **k: build_dynres(ds, a, 0.10, C444, mode, **k),
+                    lambda a, **k: build_dynres(ds, a, 0.10, C420, mode, **k),
+                )
+                for build in builders:
+                    for alpha in self.ALPHAS:
+                        shared = self._ladder_or_error(build, Alpha(alpha), index=index, **kw)
+                        fresh = self._ladder_or_error(build, Alpha(alpha), **kw)
+                        assert shared == fresh, (ds.title_id, mode, alpha)
+
+    def test_sparse_corpus_has_absent_rungs(self):
+        # Guards the test above: the sparse titles must put both kinds of
+        # absent rung (empty window, blocked by the chain) through the DP.
+        kinds = set()
+        for ds in generate(sparse_spec(seed=0, titles=6)):
+            for r in optimize_arcs(ds, Alpha(0.04)).rungs:
+                if not r.present:
+                    kinds.add(bool(candidates_for(ds, r.target_bitrate, 0.10)))
+        assert kinds == {False, True}
+
+    @pytest.mark.parametrize(
+        "targets",
+        [
+            # Paths through 420 and 422 at 600 kbps meet at the 2160p rung.
+            (600.0, 2400.0),
+            # The equal-score paths end in different final states.
+            (600.0,),
+        ],
+    )
+    def test_exact_score_tie_broken_by_rung_keys(self, monkeypatch, targets):
+        recs = [
+            record(height=1080, chroma=C420, target=600.0, quality=6.0, decode=0.05),
+            record(height=1080, chroma=C422, target=600.0, quality=6.0, decode=0.05),
+            record(height=2160, chroma=C420, target=2400.0, quality=8.0, decode=0.1),
+        ]
+        ds = TitleDataset.from_records(r for r in recs if r.target_bitrate in targets)
+        calls = []
+        path_keys = ladder_module._path_keys
+
+        def counted(*args):
+            calls.append(args)
+            return path_keys(*args)
+
+        monkeypatch.setattr(ladder_module, "_path_keys", counted)
+        dp = optimize_arcs(ds, Alpha(0.0))
+        assert calls, "the tie-break on rung keys was not reached"
+        assert dp.rungs[0].choice.chroma is C420  # equal score: lower fidelity wins
+        assert dp.rungs == enumerate_optimal(ds, Alpha(0.0)).rungs
+        assert choices_of(dp) == definitional_best(ds, Alpha(0.0))
+
+    def test_index_scores_equal_composite_normalized(self):
+        rng = np.random.default_rng(616)
+        corpus = [random_dataset(rng) for _ in range(20)]
+        # Degenerate bounds: every q' and d' is 0.0.
+        corpus.append(grid_dataset(lambda h, c, b: 5.0, lambda h, c, b: 0.05))
+        for ds in corpus:
+            bounds = bounds_for(ds)
+            for cross_target in (False, True):
+                index = CandidateIndex(ds, 0.10, cross_target=cross_target)
+                for alpha in self.ALPHAS:
+                    for pool in index.pools:
+                        for rec, q, d, hf in pool:
+                            assert q - alpha * d == composite_normalized(rec, bounds, alpha)
+                            assert hf == (rec.resolution.height, rec.chroma.fidelity_rank)
+                    ladder = self._ladder_or_error(
+                        optimize_arcs, ds, Alpha(alpha), cross_target=cross_target, index=index
+                    )
+                    if ladder is AllRungsAbsent:
+                        continue
+                    for rung in ladder.present_rungs:
+                        assert rung.j_prime == composite_normalized(rung.choice, bounds, alpha)
+
+    def test_index_pools_follow_candidates_for(self):
+        rng = np.random.default_rng(717)
+        for _ in range(10):
+            ds = random_dataset(rng)
+            for cross_target in (False, True):
+                index = CandidateIndex(ds, 0.10, cross_target=cross_target)
+                assert [[c[0] for c in pool] for pool in index.pools] == [
+                    candidates_for(ds, t, 0.10, cross_target=cross_target)
+                    for t in ds.bitrate_targets
+                ]
+
+    def test_mismatched_index_rejected(self):
+        rng = np.random.default_rng(818)
+        ds = random_dataset(rng)
+        other = random_dataset(rng, title="other")
+        index = CandidateIndex(ds, 0.10)
+        builders = (optimize_arcs, build_dynres, enumerate_optimal)
+        for build in builders:
+            with pytest.raises(ValueError, match="does not match"):
+                build(other, Alpha(0.0), index=index)
+            with pytest.raises(ValueError, match="does not match"):
+                build(ds, Alpha(0.0), 0.2, index=index)
+            with pytest.raises(ValueError, match="does not match"):
+                build(ds, Alpha(0.0), cross_target=True, index=index)
+        # An equal dataset object is accepted.
+        copy = TitleDataset(ds.title_id, ds.records, ds.bitrate_targets)
+        assert self._ladder_or_error(optimize_arcs, copy, Alpha(0.0), index=index) == (
+            self._ladder_or_error(optimize_arcs, ds, Alpha(0.0))
+        )
