@@ -1,6 +1,13 @@
 """Command-line pipeline: validate data, synthesize corpora, build ladders,
 compare methods with Bjontegaard deltas, sweep alpha, and report chroma usage.
 
+The four ladder commands (optimize, compare, sweep, pmf) share one evaluation
+pass, ``_evaluate``: it loads the datasets and the plan, then builds every
+(method, alpha) ladder title by title and turns per-title failures into
+exclusions. compare and sweep add Bjontegaard deltas on top; every command
+hands its payload to ``_emit``, which prints JSON or, with ``--out``, writes
+the requested files and prints a summary.
+
 Exit codes: 0 success, 1 input/validation error, 2 computation error.
 All reports are deterministic: titles are processed in lexicographic order and
 JSON is emitted with a fixed field order, so repeated runs are byte-identical.
@@ -14,7 +21,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .bdmetrics import CurveAxis, aggregate, bd_delta, build_curve
 from .errors import (
@@ -98,56 +105,29 @@ def to_json_text(payload) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
-# -- data loading -------------------------------------------------------------
-
-
-def _load_datasets(cfg: RunConfig) -> dict[tuple[str, QualityMetric], TitleDataset]:
-    merged: dict[tuple[str, QualityMetric], list] = {}
-    for path in cfg.inputs:
-        text = Path(path).read_text(encoding="utf-8")
-        for ds in parse_dataset(text):
-            key = (ds.title_id, ds.metric)
-            merged.setdefault(key, []).extend(ds.records)
-    out = {}
-    for key in sorted(merged, key=lambda k: (k[0], k[1].value)):
-        out[key] = TitleDataset.from_records(merged[key])
-    return out
-
-
-def _load_plan(cfg: RunConfig, methods: tuple[Method, ...] = ()) -> list[tuple[float, int]] | None:
-    if cfg.plan_path is None:
-        if Method.FIXED_LADDER in methods:
-            raise InvalidPlan("--plan is required for the fixed method")
-        return None
-    return load_plan(Path(cfg.plan_path).read_text(encoding="utf-8"))
+# -- the evaluation pass ---------------------------------------------------------
 
 
 class _LadderCache:
-    """Ladders of one title, and the title's candidate index.
+    """One title's ladders, each built on first request, and the title's
+    candidate index, which the alpha-dependent methods share."""
 
-    Both are dropped when a different title is requested, so callers loop
-    title-first and only one title's index is alive at a time.
-    """
-
-    def __init__(self, cfg: RunConfig, plan):
+    def __init__(self, cfg: RunConfig, plan, ds: TitleDataset):
         self.cfg = cfg
         self.plan = plan
-        self._key: tuple[str, QualityMetric] | None = None
+        self.ds = ds
         self._index: CandidateIndex | None = None
         self._cache: dict[tuple, Ladder] = {}
 
-    def get(self, key: tuple[str, QualityMetric], ds: TitleDataset,
-            method: Method, alpha: float | None) -> Ladder:
-        if key != self._key:
-            self._key, self._index, self._cache = key, None, {}
+    def get(self, method: Method, alpha: float | None) -> Ladder:
         alpha = alpha if method in ALPHA_METHODS else None
         ck = (method, alpha)
         if ck not in self._cache:
-            self._cache[ck] = self._build(ds, method, alpha)
+            self._cache[ck] = self._build(method, alpha)
         return self._cache[ck]
 
-    def _build(self, ds: TitleDataset, method: Method, alpha: float | None) -> Ladder:
-        cfg = self.cfg
+    def _build(self, method: Method, alpha: float | None) -> Ladder:
+        cfg, ds = self.cfg, self.ds
         if method in ALPHA_METHODS and self._index is None:
             self._index = CandidateIndex(ds, cfg.tolerance, cross_target=cfg.cross_target)
         if method is Method.ARCS:
@@ -158,13 +138,64 @@ class _LadderCache:
                                 cfg.mode, cross_target=cfg.cross_target, index=self._index)
         if method is Method.DEFAULT:
             return build_default(ds, cfg.tolerance, cross_target=cfg.cross_target)
-        if self.plan is None:
-            raise InvalidPlan("--plan is required for the fixed method")
         return build_fixed(ds, self.plan, cfg.tolerance, cfg.chroma_fixed,
                            cross_target=cfg.cross_target)
 
 
-# -- payload helpers -----------------------------------------------------------
+def _evaluate(cfg: RunConfig, methods: tuple[Method, ...], reference: Method | None = None
+              ) -> Iterator[tuple[tuple[str, QualityMetric], list[tuple]]]:
+    """Build the ladders of every (title, method, alpha), one title at a time.
+
+    Yields ``((title, metric), evaluations)`` in title order, each evaluation
+    being ``(method, alpha, ladders, exclusion)`` in (method, alpha) order.
+    ``ladders`` is ``(reference ladder, method ladder)``, or ``(method
+    ladder,)`` without a reference; when a build fails it is None and
+    ``exclusion`` says why. ``alpha`` is None unless the method or the
+    reference is built with it. Records are merged across input files by
+    (title, metric), and only the current title's ladders are kept.
+    """
+    merged: dict[tuple[str, QualityMetric], list] = {}
+    for path in cfg.inputs:
+        for ds in parse_dataset(Path(path).read_text(encoding="utf-8")):
+            merged.setdefault((ds.title_id, ds.metric), []).extend(ds.records)
+    datasets = {key: TitleDataset.from_records(merged[key])
+                for key in sorted(merged, key=lambda k: (k[0], k[1].value))}
+    if not datasets:
+        raise DatasetError("no datasets in input")
+    if cfg.plan_path is not None:
+        plan = load_plan(Path(cfg.plan_path).read_text(encoding="utf-8"))
+    elif Method.FIXED_LADDER in (*methods, reference):
+        raise InvalidPlan("--plan is required for the fixed method")
+    else:
+        plan = None
+    groups = [(method, alpha) for method in methods
+              for alpha in (cfg.alphas if ALPHA_METHODS & {method, reference} else (None,))]
+    sides = () if reference is None else (reference,)
+    for key, ds in datasets.items():
+        title, metric = key
+        cache = _LadderCache(cfg, plan, ds)
+        evaluations = []
+        for method, alpha in groups:
+            try:
+                ladders = tuple(cache.get(side, alpha) for side in (*sides, method))
+            except LadderError as exc:
+                evaluations.append((method, alpha, None, _exclusion(title, metric, method, alpha, exc)))
+            else:
+                evaluations.append((method, alpha, ladders, None))
+        yield key, evaluations
+
+
+def _exclusion(title, metric, method, alpha, exc) -> dict:
+    return {
+        "title": title,
+        "metric": metric.value,
+        "method": method.value,
+        "alpha": alpha,
+        "reason": str(exc),
+    }
+
+
+# -- payloads and output ---------------------------------------------------------
 
 
 def _ladder_payload(ladder: Ladder, metric: QualityMetric, cfg: RunConfig) -> dict:
@@ -216,17 +247,77 @@ def _alpha_tag(alpha: float | None) -> str:
     return "" if alpha is None else f"__alpha{alpha:g}"
 
 
+def _alpha_label(alpha: float | None) -> str:
+    return "-" if alpha is None else f"{alpha:g}"
+
+
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
+def _csv_lines(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    out = [",".join(header)]
+    for row in rows:
+        out.append(",".join("" if v is None else (f"{v!r}" if isinstance(v, float) else str(v)) for v in row))
+    return "\n".join(out) + "\n"
+
+
+def _emit(cfg: RunConfig, payload, files: Sequence[tuple[str, str, Callable[[], str]]],
+          summary: Sequence[str]) -> int:
+    """Print ``payload`` as JSON when there is no ``--out``. Otherwise write
+    each ``(format, name, render)`` file whose format was requested, then
+    print the summary lines."""
+    if cfg.out_dir is None:
+        sys.stdout.write(to_json_text(payload))
+        return EXIT_OK
+    for fmt, name, render in files:
+        if fmt in cfg.formats:
+            _write_text(cfg.out_dir / name, render())
+    print("\n".join(summary))
+    return EXIT_OK
+
+
+_COLUMN_LABEL = {"cvvdp": "BDR_C/BDDT_C", "psnr": "BDR_P/BDDT_P"}
+
+
+def _render_markdown(heading: str, reference: Method, rows: list[dict], excluded: list[dict]) -> str:
+    lines = [f"# {heading}", "", f"Reference method: `{reference.value}`", "",
+             "| method | alpha | metric | mean BDR [%] | mean BDDT [%] | titles | excluded |",
+             "|---|---|---|---|---|---|---|"]
+    for row in rows:
+        lines.append(
+            f"| {row['method']} | {_alpha_label(row['alpha'])} | {_COLUMN_LABEL[row['metric']]} "
+            f"| {row['mean_bdr_percent']:.2f} | {row['mean_bddt_percent']:.2f} "
+            f"| {row['titles_used']} | {row['titles_excluded']} |"
+        )
+    if excluded:
+        lines += ["", "Excluded title evaluations:"]
+        lines += [f"- {ex['title']}/{ex['metric']} {ex['method']} alpha={_alpha_label(ex['alpha'])}: "
+                  f"{ex['reason']}" for ex in excluded]
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _render_summary(reference: Method, rows: list[dict], excluded: list[dict]) -> list[str]:
+    lines = [f"reference: {reference.value}",
+             f"{'method':<8} {'alpha':>6} {'metric':<6} {'mean BDR%':>10} {'mean BDDT%':>11} {'titles':>7}"]
+    for row in rows:
+        lines.append(
+            f"{row['method']:<8} {_alpha_label(row['alpha']):>6} {row['metric']:<6} "
+            f"{row['mean_bdr_percent']:>10.2f} {row['mean_bddt_percent']:>11.2f} "
+            f"{row['titles_used']:>7}"
+        )
+    lines += [f"excluded {ex['title']}/{ex['metric']} {ex['method']}: {ex['reason']}" for ex in excluded]
+    return lines
+
+
 # -- commands ------------------------------------------------------------------
 
 
 def cmd_validate(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = RunConfig(inputs=tuple(Path(p) for p in args.input), tolerance=args.tolerance)
     errors, warns = [], []
     datasets = []
     for path in cfg.inputs:
@@ -273,37 +364,22 @@ def cmd_synth(args) -> int:
 
 def cmd_optimize(args) -> int:
     cfg = _config_from_args(args)
-    datasets = _load_datasets(cfg)
-    if not datasets:
-        print("error: no datasets in input", file=sys.stderr)
-        return EXIT_INPUT
-    cache = _LadderCache(cfg, _load_plan(cfg, cfg.methods))
-    payloads, failures = [], []
-    for key, ds in datasets.items():
-        title, metric = key
-        for method in cfg.methods:
-            alphas = cfg.alphas if method in ALPHA_METHODS else (None,)
-            for alpha in alphas:
-                try:
-                    ladder = cache.get(key, ds, method, alpha)
-                except LadderError as exc:
-                    failures.append(f"{title}/{metric.value}/{method.value}"
-                                    f"{_alpha_tag(alpha)}: {exc}")
-                    continue
-                payloads.append(_ladder_payload(ladder, metric, cfg))
-    for line in failures:
+    payloads, skipped = [], []
+    for (_, metric), evaluations in _evaluate(cfg, cfg.methods):
+        for _, _, ladders, ex in evaluations:
+            if ex is None:
+                payloads.append(_ladder_payload(ladders[0], metric, cfg))
+            else:
+                skipped.append(f"{ex['title']}/{ex['metric']}/{ex['method']}{_alpha_tag(ex['alpha'])}: "
+                               f"{ex['reason']}")
+    for line in skipped:
         print(f"SKIP {line}")
     if not payloads:
         print("error: every ladder construction failed", file=sys.stderr)
         return EXIT_COMPUTE
-    if cfg.out_dir is None:
-        sys.stdout.write(to_json_text(payloads))
-    else:
-        for p in payloads:
-            name = f"{p['title']}__{p['metric']}__{p['method']}{_alpha_tag(p['alpha'])}.json"
-            _write_text(Path(cfg.out_dir) / name, to_json_text(p))
-        print(f"wrote {len(payloads)} ladder file(s) to {cfg.out_dir}")
-    return EXIT_OK
+    files = [("json", f"{p['title']}__{p['metric']}__{p['method']}{_alpha_tag(p['alpha'])}.json",
+              lambda p=p: to_json_text(p)) for p in payloads]
+    return _emit(cfg, payloads, files, [f"wrote {len(payloads)} ladder file(s) to {cfg.out_dir}"])
 
 
 def _bd_pair(ref: Ladder, test: Ladder):
@@ -315,59 +391,51 @@ def _bd_pair(ref: Ladder, test: Ladder):
     return rate, time
 
 
-def _compare_report(cfg: RunConfig, datasets, methods: tuple[Method, ...]) -> dict:
-    cache = _LadderCache(cfg, _load_plan(cfg, methods + (cfg.reference,)))
+def _compare(cfg: RunConfig, methods: tuple[Method, ...]) -> tuple[list[dict], list[dict], list[dict]]:
+    """Bjontegaard deltas of ``methods`` against ``cfg.reference``.
+
+    Returns the per-title entries (ladders and BD rows), the aggregate rows
+    per (method, alpha, metric), and the exclusions in title order.
+    """
     titles, excluded = [], []
     rows_by_group: dict[tuple, list[tuple[float, float]]] = {}
-    for key, ds in datasets.items():
-        title, metric = key
-        entry = {"title": title, "metric": metric.value, "ladders": [], "bd": {"rows": []}}
-        seen_ladders = set()
-        for method in methods:
-            alphas = cfg.alphas if (method in ALPHA_METHODS or cfg.reference in ALPHA_METHODS) else (None,)
-            for alpha in alphas:
-                # alpha is None unless the method or the reference is built with it.
-                group = (method, alpha, metric)
-                try:
-                    ref = cache.get(key, ds, cfg.reference, alpha)
-                    test = cache.get(key, ds, method, alpha)
-                except LadderError as exc:
-                    excluded.append(_exclusion(title, metric, method, alpha, exc))
-                    continue
-                for ladder in (ref, test):
-                    lk = (ladder.method, None if ladder.alpha is None else ladder.alpha.value)
-                    if lk not in seen_ladders:
-                        seen_ladders.add(lk)
-                        entry["ladders"].append(_ladder_payload(ladder, metric, cfg))
-                try:
-                    rate, time = _bd_pair(ref, test)
-                except CurveError as exc:
-                    excluded.append(_exclusion(title, metric, method, alpha, exc))
-                    continue
-                entry["bd"]["rows"].append(
-                    {
-                        "method": method.value,
-                        "alpha": alpha,
-                        "metric": metric.value,
-                        "reference": cfg.reference.value,
-                        "bdr_percent": rate.value_percent,
-                        "bddt_percent": time.value_percent,
-                        "overlap_quality": [rate.overlap[0], rate.overlap[1]],
-                    }
-                )
-                rows_by_group.setdefault(group, []).append((rate, time))
-        titles.append(entry)
-    agg_rows = []
-    group_keys = sorted(
-        rows_by_group,
-        key=lambda g: (g[0].value, -1.0 if g[1] is None else g[1], g[2].value),
-    )
     # Titles are counted per metric: a title measured in both metrics has a
     # dataset, and a row, for each.
-    n_titles = Counter(metric for _, metric in datasets)
-    for group in group_keys:
-        vals = rows_by_group[group]
-        method, alpha, metric = group
+    n_titles: Counter = Counter()
+    for (title, metric), evaluations in _evaluate(cfg, methods, cfg.reference):
+        n_titles[metric] += 1
+        ladders, bd_rows = {}, []
+        for method, alpha, pair, exclusion in evaluations:
+            if pair is not None:
+                for ladder in pair:
+                    ladders.setdefault((ladder.method, ladder.alpha), ladder)
+                try:
+                    rate, time = _bd_pair(*pair)
+                except CurveError as exc:
+                    exclusion = _exclusion(title, metric, method, alpha, exc)
+            if exclusion is not None:
+                excluded.append(exclusion)
+                continue
+            bd_rows.append(
+                {
+                    "method": method.value,
+                    "alpha": alpha,
+                    "metric": metric.value,
+                    "reference": cfg.reference.value,
+                    "bdr_percent": rate.value_percent,
+                    "bddt_percent": time.value_percent,
+                    "overlap_quality": [rate.overlap[0], rate.overlap[1]],
+                }
+            )
+            rows_by_group.setdefault((method, alpha, metric), []).append((rate, time))
+        titles.append({"title": title, "metric": metric.value,
+                       "ladders": [_ladder_payload(l, metric, cfg) for l in ladders.values()],
+                       "bd": {"rows": bd_rows}})
+    agg_rows = []
+    for method, alpha, metric in sorted(
+        rows_by_group, key=lambda g: (g[0].value, -1.0 if g[1] is None else g[1], g[2].value)
+    ):
+        vals = rows_by_group[method, alpha, metric]
         agg_rows.append(
             {
                 "method": method.value,
@@ -380,148 +448,46 @@ def _compare_report(cfg: RunConfig, datasets, methods: tuple[Method, ...]) -> di
                 "titles_excluded": n_titles[metric] - len(vals),
             }
         )
-    return {
-        "config": _config_payload(cfg),
-        "titles": titles,
-        "aggregate": {"rows": agg_rows, "excluded": excluded},
-    }
-
-
-def _exclusion(title, metric, method, alpha, exc) -> dict:
-    return {
-        "title": title,
-        "metric": metric.value,
-        "method": method.value,
-        "alpha": alpha,
-        "reason": str(exc),
-    }
-
-
-_COLUMN_LABEL = {("cvvdp", "bdr"): "BDR_C", ("psnr", "bdr"): "BDR_P",
-                 ("cvvdp", "bddt"): "BDDT_C", ("psnr", "bddt"): "BDDT_P"}
-
-
-def _render_aggregate_markdown(report: dict, heading: str) -> str:
-    lines = [f"# {heading}", ""]
-    lines.append(f"Reference method: `{report['config']['reference']}`")
-    lines.append("")
-    lines.append("| method | alpha | metric | mean BDR [%] | mean BDDT [%] | titles | excluded |")
-    lines.append("|---|---|---|---|---|---|---|")
-    for row in report["aggregate"]["rows"]:
-        bdr_label = _COLUMN_LABEL[(row["metric"], "bdr")]
-        bddt_label = _COLUMN_LABEL[(row["metric"], "bddt")]
-        alpha = "-" if row["alpha"] is None else f"{row['alpha']:g}"
-        lines.append(
-            f"| {row['method']} | {alpha} | {bdr_label}/{bddt_label} "
-            f"| {row['mean_bdr_percent']:.2f} | {row['mean_bddt_percent']:.2f} "
-            f"| {row['titles_used']} | {row['titles_excluded']} |"
-        )
-    if report["aggregate"]["excluded"]:
-        lines.append("")
-        lines.append("Excluded title evaluations:")
-        for ex in report["aggregate"]["excluded"]:
-            alpha = "-" if ex["alpha"] is None else f"{ex['alpha']:g}"
-            lines.append(
-                f"- {ex['title']}/{ex['metric']} {ex['method']} alpha={alpha}: {ex['reason']}"
-            )
-    lines.append("")
-    return "\n".join(lines)
-
-
-def _csv_lines(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    out = [",".join(header)]
-    for row in rows:
-        out.append(",".join("" if v is None else (f"{v!r}" if isinstance(v, float) else str(v)) for v in row))
-    return "\n".join(out) + "\n"
-
-
-def _write_compare_outputs(cfg: RunConfig, report: dict, stem: str) -> None:
-    out = Path(cfg.out_dir)
-    if "json" in cfg.formats:
-        _write_text(out / f"{stem}.json", to_json_text(report))
-    if "markdown" in cfg.formats:
-        _write_text(out / f"{stem}.md", _render_aggregate_markdown(report, stem))
-    if "csv" in cfg.formats:
-        bd_rows = []
-        curve_rows = []
-        for entry in report["titles"]:
-            for row in entry["bd"]["rows"]:
-                bd_rows.append(
-                    [entry["title"], row["metric"], row["method"], row["alpha"],
-                     row["bdr_percent"], row["bddt_percent"],
-                     row["overlap_quality"][0], row["overlap_quality"][1]]
-                )
-            for ladder in entry["ladders"]:
-                for rung in ladder["rungs"]:
-                    if not rung["present"]:
-                        continue
-                    curve_rows.append(
-                        [entry["title"], ladder["metric"], ladder["method"],
-                         ladder["alpha"], rung["target_kbps"], rung["actual_kbps"],
-                         rung["quality"], rung["decode_s_per_frame"], rung["chroma"],
-                         rung["height"]]
-                    )
-        _write_text(
-            out / f"{stem}_bd.csv",
-            _csv_lines(
-                ["title", "metric", "method", "alpha", "bdr_percent",
-                 "bddt_percent", "overlap_q_low", "overlap_q_high"],
-                bd_rows,
-            ),
-        )
-        _write_text(
-            out / f"{stem}_curves.csv",
-            _csv_lines(
-                ["title", "metric", "method", "alpha", "target_kbps", "actual_kbps",
-                 "quality", "decode_s_per_frame", "chroma", "height"],
-                curve_rows,
-            ),
-        )
-        _write_text(
-            out / f"{stem}_aggregate.csv",
-            _csv_lines(
-                ["method", "alpha", "metric", "mean_bdr_percent",
-                 "mean_bddt_percent", "titles_used", "titles_excluded"],
-                [
-                    [r["method"], r["alpha"], r["metric"], r["mean_bdr_percent"],
-                     r["mean_bddt_percent"], r["titles_used"], r["titles_excluded"]]
-                    for r in report["aggregate"]["rows"]
-                ],
-            ),
-        )
+    return titles, agg_rows, excluded
 
 
 def cmd_compare(args) -> int:
     cfg = _config_from_args(args)
-    datasets = _load_datasets(cfg)
-    if not datasets:
-        print("error: no datasets in input", file=sys.stderr)
-        return EXIT_INPUT
-    report = _compare_report(cfg, datasets, cfg.methods)
-    if not report["aggregate"]["rows"]:
+    titles, rows, excluded = _compare(cfg, cfg.methods)
+    if not rows:
         print("error: no comparison could be computed", file=sys.stderr)
         return EXIT_COMPUTE
-    if cfg.out_dir is None:
-        sys.stdout.write(to_json_text(report))
-    else:
-        _write_compare_outputs(cfg, report, "report")
-        _print_aggregate(report)
-        print(f"report written to {cfg.out_dir}")
-    return EXIT_OK
-
-
-def _print_aggregate(report: dict) -> None:
-    print(f"reference: {report['config']['reference']}")
-    print(f"{'method':<8} {'alpha':>6} {'metric':<6} {'mean BDR%':>10} {'mean BDDT%':>11} {'titles':>7}")
-    for row in report["aggregate"]["rows"]:
-        alpha = "-" if row["alpha"] is None else f"{row['alpha']:g}"
-        print(
-            f"{row['method']:<8} {alpha:>6} {row['metric']:<6} "
-            f"{row['mean_bdr_percent']:>10.2f} {row['mean_bddt_percent']:>11.2f} "
-            f"{row['titles_used']:>7}"
-        )
-    for ex in report["aggregate"]["excluded"]:
-        print(f"excluded {ex['title']}/{ex['metric']} {ex['method']}: {ex['reason']}")
+    report = {
+        "config": _config_payload(cfg),
+        "titles": titles,
+        "aggregate": {"rows": rows, "excluded": excluded},
+    }
+    bd_columns = ["title", "metric", "method", "alpha", "bdr_percent",
+                  "bddt_percent", "overlap_q_low", "overlap_q_high"]
+    curve_columns = ["title", "metric", "method", "alpha", "target_kbps", "actual_kbps",
+                     "quality", "decode_s_per_frame", "chroma", "height"]
+    aggregate_columns = ["method", "alpha", "metric", "mean_bdr_percent",
+                         "mean_bddt_percent", "titles_used", "titles_excluded"]
+    files = [
+        ("json", "report.json", lambda: to_json_text(report)),
+        ("markdown", "report.md", lambda: _render_markdown("report", cfg.reference, rows, excluded)),
+        ("csv", "report_bd.csv", lambda: _csv_lines(bd_columns, [
+            [entry["title"], row["metric"], row["method"], row["alpha"], row["bdr_percent"],
+             row["bddt_percent"], row["overlap_quality"][0], row["overlap_quality"][1]]
+            for entry in titles for row in entry["bd"]["rows"]
+        ])),
+        ("csv", "report_curves.csv", lambda: _csv_lines(curve_columns, [
+            [entry["title"], ladder["metric"], ladder["method"], ladder["alpha"],
+             rung["target_kbps"], rung["actual_kbps"], rung["quality"],
+             rung["decode_s_per_frame"], rung["chroma"], rung["height"]]
+            for entry in titles for ladder in entry["ladders"]
+            for rung in ladder["rungs"] if rung["present"]
+        ])),
+        ("csv", "report_aggregate.csv", lambda: _csv_lines(
+            aggregate_columns, [[r[c] for c in aggregate_columns] for r in rows])),
+    ]
+    summary = _render_summary(cfg.reference, rows, excluded)
+    return _emit(cfg, report, files, [*summary, f"report written to {cfg.out_dir}"])
 
 
 def cmd_sweep(args) -> int:
@@ -530,73 +496,38 @@ def cmd_sweep(args) -> int:
         print("error: sweep needs at least two --alpha values", file=sys.stderr)
         return EXIT_INPUT
     cfg = replace(cfg, alphas=tuple(sorted(cfg.alphas)))
-    datasets = _load_datasets(cfg)
-    if not datasets:
-        print("error: no datasets in input", file=sys.stderr)
-        return EXIT_INPUT
-    report = _compare_report(cfg, datasets, (Method.ARCS, Method.DYNRES_JOD))
-    rows = sorted(
-        report["aggregate"]["rows"],
-        key=lambda r: (r["alpha"], r["method"], r["metric"]),
-    )
-    frontier = {
-        "config": report["config"],
-        "frontier": rows,
-        "excluded": report["aggregate"]["excluded"],
-    }
+    _, rows, excluded = _compare(cfg, (Method.ARCS, Method.DYNRES_JOD))
     if not rows:
         print("error: no comparison could be computed", file=sys.stderr)
         return EXIT_COMPUTE
-    if cfg.out_dir is None:
-        sys.stdout.write(to_json_text(frontier))
-        return EXIT_OK
-    out = Path(cfg.out_dir)
-    if "json" in cfg.formats:
-        _write_text(out / "frontier.json", to_json_text(frontier))
-    if "csv" in cfg.formats:
-        _write_text(
-            out / "frontier.csv",
-            _csv_lines(
-                ["alpha", "method", "metric", "mean_bdr_percent",
-                 "mean_bddt_percent", "titles_used", "titles_excluded"],
-                [
-                    [r["alpha"], r["method"], r["metric"], r["mean_bdr_percent"],
-                     r["mean_bddt_percent"], r["titles_used"], r["titles_excluded"]]
-                    for r in rows
-                ],
-            ),
-        )
-    if "markdown" in cfg.formats:
-        _write_text(out / "frontier.md", _render_aggregate_markdown(
-            {"config": report["config"], "aggregate": {"rows": rows, "excluded": frontier["excluded"]}},
-            "frontier",
-        ))
-    _print_aggregate({"config": report["config"], "aggregate": {"rows": rows, "excluded": frontier["excluded"]}})
-    print(f"frontier written to {cfg.out_dir}")
-    return EXIT_OK
+    rows.sort(key=lambda r: (r["alpha"], r["method"], r["metric"]))
+    frontier = {"config": _config_payload(cfg), "frontier": rows, "excluded": excluded}
+    columns = ["alpha", "method", "metric", "mean_bdr_percent",
+               "mean_bddt_percent", "titles_used", "titles_excluded"]
+    files = [
+        ("json", "frontier.json", lambda: to_json_text(frontier)),
+        ("csv", "frontier.csv", lambda: _csv_lines(columns, [[r[c] for c in columns] for r in rows])),
+        ("markdown", "frontier.md", lambda: _render_markdown("frontier", cfg.reference, rows, excluded)),
+    ]
+    summary = _render_summary(cfg.reference, rows, excluded)
+    return _emit(cfg, frontier, files, [*summary, f"frontier written to {cfg.out_dir}"])
 
 
 def cmd_pmf(args) -> int:
     cfg = _config_from_args(args)
-    datasets = _load_datasets(cfg)
-    if not datasets:
-        print("error: no datasets in input", file=sys.stderr)
-        return EXIT_INPUT
-    cache = _LadderCache(cfg, _load_plan(cfg, cfg.methods))
-    groups = [(method, alpha) for method in cfg.methods
-              for alpha in (cfg.alphas if method in ALPHA_METHODS else (None,))]
-    ladders = {group: [] for group in groups}
-    failures = {group: [] for group in groups}
-    for key, ds in datasets.items():
-        for method, alpha in groups:
-            try:
-                ladders[method, alpha].append(cache.get(key, ds, method, alpha))
-            except LadderError as exc:
-                failures[method, alpha].append(_exclusion(key[0], key[1], method, alpha, exc))
+    # Every title yields every (method, alpha) group, so the first title fixes
+    # the group order of the rows and of the exclusions.
+    groups: dict[tuple, tuple[list[Ladder], list[dict]]] = {}
+    for _, evaluations in _evaluate(cfg, cfg.methods):
+        for method, alpha, ladders, exclusion in evaluations:
+            built, failed = groups.setdefault((method, alpha), ([], []))
+            if exclusion is None:
+                built.append(ladders[0])
+            else:
+                failed.append(exclusion)
     rows, excluded = [], []
-    for method, alpha in groups:
-        excluded.extend(failures[method, alpha])
-        built = ladders[method, alpha]
+    for (method, alpha), (built, failed) in groups.items():
+        excluded.extend(failed)
         if not built:
             continue
         pmf = chroma_pmf(built)
@@ -612,32 +543,20 @@ def cmd_pmf(args) -> int:
         print("error: no ladder could be built", file=sys.stderr)
         return EXIT_COMPUTE
     payload = {"config": _config_payload(cfg), "pmf": rows, "excluded": excluded}
-    if cfg.out_dir is None:
-        sys.stdout.write(to_json_text(payload))
-        return EXIT_OK
-    out = Path(cfg.out_dir)
-    if "json" in cfg.formats:
-        _write_text(out / "pmf.json", to_json_text(payload))
-    if "csv" in cfg.formats:
-        _write_text(
-            out / "pmf.csv",
-            _csv_lines(
-                ["method", "alpha", "share_420", "share_422", "share_444", "present_rungs"],
-                [
-                    [r["method"], r["alpha"], r["pmf"]["420"], r["pmf"]["422"],
-                     r["pmf"]["444"], r["present_rungs"]]
-                    for r in rows
-                ],
-            ),
-        )
-    for r in rows:
-        alpha = "-" if r["alpha"] is None else f"{r['alpha']:g}"
-        print(
-            f"{r['method']:<8} alpha={alpha:>6}  420:{r['pmf']['420']:.3f}  "
-            f"422:{r['pmf']['422']:.3f}  444:{r['pmf']['444']:.3f}"
-        )
-    print(f"pmf written to {cfg.out_dir}")
-    return EXIT_OK
+    files = [
+        ("json", "pmf.json", lambda: to_json_text(payload)),
+        ("csv", "pmf.csv", lambda: _csv_lines(
+            ["method", "alpha", "share_420", "share_422", "share_444", "present_rungs"],
+            [[r["method"], r["alpha"], r["pmf"]["420"], r["pmf"]["422"],
+              r["pmf"]["444"], r["present_rungs"]] for r in rows],
+        )),
+    ]
+    summary = [
+        f"{r['method']:<8} alpha={_alpha_label(r['alpha']):>6}  420:{r['pmf']['420']:.3f}  "
+        f"422:{r['pmf']['422']:.3f}  444:{r['pmf']['444']:.3f}"
+        for r in rows
+    ]
+    return _emit(cfg, payload, files, [*summary, f"pmf written to {cfg.out_dir}"])
 
 
 # -- argument plumbing ---------------------------------------------------------
@@ -652,40 +571,48 @@ def _config_from_args(args, default_alphas: tuple[float, ...] = (0.0,)) -> RunCo
         methods=(tuple(dict.fromkeys(Method(m) for m in args.method))
                  if getattr(args, "method", None) else (Method.ARCS,)),
         reference=Method(getattr(args, "reference", "default")),
-        plan_path=Path(args.plan) if getattr(args, "plan", None) else None,
+        plan_path=Path(args.plan) if args.plan else None,
         chroma_fixed=ChromaFormat(args.chroma_fixed),
-        out_dir=Path(args.out) if getattr(args, "out", None) else None,
+        out_dir=Path(args.out) if args.out else None,
         formats=tuple(args.format) if getattr(args, "format", None) else ("json",),
-        cross_target=bool(getattr(args, "cross_target", False)),
+        cross_target=args.cross_target,
     )
 
 
-def _add_common(sub, *, methods=True, reference=True):
-    sub.add_argument("--input", action="append", required=True,
-                     help="dataset file (CSV or JSON); repeatable")
-    sub.add_argument("--alpha", action="append", type=float,
-                     help="trade-off weight in [0, 1]; repeatable")
-    sub.add_argument("--tolerance", type=float, default=0.10,
-                     help="bitrate window as a fraction (default 0.10)")
-    sub.add_argument("--mode", choices=["dp", "greedy"], default="dp",
-                     help="optimizer mode (default dp)")
-    if methods:
-        sub.add_argument("--method", action="append",
-                         choices=[m.value for m in Method],
-                         help="ladder method; repeatable (default arcs)")
-    if reference:
-        sub.add_argument("--reference", choices=[m.value for m in Method],
-                         default="default", help="reference method (default: default)")
-    sub.add_argument("--plan", help="fixed-ladder plan CSV (target_kbps,height)")
-    sub.add_argument("--chroma-fixed", dest="chroma_fixed",
-                     choices=["420", "422", "444"], default="444",
-                     help="chroma format for fixed/dynres methods (default 444)")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--format", action="append",
-                     choices=["json", "csv", "markdown"],
-                     help="output format; repeatable (default json)")
-    sub.add_argument("--cross-target", dest="cross_target", action="store_true",
-                     help="let encodes serve other targets whose window they hit")
+# The dataset commands' flags, in help order. Each command registers only the
+# flags it reads, and --format only with the formats it writes.
+_FLAGS = {
+    "--input": dict(action="append", required=True,
+                    help="dataset file (CSV or JSON); repeatable"),
+    "--alpha": dict(action="append", type=float,
+                    help="trade-off weight in [0, 1]; repeatable"),
+    "--tolerance": dict(type=float, default=0.10,
+                        help="bitrate window as a fraction (default 0.10)"),
+    "--mode": dict(choices=["dp", "greedy"], default="dp",
+                   help="optimizer mode (default dp)"),
+    "--method": dict(action="append", choices=[m.value for m in Method],
+                     help="ladder method; repeatable (default arcs)"),
+    "--reference": dict(choices=[m.value for m in Method], default="default",
+                        help="reference method (default: default)"),
+    "--plan": dict(help="fixed-ladder plan CSV (target_kbps,height)"),
+    "--chroma-fixed": dict(choices=["420", "422", "444"], default="444",
+                           help="chroma format for fixed/dynres methods (default 444)"),
+    "--out": dict(help="output directory"),
+    "--format": dict(action="append", help="output format; repeatable (default json)"),
+    "--cross-target": dict(action="store_true",
+                           help="let encodes serve other targets whose window they hit"),
+}
+_LADDER_FLAGS = ("--input", "--alpha", "--tolerance", "--mode", "--plan",
+                 "--chroma-fixed", "--out", "--cross-target")
+_REPORT_FORMATS = ("json", "csv", "markdown")
+
+
+def _add_flags(sub, *names: str, formats: tuple[str, ...] = ()) -> None:
+    for name, kwargs in _FLAGS.items():
+        if name == "--format" and formats:
+            sub.add_argument(name, choices=formats, **kwargs)
+        elif name in names:
+            sub.add_argument(name, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -694,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("validate", help="check dataset files, list errors and warnings")
-    _add_common(p, methods=False, reference=False)
+    _add_flags(p, "--input", "--tolerance")
     p.set_defaults(func=cmd_validate)
 
     p = subs.add_parser("synth", help="emit a seeded synthetic measurement corpus")
@@ -707,19 +634,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("optimize", help="build ladders, one file per (title, method, alpha)")
-    _add_common(p, reference=False)
+    _add_flags(p, *_LADDER_FLAGS, "--method")
     p.set_defaults(func=cmd_optimize)
 
     p = subs.add_parser("compare", help="Bjontegaard deltas of methods vs a reference")
-    _add_common(p)
+    _add_flags(p, *_LADDER_FLAGS, "--method", "--reference", formats=_REPORT_FORMATS)
     p.set_defaults(func=cmd_compare)
 
     p = subs.add_parser("sweep", help="alpha sweep frontier for arcs and dynres")
-    _add_common(p, methods=False)
+    _add_flags(p, *_LADDER_FLAGS, "--reference", formats=_REPORT_FORMATS)
     p.set_defaults(func=cmd_sweep)
 
     p = subs.add_parser("pmf", help="chroma-format usage share per alpha")
-    _add_common(p)
+    _add_flags(p, *_LADDER_FLAGS, "--method", formats=("json", "csv"))
     p.set_defaults(func=cmd_pmf)
 
     return parser

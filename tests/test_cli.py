@@ -77,6 +77,10 @@ class TestValidate:
     def test_missing_file_exits_one(self, tmp_path):
         assert run("validate", "--input", tmp_path / "nope.csv") == 1
 
+    def test_tolerance_out_of_range_exits_one(self, small_corpus, capsys):
+        assert run("validate", "--input", small_corpus, "--tolerance", 0.9) == 1
+        assert "--tolerance must be in [0, 0.5]" in capsys.readouterr().err
+
 
 class TestSynth:
     def test_emits_parseable_csv(self, tmp_path):
@@ -142,13 +146,15 @@ class TestOptimize:
             "synth000__cvvdp__arcs__alpha0.json",
         ]
 
-    def test_empty_input_exits_one(self, tmp_path):
+    @pytest.mark.parametrize("command", ["optimize", "compare", "sweep", "pmf"])
+    def test_empty_input_exits_one(self, tmp_path, capsys, command):
         path = tmp_path / "empty.csv"
         path.write_text(
             "title,height,chroma,target_kbps,actual_kbps,metric,quality,decode_s_per_frame\n",
             encoding="utf-8",
         )
-        assert run("optimize", "--input", path, "--out", tmp_path / "o") == 1
+        assert run(command, "--input", path, "--out", tmp_path / "o") == 1
+        assert "error: no datasets in input" in capsys.readouterr().err
 
     def test_all_methods_produce_files(self, small_corpus, small_plan, tmp_path):
         out = tmp_path / "ladders"
@@ -327,6 +333,26 @@ class TestExitCodes:
     def test_unknown_flag_is_input_error(self, small_corpus):
         assert run("compare", "--input", small_corpus, "--nope") == 1
 
+    @pytest.mark.parametrize("command, fmt", [("pmf", "markdown"), ("optimize", "csv")])
+    def test_format_the_command_cannot_write_is_input_error(self, small_corpus, tmp_path, command, fmt):
+        out = tmp_path / "o"
+        assert run(command, "--input", small_corpus, "--format", fmt, "--out", out) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("validate", "--alpha", 0),
+        ("validate", "--mode", "greedy"),
+        ("validate", "--plan", "plan.csv"),
+        ("validate", "--chroma-fixed", "420"),
+        ("validate", "--out", "o"),
+        ("validate", "--format", "json"),
+        ("validate", "--cross-target"),
+        ("pmf", "--reference", "arcs"),
+    ], ids=lambda argv: " ".join(map(str, argv[:2])))
+    def test_flag_the_command_does_not_read_is_input_error(self, small_corpus, capsys, argv):
+        assert run(*argv, "--input", small_corpus) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_alpha_out_of_range_is_input_error(self, small_corpus, tmp_path):
         assert run("optimize", "--input", small_corpus, "--alpha", 1.5, "--out", tmp_path / "o") == 1
 
@@ -342,6 +368,39 @@ class TestExitCodes:
         path = tmp_path / "miss.csv"
         path.write_text(serialize_dataset([TitleDataset.from_records(recs)]), encoding="utf-8")
         assert run("compare", "--input", path, "--method", "arcs", "--out", tmp_path / "r") == 2
+
+
+class TestOutputModes:
+    """Without --out a ladder command prints the JSON that --out writes."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (("compare", "--method", "arcs", "--method", "default", "--alpha", 0, "--alpha", 0.08),
+         "report.json"),
+        (("sweep", "--alpha", 0, "--alpha", 0.08), "frontier.json"),
+        (("pmf", "--method", "dynres", "--method", "arcs", "--alpha", 0, "--alpha", 0.08),
+         "pmf.json"),
+    ])
+    def test_printed_json_equals_written_json(self, small_corpus, tmp_path, capsys, argv, name):
+        assert run(*argv, "--input", small_corpus) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "out"
+        assert run(*argv, "--input", small_corpus, "--out", out) == 0
+        assert capsys.readouterr().out.endswith(f" written to {out}\n")
+        assert (out / name).read_text(encoding="utf-8") == printed
+
+    def test_optimize_prints_the_ladder_files_in_order(self, small_corpus, small_plan, tmp_path, capsys):
+        argv = ("optimize", "--input", small_corpus, "--alpha", 0, "--alpha", 0.04,
+                "--method", "dynres", "--method", "fixed", "--method", "arcs", "--plan", small_plan)
+        assert run(*argv) == 0
+        printed = json.loads(capsys.readouterr().out)
+        out = tmp_path / "ladders"
+        assert run(*argv, "--out", out) == 0
+        assert capsys.readouterr().out == f"wrote {len(printed)} ladder file(s) to {out}\n"
+        titles = sorted(ds.title_id for ds in parse_dataset(small_corpus.read_text(encoding="utf-8")))
+        tags = {"dynres": ["__alpha0", "__alpha0.04"], "fixed": [""], "arcs": ["__alpha0", "__alpha0.04"]}
+        names = [f"{t}__cvvdp__{m}{tag}.json" for t in titles for m in tags for tag in tags[m]]
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        assert [json.loads((out / n).read_text(encoding="utf-8")) for n in names] == printed
 
 
 @pytest.fixture(scope="module")
