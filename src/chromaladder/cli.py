@@ -16,12 +16,15 @@ JSON is emitted with a fixed field order, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import csv
+import functools
+import io
 import json
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bdmetrics import CurveAxis, aggregate, bd_delta, build_curve
 from .errors import (
@@ -73,7 +76,7 @@ class RunConfig:
     tolerance: float = 0.10
     mode: OptimizerMode = OptimizerMode.GLOBAL_DP
     methods: tuple[Method, ...] = (Method.ARCS,)
-    reference: Method = Method.DEFAULT
+    reference: Method | None = None
     plan_path: Path | None = None
     chroma_fixed: ChromaFormat = ChromaFormat.C444
     out_dir: Path | None = None
@@ -108,76 +111,67 @@ def to_json_text(payload) -> str:
 # -- the evaluation pass ---------------------------------------------------------
 
 
-class _LadderCache:
-    """One title's ladders, each built on first request, and the title's
-    candidate index, which the alpha-dependent methods share."""
-
-    def __init__(self, cfg: RunConfig, plan, ds: TitleDataset):
-        self.cfg = cfg
-        self.plan = plan
-        self.ds = ds
-        self._index: CandidateIndex | None = None
-        self._cache: dict[tuple, Ladder] = {}
-
-    def get(self, method: Method, alpha: float | None) -> Ladder:
-        alpha = alpha if method in ALPHA_METHODS else None
-        ck = (method, alpha)
-        if ck not in self._cache:
-            self._cache[ck] = self._build(method, alpha)
-        return self._cache[ck]
-
-    def _build(self, method: Method, alpha: float | None) -> Ladder:
-        cfg, ds = self.cfg, self.ds
-        if method in ALPHA_METHODS and self._index is None:
-            self._index = CandidateIndex(ds, cfg.tolerance, cross_target=cfg.cross_target)
-        if method is Method.ARCS:
-            return optimize_arcs(ds, Alpha(alpha), cfg.tolerance, cfg.mode,
-                                 cross_target=cfg.cross_target, index=self._index)
-        if method is Method.DYNRES_JOD:
-            return build_dynres(ds, Alpha(alpha), cfg.tolerance, cfg.chroma_fixed,
-                                cfg.mode, cross_target=cfg.cross_target, index=self._index)
-        if method is Method.DEFAULT:
-            return build_default(ds, cfg.tolerance, cross_target=cfg.cross_target)
-        return build_fixed(ds, self.plan, cfg.tolerance, cfg.chroma_fixed,
-                           cross_target=cfg.cross_target)
+# Each method's builder, given the run's config and plan, the title's candidate
+# index and the alpha (None for the alpha-free methods).
+_BUILDERS = {
+    Method.ARCS: lambda cfg, plan, index, alpha: optimize_arcs(
+        index.dataset, Alpha(alpha), cfg.tolerance, cfg.mode,
+        cross_target=cfg.cross_target, index=index),
+    Method.DYNRES_JOD: lambda cfg, plan, index, alpha: build_dynres(
+        index.dataset, Alpha(alpha), cfg.tolerance, cfg.chroma_fixed, cfg.mode,
+        cross_target=cfg.cross_target, index=index),
+    Method.DEFAULT: lambda cfg, plan, index, alpha: build_default(
+        index.dataset, cfg.tolerance, cross_target=cfg.cross_target, index=index),
+    Method.FIXED_LADDER: lambda cfg, plan, index, alpha: build_fixed(
+        index.dataset, plan, cfg.tolerance, cfg.chroma_fixed,
+        cross_target=cfg.cross_target, index=index),
+}
 
 
-def _evaluate(cfg: RunConfig, methods: tuple[Method, ...], reference: Method | None = None
-              ) -> Iterator[tuple[tuple[str, QualityMetric], list[tuple]]]:
+def _merge(parsed: Iterable[TitleDataset]) -> dict[tuple[str, QualityMetric], TitleDataset]:
+    """The records of every input file merged by (title, metric), in (title,
+    metric) order; a record given twice raises ``DuplicateRecord``."""
+    merged: dict[tuple[str, QualityMetric], list] = {}
+    for ds in parsed:
+        merged.setdefault((ds.title_id, ds.metric), []).extend(ds.records)
+    return {key: TitleDataset.from_records(merged[key])
+            for key in sorted(merged, key=lambda k: (k[0], k[1].value))}
+
+
+def _evaluate(cfg: RunConfig) -> Iterator[tuple[tuple[str, QualityMetric], list[tuple]]]:
     """Build the ladders of every (title, method, alpha), one title at a time.
 
     Yields ``((title, metric), evaluations)`` in title order, each evaluation
-    being ``(method, alpha, ladders, exclusion)`` in (method, alpha) order.
-    ``ladders`` is ``(reference ladder, method ladder)``, or ``(method
-    ladder,)`` without a reference; when a build fails it is None and
-    ``exclusion`` says why. ``alpha`` is None unless the method or the
-    reference is built with it. Records are merged across input files by
-    (title, metric), and only the current title's ladders are kept.
+    being ``(method, alpha, ladders, exclusion)`` in (method, alpha) order
+    over ``cfg.methods``. ``ladders`` is ``(reference ladder, method
+    ladder)``, or ``(method ladder,)`` when ``cfg.reference`` is None; when a
+    build fails it is None and ``exclusion`` says why. ``alpha`` is None
+    unless the method or the reference is built with it. Every ladder of a
+    title reads the title's one candidate index, each is built once, and only
+    the current title's ladders are kept.
     """
-    merged: dict[tuple[str, QualityMetric], list] = {}
-    for path in cfg.inputs:
-        for ds in parse_dataset(Path(path).read_text(encoding="utf-8")):
-            merged.setdefault((ds.title_id, ds.metric), []).extend(ds.records)
-    datasets = {key: TitleDataset.from_records(merged[key])
-                for key in sorted(merged, key=lambda k: (k[0], k[1].value))}
+    datasets = _merge(ds for path in cfg.inputs
+                      for ds in parse_dataset(Path(path).read_text(encoding="utf-8")))
     if not datasets:
         raise DatasetError("no datasets in input")
     if cfg.plan_path is not None:
         plan = load_plan(Path(cfg.plan_path).read_text(encoding="utf-8"))
-    elif Method.FIXED_LADDER in (*methods, reference):
+    elif Method.FIXED_LADDER in (*cfg.methods, cfg.reference):
         raise InvalidPlan("--plan is required for the fixed method")
     else:
         plan = None
-    groups = [(method, alpha) for method in methods
-              for alpha in (cfg.alphas if ALPHA_METHODS & {method, reference} else (None,))]
-    sides = () if reference is None else (reference,)
+    groups = [(method, alpha) for method in cfg.methods
+              for alpha in (cfg.alphas if ALPHA_METHODS & {method, cfg.reference} else (None,))]
+    sides = () if cfg.reference is None else (cfg.reference,)
     for key, ds in datasets.items():
         title, metric = key
-        cache = _LadderCache(cfg, plan, ds)
+        index = CandidateIndex(ds, cfg.tolerance, cross_target=cfg.cross_target)
+        build = functools.cache(lambda method, alpha: _BUILDERS[method](cfg, plan, index, alpha))
         evaluations = []
         for method, alpha in groups:
             try:
-                ladders = tuple(cache.get(side, alpha) for side in (*sides, method))
+                ladders = tuple(build(side, alpha if side in ALPHA_METHODS else None)
+                                for side in (*sides, method))
             except LadderError as exc:
                 evaluations.append((method, alpha, None, _exclusion(title, metric, method, alpha, exc)))
             else:
@@ -236,7 +230,7 @@ def _config_payload(cfg: RunConfig) -> dict:
         "tolerance": cfg.tolerance,
         "mode": cfg.mode.value,
         "methods": [m.value for m in cfg.methods],
-        "reference": cfg.reference.value,
+        "reference": None if cfg.reference is None else cfg.reference.value,
         "plan": None if cfg.plan_path is None else str(cfg.plan_path),
         "chroma_fixed": cfg.chroma_fixed.value,
         "cross_target": cfg.cross_target,
@@ -257,11 +251,12 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _csv_lines(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    out = [",".join(header)]
-    for row in rows:
-        out.append(",".join("" if v is None else (f"{v!r}" if isinstance(v, float) else str(v)) for v in row))
-    return "\n".join(out) + "\n"
+def _csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def _emit(cfg: RunConfig, payload, files: Sequence[tuple[str, str, Callable[[], str]]],
@@ -318,14 +313,18 @@ def _render_summary(reference: Method, rows: list[dict], excluded: list[dict]) -
 
 def cmd_validate(args) -> int:
     cfg = RunConfig(inputs=tuple(Path(p) for p in args.input), tolerance=args.tolerance)
-    errors, warns = [], []
-    datasets = []
+    errors, warns, parsed = [], [], []
     for path in cfg.inputs:
         try:
-            text = Path(path).read_text(encoding="utf-8")
-            datasets.extend(parse_dataset(text))
+            parsed.extend(parse_dataset(Path(path).read_text(encoding="utf-8")))
         except (DatasetError, OSError) as exc:
             errors.append(f"{path}: {exc}")
+    # Files are merged as the ladder commands merge them.
+    try:
+        datasets = list(_merge(parsed).values())
+    except DatasetError as exc:
+        errors.append(str(exc))
+        datasets = []
     for ds in datasets:
         warns.extend(dataset_warnings(ds, cfg.tolerance))
     for e in errors:
@@ -365,13 +364,18 @@ def cmd_synth(args) -> int:
 def cmd_optimize(args) -> int:
     cfg = _config_from_args(args)
     payloads, skipped = [], []
-    for (_, metric), evaluations in _evaluate(cfg, cfg.methods):
+    for (_, metric), evaluations in _evaluate(cfg):
         for _, _, ladders, ex in evaluations:
             if ex is None:
                 payloads.append(_ladder_payload(ladders[0], metric, cfg))
             else:
                 skipped.append(f"{ex['title']}/{ex['metric']}/{ex['method']}{_alpha_tag(ex['alpha'])}: "
                                f"{ex['reason']}")
+    # A title names its ladder files, so it must not lead out of --out.
+    for p in payloads:
+        if cfg.out_dir is not None and ("/" in p["title"] or "\0" in p["title"]):
+            raise ValueError(f"title {p['title']!r} contains '/' or NUL and cannot name "
+                             f"a ladder file in {cfg.out_dir}")
     for line in skipped:
         print(f"SKIP {line}")
     if not payloads:
@@ -391,8 +395,8 @@ def _bd_pair(ref: Ladder, test: Ladder):
     return rate, time
 
 
-def _compare(cfg: RunConfig, methods: tuple[Method, ...]) -> tuple[list[dict], list[dict], list[dict]]:
-    """Bjontegaard deltas of ``methods`` against ``cfg.reference``.
+def _compare(cfg: RunConfig) -> tuple[list[dict], list[dict], list[dict]]:
+    """Bjontegaard deltas of ``cfg.methods`` against ``cfg.reference``.
 
     Returns the per-title entries (ladders and BD rows), the aggregate rows
     per (method, alpha, metric), and the exclusions in title order.
@@ -402,7 +406,7 @@ def _compare(cfg: RunConfig, methods: tuple[Method, ...]) -> tuple[list[dict], l
     # Titles are counted per metric: a title measured in both metrics has a
     # dataset, and a row, for each.
     n_titles: Counter = Counter()
-    for (title, metric), evaluations in _evaluate(cfg, methods, cfg.reference):
+    for (title, metric), evaluations in _evaluate(cfg):
         n_titles[metric] += 1
         ladders, bd_rows = {}, []
         for method, alpha, pair, exclusion in evaluations:
@@ -453,7 +457,7 @@ def _compare(cfg: RunConfig, methods: tuple[Method, ...]) -> tuple[list[dict], l
 
 def cmd_compare(args) -> int:
     cfg = _config_from_args(args)
-    titles, rows, excluded = _compare(cfg, cfg.methods)
+    titles, rows, excluded = _compare(cfg)
     if not rows:
         print("error: no comparison could be computed", file=sys.stderr)
         return EXIT_COMPUTE
@@ -495,8 +499,8 @@ def cmd_sweep(args) -> int:
     if len(cfg.alphas) < 2:
         print("error: sweep needs at least two --alpha values", file=sys.stderr)
         return EXIT_INPUT
-    cfg = replace(cfg, alphas=tuple(sorted(cfg.alphas)))
-    _, rows, excluded = _compare(cfg, (Method.ARCS, Method.DYNRES_JOD))
+    cfg = replace(cfg, alphas=tuple(sorted(cfg.alphas)), methods=(Method.ARCS, Method.DYNRES_JOD))
+    _, rows, excluded = _compare(cfg)
     if not rows:
         print("error: no comparison could be computed", file=sys.stderr)
         return EXIT_COMPUTE
@@ -518,7 +522,7 @@ def cmd_pmf(args) -> int:
     # Every title yields every (method, alpha) group, so the first title fixes
     # the group order of the rows and of the exclusions.
     groups: dict[tuple, tuple[list[Ladder], list[dict]]] = {}
-    for _, evaluations in _evaluate(cfg, cfg.methods):
+    for _, evaluations in _evaluate(cfg):
         for method, alpha, ladders, exclusion in evaluations:
             built, failed = groups.setdefault((method, alpha), ([], []))
             if exclusion is None:
@@ -570,7 +574,7 @@ def _config_from_args(args, default_alphas: tuple[float, ...] = (0.0,)) -> RunCo
         mode=OptimizerMode(args.mode),
         methods=(tuple(dict.fromkeys(Method(m) for m in args.method))
                  if getattr(args, "method", None) else (Method.ARCS,)),
-        reference=Method(getattr(args, "reference", "default")),
+        reference=Method(args.reference) if getattr(args, "reference", None) else None,
         plan_path=Path(args.plan) if args.plan else None,
         chroma_fixed=ChromaFormat(args.chroma_fixed),
         out_dir=Path(args.out) if args.out else None,

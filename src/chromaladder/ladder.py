@@ -18,15 +18,20 @@ objective, then lower decode time, then lower resolution, then lower chroma
 fidelity.
 
 Three benchmark builders mirror common practice: a fixed plan of
-(bitrate, resolution) pairs, a native-resolution-only ladder, and a
-resolution-only optimizer with the chroma format pinned.
+(bitrate, resolution) pairs, the native-resolution ladder (that plan with
+every target at the title's largest height, in 4:4:4), and a resolution-only
+optimizer with the chroma format pinned.
+
+Every builder reads its window candidates from the title's
+``CandidateIndex``, built once per (title, tolerance, cross_target) and
+passed through ``index=`` or made by the builder when omitted.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence, TextIO
 
@@ -161,8 +166,9 @@ class CandidateIndex:
         self.dataset = dataset
         self.tolerance = tolerance
         self.cross_target = cross_target
-        bounds = bounds_for(dataset)
         terms = {}
+        # A title without records has empty pools and no bounds.
+        bounds = bounds_for(dataset) if dataset.records else None
         for r in dataset.records:
             check_in_bounds(r, bounds)
             terms[id(r)] = (
@@ -401,6 +407,16 @@ def _solve_enumerate(pools, js) -> list[int | None]:
 # -- builders -----------------------------------------------------------------
 
 
+def _index(
+    dataset: TitleDataset, tolerance: float, cross_target: bool, index: CandidateIndex | None
+) -> CandidateIndex:
+    """``index`` after checking that it was built for these arguments, or a new one."""
+    if index is None:
+        return CandidateIndex(dataset, tolerance, cross_target=cross_target)
+    index._check(dataset, tolerance, cross_target)
+    return index
+
+
 def _build(
     dataset: TitleDataset,
     method: Method,
@@ -412,10 +428,7 @@ def _build(
     solver,
 ) -> Ladder:
     alpha = as_alpha(alpha)
-    if index is None:
-        index = CandidateIndex(dataset, tolerance, cross_target=cross_target)
-    else:
-        index._check(dataset, tolerance, cross_target)
+    index = _index(dataset, tolerance, cross_target, index)
     pools = index._pools(chroma)
     if all(not pool for pool in pools):
         raise AllRungsAbsent(
@@ -492,32 +505,24 @@ def build_default(
     dataset: TitleDataset,
     tolerance: float = 0.10,
     *,
-    resolution: int | None = None,
-    chroma: ChromaFormat = ChromaFormat.C444,
     cross_target: bool = False,
+    index: CandidateIndex | None = None,
 ) -> Ladder:
-    """Native-resolution-only benchmark: every rung at (native height, C444).
+    """Native-resolution-only benchmark: the fixed plan that puts every target
+    at the title's largest height, with 4:4:4 chroma.
 
-    ``resolution`` defaults to the dataset's largest height. Targets whose
-    encode missed the tolerance window get absent rungs, so this ladder may
-    fail to cover the low end of the bitrate range.
+    Targets whose encode missed the tolerance window get absent rungs, so this
+    ladder may fail to cover the low end of the bitrate range.
     """
-    if resolution is None:
-        resolution = max((r.resolution.height for r in dataset.records), default=None)
-    rungs = []
-    for t in dataset.bitrate_targets:
-        pool = [
-            r
-            for r in candidates_for(dataset, t, tolerance, cross_target=cross_target)
-            if r.resolution.height == resolution and r.chroma is chroma
-        ]
-        rungs.append(Rung(t, _closest(pool, t)) if pool else Rung(t))
-    if not any(r.present for r in rungs):
+    height = max((r.resolution.height for r in dataset.records), default=None)
+    plan = [(t, height) for t in dataset.bitrate_targets] if dataset.records else []
+    ladder = build_fixed(dataset, plan, tolerance, cross_target=cross_target, index=index)
+    if not ladder.present_rungs:
         raise AllRungsAbsent(
-            f"title {dataset.title_id!r}: no ({resolution}, {chroma.value}) encode "
-            "within tolerance at any target"
+            f"title {dataset.title_id!r}: no ({height}, 444) encode within tolerance "
+            "at any target"
         )
-    return Ladder(dataset.title_id, Method.DEFAULT, tuple(rungs), None)
+    return replace(ladder, method=Method.DEFAULT)
 
 
 def _closest(pool: list[MeasurementRecord], target: float) -> MeasurementRecord:
@@ -538,12 +543,14 @@ def build_fixed(
     fixed_chroma: ChromaFormat = ChromaFormat.C444,
     *,
     cross_target: bool = False,
+    index: CandidateIndex | None = None,
 ) -> Ladder:
     """Fixed (bitrate, resolution) plan benchmark; the plan is config input.
 
     Every planned target must exist in the dataset; planned resolutions must
     be non-decreasing with bitrate, otherwise the plan cannot form a valid
-    ladder and is rejected outright.
+    ladder and is rejected outright. Each rung takes the window candidate of
+    the planned height and ``fixed_chroma`` closest to its target.
     """
     entries: list[tuple[float, int]] = []
     for target, res in plan:
@@ -560,13 +567,11 @@ def build_fixed(
     heights = [h for _, h in entries]
     if any(h2 < h1 for h1, h2 in zip(heights, heights[1:])):
         raise InvalidPlan("plan resolutions decrease with rising bitrate")
+    pools = dict(zip(dataset.bitrate_targets,
+                     _index(dataset, tolerance, cross_target, index)._pools(fixed_chroma)))
     rungs = []
     for t, h in entries:
-        pool = [
-            r
-            for r in candidates_for(dataset, t, tolerance, cross_target=cross_target)
-            if r.resolution.height == h and r.chroma is fixed_chroma
-        ]
+        pool = [c[0] for c in pools[t] if c[3][0] == h]
         rungs.append(Rung(t, _closest(pool, t)) if pool else Rung(t))
     return Ladder(dataset.title_id, Method.FIXED_LADDER, tuple(rungs), None)
 

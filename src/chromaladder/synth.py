@@ -277,6 +277,14 @@ def spec_to_json(spec: SynthSpec) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+_OPTIONAL_FIELDS = {
+    "noise": float,
+    "jitter": float,
+    "title_variation": float,
+    "metric": QualityMetric,
+}
+
+
 def spec_from_json(source: str | TextIO) -> SynthSpec:
     text = source if isinstance(source, str) else source.read()
     try:
@@ -305,10 +313,9 @@ def spec_from_json(source: str | TextIO) -> SynthSpec:
                 for c, v in payload["time_chroma_factor"].items()
             },
             time_rate_slope=float(payload["time_rate_slope"]),
-            noise=float(payload.get("noise", 0.05)),
-            jitter=float(payload.get("jitter", 0.05)),
-            title_variation=float(payload.get("title_variation", 0.08)),
-            metric=QualityMetric(payload.get("metric", "cvvdp")),
+            # Omitted optional keys take SynthSpec's defaults.
+            **{key: parse(payload[key]) for key, parse in _OPTIONAL_FIELDS.items()
+               if key in payload},
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise InvalidSpec(f"bad spec field: {exc}") from exc

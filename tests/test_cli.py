@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, file outputs, report schema, determinism."""
 
+import csv
 import json
 from dataclasses import replace
 
@@ -21,7 +22,7 @@ from chromaladder import (
     spec_to_json,
 )
 from chromaladder.cli import main, to_json_text
-from helpers import C444, record
+from helpers import C420, C444, grid_dataset, record
 
 SMALL_TARGETS = (600.0, 1200.0, 2400.0, 4800.0, 9600.0)
 
@@ -80,6 +81,34 @@ class TestValidate:
     def test_tolerance_out_of_range_exits_one(self, small_corpus, capsys):
         assert run("validate", "--input", small_corpus, "--tolerance", 0.9) == 1
         assert "--tolerance must be in [0, 0.5]" in capsys.readouterr().err
+
+    def test_title_split_over_files_counts_once(self, small_corpus, tmp_path, capsys):
+        ds = parse_dataset(small_corpus.read_text(encoding="utf-8"))[0]
+        half = len(ds.records) // 2
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path, part in zip(paths, (ds.records[:half], ds.records[half:])):
+            path.write_text(serialize_dataset([TitleDataset.from_records(part)]), encoding="utf-8")
+        assert run("validate", "--input", paths[0], "--input", paths[1]) == 0
+        assert (f"validated 2 file(s): 1 title dataset(s), {len(ds.records)} record(s), "
+                "0 error(s)") in capsys.readouterr().out
+
+    def test_record_repeated_across_files_exits_one_as_compare_does(self, small_corpus, capsys):
+        assert run("validate", "--input", small_corpus, "--input", small_corpus) == 1
+        out = capsys.readouterr().out
+        assert "ERROR duplicate record" in out and "1 error(s)" in out
+        assert run("compare", "--input", small_corpus, "--input", small_corpus) == 1
+        assert "error: duplicate record" in capsys.readouterr().err
+
+    def test_window_warnings_on_merged_title(self, tmp_path, capsys):
+        # The 600 kbps encode in a.csv misses the window; b.csv's hits it.
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        recs = [record(chroma=C420, actual=700.0), record(chroma=C444)]
+        for path, rec in zip(paths, recs):
+            path.write_text(serialize_dataset([TitleDataset.from_records([rec])]), encoding="utf-8")
+        assert run("validate", "--input", paths[0]) == 0
+        assert "this rung will be absent" in capsys.readouterr().out
+        assert run("validate", "--input", paths[0], "--input", paths[1]) == 0
+        assert "WARN" not in capsys.readouterr().out
 
 
 class TestSynth:
@@ -171,6 +200,20 @@ class TestOptimize:
             "synth001__cvvdp__fixed.json",
             "synth001__cvvdp__default.json",
         }
+
+    @pytest.mark.parametrize("title", ["../../escaped", "<absolute>"])
+    def test_title_cannot_lead_out_of_out_dir(self, tmp_path, capsys, title):
+        if title == "<absolute>":
+            title = str(tmp_path / "abs" / "escaped")
+        work = tmp_path / "work"
+        work.mkdir()
+        path = work / "in.json"
+        ds = grid_dataset(lambda h, c, b: 6.0, lambda h, c, b: 0.05, title=title)
+        path.write_text(serialize_dataset([ds], fmt="json"), encoding="utf-8")
+        assert run("optimize", "--input", path, "--out", work / "a" / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(title) in err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
 
     def test_fixed_without_plan_exits_one(self, small_corpus, tmp_path):
         assert run(
@@ -266,6 +309,22 @@ class TestCompare:
         assert sorted(r["metric"] for r in rows) == ["cvvdp", "psnr"]
         assert all(r["titles_used"] == 4 and r["titles_excluded"] == 0 for r in rows)
 
+    def test_csv_fields_are_quoted(self, small_corpus, tmp_path):
+        title = 'clip "A", 4k'
+        ds = parse_dataset(small_corpus.read_text(encoding="utf-8"))[0]
+        path = tmp_path / "quoted.csv"
+        path.write_text(serialize_dataset([TitleDataset.from_records(
+            replace_title(r, title) for r in ds.records)]), encoding="utf-8")
+        out = tmp_path / "rep"
+        code = run("compare", "--input", path, "--method", "arcs", "--alpha", 0,
+                   "--format", "csv", "--out", out)
+        assert code == 0
+        for name in ("report_bd.csv", "report_curves.csv"):
+            with open(out / name, encoding="utf-8", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows and all(len(row) == len(header) for row in rows), name
+            assert {row[0] for row in rows} == {title}, name
+
     def test_csv_and_markdown_outputs(self, small_corpus, tmp_path):
         out = tmp_path / "rep"
         code = run(
@@ -327,6 +386,18 @@ class TestPmf:
         for row in payload["pmf"]:
             assert abs(sum(row["pmf"].values()) - 1.0) <= 1e-12
         assert (out / "pmf.csv").exists()
+
+
+class TestConfigBlock:
+    def test_config_names_what_the_command_evaluated(self, small_corpus, capsys):
+        assert run("sweep", "--input", small_corpus, "--alpha", 0, "--alpha", 0.08) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["methods"] == ["arcs", "dynres"]
+        assert config["reference"] == "default"
+        assert run("pmf", "--input", small_corpus, "--alpha", 0) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["methods"] == ["arcs"]
+        assert config["reference"] is None
 
 
 class TestExitCodes:

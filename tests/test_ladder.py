@@ -353,6 +353,23 @@ class TestBuildDefault:
         with pytest.raises(AllRungsAbsent):
             build_default(TitleDataset("t", (), ()))
 
+    @pytest.mark.parametrize("cross_target", [False, True])
+    def test_is_the_native_height_fixed_plan(self, cross_target):
+        rng = np.random.default_rng(919)
+        corpus = [random_dataset(rng) for _ in range(25)]
+        corpus += generate(sparse_spec(seed=0, titles=6))
+        for ds in corpus:
+            height = max(r.resolution.height for r in ds.records)
+            fixed = build_fixed(
+                ds, [(t, height) for t in ds.bitrate_targets], cross_target=cross_target
+            )
+            if not fixed.present_rungs:
+                with pytest.raises(AllRungsAbsent, match=f"no \\({height}, 444\\) encode"):
+                    build_default(ds, cross_target=cross_target)
+                continue
+            want = Ladder(ds.title_id, Method.DEFAULT, fixed.rungs, None)
+            assert build_default(ds, cross_target=cross_target) == want
+
 
 class TestBuildDynres:
     def test_low_rate_low_resolution_crossover(self):
@@ -527,6 +544,13 @@ class TestCandidateIndex:
         except AllRungsAbsent:
             return AllRungsAbsent
 
+    @staticmethod
+    def _rising_plan(ds):
+        # Every target, at heights that rise from the smallest to the largest.
+        heights = sorted({r.resolution.height for r in ds.records})
+        n = len(ds.bitrate_targets)
+        return [(t, heights[i * len(heights) // n]) for i, t in enumerate(ds.bitrate_targets)]
+
     @pytest.mark.parametrize("cross_target", [False, True])
     def test_shared_index_equals_fresh_builds(self, cross_target):
         # One index per title, methods then alphas as the CLI loops; every
@@ -537,11 +561,15 @@ class TestCandidateIndex:
         kw = {"cross_target": cross_target}
         for ds in corpus:
             index = CandidateIndex(ds, 0.10, cross_target=cross_target)
+            plan = self._rising_plan(ds)
             for mode in OptimizerMode:
                 builders = (
                     lambda a, **k: optimize_arcs(ds, a, 0.10, mode, **k),
                     lambda a, **k: build_dynres(ds, a, 0.10, C444, mode, **k),
                     lambda a, **k: build_dynres(ds, a, 0.10, C420, mode, **k),
+                    lambda a, **k: build_default(ds, 0.10, **k),
+                    lambda a, **k: build_fixed(ds, plan, 0.10, C444, **k),
+                    lambda a, **k: build_fixed(ds, plan, 0.10, C420, **k),
                 )
                 for build in builders:
                     for alpha in self.ALPHAS:
@@ -627,7 +655,13 @@ class TestCandidateIndex:
         ds = random_dataset(rng)
         other = random_dataset(rng, title="other")
         index = CandidateIndex(ds, 0.10)
-        builders = (optimize_arcs, build_dynres, enumerate_optimal)
+        builders = (
+            optimize_arcs,
+            build_dynres,
+            enumerate_optimal,
+            lambda d, a, *args, **k: build_default(d, *args, **k),
+            lambda d, a, *args, **k: build_fixed(d, [(d.bitrate_targets[0], 1080)], *args, **k),
+        )
         for build in builders:
             with pytest.raises(ValueError, match="does not match"):
                 build(other, Alpha(0.0), index=index)

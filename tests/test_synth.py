@@ -1,5 +1,6 @@
 """Synthetic corpus generator tests."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -134,6 +135,12 @@ class TestSpecJson:
     def test_sparse_round_trip(self):
         spec = sparse_spec(seed=5, titles=7)
         assert spec_from_json(spec_to_json(spec)) == spec
+
+    @pytest.mark.parametrize("omitted", ["noise", "jitter", "title_variation", "metric"])
+    def test_omitted_optional_key_takes_dataclass_default(self, omitted):
+        payload = json.loads(spec_to_json(default_spec()))
+        del payload[omitted]
+        assert spec_from_json(json.dumps(payload)) == default_spec()
 
     def test_bad_json_rejected(self):
         with pytest.raises(InvalidSpec):
