@@ -16,6 +16,8 @@ replacement.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -41,7 +43,11 @@ class CurveAxis(Enum):
 
 @dataclass(frozen=True)
 class RQCurve:
-    """Monotone-quality point set (quality, log ordinate), quality ascending."""
+    """Monotone-quality point set (quality, log ordinate), quality ascending.
+
+    The curve's PCHIP interpolant is fitted on first use and kept, so a curve
+    measured against many others is fitted once.
+    """
 
     axis_kind: CurveAxis
     metric: QualityMetric
@@ -56,13 +62,17 @@ class RQCurve:
         if not all(math.isfinite(p[0]) and math.isfinite(p[1]) for p in self.points):
             raise ValueError("curve points must be finite")
 
-    @property
+    @functools.cached_property
     def qualities(self) -> tuple[float, ...]:
         return tuple(p[0] for p in self.points)
 
-    @property
+    @functools.cached_property
     def ordinates(self) -> tuple[float, ...]:
         return tuple(p[1] for p in self.points)
+
+    @functools.cached_property
+    def fit(self) -> PchipCurve:
+        return PchipCurve(self.qualities, self.ordinates)
 
 
 @dataclass(frozen=True)
@@ -113,52 +123,58 @@ class PchipCurve:
     the standard monotonicity clamps. Two points degrade to the linear
     interpolant. Segment integrals are evaluated in closed form from the
     quartic antiderivative of the Hermite basis.
+
+    Knots and slopes are plain float lists: curves have a handful of knots,
+    where per-element numpy calls cost more than the arithmetic. The float
+    operations are those of a numpy evaluation, in the same order, so the
+    results are bit-identical to it.
     """
 
     def __init__(self, x: Sequence[float], y: Sequence[float]):
-        self.x = np.asarray(x, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        if self.x.ndim != 1 or self.x.shape != self.y.shape or self.x.size < 2:
+        self.x = [float(v) for v in x]
+        self.y = [float(v) for v in y]
+        if len(self.x) != len(self.y) or len(self.x) < 2:
             raise ValueError("need matching 1-d x/y with at least two points")
-        if np.any(np.diff(self.x) <= 0):
+        if not all(map(math.isfinite, self.x)) or not all(map(math.isfinite, self.y)):
+            raise ValueError("knots must be finite")
+        if any(b <= a for a, b in zip(self.x, self.x[1:])):
             raise ValueError("x must be strictly increasing")
         self.d = _pchip_slopes(self.x, self.y)
 
     def __call__(self, t) -> np.ndarray:
+        x, y, d = np.array(self.x), np.array(self.y), np.array(self.d)
         t = np.asarray(t, dtype=float)
-        k = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, self.x.size - 2)
-        h = self.x[k + 1] - self.x[k]
-        s = (t - self.x[k]) / h
+        k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
+        h = x[k + 1] - x[k]
+        s = (t - x[k]) / h
         h00 = (2 * s - 3) * s * s + 1
         h10 = ((s - 2) * s + 1) * s
         h01 = (3 - 2 * s) * s * s
         h11 = (s - 1) * s * s
-        return (
-            h00 * self.y[k]
-            + h10 * h * self.d[k]
-            + h01 * self.y[k + 1]
-            + h11 * h * self.d[k + 1]
-        )
+        return h00 * y[k] + h10 * h * d[k] + h01 * y[k + 1] + h11 * h * d[k + 1]
 
     def integrate(self, a: float, b: float) -> float:
         """Exact integral over [a, b]; both ends must lie within the knots."""
-        if not (self.x[0] - 1e-12 <= a <= b <= self.x[-1] + 1e-12):
+        x = self.x
+        if not (x[0] - 1e-12 <= a <= b <= x[-1] + 1e-12):
             raise ValueError("integration interval outside the interpolation range")
+        last = len(x) - 2
+        lo = min(max(bisect.bisect_right(x, a) - 1, 0), last)
+        hi = min(max(bisect.bisect_right(x, b) - 1, 0), last)
         total = 0.0
-        lo = int(np.clip(np.searchsorted(self.x, a, side="right") - 1, 0, self.x.size - 2))
-        hi = int(np.clip(np.searchsorted(self.x, b, side="right") - 1, 0, self.x.size - 2))
         for k in range(lo, hi + 1):
-            seg_a = max(a, self.x[k])
-            seg_b = min(b, self.x[k + 1])
+            seg_a = max(a, x[k])
+            seg_b = min(b, x[k + 1])
             if seg_b <= seg_a:
                 continue
             total += self._segment_integral(k, seg_a, seg_b)
         return total
 
     def _segment_integral(self, k: int, a: float, b: float) -> float:
-        h = self.x[k + 1] - self.x[k]
-        ta = (a - self.x[k]) / h
-        tb = (b - self.x[k]) / h
+        x, y, d = self.x, self.y, self.d
+        h = x[k + 1] - x[k]
+        ta = (a - x[k]) / h
+        tb = (b - x[k]) / h
 
         def antiderivative(t: float) -> float:
             t2 = t * t
@@ -168,23 +184,19 @@ class PchipCurve:
             h10 = 0.25 * t4 - (2.0 / 3.0) * t3 + 0.5 * t2
             h01 = -0.5 * t4 + t3
             h11 = 0.25 * t4 - t3 / 3.0
-            return (
-                h00 * self.y[k]
-                + h10 * h * self.d[k]
-                + h01 * self.y[k + 1]
-                + h11 * h * self.d[k + 1]
-            )
+            # (h10 * h) * d[k], not h10 * (h * d[k]): the order is part of the result.
+            return h00 * y[k] + h10 * h * d[k] + h01 * y[k + 1] + h11 * h * d[k + 1]
 
         return h * (antiderivative(tb) - antiderivative(ta))
 
 
-def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    h = np.diff(x)
-    delta = np.diff(y) / h
-    n = x.size
+def _pchip_slopes(x: list[float], y: list[float]) -> list[float]:
+    n = len(x)
+    h = [x[k + 1] - x[k] for k in range(n - 1)]
+    delta = [(y[k + 1] - y[k]) / h[k] for k in range(n - 1)]
     if n == 2:
-        return np.array([delta[0], delta[0]])
-    d = np.zeros(n)
+        return [delta[0], delta[0]]
+    d = [0.0] * n
     for k in range(1, n - 1):
         if delta[k - 1] == 0.0 or delta[k] == 0.0 or (delta[k - 1] < 0) != (delta[k] < 0):
             d[k] = 0.0
@@ -197,14 +209,18 @@ def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d
 
 
+def _sign(v: float) -> int:
+    return (v > 0) - (v < 0)
+
+
 def _edge_slope(h0: float, h1: float, d0: float, d1: float) -> float:
     # Three-point one-sided estimate, clamped so the end segment stays monotone.
     d = ((2 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
-    if np.sign(d) != np.sign(d0):
+    if _sign(d) != _sign(d0):
         return 0.0
-    if np.sign(d0) != np.sign(d1) and abs(d) > 3 * abs(d0):
+    if _sign(d0) != _sign(d1) and abs(d) > 3 * abs(d0):
         return 3 * d0
-    return float(d)
+    return d
 
 
 def bd_delta(reference: RQCurve, test: RQCurve) -> BDResult:
@@ -223,8 +239,8 @@ def bd_delta(reference: RQCurve, test: RQCurve) -> BDResult:
             f"quality ranges [{reference.qualities[0]:.4g}, {reference.qualities[-1]:.4g}] "
             f"and [{test.qualities[0]:.4g}, {test.qualities[-1]:.4g}] do not overlap"
         )
-    int_ref = PchipCurve(reference.qualities, reference.ordinates).integrate(q_low, q_high)
-    int_test = PchipCurve(test.qualities, test.ordinates).integrate(q_low, q_high)
+    int_ref = reference.fit.integrate(q_low, q_high)
+    int_test = test.fit.integrate(q_low, q_high)
     mean_log_diff = (int_test - int_ref) / (q_high - q_low)
     return BDResult(
         value_percent=(math.exp(mean_log_diff) - 1.0) * 100.0,

@@ -304,7 +304,8 @@ def _render_summary(reference: Method, rows: list[dict], excluded: list[dict]) -
             f"{row['mean_bdr_percent']:>10.2f} {row['mean_bddt_percent']:>11.2f} "
             f"{row['titles_used']:>7}"
         )
-    lines += [f"excluded {ex['title']}/{ex['metric']} {ex['method']}: {ex['reason']}" for ex in excluded]
+    lines += [f"excluded {ex['title']}/{ex['metric']} {ex['method']} alpha={_alpha_label(ex['alpha'])}: "
+              f"{ex['reason']}" for ex in excluded]
     return lines
 
 
@@ -386,20 +387,27 @@ def cmd_optimize(args) -> int:
     return _emit(cfg, payloads, files, [f"wrote {len(payloads)} ladder file(s) to {cfg.out_dir}"])
 
 
-def _bd_pair(ref: Ladder, test: Ladder):
+def _curve(curves: dict, ladder: Ladder, axis: CurveAxis):
+    """The ladder's curve on ``axis``, built once into ``curves`` (one title's)."""
+    key = (ladder.method, ladder.alpha, axis)
+    if key not in curves:
+        curves[key] = build_curve(ladder, axis)
+    return curves[key]
+
+
+def _bd_pair(curves: dict, ref: Ladder, test: Ladder):
     """(delta-rate, delta-decode-time) results of test vs ref."""
-    rate = bd_delta(build_curve(ref, CurveAxis.QUALITY_VS_LOG_RATE),
-                    build_curve(test, CurveAxis.QUALITY_VS_LOG_RATE))
-    time = bd_delta(build_curve(ref, CurveAxis.QUALITY_VS_LOG_TIME),
-                    build_curve(test, CurveAxis.QUALITY_VS_LOG_TIME))
-    return rate, time
+    return tuple(bd_delta(_curve(curves, ref, axis), _curve(curves, test, axis))
+                 for axis in (CurveAxis.QUALITY_VS_LOG_RATE, CurveAxis.QUALITY_VS_LOG_TIME))
 
 
-def _compare(cfg: RunConfig) -> tuple[list[dict], list[dict], list[dict]]:
+def _compare(cfg: RunConfig, per_title: bool) -> tuple[list[dict], list[dict], list[dict]]:
     """Bjontegaard deltas of ``cfg.methods`` against ``cfg.reference``.
 
-    Returns the per-title entries (ladders and BD rows), the aggregate rows
-    per (method, alpha, metric), and the exclusions in title order.
+    Returns the per-title entries (ladders and BD rows; empty unless
+    ``per_title``), the aggregate rows per (method, alpha, metric), and the
+    exclusions in title order. Each ladder's two curves are fitted once per
+    title, whichever groups share the ladder.
     """
     titles, excluded = [], []
     rows_by_group: dict[tuple, list[tuple[float, float]]] = {}
@@ -408,13 +416,13 @@ def _compare(cfg: RunConfig) -> tuple[list[dict], list[dict], list[dict]]:
     n_titles: Counter = Counter()
     for (title, metric), evaluations in _evaluate(cfg):
         n_titles[metric] += 1
-        ladders, bd_rows = {}, []
+        ladders, bd_rows, curves = {}, [], {}
         for method, alpha, pair, exclusion in evaluations:
             if pair is not None:
                 for ladder in pair:
                     ladders.setdefault((ladder.method, ladder.alpha), ladder)
                 try:
-                    rate, time = _bd_pair(*pair)
+                    rate, time = _bd_pair(curves, *pair)
                 except CurveError as exc:
                     exclusion = _exclusion(title, metric, method, alpha, exc)
             if exclusion is not None:
@@ -432,9 +440,10 @@ def _compare(cfg: RunConfig) -> tuple[list[dict], list[dict], list[dict]]:
                 }
             )
             rows_by_group.setdefault((method, alpha, metric), []).append((rate, time))
-        titles.append({"title": title, "metric": metric.value,
-                       "ladders": [_ladder_payload(l, metric, cfg) for l in ladders.values()],
-                       "bd": {"rows": bd_rows}})
+        if per_title:
+            titles.append({"title": title, "metric": metric.value,
+                           "ladders": [_ladder_payload(l, metric, cfg) for l in ladders.values()],
+                           "bd": {"rows": bd_rows}})
     agg_rows = []
     for method, alpha, metric in sorted(
         rows_by_group, key=lambda g: (g[0].value, -1.0 if g[1] is None else g[1], g[2].value)
@@ -457,7 +466,7 @@ def _compare(cfg: RunConfig) -> tuple[list[dict], list[dict], list[dict]]:
 
 def cmd_compare(args) -> int:
     cfg = _config_from_args(args)
-    titles, rows, excluded = _compare(cfg)
+    titles, rows, excluded = _compare(cfg, per_title=True)
     if not rows:
         print("error: no comparison could be computed", file=sys.stderr)
         return EXIT_COMPUTE
@@ -500,7 +509,7 @@ def cmd_sweep(args) -> int:
         print("error: sweep needs at least two --alpha values", file=sys.stderr)
         return EXIT_INPUT
     cfg = replace(cfg, alphas=tuple(sorted(cfg.alphas)), methods=(Method.ARCS, Method.DYNRES_JOD))
-    _, rows, excluded = _compare(cfg)
+    _, rows, excluded = _compare(cfg, per_title=False)
     if not rows:
         print("error: no comparison could be computed", file=sys.stderr)
         return EXIT_COMPUTE

@@ -1,6 +1,9 @@
-"""Shared constructors for hand-built and randomized measurement datasets."""
+"""Shared constructors for hand-built and randomized measurement datasets, and
+a frozen numpy-scalar PCHIP integrator that the float implementation must match."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -119,3 +122,78 @@ def ladder_sums(ladder, dataset):
         if r.choice is not None
     )
     return sq, sd
+
+
+# -- frozen numpy-scalar PCHIP: the reference for bit-exact BD integration --------
+
+
+def oracle_pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    h = np.diff(x)
+    delta = np.diff(y) / h
+    n = x.size
+    if n == 2:
+        return np.array([delta[0], delta[0]])
+    d = np.zeros(n)
+    for k in range(1, n - 1):
+        if delta[k - 1] == 0.0 or delta[k] == 0.0 or (delta[k - 1] < 0) != (delta[k] < 0):
+            d[k] = 0.0
+        else:
+            w1 = 2 * h[k] + h[k - 1]
+            w2 = h[k] + 2 * h[k - 1]
+            d[k] = (w1 + w2) / (w1 / delta[k - 1] + w2 / delta[k])
+    d[0] = oracle_edge_slope(h[0], h[1], delta[0], delta[1])
+    d[-1] = oracle_edge_slope(h[-1], h[-2], delta[-1], delta[-2])
+    return d
+
+
+def oracle_edge_slope(h0, h1, d0, d1):
+    d = ((2 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
+    if np.sign(d) != np.sign(d0):
+        return 0.0
+    if np.sign(d0) != np.sign(d1) and abs(d) > 3 * abs(d0):
+        return 3 * d0
+    return float(d)
+
+
+def oracle_segment_integral(x, y, d, k, a, b):
+    h = x[k + 1] - x[k]
+    ta = (a - x[k]) / h
+    tb = (b - x[k]) / h
+
+    def antiderivative(t):
+        t2 = t * t
+        t3 = t2 * t
+        t4 = t2 * t2
+        h00 = 0.5 * t4 - t3 + t
+        h10 = 0.25 * t4 - (2.0 / 3.0) * t3 + 0.5 * t2
+        h01 = -0.5 * t4 + t3
+        h11 = 0.25 * t4 - t3 / 3.0
+        return h00 * y[k] + h10 * h * d[k] + h01 * y[k + 1] + h11 * h * d[k + 1]
+
+    return h * (antiderivative(tb) - antiderivative(ta))
+
+
+def oracle_integrate(xs, ys, a, b):
+    """PCHIP integral of (xs, ys) over [a, b], evaluated on numpy scalars."""
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    d = oracle_pchip_slopes(x, y)
+    total = 0.0
+    lo = int(np.clip(np.searchsorted(x, a, side="right") - 1, 0, x.size - 2))
+    hi = int(np.clip(np.searchsorted(x, b, side="right") - 1, 0, x.size - 2))
+    for k in range(lo, hi + 1):
+        seg_a = max(a, x[k])
+        seg_b = min(b, x[k + 1])
+        if seg_b <= seg_a:
+            continue
+        total += oracle_segment_integral(x, y, d, k, seg_a, seg_b)
+    return total
+
+
+def oracle_bd_percent(ref_points, test_points):
+    """BD percentage of test vs reference point lists, through ``oracle_integrate``."""
+    (rq, ry), (tq, ty) = zip(*ref_points), zip(*test_points)
+    q_low, q_high = max(rq[0], tq[0]), min(rq[-1], tq[-1])
+    mean_log_diff = (oracle_integrate(tq, ty, q_low, q_high)
+                     - oracle_integrate(rq, ry, q_low, q_high)) / (q_high - q_low)
+    return (math.exp(mean_log_diff) - 1.0) * 100.0

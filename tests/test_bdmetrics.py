@@ -25,7 +25,7 @@ from chromaladder.errors import (
     NoQualityOverlap,
     TooFewPoints,
 )
-from helpers import record
+from helpers import oracle_bd_percent, oracle_integrate, record
 
 RATE = CurveAxis.QUALITY_VS_LOG_RATE
 TIME = CurveAxis.QUALITY_VS_LOG_TIME
@@ -133,6 +133,86 @@ class TestPchip:
             approx = np.trapezoid(p(grid), grid)
             exact = p.integrate(x[0], x[-1])
             assert exact == pytest.approx(approx, rel=1e-6, abs=1e-9)
+
+
+def random_knots(rng, n):
+    """Strictly increasing knots over (2, 10) with spacings from 1e-4 to a few
+    units, and ordinates that are flat, monotone or oscillating by turns."""
+    while True:
+        x = np.cumsum(rng.uniform(1e-4, 1.0, size=n) ** rng.uniform(1.0, 4.0)) + rng.uniform(2.0, 3.0)
+        if np.all(np.diff(x) > 0):
+            break
+    y = rng.uniform(4.0, 10.0, size=n)
+    shape = rng.integers(4)
+    if shape == 1:
+        y = np.sort(y)
+    elif shape == 2:
+        y = np.round(y * 2.0) / 2.0  # exact repeats give zero secant slopes
+    elif shape == 3:
+        y = np.sort(y)[::-1]
+    return x.tolist(), y.tolist()
+
+
+def sub_intervals(rng, x):
+    """Random, knot-touching and end-slack intervals inside [x0 - 1e-12, xn + 1e-12]."""
+    i, j = sorted(rng.integers(len(x), size=2))
+    a, b = sorted(rng.uniform(x[0], x[-1], size=2).tolist())
+    return [
+        (x[0], x[-1]),
+        (x[0] - 1e-12, x[-1] + 1e-12),
+        (x[i], x[j]),
+        (a, b),
+        (x[i], max(b, x[i])),
+        (x[0] - 1e-12, a),
+        (b, x[-1] + 1e-12),
+    ]
+
+
+class TestFloatPchipMatchesNumpy:
+    """The float PCHIP must give the frozen numpy-scalar evaluation's bits."""
+
+    def test_integrate_bit_identical(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(2000):
+            x, y = random_knots(rng, int(rng.integers(2, 13)))
+            p = PchipCurve(x, y)
+            for a, b in sub_intervals(rng, x):
+                assert p.integrate(a, b) == oracle_integrate(x, y, a, b), (x, y, a, b)
+
+    def test_bd_delta_bit_identical(self):
+        rng = np.random.default_rng(2025)
+        checked = 0
+        while checked < 2000:
+            ref = curve(*random_knots(rng, int(rng.integers(2, 13))))
+            test = curve(*random_knots(rng, int(rng.integers(2, 13))))
+            if not max(ref.qualities[0], test.qualities[0]) < min(ref.qualities[-1], test.qualities[-1]):
+                continue
+            assert bd_delta(ref, test).value_percent == oracle_bd_percent(ref.points, test.points)
+            checked += 1
+
+    def test_reused_curve_equals_fresh_curves(self):
+        rng = np.random.default_rng(2026)
+        ref = curve(*random_knots(rng, 8))
+        fit = ref.fit
+        for _ in range(200):
+            test = curve(*random_knots(rng, int(rng.integers(2, 13))))
+            if not max(ref.qualities[0], test.qualities[0]) < min(ref.qualities[-1], test.qualities[-1]):
+                continue
+            fresh = bd_delta(curve(ref.qualities, ref.ordinates), curve(test.qualities, test.ordinates))
+            assert bd_delta(ref, test) == fresh
+            assert bd_delta(test, ref) == bd_delta(curve(test.qualities, test.ordinates),
+                                                   curve(ref.qualities, ref.ordinates))
+        assert ref.fit is fit
+
+    @pytest.mark.parametrize("x, y", [
+        ([0.0, math.nan, 2.0], [0.0, 1.0, 2.0]),
+        ([0.0, 1.0, 2.0], [0.0, math.inf, 2.0]),
+        ([-math.inf, 1.0, 2.0], [0.0, 1.0, 2.0]),
+        ([0.0, 1.0], [math.nan, 1.0]),
+    ])
+    def test_non_finite_knots_rejected(self, x, y):
+        with pytest.raises(ValueError, match="finite"):
+            PchipCurve(x, y)
 
 
 class TestBdDelta:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -21,6 +22,7 @@ from chromaladder import (
     serialize_dataset,
     spec_to_json,
 )
+import chromaladder.cli as cli
 from chromaladder.cli import main, to_json_text
 from helpers import C420, C444, grid_dataset, record
 
@@ -542,6 +544,71 @@ class TestFlagCombinations:
         payload = json.loads((out / "pmf.json").read_text(encoding="utf-8"))
         assert [(r["method"], r["alpha"]) for r in payload["pmf"]] == [
             (m, a) for m in method_set for a in (alpha_set if m in ALPHA_METHODS else [None])
+        ]
+
+
+def record_calls(monkeypatch, name):
+    """Wrap ``chromaladder.cli.<name>`` so each call's arguments are recorded."""
+    calls, fn = [], getattr(cli, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, recorded)
+    return calls
+
+
+LONELY_REASON = "ladder 'zz-lonely'/default has 1 usable points after Pareto filtering"
+
+
+class TestCurvesPerTitle:
+    """Each ladder's two BD curves are built once per title and shared by every
+    (method, alpha) group that compares it."""
+
+    @pytest.mark.parametrize("command", [
+        ("compare", "--method", "arcs", "--method", "dynres", "--method", "default"),
+        ("sweep",),
+    ], ids=lambda argv: argv[0])
+    def test_two_curves_per_distinct_ladder(self, small_corpus, monkeypatch, command):
+        built = record_calls(monkeypatch, "build_curve")
+        assert run(*command, "--input", small_corpus, "--alpha", 0, "--alpha", 0.08) == 0
+        keys = Counter((ladder.title_id, ladder.method, ladder.alpha, axis) for ladder, axis in built)
+        assert set(keys.values()) == {1}
+        # default, plus arcs and dynres at two alphas: five distinct ladders.
+        titles = [ds.title_id for ds in parse_dataset(small_corpus.read_text(encoding="utf-8"))]
+        assert Counter(ladder.title_id for ladder, _ in built) == {t: 2 * 5 for t in titles}
+
+    def test_degenerate_reference_excludes_every_group(self, flag_corpus, tmp_path):
+        corpus = flag_corpus[0]
+        out = tmp_path / "rep"
+        assert run("compare", "--input", corpus, "--method", "arcs", "--method", "dynres",
+                   "--alpha", 0, "--alpha", 0.04, "--out", out) == 0
+        excluded = json.loads((out / "report.json").read_text(encoding="utf-8"))["aggregate"]["excluded"]
+        assert [(x["title"], x["method"], x["alpha"], x["reason"]) for x in excluded] == [
+            ("zz-lonely", m, a, LONELY_REASON) for m in ("arcs", "dynres") for a in (0.0, 0.04)
+        ]
+
+    def test_sweep_builds_no_ladder_payloads(self, small_corpus, monkeypatch):
+        payloads = record_calls(monkeypatch, "_ladder_payload")
+        assert run("sweep", "--input", small_corpus, "--alpha", 0, "--alpha", 0.08) == 0
+        assert payloads == []
+        assert run("compare", "--input", small_corpus, "--method", "arcs", "--alpha", 0) == 0
+        assert len(payloads) == 4 * 2
+
+
+class TestSummary:
+    def test_exclusion_lines_name_the_alpha(self, flag_corpus, tmp_path, capsys):
+        corpus = flag_corpus[0]
+        out = tmp_path / "rep"
+        assert run("compare", "--input", corpus, "--alpha", 0, "--alpha", 0.04, "--alpha", 0.08,
+                   "--format", "markdown", "--out", out) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("excluded ")]
+        assert lines == [f"excluded zz-lonely/cvvdp arcs alpha={a}: {LONELY_REASON}"
+                         for a in ("0", "0.04", "0.08")]
+        report = (out / "report.md").read_text(encoding="utf-8")
+        assert [l for l in report.splitlines() if l.startswith("- ")] == [
+            f"- zz-lonely/cvvdp arcs alpha={a}: {LONELY_REASON}" for a in ("0", "0.04", "0.08")
         ]
 
 
