@@ -19,11 +19,9 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import (
     AxisMismatch,
@@ -45,22 +43,20 @@ class CurveAxis(Enum):
 class RQCurve:
     """Monotone-quality point set (quality, log ordinate), quality ascending.
 
-    The curve's PCHIP interpolant is fitted on first use and kept, so a curve
-    measured against many others is fitted once.
+    The curve's PCHIP interpolant is fitted on construction and kept, so a
+    curve measured against many others is fitted once. Fitting is what checks
+    that the points are finite with strictly increasing qualities.
     """
 
     axis_kind: CurveAxis
     metric: QualityMetric
     points: tuple[tuple[float, float], ...]
+    fit: PchipCurve = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.points) < 2:
             raise TooFewPoints(f"curve needs >= 2 points, got {len(self.points)}")
-        qs = [p[0] for p in self.points]
-        if any(b <= a for a, b in zip(qs, qs[1:])):
-            raise ValueError("curve qualities must be strictly increasing")
-        if not all(math.isfinite(p[0]) and math.isfinite(p[1]) for p in self.points):
-            raise ValueError("curve points must be finite")
+        object.__setattr__(self, "fit", PchipCurve(self.qualities, self.ordinates))
 
     @functools.cached_property
     def qualities(self) -> tuple[float, ...]:
@@ -69,10 +65,6 @@ class RQCurve:
     @functools.cached_property
     def ordinates(self) -> tuple[float, ...]:
         return tuple(p[1] for p in self.points)
-
-    @functools.cached_property
-    def fit(self) -> PchipCurve:
-        return PchipCurve(self.qualities, self.ordinates)
 
 
 @dataclass(frozen=True)
@@ -140,18 +132,7 @@ class PchipCurve:
         if any(b <= a for a, b in zip(self.x, self.x[1:])):
             raise ValueError("x must be strictly increasing")
         self.d = _pchip_slopes(self.x, self.y)
-
-    def __call__(self, t) -> np.ndarray:
-        x, y, d = np.array(self.x), np.array(self.y), np.array(self.d)
-        t = np.asarray(t, dtype=float)
-        k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
-        h = x[k + 1] - x[k]
-        s = (t - x[k]) / h
-        h00 = (2 * s - 3) * s * s + 1
-        h10 = ((s - 2) * s + 1) * s
-        h01 = (3 - 2 * s) * s * s
-        h11 = (s - 1) * s * s
-        return h00 * y[k] + h10 * h * d[k] + h01 * y[k + 1] + h11 * h * d[k + 1]
+        self._whole: list[float | None] = [None] * (len(self.x) - 1)
 
     def integrate(self, a: float, b: float) -> float:
         """Exact integral over [a, b]; both ends must lie within the knots."""
@@ -163,6 +144,12 @@ class PchipCurve:
         hi = min(max(bisect.bisect_right(x, b) - 1, 0), last)
         total = 0.0
         for k in range(lo, hi + 1):
+            if a <= x[k] and x[k + 1] <= b:
+                # A whole segment: its integral is the same on every call.
+                if self._whole[k] is None:
+                    self._whole[k] = self._segment_integral(k, x[k], x[k + 1])
+                total += self._whole[k]
+                continue
             seg_a = max(a, x[k])
             seg_b = min(b, x[k + 1])
             if seg_b <= seg_a:

@@ -20,6 +20,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -105,7 +106,70 @@ class _Parser(argparse.ArgumentParser):
 
 
 def to_json_text(payload) -> str:
-    return json.dumps(payload, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+    """``json.dumps(payload, indent=2, ensure_ascii=False, allow_nan=False)``
+    plus a final newline, byte for byte.
+
+    With ``indent`` set, CPython's json skips its C encoder and yields the text
+    in millions of small chunks; this writes each dict or list with one join.
+    It fails as json does: ValueError for a non-finite float or a container
+    inside itself, TypeError for a value json cannot encode. Keys must be
+    strings; json would also turn int, float, bool and None keys into strings,
+    but no payload has them.
+    """
+    return _json(payload, "\n", set()) + "\n"
+
+
+def _finite_float(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+_encode_str = json.encoder.encode_basestring
+
+# JSON text of each scalar type. Subclasses (IntEnum, numpy floats) are encoded
+# as their base type, as json encodes them.
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _finite_float,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _json(value, newline: str, path: set[int]) -> str:
+    """JSON text of ``value``, whose closing bracket goes after ``newline`` (a
+    newline and the indent of its line). ``path`` holds the ids of the
+    enclosing containers."""
+    encode = _SCALAR_TEXT.get(type(value))
+    if encode is not None:
+        return encode(value)
+    for base in (str, int, float):
+        if isinstance(value, base):
+            return _SCALAR_TEXT[base](value)
+    if id(value) in path:
+        raise ValueError("Circular reference detected")
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        path.add(id(value))
+        items = [_json(item, inner, path) for item in value]
+        brackets = "[]"
+    elif isinstance(value, dict):
+        if not value:
+            return "{}"
+        path.add(id(value))
+        items = [_encode_str(key) + ": " + _json(item, inner, path) for key, item in value.items()]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    path.remove(id(value))
+    # Brackets join the end items, so the container's text is copied once.
+    items[0] = brackets[0] + inner + items[0]
+    items[-1] += newline + brackets[1]
+    return ("," + inner).join(items)
 
 
 # -- the evaluation pass ---------------------------------------------------------

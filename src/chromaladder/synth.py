@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping, TextIO
 
-import numpy as np
-
 from .errors import InvalidSpec
 from .measurements import (
     ChromaFormat,
@@ -196,6 +194,9 @@ def generate(spec: SynthSpec) -> list[TitleDataset]:
 
 
 def _generate_title(spec: SynthSpec, index: int) -> TitleDataset:
+    # numpy is imported here so the other commands do not pay for loading it.
+    import numpy as np
+
     rng = np.random.default_rng([spec.seed, index])
     v = spec.title_variation
     combos = [

@@ -1,5 +1,6 @@
-"""Shared constructors for hand-built and randomized measurement datasets, and
-a frozen numpy-scalar PCHIP integrator that the float implementation must match."""
+"""Shared constructors for hand-built and randomized measurement datasets, a
+vectorized PCHIP evaluator for quadrature checks, and a frozen numpy-scalar
+PCHIP integrator that the float implementation must match."""
 
 from __future__ import annotations
 
@@ -197,3 +198,17 @@ def oracle_bd_percent(ref_points, test_points):
     mean_log_diff = (oracle_integrate(tq, ty, q_low, q_high)
                      - oracle_integrate(rq, ry, q_low, q_high)) / (q_high - q_low)
     return (math.exp(mean_log_diff) - 1.0) * 100.0
+
+
+def pchip_values(curve, t) -> np.ndarray:
+    """A fitted ``PchipCurve`` evaluated at the points ``t`` (Hermite form)."""
+    x, y, d = np.array(curve.x), np.array(curve.y), np.array(curve.d)
+    t = np.asarray(t, dtype=float)
+    k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
+    h = x[k + 1] - x[k]
+    s = (t - x[k]) / h
+    h00 = (2 * s - 3) * s * s + 1
+    h10 = ((s - 2) * s + 1) * s
+    h01 = (3 - 2 * s) * s * s
+    h11 = (s - 1) * s * s
+    return h00 * y[k] + h10 * h * d[k] + h01 * y[k + 1] + h11 * h * d[k + 1]

@@ -38,7 +38,7 @@ from chromaladder import (
 from chromaladder.cli import main as cli_main
 from chromaladder.errors import AllRungsAbsent
 from chromaladder.ladder import OptimizerMode
-from helpers import C420, ladder_sums, random_dataset
+from helpers import C420, ladder_sums, pchip_values, random_dataset
 
 SWEEP = (0.0, 0.01, 0.02, 0.04, 0.08)
 
@@ -148,8 +148,8 @@ def test_bd_exactness():
         assert abs((1 + fwd / 100.0) * (1 + rev / 100.0) - 1.0) <= 1e-9
         grid = np.linspace(lo, hi, 100_001)
         delta = (
-            np.trapezoid(PchipCurve(q2, y2)(grid), grid)
-            - np.trapezoid(PchipCurve(q1, y1)(grid), grid)
+            np.trapezoid(pchip_values(PchipCurve(q2, y2), grid), grid)
+            - np.trapezoid(pchip_values(PchipCurve(q1, y1), grid), grid)
         ) / (hi - lo)
         want = (math.exp(delta) - 1.0) * 100.0
         assert abs(fwd - want) <= 1e-6 * max(1.0, abs(want))

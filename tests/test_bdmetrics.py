@@ -25,7 +25,7 @@ from chromaladder.errors import (
     NoQualityOverlap,
     TooFewPoints,
 )
-from helpers import oracle_bd_percent, oracle_integrate, record
+from helpers import oracle_bd_percent, oracle_integrate, pchip_values, record
 
 RATE = CurveAxis.QUALITY_VS_LOG_RATE
 TIME = CurveAxis.QUALITY_VS_LOG_TIME
@@ -87,7 +87,7 @@ class TestPchip:
         for _ in range(50):
             x, y = self.random_xy(rng)
             p = PchipCurve(x, y)
-            assert np.all(p(x) == y)
+            assert np.all(pchip_values(p, x) == y)
 
     def test_matches_scipy_values(self):
         rng = np.random.default_rng(2)
@@ -96,7 +96,7 @@ class TestPchip:
             p = PchipCurve(x, y)
             ref = PchipInterpolator(x, y)
             grid = np.linspace(x[0], x[-1], 500)
-            assert np.allclose(p(grid), ref(grid), rtol=1e-12, atol=1e-12)
+            assert np.allclose(pchip_values(p, grid), ref(grid), rtol=1e-12, atol=1e-12)
 
     def test_matches_scipy_integral(self):
         rng = np.random.default_rng(3)
@@ -115,13 +115,13 @@ class TestPchip:
             x, y = self.random_xy(rng)
             y = np.sort(y)
             p = PchipCurve(x, y)
-            dense = p(np.linspace(x[0], x[-1], 2000))
+            dense = pchip_values(p, np.linspace(x[0], x[-1], 2000))
             assert np.all(np.diff(dense) >= -1e-12)
             assert dense.min() >= y[0] - 1e-12 and dense.max() <= y[-1] + 1e-12
 
     def test_two_points_linear(self):
         p = PchipCurve([0.0, 2.0], [1.0, 5.0])
-        assert p(1.0) == pytest.approx(3.0, abs=1e-15)
+        assert pchip_values(p, 1.0) == pytest.approx(3.0, abs=1e-15)
         assert p.integrate(0.0, 2.0) == pytest.approx(6.0, abs=1e-12)
 
     def test_closed_form_integral_matches_dense_trapezoid(self):
@@ -130,7 +130,7 @@ class TestPchip:
             x, y = self.random_xy(rng)
             p = PchipCurve(x, y)
             grid = np.linspace(x[0], x[-1], 100_001)
-            approx = np.trapezoid(p(grid), grid)
+            approx = np.trapezoid(pchip_values(p, grid), grid)
             exact = p.integrate(x[0], x[-1])
             assert exact == pytest.approx(approx, rel=1e-6, abs=1e-9)
 
@@ -212,6 +212,18 @@ class TestFloatPchipMatchesNumpy:
     ])
     def test_non_finite_knots_rejected(self, x, y):
         with pytest.raises(ValueError, match="finite"):
+            PchipCurve(x, y)
+
+    @pytest.mark.parametrize("x, y, match", [
+        ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0], "increasing"),
+        ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0], "increasing"),
+        ([0.0, math.nan, 2.0], [0.0, 1.0, 2.0], "finite"),
+        ([0.0, 1.0], [0.0, -math.inf], "finite"),
+    ])
+    def test_curve_points_checked_by_its_fit(self, x, y, match):
+        with pytest.raises(ValueError, match=match):
+            curve(x, y)
+        with pytest.raises(ValueError, match=match):
             PchipCurve(x, y)
 
 
@@ -302,8 +314,8 @@ class TestBdDelta:
             y2 = rng.uniform(4, 10, size=n2)
             got = bd_delta(curve(qs1, y1), curve(qs2, y2)).value_percent
             grid = np.linspace(lo, hi, 100_001)
-            v1 = PchipCurve(qs1, y1)(grid)
-            v2 = PchipCurve(qs2, y2)(grid)
+            v1 = pchip_values(PchipCurve(qs1, y1), grid)
+            v2 = pchip_values(PchipCurve(qs2, y2), grid)
             delta = (np.trapezoid(v2, grid) - np.trapezoid(v1, grid)) / (hi - lo)
             want = (math.exp(delta) - 1) * 100.0
             assert got == pytest.approx(want, rel=1e-6, abs=1e-6)

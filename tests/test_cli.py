@@ -1,10 +1,17 @@
 """End-to-end CLI tests: exit codes, file outputs, report schema, determinism."""
 
 import csv
+import enum
 import json
+import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -624,3 +631,142 @@ class TestDeterminism:
             assert code == 0
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Tag(str, enum.Enum):
+    CHROMA = "4:2:0"
+
+
+def _reference_json(payload) -> str:
+    return json.dumps(payload, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+
+
+_json_scalars = (
+    st.text()
+    | st.sampled_from(['"', "\\", "\x00", "\x1f", " ", "é", "中文", "😀", 'a "b" \\ c\n\t'])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 1e-320, 5e-324, 1e300, -1e300, 1e16, 0.1])
+    | st.integers()
+    | st.sampled_from([2**64, -(2**100), True, False, None, 1, 0])
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+    | st.sampled_from([_Level.LOW, _Level.HIGH, _Tag.CHROMA])
+)
+_json_keys = st.text() | st.sampled_from(["é\"\\", "\x00", _Tag.CHROMA])
+_json_payloads = st.recursive(
+    _json_scalars,
+    lambda children: (st.lists(children, max_size=5)
+                      | st.lists(children, max_size=5).map(tuple)
+                      | st.dictionaries(_json_keys, children, max_size=5)),
+    max_leaves=40,
+)
+
+
+def _circular_list():
+    inner = [1.0]
+    payload = {"a": [inner]}
+    inner.append(payload)
+    return payload
+
+
+def _circular_dict():
+    payload = {"x": 1}
+    payload["self"] = [payload]
+    return payload
+
+
+class TestJsonEmitter:
+    """``to_json_text`` writes what ``json.dumps(indent=2)`` writes, and fails as it fails."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_json_payloads)
+    @example({})
+    @example([])
+    @example(())
+    @example({"a": [], "b": {}, "c": [[], {}], "d": ()})
+    @example([True, 1, False, 0, None, 1.0, 0.0, -0.0])
+    @example({"t": "clip \"A\", 4k — é", "v": [1e-320, 1e300, 2**70, np.float64(0.25), _Level.HIGH]})
+    @example("top-level string")
+    @example(-0.0)
+    @example(None)
+    def test_equals_json_dumps(self, payload):
+        assert to_json_text(payload) == _reference_json(payload)
+
+    def test_repeated_container_is_not_circular(self):
+        shared = {"q": [1.5, 2.5]}
+        payload = [shared, shared, {"again": shared}]
+        assert to_json_text(payload) == _reference_json(payload)
+
+    @pytest.mark.parametrize("make", [
+        lambda: math.nan,
+        lambda: [1.0, math.inf],
+        lambda: {"a": {"b": -math.inf}},
+        lambda: [np.float64("nan")],
+        _circular_list,
+        _circular_dict,
+        lambda: {1, 2},
+        lambda: {"ok": 1, "bad": {1}},
+        lambda: [1.0, object()],
+        lambda: [1.0, math.inf, {1}],
+    ], ids=["nan", "inf", "neg-inf", "np-nan", "circular-list", "circular-dict",
+            "set", "nested-set", "object", "first-error-wins"])
+    def test_fails_as_json_dumps_fails(self, make):
+        with pytest.raises((TypeError, ValueError)) as want:
+            _reference_json(make())
+        with pytest.raises(want.type) as got:
+            to_json_text(make())
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("key", [1, 1.5, True, None, (1, 2)])
+    def test_keys_must_be_strings(self, key):
+        with pytest.raises(TypeError):
+            to_json_text({"ok": [1], "nested": {key: 0}})
+
+
+class TestJsonErrorPath:
+    """A report value json cannot encode is an input error, reported before any
+    file is written."""
+
+    @pytest.fixture()
+    def nan_bd(self, monkeypatch):
+        real = cli.bd_delta
+        monkeypatch.setattr(cli, "bd_delta",
+                            lambda ref, test: replace(real(ref, test), value_percent=math.nan))
+
+    @pytest.mark.parametrize("command", [("compare", "--method", "arcs"), ("sweep",)],
+                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("to_dir", [False, True], ids=["stdout", "out"])
+    def test_non_finite_value_exits_one(self, small_corpus, tmp_path, capsys, nan_bd, command, to_dir):
+        out = tmp_path / "rep"
+        argv = [*command, "--input", small_corpus, "--alpha", 0, "--alpha", 0.08,
+                *(["--out", out] if to_dir else [])]
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Out of range float values are not JSON compliant: nan\n"
+        assert not out.exists()
+
+
+def test_ladder_commands_do_not_import_numpy(small_corpus, tmp_path):
+    """numpy is for synthesis only: importing the CLI and running a comparison
+    must not load it."""
+    script = (
+        "import sys\n"
+        "import chromaladder.cli as cli\n"
+        "if 'numpy' in sys.modules: sys.exit('import chromaladder.cli loaded numpy')\n"
+        "if cli.main(sys.argv[1:]) != 0: sys.exit('compare failed')\n"
+        "if 'numpy' in sys.modules: sys.exit('compare loaded numpy')\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "compare", "--input", str(small_corpus), "--method", "arcs",
+         "--alpha", "0", "--out", str(tmp_path / "rep")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
