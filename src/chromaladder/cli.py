@@ -194,12 +194,14 @@ _BUILDERS = {
 
 def _merge(parsed: Iterable[TitleDataset]) -> dict[tuple[str, QualityMetric], TitleDataset]:
     """The records of every input file merged by (title, metric), in (title,
-    metric) order; a record given twice raises ``DuplicateRecord``."""
-    merged: dict[tuple[str, QualityMetric], list] = {}
+    metric) order; a record given twice raises ``DuplicateRecord``. A title
+    found in one file only keeps the dataset parsed from it."""
+    merged: dict[tuple[str, QualityMetric], list[TitleDataset]] = {}
     for ds in parsed:
-        merged.setdefault((ds.title_id, ds.metric), []).extend(ds.records)
-    return {key: TitleDataset.from_records(merged[key])
-            for key in sorted(merged, key=lambda k: (k[0], k[1].value))}
+        merged.setdefault((ds.title_id, ds.metric), []).append(ds)
+    return {key: group[0] if len(group) == 1
+            else TitleDataset.from_records(r for ds in group for r in ds.records)
+            for key, group in sorted(merged.items(), key=lambda kv: (kv[0][0], kv[0][1].value))}
 
 
 def _evaluate(cfg: RunConfig) -> Iterator[tuple[tuple[str, QualityMetric], list[tuple]]]:
@@ -436,18 +438,25 @@ def cmd_optimize(args) -> int:
             else:
                 skipped.append(f"{ex['title']}/{ex['metric']}/{ex['method']}{_alpha_tag(ex['alpha'])}: "
                                f"{ex['reason']}")
-    # A title names its ladder files, so it must not lead out of --out.
-    for p in payloads:
-        if cfg.out_dir is not None and ("/" in p["title"] or "\0" in p["title"]):
-            raise ValueError(f"title {p['title']!r} contains '/' or NUL and cannot name "
-                             f"a ladder file in {cfg.out_dir}")
+    files = [("json", f"{p['title']}__{p['metric']}__{p['method']}{_alpha_tag(p['alpha'])}.json",
+              lambda p=p: to_json_text(p)) for p in payloads]
+    if cfg.out_dir is not None:
+        # A title names its ladder files, so it must not lead out of --out,
+        # and no two ladders may share a file.
+        for p in payloads:
+            if "/" in p["title"] or "\0" in p["title"]:
+                raise ValueError(f"title {p['title']!r} contains '/' or NUL and cannot name "
+                                 f"a ladder file in {cfg.out_dir}")
+        for name, count in Counter(name for _, name, _ in files).items():
+            if count > 1:
+                raise ValueError(f"{count} ladders would be written to the same file "
+                                 f"{cfg.out_dir / name}; file names give an alpha to 6 "
+                                 "significant digits")
     for line in skipped:
         print(f"SKIP {line}")
     if not payloads:
         print("error: every ladder construction failed", file=sys.stderr)
         return EXIT_COMPUTE
-    files = [("json", f"{p['title']}__{p['metric']}__{p['method']}{_alpha_tag(p['alpha'])}.json",
-              lambda p=p: to_json_text(p)) for p in payloads]
     return _emit(cfg, payloads, files, [f"wrote {len(payloads)} ladder file(s) to {cfg.out_dir}"])
 
 

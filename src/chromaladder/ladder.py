@@ -30,6 +30,7 @@ passed through ``index=`` or made by the builder when omitted.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -60,6 +61,11 @@ from .objective import (
 )
 
 ENUMERATION_GUARD = 10**7
+
+# Compiled DP graphs kept for reuse. Titles encoded on one grid need one graph
+# per chroma view; a title with windows of its own needs its own graph, so the
+# memo stays small instead of keeping one graph (~10 KB) per title.
+GRAPH_CACHE_SIZE = 8
 
 
 class Method(Enum):
@@ -152,9 +158,11 @@ class CandidateIndex:
     ``q'`` and ``d'`` are the normalized quality and log decode time over all
     records of the title, so ``q' - alpha * d'`` equals
     ``composite_normalized(record, bounds_for(dataset), alpha)`` bit for bit.
-    Chroma-filtered pools and the compiled DP graphs are made on first use and
-    kept, so building ladders for many alphas repeats only the scoring and one
-    relaxation pass each.
+    Chroma-filtered pools and the DP graphs are made on first use and kept, so
+    building ladders for many alphas repeats only the scoring and one
+    relaxation pass each. A graph depends only on the pools' (height,
+    fidelity_rank) pairs and is shared with other titles whose pools have the
+    same ones.
 
     Builders accept an index through ``index=`` and reject one built for a
     different dataset, tolerance or ``cross_target``.
@@ -210,7 +218,8 @@ class CandidateIndex:
 
     def _graph(self, chroma: ChromaFormat | None) -> _Graph:
         if chroma not in self._graphs:
-            self._graphs[chroma] = _compile(self._pools(chroma))
+            shape = tuple(tuple(c[3] for c in pool) for pool in self._pools(chroma))
+            self._graphs[chroma] = _compile(shape)
         return self._graphs[chroma]
 
 
@@ -254,8 +263,9 @@ _ABSENT_KEY = (0, 0.0, 0.0, 0, 0, 0.0, 0.0)
 # The DP states are (last present (height, fidelity), cap), each None when
 # unset. Which states are reachable, and the edges between them, depend only
 # on the candidates' (height, fidelity), so ``_compile`` builds that graph
-# once per title and chroma view. ``_relax`` then runs one max-plus pass over
-# the edges per alpha. Each state keeps its best path by (summed objective,
+# once per distinct (height, fidelity) shape of the pools: titles encoded on
+# one grid share it. ``_relax`` then runs one max-plus pass over the edges per
+# alpha. Each state keeps its best path by (summed objective,
 # then the sequence of rung keys) as a backpointer; the key sequences are
 # rebuilt from the backpointers only when two sums are exactly equal.
 
@@ -269,21 +279,24 @@ class _Graph:
     finals: tuple[int, ...]  # states after the last rung with no pending cap
 
 
-def _compile(pools: Sequence[Sequence[tuple]]) -> _Graph:
+@functools.lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def _compile(shape: tuple[tuple[tuple[int, int], ...], ...]) -> _Graph:
+    """The DP graph of pools whose candidates have these (height,
+    fidelity_rank) pairs, pool by pool in candidate order."""
     states: dict[tuple, int] = {(None, None): 0}
     layers, widths = [], []
-    for pool in pools:
+    for pool in shape:
         nxt: dict[tuple, int] = {}
         edges = []
         for (last, cap), src in states.items():
-            feasible = [k for k, c in enumerate(pool) if last is None or _step_ok(last, c[3])]
+            feasible = [k for k, hf in enumerate(pool) if last is None or _step_ok(last, hf)]
             new_cap = cap
             if feasible:
-                m = min(pool[k][3] for k in feasible)
+                m = min(pool[k] for k in feasible)
                 new_cap = m if cap is None or m < cap else cap
             edges.append((src, nxt.setdefault((last, new_cap), len(nxt)), -1))
             for k in feasible:
-                hf = pool[k][3]
+                hf = pool[k]
                 if cap is None or hf < cap:
                     edges.append((src, nxt.setdefault((hf, None), len(nxt)), k))
         layers.append(tuple(edges))

@@ -12,10 +12,11 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import (
     DuplicateRecord,
@@ -37,28 +38,26 @@ CSV_HEADER = (
 
 
 class ChromaFormat(Enum):
-    """Chroma subsampling format, ordered by color fidelity."""
+    """Chroma subsampling format, ordered by color fidelity.
 
-    C420 = "420"
-    C422 = "422"
-    C444 = "444"
+    Each member carries two plain attributes: ``fidelity_rank`` (0 for 4:2:0
+    up to 2 for 4:4:4) and ``chroma_density``, the chroma samples per luma
+    sample with both chroma planes counted.
+    """
 
-    @property
-    def fidelity_rank(self) -> int:
-        return _FIDELITY_RANK[self]
+    fidelity_rank: int
+    chroma_density: Fraction
 
-    @property
-    def chroma_density(self) -> Fraction:
-        """Chroma samples per luma sample, both chroma planes counted."""
-        return _CHROMA_DENSITY[self]
+    C420 = "420", 0, Fraction(1, 2)
+    C422 = "422", 1, Fraction(1, 1)
+    C444 = "444", 2, Fraction(2, 1)
 
-
-_FIDELITY_RANK = {ChromaFormat.C420: 0, ChromaFormat.C422: 1, ChromaFormat.C444: 2}
-_CHROMA_DENSITY = {
-    ChromaFormat.C420: Fraction(1, 2),
-    ChromaFormat.C422: Fraction(1, 1),
-    ChromaFormat.C444: Fraction(2, 1),
-}
+    def __new__(cls, tag: str, fidelity_rank: int, chroma_density: Fraction):
+        member = object.__new__(cls)
+        member._value_ = tag
+        member.fidelity_rank = fidelity_rank
+        member.chroma_density = chroma_density
+        return member
 
 
 class QualityMetric(Enum):
@@ -165,129 +164,175 @@ class TitleDataset:
 
     @classmethod
     def from_records(cls, records: Iterable[MeasurementRecord]) -> "TitleDataset":
-        recs = sorted(
-            records,
-            key=lambda r: (r.target_bitrate, r.resolution.height, r.chroma.fidelity_rank),
-        )
+        recs = sorted(records, key=_record_order)
         if not recs:
             raise ValueError("from_records needs at least one record")
         targets = tuple(sorted({r.target_bitrate for r in recs}))
         return cls(recs[0].title_id, tuple(recs), targets)
+
+    @classmethod
+    def _from_checked(cls, title_id: str, records: list[MeasurementRecord]) -> "TitleDataset":
+        """``from_records(records)`` for records already known to belong to
+        ``title_id``, to share one metric and to repeat no key: it skips the
+        checks of ``__post_init__``. ``records`` is sorted in place."""
+        records.sort(key=_record_order)
+        dataset = object.__new__(cls)
+        object.__setattr__(dataset, "title_id", title_id)
+        object.__setattr__(dataset, "records", tuple(records))
+        object.__setattr__(dataset, "bitrate_targets",
+                           tuple(sorted({r.target_bitrate for r in records})))
+        return dataset
 
     @property
     def metric(self) -> QualityMetric | None:
         return self.records[0].quality.metric if self.records else None
 
 
+def _record_order(record: MeasurementRecord) -> tuple:
+    return (record.target_bitrate, record.resolution.height, record.chroma.fidelity_rank)
+
+
 # -- parsing ----------------------------------------------------------------
+
+_CHROMA_BY_TAG = {c.value: c for c in ChromaFormat}
+_METRIC_BY_TAG = {m.value: m for m in QualityMetric}
+_JSON_KEYS = frozenset(CSV_HEADER)
 
 
 def parse_dataset(source: str | TextIO, fmt: str = "auto") -> list[TitleDataset]:
     """Parse a CSV or JSON measurement stream into per-title datasets.
 
     ``fmt`` is one of ``csv``, ``json``, ``auto``; auto-detection treats
-    content starting with ``[`` or ``{`` as JSON. Titles are returned sorted
+    content starting with ``[`` or ``{`` as JSON. One leading UTF-8 byte order
+    mark, as spreadsheet exports write, is dropped. Titles are returned sorted
     lexicographically; records within a title sorted by (target, height,
     chroma fidelity).
+
+    Every row is checked in input order and the first bad one raises
+    ``MalformedRow`` (or ``NonPositiveValue``). Then the first record, in
+    input order, that repeats an earlier record's key raises
+    ``DuplicateRecord``, and only then the first title, in order of
+    appearance, with two quality metrics raises ``MixedQualityMetric``.
     """
     text = source if isinstance(source, str) else source.read()
+    text = text.removeprefix("\ufeff")
     if fmt == "auto":
         fmt = "json" if text.lstrip()[:1] in ("[", "{") else "csv"
     if fmt == "csv":
-        records = _records_from_csv(text)
+        rows = _rows_from_csv(text)
     elif fmt == "json":
-        records = _records_from_json(text)
+        rows = _rows_from_json(text)
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    return _group_records(records)
+    return _group_records(_records(rows))
 
 
-def _records_from_csv(text: str) -> list[MeasurementRecord]:
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
+def _rows_from_csv(text: str) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """``(row number, values in CSV_HEADER order)`` of each data row. Blank
+    lines are skipped and not counted; the header is row 0."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None:
         raise MalformedRow(0, "empty input, header required")
-    got = tuple(name.strip() for name in reader.fieldnames)
+    got = [name.strip() for name in header]
     if sorted(got) != sorted(CSV_HEADER):
         raise MalformedRow(0, f"header must contain exactly {','.join(CSV_HEADER)}; got {','.join(got)}")
-    records = []
-    for i, row in enumerate(reader, start=1):
-        if None in row or any(v is None for v in row.values()):
-            raise MalformedRow(i, "wrong number of fields")
-        records.append(_record_from_fields(i, {k.strip(): v for k, v in row.items()}))
-    return records
+    in_header_order = operator.itemgetter(*(got.index(name) for name in CSV_HEADER))
+    row = 0
+    for values in reader:
+        if not values:
+            continue
+        row += 1
+        if len(values) != len(got):
+            raise MalformedRow(row, "wrong number of fields")
+        yield row, in_header_order(values)
 
 
-def _records_from_json(text: str) -> list[MeasurementRecord]:
+def _rows_from_json(text: str) -> Iterator[tuple[int, tuple]]:
+    """``(row number, values in CSV_HEADER order)`` of each array entry."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedRow(0, f"invalid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise MalformedRow(0, "JSON input must be an array of objects")
-    records = []
-    for i, obj in enumerate(data, start=1):
+    in_header_order = operator.itemgetter(*CSV_HEADER)
+    for row, obj in enumerate(data, start=1):
         if not isinstance(obj, dict):
-            raise MalformedRow(i, "array entry is not an object")
-        if sorted(obj) != sorted(CSV_HEADER):
-            raise MalformedRow(i, f"object keys must be exactly {','.join(CSV_HEADER)}")
-        records.append(_record_from_fields(i, obj))
+            raise MalformedRow(row, "array entry is not an object")
+        if obj.keys() != _JSON_KEYS:
+            raise MalformedRow(row, f"object keys must be exactly {','.join(CSV_HEADER)}")
+        yield row, in_header_order(obj)
+
+
+def _records(rows: Iterable[tuple[int, Sequence]]) -> list[MeasurementRecord]:
+    """The record of each ``(row number, values in CSV_HEADER order)``.
+
+    Values are CSV strings or JSON values. A title must be a string and a
+    number must not be a JSON ``true``/``false``; numbers may be numeric
+    strings. Records of one height share one ``Resolution``.
+    """
+    resolutions: dict[int, Resolution] = {}
+    records = []
+    for row, (title, height, chroma, target, actual, metric, quality, decode) in rows:
+        if not isinstance(title, str):
+            raise MalformedRow(row, f"title {title!r} is not a string")
+        title = title.strip()
+        if not title:
+            raise MalformedRow(row, "empty title")
+        try:
+            height_px = int(str(height).strip())
+        except ValueError:
+            raise MalformedRow(row, f"height {height!r} is not an integer") from None
+        chroma_tag = str(chroma).strip()
+        chroma_format = _CHROMA_BY_TAG.get(chroma_tag)
+        if chroma_format is None:
+            raise MalformedRow(row, f"chroma {chroma_tag!r} not one of 420/422/444")
+        metric_tag = str(metric).strip()
+        quality_metric = _METRIC_BY_TAG.get(metric_tag)
+        if quality_metric is None:
+            raise MalformedRow(row, f"metric {metric_tag!r} not one of cvvdp/psnr")
+        target_kbps = _number(row, "target_kbps", target)
+        actual_kbps = _number(row, "actual_kbps", actual)
+        value = _number(row, "quality", quality)
+        decode_s = _number(row, "decode_s_per_frame", decode)
+        try:
+            score = QualityScore(quality_metric, value)
+        except ValueError as exc:
+            raise MalformedRow(row, str(exc)) from None
+        resolution = resolutions.get(height_px)
+        if resolution is None:
+            resolution = resolutions[height_px] = Resolution(height_px)
+        records.append(MeasurementRecord(
+            title, resolution, chroma_format, target_kbps, actual_kbps, score, decode_s))
     return records
 
 
-def _record_from_fields(row: int, fields: dict) -> MeasurementRecord:
-    def fail(reason: str) -> MalformedRow:
-        return MalformedRow(row, reason)
-
-    title = str(fields["title"]).strip()
-    if not title:
-        raise fail("empty title")
-    try:
-        height = int(str(fields["height"]).strip())
-    except ValueError:
-        raise fail(f"height {fields['height']!r} is not an integer") from None
-    chroma_tag = str(fields["chroma"]).strip()
-    try:
-        chroma = ChromaFormat(chroma_tag)
-    except ValueError:
-        raise fail(f"chroma {chroma_tag!r} not one of 420/422/444") from None
-    metric_tag = str(fields["metric"]).strip()
-    try:
-        metric = QualityMetric(metric_tag)
-    except ValueError:
-        raise fail(f"metric {metric_tag!r} not one of cvvdp/psnr") from None
-    numbers = {}
-    for name in ("target_kbps", "actual_kbps", "quality", "decode_s_per_frame"):
+def _number(row: int, name: str, value) -> float:
+    if not isinstance(value, bool):
         try:
-            numbers[name] = float(fields[name])
+            return float(value)
         except (TypeError, ValueError):
-            raise fail(f"{name} {fields[name]!r} is not a number") from None
-    try:
-        quality = QualityScore(metric, numbers["quality"])
-    except ValueError as exc:
-        raise fail(str(exc)) from None
-    return MeasurementRecord(
-        title_id=title,
-        resolution=Resolution(height),
-        chroma=chroma,
-        target_bitrate=numbers["target_kbps"],
-        actual_bitrate=numbers["actual_kbps"],
-        quality=quality,
-        decode_time=numbers["decode_s_per_frame"],
-    )
+            pass
+    raise MalformedRow(row, f"{name} {value!r} is not a number")
 
 
 def _group_records(records: Sequence[MeasurementRecord]) -> list[TitleDataset]:
-    seen: dict[tuple, MeasurementRecord] = {}
+    seen = set()
     by_title: dict[str, list[MeasurementRecord]] = {}
     for rec in records:
-        if rec.key in seen:
+        # Parsed resolutions have no width, so the height stands in for the
+        # Resolution of ``rec.key``.
+        key = (rec.title_id, rec.resolution.height, rec.chroma.fidelity_rank, rec.target_bitrate)
+        if key in seen:
             raise DuplicateRecord(rec.key)
-        seen[rec.key] = rec
+        seen.add(key)
         by_title.setdefault(rec.title_id, []).append(rec)
     for title, recs in by_title.items():
-        if len({r.quality.metric for r in recs}) > 1:
+        metric = recs[0].quality.metric
+        if any(r.quality.metric is not metric for r in recs):
             raise MixedQualityMetric(title)
-    return [TitleDataset.from_records(by_title[t]) for t in sorted(by_title)]
+    return [TitleDataset._from_checked(t, by_title[t]) for t in sorted(by_title)]
 
 
 # -- serialization ----------------------------------------------------------

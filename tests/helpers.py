@@ -1,9 +1,13 @@
 """Shared constructors for hand-built and randomized measurement datasets, a
-vectorized PCHIP evaluator for quadrature checks, and a frozen numpy-scalar
-PCHIP integrator that the float implementation must match."""
+vectorized PCHIP evaluator for quadrature checks, a frozen numpy-scalar PCHIP
+integrator that the float implementation must match, and a frozen two-pass
+ingest that the single-pass parser must match."""
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -20,6 +24,8 @@ from chromaladder import (
     normalized_log_time,
     normalized_quality,
 )
+from chromaladder.errors import DuplicateRecord, MalformedRow, MixedQualityMetric
+from chromaladder.measurements import CSV_HEADER
 
 JOD = QualityMetric.CVVDP_JOD
 C420, C422, C444 = ChromaFormat.C420, ChromaFormat.C422, ChromaFormat.C444
@@ -212,3 +218,118 @@ def pchip_values(curve, t) -> np.ndarray:
     h01 = (3 - 2 * s) * s * s
     h11 = (s - 1) * s * s
     return h00 * y[k] + h10 * h * d[k] + h01 * y[k + 1] + h11 * h * d[k + 1]
+
+
+# -- frozen two-pass ingest: the reference for the single-pass parser ------------
+#
+# Rows go through csv.DictReader or json.loads into validated records, the
+# records into per-title datasets, and ``oracle_merge`` rebuilds every title
+# from the records of all files. Kept as it was, apart from names.
+
+
+def oracle_parse_dataset(text: str, fmt: str = "auto") -> list[TitleDataset]:
+    if fmt == "auto":
+        fmt = "json" if text.lstrip()[:1] in ("[", "{") else "csv"
+    if fmt == "csv":
+        records = _oracle_records_from_csv(text)
+    elif fmt == "json":
+        records = _oracle_records_from_json(text)
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    return _oracle_group_records(records)
+
+
+def _oracle_records_from_csv(text: str) -> list[MeasurementRecord]:
+    reader = csv.DictReader(io.StringIO(text))
+    if reader.fieldnames is None:
+        raise MalformedRow(0, "empty input, header required")
+    got = tuple(name.strip() for name in reader.fieldnames)
+    if sorted(got) != sorted(CSV_HEADER):
+        raise MalformedRow(0, f"header must contain exactly {','.join(CSV_HEADER)}; got {','.join(got)}")
+    records = []
+    for i, row in enumerate(reader, start=1):
+        if None in row or any(v is None for v in row.values()):
+            raise MalformedRow(i, "wrong number of fields")
+        records.append(_oracle_record_from_fields(i, {k.strip(): v for k, v in row.items()}))
+    return records
+
+
+def _oracle_records_from_json(text: str) -> list[MeasurementRecord]:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedRow(0, f"invalid JSON: {exc}") from exc
+    if not isinstance(data, list):
+        raise MalformedRow(0, "JSON input must be an array of objects")
+    records = []
+    for i, obj in enumerate(data, start=1):
+        if not isinstance(obj, dict):
+            raise MalformedRow(i, "array entry is not an object")
+        if sorted(obj) != sorted(CSV_HEADER):
+            raise MalformedRow(i, f"object keys must be exactly {','.join(CSV_HEADER)}")
+        records.append(_oracle_record_from_fields(i, obj))
+    return records
+
+
+def _oracle_record_from_fields(row: int, fields: dict) -> MeasurementRecord:
+    def fail(reason: str) -> MalformedRow:
+        return MalformedRow(row, reason)
+
+    title = str(fields["title"]).strip()
+    if not title:
+        raise fail("empty title")
+    try:
+        height = int(str(fields["height"]).strip())
+    except ValueError:
+        raise fail(f"height {fields['height']!r} is not an integer") from None
+    chroma_tag = str(fields["chroma"]).strip()
+    try:
+        chroma = ChromaFormat(chroma_tag)
+    except ValueError:
+        raise fail(f"chroma {chroma_tag!r} not one of 420/422/444") from None
+    metric_tag = str(fields["metric"]).strip()
+    try:
+        metric = QualityMetric(metric_tag)
+    except ValueError:
+        raise fail(f"metric {metric_tag!r} not one of cvvdp/psnr") from None
+    numbers = {}
+    for name in ("target_kbps", "actual_kbps", "quality", "decode_s_per_frame"):
+        try:
+            numbers[name] = float(fields[name])
+        except (TypeError, ValueError):
+            raise fail(f"{name} {fields[name]!r} is not a number") from None
+    try:
+        quality = QualityScore(metric, numbers["quality"])
+    except ValueError as exc:
+        raise fail(str(exc)) from None
+    return MeasurementRecord(
+        title_id=title,
+        resolution=Resolution(height),
+        chroma=chroma,
+        target_bitrate=numbers["target_kbps"],
+        actual_bitrate=numbers["actual_kbps"],
+        quality=quality,
+        decode_time=numbers["decode_s_per_frame"],
+    )
+
+
+def _oracle_group_records(records) -> list[TitleDataset]:
+    seen: dict[tuple, MeasurementRecord] = {}
+    by_title: dict[str, list[MeasurementRecord]] = {}
+    for rec in records:
+        if rec.key in seen:
+            raise DuplicateRecord(rec.key)
+        seen[rec.key] = rec
+        by_title.setdefault(rec.title_id, []).append(rec)
+    for title, recs in by_title.items():
+        if len({r.quality.metric for r in recs}) > 1:
+            raise MixedQualityMetric(title)
+    return [TitleDataset.from_records(by_title[t]) for t in sorted(by_title)]
+
+
+def oracle_merge(parsed) -> dict[tuple[str, QualityMetric], TitleDataset]:
+    merged: dict[tuple[str, QualityMetric], list] = {}
+    for ds in parsed:
+        merged.setdefault((ds.title_id, ds.metric), []).extend(ds.records)
+    return {key: TitleDataset.from_records(merged[key])
+            for key in sorted(merged, key=lambda k: (k[0], k[1].value))}

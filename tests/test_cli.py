@@ -1,12 +1,15 @@
 """End-to-end CLI tests: exit codes, file outputs, report schema, determinism."""
 
+import contextlib
 import csv
 import enum
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -223,6 +226,20 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(title) in err
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+
+    def test_alphas_sharing_a_file_name_exit_one_before_writing(self, small_corpus, tmp_path, capsys):
+        # Both alphas are named "0.1" by the :g tag of the ladder file names.
+        out = tmp_path / "ladders"
+        argv = ("optimize", "--input", small_corpus, "--alpha", 0.1, "--alpha", 0.1000001)
+        assert run(*argv, "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 2 ladders would be written to the same file "
+                                       f"{out / 'synth000__cvvdp__arcs__alpha0.1.json'};")
+        assert not out.exists()
+        assert run(*argv) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert [p["alpha"] for p in printed if p["title"] == "synth000"] == [0.1, 0.1000001]
 
     def test_fixed_without_plan_exits_one(self, small_corpus, tmp_path):
         assert run(
@@ -617,6 +634,67 @@ class TestSummary:
         assert [l for l in report.splitlines() if l.startswith("- ")] == [
             f"- zz-lonely/cvvdp arcs alpha={a}: {LONELY_REASON}" for a in ("0", "0.04", "0.08")
         ]
+
+
+LAYOUT_COMMANDS = (
+    ("optimize", "--method", "arcs", "--method", "dynres", "--method", "default"),
+    ("compare", "--method", "arcs", "--method", "dynres"),
+    ("sweep",),
+    ("pmf", "--method", "arcs", "--method", "dynres"),
+)
+
+
+def _stdout_without_inputs(argv) -> str:
+    """Printed output of ``argv``, with ``config.inputs`` (the file names) blanked."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(*argv) == 0
+    payload = json.loads(out.getvalue())
+    if isinstance(payload, dict):
+        payload["config"]["inputs"] = None
+    return to_json_text(payload)
+
+
+def _write_measurements(path: Path, header, rows, fmt: str) -> None:
+    if fmt == "csv":
+        path.write_text(cli._csv_lines(header, rows), encoding="utf-8")
+        return
+    types = {"title": str, "metric": str, "height": int, "chroma": int}
+    objs = [{name: types.get(name, float)(value) for name, value in zip(header, row)}
+            for row in rows]
+    path.write_text(json.dumps(objs), encoding="utf-8")
+
+
+class TestInputLayout:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), cross_target=st.booleans())
+    def test_stdout_ignores_record_order_columns_and_files(self, flag_corpus, data, cross_target):
+        corpus = flag_corpus[0]
+        header, *rows = list(csv.reader(io.StringIO(corpus.read_text(encoding="utf-8"))))
+        order = data.draw(st.permutations(range(len(rows))))
+        n_files = data.draw(st.integers(1, 3))
+        # Each record goes to any file, or each title to one file.
+        if data.draw(st.booleans()):
+            owner = data.draw(st.lists(st.integers(0, n_files - 1), min_size=len(rows),
+                                       max_size=len(rows)))
+        else:
+            file_of = data.draw(st.fixed_dictionaries(
+                {row[0]: st.integers(0, n_files - 1) for row in rows}))
+            owner = [file_of[row[0]] for row in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            inputs = []
+            for f in range(n_files):
+                fmt = data.draw(st.sampled_from(["csv", "json"]))
+                columns = data.draw(st.permutations(range(len(header))))
+                path = Path(tmp) / f"part{f}.{fmt}"
+                _write_measurements(path, [header[c] for c in columns],
+                                    [[rows[i][c] for c in columns] for i in order if owner[i] == f],
+                                    fmt)
+                inputs += ["--input", path]
+            flags = ["--alpha", 0, "--alpha", 0.04] + (["--cross-target"] if cross_target else [])
+            for command in LAYOUT_COMMANDS:
+                assert _stdout_without_inputs([*command, *inputs, *flags]) == (
+                    _stdout_without_inputs([*command, "--input", corpus, *flags]))
 
 
 class TestDeterminism:

@@ -8,7 +8,10 @@ to a present candidate (absences only where forced), and picks the best by
 dynamic program or its pruned enumeration beyond the objective values.
 """
 
+import importlib.util
 import itertools
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from chromaladder import (
     candidates_for,
     chroma_pmf,
     composite_normalized,
+    default_spec,
     enumerate_optimal,
     generate,
     load_plan,
@@ -43,6 +47,7 @@ from chromaladder.errors import (
     PlanTargetUnknown,
     SearchSpaceTooLarge,
 )
+from chromaladder.measurements import QualityScore
 from helpers import C420, C422, C444, grid_dataset, ladder_sums, random_dataset, record
 
 
@@ -674,3 +679,114 @@ class TestCandidateIndex:
         assert self._ladder_or_error(optimize_arcs, copy, Alpha(0.0), index=index) == (
             self._ladder_or_error(optimize_arcs, ds, Alpha(0.0))
         )
+
+
+# -- DP graphs shared across titles ------------------------------------------------
+
+
+def _shape(index, chroma):
+    return tuple(tuple(c[3] for c in pool) for pool in index._pools(chroma))
+
+
+def _with_other_values(ds, rng, title):
+    """``ds`` renamed, with the same windows but new quality and decode values."""
+    return TitleDataset.from_records(
+        replace(r, title_id=title,
+                quality=QualityScore(r.quality.metric, float(rng.uniform(2.0, 9.5))),
+                decode_time=float(rng.uniform(0.01, 0.6)))
+        for r in ds.records
+    )
+
+
+class TestSharedGraph:
+    """``_compile`` is memoized on the pools' (height, fidelity_rank) pairs."""
+
+    def test_one_compile_per_shape_and_chroma_view(self):
+        compile_ = ladder_module._compile
+        compile_.cache_clear()
+        shapes = set()
+        for ds in generate(default_spec(titles=30)):
+            index = CandidateIndex(ds)
+            for alpha in (0.0, 0.04):
+                optimize_arcs(ds, Alpha(alpha), index=index)
+                build_dynres(ds, Alpha(alpha), index=index)
+            shapes |= {_shape(index, None), _shape(index, C444)}
+        # One encoding grid: one shape per chroma view.
+        assert len(shapes) == 2
+        assert compile_.cache_info().misses == len(shapes)
+
+    def test_title_with_other_windows_gets_its_own_graph(self):
+        def title(name, cells):
+            return TitleDataset.from_records(
+                record(name, h, c, t, quality=q, decode=0.02 * (1 + c.fidelity_rank) * h / 1080)
+                for t, h, c, q in cells
+            )
+
+        first = title("first", [(600, 1080, C420, 6.0), (600, 2160, C444, 6.5),
+                                (2400, 1080, C444, 7.0), (2400, 2160, C420, 8.0)])
+        # The same heights, other fidelities.
+        refidelity = title("refidelity", [(600, 1080, C444, 6.0), (600, 2160, C420, 6.5),
+                                          (2400, 1080, C420, 7.0), (2400, 2160, C444, 8.0)])
+        # The same pool lengths, other heights.
+        reheight = title("reheight", [(600, 1080, C420, 6.0), (600, 1080, C444, 6.5),
+                                      (2400, 2160, C420, 7.0), (2400, 2160, C444, 8.0)])
+        compile_ = ladder_module._compile
+        compile_.cache_clear()
+        for ds in (first, refidelity, reheight, first, refidelity, reheight):
+            for alpha in (0.0, 0.2, 1.0):
+                assert optimize_arcs(ds, Alpha(alpha)).rungs == (
+                    enumerate_optimal(ds, Alpha(alpha)).rungs)
+                assert choices_of(optimize_arcs(ds, Alpha(alpha))) == (
+                    definitional_best(ds, Alpha(alpha)))
+        assert compile_.cache_info().misses == 3
+
+    @pytest.mark.parametrize("cross_target", [False, True])
+    def test_shared_graph_ladders_equal_oracle_and_fresh_compile(self, cross_target):
+        rng = np.random.default_rng(929)
+        corpus = [random_dataset(rng, title=f"r{i}") for i in range(30)]
+        corpus += generate(replace(sparse_spec(seed=5, titles=6),
+                                   targets_kbps=(600.0, 1600.0, 3400.0, 8100.0)))
+        # Each title is followed by one with its windows and other values.
+        titles = [t for ds in corpus for t in (ds, _with_other_values(ds, rng, ds.title_id + "'"))]
+        kw = {"cross_target": cross_target}
+        alphas = (0.0, 0.05, 0.3)
+        build = TestCandidateIndex._ladder_or_error
+
+        def ladders(ds):
+            return [(build(optimize_arcs, ds, Alpha(a), **kw), build(build_dynres, ds, Alpha(a), **kw))
+                    for a in alphas]
+
+        compile_ = ladder_module._compile
+        compile_.cache_clear()
+        shared = []
+        for ds in titles:
+            misses = compile_.cache_info().misses
+            shared.append(ladders(ds))
+            if ds.title_id.endswith("'"):
+                assert compile_.cache_info().misses == misses, ds.title_id
+        for ds, got in zip(titles, shared):
+            compile_.cache_clear()
+            assert got == ladders(ds), ds.title_id
+            for alpha, (arcs, _) in zip(alphas, got):
+                assert arcs == build(enumerate_optimal, ds, Alpha(alpha), **kw), (ds.title_id, alpha)
+
+    def test_memo_is_bounded(self):
+        compile_ = ladder_module._compile
+        compile_.cache_clear()
+        for ds in generate(sparse_spec(seed=0, titles=20)):
+            optimize_arcs(ds, Alpha(0.0))
+            build_dynres(ds, Alpha(0.0))
+        info = compile_.cache_info()
+        # Every sparse title has windows of its own.
+        assert info.misses == 40
+        assert info.maxsize is not None and info.currsize <= info.maxsize <= 16
+
+
+def test_greedy_vs_dp_script():
+    """``scripts/greedy_vs_dp.py`` runs, and its check that greedy never beats
+    the exact optimizer holds on every title and alpha."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "greedy_vs_dp.py"
+    spec = importlib.util.spec_from_file_location("greedy_vs_dp", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.run()

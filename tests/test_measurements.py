@@ -1,10 +1,13 @@
 """Data model, parsing, serialization, and candidate-window tests."""
 
+import csv
+import io
+import json
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chromaladder import (
@@ -24,7 +27,9 @@ from chromaladder.errors import (
     MixedQualityMetric,
     NonPositiveValue,
 )
-from helpers import C420, C422, C444, grid_dataset, record
+from chromaladder.cli import _merge
+from chromaladder.measurements import CSV_HEADER
+from helpers import C420, C422, C444, grid_dataset, oracle_merge, oracle_parse_dataset, record
 
 TEN_TARGETS = (600.0, 900.0, 1600.0, 2400.0, 3400.0, 4500.0, 5800.0, 8100.0, 11600.0, 16800.0)
 
@@ -131,6 +136,191 @@ class TestParsing:
     def test_titles_sorted_lexicographically(self):
         text = serialize_dataset([full_grid("zeta"), full_grid("alpha")])
         assert [d.title_id for d in parse_dataset(text)] == ["alpha", "zeta"]
+
+
+HEADER_LINE = ",".join(CSV_HEADER) + "\n"
+
+
+class TestJsonAndBom:
+    def json_text(self, **changes):
+        obj = {"title": "movie", "height": 1080, "chroma": 420, "target_kbps": 600.0,
+               "actual_kbps": 612.0, "metric": "cvvdp", "quality": 6.5,
+               "decode_s_per_frame": 0.02}
+        good = dict(obj, height=2160)
+        return json.dumps([good, {**obj, **changes}])
+
+    @pytest.mark.parametrize("title", [None, 7, ["movie"]])
+    def test_title_must_be_a_json_string(self, title):
+        with pytest.raises(MalformedRow) as exc:
+            parse_dataset(self.json_text(title=title))
+        assert exc.value.row == 2
+        assert str(exc.value) == f"row 2: title {title!r} is not a string"
+
+    @pytest.mark.parametrize("field", ["target_kbps", "actual_kbps", "quality",
+                                       "decode_s_per_frame"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_is_not_a_number(self, field, value):
+        with pytest.raises(MalformedRow) as exc:
+            parse_dataset(self.json_text(**{field: value}))
+        assert str(exc.value) == f"row 2: {field} {value!r} is not a number"
+
+    def test_numeric_strings_and_integer_chroma_accepted(self):
+        text = self.json_text(height="1080", chroma=420, target_kbps="600", quality=" 6.5 ")
+        (ds,) = parse_dataset(text)
+        rec = ds.records[0]
+        assert (rec.resolution.height, rec.chroma, rec.target_bitrate, rec.quality.value) == (
+            1080, C420, 600.0, 6.5)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_leading_byte_order_mark_is_dropped(self, fmt):
+        text = serialize_dataset([full_grid()], fmt=fmt)
+        assert parse_dataset("\ufeff" + text) == parse_dataset(text)
+        assert parse_dataset(io.StringIO("\ufeff" + text), fmt) == parse_dataset(text)
+
+    def test_only_one_byte_order_mark_is_dropped(self):
+        with pytest.raises(MalformedRow) as exc:
+            parse_dataset("\ufeff\ufeff" + HEADER_LINE)
+        assert exc.value.row == 0
+
+
+# Small value pools, so that records repeat within and across files and titles
+# mix metrics; each file may carry one bad cell and one malformed row.
+GOOD_VALUES = {
+    "title": ["a", "b", " c "],
+    "height": ["1080", "2160"],
+    "chroma": ["420", "422", "444"],
+    "target_kbps": ["600", "1200.0"],
+    "actual_kbps": ["610.5", "1190"],
+    "metric": ["cvvdp", "cvvdp", "cvvdp", "psnr"],
+    "quality": ["7.5", "6.25"],
+    "decode_s_per_frame": ["0.02", "0.5"],
+}
+BAD_CELLS = [
+    ("title", ""), ("title", "  "),
+    ("height", "x"), ("height", "0"), ("height", "-1080"), ("height", "1080.0"),
+    ("chroma", "411"), ("chroma", "4:2:0"),
+    ("target_kbps", "abc"), ("target_kbps", "0"), ("target_kbps", "nan"),
+    ("actual_kbps", "inf"), ("actual_kbps", "-3"),
+    ("metric", "vmaf"),
+    ("quality", "q"), ("quality", "nan"),
+    ("decode_s_per_frame", "0"), ("decode_s_per_frame", ""),
+]
+
+
+def _json_value(name, value):
+    """A CSV cell as JSON would carry it: numbers as numbers where they parse."""
+    try:
+        if name in ("height", "chroma"):
+            return int(value)
+        if name not in ("title", "metric"):
+            return float(value)
+    except ValueError:
+        pass
+    return value
+
+
+@st.composite
+def ingest_files(draw):
+    """One to three ``(byte order mark, text)`` measurement files."""
+    files = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = draw(st.lists(st.fixed_dictionaries(
+            {name: st.sampled_from(values) for name, values in GOOD_VALUES.items()}),
+            max_size=8))
+        bad = draw(st.none() | st.tuples(st.integers(0, 7), st.sampled_from(BAD_CELLS)))
+        if bad is not None and bad[0] < len(rows):
+            rows[bad[0]][bad[1][0]] = bad[1][1]
+        flaw = draw(st.sampled_from([None, None, "short", "long", "keys", "entry"]))
+        flaw_at = draw(st.integers(0, 7))
+        if draw(st.booleans()):
+            columns = list(CSV_HEADER)
+            if draw(st.booleans()):
+                columns = draw(st.permutations(CSV_HEADER))
+            out = io.StringIO()
+            writer = csv.writer(out, lineterminator="\n")
+            pad = draw(st.booleans())
+            writer.writerow([f" {c} " if pad else c for c in columns])
+            for i, row in enumerate(rows):
+                cells = [row[c] for c in columns]
+                if i == flaw_at and flaw == "short":
+                    cells = cells[:-1]
+                elif i == flaw_at and flaw == "long":
+                    cells.append("extra")
+                if draw(st.booleans()):
+                    out.write("\n")
+                writer.writerow(cells)
+            text = out.getvalue()
+        else:
+            objs = [{name: _json_value(name, value) for name, value in row.items()}
+                    for row in rows]
+            if flaw_at < len(objs) and flaw == "keys":
+                objs[flaw_at].pop("quality")
+            elif flaw_at < len(objs) and flaw == "entry":
+                objs[flaw_at] = list(objs[flaw_at].values())
+            text = json.dumps(objs)
+        files.append((draw(st.booleans()), text))
+    return files
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # the outcome compared is the exception's type and text
+        return type(exc), str(exc)
+
+
+DUPLICATE_AND_MIXED = (
+    HEADER_LINE
+    + "b,1080,420,600,610,cvvdp,7,0.02\n"
+    + "b,1080,422,600,612,psnr,38,0.02\n"
+    + "a,1080,422,600,610,cvvdp,7,0.02\n"
+    + "a,1080,420,1200,1210,psnr,38,0.02\n"
+    + "a,1080,422,600,605,cvvdp,7,0.02\n"
+)
+
+
+class TestSinglePassIngest:
+    """``parse_dataset`` and the CLI's file merge against the frozen two-pass
+    ingest in ``helpers``: equal datasets, or the same exception and message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(files=ingest_files())
+    @example(files=[(False, "")])
+    @example(files=[(False, "\n" + HEADER_LINE)])
+    @example(files=[(True, "[]")])
+    @example(files=[(False, "{}")])
+    @example(files=[(False, "[{")])
+    @example(files=[(False, DUPLICATE_AND_MIXED)])
+    @example(files=[(False, DUPLICATE_AND_MIXED.replace("a,1080,422,600,605", "a,2160,422,600,605"))])
+    @example(files=[(False, HEADER_LINE + "a,1080,420,600,610,cvvdp,7,0.02\n")] * 2)
+    def test_matches_two_pass_ingest(self, files):
+        for bom, text in files:
+            assert _outcome(lambda: parse_dataset("\ufeff" + text if bom else text)) == (
+                _outcome(lambda: oracle_parse_dataset(text)))
+        got = _outcome(lambda: _merge(
+            ds for bom, text in files for ds in parse_dataset("\ufeff" + text if bom else text)))
+        want = _outcome(lambda: oracle_merge(
+            ds for _, text in files for ds in oracle_parse_dataset(text)))
+        assert got == want
+
+    def test_duplicate_beats_an_earlier_mixed_metric(self):
+        with pytest.raises(DuplicateRecord, match="'a'.*C422"):
+            parse_dataset(DUPLICATE_AND_MIXED)
+        # Without the duplicate, the first title to appear mixing metrics.
+        with pytest.raises(MixedQualityMetric, match="'b'"):
+            parse_dataset(DUPLICATE_AND_MIXED.replace("a,1080,422,600,605", "a,2160,422,600,605"))
+
+    def test_title_from_one_file_keeps_its_parsed_dataset(self):
+        one = serialize_dataset([full_grid("one")])
+        two = serialize_dataset([full_grid("two")], fmt="json")
+        (parsed_one,), (parsed_two,) = parse_dataset(one), parse_dataset(two)
+        merged = _merge([parsed_two, parsed_one])
+        assert list(merged.values()) == [parsed_one, parsed_two]
+        assert merged["one", QualityMetric.CVVDP_JOD] is parsed_one
+
+    def test_parsed_records_share_one_resolution_per_height(self):
+        (ds,) = parse_dataset(serialize_dataset([full_grid()]))
+        assert len({id(r.resolution) for r in ds.records}) == 2
 
 
 class TestRoundTrip:
