@@ -460,18 +460,54 @@ def cmd_optimize(args) -> int:
     return _emit(cfg, payloads, files, [f"wrote {len(payloads)} ladder file(s) to {cfg.out_dir}"])
 
 
-def _curve(curves: dict, ladder: Ladder, axis: CurveAxis):
-    """The ladder's curve on ``axis``, built once into ``curves`` (one title's)."""
-    key = (ladder.method, ladder.alpha, axis)
-    if key not in curves:
-        curves[key] = build_curve(ladder, axis)
-    return curves[key]
+_BD_AXES = (CurveAxis.QUALITY_VS_LOG_RATE, CurveAxis.QUALITY_VS_LOG_TIME)
 
 
-def _bd_pair(curves: dict, ref: Ladder, test: Ladder):
-    """(delta-rate, delta-decode-time) results of test vs ref."""
-    return tuple(bd_delta(_curve(curves, ref, axis), _curve(curves, test, axis))
-                 for axis in (CurveAxis.QUALITY_VS_LOG_RATE, CurveAxis.QUALITY_VS_LOG_TIME))
+class _TitleMemo:
+    """One title's BD curves and deltas, so that each is computed once.
+
+    A curve depends only on the records it is fitted to, so it is keyed by
+    their ids in rung order, whichever ladder chose them; a delta is keyed by
+    the ids of its two curves, and a ladder's record ids by the ladder's id.
+    Ids are unique only while the title's ladders, records and curves are
+    alive, so a memo serves one title and is dropped with it.
+    The dicts are per axis position: hashing an enum member runs in Python.
+    """
+
+    def __init__(self):
+        self.records: dict[int, tuple[int, ...]] = {}
+        self.curves = tuple({} for _ in _BD_AXES)
+        self.deltas = tuple({} for _ in _BD_AXES)
+
+    def records_of(self, ladder: Ladder) -> tuple[int, ...]:
+        key = self.records.get(id(ladder))
+        if key is None:
+            key = self.records[id(ladder)] = tuple(
+                id(rung.choice) for rung in ladder.rungs if rung.choice is not None)
+        return key
+
+
+def _bd_pair(memo: _TitleMemo, ref: Ladder, test: Ladder):
+    """(delta-rate, delta-decode-time) results of test vs ref.
+
+    Only successes are stored: a failing fit or delta raises again for each
+    ladder that reaches it, with that ladder's own message.
+    """
+    ref_key, test_key = memo.records_of(ref), memo.records_of(test)
+    results = []
+    for axis, curves, deltas in zip(_BD_AXES, memo.curves, memo.deltas):
+        ref_curve = curves.get(ref_key)
+        if ref_curve is None:
+            ref_curve = curves[ref_key] = build_curve(ref, axis)
+        test_curve = curves.get(test_key)
+        if test_curve is None:
+            test_curve = curves[test_key] = build_curve(test, axis)
+        pair = (id(ref_curve), id(test_curve))
+        result = deltas.get(pair)
+        if result is None:
+            result = deltas[pair] = bd_delta(ref_curve, test_curve)
+        results.append(result)
+    return tuple(results)
 
 
 def _compare(cfg: RunConfig, per_title: bool) -> tuple[list[dict], list[dict], list[dict]]:
@@ -479,8 +515,9 @@ def _compare(cfg: RunConfig, per_title: bool) -> tuple[list[dict], list[dict], l
 
     Returns the per-title entries (ladders and BD rows; empty unless
     ``per_title``), the aggregate rows per (method, alpha, metric), and the
-    exclusions in title order. Each ladder's two curves are fitted once per
-    title, whichever groups share the ladder.
+    exclusions in title order. Within a title, each distinct set of chosen
+    records is fitted once per axis and each distinct pair of curves is
+    compared once, whichever groups share them.
     """
     titles, excluded = [], []
     rows_by_group: dict[tuple, list[tuple[float, float]]] = {}
@@ -489,13 +526,13 @@ def _compare(cfg: RunConfig, per_title: bool) -> tuple[list[dict], list[dict], l
     n_titles: Counter = Counter()
     for (title, metric), evaluations in _evaluate(cfg):
         n_titles[metric] += 1
-        ladders, bd_rows, curves = {}, [], {}
+        ladders, bd_rows, memo = {}, [], _TitleMemo()
         for method, alpha, pair, exclusion in evaluations:
             if pair is not None:
                 for ladder in pair:
                     ladders.setdefault((ladder.method, ladder.alpha), ladder)
                 try:
-                    rate, time = _bd_pair(curves, *pair)
+                    rate, time = _bd_pair(memo, *pair)
                 except CurveError as exc:
                     exclusion = _exclusion(title, metric, method, alpha, exc)
             if exclusion is not None:
@@ -649,10 +686,12 @@ def cmd_pmf(args) -> int:
 
 
 def _config_from_args(args, default_alphas: tuple[float, ...] = (0.0,)) -> RunConfig:
+    # ``+ 0.0`` turns -0.0 into 0.0, which reports and file names then echo,
+    # and which makes duplicates collapse whichever sign comes first.
     return RunConfig(
         inputs=tuple(Path(p) for p in args.input),
-        alphas=tuple(dict.fromkeys(args.alpha)) if args.alpha else default_alphas,
-        tolerance=args.tolerance,
+        alphas=tuple(dict.fromkeys(a + 0.0 for a in args.alpha)) if args.alpha else default_alphas,
+        tolerance=args.tolerance + 0.0,
         mode=OptimizerMode(args.mode),
         methods=(tuple(dict.fromkeys(Method(m) for m in args.method))
                  if getattr(args, "method", None) else (Method.ARCS,)),

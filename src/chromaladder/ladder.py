@@ -606,13 +606,14 @@ def load_plan(source: str | TextIO) -> list[tuple[float, int]]:
 
 def chroma_pmf(ladders: Iterable[Ladder]) -> dict[ChromaFormat, float]:
     """Share of present rungs per chroma format across the given ladders."""
-    counts = {fmt: 0 for fmt in ChromaFormat}
+    # Counted by fidelity rank: hashing an enum member runs in Python.
+    counts = [0] * len(ChromaFormat)
     total = 0
     for ladder in ladders:
         for rung in ladder.rungs:
             if rung.choice is not None:
-                counts[rung.choice.chroma] += 1
+                counts[rung.choice.chroma.fidelity_rank] += 1
                 total += 1
     if total == 0:
         raise NoPresentRungs("no present rungs in any ladder")
-    return {fmt: counts[fmt] / total for fmt in ChromaFormat}
+    return {fmt: counts[fmt.fidelity_rank] / total for fmt in ChromaFormat}

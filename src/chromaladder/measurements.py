@@ -314,6 +314,9 @@ def _number(row: int, name: str, value) -> float:
             return float(value)
         except (TypeError, ValueError):
             pass
+        except OverflowError:
+            # A JSON integer past the float range; its digits are not echoed.
+            raise MalformedRow(row, f"{name} is an integer too large for a float") from None
     raise MalformedRow(row, f"{name} {value!r} is not a number")
 
 

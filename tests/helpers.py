@@ -1,7 +1,8 @@
 """Shared constructors for hand-built and randomized measurement datasets, a
 vectorized PCHIP evaluator for quadrature checks, a frozen numpy-scalar PCHIP
-integrator that the float implementation must match, and a frozen two-pass
-ingest that the single-pass parser must match."""
+integrator that the float implementation must match, a frozen two-pass
+ingest that the single-pass parser must match, and the frozen per-ladder BD
+curves that the CLI's per-record-set memo must match."""
 
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from chromaladder import (
     normalized_log_time,
     normalized_quality,
 )
+from chromaladder.bdmetrics import CurveAxis, bd_delta, build_curve
 from chromaladder.errors import DuplicateRecord, MalformedRow, MixedQualityMetric
 from chromaladder.measurements import CSV_HEADER
 
@@ -333,3 +335,22 @@ def oracle_merge(parsed) -> dict[tuple[str, QualityMetric], TitleDataset]:
         merged.setdefault((ds.title_id, ds.metric), []).extend(ds.records)
     return {key: TitleDataset.from_records(merged[key])
             for key in sorted(merged, key=lambda k: (k[0], k[1].value))}
+
+
+# -- frozen per-ladder BD curves --------------------------------------------
+# ``cli._curve`` and ``cli._bd_pair`` as they were before curves were shared
+# by record set: each (method, alpha) ladder's two curves are fitted once per
+# title into ``curves``, a plain dict per title, and every (method, alpha)
+# group computes its deltas afresh.
+
+
+def oracle_curve(curves: dict, ladder, axis: CurveAxis):
+    key = (ladder.method, ladder.alpha, axis)
+    if key not in curves:
+        curves[key] = build_curve(ladder, axis)
+    return curves[key]
+
+
+def oracle_bd_pair(curves: dict, ref, test):
+    return tuple(bd_delta(oracle_curve(curves, ref, axis), oracle_curve(curves, test, axis))
+                 for axis in (CurveAxis.QUALITY_VS_LOG_RATE, CurveAxis.QUALITY_VS_LOG_TIME))

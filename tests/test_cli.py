@@ -30,11 +30,13 @@ from chromaladder import (
     generate,
     parse_dataset,
     serialize_dataset,
+    sparse_spec,
     spec_to_json,
 )
 import chromaladder.cli as cli
 from chromaladder.cli import main, to_json_text
-from helpers import C420, C444, grid_dataset, record
+from chromaladder.bdmetrics import CurveAxis
+from helpers import C420, C444, grid_dataset, oracle_bd_pair, record
 
 SMALL_TARGETS = (600.0, 1200.0, 2400.0, 4800.0, 9600.0)
 
@@ -110,6 +112,18 @@ class TestValidate:
         assert "ERROR duplicate record" in out and "1 error(s)" in out
         assert run("compare", "--input", small_corpus, "--input", small_corpus) == 1
         assert "error: duplicate record" in capsys.readouterr().err
+
+    def test_integer_too_large_for_a_float_exits_one(self, tmp_path, capsys):
+        obj = {"title": "movie", "height": 1080, "chroma": 420, "target_kbps": 600,
+               "actual_kbps": 10**400, "metric": "cvvdp", "quality": 6.5,
+               "decode_s_per_frame": 0.02}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps([obj]), encoding="utf-8")
+        reason = "row 1: actual_kbps is an integer too large for a float"
+        assert run("validate", "--input", path) == 1
+        assert capsys.readouterr().out.splitlines()[0] == f"ERROR {path}: {reason}"
+        assert run("pmf", "--input", path) == 1
+        assert capsys.readouterr().err == f"error: {reason}\n"
 
     def test_window_warnings_on_merged_title(self, tmp_path, capsys):
         # The 600 kbps encode in a.csv misses the window; b.csv's hits it.
@@ -426,6 +440,36 @@ class TestConfigBlock:
         assert config["reference"] is None
 
 
+class TestNegativeZero:
+    """``-0`` reads as ``0`` wherever a weight or tolerance is echoed."""
+
+    @pytest.mark.parametrize("command", [
+        ("optimize", "--method", "arcs", "--method", "dynres"),
+        ("compare", "--method", "arcs"),
+        ("sweep",),
+        ("pmf", "--method", "arcs"),
+    ], ids=lambda argv: argv[0])
+    def test_minus_zero_alpha_prints_as_zero(self, small_corpus, capsys, command):
+        printed = []
+        for alphas in (("-0", 0.02), (0, 0.02), ("-0", 0, 0.02), (0, "-0", 0.02)):
+            assert run(*command, "--input", small_corpus,
+                       *(f for a in alphas for f in ("--alpha", a))) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[1:] == printed[:1] * 3
+        assert '"alpha": -0.0' not in printed[0]
+
+    def test_minus_zero_names_no_file_alpha_minus_zero(self, small_corpus, tmp_path):
+        out = tmp_path / "ladders"
+        assert run("optimize", "--input", small_corpus, "--alpha", "-0", "--out", out) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names and all(name.endswith("__arcs__alpha0.json") for name in names)
+
+    def test_minus_zero_tolerance_is_zero(self, small_corpus):
+        args = cli.build_parser().parse_args(
+            ["pmf", "--input", str(small_corpus), "--tolerance", "-0"])
+        assert math.copysign(1.0, cli._config_from_args(args).tolerance) == 1.0
+
+
 class TestExitCodes:
     def test_unknown_flag_is_input_error(self, small_corpus):
         assert run("compare", "--input", small_corpus, "--nope") == 1
@@ -619,6 +663,155 @@ class TestCurvesPerTitle:
         assert payloads == []
         assert run("compare", "--input", small_corpus, "--method", "arcs", "--alpha", 0) == 0
         assert len(payloads) == 4 * 2
+
+
+SHARED_FAILURE_TARGETS = (600.0, 2400.0, 9000.0)
+
+
+def _shared_failure_titles() -> list[TitleDataset]:
+    """Two titles whose arcs and dynres ladders fail on the same records.
+
+    1080p beats 2160p on quality and decode time, so arcs and dynres both pick
+    it at every target and alpha, while the default ladder is all 2160p.
+    "flat": 1080p quality never rises, so their curves keep one point.
+    "apart": 1080p quality lies above the whole 2160p range.
+    """
+    targets = SHARED_FAILURE_TARGETS
+
+    def title(name, low_quality):
+        return grid_dataset(
+            lambda h, c, b: 5.0 + targets.index(b) if h == 2160 else low_quality[targets.index(b)],
+            lambda h, c, b: 0.08 if h == 2160 else 0.02,
+            title=name, chromas=(C444,), targets=targets)
+
+    return [title("apart", (8.0, 8.5, 9.0)), title("flat", (9.0, 9.0, 9.0))]
+
+
+def _chosen(ladder) -> tuple:
+    return (ladder.title_id,
+            tuple(rung.choice.key for rung in ladder.rungs if rung.choice is not None))
+
+
+BD_AXES = tuple(CurveAxis)
+
+
+class TestBdMemo:
+    """Within a title, each distinct set of chosen records is fitted once per
+    axis and each distinct pair of curves is compared once."""
+
+    @pytest.mark.parametrize("command", [
+        ("compare", "--method", "arcs", "--method", "dynres", "--method", "default"),
+        ("sweep",),
+    ], ids=lambda argv: argv[0])
+    def test_one_fit_per_record_set_and_one_delta_per_pair(self, small_corpus, monkeypatch,
+                                                            command):
+        groups, ladders, fits, deltas, memos = [], set(), [], [], []
+        real_pair, real_fit, real_delta = cli._bd_pair, cli.build_curve, cli.bd_delta
+        # Curve ids name curves only while they live, so ``fits`` keeps them.
+        fitted = {}
+
+        def bd_pair(memo, ref, test):
+            memos.append((memo, ref.title_id))
+            groups.append((_chosen(ref), _chosen(test)))
+            ladders.update((l.title_id, l.method, l.alpha) for l in (ref, test))
+            return real_pair(memo, ref, test)
+
+        def fit(ladder, axis):
+            curve = real_fit(ladder, axis)
+            fits.append((_chosen(ladder), axis, curve))
+            fitted[id(curve)] = (_chosen(ladder), axis)
+            return curve
+
+        def delta(ref, test):
+            deltas.append((fitted[id(ref)], fitted[id(test)]))
+            return real_delta(ref, test)
+
+        monkeypatch.setattr(cli, "_bd_pair", bd_pair)
+        monkeypatch.setattr(cli, "build_curve", fit)
+        monkeypatch.setattr(cli, "bd_delta", delta)
+        # 0 and 0.001 pick the same records for most titles.
+        assert run(*command, "--input", small_corpus, "--alpha", 0, "--alpha", 0.001,
+                   "--alpha", 0.08) == 0
+
+        # Ladder and record ids are unique only within a title: one memo each.
+        titles_of = {}
+        for memo, title in memos:
+            titles_of.setdefault(id(memo), set()).add(title)
+        assert [len(titles) for titles in titles_of.values()] == [1] * len(titles_of)
+        fit_keys = Counter((chosen, axis) for chosen, axis, _ in fits)
+        assert set(fit_keys.values()) == {1}
+        assert set(fit_keys) == {(chosen, axis) for pair in groups for chosen in pair
+                                 for axis in BD_AXES}
+        delta_keys = Counter(deltas)
+        assert set(delta_keys.values()) == {1}
+        assert set(delta_keys) == {((ref, axis), (test, axis)) for ref, test in groups
+                                   for axis in BD_AXES}
+        # Ladders share records here: fewer fits than ladders, fewer deltas than groups.
+        assert len(fits) < 2 * len(ladders)
+        assert len(deltas) < 2 * len(groups)
+
+    def test_failures_name_each_ladder_and_exclude_each_group(self, tmp_path):
+        targets = SHARED_FAILURE_TARGETS
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text(serialize_dataset(_shared_failure_titles()), encoding="utf-8")
+        out = tmp_path / "rep"
+        assert run("compare", "--input", corpus, "--method", "arcs", "--method", "dynres",
+                   "--method", "default", "--alpha", 0, "--alpha", 0.04, "--out", out) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        for entry in report["titles"]:
+            chosen = Counter(
+                (ladder["method"], tuple((r["height"], r["chroma"], r["target_kbps"])
+                                         for r in ladder["rungs"] if r["present"]))
+                for ladder in entry["ladders"])
+            low = tuple((1080, "444", t) for t in targets)
+            assert chosen == {("arcs", low): 2, ("dynres", low): 2,
+                              ("default", tuple((2160, "444", t) for t in targets)): 1}
+        apart = "quality ranges [5, 7] and [8, 9] do not overlap"
+        flat = "ladder 'flat'/{} has 1 usable points after Pareto filtering"
+        assert [(x["title"], x["method"], x["alpha"], x["reason"])
+                for x in report["aggregate"]["excluded"]] == [
+            *(("apart", m, a, apart) for m in ("arcs", "dynres") for a in (0.0, 0.04)),
+            *(("flat", m, a, flat.format(m)) for m in ("arcs", "dynres") for a in (0.0, 0.04)),
+        ]
+        assert [(r["method"], r["titles_used"], r["titles_excluded"])
+                for r in report["aggregate"]["rows"]] == [("default", 2, 0)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_titles=st.integers(1, 4),
+        alphas=st.lists(st.sampled_from([0.0, 0.001, 0.01, 0.02, 0.04, 0.08]),
+                        min_size=2, max_size=5, unique=True),
+        reference=st.sampled_from(["default", "arcs", "dynres"]),
+        cross_target=st.booleans(),
+        failing=st.booleans(),
+    )
+    def test_stdout_matches_per_ladder_curves(self, seed, n_titles, alphas, reference,
+                                              cross_target, failing):
+        datasets = generate(sparse_spec(seed=seed, titles=n_titles))
+        if failing:
+            datasets += _shared_failure_titles()
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = Path(tmp) / "corpus.csv"
+            corpus.write_text(serialize_dataset(datasets), encoding="utf-8")
+            flags = ["--input", corpus, "--reference", reference,
+                     *(f for a in alphas for f in ("--alpha", a)),
+                     *(["--cross-target"] if cross_target else [])]
+            commands = [("compare", "--method", "arcs", "--method", "dynres", "--method", "default"),
+                        ("sweep",)]
+            outputs = [_captured([*command, *flags]) for command in commands]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli, "_TitleMemo", dict)
+                patch.setattr(cli, "_bd_pair", oracle_bd_pair)
+                assert [_captured([*command, *flags]) for command in commands] == outputs
+
+
+def _captured(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(*argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestSummary:
