@@ -45,7 +45,8 @@ from .ladder import (
     build_default,
     build_dynres,
     build_fixed,
-    chroma_pmf,
+    chroma_shares,
+    count_chroma,
     load_plan,
     optimize_arcs,
 )
@@ -226,18 +227,22 @@ def _evaluate(cfg: RunConfig) -> Iterator[tuple[tuple[str, QualityMetric], list[
         raise InvalidPlan("--plan is required for the fixed method")
     else:
         plan = None
-    groups = [(method, alpha) for method in cfg.methods
-              for alpha in (cfg.alphas if ALPHA_METHODS & {method, cfg.reference} else (None,))]
+    # Each group lists its builds as (builder, alpha or None), and a title's
+    # builds are memoized by them, not by method: hashing an enum member runs
+    # in Python.
     sides = () if cfg.reference is None else (cfg.reference,)
+    groups = [(method, alpha, tuple((_BUILDERS[side], alpha if side in ALPHA_METHODS else None)
+                                    for side in (*sides, method)))
+              for method in cfg.methods
+              for alpha in (cfg.alphas if ALPHA_METHODS & {method, cfg.reference} else (None,))]
     for key, ds in datasets.items():
         title, metric = key
         index = CandidateIndex(ds, cfg.tolerance, cross_target=cfg.cross_target)
-        build = functools.cache(lambda method, alpha: _BUILDERS[method](cfg, plan, index, alpha))
+        build = functools.cache(lambda builder, alpha: builder(cfg, plan, index, alpha))
         evaluations = []
-        for method, alpha in groups:
+        for method, alpha, builds in groups:
             try:
-                ladders = tuple(build(side, alpha if side in ALPHA_METHODS else None)
-                                for side in (*sides, method))
+                ladders = tuple(build(builder, side_alpha) for builder, side_alpha in builds)
             except LadderError as exc:
                 evaluations.append((method, alpha, None, _exclusion(title, metric, method, alpha, exc)))
             else:
@@ -638,28 +643,34 @@ def cmd_sweep(args) -> int:
 
 def cmd_pmf(args) -> int:
     cfg = _config_from_args(args)
-    # Every title yields every (method, alpha) group, so the first title fixes
-    # the group order of the rows and of the exclusions.
-    groups: dict[tuple, tuple[list[Ladder], list[dict]]] = {}
+    # Every title yields every (method, alpha) group in the same order, so the
+    # first title fixes the order of the rows and of the exclusions, and a
+    # group is found by its position. Each title's present rungs are counted by
+    # fidelity rank as the title is evaluated; its ladders are not kept.
+    groups: list[tuple[Method, float | None, list[int], list[dict]]] = []
+    n_titles = 0
     for _, evaluations in _evaluate(cfg):
-        for method, alpha, ladders, exclusion in evaluations:
-            built, failed = groups.setdefault((method, alpha), ([], []))
+        if not groups:
+            groups = [(method, alpha, [0] * len(ChromaFormat), [])
+                      for method, alpha, _, _ in evaluations]
+        n_titles += 1
+        for (_, _, counts, failed), (_, _, ladders, exclusion) in zip(groups, evaluations):
             if exclusion is None:
-                built.append(ladders[0])
+                count_chroma(ladders, counts)
             else:
                 failed.append(exclusion)
     rows, excluded = [], []
-    for (method, alpha), (built, failed) in groups.items():
+    for method, alpha, counts, failed in groups:
         excluded.extend(failed)
-        if not built:
+        if len(failed) == n_titles:
             continue
-        pmf = chroma_pmf(built)
+        pmf = chroma_shares(counts)
         rows.append(
             {
                 "method": method.value,
                 "alpha": alpha,
                 "pmf": {fmt.value: pmf[fmt] for fmt in ChromaFormat},
-                "present_rungs": sum(len(l.present_rungs) for l in built),
+                "present_rungs": sum(counts),
             }
         )
     if not rows:

@@ -32,6 +32,8 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence, TextIO
@@ -118,7 +120,7 @@ class Ladder:
 def validate_rungs(rungs: Sequence[Rung]) -> None:
     """Raise InvalidLadder unless the rung sequence satisfies all invariants."""
     targets = [r.target_bitrate for r in rungs]
-    if any(b <= a for a, b in zip(targets, targets[1:])):
+    if not all(map(operator.lt, targets, targets[1:])):
         raise InvalidLadder("rung targets must be strictly increasing")
     prev: tuple[int, int] | None = None
     for r in rungs:
@@ -190,8 +192,10 @@ class CandidateIndex:
             )
             for t in dataset.bitrate_targets
         )
-        self._filtered: dict[ChromaFormat, tuple] = {}
-        self._graphs: dict[ChromaFormat | None, _Graph] = {}
+        # Keyed by fidelity rank, -1 for the view of every chroma: hashing an
+        # enum member runs in Python.
+        self._filtered: dict[int, tuple] = {-1: self.pools}
+        self._graphs: dict[int, _Graph] = {}
 
     def _check(self, dataset: TitleDataset, tolerance: float, cross_target: bool) -> None:
         if (
@@ -207,20 +211,21 @@ class CandidateIndex:
             )
 
     def _pools(self, chroma: ChromaFormat | None) -> tuple:
-        if chroma is None:
-            return self.pools
-        if chroma not in self._filtered:
-            rank = chroma.fidelity_rank
-            self._filtered[chroma] = tuple(
+        rank = -1 if chroma is None else chroma.fidelity_rank
+        pools = self._filtered.get(rank)
+        if pools is None:
+            pools = self._filtered[rank] = tuple(
                 tuple(c for c in pool if c[3][1] == rank) for pool in self.pools
             )
-        return self._filtered[chroma]
+        return pools
 
     def _graph(self, chroma: ChromaFormat | None) -> _Graph:
-        if chroma not in self._graphs:
+        rank = -1 if chroma is None else chroma.fidelity_rank
+        graph = self._graphs.get(rank)
+        if graph is None:
             shape = tuple(tuple(c[3] for c in pool) for pool in self._pools(chroma))
-            self._graphs[chroma] = _compile(shape)
-        return self._graphs[chroma]
+            graph = self._graphs[rank] = _compile(shape)
+        return graph
 
 
 def _rung_key(cand: tuple, j: float) -> tuple:
@@ -264,7 +269,9 @@ _ABSENT_KEY = (0, 0.0, 0.0, 0, 0, 0.0, 0.0)
 # unset. Which states are reachable, and the edges between them, depend only
 # on the candidates' (height, fidelity), so ``_compile`` builds that graph
 # once per distinct (height, fidelity) shape of the pools: titles encoded on
-# one grid share it. ``_relax`` then runs one max-plus pass over the edges per
+# one grid share it. The graph keeps only the states from which a final state
+# can be reached; where every window holds every encode no rung may be
+# absent, so no state has a cap. ``_relax`` then runs one max-plus pass over the edges per
 # alpha. Each state keeps its best path by (summed objective,
 # then the sequence of rung keys) as a backpointer; the key sequences are
 # rebuilt from the backpointers only when two sums are exactly equal.
@@ -282,28 +289,55 @@ class _Graph:
 @functools.lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _compile(shape: tuple[tuple[tuple[int, int], ...], ...]) -> _Graph:
     """The DP graph of pools whose candidates have these (height,
-    fidelity_rank) pairs, pool by pool in candidate order."""
+    fidelity_rank) pairs, pool by pool in candidate order, cut down to the
+    states from which a maximal ladder can still be finished."""
+    # Forward: the reachable states and their edges. A pool's pairs never
+    # decrease and ``_step_ok(last, hf)`` is ``hf >= last``, so the candidates
+    # feasible after ``last`` are a suffix whose first pair is their minimum,
+    # and those below ``cap`` are a prefix.
     states: dict[tuple, int] = {(None, None): 0}
-    layers, widths = [], []
+    layers, sizes = [], [1]
     for pool in shape:
         nxt: dict[tuple, int] = {}
         edges = []
         for (last, cap), src in states.items():
-            feasible = [k for k, hf in enumerate(pool) if last is None or _step_ok(last, hf)]
+            lo = 0 if last is None else bisect_left(pool, last)
             new_cap = cap
-            if feasible:
-                m = min(pool[k] for k in feasible)
-                new_cap = m if cap is None or m < cap else cap
+            if lo < len(pool) and (cap is None or pool[lo] < cap):
+                new_cap = pool[lo]
             edges.append((src, nxt.setdefault((last, new_cap), len(nxt)), -1))
-            for k in feasible:
-                hf = pool[k]
-                if cap is None or hf < cap:
-                    edges.append((src, nxt.setdefault((hf, None), len(nxt)), k))
-        layers.append(tuple(edges))
-        widths.append(len(nxt))
+            hi = len(pool) if cap is None else bisect_left(pool, cap)
+            for k in range(lo, hi):
+                edges.append((src, nxt.setdefault((pool[k], None), len(nxt)), k))
+        layers.append(edges)
+        sizes.append(len(nxt))
         states = nxt
-    finals = tuple(i for (_, cap), i in states.items() if cap is None)
-    return _Graph(tuple(layers), tuple(widths), finals)
+    # Backward: keep the states that reach a final state (no cap pending after
+    # the last rung), renumbered densely in forward order. Every state on a
+    # path to a final state is kept, so the best path is unchanged.
+    ids = [-1] * len(states)
+    live = 0
+    for (_, cap), i in states.items():
+        if cap is None:
+            ids[i] = live
+            live += 1
+    finals = tuple(range(live))
+    kept_layers, widths = [], []
+    for edges, size in zip(reversed(layers), reversed(sizes[:-1])):
+        widths.append(live)
+        kept = [(src, ids[dst], k) for src, dst, k in edges if ids[dst] >= 0]
+        used = [False] * size
+        for src, _, _ in kept:
+            used[src] = True
+        ids, live = [-1] * size, 0
+        for i in range(size):
+            if used[i]:
+                ids[i] = live
+                live += 1
+        kept_layers.append(tuple((ids[src], dst, k) for src, dst, k in kept))
+    kept_layers.reverse()
+    widths.reverse()
+    return _Graph(tuple(kept_layers), tuple(widths), finals)
 
 
 def _relax(graph: _Graph, pools, js) -> list[int | None]:
@@ -604,16 +638,26 @@ def load_plan(source: str | TextIO) -> list[tuple[float, int]]:
     return plan
 
 
-def chroma_pmf(ladders: Iterable[Ladder]) -> dict[ChromaFormat, float]:
-    """Share of present rungs per chroma format across the given ladders."""
+def count_chroma(ladders: Iterable[Ladder], counts: list[int]) -> None:
+    """Add the present rungs of ``ladders`` to ``counts``, indexed by the
+    chroma format's fidelity rank."""
     # Counted by fidelity rank: hashing an enum member runs in Python.
-    counts = [0] * len(ChromaFormat)
-    total = 0
     for ladder in ladders:
         for rung in ladder.rungs:
             if rung.choice is not None:
                 counts[rung.choice.chroma.fidelity_rank] += 1
-                total += 1
+
+
+def chroma_shares(counts: Sequence[int]) -> dict[ChromaFormat, float]:
+    """Share of each chroma format in ``counts`` (see ``count_chroma``)."""
+    total = sum(counts)
     if total == 0:
         raise NoPresentRungs("no present rungs in any ladder")
     return {fmt: counts[fmt.fidelity_rank] / total for fmt in ChromaFormat}
+
+
+def chroma_pmf(ladders: Iterable[Ladder]) -> dict[ChromaFormat, float]:
+    """Share of present rungs per chroma format across the given ladders."""
+    counts = [0] * len(ChromaFormat)
+    count_chroma(ladders, counts)
+    return chroma_shares(counts)

@@ -302,7 +302,13 @@ def _records(rows: Iterable[tuple[int, Sequence]]) -> list[MeasurementRecord]:
             raise MalformedRow(row, str(exc)) from None
         resolution = resolutions.get(height_px)
         if resolution is None:
-            resolution = resolutions[height_px] = Resolution(height_px)
+            resolution = Resolution(height_px)
+            try:
+                # Reports carry the 16:9 width, a float quotient of the height.
+                resolution.pixel_width
+            except OverflowError:
+                raise MalformedRow(row, "height is an integer too large for a float") from None
+            resolutions[height_px] = resolution
         records.append(MeasurementRecord(
             title, resolution, chroma_format, target_kbps, actual_kbps, score, decode_s))
     return records

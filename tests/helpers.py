@@ -1,8 +1,10 @@
 """Shared constructors for hand-built and randomized measurement datasets, a
 vectorized PCHIP evaluator for quadrature checks, a frozen numpy-scalar PCHIP
 integrator that the float implementation must match, a frozen two-pass
-ingest that the single-pass parser must match, and the frozen per-ladder BD
-curves that the CLI's per-record-set memo must match."""
+ingest that the single-pass parser must match, the frozen per-ladder BD
+curves that the CLI's per-record-set memo must match, and a frozen DP graph
+compiler that keeps every reachable state, which the live-state graphs must
+solve alike."""
 
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from chromaladder import (
 )
 from chromaladder.bdmetrics import CurveAxis, bd_delta, build_curve
 from chromaladder.errors import DuplicateRecord, MalformedRow, MixedQualityMetric
+from chromaladder.ladder import _Graph, _step_ok
 from chromaladder.measurements import CSV_HEADER
 
 JOD = QualityMetric.CVVDP_JOD
@@ -354,3 +357,32 @@ def oracle_curve(curves: dict, ladder, axis: CurveAxis):
 def oracle_bd_pair(curves: dict, ref, test):
     return tuple(bd_delta(oracle_curve(curves, ref, axis), oracle_curve(curves, test, axis))
                  for axis in (CurveAxis.QUALITY_VS_LOG_RATE, CurveAxis.QUALITY_VS_LOG_TIME))
+
+
+# -- frozen DP graph compiler ------------------------------------------------------
+
+
+def oracle_compile(shape) -> _Graph:
+    """Every reachable (last, cap) state and its edges, found by scanning each
+    pool; final states are those with no pending cap."""
+    states: dict[tuple, int] = {(None, None): 0}
+    layers, widths = [], []
+    for pool in shape:
+        nxt: dict[tuple, int] = {}
+        edges = []
+        for (last, cap), src in states.items():
+            feasible = [k for k, hf in enumerate(pool) if last is None or _step_ok(last, hf)]
+            new_cap = cap
+            if feasible:
+                m = min(pool[k] for k in feasible)
+                new_cap = m if cap is None or m < cap else cap
+            edges.append((src, nxt.setdefault((last, new_cap), len(nxt)), -1))
+            for k in feasible:
+                hf = pool[k]
+                if cap is None or hf < cap:
+                    edges.append((src, nxt.setdefault((hf, None), len(nxt)), k))
+        layers.append(tuple(edges))
+        widths.append(len(nxt))
+        states = nxt
+    finals = tuple(i for (_, cap), i in states.items() if cap is None)
+    return _Graph(tuple(layers), tuple(widths), finals)

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -21,13 +22,17 @@ from hypothesis import strategies as st
 
 from chromaladder import (
     Alpha,
+    ChromaFormat,
     Method,
     QualityMetric,
     QualityScore,
     TitleDataset,
+    build_dynres,
+    chroma_pmf,
     default_spec,
     enumerate_optimal,
     generate,
+    optimize_arcs,
     parse_dataset,
     serialize_dataset,
     sparse_spec,
@@ -36,6 +41,7 @@ from chromaladder import (
 import chromaladder.cli as cli
 from chromaladder.cli import main, to_json_text
 from chromaladder.bdmetrics import CurveAxis
+from chromaladder.errors import LadderError
 from helpers import C420, C444, grid_dataset, oracle_bd_pair, record
 
 SMALL_TARGETS = (600.0, 1200.0, 2400.0, 4800.0, 9600.0)
@@ -124,6 +130,25 @@ class TestValidate:
         assert capsys.readouterr().out.splitlines()[0] == f"ERROR {path}: {reason}"
         assert run("pmf", "--input", path) == 1
         assert capsys.readouterr().err == f"error: {reason}\n"
+
+    @pytest.mark.parametrize("height", [10**400, 15 * 10**307],
+                             ids=["past-float", "width-past-float"])
+    def test_height_too_large_for_a_float_exits_one(self, tmp_path, capsys, height):
+        # A whole grid, so that optimize and compare reach the ladders' widths.
+        entries = json.loads(serialize_dataset(
+            [grid_dataset(lambda h, c, b: h / 1000 + b / 1000, lambda h, c, b: h / 40000)],
+            fmt="json"))
+        for entry in entries:
+            if entry["height"] == 2160:
+                entry["height"] = height
+        path = tmp_path / "tall.json"
+        path.write_text(json.dumps(entries), encoding="utf-8")
+        row = 1 + [e["height"] for e in entries].index(height)
+        reason = f"row {row}: height is an integer too large for a float"
+        assert run("validate", "--input", path) == 1
+        assert capsys.readouterr().out.splitlines()[0] == f"ERROR {path}: {reason}"
+        for command in ("optimize", "compare"):
+            assert _captured([command, "--input", path]) == (1, "", f"error: {reason}\n")
 
     def test_window_warnings_on_merged_title(self, tmp_path, capsys):
         # The 600 kbps encode in a.csv misses the window; b.csv's hits it.
@@ -426,6 +451,57 @@ class TestPmf:
         for row in payload["pmf"]:
             assert abs(sum(row["pmf"].values()) - 1.0) <= 1e-12
         assert (out / "pmf.csv").exists()
+
+    def test_previous_title_ladders_are_dropped(self, small_corpus, monkeypatch):
+        # pmf keeps counts, not ladders: once the next title's evaluations are
+        # consumed, no ladder of the title before it is alive.
+        evaluate, alive = cli._evaluate, []
+
+        def watched(cfg):
+            previous = []
+            for key, evaluations in evaluate(cfg):
+                current = [weakref.ref(ladder) for _, _, ladders, _ in evaluations
+                           for ladder in ladders or ()]
+                yield key, evaluations
+                if previous:
+                    alive.append(sum(ref() is not None for ref in previous))
+                previous = current
+
+        monkeypatch.setattr(cli, "_evaluate", watched)
+        assert _captured(["pmf", "--input", small_corpus, "--method", "arcs", "--method",
+                          "dynres", "--alpha", 0, "--alpha", 0.04])[0] == 0
+        assert alive == [0, 0, 0]
+
+    def test_rows_equal_chroma_pmf_of_directly_built_ladders(self, tmp_path, capsys):
+        # "no444" has no 4:4:4 encode, so its dynres ladders are excluded.
+        datasets = generate(sparse_spec(seed=3, titles=5))
+        datasets.append(grid_dataset(lambda h, c, b: h / 1000 + b / 1000, lambda h, c, b: 0.05,
+                                     title="no444", chromas=(C420,)))
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text(serialize_dataset(datasets), encoding="utf-8")
+        alphas = (0.0, 0.04, 0.3)
+        assert run("pmf", "--input", corpus, "--method", "dynres", "--method", "arcs",
+                   *(f for a in alphas for f in ("--alpha", a))) == 0
+        payload = json.loads(capsys.readouterr().out)
+        builders = {"dynres": build_dynres, "arcs": optimize_arcs}
+        rows, excluded, absent = [], [], 0
+        for method, build in builders.items():
+            for alpha in alphas:
+                built = []
+                for ds in sorted(datasets, key=lambda d: d.title_id):
+                    try:
+                        built.append(build(ds, Alpha(alpha)))
+                    except LadderError:
+                        excluded.append((ds.title_id, method, alpha))
+                absent += sum(not r.present for l in built for r in l.rungs)
+                pmf = chroma_pmf(built)
+                rows.append({"method": method, "alpha": alpha,
+                             "pmf": {fmt.value: pmf[fmt] for fmt in ChromaFormat},
+                             "present_rungs": sum(len(l.present_rungs) for l in built)})
+        assert payload["pmf"] == rows
+        assert ("no444", "dynres", 0.0) in excluded and absent > 0
+        assert sorted((x["title"], x["method"], x["alpha"]) for x in payload["excluded"]) == (
+            sorted(excluded))
 
 
 class TestConfigBlock:

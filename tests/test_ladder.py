@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chromaladder.ladder as ladder_module
 from chromaladder import (
@@ -48,7 +50,16 @@ from chromaladder.errors import (
     SearchSpaceTooLarge,
 )
 from chromaladder.measurements import QualityScore
-from helpers import C420, C422, C444, grid_dataset, ladder_sums, random_dataset, record
+from helpers import (
+    C420,
+    C422,
+    C444,
+    grid_dataset,
+    ladder_sums,
+    oracle_compile,
+    random_dataset,
+    record,
+)
 
 
 # -- definitional oracle -------------------------------------------------------
@@ -780,6 +791,148 @@ class TestSharedGraph:
         # Every sparse title has windows of its own.
         assert info.misses == 40
         assert info.maxsize is not None and info.currsize <= info.maxsize <= 16
+
+
+# -- live-state DP graphs ------------------------------------------------------------
+
+
+def _views(ds):
+    """(candidate index, chroma view) of ``ds`` for both ``cross_target`` values
+    and the arcs, 4:2:0 and 4:4:4 views."""
+    for cross_target in (False, True):
+        index = CandidateIndex(ds, 0.10, cross_target=cross_target)
+        for chroma in (None, C420, C444):
+            yield index, chroma
+
+
+def _paths_to_finals(graph):
+    """Number of paths from the start state to a final state."""
+    counts = [1]
+    for edges, width in zip(graph.layers, graph.widths):
+        nxt = [0] * width
+        for src, dst, _ in edges:
+            nxt[dst] += counts[src]
+        counts = nxt
+    return sum(counts[f] for f in graph.finals)
+
+
+def _maximal_assignments(pools):
+    """Number of chain-feasible maximal assignments, by the definition."""
+    return sum(
+        1 for combo in itertools.product(*[[None] + list(p) for p in pools])
+        if _chain_feasible(combo) and _is_maximal(combo, pools)
+    )
+
+
+class TestLiveStateGraph:
+    """``_compile`` keeps exactly the states on some path to a final state."""
+
+    @staticmethod
+    def corpus():
+        rng = np.random.default_rng(4242)
+        titles = generate(default_spec(titles=2)) + generate(sparse_spec(seed=2, titles=12))
+        return titles + [random_dataset(rng, title=f"r{i}") for i in range(30)]
+
+    def test_every_state_is_reachable_and_reaches_a_final_state(self):
+        for ds in self.corpus():
+            for index, chroma in _views(ds):
+                graph = ladder_module._compile(_shape(index, chroma))
+                assert graph.finals == tuple(range(graph.widths[-1]))
+                reach = {0}
+                for edges, width in zip(graph.layers, graph.widths):
+                    assert {src for src, _, _ in edges} <= reach
+                    reach = {dst for _, dst, _ in edges}
+                    assert reach == set(range(width))
+                ends = set(graph.finals)
+                for edges, width in zip(graph.layers[::-1], (1, *graph.widths)[-2::-1]):
+                    assert {dst for _, dst, _ in edges} <= ends
+                    ends = {src for src, _, _ in edges}
+                    assert ends == set(range(width))
+
+    def test_complete_grid_has_no_cap_state(self):
+        # Only an absent rung sets a cap, so a graph without absent edges has
+        # no cap state.
+        full = grid_dataset(lambda h, c, b: h / 1000 + b / 1000, lambda h, c, b: 0.05,
+                            heights=(540, 1080, 2160), targets=(600.0, 1200.0, 2400.0, 4800.0))
+        for ds in (full, *generate(default_spec(titles=2))):
+            for index, chroma in _views(ds):
+                graph = ladder_module._compile(_shape(index, chroma))
+                assert graph.layers and all(k >= 0 for edges in graph.layers for _, _, k in edges)
+        old = oracle_compile(_shape(CandidateIndex(full), None))
+        assert any(k < 0 for edges in old.layers for _, _, k in edges)
+
+    def test_paths_are_the_maximal_assignments(self):
+        rng = np.random.default_rng(5353)
+        titles = [random_dataset(rng, title=f"r{i}", max_targets=4) for i in range(40)]
+        titles += generate(replace(sparse_spec(seed=7, titles=6),
+                                   targets_kbps=(600.0, 1600.0, 3400.0, 8100.0)))
+        for ds in titles:
+            for index, chroma in _views(ds):
+                shape = _shape(index, chroma)
+                count = _maximal_assignments([[c[0] for c in pool] for pool in index._pools(chroma)])
+                assert _paths_to_finals(ladder_module._compile(shape)) == count, ds.title_id
+                assert _paths_to_finals(oracle_compile(shape)) == count, ds.title_id
+
+    def test_step_ok_is_the_tuple_order(self):
+        pairs = [(h, f) for h in (540, 1080, 1080, 2160) for f in (0, 1, 2)]
+        for a in pairs:
+            for b in pairs:
+                assert ladder_module._step_ok(a, b) == (b >= a), (a, b)
+
+
+@st.composite
+def _titles(draw):
+    """A small title: any subset of a (target, height, chroma) grid, actual
+    rates that may miss or hit other windows, and values with exact ties."""
+    targets = draw(st.lists(st.sampled_from([600.0, 700.0, 1600.0, 1700.0, 3400.0]),
+                            min_size=1, max_size=4, unique=True))
+    cells = [(t, h, c) for t in targets for h in (1080, 2160) for c in (C420, C422, C444)]
+    present = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    recs = [
+        record("h", h, c, t, actual=t * draw(st.sampled_from([0.85, 0.95, 1.0, 1.04, 1.12])),
+               quality=draw(st.sampled_from([4.0, 5.5, 6.0, 7.25, 9.0])),
+               decode=draw(st.sampled_from([0.02, 0.05, 0.1, 0.3])))
+        for (t, h, c), keep in zip(cells, present) if keep
+    ]
+    if not recs:
+        recs = [record("h", 1080, C444, targets[0])]
+    return TitleDataset.from_records(recs)
+
+
+class TestLiveStateGraphSolves:
+    """Relaxing the live-state graph chooses what relaxing every reachable
+    state chose, and what the enumeration oracle chooses."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ds=_titles(),
+        cross_target=st.booleans(),
+        chroma=st.sampled_from([None, C420, C444]),
+        alphas=st.lists(st.sampled_from([0.0, 0.01, 0.04, 0.3, 1.0]), min_size=1, max_size=3),
+    )
+    def test_same_choices_as_frozen_compile_and_enumeration(self, ds, cross_target, chroma,
+                                                              alphas):
+        index = CandidateIndex(ds, 0.10, cross_target=cross_target)
+        pools = index._pools(chroma)
+        shape = _shape(index, chroma)
+        graph, old = ladder_module._compile(shape), oracle_compile(shape)
+        for alpha in alphas:
+            js = [[q - alpha * d for _, q, d, _ in pool] for pool in pools]
+            choices = ladder_module._relax(graph, pools, js)
+            assert choices == ladder_module._relax(old, pools, js)
+            assert choices == ladder_module._solve_enumerate(pools, js)
+
+    def test_sparse_and_cross_target_titles(self):
+        titles = generate(sparse_spec(seed=11, titles=8))
+        for ds in titles:
+            for index, chroma in _views(ds):
+                pools = index._pools(chroma)
+                shape = _shape(index, chroma)
+                graph, old = ladder_module._compile(shape), oracle_compile(shape)
+                for alpha in (0.0, 0.02, 0.08, 0.5):
+                    js = [[q - alpha * d for _, q, d, _ in pool] for pool in pools]
+                    assert ladder_module._relax(graph, pools, js) == (
+                        ladder_module._relax(old, pools, js)), (ds.title_id, alpha)
 
 
 def test_greedy_vs_dp_script():
