@@ -177,19 +177,14 @@ def _json(value, newline: str, path: set[int]) -> str:
 
 
 # Each method's builder, given the run's config and plan, the title's candidate
-# index and the alpha (None for the alpha-free methods).
+# index and the alpha (None for the alpha-free methods). The index fixes the
+# tolerance window, so each entry passes only what its method adds.
 _BUILDERS = {
-    Method.ARCS: lambda cfg, plan, index, alpha: optimize_arcs(
-        index.dataset, Alpha(alpha), cfg.tolerance, cfg.mode,
-        cross_target=cfg.cross_target, index=index),
+    Method.ARCS: lambda cfg, plan, index, alpha: optimize_arcs(index, Alpha(alpha), cfg.mode),
     Method.DYNRES_JOD: lambda cfg, plan, index, alpha: build_dynres(
-        index.dataset, Alpha(alpha), cfg.tolerance, cfg.chroma_fixed, cfg.mode,
-        cross_target=cfg.cross_target, index=index),
-    Method.DEFAULT: lambda cfg, plan, index, alpha: build_default(
-        index.dataset, cfg.tolerance, cross_target=cfg.cross_target, index=index),
-    Method.FIXED_LADDER: lambda cfg, plan, index, alpha: build_fixed(
-        index.dataset, plan, cfg.tolerance, cfg.chroma_fixed,
-        cross_target=cfg.cross_target, index=index),
+        index, Alpha(alpha), cfg.chroma_fixed, cfg.mode),
+    Method.DEFAULT: lambda cfg, plan, index, alpha: build_default(index),
+    Method.FIXED_LADDER: lambda cfg, plan, index, alpha: build_fixed(index, plan, cfg.chroma_fixed),
 }
 
 

@@ -22,9 +22,12 @@ Three benchmark builders mirror common practice: a fixed plan of
 every target at the title's largest height, in 4:4:4), and a resolution-only
 optimizer with the chroma format pinned.
 
-Every builder reads its window candidates from the title's
-``CandidateIndex``, built once per (title, tolerance, cross_target) and
-passed through ``index=`` or made by the builder when omitted.
+Every builder takes the title as its ``CandidateIndex``, which fixes the
+tolerance window and ``cross_target`` once; one index serves every method
+and alpha of the title::
+
+    index = CandidateIndex(dataset, 0.10, cross_target=False)
+    ladder = optimize_arcs(index, Alpha(0.04))
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, replace
@@ -166,16 +170,15 @@ class CandidateIndex:
     fidelity_rank) pairs and is shared with other titles whose pools have the
     same ones.
 
-    Builders accept an index through ``index=`` and reject one built for a
-    different dataset, tolerance or ``cross_target``.
+    The index is the one title argument of every builder, so ``tolerance``
+    and ``cross_target`` (see ``candidates_for``) are fixed here, once, for
+    every ladder built from it.
     """
 
     def __init__(
         self, dataset: TitleDataset, tolerance: float = 0.10, *, cross_target: bool = False
     ):
         self.dataset = dataset
-        self.tolerance = tolerance
-        self.cross_target = cross_target
         terms = {}
         # A title without records has empty pools and no bounds.
         bounds = bounds_for(dataset) if dataset.records else None
@@ -196,19 +199,6 @@ class CandidateIndex:
         # enum member runs in Python.
         self._filtered: dict[int, tuple] = {-1: self.pools}
         self._graphs: dict[int, _Graph] = {}
-
-    def _check(self, dataset: TitleDataset, tolerance: float, cross_target: bool) -> None:
-        if (
-            (self.dataset is not dataset and self.dataset != dataset)
-            or self.tolerance != tolerance
-            or self.cross_target != cross_target
-        ):
-            raise ValueError(
-                f"candidate index of title {self.dataset.title_id!r} (tolerance "
-                f"{self.tolerance}, cross_target={self.cross_target}) does not match "
-                f"title {dataset.title_id!r} (tolerance {tolerance}, "
-                f"cross_target={cross_target})"
-            )
 
     def _pools(self, chroma: ChromaFormat | None) -> tuple:
         rank = -1 if chroma is None else chroma.fidelity_rank
@@ -454,28 +444,15 @@ def _solve_enumerate(pools, js) -> list[int | None]:
 # -- builders -----------------------------------------------------------------
 
 
-def _index(
-    dataset: TitleDataset, tolerance: float, cross_target: bool, index: CandidateIndex | None
-) -> CandidateIndex:
-    """``index`` after checking that it was built for these arguments, or a new one."""
-    if index is None:
-        return CandidateIndex(dataset, tolerance, cross_target=cross_target)
-    index._check(dataset, tolerance, cross_target)
-    return index
-
-
 def _build(
-    dataset: TitleDataset,
+    index: CandidateIndex,
     method: Method,
     alpha: Alpha | float,
-    tolerance: float,
-    cross_target: bool,
-    index: CandidateIndex | None,
     chroma: ChromaFormat | None,
     solver,
 ) -> Ladder:
     alpha = as_alpha(alpha)
-    index = _index(dataset, tolerance, cross_target, index)
+    dataset = index.dataset
     pools = index._pools(chroma)
     if all(not pool for pool in pools):
         raise AllRungsAbsent(
@@ -495,75 +472,50 @@ def _build(
 
 
 def optimize_arcs(
-    dataset: TitleDataset,
+    index: CandidateIndex,
     alpha: Alpha | float,
-    tolerance: float = 0.10,
     mode: OptimizerMode = OptimizerMode.GLOBAL_DP,
-    *,
-    cross_target: bool = False,
-    index: CandidateIndex | None = None,
 ) -> Ladder:
     """Jointly select (resolution, chroma) per target bitrate.
 
     ``GLOBAL_DP`` maximizes the summed normalized objective exactly over all
     maximal feasible assignments via dynamic programming; ``GREEDY_SEQUENTIAL``
     scans targets in ascending order, picking the objective argmax among
-    candidates feasible w.r.t. the previous present rung. ``index`` reuses a
-    ``CandidateIndex`` of this dataset, tolerance and ``cross_target``.
+    candidates feasible w.r.t. the previous present rung.
     """
     solver = _relax if mode is OptimizerMode.GLOBAL_DP else _solve_greedy
-    return _build(dataset, Method.ARCS, alpha, tolerance, cross_target, index, None, solver)
+    return _build(index, Method.ARCS, alpha, None, solver)
 
 
-def enumerate_optimal(
-    dataset: TitleDataset,
-    alpha: Alpha | float,
-    tolerance: float = 0.10,
-    *,
-    cross_target: bool = False,
-    index: CandidateIndex | None = None,
-) -> Ladder:
+def enumerate_optimal(index: CandidateIndex, alpha: Alpha | float) -> Ladder:
     """Exhaustive-search oracle; identical contract and tie-breaking as
     ``optimize_arcs`` with ``GLOBAL_DP``. Guarded against large search spaces."""
-    return _build(
-        dataset, Method.ARCS, alpha, tolerance, cross_target, index, None, _solve_enumerate
-    )
+    return _build(index, Method.ARCS, alpha, None, _solve_enumerate)
 
 
 def build_dynres(
-    dataset: TitleDataset,
+    index: CandidateIndex,
     alpha: Alpha | float,
-    tolerance: float = 0.10,
     fixed_chroma: ChromaFormat = ChromaFormat.C444,
     mode: OptimizerMode = OptimizerMode.GLOBAL_DP,
-    *,
-    cross_target: bool = False,
-    index: CandidateIndex | None = None,
 ) -> Ladder:
     """Resolution-only ablation: same machinery, candidate pool pinned to one
     chroma format (default the full-fidelity source format)."""
     solver = _relax if mode is OptimizerMode.GLOBAL_DP else _solve_greedy
-    return _build(
-        dataset, Method.DYNRES_JOD, alpha, tolerance, cross_target, index, fixed_chroma, solver
-    )
+    return _build(index, Method.DYNRES_JOD, alpha, fixed_chroma, solver)
 
 
-def build_default(
-    dataset: TitleDataset,
-    tolerance: float = 0.10,
-    *,
-    cross_target: bool = False,
-    index: CandidateIndex | None = None,
-) -> Ladder:
+def build_default(index: CandidateIndex) -> Ladder:
     """Native-resolution-only benchmark: the fixed plan that puts every target
     at the title's largest height, with 4:4:4 chroma.
 
     Targets whose encode missed the tolerance window get absent rungs, so this
     ladder may fail to cover the low end of the bitrate range.
     """
+    dataset = index.dataset
     height = max((r.resolution.height for r in dataset.records), default=None)
     plan = [(t, height) for t in dataset.bitrate_targets] if dataset.records else []
-    ladder = build_fixed(dataset, plan, tolerance, cross_target=cross_target, index=index)
+    ladder = build_fixed(index, plan)
     if not ladder.present_rungs:
         raise AllRungsAbsent(
             f"title {dataset.title_id!r}: no ({height}, 444) encode within tolerance "
@@ -583,39 +535,53 @@ def _closest(pool: list[MeasurementRecord], target: float) -> MeasurementRecord:
 PLAN_HEADER = ("target_kbps", "height")
 
 
-def build_fixed(
-    dataset: TitleDataset,
-    plan: Iterable[tuple[float, Resolution | int]],
-    tolerance: float = 0.10,
-    fixed_chroma: ChromaFormat = ChromaFormat.C444,
-    *,
-    cross_target: bool = False,
-    index: CandidateIndex | None = None,
-) -> Ladder:
-    """Fixed (bitrate, resolution) plan benchmark; the plan is config input.
+def _sorted_plan(plan: Iterable[tuple[float, Resolution | int]]) -> list[tuple[float, int]]:
+    """``plan`` as (target, height) pairs in target order.
 
-    Every planned target must exist in the dataset; planned resolutions must
-    be non-decreasing with bitrate, otherwise the plan cannot form a valid
-    ladder and is rejected outright. Each rung takes the window candidate of
-    the planned height and ``fixed_chroma`` closest to its target.
+    Raises ``InvalidPlan`` unless every target is a finite positive bitrate
+    that appears once and every height is positive and at least the height
+    planned for the target below it: a plan that breaks any of these cannot
+    form a valid ladder for any title.
     """
     entries: list[tuple[float, int]] = []
     for target, res in plan:
+        target = float(target)
         height = res.height if isinstance(res, Resolution) else int(res)
-        entries.append((float(target), height))
+        if not (math.isfinite(target) and target > 0):
+            raise InvalidPlan(f"plan target {target:g} is not a positive bitrate")
+        if height <= 0:
+            raise InvalidPlan(f"plan height {height} is not positive")
+        entries.append((target, height))
     entries.sort(key=lambda e: e[0])
     targets = [t for t, _ in entries]
     if len(set(targets)) != len(targets):
         raise InvalidPlan("plan repeats a target bitrate")
-    known = set(dataset.bitrate_targets)
-    for t in targets:
-        if t not in known:
-            raise PlanTargetUnknown(t)
     heights = [h for _, h in entries]
     if any(h2 < h1 for h1, h2 in zip(heights, heights[1:])):
         raise InvalidPlan("plan resolutions decrease with rising bitrate")
-    pools = dict(zip(dataset.bitrate_targets,
-                     _index(dataset, tolerance, cross_target, index)._pools(fixed_chroma)))
+    return entries
+
+
+def build_fixed(
+    index: CandidateIndex,
+    plan: Iterable[tuple[float, Resolution | int]],
+    fixed_chroma: ChromaFormat = ChromaFormat.C444,
+) -> Ladder:
+    """Fixed (bitrate, resolution) plan benchmark; the plan is config input.
+
+    Planned targets must be finite, positive and distinct and planned heights
+    positive and non-decreasing with bitrate, else ``InvalidPlan``; every
+    planned target must exist in the title, else ``PlanTargetUnknown``. Each
+    rung takes the window candidate of the planned height and
+    ``fixed_chroma`` closest to its target.
+    """
+    dataset = index.dataset
+    entries = _sorted_plan(plan)
+    known = set(dataset.bitrate_targets)
+    for t, _ in entries:
+        if t not in known:
+            raise PlanTargetUnknown(t)
+    pools = dict(zip(dataset.bitrate_targets, index._pools(fixed_chroma)))
     rungs = []
     for t, h in entries:
         pool = [c[0] for c in pools[t] if c[3][0] == h]
@@ -624,18 +590,27 @@ def build_fixed(
 
 
 def load_plan(source: str | TextIO) -> list[tuple[float, int]]:
-    """Read a fixed-ladder plan from CSV with header ``target_kbps,height``."""
+    """Read a fixed-ladder plan from CSV with header ``target_kbps,height``.
+
+    One leading UTF-8 byte-order mark is dropped and blank lines are skipped.
+    A row that does not hold exactly two numbers, or a plan that fails the
+    checks of ``build_fixed``, raises ``InvalidPlan``; the plan comes back in
+    target order.
+    """
     text = source if isinstance(source, str) else source.read()
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or tuple(n.strip() for n in reader.fieldnames) != PLAN_HEADER:
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
+    header = next(reader, None)
+    if header is None or tuple(n.strip() for n in header) != PLAN_HEADER:
         raise InvalidPlan(f"plan header must be {','.join(PLAN_HEADER)}")
     plan = []
-    for i, row in enumerate(reader, start=1):
+    for i, row in enumerate((row for row in reader if row), start=1):
+        if len(row) != len(PLAN_HEADER):
+            raise InvalidPlan(f"plan row {i} has {len(row)} fields, not {len(PLAN_HEADER)}")
         try:
-            plan.append((float(row["target_kbps"]), int(row["height"])))
-        except (TypeError, ValueError):
+            plan.append((float(row[0]), int(row[1])))
+        except ValueError:
             raise InvalidPlan(f"plan row {i} is not numeric") from None
-    return plan
+    return _sorted_plan(plan)
 
 
 def count_chroma(ladders: Iterable[Ladder], counts: list[int]) -> None:

@@ -13,6 +13,7 @@ import numpy as np
 
 from chromaladder import (
     Alpha,
+    CandidateIndex,
     ChromaFormat,
     CurveAxis,
     PchipCurve,
@@ -55,8 +56,8 @@ def test_oracle_equivalence_on_random_instances():
     for trial in range(n):
         ds = random_dataset(rng, max_targets=6)
         alpha = Alpha(float(rng.choice([0.0, 0.01, 0.02, 0.04, 0.08, 0.3, 1.0])))
-        dp = optimize_arcs(ds, alpha)
-        oracle = enumerate_optimal(ds, alpha)
+        dp = optimize_arcs(CandidateIndex(ds), alpha)
+        oracle = enumerate_optimal(CandidateIndex(ds), alpha)
         assert dp.rungs == oracle.rungs, f"divergence on trial {trial}"
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"oracle equivalence took {elapsed:.1f}s"
@@ -81,11 +82,11 @@ def test_constraint_suite_all_builders():
         alpha = Alpha(float(rng.uniform(0.0, 1.0)))
         chroma = list(ChromaFormat)[int(rng.integers(0, 3))]
         attempts = [
-            lambda: optimize_arcs(ds, alpha),
-            lambda: optimize_arcs(ds, alpha, mode=OptimizerMode.GREEDY_SEQUENTIAL),
-            lambda: build_dynres(ds, alpha, fixed_chroma=chroma),
-            lambda: build_default(ds),
-            lambda: build_fixed(ds, _random_plan(rng, ds.bitrate_targets)),
+            lambda: optimize_arcs(CandidateIndex(ds), alpha),
+            lambda: optimize_arcs(CandidateIndex(ds), alpha, mode=OptimizerMode.GREEDY_SEQUENTIAL),
+            lambda: build_dynres(CandidateIndex(ds), alpha, fixed_chroma=chroma),
+            lambda: build_default(CandidateIndex(ds)),
+            lambda: build_fixed(CandidateIndex(ds), _random_plan(rng, ds.bitrate_targets)),
         ]
         for build in attempts:
             try:
@@ -102,7 +103,7 @@ def test_scalarization_monotonicity():
     corpus = generate(replace(default_spec(seed=777), titles=100))
     violations = 0
     for ds in corpus:
-        sums = [ladder_sums(optimize_arcs(ds, Alpha(a)), ds) for a in SWEEP]
+        sums = [ladder_sums(optimize_arcs(CandidateIndex(ds), Alpha(a)), ds) for a in SWEEP]
         for (q1, d1), (q2, d2) in zip(sums, sums[1:]):
             if d2 > d1 + 1e-12 or q2 > q1 + 1e-12:
                 violations += 1
@@ -188,8 +189,8 @@ def test_qualitative_trend_reproduction():
     for alpha in SWEEP:
         deltas = []
         for ds in corpus:
-            ref = build_curve(build_default(ds), CurveAxis.QUALITY_VS_LOG_TIME)
-            test = build_curve(optimize_arcs(ds, Alpha(alpha)), CurveAxis.QUALITY_VS_LOG_TIME)
+            ref = build_curve(build_default(CandidateIndex(ds)), CurveAxis.QUALITY_VS_LOG_TIME)
+            test = build_curve(optimize_arcs(CandidateIndex(ds), Alpha(alpha)), CurveAxis.QUALITY_VS_LOG_TIME)
             deltas.append(bd_delta(ref, test).value_percent)
         means.append(sum(deltas) / len(deltas))
     assert all(m < 0.0 for m in means), f"BDDT_C not all negative: {means}"
@@ -198,7 +199,7 @@ def test_qualitative_trend_reproduction():
 
     share = {}
     for alpha in (0.0, 0.08):
-        ladders = [optimize_arcs(ds, Alpha(alpha)) for ds in corpus]
+        ladders = [optimize_arcs(CandidateIndex(ds), Alpha(alpha)) for ds in corpus]
         share[alpha] = chroma_pmf(ladders)[C420]
     assert share[0.08] > share[0.0], f"C420 share did not grow: {share}"
 

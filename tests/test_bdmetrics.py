@@ -8,6 +8,7 @@ from scipy.interpolate import PchipInterpolator
 
 from chromaladder import (
     Alpha,
+    CandidateIndex,
     CurveAxis,
     PchipCurve,
     QualityMetric,
@@ -37,7 +38,7 @@ def ladder_from(points):
     recs = [
         record(target=t, actual=a, quality=q, decode=d) for (t, a, q, d) in points
     ]
-    return optimize_arcs(TitleDataset.from_records(recs), Alpha(0.0))
+    return optimize_arcs(CandidateIndex(TitleDataset.from_records(recs)), Alpha(0.0))
 
 
 def curve(qualities, ordinates, axis=RATE, metric=JOD):

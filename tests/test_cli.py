@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from chromaladder import (
     Alpha,
+    CandidateIndex,
     ChromaFormat,
     Method,
     QualityMetric,
@@ -199,7 +200,7 @@ class TestOptimize:
             payload = json.loads(
                 (out / f"{ds.title_id}__cvvdp__arcs__alpha0.json").read_text(encoding="utf-8")
             )
-            want = enumerate_optimal(ds, Alpha(0.0))
+            want = enumerate_optimal(CandidateIndex(ds), Alpha(0.0))
             got = [
                 (r["height"], r["chroma"]) if r["present"] else None
                 for r in payload["rungs"]
@@ -284,6 +285,53 @@ class TestOptimize:
         assert run(
             "optimize", "--input", small_corpus, "--method", "fixed", "--out", tmp_path / "o"
         ) == 1
+
+
+class TestPlan:
+    """A plan no title can use is an input error before any title is built; a
+    planned target that a title lacks excludes only that title's fixed ladder."""
+
+    @pytest.mark.parametrize("rows, message", [
+        ("600,2160\n900,1080\n", "plan resolutions decrease with rising bitrate"),
+        ("600,1080\n600,2160\n", "plan repeats a target bitrate"),
+        ("600,1080\n900,1080,extra\n", "plan row 2 has 3 fields, not 2"),
+        ("600,0\n", "plan height 0 is not positive"),
+        ("nan,1080\n", "plan target nan is not a positive bitrate"),
+    ])
+    def test_unusable_plan_exits_one(self, small_corpus, tmp_path, capsys, rows, message):
+        plan = tmp_path / "bad_plan.csv"
+        plan.write_text("target_kbps,height\n" + rows, encoding="utf-8")
+        out = tmp_path / "rep"
+        assert run("compare", "--input", small_corpus, "--method", "arcs", "--method", "fixed",
+                   "--plan", plan, "--out", out) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_plan_with_byte_order_mark_is_read(self, small_corpus, small_plan, tmp_path, capsys):
+        bom_plan = tmp_path / "bom_plan.csv"
+        bom_plan.write_text("\ufeff" + small_plan.read_text(encoding="utf-8"), encoding="utf-8")
+        argv = ("compare", "--input", small_corpus, "--method", "fixed", "--alpha", 0)
+        assert run(*argv, "--plan", small_plan) == 0
+        want = capsys.readouterr().out
+        assert run(*argv, "--plan", bom_plan) == 0
+        got = capsys.readouterr().out
+        assert got.replace(str(bom_plan), str(small_plan)) == want
+
+    def test_unknown_planned_target_excludes_the_title(self, small_corpus, small_plan, tmp_path, capsys):
+        wide = tmp_path / "wide.csv"
+        wide.write_text(serialize_dataset([grid_dataset(
+            lambda h, c, b: 5.0 + h / 2160 + b / 20000, lambda h, c, b: 0.05 * h / 1080,
+            title="wide", targets=(*SMALL_TARGETS, 7000.0))]), encoding="utf-8")
+        plan = tmp_path / "plan_7000.csv"
+        plan.write_text(small_plan.read_text(encoding="utf-8") + "7000,2160\n", encoding="utf-8")
+        assert run("compare", "--input", small_corpus, "--input", wide, "--method", "fixed",
+                   "--plan", plan) == 0
+        aggregate = json.loads(capsys.readouterr().out)["aggregate"]
+        assert [(e["title"], e["method"], e["reason"]) for e in aggregate["excluded"]] == [
+            (f"synth00{i}", "fixed", "plan names target 7000.0 kbps, not in the dataset")
+            for i in range(4)]
+        assert [(r["method"], r["titles_used"]) for r in aggregate["rows"]] == [("fixed", 1)]
 
 
 class TestCompare:
@@ -490,7 +538,7 @@ class TestPmf:
                 built = []
                 for ds in sorted(datasets, key=lambda d: d.title_id):
                     try:
-                        built.append(build(ds, Alpha(alpha)))
+                        built.append(build(CandidateIndex(ds), Alpha(alpha)))
                     except LadderError:
                         excluded.append((ds.title_id, method, alpha))
                 absent += sum(not r.present for l in built for r in l.rungs)
@@ -1096,6 +1144,31 @@ class TestJsonErrorPath:
         assert captured.out == ""
         assert captured.err == "error: Out of range float values are not JSON compliant: nan\n"
         assert not out.exists()
+
+
+def test_tracer_wraps_every_cli_binding_but_chroma_pmf():
+    """The benchmark's tracer replaces names bound in ``chromaladder.cli``; a
+    name that a refactor unbinds is reported unwrapped. ``chroma_pmf`` is the
+    one known gap: pmf counts with ``count_chroma``/``chroma_shares``."""
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from tracer import Tracer\n"
+        "import chromaladder.cli as cli\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "print(json.dumps([cli.__file__, tracer.unwrapped]))\n"
+    )
+    src = root / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script, str(root / "perfbench")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    cli_file, unwrapped = json.loads(proc.stdout)
+    assert Path(cli_file).resolve().parent.parent == src
+    assert unwrapped == ["chromaladder.cli.chroma_pmf"]
 
 
 def test_ladder_commands_do_not_import_numpy(small_corpus, tmp_path):

@@ -150,7 +150,7 @@ class TestOptimizeArcs:
             lambda h, c, b: 5.0 + (h / 2160) + 0.3 * c.fidelity_rank + b / 1e5,
             lambda h, c, b: 0.02 * (h / 1080) * (1 + c.fidelity_rank),
         )
-        ladder = optimize_arcs(ds, Alpha(0.0))
+        ladder = optimize_arcs(CandidateIndex(ds), Alpha(0.0))
         for rung, t in zip(ladder.rungs, ds.bitrate_targets):
             per_target = candidates_for(ds, t, 0.10)
             best = max(per_target, key=lambda r: r.quality.value)
@@ -169,7 +169,7 @@ class TestOptimizeArcs:
         assert (
             ds.records[2].decode_time / ds.records[0].decode_time == 2.0
         )  # C444 vs C420 at 600
-        ladder = optimize_arcs(ds, Alpha(0.8))
+        ladder = optimize_arcs(CandidateIndex(ds), Alpha(0.8))
         assert ladder.rungs[0].choice.chroma is C420
         assert choices_of(ladder) == definitional_best(ds, Alpha(0.8))
 
@@ -189,7 +189,7 @@ class TestOptimizeArcs:
             for (t, h, c), q in vals.items()
         ]
         ds = TitleDataset.from_records(recs)
-        ladder = optimize_arcs(ds, Alpha(0.0))
+        ladder = optimize_arcs(CandidateIndex(ds), Alpha(0.0))
         got = [(r.choice.resolution.height, r.choice.chroma) for r in ladder.rungs]
         assert got == [(1080, C444), (2160, C420), (2160, C444)]
         assert choices_of(ladder) == definitional_best(ds, Alpha(0.0))
@@ -200,7 +200,7 @@ class TestOptimizeArcs:
             lambda h, c, b: 0.05 * (1 + c.fidelity_rank),
             targets=(900.0,),
         )
-        ladder = optimize_arcs(ds, Alpha(0.2))
+        ladder = optimize_arcs(CandidateIndex(ds), Alpha(0.2))
         bounds = bounds_for(ds)
         best = max(
             candidates_for(ds, 900.0, 0.10),
@@ -216,21 +216,21 @@ class TestOptimizeArcs:
             record(target=900.0, quality=8.0, decode=0.1, chroma=C422),
         ]
         ds = TitleDataset.from_records(recs)
-        ladder = optimize_arcs(ds, Alpha(1.0))
+        ladder = optimize_arcs(CandidateIndex(ds), Alpha(1.0))
         assert all(r.present for r in ladder.rungs)
 
     def test_conflicting_single_candidates_drop_lower_value_rung(self):
         high = record(height=2160, target=600.0, quality=9.0, decode=0.2)
         low = record(height=1080, target=1200.0, quality=5.0, decode=0.1)
         ds = TitleDataset.from_records([high, low])
-        ladder = optimize_arcs(ds, Alpha(0.0))
+        ladder = optimize_arcs(CandidateIndex(ds), Alpha(0.0))
         assert ladder.rungs[0].choice == high
         assert ladder.rungs[1].choice is None
         # and the mirror image
         high2 = record(height=2160, target=600.0, quality=5.0, decode=0.2)
         low2 = record(height=1080, target=1200.0, quality=9.0, decode=0.1)
         ds2 = TitleDataset.from_records([high2, low2])
-        ladder2 = optimize_arcs(ds2, Alpha(0.0))
+        ladder2 = optimize_arcs(CandidateIndex(ds2), Alpha(0.0))
         assert ladder2.rungs[0].choice is None
         assert ladder2.rungs[1].choice == low2
 
@@ -240,13 +240,13 @@ class TestOptimizeArcs:
             record(target=1200.0, actual=1180.0),
         ]
         ds = TitleDataset.from_records(recs)
-        ladder = optimize_arcs(ds, Alpha(0.0))
+        ladder = optimize_arcs(CandidateIndex(ds), Alpha(0.0))
         assert [r.present for r in ladder.rungs] == [False, True]
 
     def test_all_rungs_absent_raises(self):
         ds = TitleDataset.from_records([record(target=600.0, actual=900.0)])
         with pytest.raises(AllRungsAbsent):
-            optimize_arcs(ds, Alpha(0.0))
+            optimize_arcs(CandidateIndex(ds), Alpha(0.0))
 
     def test_exact_tie_broken_toward_cheaper_then_lower(self):
         # Identical quality and decode time: lower resolution, then lower
@@ -258,7 +258,7 @@ class TestOptimizeArcs:
             record(height=2160, chroma=C420, target=600.0, quality=7.0, decode=0.25),
         ]
         ds = TitleDataset.from_records(recs)
-        ladder = optimize_arcs(ds, Alpha(0.0))
+        ladder = optimize_arcs(CandidateIndex(ds), Alpha(0.0))
         assert (ladder.rungs[0].choice.resolution.height, ladder.rungs[0].choice.chroma) == (1080, C420)
 
     def test_greedy_is_feasible_but_can_be_myopic(self):
@@ -268,8 +268,8 @@ class TestOptimizeArcs:
             record(height=1080, chroma=C420, target=1200.0, quality=9.0, decode=0.06),
         ]
         ds = TitleDataset.from_records(recs)
-        greedy = optimize_arcs(ds, Alpha(0.0), mode=OptimizerMode.GREEDY_SEQUENTIAL)
-        dp = optimize_arcs(ds, Alpha(0.0))
+        greedy = optimize_arcs(CandidateIndex(ds), Alpha(0.0), mode=OptimizerMode.GREEDY_SEQUENTIAL)
+        dp = optimize_arcs(CandidateIndex(ds), Alpha(0.0))
         assert greedy.rungs[0].choice.chroma is C444  # locks high chroma
         assert greedy.rungs[1].choice is None
         assert dp.rungs[0].choice.chroma is C420
@@ -279,8 +279,8 @@ class TestOptimizeArcs:
     def test_determinism_identical_outputs(self):
         rng = np.random.default_rng(7)
         ds = random_dataset(rng)
-        a = optimize_arcs(ds, Alpha(0.3))
-        b = optimize_arcs(ds, Alpha(0.3))
+        a = optimize_arcs(CandidateIndex(ds), Alpha(0.3))
+        b = optimize_arcs(CandidateIndex(ds), Alpha(0.3))
         assert a == b
 
 
@@ -291,16 +291,16 @@ class TestOracleAgreement:
             ds = random_dataset(rng, max_targets=3, p_missing=0.5)
             alpha = Alpha(float(rng.choice([0.0, 0.01, 0.08, 0.5, 1.0])))
             want = definitional_best(ds, alpha)
-            assert choices_of(optimize_arcs(ds, alpha)) == want, f"trial {trial}"
-            assert choices_of(enumerate_optimal(ds, alpha)) == want, f"trial {trial}"
+            assert choices_of(optimize_arcs(CandidateIndex(ds), alpha)) == want, f"trial {trial}"
+            assert choices_of(enumerate_optimal(CandidateIndex(ds), alpha)) == want, f"trial {trial}"
 
     def test_enumerate_matches_dp_on_larger_instances(self):
         rng = np.random.default_rng(99)
         for trial in range(60):
             ds = random_dataset(rng, max_targets=6)
             alpha = Alpha(float(rng.uniform(0.0, 1.0)))
-            dp = optimize_arcs(ds, alpha)
-            oracle = enumerate_optimal(ds, alpha)
+            dp = optimize_arcs(CandidateIndex(ds), alpha)
+            oracle = enumerate_optimal(CandidateIndex(ds), alpha)
             assert dp.rungs == oracle.rungs, f"trial {trial}"
 
     def test_greedy_never_beats_dp(self):
@@ -308,8 +308,8 @@ class TestOracleAgreement:
         for _ in range(120):
             ds = random_dataset(rng)
             alpha = Alpha(float(rng.uniform(0.0, 1.0)))
-            dp = optimize_arcs(ds, alpha)
-            greedy = optimize_arcs(ds, alpha, mode=OptimizerMode.GREEDY_SEQUENTIAL)
+            dp = optimize_arcs(CandidateIndex(ds), alpha)
+            greedy = optimize_arcs(CandidateIndex(ds), alpha, mode=OptimizerMode.GREEDY_SEQUENTIAL)
             assert greedy.sum_j_prime() <= dp.sum_j_prime() + 1e-12
 
     def test_search_space_guard(self):
@@ -319,7 +319,7 @@ class TestOracleAgreement:
             targets=tuple(600.0 * (1.3**i) for i in range(10)),
         )
         with pytest.raises(SearchSpaceTooLarge):
-            enumerate_optimal(ds, Alpha(0.0))
+            enumerate_optimal(CandidateIndex(ds), Alpha(0.0))
 
 
 class TestScalarizationMonotonicity:
@@ -328,7 +328,7 @@ class TestScalarizationMonotonicity:
         alphas = [0.0, 0.05, 0.2, 0.5, 1.0]
         for _ in range(40):
             ds = random_dataset(rng)
-            sums = [ladder_sums(optimize_arcs(ds, Alpha(a)), ds) for a in alphas]
+            sums = [ladder_sums(optimize_arcs(CandidateIndex(ds), Alpha(a)), ds) for a in alphas]
             for (q1, d1), (q2, d2) in zip(sums, sums[1:]):
                 assert d2 <= d1 + 1e-12
                 assert q2 <= q1 + 1e-12
@@ -342,7 +342,7 @@ class TestBuildDefault:
         )
 
     def test_every_rung_native_full_chroma(self):
-        ladder = build_default(self.full())
+        ladder = build_default(CandidateIndex(self.full()))
         assert all(
             (r.choice.resolution.height, r.choice.chroma) == (2160, C444)
             for r in ladder.rungs
@@ -361,13 +361,27 @@ class TestBuildDefault:
             )
         ]
         recs.append(record(height=2160, chroma=C444, target=600.0, actual=700.0, quality=5.0, decode=0.1))
-        ladder = build_default(TitleDataset.from_records(recs))
+        ladder = build_default(CandidateIndex(TitleDataset.from_records(recs)))
         assert not ladder.rungs[0].present
         assert all(r.present for r in ladder.rungs[1:])
 
     def test_empty_dataset_all_absent(self):
         with pytest.raises(AllRungsAbsent):
-            build_default(TitleDataset("t", (), ()))
+            build_default(CandidateIndex(TitleDataset("t", (), ())))
+
+    def test_window_is_the_index_window(self):
+        # The native 600 kbps encode lands 7% over its target: inside a 10%
+        # window, outside a 5% one.
+        recs = [
+            r
+            for r in self.full().records
+            if (r.resolution.height, r.chroma, r.target_bitrate) != (2160, C444, 600.0)
+        ]
+        recs.append(record(height=2160, chroma=C444, target=600.0, actual=642.0, quality=5.0, decode=0.1))
+        ds = TitleDataset.from_records(recs)
+        assert build_default(CandidateIndex(ds, 0.10)).rungs[0].present
+        assert not build_default(CandidateIndex(ds, 0.05)).rungs[0].present
+        assert build_fixed(CandidateIndex(ds, 0.05), [(600.0, 2160)]).rungs == (Rung(600.0),)
 
     @pytest.mark.parametrize("cross_target", [False, True])
     def test_is_the_native_height_fixed_plan(self, cross_target):
@@ -377,14 +391,14 @@ class TestBuildDefault:
         for ds in corpus:
             height = max(r.resolution.height for r in ds.records)
             fixed = build_fixed(
-                ds, [(t, height) for t in ds.bitrate_targets], cross_target=cross_target
+                CandidateIndex(ds, cross_target=cross_target), [(t, height) for t in ds.bitrate_targets]
             )
             if not fixed.present_rungs:
                 with pytest.raises(AllRungsAbsent, match=f"no \\({height}, 444\\) encode"):
-                    build_default(ds, cross_target=cross_target)
+                    build_default(CandidateIndex(ds, cross_target=cross_target))
                 continue
             want = Ladder(ds.title_id, Method.DEFAULT, fixed.rungs, None)
-            assert build_default(ds, cross_target=cross_target) == want
+            assert build_default(CandidateIndex(ds, cross_target=cross_target)) == want
 
 
 class TestBuildDynres:
@@ -394,7 +408,7 @@ class TestBuildDynres:
             lambda h, c, b: 0.05 * (h / 1080),
             targets=(600.0, 1200.0, 4800.0, 9600.0),
         )
-        ladder = build_dynres(ds, Alpha(0.0))
+        ladder = build_dynres(CandidateIndex(ds), Alpha(0.0))
         heights = [r.choice.resolution.height for r in ladder.rungs]
         assert heights == [1080, 1080, 2160, 2160]
         assert all(r.choice.chroma is C444 for r in ladder.rungs)
@@ -406,7 +420,7 @@ class TestBuildDynres:
             lambda h, c, b: 5.0 + h / 2160 + b / 1e5,
             lambda h, c, b: 0.05 * (h / 1080),
         )
-        ladder = build_dynres(ds, Alpha(0.0))
+        ladder = build_dynres(CandidateIndex(ds), Alpha(0.0))
         assert all(r.choice.resolution.height == 2160 for r in ladder.rungs)
 
     def test_missing_pinned_chroma_raises(self):
@@ -416,7 +430,7 @@ class TestBuildDynres:
             chromas=(C420, C422),
         )
         with pytest.raises(AllRungsAbsent):
-            build_dynres(ds, Alpha(0.0))
+            build_dynres(CandidateIndex(ds), Alpha(0.0))
 
 
 class TestBuildFixed:
@@ -427,7 +441,7 @@ class TestBuildFixed:
         )
 
     def test_plan_lookup(self):
-        ladder = build_fixed(self.full(), [(600.0, 1080), (2400.0, 2160)])
+        ladder = build_fixed(CandidateIndex(self.full()), [(600.0, 1080), (2400.0, 2160)])
         assert [(r.target_bitrate, r.choice.resolution.height) for r in ladder.rungs] == [
             (600.0, 1080),
             (2400.0, 2160),
@@ -436,25 +450,25 @@ class TestBuildFixed:
 
     def test_unknown_plan_target(self):
         with pytest.raises(PlanTargetUnknown):
-            build_fixed(self.full(), [(7000.0, 2160)])
+            build_fixed(CandidateIndex(self.full()), [(7000.0, 2160)])
 
     def test_decreasing_plan_rejected(self):
         with pytest.raises(InvalidPlan):
-            build_fixed(self.full(), [(600.0, 2160), (2400.0, 1080)])
+            build_fixed(CandidateIndex(self.full()), [(600.0, 2160), (2400.0, 1080)])
 
     def test_duplicate_plan_target_rejected(self):
         with pytest.raises(InvalidPlan):
-            build_fixed(self.full(), [(600.0, 1080), (600.0, 2160)])
+            build_fixed(CandidateIndex(self.full()), [(600.0, 1080), (600.0, 2160)])
 
     def test_unmatched_plan_rung_absent(self):
-        ladder = build_fixed(self.full(), [(600.0, 1080)], fixed_chroma=C420)
+        ladder = build_fixed(CandidateIndex(self.full()), [(600.0, 1080)], fixed_chroma=C420)
         assert ladder.rungs[0].present  # C420 exists in the grid
         sparse = grid_dataset(
             lambda h, c, b: 5.0,
             lambda h, c, b: 0.05,
             chromas=(C444,),
         )
-        ladder2 = build_fixed(sparse, [(600.0, 1080)], fixed_chroma=C420)
+        ladder2 = build_fixed(CandidateIndex(sparse), [(600.0, 1080)], fixed_chroma=C420)
         assert not ladder2.rungs[0].present
 
     def test_plan_file_round_trip(self, tmp_path):
@@ -463,6 +477,42 @@ class TestBuildFixed:
         assert plan == [(600.0, 1080), (2400.0, 2160)]
         with pytest.raises(InvalidPlan):
             load_plan("bad,header\n1,2\n")
+
+    # Plans that no title can use: load_plan and build_fixed share one check.
+    BAD_PLANS = {
+        "decreasing heights": ([(600.0, 2160), (900.0, 1080)], "resolutions decrease"),
+        "repeated target": ([(600.0, 1080), (600.0, 2160)], "repeats a target"),
+        "zero height": ([(600.0, 0)], "height 0 is not positive"),
+        "negative height": ([(600.0, -1080)], "height -1080 is not positive"),
+        "nan target": ([(float("nan"), 1080)], "target nan is not a positive bitrate"),
+        "infinite target": ([(float("inf"), 1080)], "target inf is not a positive bitrate"),
+        "zero target": ([(0.0, 1080)], "target 0 is not a positive bitrate"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_PLANS))
+    def test_load_plan_rejects_a_plan_build_fixed_rejects(self, case):
+        plan, message = self.BAD_PLANS[case]
+        text = "target_kbps,height\n" + "".join(f"{t:g},{h}\n" for t, h in plan)
+        with pytest.raises(InvalidPlan, match=message):
+            load_plan(text)
+        with pytest.raises(InvalidPlan, match=message):
+            build_fixed(CandidateIndex(self.full()), plan)
+
+    def test_load_plan_rejects_rows_with_other_field_counts(self):
+        with pytest.raises(InvalidPlan, match="plan row 2 has 3 fields, not 2"):
+            load_plan("target_kbps,height\n600,1080\n900,1080,extra\n")
+        with pytest.raises(InvalidPlan, match="plan row 1 has 1 fields, not 2"):
+            load_plan("target_kbps,height\n600\n")
+
+    def test_load_plan_drops_one_byte_order_mark(self):
+        text = "target_kbps,height\n600,1080\n2400,2160\n"
+        assert load_plan("\ufeff" + text) == load_plan(text) == [(600.0, 1080), (2400.0, 2160)]
+        with pytest.raises(InvalidPlan, match="plan header must be"):
+            load_plan("\ufeff\ufeff" + text)
+
+    def test_load_plan_sorts_by_target(self):
+        assert load_plan("target_kbps,height\n2400,2160\n\n600,1080\n") == [
+            (600.0, 1080), (2400.0, 2160)]
 
 
 class TestValidator:
@@ -527,7 +577,7 @@ class TestChromaPmf:
             for i in range(n)
         ]
         ds = TitleDataset.from_records(recs)
-        return optimize_arcs(ds, Alpha(0.0))
+        return optimize_arcs(CandidateIndex(ds), Alpha(0.0))
 
     def test_uniform_case(self):
         pmf = chroma_pmf([self.one_format_ladder(C420)])
@@ -569,28 +619,28 @@ class TestCandidateIndex:
 
     @pytest.mark.parametrize("cross_target", [False, True])
     def test_shared_index_equals_fresh_builds(self, cross_target):
-        # One index per title, methods then alphas as the CLI loops; every
-        # ladder must equal a build that makes its own index.
+        # One index per title shared across all builders, modes and alphas,
+        # as the CLI loops; every ladder must equal a build from a fresh index.
         rng = np.random.default_rng(515)
         corpus = [random_dataset(rng) for _ in range(25)]
         corpus += generate(sparse_spec(seed=0, titles=6))
-        kw = {"cross_target": cross_target}
         for ds in corpus:
             index = CandidateIndex(ds, 0.10, cross_target=cross_target)
             plan = self._rising_plan(ds)
             for mode in OptimizerMode:
                 builders = (
-                    lambda a, **k: optimize_arcs(ds, a, 0.10, mode, **k),
-                    lambda a, **k: build_dynres(ds, a, 0.10, C444, mode, **k),
-                    lambda a, **k: build_dynres(ds, a, 0.10, C420, mode, **k),
-                    lambda a, **k: build_default(ds, 0.10, **k),
-                    lambda a, **k: build_fixed(ds, plan, 0.10, C444, **k),
-                    lambda a, **k: build_fixed(ds, plan, 0.10, C420, **k),
+                    lambda ix, a: optimize_arcs(ix, a, mode),
+                    lambda ix, a: build_dynres(ix, a, C444, mode),
+                    lambda ix, a: build_dynres(ix, a, C420, mode),
+                    lambda ix, a: build_default(ix),
+                    lambda ix, a: build_fixed(ix, plan, C444),
+                    lambda ix, a: build_fixed(ix, plan, C420),
                 )
                 for build in builders:
                     for alpha in self.ALPHAS:
-                        shared = self._ladder_or_error(build, Alpha(alpha), index=index, **kw)
-                        fresh = self._ladder_or_error(build, Alpha(alpha), **kw)
+                        shared = self._ladder_or_error(build, index, Alpha(alpha))
+                        fresh = self._ladder_or_error(
+                            build, CandidateIndex(ds, 0.10, cross_target=cross_target), Alpha(alpha))
                         assert shared == fresh, (ds.title_id, mode, alpha)
 
     def test_sparse_corpus_has_absent_rungs(self):
@@ -598,7 +648,7 @@ class TestCandidateIndex:
         # absent rung (empty window, blocked by the chain) through the DP.
         kinds = set()
         for ds in generate(sparse_spec(seed=0, titles=6)):
-            for r in optimize_arcs(ds, Alpha(0.04)).rungs:
+            for r in optimize_arcs(CandidateIndex(ds), Alpha(0.04)).rungs:
                 if not r.present:
                     kinds.add(bool(candidates_for(ds, r.target_bitrate, 0.10)))
         assert kinds == {False, True}
@@ -627,10 +677,10 @@ class TestCandidateIndex:
             return path_keys(*args)
 
         monkeypatch.setattr(ladder_module, "_path_keys", counted)
-        dp = optimize_arcs(ds, Alpha(0.0))
+        dp = optimize_arcs(CandidateIndex(ds), Alpha(0.0))
         assert calls, "the tie-break on rung keys was not reached"
         assert dp.rungs[0].choice.chroma is C420  # equal score: lower fidelity wins
-        assert dp.rungs == enumerate_optimal(ds, Alpha(0.0)).rungs
+        assert dp.rungs == enumerate_optimal(CandidateIndex(ds), Alpha(0.0)).rungs
         assert choices_of(dp) == definitional_best(ds, Alpha(0.0))
 
     def test_index_scores_equal_composite_normalized(self):
@@ -647,9 +697,7 @@ class TestCandidateIndex:
                         for rec, q, d, hf in pool:
                             assert q - alpha * d == composite_normalized(rec, bounds, alpha)
                             assert hf == (rec.resolution.height, rec.chroma.fidelity_rank)
-                    ladder = self._ladder_or_error(
-                        optimize_arcs, ds, Alpha(alpha), cross_target=cross_target, index=index
-                    )
+                    ladder = self._ladder_or_error(optimize_arcs, index, Alpha(alpha))
                     if ladder is AllRungsAbsent:
                         continue
                     for rung in ladder.present_rungs:
@@ -665,31 +713,6 @@ class TestCandidateIndex:
                     candidates_for(ds, t, 0.10, cross_target=cross_target)
                     for t in ds.bitrate_targets
                 ]
-
-    def test_mismatched_index_rejected(self):
-        rng = np.random.default_rng(818)
-        ds = random_dataset(rng)
-        other = random_dataset(rng, title="other")
-        index = CandidateIndex(ds, 0.10)
-        builders = (
-            optimize_arcs,
-            build_dynres,
-            enumerate_optimal,
-            lambda d, a, *args, **k: build_default(d, *args, **k),
-            lambda d, a, *args, **k: build_fixed(d, [(d.bitrate_targets[0], 1080)], *args, **k),
-        )
-        for build in builders:
-            with pytest.raises(ValueError, match="does not match"):
-                build(other, Alpha(0.0), index=index)
-            with pytest.raises(ValueError, match="does not match"):
-                build(ds, Alpha(0.0), 0.2, index=index)
-            with pytest.raises(ValueError, match="does not match"):
-                build(ds, Alpha(0.0), cross_target=True, index=index)
-        # An equal dataset object is accepted.
-        copy = TitleDataset(ds.title_id, ds.records, ds.bitrate_targets)
-        assert self._ladder_or_error(optimize_arcs, copy, Alpha(0.0), index=index) == (
-            self._ladder_or_error(optimize_arcs, ds, Alpha(0.0))
-        )
 
 
 # -- DP graphs shared across titles ------------------------------------------------
@@ -719,8 +742,8 @@ class TestSharedGraph:
         for ds in generate(default_spec(titles=30)):
             index = CandidateIndex(ds)
             for alpha in (0.0, 0.04):
-                optimize_arcs(ds, Alpha(alpha), index=index)
-                build_dynres(ds, Alpha(alpha), index=index)
+                optimize_arcs(index, Alpha(alpha))
+                build_dynres(index, Alpha(alpha))
             shapes |= {_shape(index, None), _shape(index, C444)}
         # One encoding grid: one shape per chroma view.
         assert len(shapes) == 2
@@ -745,9 +768,9 @@ class TestSharedGraph:
         compile_.cache_clear()
         for ds in (first, refidelity, reheight, first, refidelity, reheight):
             for alpha in (0.0, 0.2, 1.0):
-                assert optimize_arcs(ds, Alpha(alpha)).rungs == (
-                    enumerate_optimal(ds, Alpha(alpha)).rungs)
-                assert choices_of(optimize_arcs(ds, Alpha(alpha))) == (
+                assert optimize_arcs(CandidateIndex(ds), Alpha(alpha)).rungs == (
+                    enumerate_optimal(CandidateIndex(ds), Alpha(alpha)).rungs)
+                assert choices_of(optimize_arcs(CandidateIndex(ds), Alpha(alpha))) == (
                     definitional_best(ds, Alpha(alpha)))
         assert compile_.cache_info().misses == 3
 
@@ -759,12 +782,14 @@ class TestSharedGraph:
                                    targets_kbps=(600.0, 1600.0, 3400.0, 8100.0)))
         # Each title is followed by one with its windows and other values.
         titles = [t for ds in corpus for t in (ds, _with_other_values(ds, rng, ds.title_id + "'"))]
-        kw = {"cross_target": cross_target}
         alphas = (0.0, 0.05, 0.3)
         build = TestCandidateIndex._ladder_or_error
 
+        def index(ds):
+            return CandidateIndex(ds, cross_target=cross_target)
+
         def ladders(ds):
-            return [(build(optimize_arcs, ds, Alpha(a), **kw), build(build_dynres, ds, Alpha(a), **kw))
+            return [(build(optimize_arcs, index(ds), Alpha(a)), build(build_dynres, index(ds), Alpha(a)))
                     for a in alphas]
 
         compile_ = ladder_module._compile
@@ -779,14 +804,14 @@ class TestSharedGraph:
             compile_.cache_clear()
             assert got == ladders(ds), ds.title_id
             for alpha, (arcs, _) in zip(alphas, got):
-                assert arcs == build(enumerate_optimal, ds, Alpha(alpha), **kw), (ds.title_id, alpha)
+                assert arcs == build(enumerate_optimal, index(ds), Alpha(alpha)), (ds.title_id, alpha)
 
     def test_memo_is_bounded(self):
         compile_ = ladder_module._compile
         compile_.cache_clear()
         for ds in generate(sparse_spec(seed=0, titles=20)):
-            optimize_arcs(ds, Alpha(0.0))
-            build_dynres(ds, Alpha(0.0))
+            optimize_arcs(CandidateIndex(ds), Alpha(0.0))
+            build_dynres(CandidateIndex(ds), Alpha(0.0))
         info = compile_.cache_info()
         # Every sparse title has windows of its own.
         assert info.misses == 40
