@@ -6,7 +6,9 @@ pass, ``_evaluate``: it loads the datasets and the plan, then builds every
 (method, alpha) ladder title by title and turns per-title failures into
 exclusions. compare and sweep add Bjontegaard deltas on top; every command
 hands its payload to ``_emit``, which prints JSON or, with ``--out``, writes
-the requested files and prints a summary.
+the requested files and prints a summary. Ladders are rendered one title at a
+time: a title's ``_RungText`` renders each distinct (record, target) once, and
+compare's title entries are rendered only when ``to_json_text`` reaches them.
 
 Exit codes: 0 success, 1 input/validation error, 2 computation error.
 All reports are deterministic: titles are processed in lexicographic order and
@@ -116,6 +118,11 @@ def to_json_text(payload) -> str:
     inside itself, TypeError for a value json cannot encode. Keys must be
     strings; json would also turn int, float, bool and None keys into strings,
     but no payload has them.
+
+    A ``_Deferred`` value is rendered by its own function when it is reached,
+    with the indent of its place: compare's title entries and every ladder's
+    rungs are rendered that way, one title at a time, from the title's
+    ``_RungText``.
     """
     return _json(payload, "\n", set()) + "\n"
 
@@ -164,6 +171,8 @@ def _json(value, newline: str, path: set[int]) -> str:
         path.add(id(value))
         items = [_encode_str(key) + ": " + _json(item, inner, path) for key, item in value.items()]
         brackets = "{}"
+    elif type(value) is _Deferred:
+        return value.render(newline)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     path.remove(id(value))
@@ -171,6 +180,22 @@ def _json(value, newline: str, path: set[int]) -> str:
     items[0] = brackets[0] + inner + items[0]
     items[-1] += newline + brackets[1]
     return ("," + inner).join(items)
+
+
+def _scalar(value) -> str:
+    """JSON text of a scalar, as ``_json`` writes it."""
+    encode = _SCALAR_TEXT.get(type(value))
+    return encode(value) if encode is not None else _json(value, "", set())
+
+
+class _Deferred:
+    """A JSON value whose text is made only when ``_json`` reaches it:
+    ``render(newline)`` returns what ``_json(value, newline, ...)`` would."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render: Callable[[str], str]):
+        self.render = render
 
 
 # -- the evaluation pass ---------------------------------------------------------
@@ -258,26 +283,83 @@ def _exclusion(title, metric, method, alpha, exc) -> dict:
 # -- payloads and output ---------------------------------------------------------
 
 
-def _ladder_payload(ladder: Ladder, metric: QualityMetric, cfg: RunConfig) -> dict:
-    rungs = []
-    for rung in ladder.rungs:
-        if rung.choice is None:
-            rungs.append({"target_kbps": rung.target_bitrate, "present": False})
-            continue
-        rec = rung.choice
-        rungs.append(
-            {
-                "target_kbps": rung.target_bitrate,
-                "present": True,
-                "height": rec.resolution.height,
-                "width": rec.resolution.pixel_width,
-                "chroma": rec.chroma.value,
-                "actual_kbps": rec.actual_bitrate,
-                "quality": rec.quality.value,
-                "decode_s_per_frame": rec.decode_time,
-                "j_prime": rung.j_prime,
-            }
-        )
+class _RungText:
+    """One title's rung text, each distinct (record, target) rendered once.
+
+    Every field of a present rung but ``j_prime`` depends only on its record
+    and its target. So each distinct pair is rendered once as the JSON of the
+    rung up to ``"j_prime": `` (per indent), and once as the CSV fields of its
+    curve row; each rung then adds its own ``j_prime`` or its ladder's row
+    prefix. Absent rungs are rendered once per target. Records are keyed by
+    id and targets by their repr, so values that print differently (1000 and
+    1000.0) never share an entry. Ids are unique only while the title's
+    ladders are alive, so a memo serves one title and is dropped with it.
+    """
+
+    def __init__(self):
+        self.json_heads: dict[str, dict] = {}
+        self.csv_fields: dict = {}
+
+    def json(self, ladder: Ladder, newline: str) -> str:
+        """The JSON list of the ladder's rungs, closing after ``newline``."""
+        if not ladder.rungs:
+            return "[]"
+        heads = self.json_heads.get(newline)
+        if heads is None:
+            heads = self.json_heads[newline] = {}
+        inner = newline + "  "
+        close = inner + "}"
+        items = []
+        for rung in ladder.rungs:
+            rec = rung.choice
+            target = repr(rung.target_bitrate)
+            key = target if rec is None else (id(rec), target)
+            head = heads.get(key)
+            if head is None:
+                head = heads[key] = _rung_json_head(rung, inner)
+            items.append(head if rec is None else head + _scalar(rung.j_prime) + close)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+    def csv(self, ladder: Ladder, prefix: str, line: Callable[[Sequence], str]) -> list[str]:
+        """The curve rows of the ladder's present rungs, each ``prefix`` (its
+        ladder's fields and a comma) plus the rung's fields, as ``line`` writes
+        them."""
+        fields, rows = self.csv_fields, []
+        for rung in ladder.rungs:
+            rec = rung.choice
+            if rec is None:
+                continue
+            key = (id(rec), repr(rung.target_bitrate))
+            text = fields.get(key)
+            if text is None:
+                text = fields[key] = line([rung.target_bitrate, rec.actual_bitrate, rec.quality.value,
+                                           rec.decode_time, rec.chroma.value, rec.resolution.height])
+            rows.append(prefix + text)
+        return rows
+
+
+def _rung_json_head(rung, newline: str) -> str:
+    """JSON text of a rung, closing after ``newline``; a present rung's stops
+    after ``"j_prime": ``."""
+    rec = rung.choice
+    if rec is None:
+        return _json({"target_kbps": rung.target_bitrate, "present": False}, newline, set())
+    text = _json({
+        "target_kbps": rung.target_bitrate,
+        "present": True,
+        "height": rec.resolution.height,
+        "width": rec.resolution.pixel_width,
+        "chroma": rec.chroma.value,
+        "actual_kbps": rec.actual_bitrate,
+        "quality": rec.quality.value,
+        "decode_s_per_frame": rec.decode_time,
+        "j_prime": None,
+    }, newline, set())
+    return text[:-len("null" + newline + "}")]
+
+
+def _ladder_payload(ladder: Ladder, metric: QualityMetric, cfg: RunConfig, rungs: _RungText) -> dict:
+    """A ladder's JSON payload; its rungs are rendered from the title's ``rungs``."""
     return {
         "title": ladder.title_id,
         "metric": metric.value,
@@ -285,8 +367,17 @@ def _ladder_payload(ladder: Ladder, metric: QualityMetric, cfg: RunConfig) -> di
         "alpha": None if ladder.alpha is None else ladder.alpha.value,
         "mode": cfg.mode.value if ladder.method in ALPHA_METHODS else None,
         "tolerance": cfg.tolerance,
-        "rungs": rungs,
+        "rungs": _Deferred(functools.partial(rungs.json, ladder)),
     }
+
+
+def _title_json(cfg: RunConfig, title: str, metric: QualityMetric, ladders: Sequence[Ladder],
+                bd_rows: list[dict], newline: str) -> str:
+    """JSON text of a report's title entry, its rungs from a memo of its own."""
+    rungs = _RungText()
+    return _json({"title": title, "metric": metric.value,
+                  "ladders": [_ladder_payload(ladder, metric, cfg, rungs) for ladder in ladders],
+                  "bd": {"rows": bd_rows}}, newline, set())
 
 
 def _config_payload(cfg: RunConfig) -> dict:
@@ -323,6 +414,35 @@ def _csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return out.getvalue()
+
+
+def _csv_line_writer() -> Callable[[Sequence], str]:
+    """A function that returns one row as ``_csv_lines`` writes it. Each field
+    is quoted on its own, so rows can be joined from parts."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+
+    def line(row: Sequence) -> str:
+        writer.writerow(row)
+        text = out.getvalue()
+        out.seek(0)
+        out.truncate()
+        return text
+
+    return line
+
+
+def _curves_csv(columns: Sequence[str], titles: Sequence[tuple]) -> str:
+    """``report_curves.csv``: one row per present rung of each title's ladders."""
+    line = _csv_line_writer()
+    parts = [line(columns)]
+    for title, metric, ladders, _ in titles:
+        rungs = _RungText()
+        for ladder in ladders:
+            alpha = None if ladder.alpha is None else ladder.alpha.value
+            prefix = line([title, metric.value, ladder.method.value, alpha])[:-1] + ","
+            parts += rungs.csv(ladder, prefix, line)
+    return "".join(parts)
 
 
 def _emit(cfg: RunConfig, payload, files: Sequence[tuple[str, str, Callable[[], str]]],
@@ -432,9 +552,10 @@ def cmd_optimize(args) -> int:
     cfg = _config_from_args(args)
     payloads, skipped = [], []
     for (_, metric), evaluations in _evaluate(cfg):
+        rungs = _RungText()
         for _, _, ladders, ex in evaluations:
             if ex is None:
-                payloads.append(_ladder_payload(ladders[0], metric, cfg))
+                payloads.append(_ladder_payload(ladders[0], metric, cfg, rungs))
             else:
                 skipped.append(f"{ex['title']}/{ex['metric']}/{ex['method']}{_alpha_tag(ex['alpha'])}: "
                                f"{ex['reason']}")
@@ -510,11 +631,12 @@ def _bd_pair(memo: _TitleMemo, ref: Ladder, test: Ladder):
     return tuple(results)
 
 
-def _compare(cfg: RunConfig, per_title: bool) -> tuple[list[dict], list[dict], list[dict]]:
+def _compare(cfg: RunConfig, per_title: bool) -> tuple[list[tuple], list[dict], list[dict]]:
     """Bjontegaard deltas of ``cfg.methods`` against ``cfg.reference``.
 
-    Returns the per-title entries (ladders and BD rows; empty unless
-    ``per_title``), the aggregate rows per (method, alpha, metric), and the
+    Returns the per-title entries ``(title, metric, ladders, BD rows)``, each
+    distinct (method, alpha) ladder once (empty unless ``per_title``), the
+    aggregate rows per (method, alpha, metric), and the
     exclusions in title order. Within a title, each distinct set of chosen
     records is fitted once per axis and each distinct pair of curves is
     compared once, whichever groups share them.
@@ -551,9 +673,7 @@ def _compare(cfg: RunConfig, per_title: bool) -> tuple[list[dict], list[dict], l
             )
             rows_by_group.setdefault((method, alpha, metric), []).append((rate, time))
         if per_title:
-            titles.append({"title": title, "metric": metric.value,
-                           "ladders": [_ladder_payload(l, metric, cfg) for l in ladders.values()],
-                           "bd": {"rows": bd_rows}})
+            titles.append((title, metric, tuple(ladders.values()), bd_rows))
     agg_rows = []
     for method, alpha, metric in sorted(
         rows_by_group, key=lambda g: (g[0].value, -1.0 if g[1] is None else g[1], g[2].value)
@@ -580,9 +700,10 @@ def cmd_compare(args) -> int:
     if not rows:
         print("error: no comparison could be computed", file=sys.stderr)
         return EXIT_COMPUTE
+    # Each title entry is rendered where report.json reaches it.
     report = {
         "config": _config_payload(cfg),
-        "titles": titles,
+        "titles": [_Deferred(functools.partial(_title_json, cfg, *entry)) for entry in titles],
         "aggregate": {"rows": rows, "excluded": excluded},
     }
     bd_columns = ["title", "metric", "method", "alpha", "bdr_percent",
@@ -595,17 +716,11 @@ def cmd_compare(args) -> int:
         ("json", "report.json", lambda: to_json_text(report)),
         ("markdown", "report.md", lambda: _render_markdown("report", cfg.reference, rows, excluded)),
         ("csv", "report_bd.csv", lambda: _csv_lines(bd_columns, [
-            [entry["title"], row["metric"], row["method"], row["alpha"], row["bdr_percent"],
+            [title, row["metric"], row["method"], row["alpha"], row["bdr_percent"],
              row["bddt_percent"], row["overlap_quality"][0], row["overlap_quality"][1]]
-            for entry in titles for row in entry["bd"]["rows"]
+            for title, _, _, bd_rows in titles for row in bd_rows
         ])),
-        ("csv", "report_curves.csv", lambda: _csv_lines(curve_columns, [
-            [entry["title"], ladder["metric"], ladder["method"], ladder["alpha"],
-             rung["target_kbps"], rung["actual_kbps"], rung["quality"],
-             rung["decode_s_per_frame"], rung["chroma"], rung["height"]]
-            for entry in titles for ladder in entry["ladders"]
-            for rung in ladder["rungs"] if rung["present"]
-        ])),
+        ("csv", "report_curves.csv", lambda: _curves_csv(curve_columns, titles)),
         ("csv", "report_aggregate.csv", lambda: _csv_lines(
             aggregate_columns, [[r[c] for c in aggregate_columns] for r in rows])),
     ]

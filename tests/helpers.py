@@ -2,9 +2,10 @@
 vectorized PCHIP evaluator for quadrature checks, a frozen numpy-scalar PCHIP
 integrator that the float implementation must match, a frozen two-pass
 ingest that the single-pass parser must match, the frozen per-ladder BD
-curves that the CLI's per-record-set memo must match, and a frozen DP graph
+curves that the CLI's per-record-set memo must match, a frozen DP graph
 compiler that keeps every reachable state, which the live-state graphs must
-solve alike."""
+solve alike, and a frozen report renderer (a dict payload per rung, through
+``json.dumps`` and ``csv.writer``) that the per-title rung text must match."""
 
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from chromaladder import (
     normalized_log_time,
     normalized_quality,
 )
+from chromaladder import cli
 from chromaladder.bdmetrics import CurveAxis, bd_delta, build_curve
 from chromaladder.errors import DuplicateRecord, MalformedRow, MixedQualityMetric
 from chromaladder.ladder import _Graph, _step_ok
@@ -386,3 +388,85 @@ def oracle_compile(shape) -> _Graph:
         states = nxt
     finals = tuple(i for (_, cap), i in states.items() if cap is None)
     return _Graph(tuple(layers), tuple(widths), finals)
+
+
+# -- frozen report renderer: a dict payload per rung -------------------------------
+
+
+def oracle_json_text(payload) -> str:
+    return json.dumps(payload, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+
+
+def oracle_ladder_payload(ladder, metric, cfg) -> dict:
+    rungs = []
+    for rung in ladder.rungs:
+        if rung.choice is None:
+            rungs.append({"target_kbps": rung.target_bitrate, "present": False})
+            continue
+        rec = rung.choice
+        rungs.append(
+            {
+                "target_kbps": rung.target_bitrate,
+                "present": True,
+                "height": rec.resolution.height,
+                "width": rec.resolution.pixel_width,
+                "chroma": rec.chroma.value,
+                "actual_kbps": rec.actual_bitrate,
+                "quality": rec.quality.value,
+                "decode_s_per_frame": rec.decode_time,
+                "j_prime": rung.j_prime,
+            }
+        )
+    return {
+        "title": ladder.title_id,
+        "metric": metric.value,
+        "method": ladder.method.value,
+        "alpha": None if ladder.alpha is None else ladder.alpha.value,
+        "mode": cfg.mode.value if ladder.method in cli.ALPHA_METHODS else None,
+        "tolerance": cfg.tolerance,
+        "rungs": rungs,
+    }
+
+
+def _oracle_csv(header, rows) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def oracle_compare_files(cfg) -> dict[str, str]:
+    """``report.json``, ``report_bd.csv`` and ``report_curves.csv`` of a
+    compare run, rendered from a dict payload per ladder and rung."""
+    titles, rows, excluded = cli._compare(cfg, per_title=True)
+    entries = [{"title": title, "metric": metric.value,
+                "ladders": [oracle_ladder_payload(ladder, metric, cfg) for ladder in ladders],
+                "bd": {"rows": bd_rows}}
+               for title, metric, ladders, bd_rows in titles]
+    report = {"config": cli._config_payload(cfg), "titles": entries,
+              "aggregate": {"rows": rows, "excluded": excluded}}
+    return {
+        "report.json": oracle_json_text(report),
+        "report_bd.csv": _oracle_csv(
+            ["title", "metric", "method", "alpha", "bdr_percent", "bddt_percent",
+             "overlap_q_low", "overlap_q_high"],
+            [[entry["title"], row["metric"], row["method"], row["alpha"], row["bdr_percent"],
+              row["bddt_percent"], row["overlap_quality"][0], row["overlap_quality"][1]]
+             for entry in entries for row in entry["bd"]["rows"]]),
+        "report_curves.csv": _oracle_csv(
+            ["title", "metric", "method", "alpha", "target_kbps", "actual_kbps",
+             "quality", "decode_s_per_frame", "chroma", "height"],
+            [[entry["title"], ladder["metric"], ladder["method"], ladder["alpha"],
+              rung["target_kbps"], rung["actual_kbps"], rung["quality"],
+              rung["decode_s_per_frame"], rung["chroma"], rung["height"]]
+             for entry in entries for ladder in entry["ladders"]
+             for rung in ladder["rungs"] if rung["present"]]),
+    }
+
+
+def oracle_optimize_payloads(cfg) -> list[dict]:
+    """The ladder payloads of an optimize run, in output order."""
+    return [oracle_ladder_payload(ladders[0], metric, cfg)
+            for (_, metric), evaluations in cli._evaluate(cfg)
+            for _, _, ladders, exclusion in evaluations if exclusion is None]

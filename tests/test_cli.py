@@ -24,9 +24,11 @@ from chromaladder import (
     Alpha,
     CandidateIndex,
     ChromaFormat,
+    Ladder,
     Method,
     QualityMetric,
     QualityScore,
+    Rung,
     TitleDataset,
     build_dynres,
     chroma_pmf,
@@ -43,7 +45,17 @@ import chromaladder.cli as cli
 from chromaladder.cli import main, to_json_text
 from chromaladder.bdmetrics import CurveAxis
 from chromaladder.errors import LadderError
-from helpers import C420, C444, grid_dataset, oracle_bd_pair, record
+from helpers import (
+    C420,
+    C444,
+    grid_dataset,
+    oracle_bd_pair,
+    oracle_compare_files,
+    oracle_json_text,
+    oracle_ladder_payload,
+    oracle_optimize_payloads,
+    record,
+)
 
 SMALL_TARGETS = (600.0, 1200.0, 2400.0, 4800.0, 9600.0)
 
@@ -782,11 +794,15 @@ class TestCurvesPerTitle:
         ]
 
     def test_sweep_builds_no_ladder_payloads(self, small_corpus, monkeypatch):
+        # Neither sweep nor pmf renders ladder text: no payload, no rung text.
         payloads = record_calls(monkeypatch, "_ladder_payload")
+        heads = record_calls(monkeypatch, "_rung_json_head")
         assert run("sweep", "--input", small_corpus, "--alpha", 0, "--alpha", 0.08) == 0
-        assert payloads == []
+        assert run("pmf", "--input", small_corpus, "--alpha", 0, "--alpha", 0.08) == 0
+        assert (payloads, heads) == ([], [])
         assert run("compare", "--input", small_corpus, "--method", "arcs", "--alpha", 0) == 0
         assert len(payloads) == 4 * 2
+        assert heads
 
 
 SHARED_FAILURE_TARGETS = (600.0, 2400.0, 9000.0)
@@ -1144,6 +1160,221 @@ class TestJsonErrorPath:
         assert captured.out == ""
         assert captured.err == "error: Out of range float values are not JSON compliant: nan\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [("compare", "--method", "arcs"), ("optimize",)],
+                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("to_dir", [False, True], ids=["stdout", "out"])
+    def test_non_finite_j_prime_exits_one(self, small_corpus, tmp_path, capsys, monkeypatch,
+                                          command, to_dir):
+        # A rung's j_prime is spliced into its cached text, not encoded by
+        # _json, so it is checked on its own.
+        real = cli._BUILDERS[Method.ARCS]
+
+        def nan_ladder(cfg, plan, index, alpha):
+            ladder = real(cfg, plan, index, alpha)
+            return replace(ladder, rungs=tuple(replace(r, j_prime=math.nan) for r in ladder.rungs))
+
+        monkeypatch.setitem(cli._BUILDERS, Method.ARCS, nan_ladder)
+        out = tmp_path / "rep"
+        argv = [*command, "--input", small_corpus, "--alpha", 0, "--alpha", 0.08,
+                *(["--out", out] if to_dir else [])]
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Out of range float values are not JSON compliant: nan\n"
+        assert not out.exists()
+
+
+# Titles that CSV must quote and JSON must escape.
+AWKWARD_TITLES = ['clip "A", 4k — é', "line\nbreak", "cr\rreturn,comma", "中文 😀", "back\\slash'"]
+# Targets within 10% of each other, so that with --cross-target one encode
+# can serve two rungs of a ladder.
+CLOSE_TARGETS = (600.0, 640.0, 1200.0, 2400.0, 4800.0)
+
+
+def _shared_record_title() -> TitleDataset:
+    """A title whose 640 kbps encode misses its window, so with --cross-target
+    the 600 kbps encode serves both the 600 and the 640 kbps rung."""
+    return TitleDataset.from_records([
+        record("shared, \"x\"", 1080, C444, 600, actual=620, quality=6.0, decode=0.04),
+        record("shared, \"x\"", 1080, C444, 640, actual=900, quality=6.5, decode=0.04),
+        record("shared, \"x\"", 2160, C444, 1200, actual=1210, quality=7.0, decode=0.1),
+        record("shared, \"x\"", 2160, C444, 2400, actual=2390, quality=8.0, decode=0.1),
+        record("shared, \"x\"", 2160, C444, 4800, actual=4800, quality=9.0, decode=0.1),
+    ])
+
+
+def _write_corpus(tmp: Path, datasets, targets) -> tuple[Path, Path]:
+    corpus, plan = tmp / "corpus.json", tmp / "plan.csv"
+    corpus.write_text(serialize_dataset(datasets, fmt="json"), encoding="utf-8")
+    heights = [1080] * (len(targets) - 2) + [2160] * 2
+    plan.write_text("target_kbps,height\n" + "".join(
+        f"{t:g},{h}\n" for t, h in zip(targets, heights)), encoding="utf-8")
+    return corpus, plan
+
+
+def _config(argv) -> cli.RunConfig:
+    return cli._config_from_args(cli.build_parser().parse_args([str(a) for a in argv]))
+
+
+def _ladder_file_name(payload) -> str:
+    return (f"{payload['title']}__{payload['metric']}__{payload['method']}"
+            f"{cli._alpha_tag(payload['alpha'])}.json")
+
+
+def _assert_matches_oracle(flags, reference: str, out: Path) -> None:
+    """compare (JSON and CSV, stdout and --out) and optimize (stdout and
+    ladder files) print and write what a dict payload per rung renders."""
+    compare = ["compare", *flags, "--reference", reference]
+    argv = [*compare, "--format", "json", "--format", "csv", "--out", out / "report"]
+    code, _, err = _captured(argv)
+    if code == 0:
+        want = oracle_compare_files(_config(argv))
+        for name, text in want.items():
+            assert (out / "report" / name).read_bytes().decode("utf-8") == text, name
+        assert _captured(compare) == (0, want["report.json"], "")
+    else:
+        # Every comparison was excluded: there is no report to render.
+        assert (code, err) == (2, "error: no comparison could be computed\n")
+
+    argv = ["optimize", *flags, "--out", out / "ladders"]
+    payloads = oracle_optimize_payloads(_config(argv))
+    assert _captured(argv)[0] == 0
+    code, printed, _ = _captured(argv[:-2])
+    skips = "".join(line for line in printed.splitlines(keepends=True) if line.startswith("SKIP "))
+    assert (code, printed) == (0, skips + oracle_json_text(payloads))
+    written = {path.name: path.read_bytes().decode("utf-8") for path in (out / "ladders").iterdir()}
+    assert written == {_ladder_file_name(p): oracle_json_text(p) for p in payloads}
+
+
+class TestRungText:
+    """The report and ladder files, rendered from one rung text per distinct
+    (record, target) of a title, equal a dict payload per rung rendered by
+    ``json.dumps`` and ``csv.writer``."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        sparse=st.booleans(),
+        targets=st.sampled_from([SMALL_TARGETS, CLOSE_TARGETS]),
+        titles=st.lists(st.sampled_from(AWKWARD_TITLES) | st.text(
+            st.characters(blacklist_categories=("Cs",), blacklist_characters="/\0"),
+            min_size=1, max_size=8).filter(str.strip),
+            min_size=1, max_size=3, unique_by=str.strip),
+        alphas=st.lists(st.sampled_from([0.0, 0.02, 0.08]), min_size=1, max_size=2, unique=True),
+        methods=st.lists(st.sampled_from([m.value for m in Method]), min_size=1, max_size=4),
+        reference=st.sampled_from(["default", "arcs", "fixed"]),
+        cross_target=st.booleans(),
+    )
+    def test_outputs_equal_frozen_renderer(self, seed, sparse, targets, titles, alphas, methods,
+                                           reference, cross_target):
+        spec = (sparse_spec if sparse else default_spec)(seed=seed, titles=len(titles))
+        datasets = [
+            TitleDataset.from_records(replace_title(rec, name) for rec in ds.records)
+            for ds, name in zip(generate(replace(spec, targets_kbps=targets)), titles)
+        ]
+        if targets == CLOSE_TARGETS:
+            datasets.append(_shared_record_title())
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus, plan = _write_corpus(Path(tmp), datasets, targets)
+            flags = ["--input", corpus, "--plan", plan,
+                     *(f for a in alphas for f in ("--alpha", a)),
+                     *(f for m in methods for f in ("--method", m)),
+                     *(["--cross-target"] if cross_target else [])]
+            _assert_matches_oracle(flags, reference, Path(tmp))
+
+    def test_one_record_serves_two_rungs_of_a_ladder(self, tmp_path):
+        datasets = [_shared_record_title()]
+        corpus, plan = _write_corpus(tmp_path, datasets, CLOSE_TARGETS)
+        flags = ["--input", corpus, "--plan", plan, "--alpha", 0,
+                 "--method", "arcs", "--method", "fixed", "--cross-target"]
+        _assert_matches_oracle(flags, "default", tmp_path)
+        assert (tmp_path / "report" / "report.json").exists()
+        shared = json.loads((tmp_path / "ladders" / 'shared, "x"__cvvdp__arcs__alpha0.json')
+                            .read_text(encoding="utf-8"))
+        rungs = shared["rungs"]
+        assert [r["target_kbps"] for r in rungs[:2]] == [600.0, 640.0]
+        assert rungs[0]["actual_kbps"] == rungs[1]["actual_kbps"] == 620.0
+
+    def test_targets_that_print_differently_do_not_share_text(self):
+        # 1000 and 1000.0 are equal keys in a dict but print differently.
+        rec = record("t", 1080, C444, 1000.0)
+        ladders = (Ladder("t", Method.DEFAULT, (Rung(1000, rec), Rung(2000))),
+                   Ladder("t", Method.ARCS, (Rung(1000.0, rec, 0.5), Rung(2000.0)), Alpha(0.0)))
+        cfg, metric = cli.RunConfig(inputs=()), QualityMetric.CVVDP_JOD
+        rungs = cli._RungText()
+        for ladder in ladders:
+            assert to_json_text(cli._ladder_payload(ladder, metric, cfg, rungs)) == (
+                oracle_json_text(oracle_ladder_payload(ladder, metric, cfg)))
+        columns = ["title", "metric", "method", "alpha", "target_kbps", "actual_kbps",
+                   "quality", "decode_s_per_frame", "chroma", "height"]
+        assert cli._curves_csv(columns, [("t", metric, ladders, [])]).splitlines()[1:] == [
+            "t,cvvdp,default,,1000,1000.0,7.0,0.05,444,1080",
+            "t,cvvdp,arcs,0.0,1000.0,1000.0,7.0,0.05,444,1080",
+        ]
+
+    def test_one_rung_text_per_record_and_target_per_title(self, small_corpus, monkeypatch):
+        heads, csv_fields, calls, alive = [], [], [], []
+        memos: dict[str, list] = {}
+        real_json, real_csv, real_head = cli._RungText.json, cli._RungText.csv, cli._rung_json_head
+
+        def watch(memo, ladder):
+            # Ids are unique only within a title: every earlier title's memo is gone.
+            title = ladder.title_id
+            alive.append(sum(ref() is not None for other, refs in memos.items()
+                             if other != title for ref in refs))
+            memos.setdefault(title, []).append(weakref.ref(memo))
+            calls.append(ladder)
+
+        def json_text(memo, ladder, newline):
+            watch(memo, ladder)
+            return real_json(memo, ladder, newline)
+
+        def csv_rows(memo, ladder, prefix, line):
+            watch(memo, ladder)
+
+            def recorded(row):
+                csv_fields.append((ladder.title_id, row[0]))
+                return line(row)
+
+            return real_csv(memo, ladder, prefix, recorded)
+
+        def head(rung, newline):
+            heads.append((calls[-1].title_id, rung.target_bitrate,
+                          None if rung.choice is None else rung.choice.key))
+            return real_head(rung, newline)
+
+        monkeypatch.setattr(cli._RungText, "json", json_text)
+        monkeypatch.setattr(cli._RungText, "csv", csv_rows)
+        monkeypatch.setattr(cli, "_rung_json_head", head)
+        out = Path(tempfile.mkdtemp(dir=small_corpus.parent))
+        assert run("compare", "--input", small_corpus, "--method", "arcs", "--method", "dynres",
+                   "--alpha", 0, "--alpha", 0.001, "--alpha", 0.08, "--format", "json",
+                   "--format", "csv", "--out", out) == 0
+
+        assert set(alive) == {0}
+        ladders = {(l.title_id, l.method, l.alpha): l for l in calls}
+        # Each ladder is rendered once as JSON and once as curve rows.
+        assert len(calls) == 2 * len(ladders)
+        distinct = {(title, rung.target_bitrate, None if rung.choice is None else rung.choice.key)
+                    for (title, _, _), ladder in ladders.items() for rung in ladder.rungs}
+        assert Counter(heads) == dict.fromkeys(distinct, 1)
+        present = {key for key in distinct if key[2] is not None}
+        assert Counter(csv_fields) == Counter(
+            (title, target) for title, target, _ in present)
+        # Ladders share records here: fewer texts than rungs.
+        assert len(heads) < sum(len(l.rungs) for l in ladders.values())
+
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    def test_report_without_json_renders_no_json(self, small_corpus, tmp_path, monkeypatch, fmt):
+        texts = record_calls(monkeypatch, "to_json_text")
+        heads = record_calls(monkeypatch, "_rung_json_head")
+        assert run("compare", "--input", small_corpus, "--method", "arcs", "--alpha", 0,
+                   "--format", fmt, "--out", tmp_path / fmt) == 0
+        assert (texts, heads) == ([], [])
+        assert run("compare", "--input", small_corpus, "--method", "arcs", "--alpha", 0,
+                   "--out", tmp_path / "json") == 0
+        assert len(texts) == 1 and heads
 
 
 def test_tracer_wraps_every_cli_binding_but_chroma_pmf():
