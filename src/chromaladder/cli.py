@@ -2,13 +2,19 @@
 compare methods with Bjontegaard deltas, sweep alpha, and report chroma usage.
 
 The four ladder commands (optimize, compare, sweep, pmf) share one evaluation
-pass, ``_evaluate``: it loads the datasets and the plan, then builds every
-(method, alpha) ladder title by title and turns per-title failures into
-exclusions. compare and sweep add Bjontegaard deltas on top; every command
-hands its payload to ``_emit``, which prints JSON or, with ``--out``, writes
-the requested files and prints a summary. Ladders are rendered one title at a
-time: a title's ``_RungText`` renders each distinct (record, target) once, and
-compare's title entries are rendered only when ``to_json_text`` reaches them.
+pass, ``_evaluate``: it loads the datasets and the plan, then runs each
+(method, alpha) builder of the command's table title by title and turns
+per-title failures into exclusions. optimize, compare and sweep build
+validated ``Ladder`` objects, and compare and sweep add Bjontegaard deltas on
+top. pmf needs only chroma counts: arcs and dynres count the solver's chosen
+rungs (``chroma_counts``) without building a ladder, and default and fixed
+count their one built ladder. Every command hands its payload to ``_emit``,
+which prints JSON or, with ``--out``, writes the requested files and prints a
+summary. A value that JSON cannot encode fails every command with exit 1
+before any file is written, whatever ``--format`` asks for. Ladders are
+rendered one title at a time: a title's ``_RungText`` renders each distinct
+(record, target) once, and compare's title entries are rendered only when
+``to_json_text`` reaches them.
 
 Exit codes: 0 success, 1 input/validation error, 2 computation error.
 All reports are deterministic: titles are processed in lexicographic order and
@@ -47,6 +53,7 @@ from .ladder import (
     build_default,
     build_dynres,
     build_fixed,
+    chroma_counts,
     chroma_shares,
     count_chroma,
     load_plan,
@@ -213,6 +220,28 @@ _BUILDERS = {
 }
 
 
+def _counted(builder):
+    """``builder``'s ladder counted by fidelity rank (see ``count_chroma``)."""
+
+    def count(cfg, plan, index, alpha):
+        counts = [0] * len(ChromaFormat)
+        count_chroma([builder(cfg, plan, index, alpha)], counts)
+        return counts
+
+    return count
+
+
+# pmf's table: each method's present rungs counted by fidelity rank. The alpha
+# methods count the solver's choices and build no ladder.
+_PMF_BUILDERS = {
+    Method.ARCS: lambda cfg, plan, index, alpha: chroma_counts(index, alpha, None, cfg.mode),
+    Method.DYNRES_JOD: lambda cfg, plan, index, alpha: chroma_counts(
+        index, alpha, cfg.chroma_fixed, cfg.mode),
+    Method.DEFAULT: _counted(_BUILDERS[Method.DEFAULT]),
+    Method.FIXED_LADDER: _counted(_BUILDERS[Method.FIXED_LADDER]),
+}
+
+
 def _merge(parsed: Iterable[TitleDataset]) -> dict[tuple[str, QualityMetric], TitleDataset]:
     """The records of every input file merged by (title, metric), in (title,
     metric) order; a record given twice raises ``DuplicateRecord``. A title
@@ -225,17 +254,19 @@ def _merge(parsed: Iterable[TitleDataset]) -> dict[tuple[str, QualityMetric], Ti
             for key, group in sorted(merged.items(), key=lambda kv: (kv[0][0], kv[0][1].value))}
 
 
-def _evaluate(cfg: RunConfig) -> Iterator[tuple[tuple[str, QualityMetric], list[tuple]]]:
-    """Build the ladders of every (title, method, alpha), one title at a time.
+def _evaluate(cfg: RunConfig, builders: dict[Method, Callable]
+              ) -> Iterator[tuple[tuple[str, QualityMetric], list[tuple]]]:
+    """Run ``builders`` (``_BUILDERS`` or ``_PMF_BUILDERS``) for every
+    (title, method, alpha), one title at a time.
 
     Yields ``((title, metric), evaluations)`` in title order, each evaluation
-    being ``(method, alpha, ladders, exclusion)`` in (method, alpha) order
-    over ``cfg.methods``. ``ladders`` is ``(reference ladder, method
-    ladder)``, or ``(method ladder,)`` when ``cfg.reference`` is None; when a
-    build fails it is None and ``exclusion`` says why. ``alpha`` is None
-    unless the method or the reference is built with it. Every ladder of a
-    title reads the title's one candidate index, each is built once, and only
-    the current title's ladders are kept.
+    being ``(method, alpha, built, exclusion)`` in (method, alpha) order over
+    ``cfg.methods``. ``built`` is ``(reference's result, method's result)``,
+    or ``(method's result,)`` when ``cfg.reference`` is None; when a build
+    fails it is None and ``exclusion`` says why. ``alpha`` is None unless the
+    method or the reference is built with it. Every build of a title reads
+    the title's one candidate index, each runs once, and only the current
+    title's results are kept.
     """
     datasets = _merge(ds for path in cfg.inputs
                       for ds in parse_dataset(Path(path).read_text(encoding="utf-8")))
@@ -251,7 +282,7 @@ def _evaluate(cfg: RunConfig) -> Iterator[tuple[tuple[str, QualityMetric], list[
     # builds are memoized by them, not by method: hashing an enum member runs
     # in Python.
     sides = () if cfg.reference is None else (cfg.reference,)
-    groups = [(method, alpha, tuple((_BUILDERS[side], alpha if side in ALPHA_METHODS else None)
+    groups = [(method, alpha, tuple((builders[side], alpha if side in ALPHA_METHODS else None)
                                     for side in (*sides, method)))
               for method in cfg.methods
               for alpha in (cfg.alphas if ALPHA_METHODS & {method, cfg.reference} else (None,))]
@@ -262,11 +293,11 @@ def _evaluate(cfg: RunConfig) -> Iterator[tuple[tuple[str, QualityMetric], list[
         evaluations = []
         for method, alpha, builds in groups:
             try:
-                ladders = tuple(build(builder, side_alpha) for builder, side_alpha in builds)
+                built = tuple(build(builder, side_alpha) for builder, side_alpha in builds)
             except LadderError as exc:
                 evaluations.append((method, alpha, None, _exclusion(title, metric, method, alpha, exc)))
             else:
-                evaluations.append((method, alpha, ladders, None))
+                evaluations.append((method, alpha, built, None))
         yield key, evaluations
 
 
@@ -445,6 +476,13 @@ def _curves_csv(columns: Sequence[str], titles: Sequence[tuple]) -> str:
     return "".join(parts)
 
 
+def _check_finite(values: Iterable[float]) -> None:
+    """Raise json's ValueError for the first non-finite value, so that a
+    report that JSON cannot encode fails in every ``--format``."""
+    for value in values:
+        _finite_float(value)
+
+
 def _emit(cfg: RunConfig, payload, files: Sequence[tuple[str, str, Callable[[], str]]],
           summary: Sequence[str]) -> int:
     """Print ``payload`` as JSON when there is no ``--out``. Otherwise write
@@ -551,7 +589,7 @@ def cmd_synth(args) -> int:
 def cmd_optimize(args) -> int:
     cfg = _config_from_args(args)
     payloads, skipped = [], []
-    for (_, metric), evaluations in _evaluate(cfg):
+    for (_, metric), evaluations in _evaluate(cfg, _BUILDERS):
         rungs = _RungText()
         for _, _, ladders, ex in evaluations:
             if ex is None:
@@ -578,6 +616,10 @@ def cmd_optimize(args) -> int:
     if not payloads:
         print("error: every ladder construction failed", file=sys.stderr)
         return EXIT_COMPUTE
+    if cfg.out_dir is not None:
+        # Every file is rendered before any is written, so a value that JSON
+        # cannot encode leaves no file behind.
+        files = [(fmt, name, lambda text=render(): text) for fmt, name, render in files]
     return _emit(cfg, payloads, files, [f"wrote {len(payloads)} ladder file(s) to {cfg.out_dir}"])
 
 
@@ -646,7 +688,7 @@ def _compare(cfg: RunConfig, per_title: bool) -> tuple[list[tuple], list[dict], 
     # Titles are counted per metric: a title measured in both metrics has a
     # dataset, and a row, for each.
     n_titles: Counter = Counter()
-    for (title, metric), evaluations in _evaluate(cfg):
+    for (title, metric), evaluations in _evaluate(cfg, _BUILDERS):
         n_titles[metric] += 1
         ladders, bd_rows, memo = {}, [], _TitleMemo()
         for method, alpha, pair, exclusion in evaluations:
@@ -700,6 +742,9 @@ def cmd_compare(args) -> int:
     if not rows:
         print("error: no comparison could be computed", file=sys.stderr)
         return EXIT_COMPUTE
+    _check_finite(value for _, _, _, bd_rows in titles for row in bd_rows
+                  for value in (row["bdr_percent"], row["bddt_percent"], *row["overlap_quality"]))
+    _check_finite(value for row in rows for value in (row["mean_bdr_percent"], row["mean_bddt_percent"]))
     # Each title entry is rendered where report.json reaches it.
     report = {
         "config": _config_payload(cfg),
@@ -739,6 +784,7 @@ def cmd_sweep(args) -> int:
         print("error: no comparison could be computed", file=sys.stderr)
         return EXIT_COMPUTE
     rows.sort(key=lambda r: (r["alpha"], r["method"], r["metric"]))
+    _check_finite(value for row in rows for value in (row["mean_bdr_percent"], row["mean_bddt_percent"]))
     frontier = {"config": _config_payload(cfg), "frontier": rows, "excluded": excluded}
     columns = ["alpha", "method", "metric", "mean_bdr_percent",
                "mean_bddt_percent", "titles_used", "titles_excluded"]
@@ -755,18 +801,19 @@ def cmd_pmf(args) -> int:
     cfg = _config_from_args(args)
     # Every title yields every (method, alpha) group in the same order, so the
     # first title fixes the order of the rows and of the exclusions, and a
-    # group is found by its position. Each title's present rungs are counted by
-    # fidelity rank as the title is evaluated; its ladders are not kept.
+    # group is found by its position. Each title gives its present rungs
+    # counted by fidelity rank; they are added to its group's counts.
     groups: list[tuple[Method, float | None, list[int], list[dict]]] = []
     n_titles = 0
-    for _, evaluations in _evaluate(cfg):
+    for _, evaluations in _evaluate(cfg, _PMF_BUILDERS):
         if not groups:
             groups = [(method, alpha, [0] * len(ChromaFormat), [])
                       for method, alpha, _, _ in evaluations]
         n_titles += 1
-        for (_, _, counts, failed), (_, _, ladders, exclusion) in zip(groups, evaluations):
+        for (_, _, counts, failed), (_, _, built, exclusion) in zip(groups, evaluations):
             if exclusion is None:
-                count_chroma(ladders, counts)
+                for rank, n in enumerate(built[0]):
+                    counts[rank] += n
             else:
                 failed.append(exclusion)
     rows, excluded = [], []

@@ -28,6 +28,9 @@ and alpha of the title::
 
     index = CandidateIndex(dataset, 0.10, cross_target=False)
     ladder = optimize_arcs(index, Alpha(0.04))
+
+``chroma_counts`` runs the same solve as ``optimize_arcs``/``build_dynres``
+and counts the chosen rungs by chroma format without building a ladder.
 """
 
 from __future__ import annotations
@@ -126,20 +129,20 @@ def validate_rungs(rungs: Sequence[Rung]) -> None:
     targets = [r.target_bitrate for r in rungs]
     if not all(map(operator.lt, targets, targets[1:])):
         raise InvalidLadder("rung targets must be strictly increasing")
-    prev: tuple[int, int] | None = None
-    for r in rungs:
-        if r.choice is None:
-            continue
-        hf = (r.choice.resolution.height, r.choice.chroma.fidelity_rank)
-        if prev is not None and not _step_ok(prev, hf):
-            if hf[0] < prev[0]:
-                raise InvalidLadder(
-                    f"resolution decreases {prev[0]} -> {hf[0]} with rising bitrate"
-                )
-            raise InvalidLadder(
-                f"chroma fidelity decreases within the {hf[0]}p run"
-            )
-        prev = hf
+    _check_chain([(r.choice.resolution.height, r.choice.chroma.fidelity_rank)
+                  for r in rungs if r.choice is not None])
+
+
+def _check_chain(hfs: Sequence[tuple[int, int]]) -> None:
+    """Raise InvalidLadder unless the (height, fidelity_rank) pairs of the
+    present rungs, in target order, pass ``_step_ok`` pair by pair, which is
+    to say that they never decrease."""
+    if all(map(operator.le, hfs, hfs[1:])):
+        return
+    prev, hf = next((a, b) for a, b in zip(hfs, hfs[1:]) if a > b)
+    if hf[0] < prev[0]:
+        raise InvalidLadder(f"resolution decreases {prev[0]} -> {hf[0]} with rising bitrate")
+    raise InvalidLadder(f"chroma fidelity decreases within the {hf[0]}p run")
 
 
 def _step_ok(prev: tuple[int, int], nxt: tuple[int, int]) -> bool:
@@ -444,6 +447,23 @@ def _solve_enumerate(pools, js) -> list[int | None]:
 # -- builders -----------------------------------------------------------------
 
 
+def _choose(
+    index: CandidateIndex, alpha: Alpha, chroma: ChromaFormat | None, solver
+) -> tuple[tuple, list[list[float]], list[int | None]]:
+    """The pools of the chroma view, each candidate's objective at ``alpha``
+    and the solver's candidate position per rung (None for an absent rung)."""
+    pools = index._pools(chroma)
+    if all(not pool for pool in pools):
+        raise AllRungsAbsent(
+            f"title {index.dataset.title_id!r}: no candidate at any target bitrate"
+        )
+    a = alpha.value
+    js = [[q - a * d for _, q, d, _ in pool] for pool in pools]
+    if solver is _relax:
+        return pools, js, _relax(index._graph(chroma), pools, js)
+    return pools, js, solver(pools, js)
+
+
 def _build(
     index: CandidateIndex,
     method: Method,
@@ -453,17 +473,7 @@ def _build(
 ) -> Ladder:
     alpha = as_alpha(alpha)
     dataset = index.dataset
-    pools = index._pools(chroma)
-    if all(not pool for pool in pools):
-        raise AllRungsAbsent(
-            f"title {dataset.title_id!r}: no candidate at any target bitrate"
-        )
-    a = alpha.value
-    js = [[q - a * d for _, q, d, _ in pool] for pool in pools]
-    if solver is _relax:
-        choices = _relax(index._graph(chroma), pools, js)
-    else:
-        choices = solver(pools, js)
+    pools, js, choices = _choose(index, alpha, chroma, solver)
     rungs = tuple(
         Rung(t, pools[i][k][0], js[i][k]) if k is not None else Rung(t)
         for i, (t, k) in enumerate(zip(dataset.bitrate_targets, choices))
@@ -503,6 +513,30 @@ def build_dynres(
     chroma format (default the full-fidelity source format)."""
     solver = _relax if mode is OptimizerMode.GLOBAL_DP else _solve_greedy
     return _build(index, Method.DYNRES_JOD, alpha, fixed_chroma, solver)
+
+
+def chroma_counts(
+    index: CandidateIndex,
+    alpha: Alpha | float,
+    chroma: ChromaFormat | None = None,
+    mode: OptimizerMode = OptimizerMode.GLOBAL_DP,
+) -> tuple[int, ...]:
+    """The present rungs of ``optimize_arcs(index, alpha, mode)`` (``chroma``
+    None) or ``build_dynres(index, alpha, chroma, mode)``, counted by fidelity
+    rank as ``count_chroma`` counts them, without building the ladder.
+
+    Raises what the builder raises: ``AllRungsAbsent`` when no target has a
+    candidate, and ``InvalidLadder`` when the chosen rungs break the chain.
+    Targets need no check: a ``TitleDataset``'s are strictly increasing.
+    """
+    solver = _relax if mode is OptimizerMode.GLOBAL_DP else _solve_greedy
+    pools, _, choices = _choose(index, as_alpha(alpha), chroma, solver)
+    hfs = [pools[i][k][3] for i, k in enumerate(choices) if k is not None]
+    _check_chain(hfs)
+    counts = [0] * len(ChromaFormat)
+    for _, rank in hfs:
+        counts[rank] += 1
+    return tuple(counts)
 
 
 def build_default(index: CandidateIndex) -> Ladder:

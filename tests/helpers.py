@@ -468,5 +468,5 @@ def oracle_compare_files(cfg) -> dict[str, str]:
 def oracle_optimize_payloads(cfg) -> list[dict]:
     """The ladder payloads of an optimize run, in output order."""
     return [oracle_ladder_payload(ladders[0], metric, cfg)
-            for (_, metric), evaluations in cli._evaluate(cfg)
+            for (_, metric), evaluations in cli._evaluate(cfg, cli._BUILDERS)
             for _, _, ladders, exclusion in evaluations if exclusion is None]

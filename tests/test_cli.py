@@ -42,6 +42,7 @@ from chromaladder import (
     spec_to_json,
 )
 import chromaladder.cli as cli
+import chromaladder.ladder as ladder_module
 from chromaladder.cli import main, to_json_text
 from chromaladder.bdmetrics import CurveAxis
 from chromaladder.errors import LadderError
@@ -512,25 +513,76 @@ class TestPmf:
             assert abs(sum(row["pmf"].values()) - 1.0) <= 1e-12
         assert (out / "pmf.csv").exists()
 
-    def test_previous_title_ladders_are_dropped(self, small_corpus, monkeypatch):
-        # pmf keeps counts, not ladders: once the next title's evaluations are
-        # consumed, no ladder of the title before it is alive.
-        evaluate, alive = cli._evaluate, []
+    def test_only_benchmark_methods_build_ladders(self, small_corpus, monkeypatch):
+        # arcs and dynres are counted from the solver's choices; default and
+        # fixed count the one ladder their builder returns per title.
+        made, defaults, counted = [], [], []
+        post_init, real_default, real_count = Ladder.__post_init__, cli.build_default, cli.count_chroma
 
-        def watched(cfg):
-            previous = []
-            for key, evaluations in evaluate(cfg):
-                current = [weakref.ref(ladder) for _, _, ladders, _ in evaluations
-                           for ladder in ladders or ()]
-                yield key, evaluations
-                if previous:
-                    alive.append(sum(ref() is not None for ref in previous))
-                previous = current
+        def watched_post_init(ladder):
+            made.append(ladder.method)
+            post_init(ladder)
 
-        monkeypatch.setattr(cli, "_evaluate", watched)
+        def watched_default(index):
+            defaults.append(real_default(index))
+            return defaults[-1]
+
+        def watched_count(ladders, counts):
+            ladders = list(ladders)
+            counted.extend(ladders)
+            real_count(ladders, counts)
+
+        monkeypatch.setattr(Ladder, "__post_init__", watched_post_init)
+        monkeypatch.setattr(cli, "build_default", watched_default)
+        monkeypatch.setattr(cli, "count_chroma", watched_count)
         assert _captured(["pmf", "--input", small_corpus, "--method", "arcs", "--method",
                           "dynres", "--alpha", 0, "--alpha", 0.04])[0] == 0
-        assert alive == [0, 0, 0]
+        assert (made, defaults, counted) == ([], [], [])
+        assert _captured(["pmf", "--input", small_corpus, "--method", "default"])[0] == 0
+        assert [l.title_id for l in defaults] == [f"synth{i:03d}" for i in range(4)]
+        assert [id(l) for l in counted] == [id(l) for l in defaults]
+        assert made and {l.method for l in counted} == {Method.DEFAULT}
+
+    @pytest.mark.parametrize("mode", ["dp", "greedy"])
+    @pytest.mark.parametrize("cross_target", [False, True])
+    def test_choice_counts_equal_ladder_counts(self, small_corpus, small_plan, monkeypatch,
+                                               mode, cross_target):
+        argv = ["pmf", "--input", small_corpus, "--plan", small_plan, "--mode", mode,
+                *(f for m in Method for f in ("--method", m.value)),
+                "--alpha", 0, "--alpha", 0.04, "--alpha", 1,
+                *(["--cross-target"] if cross_target else [])]
+        for chroma in ("444", "420"):
+            got = _captured([*argv, "--chroma-fixed", chroma])
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_PMF_BUILDERS",
+                              {m: cli._counted(b) for m, b in cli._BUILDERS.items()})
+                assert _captured([*argv, "--chroma-fixed", chroma]) == got
+            assert got[0] == 0
+
+    def test_decreasing_choice_excludes_the_title(self, small_corpus, monkeypatch):
+        # A solver that breaks the chain gets the title excluded with the
+        # message validate_rungs gives a ladder built from the same choices.
+        real = ladder_module._relax
+
+        def decreasing(graph, pools, js):
+            choices = real(graph, pools, js)
+            if pools[0][0][0].title_id == "synth001":
+                # The first rung's largest candidate, the last rung's smallest.
+                choices[0], choices[-1] = len(pools[0]) - 1, 0
+            return choices
+
+        monkeypatch.setattr(ladder_module, "_relax", decreasing)
+        argv = ["pmf", "--input", small_corpus, "--method", "arcs", "--method", "dynres",
+                "--alpha", 0, "--alpha", 0.08]
+        code, out, _ = _captured(argv)
+        monkeypatch.setattr(cli, "_PMF_BUILDERS",
+                            {m: cli._counted(b) for m, b in cli._BUILDERS.items()})
+        assert (code, out) == _captured(argv)[:2]
+        assert code == 0
+        excluded = json.loads(out)["excluded"]
+        assert [(x["title"], x["method"], x["alpha"]) for x in excluded] == [
+            ("synth001", method, alpha) for method in ("arcs", "dynres") for alpha in (0.0, 0.08)]
+        assert {x["reason"] for x in excluded} == {"resolution decreases 2160 -> 1080 with rising bitrate"}
 
     def test_rows_equal_chroma_pmf_of_directly_built_ladders(self, tmp_path, capsys):
         # "no444" has no 4:4:4 encode, so its dynres ladders are excluded.
@@ -1150,11 +1202,13 @@ class TestJsonErrorPath:
 
     @pytest.mark.parametrize("command", [("compare", "--method", "arcs"), ("sweep",)],
                              ids=lambda argv: argv[0])
-    @pytest.mark.parametrize("to_dir", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("to_dir", [None, (), ("--format", "csv"), ("--format", "markdown")],
+                             ids=["stdout", "out", "csv", "markdown"])
     def test_non_finite_value_exits_one(self, small_corpus, tmp_path, capsys, nan_bd, command, to_dir):
+        # Every format fails as JSON does: no format writes "nan".
         out = tmp_path / "rep"
         argv = [*command, "--input", small_corpus, "--alpha", 0, "--alpha", 0.08,
-                *(["--out", out] if to_dir else [])]
+                *([] if to_dir is None else ["--out", out, *to_dir])]
         assert run(*argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1179,6 +1233,25 @@ class TestJsonErrorPath:
         argv = [*command, "--input", small_corpus, "--alpha", 0, "--alpha", 0.08,
                 *(["--out", out] if to_dir else [])]
         assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Out of range float values are not JSON compliant: nan\n"
+        assert not out.exists()
+
+    def test_optimize_writes_no_file_when_a_later_ladder_fails(self, small_corpus, tmp_path,
+                                                                capsys, monkeypatch):
+        # Only dynres, the second method, has NaN j_primes: the arcs ladder
+        # file that comes first must not be written either.
+        real = cli._BUILDERS[Method.DYNRES_JOD]
+
+        def nan_ladder(cfg, plan, index, alpha):
+            ladder = real(cfg, plan, index, alpha)
+            return replace(ladder, rungs=tuple(replace(r, j_prime=math.nan) for r in ladder.rungs))
+
+        monkeypatch.setitem(cli._BUILDERS, Method.DYNRES_JOD, nan_ladder)
+        out = tmp_path / "ladders"
+        assert run("optimize", "--input", small_corpus, "--method", "arcs", "--method", "dynres",
+                   "--alpha", 0, "--out", out) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: Out of range float values are not JSON compliant: nan\n"

@@ -32,6 +32,7 @@ from chromaladder import (
     build_dynres,
     build_fixed,
     candidates_for,
+    chroma_counts,
     chroma_pmf,
     composite_normalized,
     default_spec,
@@ -44,6 +45,7 @@ from chromaladder import (
 from chromaladder.errors import (
     AllRungsAbsent,
     InvalidLadder,
+    LadderError,
     InvalidPlan,
     NoPresentRungs,
     PlanTargetUnknown,
@@ -958,6 +960,73 @@ class TestLiveStateGraphSolves:
                     js = [[q - alpha * d for _, q, d, _ in pool] for pool in pools]
                     assert ladder_module._relax(graph, pools, js) == (
                         ladder_module._relax(old, pools, js)), (ds.title_id, alpha)
+
+
+def _counted_or_error(count):
+    """``count()``, or the class and message of the ``LadderError`` it raises."""
+    try:
+        return count()
+    except LadderError as exc:
+        return type(exc), str(exc)
+
+
+def _ladder_counts(index, alpha, chroma, mode):
+    """``count_chroma`` of the public builder's ladder."""
+    if chroma is None:
+        ladder = optimize_arcs(index, alpha, mode)
+    else:
+        ladder = build_dynres(index, alpha, chroma, mode)
+    counts = [0, 0, 0]
+    ladder_module.count_chroma([ladder], counts)
+    return tuple(counts)
+
+
+class TestChromaCounts:
+    """``chroma_counts`` counts the chosen rungs as ``count_chroma`` counts
+    the public builders' ladders, and fails as they fail."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ds=_titles() | st.integers(0, 2**16).map(
+            lambda seed: generate(sparse_spec(seed=seed, titles=1))[0]),
+        cross_target=st.booleans(),
+        chroma=st.sampled_from([None, C444]),
+        mode=st.sampled_from(list(OptimizerMode)),
+        alpha=st.sampled_from([0.0, 0.01, 0.04, 0.3, 1.0]),
+    )
+    def test_equals_count_chroma_of_the_builders_ladder(self, ds, cross_target, chroma, mode,
+                                                         alpha):
+        index = CandidateIndex(ds, 0.10, cross_target=cross_target)
+        got = _counted_or_error(lambda: chroma_counts(index, Alpha(alpha), chroma, mode))
+        assert got == _counted_or_error(lambda: _ladder_counts(index, Alpha(alpha), chroma, mode))
+
+    def test_title_without_the_view_raises_all_rungs_absent(self):
+        ds = grid_dataset(lambda h, c, b: h / 1000, lambda h, c, b: 0.05, chromas=(C420,))
+        for mode in OptimizerMode:
+            got = _counted_or_error(lambda: chroma_counts(CandidateIndex(ds), 0.0, C444, mode))
+            assert got[0] is AllRungsAbsent
+            assert got == _counted_or_error(
+                lambda: _ladder_counts(CandidateIndex(ds), Alpha(0.0), C444, mode))
+
+    @pytest.mark.parametrize("mode", list(OptimizerMode))
+    def test_decreasing_choice_raises_what_validate_rungs_raises(self, monkeypatch, mode):
+        ds = grid_dataset(lambda h, c, b: h / 1000 + b / 1000, lambda h, c, b: 0.05)
+        solver = "_relax" if mode is OptimizerMode.GLOBAL_DP else "_solve_greedy"
+        real = getattr(ladder_module, solver)
+
+        def swapped(*args):
+            # The last rung takes a candidate below the rung before it.
+            choices = real(*args)
+            pools = args[-2]
+            prev = pools[-2][choices[-2]][3]
+            choices[-1] = next(k for k, c in enumerate(pools[-1]) if c[3] < prev)
+            return choices
+
+        monkeypatch.setattr(ladder_module, solver, swapped)
+        got = _counted_or_error(lambda: chroma_counts(CandidateIndex(ds), 0.0, None, mode))
+        assert got[0] is InvalidLadder
+        assert got == _counted_or_error(
+            lambda: _ladder_counts(CandidateIndex(ds), Alpha(0.0), None, mode))
 
 
 def test_greedy_vs_dp_script():
