@@ -31,6 +31,12 @@ and alpha of the title::
 
 ``chroma_counts`` runs the same solve as ``optimize_arcs``/``build_dynres``
 and counts the chosen rungs by chroma format without building a ladder.
+
+The exact optimizer relaxes a DP graph that titles encoded on one grid share.
+From a graph's ``KERNEL_SOLVES``-th solve on, its relaxation is generated as
+straight-line Python from the graph's integers and compiled; that kernel
+gives the same choices and hands any instance with an exact score tie back to
+the interpreted pass, which alone breaks ties.
 """
 
 from __future__ import annotations
@@ -73,8 +79,14 @@ ENUMERATION_GUARD = 10**7
 
 # Compiled DP graphs kept for reuse. Titles encoded on one grid need one graph
 # per chroma view; a title with windows of its own needs its own graph, so the
-# memo stays small instead of keeping one graph (~10 KB) per title.
+# memo stays small instead of keeping one graph (~10 KB) per title. A graph's
+# kernel (about 170 B per edge: 34 KB for the default grid's arcs graph) lives
+# on the graph and leaves the memo with it.
 GRAPH_CACHE_SIZE = 8
+
+# Solves a graph serves before it gets a kernel: the break-even of generating
+# one (see the solvers below).
+KERNEL_SOLVES = 400
 
 
 class Method(Enum):
@@ -202,6 +214,7 @@ class CandidateIndex:
         # enum member runs in Python.
         self._filtered: dict[int, tuple] = {-1: self.pools}
         self._graphs: dict[int, _Graph] = {}
+        self._cols: dict[int, tuple] = {}
 
     def _pools(self, chroma: ChromaFormat | None) -> tuple:
         rank = -1 if chroma is None else chroma.fidelity_rank
@@ -219,6 +232,19 @@ class CandidateIndex:
             shape = tuple(tuple(c[3] for c in pool) for pool in self._pools(chroma))
             graph = self._graphs[rank] = _compile(shape)
         return graph
+
+    def _columns(self, chroma: ChromaFormat | None) -> tuple:
+        """The view's q' and d' as two columns, each one tuple per rung, in
+        pool order: the arguments of the graph's kernel."""
+        rank = -1 if chroma is None else chroma.fidelity_rank
+        cols = self._cols.get(rank)
+        if cols is None:
+            pools = self._pools(chroma)
+            cols = self._cols[rank] = (
+                tuple(tuple(c[1] for c in pool) for pool in pools),
+                tuple(tuple(c[2] for c in pool) for pool in pools),
+            )
+        return cols
 
 
 def _rung_key(cand: tuple, j: float) -> tuple:
@@ -243,7 +269,8 @@ _ABSENT_KEY = (0, 0.0, 0.0, 0, 0, 0.0, 0.0)
 #
 # Every solver takes the pools of one chroma view and ``js``, the objective of
 # each candidate for one alpha (``_relax`` also takes the compiled graph), and
-# returns one candidate position per rung (None for an absent rung).
+# returns one candidate position per rung (None for an absent rung). A graph's
+# kernel (see below) returns the same from the view's q'/d' columns and alpha.
 #
 # Both exact solvers search the space of maximal assignments. An absent rung
 # whose pool still holds candidates feasible w.r.t. the previous present rung
@@ -264,19 +291,45 @@ _ABSENT_KEY = (0, 0.0, 0.0, 0, 0, 0.0, 0.0)
 # once per distinct (height, fidelity) shape of the pools: titles encoded on
 # one grid share it. The graph keeps only the states from which a final state
 # can be reached; where every window holds every encode no rung may be
-# absent, so no state has a cap. ``_relax`` then runs one max-plus pass over the edges per
-# alpha. Each state keeps its best path by (summed objective,
+# absent, so no state has a cap. ``_relax`` then runs one max-plus pass over
+# the edges per alpha. Each state keeps its best path by (summed objective,
 # then the sequence of rung keys) as a backpointer; the key sequences are
 # rebuilt from the backpointers only when two sums are exactly equal.
+#
+# A graph gets a kernel on its ``KERNEL_SOLVES``-th solve: ``_kernel`` writes
+# its relaxation out as straight-line Python, one local variable per state
+# and per candidate objective, and compiles it once. The kernel scores each
+# candidate as ``q' - alpha * d'`` from the index's q'/d' columns, the same
+# two float operations as ``_relax``'s ``js``, and adds and compares in
+# ``_relax``'s edge order, so every partial sum and every comparison is the
+# same. It does not break ties: at the first exact score tie, at a state or
+# among the finals, it returns None and ``_relax`` solves the instance, so
+# ``_relax`` stays the one definition of the ``_path_keys`` order. ``exec``
+# runs only text built from the graph's integers (state numbers and candidate
+# positions), never from input data.
+#
+# The trigger is the break-even. Generating costs about 50 us per edge, nearly
+# all of it in ``compile``: 10 ms for the 195-edge arcs graph of the default
+# grid and 1.7 ms for its 29-edge 4:4:4 graph (up to 17 and 3 ms in a fresh
+# command). A kernel saves about 34 us and 15 us per solve of those graphs,
+# so they pay back after 300 and 120 solves; ``KERNEL_SOLVES`` sits above
+# both. A grid shared by a corpus is solved thousands of times (``pmf`` over
+# 17 alphas: 5100 per graph at 300 titles; ``compare`` over 5 alphas: 1500).
+# A title with windows of its own has a graph of its own, solved once per
+# alpha, and stays on ``_relax``: on sparse corpora even compiling that graph
+# costs about what its few solves use (CHANGES.md, the FOUND line on sparse
+# corpora), and a kernel would cost more again.
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _Graph:
     # Per rung: edges (source state, destination state, candidate position or
     # -1 for an absent rung); states are numbered per layer, the start is 0.
     layers: tuple[tuple[tuple[int, int, int], ...], ...]
     widths: tuple[int, ...]  # number of states after each rung
     finals: tuple[int, ...]  # states after the last rung with no pending cap
+    solves: int = 0  # DP solves served so far
+    kernel: object = None  # made by ``_kernel`` on the KERNEL_SOLVES-th solve
 
 
 @functools.lru_cache(maxsize=GRAPH_CACHE_SIZE)
@@ -389,6 +442,55 @@ def _path_keys(backs, pools, js, state: int, last: int | None = None) -> list[tu
     return keys
 
 
+def _kernel(graph: _Graph):
+    """``graph``'s relaxation as straight-line code: ``kernel(qs, ds, a)``
+    returns ``_relax``'s choices for the objectives ``qs[i][k] - a * ds[i][k]``,
+    or None at the first exact score tie, which ``_relax`` must break."""
+    n = len(graph.layers)
+    out = [
+        "def kernel(qs, ds, a):",
+        f"    {''.join(f'q{i}, ' for i in range(n))}= qs",
+        f"    {''.join(f'd{i}, ' for i in range(n))}= ds",
+        "    v0_0 = 0.0",
+    ]
+
+    def best(var, back, entries):
+        # The running maximum of ``entries`` (value, backpointer), in edge
+        # order, as ``_relax`` takes it; an equal value is a tie.
+        for m, (value, b) in enumerate(entries):
+            if m == 0:
+                out.append(f"    {var} = {value}; {back} = {b}")
+            else:
+                out.append(f"    x = {value}")
+                out.append(f"    if x > {var}: {var} = x; {back} = {b}")
+                out.append(f"    elif x == {var}: return None")
+
+    for i, (edges, width) in enumerate(zip(graph.layers, graph.widths)):
+        for k in sorted({k for _, _, k in edges if k >= 0}):
+            out.append(f"    j{i}_{k} = q{i}[{k}] - a * d{i}[{k}]")
+        incoming: list[list] = [[] for _ in range(width)]
+        for src, dst, k in edges:
+            value = f"v{i}_{src}" if k < 0 else f"v{i}_{src} + j{i}_{k}"
+            incoming[dst].append((value, (src, k)))
+        for dst, entries in enumerate(incoming):
+            best(f"v{i + 1}_{dst}", f"b{i + 1}_{dst}", entries)
+    best("end", "f", [(f"v{n}_{f}", f) for f in graph.finals])
+    out += [
+        "    backs = (" + "".join(
+            "(" + "".join(f"b{i}_{s}, " for s in range(w)) + "), "
+            for i, w in enumerate(graph.widths, start=1)) + ")",
+        f"    choices = [None] * {n}",
+        f"    for i in range({n - 1}, -1, -1):",
+        "        f, k = backs[i][f]",
+        "        if k >= 0:",
+        "            choices[i] = k",
+        "    return choices",
+    ]
+    namespace: dict = {}
+    exec(compile("\n".join(out), "<dp kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def _solve_greedy(pools, js) -> list[int | None]:
     last: tuple[int, int] | None = None
     out: list[int | None] = []
@@ -449,19 +551,27 @@ def _solve_enumerate(pools, js) -> list[int | None]:
 
 def _choose(
     index: CandidateIndex, alpha: Alpha, chroma: ChromaFormat | None, solver
-) -> tuple[tuple, list[list[float]], list[int | None]]:
-    """The pools of the chroma view, each candidate's objective at ``alpha``
-    and the solver's candidate position per rung (None for an absent rung)."""
+) -> tuple[tuple, list[int | None]]:
+    """The pools of the chroma view and the solver's candidate position per
+    rung (None for an absent rung) at ``alpha``."""
     pools = index._pools(chroma)
     if all(not pool for pool in pools):
         raise AllRungsAbsent(
             f"title {index.dataset.title_id!r}: no candidate at any target bitrate"
         )
     a = alpha.value
-    js = [[q - a * d for _, q, d, _ in pool] for pool in pools]
+    choices = None
     if solver is _relax:
-        return pools, js, _relax(index._graph(chroma), pools, js)
-    return pools, js, solver(pools, js)
+        graph = index._graph(chroma)
+        graph.solves += 1
+        if graph.solves >= KERNEL_SOLVES:
+            if graph.kernel is None:
+                graph.kernel = _kernel(graph)
+            choices = graph.kernel(*index._columns(chroma), a)
+    if choices is None:
+        js = [[q - a * d for _, q, d, _ in pool] for pool in pools]
+        choices = _relax(graph, pools, js) if solver is _relax else solver(pools, js)
+    return pools, choices
 
 
 def _build(
@@ -473,12 +583,16 @@ def _build(
 ) -> Ladder:
     alpha = as_alpha(alpha)
     dataset = index.dataset
-    pools, js, choices = _choose(index, alpha, chroma, solver)
-    rungs = tuple(
-        Rung(t, pools[i][k][0], js[i][k]) if k is not None else Rung(t)
-        for i, (t, k) in enumerate(zip(dataset.bitrate_targets, choices))
-    )
-    return Ladder(dataset.title_id, method, rungs, alpha)
+    pools, choices = _choose(index, alpha, chroma, solver)
+    a = alpha.value
+    rungs = []
+    for i, (t, k) in enumerate(zip(dataset.bitrate_targets, choices)):
+        if k is None:
+            rungs.append(Rung(t))
+        else:
+            record, q, d, _ = pools[i][k]
+            rungs.append(Rung(t, record, q - a * d))
+    return Ladder(dataset.title_id, method, tuple(rungs), alpha)
 
 
 def optimize_arcs(
@@ -530,7 +644,7 @@ def chroma_counts(
     Targets need no check: a ``TitleDataset``'s are strictly increasing.
     """
     solver = _relax if mode is OptimizerMode.GLOBAL_DP else _solve_greedy
-    pools, _, choices = _choose(index, as_alpha(alpha), chroma, solver)
+    pools, choices = _choose(index, as_alpha(alpha), chroma, solver)
     hfs = [pools[i][k][3] for i, k in enumerate(choices) if k is not None]
     _check_chain(hfs)
     counts = [0] * len(ChromaFormat)

@@ -8,8 +8,13 @@ to a present candidate (absences only where forced), and picks the best by
 dynamic program or its pruned enumeration beyond the objective values.
 """
 
+import contextlib
+import gc
 import importlib.util
 import itertools
+import math
+import re
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -600,6 +605,61 @@ class TestChromaPmf:
             chroma_pmf([])
 
 
+def _rung_key_tie_title(targets):
+    """Two 600 kbps encodes of equal score, and a 2400 kbps encode that both
+    can step to; the records at ``targets``."""
+    recs = [
+        record(height=1080, chroma=C420, target=600.0, quality=6.0, decode=0.05),
+        record(height=1080, chroma=C422, target=600.0, quality=6.0, decode=0.05),
+        record(height=2160, chroma=C420, target=2400.0, quality=8.0, decode=0.1),
+    ]
+    return TitleDataset.from_records(r for r in recs if r.target_bitrate in targets)
+
+
+@contextlib.contextmanager
+def _kernels(solves):
+    """Offer every DP solve to a kernel from a graph's ``solves``-th solve on.
+
+    Yields ``(made, results)``: each graph given a kernel, with its solve
+    count then, and each kernel's result, in order. DP graphs are compiled
+    afresh on entry and dropped on exit, so build indexes inside."""
+    made, results = [], []
+    real = ladder_module._kernel
+
+    def kernel(graph):
+        made.append((graph, graph.solves))
+        solve = real(graph)
+
+        def run(*args):
+            results.append(solve(*args))
+            return results[-1]
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ladder_module, "KERNEL_SOLVES", solves)
+        patch.setattr(ladder_module, "_kernel", kernel)
+        ladder_module._compile.cache_clear()
+        try:
+            yield made, results
+        finally:
+            ladder_module._compile.cache_clear()
+
+
+@contextlib.contextmanager
+def _path_keys_calls():
+    """The calls ``_relax`` makes to ``_path_keys`` while open."""
+    calls = []
+    real = ladder_module._path_keys
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ladder_module, "_path_keys", counted)
+        yield calls
+
+
 class TestCandidateIndex:
     """The per-title index and compiled DP graph reused across alphas."""
 
@@ -664,22 +724,10 @@ class TestCandidateIndex:
             (600.0,),
         ],
     )
-    def test_exact_score_tie_broken_by_rung_keys(self, monkeypatch, targets):
-        recs = [
-            record(height=1080, chroma=C420, target=600.0, quality=6.0, decode=0.05),
-            record(height=1080, chroma=C422, target=600.0, quality=6.0, decode=0.05),
-            record(height=2160, chroma=C420, target=2400.0, quality=8.0, decode=0.1),
-        ]
-        ds = TitleDataset.from_records(r for r in recs if r.target_bitrate in targets)
-        calls = []
-        path_keys = ladder_module._path_keys
-
-        def counted(*args):
-            calls.append(args)
-            return path_keys(*args)
-
-        monkeypatch.setattr(ladder_module, "_path_keys", counted)
-        dp = optimize_arcs(CandidateIndex(ds), Alpha(0.0))
+    def test_exact_score_tie_broken_by_rung_keys(self, targets):
+        ds = _rung_key_tie_title(targets)
+        with _path_keys_calls() as calls:
+            dp = optimize_arcs(CandidateIndex(ds), Alpha(0.0))
         assert calls, "the tie-break on rung keys was not reached"
         assert dp.rungs[0].choice.chroma is C420  # equal score: lower fidelity wins
         assert dp.rungs == enumerate_optimal(CandidateIndex(ds), Alpha(0.0)).rungs
@@ -690,6 +738,7 @@ class TestCandidateIndex:
         corpus = [random_dataset(rng) for _ in range(20)]
         # Degenerate bounds: every q' and d' is 0.0.
         corpus.append(grid_dataset(lambda h, c, b: 5.0, lambda h, c, b: 0.05))
+        solved = []
         for ds in corpus:
             bounds = bounds_for(ds)
             for cross_target in (False, True):
@@ -699,11 +748,22 @@ class TestCandidateIndex:
                         for rec, q, d, hf in pool:
                             assert q - alpha * d == composite_normalized(rec, bounds, alpha)
                             assert hf == (rec.resolution.height, rec.chroma.fidelity_rank)
-                    ladder = self._ladder_or_error(optimize_arcs, index, Alpha(alpha))
-                    if ladder is AllRungsAbsent:
-                        continue
-                    for rung in ladder.present_rungs:
-                        assert rung.j_prime == composite_normalized(rung.choice, bounds, alpha)
+                # The rungs' j_prime on the interpreted pass, then with every
+                # DP solve offered to a kernel first.
+                for solves in (math.inf, 1):
+                    with _kernels(solves) as (_, results):
+                        index = CandidateIndex(ds, 0.10, cross_target=cross_target)
+                        for alpha in self.ALPHAS:
+                            for build in (optimize_arcs, build_dynres):
+                                ladder = self._ladder_or_error(build, index, Alpha(alpha))
+                                if ladder is AllRungsAbsent:
+                                    continue
+                                for rung in ladder.present_rungs:
+                                    assert rung.j_prime == composite_normalized(
+                                        rung.choice, bounds, alpha)
+                    solved += results
+        # Kernels chose rungs, and declined ties to the interpreted pass.
+        assert {choices is None for choices in solved} == {False, True}
 
     def test_index_pools_follow_candidates_for(self):
         rng = np.random.default_rng(717)
@@ -981,19 +1041,26 @@ def _ladder_counts(index, alpha, chroma, mode):
     return tuple(counts)
 
 
+def _one_sparse_title(seed):
+    return generate(sparse_spec(seed=seed, titles=1))[0]
+
+
+# The cases of ``TestChromaCounts``' property, also run on kernels.
+_COUNT_CASES = dict(
+    ds=_titles() | st.integers(0, 2**16).map(_one_sparse_title),
+    cross_target=st.booleans(),
+    chroma=st.sampled_from([None, C444]),
+    mode=st.sampled_from(list(OptimizerMode)),
+    alpha=st.sampled_from([0.0, 0.01, 0.04, 0.3, 1.0]),
+)
+
+
 class TestChromaCounts:
     """``chroma_counts`` counts the chosen rungs as ``count_chroma`` counts
     the public builders' ladders, and fails as they fail."""
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        ds=_titles() | st.integers(0, 2**16).map(
-            lambda seed: generate(sparse_spec(seed=seed, titles=1))[0]),
-        cross_target=st.booleans(),
-        chroma=st.sampled_from([None, C444]),
-        mode=st.sampled_from(list(OptimizerMode)),
-        alpha=st.sampled_from([0.0, 0.01, 0.04, 0.3, 1.0]),
-    )
+    @given(**_COUNT_CASES)
     def test_equals_count_chroma_of_the_builders_ladder(self, ds, cross_target, chroma, mode,
                                                          alpha):
         index = CandidateIndex(ds, 0.10, cross_target=cross_target)
@@ -1011,22 +1078,183 @@ class TestChromaCounts:
     @pytest.mark.parametrize("mode", list(OptimizerMode))
     def test_decreasing_choice_raises_what_validate_rungs_raises(self, monkeypatch, mode):
         ds = grid_dataset(lambda h, c, b: h / 1000 + b / 1000, lambda h, c, b: 0.05)
-        solver = "_relax" if mode is OptimizerMode.GLOBAL_DP else "_solve_greedy"
-        real = getattr(ladder_module, solver)
+        pools = CandidateIndex(ds)._pools(None)
 
-        def swapped(*args):
-            # The last rung takes a candidate below the rung before it.
-            choices = real(*args)
-            pools = args[-2]
-            prev = pools[-2][choices[-2]][3]
-            choices[-1] = next(k for k, c in enumerate(pools[-1]) if c[3] < prev)
-            return choices
+        def swapped(solve):
+            def run(*args):
+                # The last rung takes a candidate below the rung before it.
+                choices = solve(*args)
+                if choices is None:  # a kernel declined a tie
+                    return None
+                prev = pools[-2][choices[-2]][3]
+                choices[-1] = next(k for k, c in enumerate(pools[-1]) if c[3] < prev)
+                return choices
+            return run
 
-        monkeypatch.setattr(ladder_module, solver, swapped)
+        if mode is OptimizerMode.GLOBAL_DP:
+            # A DP solve runs the graph's kernel, if it has one, or ``_relax``;
+            # a fresh graph gets its kernel from the patched ``_kernel``.
+            ladder_module._compile.cache_clear()
+            kernel = ladder_module._kernel
+            monkeypatch.setattr(ladder_module, "_kernel", lambda graph: swapped(kernel(graph)))
+            monkeypatch.setattr(ladder_module, "_relax", swapped(ladder_module._relax))
+        else:
+            monkeypatch.setattr(ladder_module, "_solve_greedy",
+                                swapped(ladder_module._solve_greedy))
         got = _counted_or_error(lambda: chroma_counts(CandidateIndex(ds), 0.0, None, mode))
         assert got[0] is InvalidLadder
         assert got == _counted_or_error(
             lambda: _ladder_counts(CandidateIndex(ds), Alpha(0.0), None, mode))
+
+
+# -- generated relaxation kernels ----------------------------------------------------
+
+
+class TestOracleAgreementOnKernels(TestOracleAgreement):
+    """``TestOracleAgreement`` with every DP solve offered to a kernel first."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _kernel_on_every_solve(self):
+        with _kernels(1):
+            yield
+
+
+class TestChromaCountsOnKernels(TestChromaCounts):
+    """``TestChromaCounts`` with every DP solve offered to a kernel first."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _kernel_on_every_solve(self):
+        with _kernels(1):
+            yield
+
+    # Hypothesis runs a property for one class only: this class's is its own.
+    test_equals_count_chroma_of_the_builders_ladder = settings(max_examples=200, deadline=None)(
+        given(**_COUNT_CASES)(
+            TestChromaCounts.test_equals_count_chroma_of_the_builders_ladder.hypothesis.inner_test))
+
+
+class TestKernel:
+    """A graph's kernel makes ``_relax``'s choices, or declines at the first
+    exact score tie, and ``_relax`` then breaks the tie."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ds=st.integers(0, 2**32 - 1).map(lambda seed: random_dataset(np.random.default_rng(seed)))
+        | st.integers(0, 2**16).map(_one_sparse_title),
+        cross_target=st.booleans(),
+        chroma=st.sampled_from([None, C444]),
+        alphas=st.lists(st.sampled_from([0.0, 0.01, 0.04, 0.3, 1.0]), min_size=1, max_size=3),
+    )
+    def test_kernel_makes_relax_choices_or_declines_at_a_tie(self, ds, cross_target, chroma,
+                                                             alphas):
+        with _kernels(1) as (made, results):
+            index = CandidateIndex(ds, 0.10, cross_target=cross_target)
+            pools = index._pools(chroma)
+            if not any(pools):
+                return
+            graph = index._graph(chroma)
+            for alpha in alphas:
+                _, choices = ladder_module._choose(index, Alpha(alpha), chroma,
+                                                   ladder_module._relax)
+                js = [[q - alpha * d for _, q, d, _ in pool] for pool in pools]
+                with _path_keys_calls() as calls:
+                    want = ladder_module._relax(graph, pools, js)
+                assert choices == want
+                assert (results[-1] is None) == bool(calls)
+            assert [g for g, _ in made] == [graph] and len(results) == len(alphas)
+
+    @pytest.mark.parametrize("ds", [
+        _rung_key_tie_title((600.0, 2400.0)),
+        _rung_key_tie_title((600.0,)),
+        # Degenerate bounds: every q' and d' is 0.0.
+        grid_dataset(lambda h, c, b: 5.0, lambda h, c, b: 0.05),
+    ], ids=["tie-at-a-state", "tie-among-finals", "all-zero"])
+    def test_declines_ties_to_relax(self, ds):
+        for build in (optimize_arcs, build_dynres):
+            if build is build_dynres and not any(CandidateIndex(ds)._pools(C444)):
+                continue
+            with _kernels(1) as (_, results), _path_keys_calls() as calls:
+                dp = build(CandidateIndex(ds), Alpha(0.0))
+            assert results == [None]
+            assert calls, "the tie-break on rung keys was not reached"
+            with _kernels(math.inf):
+                assert dp == build(CandidateIndex(ds), Alpha(0.0))
+        assert optimize_arcs(CandidateIndex(ds), Alpha(0.0)).rungs == (
+            enumerate_optimal(CandidateIndex(ds), Alpha(0.0)).rungs)
+
+    def test_kernel_source_holds_only_graph_integers(self, monkeypatch):
+        # Input values reach a kernel as arguments, never as source text.
+        sources = []
+        monkeypatch.setattr(ladder_module, "compile",
+                            lambda text, *args: sources.append(text) or compile(text, *args),
+                            raising=False)
+        ds = generate(default_spec(titles=1))[0]
+        with _kernels(1):
+            optimize_arcs(CandidateIndex(ds), Alpha(0.04))
+        assert len(sources) == 1
+        words = set(re.findall(r"[A-Za-z_]\w*", sources[0]))
+        generated = {w for w in words if re.fullmatch(r"[qdjvb]\d+(_\d+)?", w)}
+        assert words - generated == {"def", "kernel", "qs", "ds", "a", "x", "if", "elif", "return",
+                                     "None", "end", "backs", "choices", "for", "i", "in", "range",
+                                     "f", "k"}
+        numbers = set(re.findall(r"\b\d[\d.]*", sources[0]))
+        assert numbers - {"0.0"} == {n for n in numbers if n.isdigit()}
+
+
+class TestKernelTrigger:
+    """A graph gets its kernel on its ``KERNEL_SOLVES``-th solve."""
+
+    N = ladder_module.KERNEL_SOLVES
+
+    def test_shared_grid_makes_one_kernel_per_graph_on_the_nth_solve(self):
+        alphas = [Alpha(i / 100) for i in range(17)]
+        corpus = generate(default_spec(titles=30))
+        assert len(corpus) * len(alphas) > self.N
+        with _kernels(self.N) as (made, results):
+            for ds in corpus:
+                index = CandidateIndex(ds)
+                for alpha in alphas:
+                    chroma_counts(index, alpha)
+                    chroma_counts(index, alpha, C444)
+        assert [solves for _, solves in made] == [self.N, self.N]
+        assert made[0][0] is not made[1][0]
+        assert len(results) == 2 * (len(corpus) * len(alphas) - self.N + 1)
+
+    def test_sparse_corpus_makes_none(self):
+        with _kernels(self.N) as (made, _):
+            for ds in generate(sparse_spec(seed=0, titles=40)):
+                index = CandidateIndex(ds)
+                for alpha in (0.0, 0.01, 0.02, 0.04, 0.08):
+                    for build in (optimize_arcs, build_dynres):
+                        TestCandidateIndex._ladder_or_error(build, index, Alpha(alpha))
+        assert made == []
+
+    def test_shipped_experiment_makes_none(self, tmp_path, capsys):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_frontier_experiment.py"
+        spec = importlib.util.spec_from_file_location("run_frontier_experiment", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module.RESULTS = tmp_path
+        with _kernels(self.N) as (made, _):
+            module.run()
+        capsys.readouterr()
+        assert made == []
+
+    def test_evicted_graph_and_kernel_are_freed(self):
+        with _kernels(1) as (made, _):
+            index = CandidateIndex(generate(default_spec(titles=1))[0])
+            optimize_arcs(index, Alpha(0.04))
+            graph = weakref.ref(made[0][0])
+            kernel = weakref.ref(graph().kernel)
+            made.clear()
+            del index
+            # Sparse titles have graphs of their own, enough to evict it.
+            for ds in generate(sparse_spec(seed=0, titles=ladder_module.GRAPH_CACHE_SIZE)):
+                optimize_arcs(CandidateIndex(ds), Alpha(0.04))
+            assert len(made) == ladder_module.GRAPH_CACHE_SIZE
+            made.clear()
+            gc.collect()
+            assert graph() is None and kernel() is None
 
 
 def test_greedy_vs_dp_script():
