@@ -37,6 +37,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .bdmetrics import CurveAxis, aggregate, bd_delta, build_curve
 from .errors import (
+    AllRungsAbsent,
     ChromaLadderError,
     CurveError,
     DatasetError,
@@ -95,6 +96,10 @@ class RunConfig:
     cross_target: bool = False
 
     def __post_init__(self):
+        # ``+ 0.0`` turns -0.0 into 0.0, which reports and file names then
+        # echo; every command's config is made here.
+        object.__setattr__(self, "alphas", tuple(a + 0.0 for a in self.alphas))
+        object.__setattr__(self, "tolerance", self.tolerance + 0.0)
         for a in self.alphas:
             if not 0.0 <= a <= 1.0:
                 raise ValueError(f"--alpha must be in [0, 1], got {a}")
@@ -221,11 +226,17 @@ _BUILDERS = {
 
 
 def _counted(builder):
-    """``builder``'s ladder counted by fidelity rank (see ``count_chroma``)."""
+    """``builder``'s ladder counted by fidelity rank (see ``count_chroma``).
+    A ladder with no present rung raises ``AllRungsAbsent``, so pmf excludes
+    its title as the alpha methods' builders do."""
 
     def count(cfg, plan, index, alpha):
+        ladder = builder(cfg, plan, index, alpha)
         counts = [0] * len(ChromaFormat)
-        count_chroma([builder(cfg, plan, index, alpha)], counts)
+        count_chroma([ladder], counts)
+        if not any(counts):
+            raise AllRungsAbsent(f"title {ladder.title_id!r}: no present rung in the "
+                                 f"{ladder.method.value} ladder")
         return counts
 
     return count
@@ -440,11 +451,8 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
+    line = _csv_line_writer()
+    return line(header) + "".join(map(line, rows))
 
 
 def _csv_line_writer() -> Callable[[Sequence], str]:
@@ -631,23 +639,14 @@ class _TitleMemo:
 
     A curve depends only on the records it is fitted to, so it is keyed by
     their ids in rung order, whichever ladder chose them; a delta is keyed by
-    the ids of its two curves, and a ladder's record ids by the ladder's id.
-    Ids are unique only while the title's ladders, records and curves are
-    alive, so a memo serves one title and is dropped with it.
+    the ids of its two curves. Ids are unique only while the title's records
+    and curves are alive, so a memo serves one title and is dropped with it.
     The dicts are per axis position: hashing an enum member runs in Python.
     """
 
     def __init__(self):
-        self.records: dict[int, tuple[int, ...]] = {}
         self.curves = tuple({} for _ in _BD_AXES)
         self.deltas = tuple({} for _ in _BD_AXES)
-
-    def records_of(self, ladder: Ladder) -> tuple[int, ...]:
-        key = self.records.get(id(ladder))
-        if key is None:
-            key = self.records[id(ladder)] = tuple(
-                id(rung.choice) for rung in ladder.rungs if rung.choice is not None)
-        return key
 
 
 def _bd_pair(memo: _TitleMemo, ref: Ladder, test: Ladder):
@@ -656,7 +655,8 @@ def _bd_pair(memo: _TitleMemo, ref: Ladder, test: Ladder):
     Only successes are stored: a failing fit or delta raises again for each
     ladder that reaches it, with that ladder's own message.
     """
-    ref_key, test_key = memo.records_of(ref), memo.records_of(test)
+    ref_key, test_key = (tuple(id(rung.choice) for rung in ladder.rungs if rung.choice is not None)
+                         for ladder in (ref, test))
     results = []
     for axis, curves, deltas in zip(_BD_AXES, memo.curves, memo.deltas):
         ref_curve = curves.get(ref_key)
@@ -854,12 +854,11 @@ def cmd_pmf(args) -> int:
 
 
 def _config_from_args(args, default_alphas: tuple[float, ...] = (0.0,)) -> RunConfig:
-    # ``+ 0.0`` turns -0.0 into 0.0, which reports and file names then echo,
-    # and which makes duplicates collapse whichever sign comes first.
+    # -0.0 == 0.0, so duplicates collapse whichever sign comes first.
     return RunConfig(
         inputs=tuple(Path(p) for p in args.input),
-        alphas=tuple(dict.fromkeys(a + 0.0 for a in args.alpha)) if args.alpha else default_alphas,
-        tolerance=args.tolerance + 0.0,
+        alphas=tuple(dict.fromkeys(args.alpha)) if args.alpha else default_alphas,
+        tolerance=args.tolerance,
         mode=OptimizerMode(args.mode),
         methods=(tuple(dict.fromkeys(Method(m) for m in args.method))
                  if getattr(args, "method", None) else (Method.ARCS,)),

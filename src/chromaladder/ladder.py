@@ -70,7 +70,6 @@ from .objective import (
     Alpha,
     as_alpha,
     bounds_for,
-    check_in_bounds,
     normalized_log_time,
     normalized_quality,
 )
@@ -177,7 +176,9 @@ class CandidateIndex:
     ``pools[i]`` holds the window candidates of the i-th target bitrate, in
     ``candidates_for`` order, as ``(record, q', d', (height, fidelity_rank))``.
     ``q'`` and ``d'`` are the normalized quality and log decode time over all
-    records of the title, so ``q' - alpha * d'`` equals
+    records of the title, computed for each pooled candidate (a record that
+    ``cross_target`` puts in k windows is scored k times, to the same bits),
+    so ``q' - alpha * d'`` equals
     ``composite_normalized(record, bounds_for(dataset), alpha)`` bit for bit.
     Chroma-filtered pools and the DP graphs are made on first use and kept, so
     building ladders for many alphas repeats only the scoring and one
@@ -194,18 +195,13 @@ class CandidateIndex:
         self, dataset: TitleDataset, tolerance: float = 0.10, *, cross_target: bool = False
     ):
         self.dataset = dataset
-        terms = {}
         # A title without records has empty pools and no bounds.
         bounds = bounds_for(dataset) if dataset.records else None
-        for r in dataset.records:
-            check_in_bounds(r, bounds)
-            terms[id(r)] = (
-                normalized_quality(r.quality.value, bounds),
-                normalized_log_time(r.decode_time, bounds),
-            )
         self.pools = tuple(
             tuple(
-                (r, *terms[id(r)], (r.resolution.height, r.chroma.fidelity_rank))
+                (r, normalized_quality(r.quality.value, bounds),
+                 normalized_log_time(r.decode_time, bounds),
+                 (r.resolution.height, r.chroma.fidelity_rank))
                 for r in candidates_for(dataset, t, tolerance, cross_target=cross_target)
             )
             for t in dataset.bitrate_targets

@@ -587,6 +587,23 @@ class TestPmf:
             ("synth001", method, alpha) for method in ("arcs", "dynres") for alpha in (0.0, 0.08)]
         assert {x["reason"] for x in excluded} == {"resolution decreases 2160 -> 1080 with rising bitrate"}
 
+    def test_fixed_ladder_without_present_rung_excludes_the_title(self, small_corpus, tmp_path):
+        # No title has a 720p encode, so every fixed ladder is all absent.
+        plan = tmp_path / "plan720.csv"
+        plan.write_text("target_kbps,height\n600,720\n1200,720\n", encoding="utf-8")
+        argv = ["pmf", "--input", small_corpus, "--method", "arcs", "--plan", plan]
+        code, out, _ = _captured([*argv, "--method", "fixed"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["pmf"] == json.loads(_captured(argv)[1])["pmf"]
+        assert [(x["title"], x["method"]) for x in payload["excluded"]] == [
+            (f"synth{i:03d}", "fixed") for i in range(4)]
+        assert {x["reason"] for x in payload["excluded"]} == {
+            f"title 'synth{i:03d}': no present rung in the fixed ladder" for i in range(4)}
+        # With fixed alone every title is excluded, so no row is left.
+        code, _, err = _captured(["pmf", "--input", small_corpus, "--method", "fixed", "--plan", plan])
+        assert (code, err) == (2, "error: no ladder could be built\n")
+
     def test_rows_equal_chroma_pmf_of_directly_built_ladders(self, tmp_path, capsys):
         # "no444" has no 4:4:4 encode, so its dynres ladders are excluded.
         datasets = generate(sparse_spec(seed=3, titles=5))
@@ -654,6 +671,14 @@ class TestNegativeZero:
         assert run("optimize", "--input", small_corpus, "--alpha", "-0", "--out", out) == 0
         names = sorted(p.name for p in out.iterdir())
         assert names and all(name.endswith("__arcs__alpha0.json") for name in names)
+
+    def test_validate_minus_zero_tolerance_prints_as_zero(self, small_corpus, capsys):
+        printed = []
+        for tolerance in ("-0", "0"):
+            assert run("validate", "--input", small_corpus, "--tolerance", tolerance) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert "±0% of 600 kbps" in printed[0]
 
     def test_minus_zero_tolerance_is_zero(self, small_corpus):
         args = cli.build_parser().parse_args(
