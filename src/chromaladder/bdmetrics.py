@@ -248,4 +248,9 @@ def aggregate(results: Iterable[BDResult]) -> float:
             raise AxisMismatch("aggregate mixes axis kinds")
         if r.metric is not first.metric:
             raise MetricMismatch("aggregate mixes quality metrics")
-    return sum(r.value_percent for r in results) / len(results)
+    # Added left to right: ``sum()`` of floats is compensated from Python
+    # 3.12 on, so it would give other last digits on other interpreters.
+    total = 0.0
+    for r in results:
+        total += r.value_percent
+    return total / len(results)

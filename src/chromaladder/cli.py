@@ -37,7 +37,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .bdmetrics import CurveAxis, aggregate, bd_delta, build_curve
 from .errors import (
-    AllRungsAbsent,
     ChromaLadderError,
     CurveError,
     DatasetError,
@@ -225,31 +224,15 @@ _BUILDERS = {
 }
 
 
-def _counted(builder):
-    """``builder``'s ladder counted by fidelity rank (see ``count_chroma``).
-    A ladder with no present rung raises ``AllRungsAbsent``, so pmf excludes
-    its title as the alpha methods' builders do."""
-
-    def count(cfg, plan, index, alpha):
-        ladder = builder(cfg, plan, index, alpha)
-        counts = [0] * len(ChromaFormat)
-        count_chroma([ladder], counts)
-        if not any(counts):
-            raise AllRungsAbsent(f"title {ladder.title_id!r}: no present rung in the "
-                                 f"{ladder.method.value} ladder")
-        return counts
-
-    return count
-
-
 # pmf's table: each method's present rungs counted by fidelity rank. The alpha
 # methods count the solver's choices and build no ladder.
 _PMF_BUILDERS = {
     Method.ARCS: lambda cfg, plan, index, alpha: chroma_counts(index, alpha, None, cfg.mode),
     Method.DYNRES_JOD: lambda cfg, plan, index, alpha: chroma_counts(
         index, alpha, cfg.chroma_fixed, cfg.mode),
-    Method.DEFAULT: _counted(_BUILDERS[Method.DEFAULT]),
-    Method.FIXED_LADDER: _counted(_BUILDERS[Method.FIXED_LADDER]),
+    Method.DEFAULT: lambda cfg, plan, index, alpha: count_chroma(build_default(index)),
+    Method.FIXED_LADDER: lambda cfg, plan, index, alpha: count_chroma(
+        build_fixed(index, plan, cfg.chroma_fixed)),
 }
 
 
@@ -263,6 +246,14 @@ def _merge(parsed: Iterable[TitleDataset]) -> dict[tuple[str, QualityMetric], Ti
     return {key: group[0] if len(group) == 1
             else TitleDataset.from_records(r for ds in group for r in ds.records)
             for key, group in sorted(merged.items(), key=lambda kv: (kv[0][0], kv[0][1].value))}
+
+
+def _datasets(parsed: Iterable[TitleDataset]) -> dict[tuple[str, QualityMetric], TitleDataset]:
+    """``_merge(parsed)``; an input without a record raises ``DatasetError``."""
+    datasets = _merge(parsed)
+    if not datasets:
+        raise DatasetError("no datasets in input")
+    return datasets
 
 
 def _evaluate(cfg: RunConfig, builders: dict[Method, Callable]
@@ -279,10 +270,8 @@ def _evaluate(cfg: RunConfig, builders: dict[Method, Callable]
     the title's one candidate index, each runs once, and only the current
     title's results are kept.
     """
-    datasets = _merge(ds for path in cfg.inputs
+    datasets = _datasets(ds for path in cfg.inputs
                       for ds in parse_dataset(Path(path).read_text(encoding="utf-8")))
-    if not datasets:
-        raise DatasetError("no datasets in input")
     if cfg.plan_path is not None:
         plan = load_plan(Path(cfg.plan_path).read_text(encoding="utf-8"))
     elif Method.FIXED_LADDER in (*cfg.methods, cfg.reference):
@@ -344,8 +333,6 @@ class _RungText:
 
     def json(self, ladder: Ladder, newline: str) -> str:
         """The JSON list of the ladder's rungs, closing after ``newline``."""
-        if not ladder.rungs:
-            return "[]"
         heads = self.json_heads.get(newline)
         if heads is None:
             heads = self.json_heads[newline] = {}
@@ -552,12 +539,14 @@ def cmd_validate(args) -> int:
             parsed.extend(parse_dataset(Path(path).read_text(encoding="utf-8")))
         except (DatasetError, OSError) as exc:
             errors.append(f"{path}: {exc}")
-    # Files are merged as the ladder commands merge them.
-    try:
-        datasets = list(_merge(parsed).values())
-    except DatasetError as exc:
-        errors.append(str(exc))
-        datasets = []
+    # Files are merged and checked as the ladder commands do it; a file that
+    # failed to parse is reported once, above.
+    datasets = []
+    if parsed or not errors:
+        try:
+            datasets = list(_datasets(parsed).values())
+        except DatasetError as exc:
+            errors.append(str(exc))
     for ds in datasets:
         warns.extend(dataset_warnings(ds, cfg.tolerance))
     for e in errors:

@@ -22,6 +22,10 @@ Three benchmark builders mirror common practice: a fixed plan of
 every target at the title's largest height, in 4:4:4), and a resolution-only
 optimizer with the chroma format pinned.
 
+Every builder returns a ladder with a present rung or raises
+``AllRungsAbsent``; maximality gives the optimizers one whenever some target
+has a candidate.
+
 Every builder takes the title as its ``CandidateIndex``, which fixes the
 tolerance window and ``cross_target`` once; one index serves every method
 and alpha of the title::
@@ -659,13 +663,7 @@ def build_default(index: CandidateIndex) -> Ladder:
     dataset = index.dataset
     height = max((r.resolution.height for r in dataset.records), default=None)
     plan = [(t, height) for t in dataset.bitrate_targets] if dataset.records else []
-    ladder = build_fixed(index, plan)
-    if not ladder.present_rungs:
-        raise AllRungsAbsent(
-            f"title {dataset.title_id!r}: no ({height}, 444) encode within tolerance "
-            "at any target"
-        )
-    return replace(ladder, method=Method.DEFAULT)
+    return replace(build_fixed(index, plan), method=Method.DEFAULT)
 
 
 def _closest(pool: list[MeasurementRecord], target: float) -> MeasurementRecord:
@@ -717,7 +715,8 @@ def build_fixed(
     positive and non-decreasing with bitrate, else ``InvalidPlan``; every
     planned target must exist in the title, else ``PlanTargetUnknown``. Each
     rung takes the window candidate of the planned height and
-    ``fixed_chroma`` closest to its target.
+    ``fixed_chroma`` closest to its target, or is absent when there is none;
+    with no rung present, ``AllRungsAbsent`` names the planned heights.
     """
     dataset = index.dataset
     entries = _sorted_plan(plan)
@@ -730,6 +729,10 @@ def build_fixed(
     for t, h in entries:
         pool = [c[0] for c in pools[t] if c[3][0] == h]
         rungs.append(Rung(t, _closest(pool, t)) if pool else Rung(t))
+    if all(r.choice is None for r in rungs):
+        heights = "/".join(map(str, dict.fromkeys(h for _, h in entries))) or None
+        raise AllRungsAbsent(f"title {dataset.title_id!r}: no ({heights}, {fixed_chroma.value}) "
+                             "encode within tolerance at any target")
     return Ladder(dataset.title_id, Method.FIXED_LADDER, tuple(rungs), None)
 
 
@@ -737,9 +740,9 @@ def load_plan(source: str | TextIO) -> list[tuple[float, int]]:
     """Read a fixed-ladder plan from CSV with header ``target_kbps,height``.
 
     One leading UTF-8 byte-order mark is dropped and blank lines are skipped.
-    A row that does not hold exactly two numbers, or a plan that fails the
-    checks of ``build_fixed``, raises ``InvalidPlan``; the plan comes back in
-    target order.
+    A plan without rows, a row that does not hold exactly two numbers, or a
+    plan that fails the checks of ``build_fixed`` raises ``InvalidPlan``; the
+    plan comes back in target order.
     """
     text = source if isinstance(source, str) else source.read()
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
@@ -754,17 +757,20 @@ def load_plan(source: str | TextIO) -> list[tuple[float, int]]:
             plan.append((float(row[0]), int(row[1])))
         except ValueError:
             raise InvalidPlan(f"plan row {i} is not numeric") from None
+    if not plan:
+        raise InvalidPlan("plan has no rows")
     return _sorted_plan(plan)
 
 
-def count_chroma(ladders: Iterable[Ladder], counts: list[int]) -> None:
-    """Add the present rungs of ``ladders`` to ``counts``, indexed by the
-    chroma format's fidelity rank."""
+def count_chroma(ladder: Ladder) -> tuple[int, ...]:
+    """The present rungs of ``ladder`` counted by the chroma format's fidelity
+    rank, as ``chroma_counts`` counts them."""
     # Counted by fidelity rank: hashing an enum member runs in Python.
-    for ladder in ladders:
-        for rung in ladder.rungs:
-            if rung.choice is not None:
-                counts[rung.choice.chroma.fidelity_rank] += 1
+    counts = [0] * len(ChromaFormat)
+    for rung in ladder.rungs:
+        if rung.choice is not None:
+            counts[rung.choice.chroma.fidelity_rank] += 1
+    return tuple(counts)
 
 
 def chroma_shares(counts: Sequence[int]) -> dict[ChromaFormat, float]:
@@ -777,6 +783,4 @@ def chroma_shares(counts: Sequence[int]) -> dict[ChromaFormat, float]:
 
 def chroma_pmf(ladders: Iterable[Ladder]) -> dict[ChromaFormat, float]:
     """Share of present rungs per chroma format across the given ladders."""
-    counts = [0] * len(ChromaFormat)
-    count_chroma(ladders, counts)
-    return chroma_shares(counts)
+    return chroma_shares([sum(n) for n in zip(*map(count_chroma, ladders))])

@@ -465,8 +465,15 @@ def oracle_compare_files(cfg) -> dict[str, str]:
     }
 
 
-def oracle_optimize_payloads(cfg) -> list[dict]:
-    """The ladder payloads of an optimize run, in output order."""
-    return [oracle_ladder_payload(ladders[0], metric, cfg)
-            for (_, metric), evaluations in cli._evaluate(cfg, cli._BUILDERS)
-            for _, _, ladders, exclusion in evaluations if exclusion is None]
+def oracle_optimize_payloads(cfg) -> tuple[list[dict], str]:
+    """The ladder payloads of an optimize run, in output order, and the
+    ``SKIP`` lines it prints for the excluded ladders."""
+    payloads, skips = [], []
+    for (_, metric), evaluations in cli._evaluate(cfg, cli._BUILDERS):
+        for _, _, ladders, ex in evaluations:
+            if ex is None:
+                payloads.append(oracle_ladder_payload(ladders[0], metric, cfg))
+            else:
+                skips.append(f"SKIP {ex['title']}/{ex['metric']}/{ex['method']}"
+                             f"{cli._alpha_tag(ex['alpha'])}: {ex['reason']}\n")
+    return payloads, "".join(skips)

@@ -8,6 +8,7 @@ from scipy.interpolate import PchipInterpolator
 
 from chromaladder import (
     Alpha,
+    BDResult,
     CandidateIndex,
     CurveAxis,
     PchipCurve,
@@ -343,6 +344,13 @@ class TestAggregate:
         results = [self.res(float(v)) for v in rng.uniform(-40, 40, size=15)]
         want = sum(r.value_percent for r in results) / 15
         assert aggregate(results) == pytest.approx(want, rel=1e-12)
+
+    def test_values_added_left_to_right(self):
+        # A compensated sum (``sum()`` from Python 3.12 on, ``math.fsum``)
+        # gives 1/3 here; adding in order loses the 1.0 on every version.
+        results = [BDResult(v, (4.0, 6.0), JOD, RATE) for v in (1e16, 1.0, -1e16)]
+        assert aggregate(results) == 0.0
+        assert math.fsum(r.value_percent for r in results) / 3 == 1 / 3
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):

@@ -133,6 +133,34 @@ class TestValidate:
         assert run("compare", "--input", small_corpus, "--input", small_corpus) == 1
         assert "error: duplicate record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, text", [
+        ("header.csv", "title,height,chroma,target_kbps,actual_kbps,metric,quality,"
+                       "decode_s_per_frame\n"),
+        ("empty.json", "[]"),
+    ])
+    def test_input_without_a_record_exits_one_as_compare_does(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert run("validate", "--input", path) == 1
+        assert capsys.readouterr().out == (
+            "ERROR no datasets in input\n"
+            "validated 1 file(s): 0 title dataset(s), 0 record(s), 1 error(s), 0 warning(s)\n")
+        assert _captured(["compare", "--input", path]) == (1, "", "error: no datasets in input\n")
+
+    def test_empty_file_next_to_a_title_passes(self, small_corpus, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text("[]", encoding="utf-8")
+        assert run("validate", "--input", path, "--input", small_corpus) == 0
+        assert "4 title dataset(s)" in capsys.readouterr().out
+
+    def test_unparsable_file_is_reported_once(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text("[{", encoding="utf-8")
+        assert run("validate", "--input", path) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [line.startswith(f"ERROR {path}: ") for line in out[:-1]] == [True]
+        assert "1 error(s)" in out[-1]
+
     def test_integer_too_large_for_a_float_exits_one(self, tmp_path, capsys):
         obj = {"title": "movie", "height": 1080, "chroma": 420, "target_kbps": 600,
                "actual_kbps": 10**400, "metric": "cvvdp", "quality": 6.5,
@@ -321,6 +349,55 @@ class TestPlan:
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["optimize", "compare", "sweep", "pmf"])
+    def test_plan_without_rows_exits_one_before_any_title_is_built(self, small_corpus, tmp_path,
+                                                                   monkeypatch, command):
+        plan = tmp_path / "header_only.csv"
+        plan.write_text("target_kbps,height\n", encoding="utf-8")
+
+        def no_index(*args, **kwargs):
+            raise AssertionError("a title was built")
+
+        monkeypatch.setattr(cli, "CandidateIndex", no_index)
+        out = tmp_path / "o"
+        methods = () if command == "sweep" else ("--method", "arcs", "--method", "fixed")
+        assert _captured([command, "--input", small_corpus, *methods, "--plan", plan,
+                          "--alpha", 0, "--alpha", 0.04, "--out", out]) == (
+            1, "", "error: plan has no rows\n")
+        assert not out.exists()
+
+    def test_plan_without_a_present_rung_excludes_each_title_alike(self, tmp_path):
+        # No title of the default spec has a 720p encode, so no rung of the
+        # plan is present: optimize, compare and pmf exclude each title once,
+        # with the reason build_fixed gives.
+        corpus = tmp_path / "c3.csv"
+        corpus.write_text(serialize_dataset(generate(default_spec(titles=3))), encoding="utf-8")
+        plan = tmp_path / "plan720.csv"
+        plan.write_text("target_kbps,height\n600,720\n900,720\n", encoding="utf-8")
+        titles = [f"synth{i:03d}" for i in range(3)]
+        reason = "title '{}': no (720, 444) encode within tolerance at any target"
+        argv = ["--input", corpus, "--method", "arcs", "--method", "fixed", "--plan", plan]
+
+        out = tmp_path / "ladders"
+        code, stdout, _ = _captured(["optimize", *argv, "--out", out])
+        assert code == 0
+        assert [line for line in stdout.splitlines() if line.startswith("SKIP ")] == [
+            f"SKIP {t}/cvvdp/fixed: {reason.format(t)}" for t in titles]
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"{t}__cvvdp__arcs__alpha0.json" for t in titles]
+
+        payloads = {}
+        for command in ("compare", "pmf"):
+            code, stdout, _ = _captured([command, *argv])
+            assert code == 0
+            payloads[command] = json.loads(stdout)
+        for excluded in (payloads["compare"]["aggregate"]["excluded"],
+                         payloads["pmf"]["excluded"]):
+            assert [(x["title"], x["method"], x["reason"]) for x in excluded] == [
+                (t, "fixed", reason.format(t)) for t in titles]
+        assert [[ladder["method"] for ladder in entry["ladders"]]
+                for entry in payloads["compare"]["titles"]] == [["default", "arcs"]] * 3
+
     def test_plan_with_byte_order_mark_is_read(self, small_corpus, small_plan, tmp_path, capsys):
         bom_plan = tmp_path / "bom_plan.csv"
         bom_plan.write_text("\ufeff" + small_plan.read_text(encoding="utf-8"), encoding="utf-8")
@@ -499,6 +576,12 @@ class TestSweep:
         assert sweep_row["mean_bddt_percent"] == cmp_row["mean_bddt_percent"]
 
 
+def _ladder_counting_builders():
+    """pmf's table with every method's rungs counted from its built ladder."""
+    return {m: lambda cfg, plan, index, alpha, build=build: cli.count_chroma(
+        build(cfg, plan, index, alpha)) for m, build in cli._BUILDERS.items()}
+
+
 class TestPmf:
     def test_pmf_rows_per_alpha(self, small_corpus, tmp_path):
         out = tmp_path / "pmf"
@@ -527,10 +610,9 @@ class TestPmf:
             defaults.append(real_default(index))
             return defaults[-1]
 
-        def watched_count(ladders, counts):
-            ladders = list(ladders)
-            counted.extend(ladders)
-            real_count(ladders, counts)
+        def watched_count(ladder):
+            counted.append(ladder)
+            return real_count(ladder)
 
         monkeypatch.setattr(Ladder, "__post_init__", watched_post_init)
         monkeypatch.setattr(cli, "build_default", watched_default)
@@ -554,8 +636,7 @@ class TestPmf:
         for chroma in ("444", "420"):
             got = _captured([*argv, "--chroma-fixed", chroma])
             with monkeypatch.context() as patch:
-                patch.setattr(cli, "_PMF_BUILDERS",
-                              {m: cli._counted(b) for m, b in cli._BUILDERS.items()})
+                patch.setattr(cli, "_PMF_BUILDERS", _ladder_counting_builders())
                 assert _captured([*argv, "--chroma-fixed", chroma]) == got
             assert got[0] == 0
 
@@ -578,8 +659,7 @@ class TestPmf:
         argv = ["pmf", "--input", small_corpus, "--method", "arcs", "--method", "dynres",
                 "--alpha", 0, "--alpha", 0.08]
         code, out, _ = _captured(argv)
-        monkeypatch.setattr(cli, "_PMF_BUILDERS",
-                            {m: cli._counted(b) for m, b in cli._BUILDERS.items()})
+        monkeypatch.setattr(cli, "_PMF_BUILDERS", _ladder_counting_builders())
         assert (code, out) == _captured(argv)[:2]
         assert code == 0
         excluded = json.loads(out)["excluded"]
@@ -599,7 +679,8 @@ class TestPmf:
         assert [(x["title"], x["method"]) for x in payload["excluded"]] == [
             (f"synth{i:03d}", "fixed") for i in range(4)]
         assert {x["reason"] for x in payload["excluded"]} == {
-            f"title 'synth{i:03d}': no present rung in the fixed ladder" for i in range(4)}
+            f"title 'synth{i:03d}': no (720, 444) encode within tolerance at any target"
+            for i in range(4)}
         # With fixed alone every title is excluded, so no row is left.
         code, _, err = _captured(["pmf", "--input", small_corpus, "--method", "fixed", "--plan", plan])
         assert (code, err) == (2, "error: no ladder could be built\n")
@@ -1339,11 +1420,16 @@ def _assert_matches_oracle(flags, reference: str, out: Path) -> None:
         assert (code, err) == (2, "error: no comparison could be computed\n")
 
     argv = ["optimize", *flags, "--out", out / "ladders"]
-    payloads = oracle_optimize_payloads(_config(argv))
+    payloads, skips = oracle_optimize_payloads(_config(argv))
+    if not payloads:
+        # Every ladder was excluded: optimize prints why and writes no file.
+        error = "error: every ladder construction failed\n"
+        assert _captured(argv) == (2, skips, error)
+        assert _captured(argv[:-2]) == (2, skips, error)
+        assert not (out / "ladders").exists()
+        return
     assert _captured(argv)[0] == 0
-    code, printed, _ = _captured(argv[:-2])
-    skips = "".join(line for line in printed.splitlines(keepends=True) if line.startswith("SKIP "))
-    assert (code, printed) == (0, skips + oracle_json_text(payloads))
+    assert _captured(argv[:-2]) == (0, skips + oracle_json_text(payloads), "")
     written = {path.name: path.read_bytes().decode("utf-8") for path in (out / "ladders").iterdir()}
     assert written == {_ladder_file_name(p): oracle_json_text(p) for p in payloads}
 
@@ -1367,6 +1453,13 @@ class TestRungText:
         reference=st.sampled_from(["default", "arcs", "fixed"]),
         cross_target=st.booleans(),
     )
+    # No sparse seed-869 title has a 1080p or 2160p 444 encode, so its fixed
+    # ladder is excluded: once next to an arcs ladder, with a title that must
+    # stay on one SKIP line, and once as the only ladder.
+    @example(seed=869, sparse=True, targets=SMALL_TARGETS, titles=["line\nbreak", "cr\rreturn,comma"],
+             alphas=[0.0], methods=["arcs", "fixed"], reference="default", cross_target=False)
+    @example(seed=869, sparse=True, targets=SMALL_TARGETS, titles=['clip "A", 4k — é'],
+             alphas=[0.0], methods=["fixed"], reference="default", cross_target=False)
     def test_outputs_equal_frozen_renderer(self, seed, sparse, targets, titles, alphas, methods,
                                            reference, cross_target):
         spec = (sparse_spec if sparse else default_spec)(seed=seed, titles=len(titles))

@@ -388,7 +388,8 @@ class TestBuildDefault:
         ds = TitleDataset.from_records(recs)
         assert build_default(CandidateIndex(ds, 0.10)).rungs[0].present
         assert not build_default(CandidateIndex(ds, 0.05)).rungs[0].present
-        assert build_fixed(CandidateIndex(ds, 0.05), [(600.0, 2160)]).rungs == (Rung(600.0),)
+        fixed = build_fixed(CandidateIndex(ds, 0.05), [(600.0, 2160), (2400.0, 2160)])
+        assert fixed.rungs[0] == Rung(600.0) and fixed.rungs[1].present
 
     @pytest.mark.parametrize("cross_target", [False, True])
     def test_is_the_native_height_fixed_plan(self, cross_target):
@@ -397,12 +398,13 @@ class TestBuildDefault:
         corpus += generate(sparse_spec(seed=0, titles=6))
         for ds in corpus:
             height = max(r.resolution.height for r in ds.records)
-            fixed = build_fixed(
-                CandidateIndex(ds, cross_target=cross_target), [(t, height) for t in ds.bitrate_targets]
-            )
-            if not fixed.present_rungs:
-                with pytest.raises(AllRungsAbsent, match=f"no \\({height}, 444\\) encode"):
+            try:
+                fixed = build_fixed(CandidateIndex(ds, cross_target=cross_target),
+                                    [(t, height) for t in ds.bitrate_targets])
+            except AllRungsAbsent as absent:
+                with pytest.raises(AllRungsAbsent, match=f"no \\({height}, 444\\) encode") as got:
                     build_default(CandidateIndex(ds, cross_target=cross_target))
+                assert str(got.value) == str(absent)
                 continue
             want = Ladder(ds.title_id, Method.DEFAULT, fixed.rungs, None)
             assert build_default(CandidateIndex(ds, cross_target=cross_target)) == want
@@ -470,13 +472,21 @@ class TestBuildFixed:
     def test_unmatched_plan_rung_absent(self):
         ladder = build_fixed(CandidateIndex(self.full()), [(600.0, 1080)], fixed_chroma=C420)
         assert ladder.rungs[0].present  # C420 exists in the grid
-        sparse = grid_dataset(
-            lambda h, c, b: 5.0,
-            lambda h, c, b: 0.05,
-            chromas=(C444,),
-        )
-        ladder2 = build_fixed(CandidateIndex(sparse), [(600.0, 1080)], fixed_chroma=C420)
-        assert not ladder2.rungs[0].present
+        # C420 only at 600 kbps: the 2400 kbps rung finds no encode.
+        sparse = TitleDataset.from_records(
+            r for r in self.full().records if r.chroma is C444 or r.target_bitrate == 600.0)
+        plan = [(600.0, 1080), (2400.0, 1080)]
+        ladder2 = build_fixed(CandidateIndex(sparse), plan, fixed_chroma=C420)
+        assert ladder2.rungs[0].present and not ladder2.rungs[1].present
+
+    def test_plan_without_a_present_rung_raises(self):
+        # The grid has no 540p or 720p encode.
+        index = CandidateIndex(self.full())
+        with pytest.raises(AllRungsAbsent) as got:
+            build_fixed(index, [(600.0, 540), (2400.0, 720), (9000.0, 720)], C420)
+        assert str(got.value) == "title 't': no (540/720, 420) encode within tolerance at any target"
+        with pytest.raises(AllRungsAbsent, match=r"^title 't': no \(None, 444\) encode"):
+            build_fixed(index, [])
 
     def test_plan_file_round_trip(self, tmp_path):
         text = "target_kbps,height\n600,1080\n2400,2160\n"
@@ -516,6 +526,11 @@ class TestBuildFixed:
         assert load_plan("\ufeff" + text) == load_plan(text) == [(600.0, 1080), (2400.0, 2160)]
         with pytest.raises(InvalidPlan, match="plan header must be"):
             load_plan("\ufeff\ufeff" + text)
+
+    def test_load_plan_rejects_a_plan_without_rows(self):
+        for text in ("target_kbps,height\n", "target_kbps,height\n\n\n"):
+            with pytest.raises(InvalidPlan, match="^plan has no rows$"):
+                load_plan(text)
 
     def test_load_plan_sorts_by_target(self):
         assert load_plan("target_kbps,height\n2400,2160\n\n600,1080\n") == [
@@ -1033,12 +1048,8 @@ def _counted_or_error(count):
 def _ladder_counts(index, alpha, chroma, mode):
     """``count_chroma`` of the public builder's ladder."""
     if chroma is None:
-        ladder = optimize_arcs(index, alpha, mode)
-    else:
-        ladder = build_dynres(index, alpha, chroma, mode)
-    counts = [0, 0, 0]
-    ladder_module.count_chroma([ladder], counts)
-    return tuple(counts)
+        return ladder_module.count_chroma(optimize_arcs(index, alpha, mode))
+    return ladder_module.count_chroma(build_dynres(index, alpha, chroma, mode))
 
 
 def _one_sparse_title(seed):
@@ -1105,6 +1116,45 @@ class TestChromaCounts:
         assert got[0] is InvalidLadder
         assert got == _counted_or_error(
             lambda: _ladder_counts(CandidateIndex(ds), Alpha(0.0), None, mode))
+
+
+@st.composite
+def _planned_titles(draw):
+    """A random or sparse title and a plan over some of its targets whose
+    heights, 540p and 720p among them, the title may lack."""
+    ds = draw(st.integers(0, 2**16).map(lambda seed: random_dataset(np.random.default_rng(seed)))
+              | st.integers(0, 2**16).map(_one_sparse_title))
+    targets = draw(st.lists(st.sampled_from(ds.bitrate_targets), unique=True))
+    heights = draw(st.lists(st.sampled_from([540, 720, 1080, 2160]),
+                            min_size=len(targets), max_size=len(targets)))
+    return ds, list(zip(sorted(targets), sorted(heights)))
+
+
+class TestPresentRungRule:
+    """Every builder returns a ladder with a present rung or raises
+    ``AllRungsAbsent``, so ``chroma_counts`` never counts zero rungs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_planned_titles(), cross_target=st.booleans(),
+           mode=st.sampled_from(list(OptimizerMode)), chroma=st.sampled_from([C420, C422, C444]),
+           alpha=st.sampled_from([0.0, 0.04, 1.0]))
+    def test_every_ladder_has_a_present_rung(self, case, cross_target, mode, chroma, alpha):
+        ds, plan = case
+        index = CandidateIndex(ds, 0.10, cross_target=cross_target)
+        builds = (
+            lambda: optimize_arcs(index, alpha, mode),
+            lambda: build_dynres(index, alpha, chroma, mode),
+            lambda: build_default(index),
+            lambda: build_fixed(index, plan, chroma),
+            lambda: chroma_counts(index, alpha, None, mode),
+            lambda: chroma_counts(index, alpha, chroma, mode),
+        )
+        for build in builds:
+            try:
+                built = build()
+            except AllRungsAbsent:
+                continue
+            assert any(built) if isinstance(built, tuple) else built.present_rungs
 
 
 # -- generated relaxation kernels ----------------------------------------------------
