@@ -25,12 +25,19 @@ class DuplicateRecord(DatasetError):
 
 
 class NonPositiveValue(DatasetError):
-    def __init__(self, field: str, context: str = ""):
-        msg = f"{field} must be > 0"
+    """``field`` must be positive (and ``finite``, for a float); ``row`` is
+    the input row when the value was parsed, as ``MalformedRow`` has it."""
+
+    def __init__(self, field: str, context: str = "", *, row: int | None = None,
+                 finite: bool = False):
+        msg = f"{field} must be {'finite and ' if finite else ''}> 0"
         if context:
             msg += f" ({context})"
+        if row is not None:
+            msg = f"row {row}: {msg}"
         super().__init__(msg)
         self.field = field
+        self.row = row
 
 
 class MixedQualityMetric(DatasetError):

@@ -70,15 +70,11 @@ from .measurements import (
     TitleDataset,
     candidates_for,
 )
-from .objective import (
-    Alpha,
-    as_alpha,
-    bounds_for,
-    normalized_log_time,
-    normalized_quality,
-)
+from .objective import Alpha, as_alpha, bounds_for
 
 ENUMERATION_GUARD = 10**7
+
+_DECODE_TIME = operator.attrgetter("decode_time")
 
 # Compiled DP graphs kept for reuse. Titles encoded on one grid need one graph
 # per chroma view; a title with windows of its own needs its own graph, so the
@@ -180,9 +176,10 @@ class CandidateIndex:
     ``pools[i]`` holds the window candidates of the i-th target bitrate, in
     ``candidates_for`` order, as ``(record, q', d', (height, fidelity_rank))``.
     ``q'`` and ``d'`` are the normalized quality and log decode time over all
-    records of the title, computed for each pooled candidate (a record that
-    ``cross_target`` puts in k windows is scored k times, to the same bits),
-    so ``q' - alpha * d'`` equals
+    records of the title. Each record's log decode time is taken once, for
+    the bounds and for ``d'``, and both are computed with the float
+    operations of ``normalized_quality`` and ``normalized_log_time``, so
+    ``q' - alpha * d'`` equals
     ``composite_normalized(record, bounds_for(dataset), alpha)`` bit for bit.
     Chroma-filtered pools and the DP graphs are made on first use and kept, so
     building ladders for many alphas repeats only the scoring and one
@@ -199,15 +196,20 @@ class CandidateIndex:
         self, dataset: TitleDataset, tolerance: float = 0.10, *, cross_target: bool = False
     ):
         self.dataset = dataset
+        records = dataset.records
+        log_times = list(map(math.log, map(_DECODE_TIME, records)))
+        log_time = dict(zip(map(id, records), log_times))
         # A title without records has empty pools and no bounds.
-        bounds = bounds_for(dataset) if dataset.records else None
+        q_min = q_span = d_min = d_span = 0.0
+        if records:
+            bounds = bounds_for(dataset, log_times)
+            q_min, q_span = bounds.q_min, bounds.q_max - bounds.q_min
+            d_min, d_span = bounds.log_d_min, bounds.log_d_max - bounds.log_d_min
         self.pools = tuple(
-            tuple(
-                (r, normalized_quality(r.quality.value, bounds),
-                 normalized_log_time(r.decode_time, bounds),
-                 (r.resolution.height, r.chroma.fidelity_rank))
-                for r in candidates_for(dataset, t, tolerance, cross_target=cross_target)
-            )
+            tuple([(r, (r.quality.value - q_min) / q_span if q_span else 0.0,
+                    (log_time[id(r)] - d_min) / d_span if d_span else 0.0,
+                    (r.resolution.height, r.chroma.fidelity_rank))
+                   for r in candidates_for(dataset, t, tolerance, cross_target=cross_target)])
             for t in dataset.bitrate_targets
         )
         # Keyed by fidelity rank, -1 for the view of every chroma: hashing an

@@ -4,6 +4,15 @@ A measurement is one decoded operating point: a (title, resolution, chroma
 format, target bitrate) tuple together with the bitrate the encoder actually
 produced, a perceptual quality score, and the mean decoding time per frame.
 Datasets are immutable after parsing; every operation here is a pure function.
+
+Ingest makes one checked pass over the rows. A row whose title, height,
+chroma and metric repeat raw values of an earlier row, and whose numbers
+convert with ``float()`` and are in range, fills the slots of its frozen
+records directly; every other row goes through ``_row_record``, the one
+definition of a valid row and of its errors. Each title's records are kept by
+(target, height, chroma fidelity), so the parser finds repeated keys and
+sorts each title in C, and ``candidates_for`` finds a target's candidates as
+one run of the sorted records.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ import io
 import json
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -72,7 +82,7 @@ PLAUSIBLE_RANGE = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Resolution:
     """Spatial resolution in luma lines; width is metadata only."""
 
@@ -93,7 +103,7 @@ class Resolution:
         return round(self.height * 16 / 9)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QualityScore:
     metric: QualityMetric
     value: float
@@ -107,7 +117,7 @@ class QualityScore:
         return lo <= self.value <= hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementRecord:
     """One measured operating point of one title."""
 
@@ -125,8 +135,8 @@ class MeasurementRecord:
             ("actual_kbps", self.actual_bitrate),
             ("decode_s_per_frame", self.decode_time),
         ):
-            if not (math.isfinite(value) and value > 0):
-                raise NonPositiveValue(name, context=f"title {self.title_id!r}")
+            if not 0.0 < value < math.inf:
+                raise NonPositiveValue(name, f"title {self.title_id!r}", finite=True)
 
     @property
     def key(self) -> tuple:
@@ -149,6 +159,9 @@ class TitleDataset:
     def __post_init__(self):
         if any(b2 <= b1 for b1, b2 in zip(self.bitrate_targets, self.bitrate_targets[1:])):
             raise ValueError("bitrate_targets must be strictly increasing")
+        order = list(map(_record_order, self.records))
+        if not all(map(operator.le, order, order[1:])):
+            raise ValueError("records must be in (target, height, chroma fidelity) order")
         metrics = {r.quality.metric for r in self.records}
         if len(metrics) > 1:
             raise MixedQualityMetric(self.title_id)
@@ -171,16 +184,16 @@ class TitleDataset:
         return cls(recs[0].title_id, tuple(recs), targets)
 
     @classmethod
-    def _from_checked(cls, title_id: str, records: list[MeasurementRecord]) -> "TitleDataset":
-        """``from_records(records)`` for records already known to belong to
-        ``title_id``, to share one metric and to repeat no key: it skips the
-        checks of ``__post_init__``. ``records`` is sorted in place."""
-        records.sort(key=_record_order)
+    def _from_checked(cls, title_id: str, records: tuple[MeasurementRecord, ...],
+                      bitrate_targets: tuple[float, ...]) -> "TitleDataset":
+        """The dataset of records already known to belong to ``title_id``, to
+        be in ``from_records`` order, to share one metric and to repeat no
+        key, and of their distinct targets in order: it skips the checks of
+        ``__post_init__``."""
         dataset = object.__new__(cls)
         object.__setattr__(dataset, "title_id", title_id)
-        object.__setattr__(dataset, "records", tuple(records))
-        object.__setattr__(dataset, "bitrate_targets",
-                           tuple(sorted({r.target_bitrate for r in records})))
+        object.__setattr__(dataset, "records", records)
+        object.__setattr__(dataset, "bitrate_targets", bitrate_targets)
         return dataset
 
     @property
@@ -209,10 +222,10 @@ def parse_dataset(source: str | TextIO, fmt: str = "auto") -> list[TitleDataset]
     chroma fidelity).
 
     Every row is checked in input order and the first bad one raises
-    ``MalformedRow`` (or ``NonPositiveValue``). Then the first record, in
-    input order, that repeats an earlier record's key raises
-    ``DuplicateRecord``, and only then the first title, in order of
-    appearance, with two quality metrics raises ``MixedQualityMetric``.
+    ``MalformedRow`` (or ``NonPositiveValue``, which also names the row).
+    Then the first record, in input order, that repeats an earlier record's
+    key raises ``DuplicateRecord``, and only then the first title, in order
+    of appearance, with two quality metrics raises ``MixedQualityMetric``.
     """
     text = source if isinstance(source, str) else source.read()
     text = text.removeprefix("\ufeff")
@@ -224,13 +237,18 @@ def parse_dataset(source: str | TextIO, fmt: str = "auto") -> list[TitleDataset]
         rows = _rows_from_json(text)
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    return _group_records(_records(rows))
+    return _datasets_from_rows(rows)
 
 
 def _rows_from_csv(text: str) -> Iterator[tuple[int, tuple[str, ...]]]:
     """``(row number, values in CSV_HEADER order)`` of each data row. Blank
     lines are skipped and not counted; the header is row 0."""
-    reader = csv.reader(io.StringIO(text))
+    # Read as UTF-8 bytes: a StringIO would copy the text at four bytes per
+    # character. Lines end at "\n" alone, as in a StringIO, and every string
+    # survives the round trip.
+    lines = io.TextIOWrapper(io.BytesIO(text.encode("utf-8", "surrogatepass")),
+                             encoding="utf-8", errors="surrogatepass", newline="\n")
+    reader = csv.reader(lines)
     header = next(reader, None)
     if header is None:
         raise MalformedRow(0, "empty input, header required")
@@ -238,12 +256,9 @@ def _rows_from_csv(text: str) -> Iterator[tuple[int, tuple[str, ...]]]:
     if sorted(got) != sorted(CSV_HEADER):
         raise MalformedRow(0, f"header must contain exactly {','.join(CSV_HEADER)}; got {','.join(got)}")
     in_header_order = operator.itemgetter(*(got.index(name) for name in CSV_HEADER))
-    row = 0
-    for values in reader:
-        if not values:
-            continue
-        row += 1
-        if len(values) != len(got):
+    width = len(got)
+    for row, values in enumerate(filter(None, reader), start=1):
+        if len(values) != width:
             raise MalformedRow(row, "wrong number of fields")
         yield row, in_header_order(values)
 
@@ -265,53 +280,59 @@ def _rows_from_json(text: str) -> Iterator[tuple[int, tuple]]:
         yield row, in_header_order(obj)
 
 
-def _records(rows: Iterable[tuple[int, Sequence]]) -> list[MeasurementRecord]:
-    """The record of each ``(row number, values in CSV_HEADER order)``.
+def _row_record(row: int, values: Sequence, resolutions: dict[int, Resolution]
+                ) -> MeasurementRecord:
+    """The record of one row, ``values`` in CSV_HEADER order: the one
+    definition of a valid row and of which of its errors is raised.
 
     Values are CSV strings or JSON values. A title must be a string and a
     number must not be a JSON ``true``/``false``; numbers may be numeric
-    strings. Records of one height share one ``Resolution``.
+    strings. The record's ``Resolution`` is taken from, or put in,
+    ``resolutions`` by height.
     """
-    resolutions: dict[int, Resolution] = {}
-    records = []
-    for row, (title, height, chroma, target, actual, metric, quality, decode) in rows:
-        if not isinstance(title, str):
-            raise MalformedRow(row, f"title {title!r} is not a string")
-        title = title.strip()
-        if not title:
-            raise MalformedRow(row, "empty title")
+    title, height, chroma, target, actual, metric, quality, decode = values
+    if not isinstance(title, str):
+        raise MalformedRow(row, f"title {title!r} is not a string")
+    title = title.strip()
+    if not title:
+        raise MalformedRow(row, "empty title")
+    try:
+        height_px = int(str(height).strip())
+    except ValueError:
+        raise MalformedRow(row, f"height {height!r} is not an integer") from None
+    chroma_tag = str(chroma).strip()
+    chroma_format = _CHROMA_BY_TAG.get(chroma_tag)
+    if chroma_format is None:
+        raise MalformedRow(row, f"chroma {chroma_tag!r} not one of 420/422/444")
+    metric_tag = str(metric).strip()
+    quality_metric = _METRIC_BY_TAG.get(metric_tag)
+    if quality_metric is None:
+        raise MalformedRow(row, f"metric {metric_tag!r} not one of cvvdp/psnr")
+    target_kbps = _number(row, "target_kbps", target)
+    actual_kbps = _number(row, "actual_kbps", actual)
+    value = _number(row, "quality", quality)
+    decode_s = _number(row, "decode_s_per_frame", decode)
+    try:
+        score = QualityScore(quality_metric, value)
+    except ValueError as exc:
+        raise MalformedRow(row, str(exc)) from None
+    if height_px <= 0:
+        raise NonPositiveValue("height", row=row)
+    resolution = resolutions.get(height_px)
+    if resolution is None:
+        resolution = Resolution(height_px)
         try:
-            height_px = int(str(height).strip())
-        except ValueError:
-            raise MalformedRow(row, f"height {height!r} is not an integer") from None
-        chroma_tag = str(chroma).strip()
-        chroma_format = _CHROMA_BY_TAG.get(chroma_tag)
-        if chroma_format is None:
-            raise MalformedRow(row, f"chroma {chroma_tag!r} not one of 420/422/444")
-        metric_tag = str(metric).strip()
-        quality_metric = _METRIC_BY_TAG.get(metric_tag)
-        if quality_metric is None:
-            raise MalformedRow(row, f"metric {metric_tag!r} not one of cvvdp/psnr")
-        target_kbps = _number(row, "target_kbps", target)
-        actual_kbps = _number(row, "actual_kbps", actual)
-        value = _number(row, "quality", quality)
-        decode_s = _number(row, "decode_s_per_frame", decode)
-        try:
-            score = QualityScore(quality_metric, value)
-        except ValueError as exc:
-            raise MalformedRow(row, str(exc)) from None
-        resolution = resolutions.get(height_px)
-        if resolution is None:
-            resolution = Resolution(height_px)
-            try:
-                # Reports carry the 16:9 width, a float quotient of the height.
-                resolution.pixel_width
-            except OverflowError:
-                raise MalformedRow(row, "height is an integer too large for a float") from None
-            resolutions[height_px] = resolution
-        records.append(MeasurementRecord(
-            title, resolution, chroma_format, target_kbps, actual_kbps, score, decode_s))
-    return records
+            # Reports carry the 16:9 width, a float quotient of the height.
+            resolution.pixel_width
+        except OverflowError:
+            raise MalformedRow(row, "height is an integer too large for a float") from None
+        resolutions[height_px] = resolution
+    for name, number in (("target_kbps", target_kbps), ("actual_kbps", actual_kbps),
+                         ("decode_s_per_frame", decode_s)):
+        if not 0.0 < number < math.inf:
+            raise NonPositiveValue(name, f"title {title!r}", row=row, finite=True)
+    return MeasurementRecord(
+        title, resolution, chroma_format, target_kbps, actual_kbps, score, decode_s)
 
 
 def _number(row: int, name: str, value) -> float:
@@ -326,22 +347,97 @@ def _number(row: int, name: str, value) -> float:
     raise MalformedRow(row, f"{name} {value!r} is not a number")
 
 
-def _group_records(records: Sequence[MeasurementRecord]) -> list[TitleDataset]:
-    seen = set()
-    by_title: dict[str, list[MeasurementRecord]] = {}
-    for rec in records:
-        # Parsed resolutions have no width, so the height stands in for the
-        # Resolution of ``rec.key``.
-        key = (rec.title_id, rec.resolution.height, rec.chroma.fidelity_rank, rec.target_bitrate)
-        if key in seen:
-            raise DuplicateRecord(rec.key)
-        seen.add(key)
-        by_title.setdefault(rec.title_id, []).append(rec)
-    for title, recs in by_title.items():
-        metric = recs[0].quality.metric
-        if any(r.quality.metric is not metric for r in recs):
-            raise MixedQualityMetric(title)
-    return [TitleDataset._from_checked(t, by_title[t]) for t in sorted(by_title)]
+# The slots of the parsed records, filled as ``_row_record``'s constructors
+# would fill them without running their checks again.
+_SET_METRIC = QualityScore.metric.__set__
+_SET_VALUE = QualityScore.value.__set__
+_SET_TITLE = MeasurementRecord.title_id.__set__
+_SET_RESOLUTION = MeasurementRecord.resolution.__set__
+_SET_CHROMA = MeasurementRecord.chroma.__set__
+_SET_TARGET = MeasurementRecord.target_bitrate.__set__
+_SET_ACTUAL = MeasurementRecord.actual_bitrate.__set__
+_SET_QUALITY = MeasurementRecord.quality.__set__
+_SET_DECODE = MeasurementRecord.decode_time.__set__
+_FIRST = operator.itemgetter(0)
+
+
+def _datasets_from_rows(rows: Iterable[tuple[int, Sequence]]) -> list[TitleDataset]:
+    """The datasets of ``(row number, values in CSV_HEADER order)`` rows, in
+    title order, with the errors and precedence that ``parse_dataset`` states.
+
+    A row is accepted without ``_row_record`` when its title, height, chroma
+    and metric are raw values that an earlier row had, and its four numbers
+    convert with ``float()`` and are in range; ``_row_record`` would accept
+    it and build an equal record. Every other row goes through
+    ``_row_record``. The caches are keyed on the raw value, and by its type
+    for height and chroma: as dict keys, the invalid JSON ``1080.0`` and
+    ``true`` equal the valid ``1080`` and ``1``. Each title keeps its records
+    in a dict by sort key, which finds repeated keys and sorts them.
+    """
+    inf = math.inf
+    new = object.__new__
+    resolutions: dict[int, Resolution] = {}
+    titles: dict = {}  # raw title -> (title, records by sort key, first metric)
+    heights: dict[type, dict] = {}  # type -> raw height -> Resolution
+    chromas: dict[type, dict] = {}  # type -> raw chroma -> ChromaFormat
+    metrics: dict = {}  # raw metric -> QualityMetric
+    by_title: dict[str, tuple] = {}
+    mixed: set[str] = set()
+    duplicate = None
+    for row, values in rows:
+        title, height, chroma, target, actual, metric, quality, decode = values
+        try:
+            t, group, first_metric = titles[title]
+            res = heights[height.__class__][height]
+            c = chromas[chroma.__class__][chroma]
+            m = metrics[metric]
+            tk, ak, q, dk = float(target), float(actual), float(quality), float(decode)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            fast = False
+        else:
+            # float() takes a bool; only JSON rows carry one.
+            fast = (0.0 < tk < inf and 0.0 < ak < inf and 0.0 < dk < inf and -inf < q < inf
+                    and target.__class__ is not bool and actual.__class__ is not bool
+                    and quality.__class__ is not bool and decode.__class__ is not bool)
+        if fast:
+            score = new(QualityScore)
+            _SET_METRIC(score, m)
+            _SET_VALUE(score, q)
+            rec = new(MeasurementRecord)
+            _SET_TITLE(rec, t)
+            _SET_RESOLUTION(rec, res)
+            _SET_CHROMA(rec, c)
+            _SET_TARGET(rec, tk)
+            _SET_ACTUAL(rec, ak)
+            _SET_QUALITY(rec, score)
+            _SET_DECODE(rec, dk)
+        else:
+            rec = _row_record(row, values, resolutions)
+            t, res, c, tk = rec.title_id, rec.resolution, rec.chroma, rec.target_bitrate
+            m = rec.quality.metric
+            entry = by_title.get(t)
+            if entry is None:
+                entry = by_title[t] = (t, {}, m)
+            t, group, first_metric = titles[title] = entry
+            heights.setdefault(height.__class__, {})[height] = res
+            chromas.setdefault(chroma.__class__, {})[chroma] = c
+            metrics[metric] = m
+        if m is not first_metric:
+            mixed.add(t)
+        if group.setdefault((tk, res.height, c.fidelity_rank), rec) is not rec and duplicate is None:
+            duplicate = rec
+    if duplicate is not None:
+        raise DuplicateRecord(duplicate.key)
+    for t in by_title:
+        if t in mixed:
+            raise MixedQualityMetric(t)
+    datasets = []
+    for t in sorted(by_title):
+        group = by_title[t][1]
+        keys = sorted(group)
+        datasets.append(TitleDataset._from_checked(
+            t, tuple(map(group.__getitem__, keys)), tuple(dict.fromkeys(map(_FIRST, keys)))))
+    return datasets
 
 
 # -- serialization ----------------------------------------------------------
@@ -391,6 +487,8 @@ def serialize_dataset(datasets: Iterable[TitleDataset], fmt: str = "csv") -> str
 
 # -- candidate filtering ----------------------------------------------------
 
+_TARGET = operator.attrgetter("target_bitrate")
+
 
 def candidates_for(
     dataset: TitleDataset,
@@ -412,14 +510,15 @@ def candidates_for(
         raise ValueError("target must be > 0")
     lo = target * (1.0 - tolerance)
     hi = target * (1.0 + tolerance)
-    out = [
-        r
-        for r in dataset.records
-        if (cross_target or r.target_bitrate == target) and lo <= r.actual_bitrate <= hi
-    ]
-    out.sort(
-        key=lambda r: (r.resolution.height, r.chroma.fidelity_rank, r.target_bitrate)
-    )
+    records = dataset.records
+    if not cross_target:
+        # Records are in (target, height, fidelity) order, so the target's
+        # encodes are one run, already in the order returned.
+        start = bisect_left(records, target, key=_TARGET)
+        stop = bisect_right(records, target, start, key=_TARGET)
+        return [r for r in records[start:stop] if lo <= r.actual_bitrate <= hi]
+    out = [r for r in records if lo <= r.actual_bitrate <= hi]
+    out.sort(key=lambda r: (r.resolution.height, r.chroma.fidelity_rank, r.target_bitrate))
     return out
 
 

@@ -12,12 +12,16 @@ The log base is fixed to ``e``; any other base only rescales alpha.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import BoundsMismatch, EmptyDataset, NonPositiveDecodeTime
 from .measurements import MeasurementRecord, TitleDataset
 
 BOUNDS_TOLERANCE = 1e-9
+
+_QUALITY = operator.attrgetter("quality.value")
 
 
 @dataclass(frozen=True)
@@ -55,13 +59,19 @@ class NormalizationBounds:
             raise ValueError("log_d_min must be <= log_d_max")
 
 
-def bounds_for(dataset: TitleDataset) -> NormalizationBounds:
-    """Extrema over every record of the title (all resolutions, chromas, targets)."""
+def bounds_for(dataset: TitleDataset, log_times: Sequence[float] | None = None
+               ) -> NormalizationBounds:
+    """Extrema over every record of the title (all resolutions, chromas, targets).
+
+    ``log_times``, when given, are the records' ``log_decode_time`` in record
+    order, for a caller that needs them as well.
+    """
     if not dataset.records:
         raise EmptyDataset(f"no records for title {dataset.title_id!r}")
-    qs = [r.quality.value for r in dataset.records]
-    lds = [r.log_decode_time for r in dataset.records]
-    return NormalizationBounds(min(qs), max(qs), min(lds), max(lds))
+    qs = list(map(_QUALITY, dataset.records))
+    if log_times is None:
+        log_times = [r.log_decode_time for r in dataset.records]
+    return NormalizationBounds(min(qs), max(qs), min(log_times), max(log_times))
 
 
 def composite_raw(q: float, decode_time: float, alpha: Alpha | float) -> float:

@@ -1,7 +1,7 @@
 """Shared constructors for hand-built and randomized measurement datasets, a
 vectorized PCHIP evaluator for quadrature checks, a frozen numpy-scalar PCHIP
-integrator that the float implementation must match, a frozen two-pass
-ingest that the single-pass parser must match, the frozen per-ladder BD
+integrator that the float implementation must match, a frozen row-by-row
+ingest that the parser's fast path must match, the frozen per-ladder BD
 curves that the CLI's per-record-set memo must match, a frozen DP graph
 compiler that keeps every reachable state, which the live-state graphs must
 solve alike, and a frozen report renderer (a dict payload per rung, through
@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -30,7 +31,13 @@ from chromaladder import (
 )
 from chromaladder import cli
 from chromaladder.bdmetrics import CurveAxis, bd_delta, build_curve
-from chromaladder.errors import DuplicateRecord, MalformedRow, MixedQualityMetric
+from chromaladder.errors import (
+    DatasetError,
+    DuplicateRecord,
+    MalformedRow,
+    MixedQualityMetric,
+    NonPositiveValue,
+)
 from chromaladder.ladder import _Graph, _step_ok
 from chromaladder.measurements import CSV_HEADER
 
@@ -227,119 +234,148 @@ def pchip_values(curve, t) -> np.ndarray:
     return h00 * y[k] + h10 * h * d[k] + h01 * y[k + 1] + h11 * h * d[k + 1]
 
 
-# -- frozen two-pass ingest: the reference for the single-pass parser ------------
+# -- frozen row-by-row ingest: the reference for the parser's fast path ---------
 #
-# Rows go through csv.DictReader or json.loads into validated records, the
-# records into per-title datasets, and ``oracle_merge`` rebuilds every title
-# from the records of all files. Kept as it was, apart from names.
+# The parser as it was before rows took a fast path: every row is checked and
+# built through the public constructors, then grouped by title. Kept as it
+# was apart from names, and from the row that ``NonPositiveValue`` now names
+# (with "finite and" for the three float values).
 
 
 def oracle_parse_dataset(text: str, fmt: str = "auto") -> list[TitleDataset]:
+    text = text.removeprefix("\ufeff")
     if fmt == "auto":
         fmt = "json" if text.lstrip()[:1] in ("[", "{") else "csv"
     if fmt == "csv":
-        records = _oracle_records_from_csv(text)
+        rows = _oracle_rows_from_csv(text)
     elif fmt == "json":
-        records = _oracle_records_from_json(text)
+        rows = _oracle_rows_from_json(text)
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    return _oracle_group_records(records)
+    return _oracle_group_records(_oracle_records(rows))
 
 
-def _oracle_records_from_csv(text: str) -> list[MeasurementRecord]:
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
+def _oracle_rows_from_csv(text: str):
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None:
         raise MalformedRow(0, "empty input, header required")
-    got = tuple(name.strip() for name in reader.fieldnames)
+    got = [name.strip() for name in header]
     if sorted(got) != sorted(CSV_HEADER):
         raise MalformedRow(0, f"header must contain exactly {','.join(CSV_HEADER)}; got {','.join(got)}")
-    records = []
-    for i, row in enumerate(reader, start=1):
-        if None in row or any(v is None for v in row.values()):
-            raise MalformedRow(i, "wrong number of fields")
-        records.append(_oracle_record_from_fields(i, {k.strip(): v for k, v in row.items()}))
-    return records
+    in_header_order = operator.itemgetter(*(got.index(name) for name in CSV_HEADER))
+    row = 0
+    for values in reader:
+        if not values:
+            continue
+        row += 1
+        if len(values) != len(got):
+            raise MalformedRow(row, "wrong number of fields")
+        yield row, in_header_order(values)
 
 
-def _oracle_records_from_json(text: str) -> list[MeasurementRecord]:
+def _oracle_rows_from_json(text: str):
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedRow(0, f"invalid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise MalformedRow(0, "JSON input must be an array of objects")
-    records = []
-    for i, obj in enumerate(data, start=1):
+    in_header_order = operator.itemgetter(*CSV_HEADER)
+    for row, obj in enumerate(data, start=1):
         if not isinstance(obj, dict):
-            raise MalformedRow(i, "array entry is not an object")
-        if sorted(obj) != sorted(CSV_HEADER):
-            raise MalformedRow(i, f"object keys must be exactly {','.join(CSV_HEADER)}")
-        records.append(_oracle_record_from_fields(i, obj))
+            raise MalformedRow(row, "array entry is not an object")
+        if obj.keys() != frozenset(CSV_HEADER):
+            raise MalformedRow(row, f"object keys must be exactly {','.join(CSV_HEADER)}")
+        yield row, in_header_order(obj)
+
+
+def _oracle_records(rows) -> list[MeasurementRecord]:
+    chroma_by_tag = {c.value: c for c in ChromaFormat}
+    metric_by_tag = {m.value: m for m in QualityMetric}
+    resolutions: dict[int, Resolution] = {}
+    records = []
+    for row, (title, height, chroma, target, actual, metric, quality, decode) in rows:
+        if not isinstance(title, str):
+            raise MalformedRow(row, f"title {title!r} is not a string")
+        title = title.strip()
+        if not title:
+            raise MalformedRow(row, "empty title")
+        try:
+            height_px = int(str(height).strip())
+        except ValueError:
+            raise MalformedRow(row, f"height {height!r} is not an integer") from None
+        chroma_tag = str(chroma).strip()
+        chroma_format = chroma_by_tag.get(chroma_tag)
+        if chroma_format is None:
+            raise MalformedRow(row, f"chroma {chroma_tag!r} not one of 420/422/444")
+        metric_tag = str(metric).strip()
+        quality_metric = metric_by_tag.get(metric_tag)
+        if quality_metric is None:
+            raise MalformedRow(row, f"metric {metric_tag!r} not one of cvvdp/psnr")
+        target_kbps = _oracle_number(row, "target_kbps", target)
+        actual_kbps = _oracle_number(row, "actual_kbps", actual)
+        value = _oracle_number(row, "quality", quality)
+        decode_s = _oracle_number(row, "decode_s_per_frame", decode)
+        try:
+            score = QualityScore(quality_metric, value)
+        except ValueError as exc:
+            raise MalformedRow(row, str(exc)) from None
+        resolution = resolutions.get(height_px)
+        if resolution is None:
+            try:
+                resolution = Resolution(height_px)
+            except NonPositiveValue as exc:
+                raise NonPositiveValue(exc.field, row=row) from None
+            try:
+                resolution.pixel_width
+            except OverflowError:
+                raise MalformedRow(row, "height is an integer too large for a float") from None
+            resolutions[height_px] = resolution
+        try:
+            records.append(MeasurementRecord(
+                title, resolution, chroma_format, target_kbps, actual_kbps, score, decode_s))
+        except NonPositiveValue as exc:
+            raise NonPositiveValue(exc.field, f"title {title!r}", row=row, finite=True) from None
     return records
 
 
-def _oracle_record_from_fields(row: int, fields: dict) -> MeasurementRecord:
-    def fail(reason: str) -> MalformedRow:
-        return MalformedRow(row, reason)
-
-    title = str(fields["title"]).strip()
-    if not title:
-        raise fail("empty title")
-    try:
-        height = int(str(fields["height"]).strip())
-    except ValueError:
-        raise fail(f"height {fields['height']!r} is not an integer") from None
-    chroma_tag = str(fields["chroma"]).strip()
-    try:
-        chroma = ChromaFormat(chroma_tag)
-    except ValueError:
-        raise fail(f"chroma {chroma_tag!r} not one of 420/422/444") from None
-    metric_tag = str(fields["metric"]).strip()
-    try:
-        metric = QualityMetric(metric_tag)
-    except ValueError:
-        raise fail(f"metric {metric_tag!r} not one of cvvdp/psnr") from None
-    numbers = {}
-    for name in ("target_kbps", "actual_kbps", "quality", "decode_s_per_frame"):
+def _oracle_number(row: int, name: str, value) -> float:
+    if not isinstance(value, bool):
         try:
-            numbers[name] = float(fields[name])
+            return float(value)
         except (TypeError, ValueError):
-            raise fail(f"{name} {fields[name]!r} is not a number") from None
-    try:
-        quality = QualityScore(metric, numbers["quality"])
-    except ValueError as exc:
-        raise fail(str(exc)) from None
-    return MeasurementRecord(
-        title_id=title,
-        resolution=Resolution(height),
-        chroma=chroma,
-        target_bitrate=numbers["target_kbps"],
-        actual_bitrate=numbers["actual_kbps"],
-        quality=quality,
-        decode_time=numbers["decode_s_per_frame"],
-    )
+            pass
+        except OverflowError:
+            raise MalformedRow(row, f"{name} is an integer too large for a float") from None
+    raise MalformedRow(row, f"{name} {value!r} is not a number")
 
 
 def _oracle_group_records(records) -> list[TitleDataset]:
-    seen: dict[tuple, MeasurementRecord] = {}
+    seen = set()
     by_title: dict[str, list[MeasurementRecord]] = {}
     for rec in records:
         if rec.key in seen:
             raise DuplicateRecord(rec.key)
-        seen[rec.key] = rec
+        seen.add(rec.key)
         by_title.setdefault(rec.title_id, []).append(rec)
     for title, recs in by_title.items():
-        if len({r.quality.metric for r in recs}) > 1:
+        if any(r.quality.metric is not recs[0].quality.metric for r in recs):
             raise MixedQualityMetric(title)
     return [TitleDataset.from_records(by_title[t]) for t in sorted(by_title)]
 
 
-def oracle_merge(parsed) -> dict[tuple[str, QualityMetric], TitleDataset]:
-    merged: dict[tuple[str, QualityMetric], list] = {}
+def oracle_datasets(parsed) -> dict[tuple[str, QualityMetric], TitleDataset]:
+    """The CLI's merge of parsed files: a title found in one file keeps its
+    dataset; an input without a record raises ``DatasetError``."""
+    merged: dict[tuple[str, QualityMetric], list[TitleDataset]] = {}
     for ds in parsed:
-        merged.setdefault((ds.title_id, ds.metric), []).extend(ds.records)
-    return {key: TitleDataset.from_records(merged[key])
-            for key in sorted(merged, key=lambda k: (k[0], k[1].value))}
+        merged.setdefault((ds.title_id, ds.metric), []).append(ds)
+    if not merged:
+        raise DatasetError("no datasets in input")
+    return {key: group[0] if len(group) == 1
+            else TitleDataset.from_records(r for ds in group for r in ds.records)
+            for key, group in sorted(merged.items(), key=lambda kv: (kv[0][0], kv[0][1].value))}
 
 
 # -- frozen per-ladder BD curves --------------------------------------------

@@ -288,6 +288,14 @@ class TestBdDelta:
         with pytest.raises(NoQualityOverlap):
             bd_delta(ref, test)
 
+    def test_touching_ranges_rejected(self):
+        # One shared quality is an empty interval, not an overlap to average over.
+        ref = rate_curve([4.0, 5.0], [500, 1000])
+        test = rate_curve([5.0, 7.0], [500, 1000])
+        for a, b in ((ref, test), (test, ref)):
+            with pytest.raises(NoQualityOverlap):
+                bd_delta(a, b)
+
     def test_axis_mismatch_rejected(self):
         a = curve([4.0, 5.0], [6.0, 7.0], axis=RATE)
         b = curve([4.0, 5.0], [6.0, 7.0], axis=TIME)

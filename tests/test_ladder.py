@@ -536,6 +536,27 @@ class TestBuildFixed:
         assert load_plan("target_kbps,height\n2400,2160\n\n600,1080\n") == [
             (600.0, 1080), (2400.0, 2160)]
 
+    def test_plan_target_below_one_kbps_accepted(self):
+        # Any positive bitrate is a target, 1 kbps and below included.
+        assert load_plan("target_kbps,height\n0.5,1080\n1,2160\n") == [
+            (0.5, 1080), (1.0, 2160)]
+        ds = TitleDataset.from_records([record(target=0.5), record(target=1.0, height=2160)])
+        ladder = build_fixed(CandidateIndex(ds), [(0.5, 1080), (1.0, 2160)], fixed_chroma=C420)
+        assert [r.choice.target_bitrate for r in ladder.rungs] == [0.5, 1.0]
+
+    def test_cross_target_borrows_the_encode_nearest_the_target(self):
+        # The 700 kbps encode missed its window; of the two encodes of other
+        # targets inside it, the one at 705 kbps is nearer 700 than the one
+        # at 650, though its bitrate is the higher.
+        ds = TitleDataset.from_records([
+            record(chroma=C444, target=600.0, actual=650.0),
+            record(chroma=C444, target=700.0, actual=900.0),
+            record(chroma=C444, target=800.0, actual=705.0),
+        ])
+        ladder = build_fixed(CandidateIndex(ds, cross_target=True), [(700.0, 1080)])
+        assert (ladder.rungs[0].choice.target_bitrate, ladder.rungs[0].choice.actual_bitrate) == (
+            800.0, 705.0)
+
 
 class TestValidator:
     def test_resolution_decrease_rejected(self):

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from chromaladder import (
     ChromaFormat,
+    MeasurementRecord,
     QualityMetric,
     QualityScore,
     Resolution,
@@ -27,9 +29,17 @@ from chromaladder.errors import (
     MixedQualityMetric,
     NonPositiveValue,
 )
-from chromaladder.cli import _merge
+from chromaladder.cli import _datasets, _merge
 from chromaladder.measurements import CSV_HEADER
-from helpers import C420, C422, C444, grid_dataset, oracle_merge, oracle_parse_dataset, record
+from helpers import (
+    C420,
+    C422,
+    C444,
+    grid_dataset,
+    oracle_datasets,
+    oracle_parse_dataset,
+    record,
+)
 
 TEN_TARGETS = (600.0, 900.0, 1600.0, 2400.0, 3400.0, 4500.0, 5800.0, 8100.0, 11600.0, 16800.0)
 
@@ -86,6 +96,35 @@ class TestParsing:
         )
         with pytest.raises(NonPositiveValue):
             parse_dataset(text)
+
+    @pytest.mark.parametrize("row,message", [
+        ("m,1080,420,600,612,cvvdp,6.5,inf",
+         "row 2: decode_s_per_frame must be finite and > 0 (title 'm')"),
+        ("m,1080,420,nan,612,cvvdp,6.5,0.02",
+         "row 2: target_kbps must be finite and > 0 (title 'm')"),
+        ("m,1080,420,600,-612,cvvdp,6.5,0.02",
+         "row 2: actual_kbps must be finite and > 0 (title 'm')"),
+        ("m,0,420,600,612,cvvdp,6.5,0",
+         "row 2: height must be > 0"),
+    ])
+    def test_nonpositive_value_names_its_row(self, row, message):
+        text = HEADER_LINE + "m,2160,420,600,612,cvvdp,6.5,0.02\n\n" + row + "\n"
+        with pytest.raises(NonPositiveValue) as exc:
+            parse_dataset(text)
+        assert (exc.value.row, str(exc.value)) == (2, message)
+
+    def test_constructed_record_needs_finite_positive_numbers(self):
+        with pytest.raises(NonPositiveValue, match="^decode_s_per_frame must be finite and > 0"):
+            record(decode=math.inf)
+        with pytest.raises(NonPositiveValue) as exc:
+            Resolution(0)
+        assert (exc.value.row, str(exc.value)) == (None, "height must be > 0")
+
+    def test_dataset_records_must_be_in_order(self):
+        low, high = record(target=600.0), record(target=900.0)
+        assert TitleDataset("t", (low, high), (600.0, 900.0)).records == (low, high)
+        with pytest.raises(ValueError, match="order"):
+            TitleDataset("t", (high, low), (600.0, 900.0))
 
     def test_duplicate_key_rejected(self):
         text = (
@@ -184,26 +223,39 @@ class TestJsonAndBom:
 
 
 # Small value pools, so that records repeat within and across files and titles
-# mix metrics; each file may carry one bad cell and one malformed row.
+# mix metrics; each file may carry bad cells and one malformed row.
 GOOD_VALUES = {
-    "title": ["a", "b", " c "],
-    "height": ["1080", "2160"],
-    "chroma": ["420", "422", "444"],
-    "target_kbps": ["600", "1200.0"],
-    "actual_kbps": ["610.5", "1190"],
-    "metric": ["cvvdp", "cvvdp", "cvvdp", "psnr"],
-    "quality": ["7.5", "6.25"],
-    "decode_s_per_frame": ["0.02", "0.5"],
+    "title": ["a", "b", " c ", "c"],
+    "height": ["1080", "2160", " 1 "],
+    "chroma": ["420", "422", "444", " 420"],
+    "target_kbps": ["600", "1200.0", "1e3"],
+    "actual_kbps": ["610.5", "1190", " 7 "],
+    "metric": ["cvvdp", "cvvdp", "cvvdp", "psnr", "psnr "],
+    "quality": ["7.5", "6.25", "0", "-3.5", "1"],
+    "decode_s_per_frame": ["0.02", "0.5", "1"],
 }
 BAD_CELLS = [
     ("title", ""), ("title", "  "),
     ("height", "x"), ("height", "0"), ("height", "-1080"), ("height", "1080.0"),
     ("chroma", "411"), ("chroma", "4:2:0"),
-    ("target_kbps", "abc"), ("target_kbps", "0"), ("target_kbps", "nan"),
-    ("actual_kbps", "inf"), ("actual_kbps", "-3"),
     ("metric", "vmaf"),
-    ("quality", "q"), ("quality", "nan"),
-    ("decode_s_per_frame", "0"), ("decode_s_per_frame", ""),
+    ("target_kbps", "abc"), ("target_kbps", "0"), ("target_kbps", "nan"),
+    ("target_kbps", "-inf"),
+    ("actual_kbps", "inf"), ("actual_kbps", "-3"), ("actual_kbps", "0.0"),
+    ("quality", "q"), ("quality", "nan"), ("quality", "inf"), ("quality", "-inf"),
+    ("decode_s_per_frame", "0"), ("decode_s_per_frame", ""), ("decode_s_per_frame", "inf"),
+    ("decode_s_per_frame", "-0.5"),
+]
+# Cells only JSON can carry. Some equal a valid cell of another type (1080.0
+# and 1080, true and 1), which the parser's per-value caches must tell apart.
+JSON_BAD_CELLS = [
+    ("title", 7), ("title", None), ("title", ["a"]), ("title", True),
+    ("height", 1080.0), ("height", True), ("height", [1080]), ("height", 10**400),
+    ("chroma", 420.0), ("chroma", True), ("chroma", {"420": 1}),
+    ("metric", ["cvvdp"]), ("metric", None),
+    ("target_kbps", True), ("target_kbps", 10**400), ("actual_kbps", False),
+    ("quality", True), ("quality", False), ("quality", None),
+    ("decode_s_per_frame", True), ("decode_s_per_frame", {"s": 1}),
 ]
 
 
@@ -227,12 +279,26 @@ def ingest_files(draw):
         rows = draw(st.lists(st.fixed_dictionaries(
             {name: st.sampled_from(values) for name, values in GOOD_VALUES.items()}),
             max_size=8))
-        bad = draw(st.none() | st.tuples(st.integers(0, 7), st.sampled_from(BAD_CELLS)))
-        if bad is not None and bad[0] < len(rows):
-            rows[bad[0]][bad[1][0]] = bad[1][1]
+        as_json = draw(st.booleans())
+        if as_json:
+            # Each cell keeps its CSV string or becomes a JSON number, so one
+            # file mixes "1080" and 1080.
+            rows = [{name: value if draw(st.booleans()) else _json_value(name, value)
+                     for name, value in row.items()} for row in rows]
+        # A row may repeat an earlier row's raw title, height, chroma and
+        # metric, so that its bad cells meet the parser's caches.
+        for i in range(1, len(rows)):
+            if draw(st.booleans()):
+                rows[i].update((name, rows[draw(st.integers(0, i - 1))][name])
+                               for name in ("title", "height", "chroma", "metric"))
+        bad_cells = BAD_CELLS + JSON_BAD_CELLS if as_json else BAD_CELLS
+        bads = draw(st.lists(st.tuples(st.integers(0, 7), st.sampled_from(bad_cells)), max_size=2))
         flaw = draw(st.sampled_from([None, None, "short", "long", "keys", "entry"]))
         flaw_at = draw(st.integers(0, 7))
-        if draw(st.booleans()):
+        if not as_json:
+            for at, (name, value) in bads:
+                if at < len(rows):
+                    rows[at][name] = value
             columns = list(CSV_HEADER)
             if draw(st.booleans()):
                 columns = draw(st.permutations(CSV_HEADER))
@@ -251,8 +317,10 @@ def ingest_files(draw):
                 writer.writerow(cells)
             text = out.getvalue()
         else:
-            objs = [{name: _json_value(name, value) for name, value in row.items()}
-                    for row in rows]
+            objs = rows
+            for at, (name, value) in bads:
+                if at < len(objs):
+                    objs[at][name] = value
             if flaw_at < len(objs) and flaw == "keys":
                 objs[flaw_at].pop("quality")
             elif flaw_at < len(objs) and flaw == "entry":
@@ -265,8 +333,16 @@ def ingest_files(draw):
 def _outcome(call):
     try:
         return call()
-    except Exception as exc:  # the outcome compared is the exception's type and text
-        return type(exc), str(exc)
+    except Exception as exc:  # the outcome compared is the exception's type, row and text
+        return type(exc), getattr(exc, "row", None), str(exc)
+
+
+def _json_pair(**changes):
+    """A JSON file of a valid row and of the row at a higher target with
+    ``changes``."""
+    row = {"title": "a", "height": 1, "chroma": 420, "target_kbps": 600, "actual_kbps": 610,
+           "metric": "cvvdp", "quality": 7, "decode_s_per_frame": 0.02}
+    return json.dumps([row, {**row, "target_kbps": 900, **changes}])
 
 
 DUPLICATE_AND_MIXED = (
@@ -280,10 +356,11 @@ DUPLICATE_AND_MIXED = (
 
 
 class TestSinglePassIngest:
-    """``parse_dataset`` and the CLI's file merge against the frozen two-pass
-    ingest in ``helpers``: equal datasets, or the same exception and message."""
+    """``parse_dataset`` and the CLI's file merge against the frozen
+    row-by-row ingest in ``helpers``: equal datasets, or the same exception,
+    row and message."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(files=ingest_files())
     @example(files=[(False, "")])
     @example(files=[(False, "\n" + HEADER_LINE)])
@@ -293,14 +370,34 @@ class TestSinglePassIngest:
     @example(files=[(False, DUPLICATE_AND_MIXED)])
     @example(files=[(False, DUPLICATE_AND_MIXED.replace("a,1080,422,600,605", "a,2160,422,600,605"))])
     @example(files=[(False, HEADER_LINE + "a,1080,420,600,610,cvvdp,7,0.02\n")] * 2)
-    def test_matches_two_pass_ingest(self, files):
-        for bom, text in files:
-            assert _outcome(lambda: parse_dataset("\ufeff" + text if bom else text)) == (
-                _outcome(lambda: oracle_parse_dataset(text)))
-        got = _outcome(lambda: _merge(
-            ds for bom, text in files for ds in parse_dataset("\ufeff" + text if bom else text)))
-        want = _outcome(lambda: oracle_merge(
-            ds for _, text in files for ds in oracle_parse_dataset(text)))
+    # A valid row, then one that differs from it in a cell only: each cell
+    # equals a value the first row put in the parser's caches, or its number
+    # converts but is out of range.
+    @example(files=[(False, _json_pair(height=True))])
+    @example(files=[(False, _json_pair(height=1.0))])
+    @example(files=[(False, _json_pair(chroma=420.0))])
+    @example(files=[(False, _json_pair(target_kbps=True))])
+    @example(files=[(False, _json_pair(quality=False))])
+    @example(files=[(False, _json_pair(decode_s_per_frame=math.inf))])
+    @example(files=[(False, _json_pair(actual_kbps=-math.inf))])
+    @example(files=[(False, _json_pair(quality=math.nan))])
+    # Line breaks other than "\n", quoted newlines, characters outside the
+    # ASCII and the Basic Multilingual Plane, and a lone surrogate.
+    @example(files=[(False, HEADER_LINE + '"\u00e9\U0001f600\u2028t\x0bx",1080,420,600,610,cvvdp,7,1\r\n'
+                     + '"two\nlines",1080,420,600,610,cvvdp,7,1\n'
+                     + '\ud800,1080,420,600,610,cvvdp,7,1\n\x1c\n'
+                     + 'a\rb,1080,420,600,610,cvvdp,7,1\n')])
+    @example(files=[(False, HEADER_LINE + '\u00e9,1080,420,600,610,cvvdp,7,1\n'
+                     + '"\u00e9",1080,420,900,910,cvvdp,7,1\r'
+                     + '\u00e9\u2029,1080,420,600,610,cvvdp,7,1\n')])
+    def test_matches_row_by_row_ingest(self, files):
+        texts = ["\ufeff" + text if bom else text for bom, text in files]
+        for text in texts:
+            assert _outcome(lambda: parse_dataset(text)) == _outcome(
+                lambda: oracle_parse_dataset(text))
+        got = _outcome(lambda: _datasets(ds for text in texts for ds in parse_dataset(text)))
+        want = _outcome(lambda: oracle_datasets(
+            ds for text in texts for ds in oracle_parse_dataset(text)))
         assert got == want
 
     def test_duplicate_beats_an_earlier_mixed_metric(self):
@@ -321,6 +418,55 @@ class TestSinglePassIngest:
     def test_parsed_records_share_one_resolution_per_height(self):
         (ds,) = parse_dataset(serialize_dataset([full_grid()]))
         assert len({id(r.resolution) for r in ds.records}) == 2
+
+
+class TestRecordInvariants:
+    """Parsed records fill their slots without the constructors; they must be
+    the records the constructors build, frozen and hashable alike."""
+
+    @staticmethod
+    def parsed(fmt):
+        ds = full_grid()
+        recs = list(ds.records) + [record("movie", 720, target=t, quality=3.5, decode=0.01)
+                                   for t in TEN_TARGETS[:2]]
+        (parsed,) = parse_dataset(serialize_dataset([TitleDataset.from_records(recs)], fmt=fmt))
+        return parsed
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_parsed_record_is_the_constructed_record(self, fmt):
+        records = self.parsed(fmt).records
+        # One shared Resolution per height.
+        assert len({id(rec.resolution) for rec in records}) == 3
+        for rec in records:
+            built = MeasurementRecord(
+                rec.title_id, Resolution(rec.resolution.height), rec.chroma, rec.target_bitrate,
+                rec.actual_bitrate, QualityScore(rec.quality.metric, rec.quality.value),
+                rec.decode_time)
+            assert rec == built and built == rec
+            assert hash(rec) == hash(built)
+            assert repr(rec) == repr(built)
+            assert (hash(rec.quality), hash(rec.resolution)) == (
+                hash(built.quality), hash(built.resolution))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_records_are_frozen_hashable_and_slotted(self, fmt):
+        parsed = self.parsed(fmt).records[0]
+        for rec in (parsed, record()):
+            for obj, name in ((rec, "decode_time"), (rec, "title_id"), (rec.quality, "value"),
+                              (rec.resolution, "height")):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(obj, name, 1)
+                with pytest.raises(FrozenInstanceError):
+                    delattr(obj, name)
+                assert not hasattr(obj, "__dict__")
+            assert len({rec, rec.quality, rec.resolution}) == 3
+        assert parsed == self.parsed(fmt).records[0] and parsed is not self.parsed(fmt).records[0]
+
+    def test_replace_checks_a_parsed_record(self):
+        rec = self.parsed("csv").records[0]
+        assert replace(rec, decode_time=0.5).decode_time == 0.5
+        with pytest.raises(NonPositiveValue):
+            replace(rec, decode_time=0.0)
 
 
 class TestRoundTrip:
