@@ -2,19 +2,20 @@
 compare methods with Bjontegaard deltas, sweep alpha, and report chroma usage.
 
 The four ladder commands (optimize, compare, sweep, pmf) share one evaluation
-pass, ``_evaluate``: it loads the datasets and the plan, then runs each
-(method, alpha) builder of the command's table title by title and turns
-per-title failures into exclusions. optimize, compare and sweep build
-validated ``Ladder`` objects, and compare and sweep add Bjontegaard deltas on
-top. pmf needs only chroma counts: arcs and dynres count the solver's chosen
-rungs (``chroma_counts``) without building a ladder, and default and fixed
-count their one built ladder. Every command hands its payload to ``_emit``,
-which prints JSON or, with ``--out``, writes the requested files and prints a
-summary. A value that JSON cannot encode fails every command with exit 1
-before any file is written, whatever ``--format`` asks for. Ladders are
-rendered one title at a time: a title's ``_RungText`` renders each distinct
-(record, target) once, and compare's title entries are rendered only when
-``to_json_text`` reaches them.
+pass, ``_evaluate``: it parses every input file in one ``parse_dataset`` call,
+so a title's metrics and records may be split over files in any way, loads the
+plan, then runs each (method, alpha) builder of the command's table title by
+title and turns per-title failures into exclusions. optimize, compare and
+sweep build validated ``Ladder`` objects, and compare and sweep add
+Bjontegaard deltas on top. pmf needs only chroma counts: arcs and dynres count
+the solver's chosen rungs (``chroma_counts``) without building a ladder, and
+default and fixed count their one built ladder. Every command hands its
+payload to ``_emit``, which prints JSON or, with ``--out``, writes the
+requested files and prints a summary. A value that JSON cannot encode fails
+every command with exit 1 before any file is written, whatever ``--format``
+asks for. Ladders are rendered one title at a time: a title's ``_RungText``
+renders each distinct (record, target) once, and compare's title entries are
+rendered only when ``to_json_text`` reaches them.
 
 Exit codes: 0 success, 1 input/validation error, 2 computation error.
 All reports are deterministic: titles are processed in lexicographic order and
@@ -43,7 +44,6 @@ from .errors import (
     InvalidPlan,
     InvalidSpec,
     LadderError,
-    PlanTargetUnknown,
 )
 from .ladder import (
     CandidateIndex,
@@ -236,21 +236,9 @@ _PMF_BUILDERS = {
 }
 
 
-def _merge(parsed: Iterable[TitleDataset]) -> dict[tuple[str, QualityMetric], TitleDataset]:
-    """The records of every input file merged by (title, metric), in (title,
-    metric) order; a record given twice raises ``DuplicateRecord``. A title
-    found in one file only keeps the dataset parsed from it."""
-    merged: dict[tuple[str, QualityMetric], list[TitleDataset]] = {}
-    for ds in parsed:
-        merged.setdefault((ds.title_id, ds.metric), []).append(ds)
-    return {key: group[0] if len(group) == 1
-            else TitleDataset.from_records(r for ds in group for r in ds.records)
-            for key, group in sorted(merged.items(), key=lambda kv: (kv[0][0], kv[0][1].value))}
-
-
-def _datasets(parsed: Iterable[TitleDataset]) -> dict[tuple[str, QualityMetric], TitleDataset]:
-    """``_merge(parsed)``; an input without a record raises ``DatasetError``."""
-    datasets = _merge(parsed)
+def _datasets(sources: Iterable[str]) -> list[TitleDataset]:
+    """``parse_dataset(sources)``; an input without a record raises ``DatasetError``."""
+    datasets = parse_dataset(sources)
     if not datasets:
         raise DatasetError("no datasets in input")
     return datasets
@@ -270,8 +258,7 @@ def _evaluate(cfg: RunConfig, builders: dict[Method, Callable]
     the title's one candidate index, each runs once, and only the current
     title's results are kept.
     """
-    datasets = _datasets(ds for path in cfg.inputs
-                      for ds in parse_dataset(Path(path).read_text(encoding="utf-8")))
+    datasets = _datasets(Path(path).read_text(encoding="utf-8") for path in cfg.inputs)
     if cfg.plan_path is not None:
         plan = load_plan(Path(cfg.plan_path).read_text(encoding="utf-8"))
     elif Method.FIXED_LADDER in (*cfg.methods, cfg.reference):
@@ -286,8 +273,8 @@ def _evaluate(cfg: RunConfig, builders: dict[Method, Callable]
                                     for side in (*sides, method)))
               for method in cfg.methods
               for alpha in (cfg.alphas if ALPHA_METHODS & {method, cfg.reference} else (None,))]
-    for key, ds in datasets.items():
-        title, metric = key
+    for ds in datasets:
+        title, metric = key = ds.title_id, ds.metric
         index = CandidateIndex(ds, cfg.tolerance, cross_target=cfg.cross_target)
         build = functools.cache(lambda builder, alpha: builder(cfg, plan, index, alpha))
         evaluations = []
@@ -533,20 +520,23 @@ def _render_summary(reference: Method, rows: list[dict], excluded: list[dict]) -
 
 def cmd_validate(args) -> int:
     cfg = RunConfig(inputs=tuple(Path(p) for p in args.input), tolerance=args.tolerance)
-    errors, warns, parsed = [], [], []
-    for path in cfg.inputs:
-        try:
-            parsed.extend(parse_dataset(Path(path).read_text(encoding="utf-8")))
-        except (DatasetError, OSError) as exc:
-            errors.append(f"{path}: {exc}")
-    # Files are merged and checked as the ladder commands do it; a file that
-    # failed to parse is reported once, above.
-    datasets = []
-    if parsed or not errors:
-        try:
-            datasets = list(_datasets(parsed).values())
-        except DatasetError as exc:
-            errors.append(str(exc))
+    errors, warns = [], []
+    try:
+        datasets = _datasets(Path(path).read_text(encoding="utf-8") for path in cfg.inputs)
+    except (DatasetError, OSError):
+        # Name each file that fails to parse on its own, then parse the files
+        # that did together, as the ladder commands read them.
+        datasets, parsed = [], []  # parsed: (path, whether it holds a record)
+        for path in cfg.inputs:
+            try:
+                parsed.append((path, bool(parse_dataset(Path(path).read_text(encoding="utf-8")))))
+            except (DatasetError, OSError) as exc:
+                errors.append(f"{path}: {exc}")
+        if any(found for _, found in parsed) or not errors:
+            try:
+                datasets = _datasets(Path(path).read_text(encoding="utf-8") for path, _ in parsed)
+            except DatasetError as exc:
+                errors.append(str(exc))
     for ds in datasets:
         warns.extend(dataset_warnings(ds, cfg.tolerance))
     for e in errors:
@@ -942,8 +932,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INPUT
     try:
         return args.func(args)
-    except (DatasetError, InvalidSpec, InvalidPlan, PlanTargetUnknown,
-            ValueError, OSError) as exc:
+    except (DatasetError, InvalidSpec, InvalidPlan, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ChromaLadderError as exc:

@@ -5,14 +5,15 @@ format, target bitrate) tuple together with the bitrate the encoder actually
 produced, a perceptual quality score, and the mean decoding time per frame.
 Datasets are immutable after parsing; every operation here is a pure function.
 
-Ingest makes one checked pass over the rows. A row whose title, height,
-chroma and metric repeat raw values of an earlier row, and whose numbers
-convert with ``float()`` and are in range, fills the slots of its frozen
-records directly; every other row goes through ``_row_record``, the one
-definition of a valid row and of its errors. Each title's records are kept by
-(target, height, chroma fidelity), so the parser finds repeated keys and
-sorts each title in C, and ``candidates_for`` finds a target's candidates as
-one run of the sorted records.
+Ingest makes one checked pass over the rows of all its sources and groups
+them by (title, metric), so datasets do not depend on how rows are split over
+files. A row whose title, height, chroma and metric repeat raw values of an
+earlier row, and whose numbers convert with ``float()`` and are in range,
+fills the slots of its frozen records directly; every other row goes through
+``_row_record``, the one definition of a valid row and of its errors. Each
+dataset's records are kept by (target, height, chroma fidelity), so the
+parser finds repeated keys and sorts in C, and ``candidates_for`` finds a
+target's candidates as one run of the sorted records.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import (
@@ -212,32 +214,38 @@ _METRIC_BY_TAG = {m.value: m for m in QualityMetric}
 _JSON_KEYS = frozenset(CSV_HEADER)
 
 
-def parse_dataset(source: str | TextIO, fmt: str = "auto") -> list[TitleDataset]:
-    """Parse a CSV or JSON measurement stream into per-title datasets.
+def parse_dataset(source: str | TextIO | Iterable[str | TextIO],
+                  fmt: str = "auto") -> list[TitleDataset]:
+    """Parse CSV or JSON measurements into per-(title, metric) datasets.
 
-    ``fmt`` is one of ``csv``, ``json``, ``auto``; auto-detection treats
-    content starting with ``[`` or ``{`` as JSON. One leading UTF-8 byte order
-    mark, as spreadsheet exports write, is dropped. Titles are returned sorted
-    lexicographically; records within a title sorted by (target, height,
-    chroma fidelity).
+    ``source`` is a string or text stream, or an iterable of them, parsed as
+    one row stream in order; each is read only when the parse reaches it and
+    dropped once its rows are read. ``fmt`` is ``csv``, ``json`` or ``auto``,
+    which treats a source starting with ``[`` or ``{`` as JSON. One leading
+    UTF-8 byte order mark per source, as spreadsheet exports write, is
+    dropped. Datasets are sorted by title, then metric tag; records within a
+    dataset by (target, height, chroma fidelity). A title measured in both
+    metrics gives two datasets, in one source or across sources.
 
-    Every row is checked in input order and the first bad one raises
-    ``MalformedRow`` (or ``NonPositiveValue``, which also names the row).
-    Then the first record, in input order, that repeats an earlier record's
-    key raises ``DuplicateRecord``, and only then the first title, in order
-    of appearance, with two quality metrics raises ``MixedQualityMetric``.
+    Every row of every source is checked in input order and the first bad
+    one raises ``MalformedRow`` (or ``NonPositiveValue``; both name the row
+    within its source). Only then does the first record, in input order,
+    whose (title, metric, height, chroma, target) repeats an earlier one's
+    raise ``DuplicateRecord``, wherever its copies are.
     """
-    text = source if isinstance(source, str) else source.read()
-    text = text.removeprefix("\ufeff")
+    if fmt not in ("auto", "csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
+    sources = (source,) if isinstance(source, str) or hasattr(source, "read") else source
+    # chain drops each source's rows before it reads the next source, so one
+    # source at a time is in memory.
+    return _datasets_from_rows(chain.from_iterable(map(_source_rows, sources, repeat(fmt))))
+
+
+def _source_rows(source: str | TextIO, fmt: str) -> Iterator[tuple[int, Sequence]]:
+    text = (source if isinstance(source, str) else source.read()).removeprefix("\ufeff")
     if fmt == "auto":
         fmt = "json" if text.lstrip()[:1] in ("[", "{") else "csv"
-    if fmt == "csv":
-        rows = _rows_from_csv(text)
-    elif fmt == "json":
-        rows = _rows_from_json(text)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return _datasets_from_rows(rows)
+    return _rows_from_json(text) if fmt == "json" else _rows_from_csv(text)
 
 
 def _rows_from_csv(text: str) -> Iterator[tuple[int, tuple[str, ...]]]:
@@ -248,19 +256,27 @@ def _rows_from_csv(text: str) -> Iterator[tuple[int, tuple[str, ...]]]:
     # survives the round trip.
     lines = io.TextIOWrapper(io.BytesIO(text.encode("utf-8", "surrogatepass")),
                              encoding="utf-8", errors="surrogatepass", newline="\n")
+    del text  # this generator holds the parse's only reference to it
     reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None:
-        raise MalformedRow(0, "empty input, header required")
-    got = [name.strip() for name in header]
-    if sorted(got) != sorted(CSV_HEADER):
-        raise MalformedRow(0, f"header must contain exactly {','.join(CSV_HEADER)}; got {','.join(got)}")
-    in_header_order = operator.itemgetter(*(got.index(name) for name in CSV_HEADER))
-    width = len(got)
-    for row, values in enumerate(filter(None, reader), start=1):
-        if len(values) != width:
-            raise MalformedRow(row, "wrong number of fields")
-        yield row, in_header_order(values)
+    row = 0  # the row being read: the header, then each data row
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise MalformedRow(0, "empty input, header required")
+        got = [name.strip() for name in header]
+        if sorted(got) != sorted(CSV_HEADER):
+            raise MalformedRow(0, f"header must contain exactly {','.join(CSV_HEADER)}; got {','.join(got)}")
+        in_header_order = operator.itemgetter(*(got.index(name) for name in CSV_HEADER))
+        width = len(got)
+        row = 1
+        for values in filter(None, reader):
+            if len(values) != width:
+                raise MalformedRow(row, "wrong number of fields")
+            yield row, in_header_order(values)
+            row += 1
+    except csv.Error as exc:
+        # Such as a bare "\r" inside an unquoted field.
+        raise MalformedRow(row, f"invalid CSV: {exc}") from None
 
 
 def _rows_from_json(text: str) -> Iterator[tuple[int, tuple]]:
@@ -269,6 +285,7 @@ def _rows_from_json(text: str) -> Iterator[tuple[int, tuple]]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedRow(0, f"invalid JSON: {exc}") from exc
+    del text  # this generator holds the parse's only reference to it
     if not isinstance(data, list):
         raise MalformedRow(0, "JSON input must be an array of objects")
     in_header_order = operator.itemgetter(*CSV_HEADER)
@@ -363,34 +380,33 @@ _FIRST = operator.itemgetter(0)
 
 def _datasets_from_rows(rows: Iterable[tuple[int, Sequence]]) -> list[TitleDataset]:
     """The datasets of ``(row number, values in CSV_HEADER order)`` rows, in
-    title order, with the errors and precedence that ``parse_dataset`` states.
+    (title, metric) order, with the errors and precedence that
+    ``parse_dataset`` states.
 
-    A row is accepted without ``_row_record`` when its title, height, chroma
-    and metric are raw values that an earlier row had, and its four numbers
-    convert with ``float()`` and are in range; ``_row_record`` would accept
-    it and build an equal record. Every other row goes through
+    A row is accepted without ``_row_record`` when its (title, metric),
+    height and chroma are raw values that an earlier row had, and its four
+    numbers convert with ``float()`` and are in range; ``_row_record`` would
+    accept it and build an equal record. Every other row goes through
     ``_row_record``. The caches are keyed on the raw value, and by its type
     for height and chroma: as dict keys, the invalid JSON ``1080.0`` and
-    ``true`` equal the valid ``1080`` and ``1``. Each title keeps its records
-    in a dict by sort key, which finds repeated keys and sorts them.
+    ``true`` equal the valid ``1080`` and ``1``. Each (title, metric) keeps
+    its records in a dict by sort key, which finds repeated keys and sorts
+    them.
     """
     inf = math.inf
     new = object.__new__
     resolutions: dict[int, Resolution] = {}
-    titles: dict = {}  # raw title -> (title, records by sort key, first metric)
+    groups: dict = {}  # (raw title, raw metric) -> (title, metric, records by sort key)
     heights: dict[type, dict] = {}  # type -> raw height -> Resolution
     chromas: dict[type, dict] = {}  # type -> raw chroma -> ChromaFormat
-    metrics: dict = {}  # raw metric -> QualityMetric
-    by_title: dict[str, tuple] = {}
-    mixed: set[str] = set()
+    datasets: dict[tuple[str, str], tuple] = {}  # (title, metric tag) -> groups' entry
     duplicate = None
     for row, values in rows:
         title, height, chroma, target, actual, metric, quality, decode = values
         try:
-            t, group, first_metric = titles[title]
+            t, m, group = groups[title, metric]
             res = heights[height.__class__][height]
             c = chromas[chroma.__class__][chroma]
-            m = metrics[metric]
             tk, ak, q, dk = float(target), float(actual), float(quality), float(decode)
         except (KeyError, TypeError, ValueError, OverflowError):
             fast = False
@@ -415,29 +431,22 @@ def _datasets_from_rows(rows: Iterable[tuple[int, Sequence]]) -> list[TitleDatas
             rec = _row_record(row, values, resolutions)
             t, res, c, tk = rec.title_id, rec.resolution, rec.chroma, rec.target_bitrate
             m = rec.quality.metric
-            entry = by_title.get(t)
+            entry = datasets.get((t, m.value))
             if entry is None:
-                entry = by_title[t] = (t, {}, m)
-            t, group, first_metric = titles[title] = entry
+                entry = datasets[t, m.value] = (t, m, {})
+            t, m, group = groups[title, metric] = entry
             heights.setdefault(height.__class__, {})[height] = res
             chromas.setdefault(chroma.__class__, {})[chroma] = c
-            metrics[metric] = m
-        if m is not first_metric:
-            mixed.add(t)
         if group.setdefault((tk, res.height, c.fidelity_rank), rec) is not rec and duplicate is None:
             duplicate = rec
     if duplicate is not None:
         raise DuplicateRecord(duplicate.key)
-    for t in by_title:
-        if t in mixed:
-            raise MixedQualityMetric(t)
-    datasets = []
-    for t in sorted(by_title):
-        group = by_title[t][1]
+    out = []
+    for t, m, group in map(datasets.__getitem__, sorted(datasets)):
         keys = sorted(group)
-        datasets.append(TitleDataset._from_checked(
+        out.append(TitleDataset._from_checked(
             t, tuple(map(group.__getitem__, keys)), tuple(dict.fromkeys(map(_FIRST, keys)))))
-    return datasets
+    return out
 
 
 # -- serialization ----------------------------------------------------------

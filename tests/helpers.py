@@ -35,7 +35,6 @@ from chromaladder.errors import (
     DatasetError,
     DuplicateRecord,
     MalformedRow,
-    MixedQualityMetric,
     NonPositiveValue,
 )
 from chromaladder.ladder import _Graph, _step_ok
@@ -237,27 +236,36 @@ def pchip_values(curve, t) -> np.ndarray:
 # -- frozen row-by-row ingest: the reference for the parser's fast path ---------
 #
 # The parser as it was before rows took a fast path: every row is checked and
-# built through the public constructors, then grouped by title. Kept as it
-# was apart from names, and from the row that ``NonPositiveValue`` now names
-# (with "finite and" for the three float values).
+# built through the public constructors, then grouped by (title, metric) over
+# the rows of every text as one stream. Kept as it was apart from names, from
+# the row that ``NonPositiveValue`` now names (with "finite and" for the three
+# float values), from the grouping, which was by title within one text, and
+# from a ``csv.Error``, which now becomes a ``MalformedRow``.
 
 
-def oracle_parse_dataset(text: str, fmt: str = "auto") -> list[TitleDataset]:
+def oracle_parse_dataset(texts: str | list[str], fmt: str = "auto") -> list[TitleDataset]:
+    texts = [texts] if isinstance(texts, str) else texts
+    return _oracle_group_records(_oracle_records(
+        row for text in texts for row in _oracle_rows(text, fmt)))
+
+
+def _oracle_rows(text: str, fmt: str):
     text = text.removeprefix("\ufeff")
     if fmt == "auto":
         fmt = "json" if text.lstrip()[:1] in ("[", "{") else "csv"
     if fmt == "csv":
-        rows = _oracle_rows_from_csv(text)
-    elif fmt == "json":
-        rows = _oracle_rows_from_json(text)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return _oracle_group_records(_oracle_records(rows))
+        return _oracle_rows_from_csv(text)
+    if fmt == "json":
+        return _oracle_rows_from_json(text)
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def _oracle_rows_from_csv(text: str):
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise MalformedRow(0, f"invalid CSV: {exc}") from None
     if header is None:
         raise MalformedRow(0, "empty input, header required")
     got = [name.strip() for name in header]
@@ -265,13 +273,16 @@ def _oracle_rows_from_csv(text: str):
         raise MalformedRow(0, f"header must contain exactly {','.join(CSV_HEADER)}; got {','.join(got)}")
     in_header_order = operator.itemgetter(*(got.index(name) for name in CSV_HEADER))
     row = 0
-    for values in reader:
-        if not values:
-            continue
-        row += 1
-        if len(values) != len(got):
-            raise MalformedRow(row, "wrong number of fields")
-        yield row, in_header_order(values)
+    try:
+        for values in reader:
+            if not values:
+                continue
+            row += 1
+            if len(values) != len(got):
+                raise MalformedRow(row, "wrong number of fields")
+            yield row, in_header_order(values)
+    except csv.Error as exc:
+        raise MalformedRow(row + 1, f"invalid CSV: {exc}") from None
 
 
 def _oracle_rows_from_json(text: str):
@@ -353,29 +364,22 @@ def _oracle_number(row: int, name: str, value) -> float:
 
 def _oracle_group_records(records) -> list[TitleDataset]:
     seen = set()
-    by_title: dict[str, list[MeasurementRecord]] = {}
+    by_key: dict[tuple[str, str], list[MeasurementRecord]] = {}
     for rec in records:
-        if rec.key in seen:
+        if (rec.key, rec.quality.metric) in seen:
             raise DuplicateRecord(rec.key)
-        seen.add(rec.key)
-        by_title.setdefault(rec.title_id, []).append(rec)
-    for title, recs in by_title.items():
-        if any(r.quality.metric is not recs[0].quality.metric for r in recs):
-            raise MixedQualityMetric(title)
-    return [TitleDataset.from_records(by_title[t]) for t in sorted(by_title)]
+        seen.add((rec.key, rec.quality.metric))
+        by_key.setdefault((rec.title_id, rec.quality.metric.value), []).append(rec)
+    return [TitleDataset.from_records(by_key[k]) for k in sorted(by_key)]
 
 
-def oracle_datasets(parsed) -> dict[tuple[str, QualityMetric], TitleDataset]:
-    """The CLI's merge of parsed files: a title found in one file keeps its
-    dataset; an input without a record raises ``DatasetError``."""
-    merged: dict[tuple[str, QualityMetric], list[TitleDataset]] = {}
-    for ds in parsed:
-        merged.setdefault((ds.title_id, ds.metric), []).append(ds)
-    if not merged:
+def oracle_datasets(texts: list[str]) -> list[TitleDataset]:
+    """The CLI's parse of its input files; an input without a record raises
+    ``DatasetError``."""
+    datasets = oracle_parse_dataset(texts)
+    if not datasets:
         raise DatasetError("no datasets in input")
-    return {key: group[0] if len(group) == 1
-            else TitleDataset.from_records(r for ds in group for r in ds.records)
-            for key, group in sorted(merged.items(), key=lambda kv: (kv[0][0], kv[0][1].value))}
+    return datasets
 
 
 # -- frozen per-ladder BD curves --------------------------------------------

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -45,7 +46,8 @@ import chromaladder.cli as cli
 import chromaladder.ladder as ladder_module
 from chromaladder.cli import main, to_json_text
 from chromaladder.bdmetrics import CurveAxis
-from chromaladder.errors import LadderError
+from chromaladder.errors import DuplicateRecord, LadderError
+from chromaladder.measurements import CSV_HEADER
 from helpers import (
     C420,
     C444,
@@ -1189,6 +1191,64 @@ class TestInputLayout:
             for command in LAYOUT_COMMANDS:
                 assert _stdout_without_inputs([*command, *inputs, *flags]) == (
                     _stdout_without_inputs([*command, "--input", corpus, *flags]))
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_reports_do_not_depend_on_how_a_titles_metrics_are_split(self, data):
+        seed, titles = data.draw(st.integers(0, 99)), data.draw(st.integers(1, 3))
+        jitter = data.draw(st.sampled_from([0.05, 0.15]))
+        corpora = {metric: generate(replace(default_spec(seed, titles, metric),
+                                            targets_kbps=SMALL_TARGETS, jitter=jitter))
+                   for metric in QualityMetric}
+        # Each title is measured in one metric or in both.
+        measured = data.draw(st.lists(st.sampled_from([(QualityMetric.CVVDP_JOD,),
+                                                       (QualityMetric.YUVPSNR_DB,),
+                                                       tuple(QualityMetric)]),
+                                      min_size=titles, max_size=titles))
+        records = [r for i, metrics in enumerate(measured) for m in metrics
+                   for r in corpora[m][i].records]
+        if data.draw(st.sampled_from([False, False, False, True])):
+            records.append(data.draw(st.sampled_from(records)))
+        rows = [[r.title_id, r.resolution.height, r.chroma.value, repr(r.target_bitrate),
+                 repr(r.actual_bitrate), r.quality.metric.value, repr(r.quality.value),
+                 repr(r.decode_time)] for r in records]
+        order = data.draw(st.permutations(range(len(rows))))
+        n_files = data.draw(st.integers(1, 3))
+        owner = data.draw(st.lists(st.integers(0, n_files - 1), min_size=len(rows),
+                                   max_size=len(rows)))
+        with tempfile.TemporaryDirectory() as tmp:
+            whole = Path(tmp) / "whole.csv"
+            _write_measurements(whole, CSV_HEADER, rows, "csv")
+            paths = []
+            for f in range(n_files):
+                fmt = data.draw(st.sampled_from(["csv", "json"]))
+                paths.append(Path(tmp) / f"part{f}.{fmt}")
+                _write_measurements(paths[-1], CSV_HEADER,
+                                    [rows[i] for i in order if owner[i] == f], fmt)
+            texts = [path.read_text(encoding="utf-8") for path in paths]
+            try:
+                want = parse_dataset(whole.read_text(encoding="utf-8"))
+            except DuplicateRecord as exc:
+                parsed = False
+                with pytest.raises(DuplicateRecord, match=re.escape(str(exc))):
+                    parse_dataset(texts)
+            else:
+                parsed = True
+                assert parse_dataset(texts) == want
+            inputs = [flag for path in paths for flag in ("--input", path)]
+            assert (_captured(["validate", *inputs])[0] == 0) is parsed
+            flags = ["--alpha", 0, "--alpha", 0.04]
+            for command in LAYOUT_COMMANDS:
+                got = _without_inputs(_captured([*command, *inputs, *flags]))
+                assert (got[0] == 1) is not parsed
+                assert got == _without_inputs(_captured([*command, "--input", whole, *flags]))
+
+
+def _without_inputs(outcome: tuple[int, str, str]) -> tuple[int, str, str]:
+    """``_captured``'s outcome with the ``config.inputs`` echo blanked."""
+    code, out, err = outcome
+    return code, re.sub(r'"inputs": \[[^\]]*\]', '"inputs": null', out), err
 
 
 class TestDeterminism:

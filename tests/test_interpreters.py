@@ -4,13 +4,16 @@ Records are slotted dataclasses, which need Python 3.10, and the parser's
 float and string handling and the report encoders must agree from 3.10 to
 3.13. Each other interpreter found (pyenv's ``versions/3.1x.*``, else
 ``python3.1x`` on the PATH) runs ``optimize``, ``compare``, ``sweep`` and
-``pmf`` on the shipped corpus in one process; what they print must equal what
-the running interpreter prints. None of these commands needs numpy. A version
-that is not installed is skipped.
+``pmf`` on the shipped corpus in one process, and ``sweep`` once more on the
+shipped corpus plus a PSNR copy of it, so that each title's two metrics come
+from two files; what they print must equal what the running interpreter
+prints. None of these commands needs numpy. A version that is not installed
+is skipped.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import shutil
@@ -52,9 +55,24 @@ def _interpreter(minor: int) -> str | None:
     return str(found[-1]) if found else shutil.which(f"python3.{minor}")
 
 
-def _stdout(python: str) -> bytes:
+@pytest.fixture(scope="module")
+def commands(tmp_path_factory) -> list[list[str]]:
+    """``COMMANDS`` and a ``sweep`` of the shipped corpus next to a PSNR copy
+    of it (each quality q read as 20 + 5q dB)."""
+    with open(ROOT / CORPUS, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    metric, quality = header.index("metric"), header.index("quality")
+    for row in rows:
+        row[metric], row[quality] = "psnr", repr(20.0 + 5.0 * float(row[quality]))
+    psnr = tmp_path_factory.mktemp("psnr") / "corpus_psnr.csv"
+    with open(psnr, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    return [*COMMANDS, ["sweep", *INPUT, "--input", str(psnr), "--format", "json"]]
+
+
+def _stdout(python: str, commands: list[list[str]]) -> bytes:
     proc = subprocess.run(
-        [python, "-c", RUN_ALL, json.dumps(COMMANDS)],
+        [python, "-c", RUN_ALL, json.dumps(commands)],
         cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True, timeout=300,
     )
@@ -63,18 +81,18 @@ def _stdout(python: str) -> bytes:
 
 
 @pytest.fixture(scope="module")
-def reference() -> bytes:
-    out = _stdout(sys.executable)
+def reference(commands) -> bytes:
+    out = _stdout(sys.executable, commands)
     # Every command ran and exited 0.
-    assert out.count(b" -> 0\n") == len(COMMANDS)
+    assert out.count(b" -> 0\n") == len(commands)
     return out
 
 
 @pytest.mark.parametrize("minor", MINORS, ids=[f"3.{m}" for m in MINORS])
-def test_ladder_commands_print_the_same_bytes(minor, reference):
+def test_ladder_commands_print_the_same_bytes(minor, commands, reference):
     python = _interpreter(minor)
     if python is None:
         pytest.skip(f"no Python 3.{minor} found")
     if Path(python).resolve() == Path(sys.executable).resolve():
         pytest.skip(f"Python 3.{minor} is the running interpreter")
-    assert _stdout(python) == reference
+    assert _stdout(python, commands) == reference

@@ -769,6 +769,34 @@ class TestCandidateIndex:
         assert dp.rungs == enumerate_optimal(CandidateIndex(ds), Alpha(0.0)).rungs
         assert choices_of(dp) == definitional_best(ds, Alpha(0.0))
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_present_rung_of_zero_score_beats_an_equal_absent_one(self, alpha):
+        # The 600 kbps encode has the title's lowest quality and decode time,
+        # so j = 0. Skipping it for the 420 encode at 900 kbps, which blocks
+        # it, scores as much as taking it and then the 444 encode.
+        a = record(height=1080, chroma=C422, target=600.0, quality=5.0, decode=0.01)
+        c = record(height=1080, chroma=C444, target=900.0, quality=7.0, decode=0.05)
+        ds = TitleDataset.from_records(
+            [a, c, record(height=1080, chroma=C420, target=900.0, quality=7.0, decode=0.05)])
+        with _path_keys_calls() as calls:
+            dp = optimize_arcs(CandidateIndex(ds), Alpha(alpha))
+        assert calls, "the tie-break on rung keys was not reached"
+        assert choices_of(dp) == (a, c) == definitional_best(ds, Alpha(alpha))
+        assert dp.rungs == enumerate_optimal(CandidateIndex(ds), Alpha(alpha)).rungs
+
+    def test_tie_between_candidates_entering_one_state_keeps_the_lower_target(self):
+        # With --cross-target both encodes, of one (height, fidelity) and
+        # equal score, serve both rungs and enter the same DP state.
+        low = record(height=1080, chroma=C420, target=1000.0, quality=7.0, decode=0.05)
+        high = record(height=1080, chroma=C420, target=1050.0, quality=7.0, decode=0.05)
+        ds = TitleDataset.from_records([low, high])
+        with _path_keys_calls() as calls:
+            dp = optimize_arcs(CandidateIndex(ds, 0.10, cross_target=True), Alpha(0.0))
+        assert calls, "the tie-break on rung keys was not reached"
+        assert choices_of(dp) == (low, low)
+        assert dp.rungs == enumerate_optimal(
+            CandidateIndex(ds, 0.10, cross_target=True), Alpha(0.0)).rungs
+
     def test_index_scores_equal_composite_normalized(self):
         rng = np.random.default_rng(616)
         corpus = [random_dataset(rng) for _ in range(20)]

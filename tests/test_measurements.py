@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import weakref
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
@@ -29,7 +30,8 @@ from chromaladder.errors import (
     MixedQualityMetric,
     NonPositiveValue,
 )
-from chromaladder.cli import _datasets, _merge
+from chromaladder import measurements
+from chromaladder.cli import _datasets
 from chromaladder.measurements import CSV_HEADER
 from helpers import (
     C420,
@@ -126,6 +128,11 @@ class TestParsing:
         with pytest.raises(ValueError, match="order"):
             TitleDataset("t", (high, low), (600.0, 900.0))
 
+    def test_dataset_of_two_metrics_rejected(self):
+        # The parser splits them; a library caller's dataset is checked.
+        with pytest.raises(MixedQualityMetric, match="'t'"):
+            TitleDataset.from_records([record(), record(target=900.0, metric=QualityMetric.YUVPSNR_DB)])
+
     def test_duplicate_key_rejected(self):
         text = (
             "title,height,chroma,target_kbps,actual_kbps,metric,quality,decode_s_per_frame\n"
@@ -135,14 +142,20 @@ class TestParsing:
         with pytest.raises(DuplicateRecord):
             parse_dataset(text)
 
-    def test_mixed_metric_in_one_title_rejected(self):
-        text = (
-            "title,height,chroma,target_kbps,actual_kbps,metric,quality,decode_s_per_frame\n"
-            "movie,1080,420,600,612,cvvdp,6.5,0.02\n"
-            "movie,1080,422,600,615,psnr,38.2,0.03\n"
-        )
-        with pytest.raises(MixedQualityMetric):
-            parse_dataset(text)
+    def test_title_in_both_metrics_gives_two_datasets(self):
+        header = "title,height,chroma,target_kbps,actual_kbps,metric,quality,decode_s_per_frame\n"
+        cvvdp = "movie,1080,420,600,612,cvvdp,6.5,0.02\n"
+        psnr = "movie,1080,422,600,615,psnr,38.2,0.03\n"
+        datasets = parse_dataset(header + cvvdp + psnr)
+        assert [(ds.title_id, ds.metric) for ds in datasets] == [
+            ("movie", QualityMetric.CVVDP_JOD), ("movie", QualityMetric.YUVPSNR_DB)]
+        assert datasets == parse_dataset([header + psnr, header + cvvdp])
+
+    def test_same_encode_in_both_metrics_is_not_a_duplicate(self):
+        header = "title,height,chroma,target_kbps,actual_kbps,metric,quality,decode_s_per_frame\n"
+        datasets = parse_dataset(header + "movie,1080,420,600,612,cvvdp,6.5,0.02\n"
+                                 + "movie,1080,420,600,612,psnr,38.2,0.02\n")
+        assert [len(ds.records) for ds in datasets] == [1, 1]
 
     def test_bad_header_reports_row_zero(self):
         with pytest.raises(MalformedRow) as exc:
@@ -395,25 +408,50 @@ class TestSinglePassIngest:
         for text in texts:
             assert _outcome(lambda: parse_dataset(text)) == _outcome(
                 lambda: oracle_parse_dataset(text))
-        got = _outcome(lambda: _datasets(ds for text in texts for ds in parse_dataset(text)))
-        want = _outcome(lambda: oracle_datasets(
-            ds for text in texts for ds in oracle_parse_dataset(text)))
-        assert got == want
+        assert _outcome(lambda: _datasets(texts)) == _outcome(lambda: oracle_datasets(texts))
 
     def test_duplicate_beats_an_earlier_mixed_metric(self):
         with pytest.raises(DuplicateRecord, match="'a'.*C422"):
             parse_dataset(DUPLICATE_AND_MIXED)
-        # Without the duplicate, the first title to appear mixing metrics.
-        with pytest.raises(MixedQualityMetric, match="'b'"):
-            parse_dataset(DUPLICATE_AND_MIXED.replace("a,1080,422,600,605", "a,2160,422,600,605"))
+        # Without the duplicate, each title's two metrics are two datasets.
+        datasets = parse_dataset(
+            DUPLICATE_AND_MIXED.replace("a,1080,422,600,605", "a,2160,422,600,605"))
+        assert [(ds.title_id, ds.metric.value, len(ds.records)) for ds in datasets] == [
+            ("a", "cvvdp", 2), ("a", "psnr", 1), ("b", "cvvdp", 1), ("b", "psnr", 1)]
 
-    def test_title_from_one_file_keeps_its_parsed_dataset(self):
-        one = serialize_dataset([full_grid("one")])
-        two = serialize_dataset([full_grid("two")], fmt="json")
-        (parsed_one,), (parsed_two,) = parse_dataset(one), parse_dataset(two)
-        merged = _merge([parsed_two, parsed_one])
-        assert list(merged.values()) == [parsed_one, parsed_two]
-        assert merged["one", QualityMetric.CVVDP_JOD] is parsed_one
+    def test_row_error_in_a_later_source_beats_a_duplicate(self):
+        row = "a,1080,420,600,610,cvvdp,7,0.02\n"
+        with pytest.raises(MalformedRow, match="row 1: height"):
+            parse_dataset([HEADER_LINE + row + row, HEADER_LINE + row.replace("1080", "x")])
+
+    def test_each_source_is_read_when_reached_and_dropped_after_its_rows(self, monkeypatch):
+        readers, real = [], measurements._rows_from_csv
+
+        def csv_rows(text):
+            rows = real(text)
+            readers.append(weakref.ref(rows))
+            return rows
+
+        monkeypatch.setattr(measurements, "_rows_from_csv", csv_rows)
+        alive = []
+
+        def texts():
+            for title in "ab":
+                alive.append([reader() is not None for reader in readers])
+                yield HEADER_LINE + f"{title},1080,420,600,610,cvvdp,7,0.02\n"
+
+        assert [ds.title_id for ds in parse_dataset(texts())] == ["a", "b"]
+        # The first text is read only when the parse starts, and its rows
+        # are gone before the second is read.
+        assert alive == [[], [False]]
+        stream = io.StringIO(HEADER_LINE + "a,1080,420,600,610,psnr,38,0.02\n")
+        (ds,) = parse_dataset(stream)
+        assert ds.metric is QualityMetric.YUVPSNR_DB and stream.read() == ""
+
+    def test_bare_carriage_return_in_a_field_is_a_malformed_row(self):
+        text = HEADER_LINE + '"e",1080,420,900,910,cvvdp,7,1\rf,1080,420,600,610,cvvdp,7,1\n'
+        with pytest.raises(MalformedRow, match="row 1: invalid CSV: new-line character"):
+            parse_dataset(text)
 
     def test_parsed_records_share_one_resolution_per_height(self):
         (ds,) = parse_dataset(serialize_dataset([full_grid()]))
