@@ -44,6 +44,8 @@ from .errors import (
     InvalidPlan,
     InvalidSpec,
     LadderError,
+    MalformedRow,
+    NonPositiveValue,
 )
 from .ladder import (
     CandidateIndex,
@@ -56,6 +58,7 @@ from .ladder import (
     chroma_counts,
     chroma_shares,
     count_chroma,
+    graph_memo,
     load_plan,
     optimize_arcs,
 )
@@ -244,6 +247,23 @@ def _datasets(sources: Iterable[str]) -> list[TitleDataset]:
     return datasets
 
 
+def _read_datasets(paths: Iterable[Path]) -> list[TitleDataset]:
+    """``_datasets`` of the files at ``paths``. A row error names its file:
+    ``parse_dataset`` reads a file only when the parse reaches it, so the row
+    is in the file read last."""
+    read: list[Path] = []
+
+    def texts():
+        for path in paths:
+            read.append(path)
+            yield Path(path).read_text(encoding="utf-8")
+
+    try:
+        return _datasets(texts())
+    except (MalformedRow, NonPositiveValue) as exc:
+        raise DatasetError(f"{read[-1]}: {exc}") from exc
+
+
 def _evaluate(cfg: RunConfig, builders: dict[Method, Callable]
               ) -> Iterator[tuple[tuple[str, QualityMetric], list[tuple]]]:
     """Run ``builders`` (``_BUILDERS`` or ``_PMF_BUILDERS``) for every
@@ -256,9 +276,9 @@ def _evaluate(cfg: RunConfig, builders: dict[Method, Callable]
     fails it is None and ``exclusion`` says why. ``alpha`` is None unless the
     method or the reference is built with it. Every build of a title reads
     the title's one candidate index, each runs once, and only the current
-    title's results are kept.
+    title's results are kept. The run's indexes share one ``graph_memo``.
     """
-    datasets = _datasets(Path(path).read_text(encoding="utf-8") for path in cfg.inputs)
+    datasets = _read_datasets(cfg.inputs)
     if cfg.plan_path is not None:
         plan = load_plan(Path(cfg.plan_path).read_text(encoding="utf-8"))
     elif Method.FIXED_LADDER in (*cfg.methods, cfg.reference):
@@ -273,9 +293,10 @@ def _evaluate(cfg: RunConfig, builders: dict[Method, Callable]
                                     for side in (*sides, method)))
               for method in cfg.methods
               for alpha in (cfg.alphas if ALPHA_METHODS & {method, cfg.reference} else (None,))]
+    graphs = graph_memo()
     for ds in datasets:
         title, metric = key = ds.title_id, ds.metric
-        index = CandidateIndex(ds, cfg.tolerance, cross_target=cfg.cross_target)
+        index = CandidateIndex(ds, cfg.tolerance, cross_target=cfg.cross_target, graphs=graphs)
         build = functools.cache(lambda builder, alpha: builder(cfg, plan, index, alpha))
         evaluations = []
         for method, alpha, builds in groups:
@@ -522,7 +543,7 @@ def cmd_validate(args) -> int:
     cfg = RunConfig(inputs=tuple(Path(p) for p in args.input), tolerance=args.tolerance)
     errors, warns = [], []
     try:
-        datasets = _datasets(Path(path).read_text(encoding="utf-8") for path in cfg.inputs)
+        datasets = _read_datasets(cfg.inputs)
     except (DatasetError, OSError):
         # Name each file that fails to parse on its own, then parse the files
         # that did together, as the ladder commands read them.
@@ -534,7 +555,7 @@ def cmd_validate(args) -> int:
                 errors.append(f"{path}: {exc}")
         if any(found for _, found in parsed) or not errors:
             try:
-                datasets = _datasets(Path(path).read_text(encoding="utf-8") for path, _ in parsed)
+                datasets = _read_datasets(path for path, _ in parsed)
             except DatasetError as exc:
                 errors.append(str(exc))
     for ds in datasets:
@@ -614,42 +635,32 @@ _BD_AXES = (CurveAxis.QUALITY_VS_LOG_RATE, CurveAxis.QUALITY_VS_LOG_TIME)
 
 
 class _TitleMemo:
-    """One title's BD curves and deltas, so that each is computed once.
-
-    A curve depends only on the records it is fitted to, so it is keyed by
-    their ids in rung order, whichever ladder chose them; a delta is keyed by
-    the ids of its two curves. Ids are unique only while the title's records
-    and curves are alive, so a memo serves one title and is dropped with it.
-    The dicts are per axis position: hashing an enum member runs in Python.
-    """
+    """One title's BD curves and deltas, each computed once: ``curves`` maps
+    the ids of a ladder's chosen records, in rung order, to its (rate, time)
+    curves, whichever ladder chose them, and ``deltas`` maps a (ref, test)
+    pair of such keys to its (rate, time) deltas. Ids are unique only while
+    the title's records are alive, so a memo serves one title."""
 
     def __init__(self):
-        self.curves = tuple({} for _ in _BD_AXES)
-        self.deltas = tuple({} for _ in _BD_AXES)
+        self.curves, self.deltas = {}, {}
 
 
 def _bd_pair(memo: _TitleMemo, ref: Ladder, test: Ladder):
     """(delta-rate, delta-decode-time) results of test vs ref.
 
     Only successes are stored: a failing fit or delta raises again for each
-    ladder that reaches it, with that ladder's own message.
+    ladder that reaches it, with that ladder's own message. Both axes fit the
+    same Pareto-filtered qualities, so they fail together, with one message.
     """
-    ref_key, test_key = (tuple(id(rung.choice) for rung in ladder.rungs if rung.choice is not None)
-                         for ladder in (ref, test))
-    results = []
-    for axis, curves, deltas in zip(_BD_AXES, memo.curves, memo.deltas):
-        ref_curve = curves.get(ref_key)
-        if ref_curve is None:
-            ref_curve = curves[ref_key] = build_curve(ref, axis)
-        test_curve = curves.get(test_key)
-        if test_curve is None:
-            test_curve = curves[test_key] = build_curve(test, axis)
-        pair = (id(ref_curve), id(test_curve))
-        result = deltas.get(pair)
-        if result is None:
-            result = deltas[pair] = bd_delta(ref_curve, test_curve)
-        results.append(result)
-    return tuple(results)
+    keys = tuple(tuple(id(rung.choice) for rung in ladder.rungs if rung.choice is not None)
+                 for ladder in (ref, test))
+    for key, ladder in zip(keys, (ref, test)):
+        if key not in memo.curves:
+            memo.curves[key] = tuple(build_curve(ladder, axis) for axis in _BD_AXES)
+    if keys not in memo.deltas:
+        ref_curves, test_curves = map(memo.curves.__getitem__, keys)
+        memo.deltas[keys] = tuple(map(bd_delta, ref_curves, test_curves))
+    return memo.deltas[keys]
 
 
 def _compare(cfg: RunConfig, per_title: bool) -> tuple[list[tuple], list[dict], list[dict]]:

@@ -36,11 +36,11 @@ and alpha of the title::
 ``chroma_counts`` runs the same solve as ``optimize_arcs``/``build_dynres``
 and counts the chosen rungs by chroma format without building a ladder.
 
-The exact optimizer relaxes a DP graph that titles encoded on one grid share.
-From a graph's ``KERNEL_SOLVES``-th solve on, its relaxation is generated as
-straight-line Python from the graph's integers and compiled; that kernel
-gives the same choices and hands any instance with an exact score tie back to
-the interpreted pass, which alone breaks ties.
+The exact optimizer relaxes a DP graph that a run's titles on one grid share
+(``graph_memo``). From a graph's ``KERNEL_SOLVES``-th solve on, its relaxation
+is straight-line Python generated from the graph's integers and compiled; that
+kernel gives the same choices and hands any instance with an exact score tie
+back to the interpreted pass, which alone breaks ties.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 from .errors import (
     AllRungsAbsent,
@@ -76,11 +76,11 @@ ENUMERATION_GUARD = 10**7
 
 _DECODE_TIME = operator.attrgetter("decode_time")
 
-# Compiled DP graphs kept for reuse. Titles encoded on one grid need one graph
-# per chroma view; a title with windows of its own needs its own graph, so the
-# memo stays small instead of keeping one graph (~10 KB) per title. A graph's
-# kernel (about 170 B per edge: 34 KB for the default grid's arcs graph) lives
-# on the graph and leaves the memo with it.
+# Compiled DP graphs a ``graph_memo`` keeps for reuse. Titles encoded on one
+# grid need one graph per chroma view; a title with windows of its own needs
+# its own graph, so the memo stays small instead of keeping one graph (~10 KB)
+# per title. A graph's kernel (about 170 B per edge: 34 KB for the default
+# grid's arcs graph) lives on the graph and leaves the memo with it.
 GRAPH_CACHE_SIZE = 8
 
 # Solves a graph serves before it gets a kernel: the break-even of generating
@@ -184,8 +184,9 @@ class CandidateIndex:
     Chroma-filtered pools and the DP graphs are made on first use and kept, so
     building ladders for many alphas repeats only the scoring and one
     relaxation pass each. A graph depends only on the pools' (height,
-    fidelity_rank) pairs and is shared with other titles whose pools have the
-    same ones.
+    fidelity_rank) pairs; given ``graphs``, a ``graph_memo()``, the index
+    shares its graphs with the other titles of the run whose pools have the
+    same ones, and otherwise compiles its own.
 
     The index is the one title argument of every builder, so ``tolerance``
     and ``cross_target`` (see ``candidates_for``) are fixed here, once, for
@@ -193,9 +194,11 @@ class CandidateIndex:
     """
 
     def __init__(
-        self, dataset: TitleDataset, tolerance: float = 0.10, *, cross_target: bool = False
+        self, dataset: TitleDataset, tolerance: float = 0.10, *, cross_target: bool = False,
+        graphs: Callable[[tuple], _Graph] | None = None,
     ):
         self.dataset = dataset
+        self._compile = _compile if graphs is None else graphs
         records = dataset.records
         log_times = list(map(math.log, map(_DECODE_TIME, records)))
         log_time = dict(zip(map(id, records), log_times))
@@ -232,7 +235,7 @@ class CandidateIndex:
         graph = self._graphs.get(rank)
         if graph is None:
             shape = tuple(tuple(c[3] for c in pool) for pool in self._pools(chroma))
-            graph = self._graphs[rank] = _compile(shape)
+            graph = self._graphs[rank] = self._compile(shape)
         return graph
 
     def _columns(self, chroma: ChromaFormat | None) -> tuple:
@@ -291,7 +294,8 @@ _ABSENT_KEY = (0, 0.0, 0.0, 0, 0, 0.0, 0.0)
 # unset. Which states are reachable, and the edges between them, depend only
 # on the candidates' (height, fidelity), so ``_compile`` builds that graph
 # once per distinct (height, fidelity) shape of the pools: titles encoded on
-# one grid share it. The graph keeps only the states from which a final state
+# one grid share it through their run's ``graph_memo``, so its solve count is
+# the run's. The graph keeps only the states from which a final state
 # can be reached; where every window holds every encode no rung may be
 # absent, so no state has a cap. ``_relax`` then runs one max-plus pass over
 # the edges per alpha. Each state keeps its best path by (summed objective,
@@ -334,7 +338,6 @@ class _Graph:
     kernel: object = None  # made by ``_kernel`` on the KERNEL_SOLVES-th solve
 
 
-@functools.lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _compile(shape: tuple[tuple[tuple[int, int], ...], ...]) -> _Graph:
     """The DP graph of pools whose candidates have these (height,
     fidelity_rank) pairs, pool by pool in candidate order, cut down to the
@@ -386,6 +389,11 @@ def _compile(shape: tuple[tuple[tuple[int, int], ...], ...]) -> _Graph:
     kept_layers.reverse()
     widths.reverse()
     return _Graph(tuple(kept_layers), tuple(widths), finals)
+
+
+def graph_memo() -> Callable[[tuple], _Graph]:
+    """A fresh LRU memo of ``GRAPH_CACHE_SIZE`` graphs around ``_compile``, for one run."""
+    return functools.lru_cache(maxsize=GRAPH_CACHE_SIZE)(_compile)
 
 
 def _relax(graph: _Graph, pools, js) -> list[int | None]:

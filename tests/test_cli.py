@@ -173,7 +173,7 @@ class TestValidate:
         assert run("validate", "--input", path) == 1
         assert capsys.readouterr().out.splitlines()[0] == f"ERROR {path}: {reason}"
         assert run("pmf", "--input", path) == 1
-        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
     @pytest.mark.parametrize("height", [10**400, 15 * 10**307],
                              ids=["past-float", "width-past-float"])
@@ -192,7 +192,26 @@ class TestValidate:
         assert run("validate", "--input", path) == 1
         assert capsys.readouterr().out.splitlines()[0] == f"ERROR {path}: {reason}"
         for command in ("optimize", "compare"):
-            assert _captured([command, "--input", path]) == (1, "", f"error: {reason}\n")
+            assert _captured([command, "--input", path]) == (1, "", f"error: {path}: {reason}\n")
+
+    @pytest.mark.parametrize("quality, decode, reason", [
+        ("oops", "0.02", "quality 'oops' is not a number"),
+        ("7", "-1", "decode_s_per_frame must be finite and > 0 (title 'movie')"),
+    ], ids=["malformed", "non-positive"])
+    @pytest.mark.parametrize("bad_first", [False, True], ids=["bad-last", "bad-first"])
+    def test_row_error_names_its_file_as_validate_does(self, small_corpus, tmp_path, capsys,
+                                                        quality, decode, reason, bad_first):
+        # A file is read only when the parse reaches it, so the error is the
+        # bad file's whichever place it has.
+        bad = tmp_path / "bad.csv"
+        bad.write_text(",".join(CSV_HEADER) + "\nmovie,1080,420,600,610,cvvdp,7,0.02\n"
+                       f"movie,1080,420,900,910,cvvdp,{quality},{decode}\n", encoding="utf-8")
+        paths = [bad, small_corpus] if bad_first else [small_corpus, bad]
+        flags = [f for path in paths for f in ("--input", path)]
+        assert run("validate", *flags) == 1
+        assert capsys.readouterr().out.splitlines()[0] == f"ERROR {bad}: row 2: {reason}"
+        for command in ("optimize", "compare", "sweep", "pmf"):
+            assert _captured([command, *flags]) == (1, "", f"error: {bad}: row 2: {reason}\n")
 
     def test_window_warnings_on_merged_title(self, tmp_path, capsys):
         # The 600 kbps encode in a.csv misses the window; b.csv's hits it.
@@ -655,9 +674,6 @@ class TestPmf:
             return choices
 
         monkeypatch.setattr(ladder_module, "_relax", decreasing)
-        # Every DP solve goes through ``_relax``, even on a graph that earlier
-        # tests solved often enough to give it a kernel.
-        monkeypatch.setattr(ladder_module, "KERNEL_SOLVES", math.inf)
         argv = ["pmf", "--input", small_corpus, "--method", "arcs", "--method", "dynres",
                 "--alpha", 0, "--alpha", 0.08]
         code, out, _ = _captured(argv)
@@ -717,6 +733,50 @@ class TestPmf:
         assert ("no444", "dynres", 0.0) in excluded and absent > 0
         assert sorted((x["title"], x["method"], x["alpha"]) for x in payload["excluded"]) == (
             sorted(excluded))
+
+
+class TestGraphsPerRun:
+    """Each run compiles its own DP graphs, so a graph's solve count, and with
+    it whether a solve takes the graph's kernel, depends on that run alone."""
+
+    def test_second_run_in_a_process_takes_the_first_runs_path(self, monkeypatch):
+        corpus = Path(__file__).resolve().parents[1] / "results" / "corpus.csv"
+        alphas = [i / 100 for i in range(17)]
+        # One grid: each graph is solved once per title and alpha, fewer times
+        # than a kernel needs in one run, but more in two.
+        solves = len(parse_dataset(corpus.read_text(encoding="utf-8"))) * len(alphas)
+        assert solves < ladder_module.KERNEL_SOLVES <= 2 * solves
+        kernels = []
+        real = ladder_module._kernel
+        monkeypatch.setattr(ladder_module, "_kernel",
+                            lambda graph: kernels.append(graph.solves) or real(graph))
+        argv = ["pmf", "--input", corpus, "--method", "arcs", "--method", "dynres",
+                *(f for a in alphas for f in ("--alpha", a))]
+        first = _captured(argv)
+        assert first[0] == 0
+        assert _captured(argv) == first
+        assert kernels == []
+
+    def test_sweep_keeps_at_most_graph_cache_size_graphs_alive(self, tmp_path, monkeypatch):
+        corpus = tmp_path / "sparse.csv"
+        corpus.write_text(serialize_dataset(generate(sparse_spec(seed=1, titles=20))),
+                          encoding="utf-8")
+        compiled, alive = [], []
+        real = ladder_module._compile
+
+        def compile_(shape):
+            alive.append(sum(ref() is not None for ref in compiled))
+            graph = real(shape)
+            compiled.append(weakref.ref(graph))
+            return graph
+
+        monkeypatch.setattr(ladder_module, "_compile", compile_)
+        assert run("sweep", "--input", corpus, "--out", tmp_path / "out") == 0
+        # Sparse titles have graphs of their own.
+        assert len(compiled) > ladder_module.GRAPH_CACHE_SIZE
+        assert max(alive) == ladder_module.GRAPH_CACHE_SIZE
+        # The run's graphs go with it.
+        assert [ref() for ref in compiled] == [None] * len(compiled)
 
 
 class TestConfigBlock:

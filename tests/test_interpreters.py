@@ -4,11 +4,12 @@ Records are slotted dataclasses, which need Python 3.10, and the parser's
 float and string handling and the report encoders must agree from 3.10 to
 3.13. Each other interpreter found (pyenv's ``versions/3.1x.*``, else
 ``python3.1x`` on the PATH) runs ``optimize``, ``compare``, ``sweep`` and
-``pmf`` on the shipped corpus in one process, and ``sweep`` once more on the
+``pmf`` on the shipped corpus in one process, ``sweep`` once more on the
 shipped corpus plus a PSNR copy of it, so that each title's two metrics come
-from two files; what they print must equal what the running interpreter
-prints. None of these commands needs numpy. A version that is not installed
-is skipped.
+from two files, and ``compare`` on the shipped corpus plus a file with a bad
+row, which fails; the exit codes and what they print on stdout and stderr
+must equal those of the running interpreter. None of these commands needs
+numpy. A version that is not installed is skipped.
 """
 
 from __future__ import annotations
@@ -35,17 +36,18 @@ COMMANDS = [
     ["sweep", *INPUT, "--format", "json"],
     ["pmf", *INPUT, "--format", "json"],
 ]
-# Runs every command through cli.main and prints each one's exit code and
-# stdout, under a header line.
+# Runs every command through cli.main and prints each one's exit code,
+# stdout and stderr, under a header line.
 RUN_ALL = """\
 import contextlib, io, json, sys
 from chromaladder.cli import main
 for argv in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    sys.stdout.write(f"$ {' '.join(argv)} -> {code}\\n{out.getvalue()}")
+    sys.stdout.write(f"$ {' '.join(argv)} -> {code}\\n{out.getvalue()}{err.getvalue()}")
 """
+BAD_ROW = "quality 'oops' is not a number"
 MINORS = (10, 11, 12, 13)
 
 
@@ -57,8 +59,9 @@ def _interpreter(minor: int) -> str | None:
 
 @pytest.fixture(scope="module")
 def commands(tmp_path_factory) -> list[list[str]]:
-    """``COMMANDS`` and a ``sweep`` of the shipped corpus next to a PSNR copy
-    of it (each quality q read as 20 + 5q dB)."""
+    """``COMMANDS``, a ``sweep`` of the shipped corpus next to a PSNR copy of
+    it (each quality q read as 20 + 5q dB), and a ``compare`` of the shipped
+    corpus next to a file whose first row has quality ``oops``."""
     with open(ROOT / CORPUS, encoding="utf-8", newline="") as fh:
         header, *rows = csv.reader(fh)
     metric, quality = header.index("metric"), header.index("quality")
@@ -67,7 +70,12 @@ def commands(tmp_path_factory) -> list[list[str]]:
     psnr = tmp_path_factory.mktemp("psnr") / "corpus_psnr.csv"
     with open(psnr, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
-    return [*COMMANDS, ["sweep", *INPUT, "--input", str(psnr), "--format", "json"]]
+    bad = psnr.with_name("bad.csv")
+    with open(bad, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, [*rows[0][:quality], "oops",
+                                                                 *rows[0][quality + 1:]]])
+    return [*COMMANDS, ["sweep", *INPUT, "--input", str(psnr), "--format", "json"],
+            ["compare", *INPUT, "--input", str(bad), "--format", "json"]]
 
 
 def _stdout(python: str, commands: list[list[str]]) -> bytes:
@@ -83,8 +91,11 @@ def _stdout(python: str, commands: list[list[str]]) -> bytes:
 @pytest.fixture(scope="module")
 def reference(commands) -> bytes:
     out = _stdout(sys.executable, commands)
-    # Every command ran and exited 0.
-    assert out.count(b" -> 0\n") == len(commands)
+    # Every command exited 0 but the last, whose error names the file with
+    # the bad row, its second input.
+    assert out.count(b" -> 0\n") == len(commands) - 1
+    bad = commands[-1][-3]
+    assert out.endswith(f" -> 1\nerror: {bad}: row 1: {BAD_ROW}\n".encode())
     return out
 
 

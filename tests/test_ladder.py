@@ -56,6 +56,7 @@ from chromaladder.errors import (
     PlanTargetUnknown,
     SearchSpaceTooLarge,
 )
+from chromaladder.ladder import graph_memo
 from chromaladder.measurements import QualityScore
 from helpers import (
     C420,
@@ -657,8 +658,9 @@ def _kernels(solves):
     """Offer every DP solve to a kernel from a graph's ``solves``-th solve on.
 
     Yields ``(made, results)``: each graph given a kernel, with its solve
-    count then, and each kernel's result, in order. DP graphs are compiled
-    afresh on entry and dropped on exit, so build indexes inside."""
+    count then, and each kernel's result, in order. An index compiles its
+    graphs, or takes them from the ``graph_memo()`` it is handed, on first
+    use, so build indexes and memos inside."""
     made, results = [], []
     real = ladder_module._kernel
 
@@ -674,11 +676,7 @@ def _kernels(solves):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ladder_module, "KERNEL_SOLVES", solves)
         patch.setattr(ladder_module, "_kernel", kernel)
-        ladder_module._compile.cache_clear()
-        try:
-            yield made, results
-        finally:
-            ladder_module._compile.cache_clear()
+        yield made, results
 
 
 @contextlib.contextmanager
@@ -859,21 +857,32 @@ def _with_other_values(ds, rng, title):
 
 
 class TestSharedGraph:
-    """``_compile`` is memoized on the pools' (height, fidelity_rank) pairs."""
+    """A ``graph_memo`` compiles one graph per (height, fidelity_rank) shape
+    of the pools for the indexes it is handed."""
 
     def test_one_compile_per_shape_and_chroma_view(self):
-        compile_ = ladder_module._compile
-        compile_.cache_clear()
+        graphs = graph_memo()
         shapes = set()
         for ds in generate(default_spec(titles=30)):
-            index = CandidateIndex(ds)
+            index = CandidateIndex(ds, graphs=graphs)
             for alpha in (0.0, 0.04):
                 optimize_arcs(index, Alpha(alpha))
                 build_dynres(index, Alpha(alpha))
             shapes |= {_shape(index, None), _shape(index, C444)}
         # One encoding grid: one shape per chroma view.
         assert len(shapes) == 2
-        assert compile_.cache_info().misses == len(shapes)
+        assert graphs.cache_info().misses == len(shapes)
+
+    def test_indexes_share_graphs_only_through_one_memo(self):
+        first, second = generate(default_spec(titles=2))
+        graphs = graph_memo()
+        shared = [CandidateIndex(ds, graphs=graphs)._graph(None) for ds in (first, second)]
+        assert shared[0] is shared[1]
+        # Without a memo, or with another one, an index compiles its own
+        # graph, and keeps it per chroma view.
+        own = CandidateIndex(first)
+        assert own._graph(None) is own._graph(None) is not shared[0]
+        assert CandidateIndex(first, graphs=graph_memo())._graph(None) is not shared[0]
 
     def test_title_with_other_windows_gets_its_own_graph(self):
         def title(name, cells):
@@ -890,15 +899,14 @@ class TestSharedGraph:
         # The same pool lengths, other heights.
         reheight = title("reheight", [(600, 1080, C420, 6.0), (600, 1080, C444, 6.5),
                                       (2400, 2160, C420, 7.0), (2400, 2160, C444, 8.0)])
-        compile_ = ladder_module._compile
-        compile_.cache_clear()
+        graphs = graph_memo()
         for ds in (first, refidelity, reheight, first, refidelity, reheight):
             for alpha in (0.0, 0.2, 1.0):
-                assert optimize_arcs(CandidateIndex(ds), Alpha(alpha)).rungs == (
+                assert optimize_arcs(CandidateIndex(ds, graphs=graphs), Alpha(alpha)).rungs == (
                     enumerate_optimal(CandidateIndex(ds), Alpha(alpha)).rungs)
-                assert choices_of(optimize_arcs(CandidateIndex(ds), Alpha(alpha))) == (
+                assert choices_of(optimize_arcs(CandidateIndex(ds, graphs=graphs), Alpha(alpha))) == (
                     definitional_best(ds, Alpha(alpha)))
-        assert compile_.cache_info().misses == 3
+        assert graphs.cache_info().misses == 3
 
     @pytest.mark.parametrize("cross_target", [False, True])
     def test_shared_graph_ladders_equal_oracle_and_fresh_compile(self, cross_target):
@@ -911,34 +919,32 @@ class TestSharedGraph:
         alphas = (0.0, 0.05, 0.3)
         build = TestCandidateIndex._ladder_or_error
 
-        def index(ds):
-            return CandidateIndex(ds, cross_target=cross_target)
+        def index(ds, graphs=None):
+            return CandidateIndex(ds, cross_target=cross_target, graphs=graphs)
 
-        def ladders(ds):
-            return [(build(optimize_arcs, index(ds), Alpha(a)), build(build_dynres, index(ds), Alpha(a)))
-                    for a in alphas]
+        def ladders(ds, graphs=None):
+            return [(build(optimize_arcs, index(ds, graphs), Alpha(a)),
+                     build(build_dynres, index(ds, graphs), Alpha(a))) for a in alphas]
 
-        compile_ = ladder_module._compile
-        compile_.cache_clear()
+        graphs = graph_memo()
         shared = []
         for ds in titles:
-            misses = compile_.cache_info().misses
-            shared.append(ladders(ds))
+            misses = graphs.cache_info().misses
+            shared.append(ladders(ds, graphs))
             if ds.title_id.endswith("'"):
-                assert compile_.cache_info().misses == misses, ds.title_id
+                assert graphs.cache_info().misses == misses, ds.title_id
         for ds, got in zip(titles, shared):
-            compile_.cache_clear()
+            # An index without a memo compiles its graphs afresh.
             assert got == ladders(ds), ds.title_id
             for alpha, (arcs, _) in zip(alphas, got):
                 assert arcs == build(enumerate_optimal, index(ds), Alpha(alpha)), (ds.title_id, alpha)
 
     def test_memo_is_bounded(self):
-        compile_ = ladder_module._compile
-        compile_.cache_clear()
+        graphs = graph_memo()
         for ds in generate(sparse_spec(seed=0, titles=20)):
-            optimize_arcs(CandidateIndex(ds), Alpha(0.0))
-            build_dynres(CandidateIndex(ds), Alpha(0.0))
-        info = compile_.cache_info()
+            optimize_arcs(CandidateIndex(ds, graphs=graphs), Alpha(0.0))
+            build_dynres(CandidateIndex(ds, graphs=graphs), Alpha(0.0))
+        info = graphs.cache_info()
         # Every sparse title has windows of its own.
         assert info.misses == 40
         assert info.maxsize is not None and info.currsize <= info.maxsize <= 16
@@ -1153,8 +1159,7 @@ class TestChromaCounts:
 
         if mode is OptimizerMode.GLOBAL_DP:
             # A DP solve runs the graph's kernel, if it has one, or ``_relax``;
-            # a fresh graph gets its kernel from the patched ``_kernel``.
-            ladder_module._compile.cache_clear()
+            # the index's fresh graph gets its kernel from the patched ``_kernel``.
             kernel = ladder_module._kernel
             monkeypatch.setattr(ladder_module, "_kernel", lambda graph: swapped(kernel(graph)))
             monkeypatch.setattr(ladder_module, "_relax", swapped(ladder_module._relax))
@@ -1310,19 +1315,22 @@ class TestKernelTrigger:
         corpus = generate(default_spec(titles=30))
         assert len(corpus) * len(alphas) > self.N
         with _kernels(self.N) as (made, results):
+            graphs = graph_memo()
             for ds in corpus:
-                index = CandidateIndex(ds)
+                index = CandidateIndex(ds, graphs=graphs)
                 for alpha in alphas:
                     chroma_counts(index, alpha)
                     chroma_counts(index, alpha, C444)
+        assert graphs.cache_info().misses == 2
         assert [solves for _, solves in made] == [self.N, self.N]
         assert made[0][0] is not made[1][0]
         assert len(results) == 2 * (len(corpus) * len(alphas) - self.N + 1)
 
     def test_sparse_corpus_makes_none(self):
         with _kernels(self.N) as (made, _):
+            graphs = graph_memo()
             for ds in generate(sparse_spec(seed=0, titles=40)):
-                index = CandidateIndex(ds)
+                index = CandidateIndex(ds, graphs=graphs)
                 for alpha in (0.0, 0.01, 0.02, 0.04, 0.08):
                     for build in (optimize_arcs, build_dynres):
                         TestCandidateIndex._ladder_or_error(build, index, Alpha(alpha))
@@ -1341,7 +1349,8 @@ class TestKernelTrigger:
 
     def test_evicted_graph_and_kernel_are_freed(self):
         with _kernels(1) as (made, _):
-            index = CandidateIndex(generate(default_spec(titles=1))[0])
+            graphs = graph_memo()
+            index = CandidateIndex(generate(default_spec(titles=1))[0], graphs=graphs)
             optimize_arcs(index, Alpha(0.04))
             graph = weakref.ref(made[0][0])
             kernel = weakref.ref(graph().kernel)
@@ -1349,8 +1358,9 @@ class TestKernelTrigger:
             del index
             # Sparse titles have graphs of their own, enough to evict it.
             for ds in generate(sparse_spec(seed=0, titles=ladder_module.GRAPH_CACHE_SIZE)):
-                optimize_arcs(CandidateIndex(ds), Alpha(0.04))
+                optimize_arcs(CandidateIndex(ds, graphs=graphs), Alpha(0.04))
             assert len(made) == ladder_module.GRAPH_CACHE_SIZE
+            assert graphs.cache_info().currsize == ladder_module.GRAPH_CACHE_SIZE
             made.clear()
             gc.collect()
             assert graph() is None and kernel() is None
