@@ -36,11 +36,12 @@ and alpha of the title::
 ``chroma_counts`` runs the same solve as ``optimize_arcs``/``build_dynres``
 and counts the chosen rungs by chroma format without building a ladder.
 
-The exact optimizer relaxes a DP graph that a run's titles on one grid share
-(``graph_memo``). From a graph's ``KERNEL_SOLVES``-th solve on, its relaxation
-is straight-line Python generated from the graph's integers and compiled; that
-kernel gives the same choices and hands any instance with an exact score tie
-back to the interpreted pass, which alone breaks ties.
+Each solve runs on one chroma view of the index, which keeps its pools, DP
+graph and kernel columns across alphas; a run's titles on one grid share the
+graph (``graph_memo``). From a graph's ``KERNEL_SOLVES``-th solve on, its
+relaxation is straight-line Python generated from the graph's integers and
+compiled; that kernel gives the same choices and hands any instance with an
+exact score tie back to the interpreted pass, which alone breaks ties.
 """
 
 from __future__ import annotations
@@ -181,12 +182,12 @@ class CandidateIndex:
     operations of ``normalized_quality`` and ``normalized_log_time``, so
     ``q' - alpha * d'`` equals
     ``composite_normalized(record, bounds_for(dataset), alpha)`` bit for bit.
-    Chroma-filtered pools and the DP graphs are made on first use and kept, so
-    building ladders for many alphas repeats only the scoring and one
-    relaxation pass each. A graph depends only on the pools' (height,
-    fidelity_rank) pairs; given ``graphs``, a ``graph_memo()``, the index
-    shares its graphs with the other titles of the run whose pools have the
-    same ones, and otherwise compiles its own.
+    Each chroma view is a ``_View``, made on first use and kept with its
+    pools, DP graph and kernel columns, so building ladders for many alphas
+    repeats only the scoring and one relaxation pass each. A graph depends
+    only on the pools' (height, fidelity_rank) pairs; given ``graphs``, a
+    ``graph_memo()``, the views share their graphs with the other titles of
+    the run whose pools have the same ones, and otherwise compile their own.
 
     The index is the one title argument of every builder, so ``tolerance``
     and ``cross_target`` (see ``candidates_for``) are fixed here, once, for
@@ -202,12 +203,9 @@ class CandidateIndex:
         records = dataset.records
         log_times = list(map(math.log, map(_DECODE_TIME, records)))
         log_time = dict(zip(map(id, records), log_times))
-        # A title without records has empty pools and no bounds.
-        q_min = q_span = d_min = d_span = 0.0
-        if records:
-            bounds = bounds_for(dataset, log_times)
-            q_min, q_span = bounds.q_min, bounds.q_max - bounds.q_min
-            d_min, d_span = bounds.log_d_min, bounds.log_d_max - bounds.log_d_min
+        bounds = bounds_for(dataset, log_times)
+        q_min, q_span = bounds.q_min, bounds.q_max - bounds.q_min
+        d_min, d_span = bounds.log_d_min, bounds.log_d_max - bounds.log_d_min
         self.pools = tuple(
             tuple([(r, (r.quality.value - q_min) / q_span if q_span else 0.0,
                     (log_time[id(r)] - d_min) / d_span if d_span else 0.0,
@@ -217,39 +215,58 @@ class CandidateIndex:
         )
         # Keyed by fidelity rank, -1 for the view of every chroma: hashing an
         # enum member runs in Python.
-        self._filtered: dict[int, tuple] = {-1: self.pools}
-        self._graphs: dict[int, _Graph] = {}
-        self._cols: dict[int, tuple] = {}
+        self._views = {-1: _View(dataset.title_id, self.pools, self._compile)}
 
-    def _pools(self, chroma: ChromaFormat | None) -> tuple:
+    def _view(self, chroma: ChromaFormat | None) -> _View:
         rank = -1 if chroma is None else chroma.fidelity_rank
-        pools = self._filtered.get(rank)
-        if pools is None:
-            pools = self._filtered[rank] = tuple(
-                tuple(c for c in pool if c[3][1] == rank) for pool in self.pools
-            )
-        return pools
+        view = self._views.get(rank)
+        if view is None:
+            pools = tuple(tuple(c for c in pool if c[3][1] == rank) for pool in self.pools)
+            view = self._views[rank] = _View(self.dataset.title_id, pools, self._compile)
+        return view
 
-    def _graph(self, chroma: ChromaFormat | None) -> _Graph:
-        rank = -1 if chroma is None else chroma.fidelity_rank
-        graph = self._graphs.get(rank)
-        if graph is None:
-            shape = tuple(tuple(c[3] for c in pool) for pool in self._pools(chroma))
-            graph = self._graphs[rank] = self._compile(shape)
-        return graph
 
-    def _columns(self, chroma: ChromaFormat | None) -> tuple:
-        """The view's q' and d' as two columns, each one tuple per rung, in
-        pool order: the arguments of the graph's kernel."""
-        rank = -1 if chroma is None else chroma.fidelity_rank
-        cols = self._cols.get(rank)
-        if cols is None:
-            pools = self._pools(chroma)
-            cols = self._cols[rank] = (
-                tuple(tuple(c[1] for c in pool) for pool in pools),
-                tuple(tuple(c[2] for c in pool) for pool in pools),
-            )
-        return cols
+class _View:
+    """One chroma view of a title: its pools and, made on first use, its DP
+    graph and kernel ``columns`` (q' and d', one tuple per rung each). It holds
+    no index, so reference counting alone frees an index and its graphs."""
+
+    __slots__ = ("title_id", "pools", "present", "_compile", "compiled", "columns")
+
+    def __init__(self, title_id: str, pools: tuple, compile_: Callable[[tuple], _Graph]):
+        self.title_id = title_id
+        self.pools = pools
+        self.present = any(pools)  # some target has a candidate
+        self._compile = compile_
+        self.compiled = self.columns = None
+
+    def graph(self) -> _Graph:
+        """The view's DP graph, compiled on the first call."""
+        if self.compiled is None:
+            self.compiled = self._compile(tuple(tuple(c[3] for c in pool) for pool in self.pools))
+        return self.compiled
+
+    def choose(self, alpha: Alpha, solver) -> list[int | None]:
+        """The solver's candidate position per rung (None for an absent
+        rung) at ``alpha``; ``solver`` is ``_relax``, ``_solve_greedy`` or
+        ``_solve_enumerate``."""
+        if not self.present:
+            raise AllRungsAbsent(f"title {self.title_id!r}: no candidate at any target bitrate")
+        pools, a = self.pools, alpha.value
+        if solver is _relax:
+            graph = self.graph()
+            graph.solves += 1
+            if graph.solves >= KERNEL_SOLVES:
+                if graph.kernel is None:
+                    graph.kernel = _kernel(graph)
+                if self.columns is None:
+                    self.columns = (tuple(tuple(c[1] for c in pool) for pool in pools),
+                                    tuple(tuple(c[2] for c in pool) for pool in pools))
+                choices = graph.kernel(*self.columns, a)
+                if choices is not None:
+                    return choices
+        js = [[q - a * d for _, q, d, _ in pool] for pool in pools]
+        return _relax(graph, pools, js) if solver is _relax else solver(pools, js)
 
 
 def _rung_key(cand: tuple, j: float) -> tuple:
@@ -272,10 +289,11 @@ _ABSENT_KEY = (0, 0.0, 0.0, 0, 0, 0.0, 0.0)
 
 # -- solvers -----------------------------------------------------------------
 #
-# Every solver takes the pools of one chroma view and ``js``, the objective of
-# each candidate for one alpha (``_relax`` also takes the compiled graph), and
-# returns one candidate position per rung (None for an absent rung). A graph's
-# kernel (see below) returns the same from the view's q'/d' columns and alpha.
+# ``_View.choose`` runs every solve. A solver takes the view's pools and ``js``,
+# the objective of each candidate for one alpha (``_relax`` takes the view's
+# graph first), and returns one candidate position per rung (None for an
+# absent rung). A graph's kernel (see below) returns the same from the view's
+# q'/d' columns and alpha.
 #
 # Both exact solvers search the space of maximal assignments. An absent rung
 # whose pool still holds candidates feasible w.r.t. the previous present rung
@@ -305,7 +323,7 @@ _ABSENT_KEY = (0, 0.0, 0.0, 0, 0, 0.0, 0.0)
 # A graph gets a kernel on its ``KERNEL_SOLVES``-th solve: ``_kernel`` writes
 # its relaxation out as straight-line Python, one local variable per state
 # and per candidate objective, and compiles it once. The kernel scores each
-# candidate as ``q' - alpha * d'`` from the index's q'/d' columns, the same
+# candidate as ``q' - alpha * d'`` from the view's q'/d' columns, the same
 # two float operations as ``_relax``'s ``js``, and adds and compares in
 # ``_relax``'s edge order, so every partial sum and every comparison is the
 # same. It does not break ties: at the first exact score tie, at a state or
@@ -559,29 +577,9 @@ def _solve_enumerate(pools, js) -> list[int | None]:
 # -- builders -----------------------------------------------------------------
 
 
-def _choose(
-    index: CandidateIndex, alpha: Alpha, chroma: ChromaFormat | None, solver
-) -> tuple[tuple, list[int | None]]:
-    """The pools of the chroma view and the solver's candidate position per
-    rung (None for an absent rung) at ``alpha``."""
-    pools = index._pools(chroma)
-    if all(not pool for pool in pools):
-        raise AllRungsAbsent(
-            f"title {index.dataset.title_id!r}: no candidate at any target bitrate"
-        )
-    a = alpha.value
-    choices = None
-    if solver is _relax:
-        graph = index._graph(chroma)
-        graph.solves += 1
-        if graph.solves >= KERNEL_SOLVES:
-            if graph.kernel is None:
-                graph.kernel = _kernel(graph)
-            choices = graph.kernel(*index._columns(chroma), a)
-    if choices is None:
-        js = [[q - a * d for _, q, d, _ in pool] for pool in pools]
-        choices = _relax(graph, pools, js) if solver is _relax else solver(pools, js)
-    return pools, choices
+def _solver(mode: OptimizerMode):
+    """The solver of ``mode``: the exact DP or the greedy scan."""
+    return _relax if mode is OptimizerMode.GLOBAL_DP else _solve_greedy
 
 
 def _build(
@@ -593,14 +591,14 @@ def _build(
 ) -> Ladder:
     alpha = as_alpha(alpha)
     dataset = index.dataset
-    pools, choices = _choose(index, alpha, chroma, solver)
+    view = index._view(chroma)
     a = alpha.value
     rungs = []
-    for i, (t, k) in enumerate(zip(dataset.bitrate_targets, choices)):
+    for pool, t, k in zip(view.pools, dataset.bitrate_targets, view.choose(alpha, solver)):
         if k is None:
             rungs.append(Rung(t))
         else:
-            record, q, d, _ = pools[i][k]
+            record, q, d, _ = pool[k]
             rungs.append(Rung(t, record, q - a * d))
     return Ladder(dataset.title_id, method, tuple(rungs), alpha)
 
@@ -617,8 +615,7 @@ def optimize_arcs(
     scans targets in ascending order, picking the objective argmax among
     candidates feasible w.r.t. the previous present rung.
     """
-    solver = _relax if mode is OptimizerMode.GLOBAL_DP else _solve_greedy
-    return _build(index, Method.ARCS, alpha, None, solver)
+    return _build(index, Method.ARCS, alpha, None, _solver(mode))
 
 
 def enumerate_optimal(index: CandidateIndex, alpha: Alpha | float) -> Ladder:
@@ -635,8 +632,7 @@ def build_dynres(
 ) -> Ladder:
     """Resolution-only ablation: same machinery, candidate pool pinned to one
     chroma format (default the full-fidelity source format)."""
-    solver = _relax if mode is OptimizerMode.GLOBAL_DP else _solve_greedy
-    return _build(index, Method.DYNRES_JOD, alpha, fixed_chroma, solver)
+    return _build(index, Method.DYNRES_JOD, alpha, fixed_chroma, _solver(mode))
 
 
 def chroma_counts(
@@ -653,9 +649,9 @@ def chroma_counts(
     candidate, and ``InvalidLadder`` when the chosen rungs break the chain.
     Targets need no check: a ``TitleDataset``'s are strictly increasing.
     """
-    solver = _relax if mode is OptimizerMode.GLOBAL_DP else _solve_greedy
-    pools, choices = _choose(index, as_alpha(alpha), chroma, solver)
-    hfs = [pools[i][k][3] for i, k in enumerate(choices) if k is not None]
+    view = index._view(chroma)
+    choices = view.choose(as_alpha(alpha), _solver(mode))
+    hfs = [pool[k][3] for pool, k in zip(view.pools, choices) if k is not None]
     _check_chain(hfs)
     counts = [0] * len(ChromaFormat)
     for _, rank in hfs:
@@ -671,8 +667,8 @@ def build_default(index: CandidateIndex) -> Ladder:
     ladder may fail to cover the low end of the bitrate range.
     """
     dataset = index.dataset
-    height = max((r.resolution.height for r in dataset.records), default=None)
-    plan = [(t, height) for t in dataset.bitrate_targets] if dataset.records else []
+    height = max(r.resolution.height for r in dataset.records)
+    plan = [(t, height) for t in dataset.bitrate_targets]
     return replace(build_fixed(index, plan), method=Method.DEFAULT)
 
 
@@ -734,7 +730,7 @@ def build_fixed(
     for t, _ in entries:
         if t not in known:
             raise PlanTargetUnknown(t)
-    pools = dict(zip(dataset.bitrate_targets, index._pools(fixed_chroma)))
+    pools = dict(zip(dataset.bitrate_targets, index._view(fixed_chroma).pools))
     rungs = []
     for t, h in entries:
         pool = [c[0] for c in pools[t] if c[3][0] == h]

@@ -32,6 +32,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import (
     DuplicateRecord,
+    EmptyDataset,
     MalformedRow,
     MixedQualityMetric,
     NonPositiveValue,
@@ -152,13 +153,16 @@ class MeasurementRecord:
 
 @dataclass(frozen=True)
 class TitleDataset:
-    """All measurements of one source title, plus its distinct target bitrates."""
+    """All measurements of one source title (at least one, else
+    ``EmptyDataset``), plus its distinct target bitrates."""
 
     title_id: str
     records: tuple[MeasurementRecord, ...]
     bitrate_targets: tuple[float, ...]
 
     def __post_init__(self):
+        if not self.records:
+            raise EmptyDataset(f"no records for title {self.title_id!r}")
         if any(b2 <= b1 for b1, b2 in zip(self.bitrate_targets, self.bitrate_targets[1:])):
             raise ValueError("bitrate_targets must be strictly increasing")
         order = list(map(_record_order, self.records))
@@ -199,8 +203,8 @@ class TitleDataset:
         return dataset
 
     @property
-    def metric(self) -> QualityMetric | None:
-        return self.records[0].quality.metric if self.records else None
+    def metric(self) -> QualityMetric:
+        return self.records[0].quality.metric
 
 
 def _record_order(record: MeasurementRecord) -> tuple:
@@ -289,7 +293,8 @@ def _rows_from_json(text: str) -> Iterator[tuple[int, tuple]]:
     if not isinstance(data, list):
         raise MalformedRow(0, "JSON input must be an array of objects")
     in_header_order = operator.itemgetter(*CSV_HEADER)
-    for row, obj in enumerate(data, start=1):
+    data.reverse()  # popped from the end, each entry goes once its row is read
+    for row, obj in enumerate(map(data.pop, repeat(-1, len(data))), start=1):
         if not isinstance(obj, dict):
             raise MalformedRow(row, "array entry is not an object")
         if obj.keys() != _JSON_KEYS:

@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BoundsMismatch, EmptyDataset, NonPositiveDecodeTime
+from .errors import BoundsMismatch, NonPositiveDecodeTime
 from .measurements import MeasurementRecord, TitleDataset
 
 BOUNDS_TOLERANCE = 1e-9
@@ -66,8 +66,6 @@ def bounds_for(dataset: TitleDataset, log_times: Sequence[float] | None = None
     ``log_times``, when given, are the records' ``log_decode_time`` in record
     order, for a caller that needs them as well.
     """
-    if not dataset.records:
-        raise EmptyDataset(f"no records for title {dataset.title_id!r}")
     qs = list(map(_QUALITY, dataset.records))
     if log_times is None:
         log_times = [r.log_decode_time for r in dataset.records]

@@ -49,6 +49,7 @@ from chromaladder import (
 )
 from chromaladder.errors import (
     AllRungsAbsent,
+    EmptyDataset,
     InvalidLadder,
     LadderError,
     InvalidPlan,
@@ -374,8 +375,9 @@ class TestBuildDefault:
         assert all(r.present for r in ladder.rungs[1:])
 
     def test_empty_dataset_all_absent(self):
-        with pytest.raises(AllRungsAbsent):
-            build_default(CandidateIndex(TitleDataset("t", (), ())))
+        # A title without records cannot be made, so no builder sees one.
+        with pytest.raises(EmptyDataset):
+            TitleDataset("t", (), ())
 
     def test_window_is_the_index_window(self):
         # The native 600 kbps encode lands 7% over its target: inside a 10%
@@ -843,7 +845,7 @@ class TestCandidateIndex:
 
 
 def _shape(index, chroma):
-    return tuple(tuple(c[3] for c in pool) for pool in index._pools(chroma))
+    return tuple(tuple(c[3] for c in pool) for pool in index._view(chroma).pools)
 
 
 def _with_other_values(ds, rng, title):
@@ -876,13 +878,13 @@ class TestSharedGraph:
     def test_indexes_share_graphs_only_through_one_memo(self):
         first, second = generate(default_spec(titles=2))
         graphs = graph_memo()
-        shared = [CandidateIndex(ds, graphs=graphs)._graph(None) for ds in (first, second)]
+        shared = [CandidateIndex(ds, graphs=graphs)._view(None).graph() for ds in (first, second)]
         assert shared[0] is shared[1]
         # Without a memo, or with another one, an index compiles its own
         # graph, and keeps it per chroma view.
         own = CandidateIndex(first)
-        assert own._graph(None) is own._graph(None) is not shared[0]
-        assert CandidateIndex(first, graphs=graph_memo())._graph(None) is not shared[0]
+        assert own._view(None).graph() is own._view(None).graph() is not shared[0]
+        assert CandidateIndex(first, graphs=graph_memo())._view(None).graph() is not shared[0]
 
     def test_title_with_other_windows_gets_its_own_graph(self):
         def title(name, cells):
@@ -1026,7 +1028,7 @@ class TestLiveStateGraph:
         for ds in titles:
             for index, chroma in _views(ds):
                 shape = _shape(index, chroma)
-                count = _maximal_assignments([[c[0] for c in pool] for pool in index._pools(chroma)])
+                count = _maximal_assignments([[c[0] for c in pool] for pool in index._view(chroma).pools])
                 assert _paths_to_finals(ladder_module._compile(shape)) == count, ds.title_id
                 assert _paths_to_finals(oracle_compile(shape)) == count, ds.title_id
 
@@ -1070,7 +1072,7 @@ class TestLiveStateGraphSolves:
     def test_same_choices_as_frozen_compile_and_enumeration(self, ds, cross_target, chroma,
                                                               alphas):
         index = CandidateIndex(ds, 0.10, cross_target=cross_target)
-        pools = index._pools(chroma)
+        pools = index._view(chroma).pools
         shape = _shape(index, chroma)
         graph, old = ladder_module._compile(shape), oracle_compile(shape)
         for alpha in alphas:
@@ -1083,7 +1085,7 @@ class TestLiveStateGraphSolves:
         titles = generate(sparse_spec(seed=11, titles=8))
         for ds in titles:
             for index, chroma in _views(ds):
-                pools = index._pools(chroma)
+                pools = index._view(chroma).pools
                 shape = _shape(index, chroma)
                 graph, old = ladder_module._compile(shape), oracle_compile(shape)
                 for alpha in (0.0, 0.02, 0.08, 0.5):
@@ -1144,7 +1146,7 @@ class TestChromaCounts:
     @pytest.mark.parametrize("mode", list(OptimizerMode))
     def test_decreasing_choice_raises_what_validate_rungs_raises(self, monkeypatch, mode):
         ds = grid_dataset(lambda h, c, b: h / 1000 + b / 1000, lambda h, c, b: 0.05)
-        pools = CandidateIndex(ds)._pools(None)
+        pools = CandidateIndex(ds)._view(None).pools
 
         def swapped(solve):
             def run(*args):
@@ -1211,6 +1213,75 @@ class TestPresentRungRule:
             assert any(built) if isinstance(built, tuple) else built.present_rungs
 
 
+_SOLVES = st.lists(st.tuples(
+    st.sampled_from(["arcs", "dynres", "counts", "enumerate"]),
+    st.sampled_from([None, C420, C444]),
+    st.sampled_from(list(OptimizerMode)),
+    st.sampled_from([0.0, 0.01, 0.04, 0.3, 1.0]),
+), min_size=1, max_size=12)
+
+
+class TestView:
+    """Each chroma view of an index keeps its pools, graph and kernel columns."""
+
+    @pytest.mark.parametrize("solves", [1, math.inf])
+    def test_index_views_and_graphs_go_by_reference_counting(self, solves):
+        ds = generate(default_spec(titles=1))[0]
+        gc.disable()
+        try:
+            with _kernels(solves) as (made, _):
+                index = CandidateIndex(ds)
+                for alpha in (0.0, 0.04):
+                    optimize_arcs(index, Alpha(alpha))
+                    build_dynres(index, Alpha(alpha), C420)
+                    chroma_counts(index, alpha, C444)
+                build_fixed(index, [(600.0, 1080)], C422)
+                made.clear()
+                assert len(index._views) == 4
+                graphs = [weakref.ref(view.graph()) for view in index._views.values()
+                          if view.compiled is not None]
+                assert len(graphs) == 3
+                ref = weakref.ref(index)
+                del index
+                assert ref() is None
+                assert [graph() for graph in graphs] == [None] * 3
+        finally:
+            gc.enable()
+
+    @settings(max_examples=60, deadline=None)
+    @given(ds=_titles(), cross_target=st.booleans(), solves=_SOLVES)
+    def test_each_view_compiles_its_graph_at_most_once(self, ds, cross_target, solves):
+        memo, shapes = graph_memo(), []
+
+        def graphs(shape):
+            shapes.append(shape)
+            return memo(shape)
+
+        index = CandidateIndex(ds, 0.10, cross_target=cross_target, graphs=graphs)
+        solved = set()  # the views that had an exact solve
+        for kind, chroma, mode, alpha in solves:
+            if kind == "arcs":
+                chroma = None
+                run = lambda: optimize_arcs(index, Alpha(alpha), mode)
+            elif kind == "dynres":
+                chroma = chroma or C444
+                run = lambda: build_dynres(index, Alpha(alpha), chroma, mode)
+            elif kind == "counts":
+                run = lambda: chroma_counts(index, alpha, chroma, mode)
+            else:
+                chroma, mode = None, None
+                run = lambda: enumerate_optimal(index, Alpha(alpha))
+            _counted_or_error(run)
+            if mode is OptimizerMode.GLOBAL_DP and any(index._view(chroma).pools):
+                solved.add(chroma)
+        assert len(shapes) == len(solved)
+        assert sorted(shapes) == sorted(_shape(index, chroma) for chroma in solved)
+        for chroma in solved:
+            assert index._view(chroma).graph() is memo(_shape(index, chroma))
+        # The views kept their graphs.
+        assert len(shapes) == len(solved)
+
+
 # -- generated relaxation kernels ----------------------------------------------------
 
 
@@ -1253,13 +1324,12 @@ class TestKernel:
                                                              alphas):
         with _kernels(1) as (made, results):
             index = CandidateIndex(ds, 0.10, cross_target=cross_target)
-            pools = index._pools(chroma)
+            pools = index._view(chroma).pools
             if not any(pools):
                 return
-            graph = index._graph(chroma)
+            graph = index._view(chroma).graph()
             for alpha in alphas:
-                _, choices = ladder_module._choose(index, Alpha(alpha), chroma,
-                                                   ladder_module._relax)
+                choices = index._view(chroma).choose(Alpha(alpha), ladder_module._relax)
                 js = [[q - alpha * d for _, q, d, _ in pool] for pool in pools]
                 with _path_keys_calls() as calls:
                     want = ladder_module._relax(graph, pools, js)
@@ -1275,7 +1345,7 @@ class TestKernel:
     ], ids=["tie-at-a-state", "tie-among-finals", "all-zero"])
     def test_declines_ties_to_relax(self, ds):
         for build in (optimize_arcs, build_dynres):
-            if build is build_dynres and not any(CandidateIndex(ds)._pools(C444)):
+            if build is build_dynres and not any(CandidateIndex(ds)._view(C444).pools):
                 continue
             with _kernels(1) as (_, results), _path_keys_calls() as calls:
                 dp = build(CandidateIndex(ds), Alpha(0.0))

@@ -60,8 +60,9 @@ class TestBounds:
         assert (b.log_d_min, b.log_d_max) == (min(lds), max(lds))
 
     def test_empty_dataset_rejected(self):
+        # Rejected where it is made, so bounds_for never sees one.
         with pytest.raises(EmptyDataset):
-            bounds_for(TitleDataset("t", (), ()))
+            TitleDataset("t", (), ())
 
 
 class TestCompositeRaw:
