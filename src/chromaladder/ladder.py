@@ -27,14 +27,17 @@ Every builder returns a ladder with a present rung or raises
 has a candidate.
 
 Every builder takes the title as its ``CandidateIndex``, which fixes the
-tolerance window and ``cross_target`` once; one index serves every method
-and alpha of the title::
+tolerance window and ``cross_target`` once and holds each window candidate
+with its q' and d' from ``objective.normalized_terms``; one index serves
+every method and alpha of the title::
 
     index = CandidateIndex(dataset, 0.10, cross_target=False)
     ladder = optimize_arcs(index, Alpha(0.04))
 
 ``chroma_counts`` runs the same solve as ``optimize_arcs``/``build_dynres``
-and counts the chosen rungs by chroma format without building a ladder.
+and counts the chosen rungs by chroma format without building a ladder;
+``count_chroma`` counts a built ladder alike, and ``chroma_shares`` turns
+summed counts into each format's share of the present rungs.
 
 Each solve runs on one chroma view of the index, which keeps its pools, DP
 graph and kernel columns across alphas; a run's titles on one grid share the
@@ -71,7 +74,7 @@ from .measurements import (
     TitleDataset,
     candidates_for,
 )
-from .objective import Alpha, as_alpha, bounds_for
+from .objective import Alpha, as_alpha, bounds_for, normalized_terms
 
 ENUMERATION_GUARD = 10**7
 
@@ -128,13 +131,6 @@ class Ladder:
     def __post_init__(self):
         validate_rungs(self.rungs)
 
-    @property
-    def present_rungs(self) -> tuple[Rung, ...]:
-        return tuple(r for r in self.rungs if r.present)
-
-    def sum_j_prime(self) -> float:
-        return sum(r.j_prime for r in self.rungs if r.j_prime is not None)
-
 
 def validate_rungs(rungs: Sequence[Rung]) -> None:
     """Raise InvalidLadder unless the rung sequence satisfies all invariants."""
@@ -176,12 +172,10 @@ class CandidateIndex:
 
     ``pools[i]`` holds the window candidates of the i-th target bitrate, in
     ``candidates_for`` order, as ``(record, q', d', (height, fidelity_rank))``.
-    ``q'`` and ``d'`` are the normalized quality and log decode time over all
-    records of the title. Each record's log decode time is taken once, for
-    the bounds and for ``d'``, and both are computed with the float
-    operations of ``normalized_quality`` and ``normalized_log_time``, so
-    ``q' - alpha * d'`` equals
-    ``composite_normalized(record, bounds_for(dataset), alpha)`` bit for bit.
+    ``q'`` and ``d'`` are the record's entries of ``normalized_terms`` under
+    ``bounds_for(dataset)``: the normalized quality and log decode time over
+    all records of the title. Each record's log decode time is taken once,
+    for the bounds and for ``d'``.
     Each chroma view is a ``_View``, made on first use and kept with its
     pools, DP graph and kernel columns, so building ladders for many alphas
     repeats only the scoring and one relaxation pass each. A graph depends
@@ -202,14 +196,10 @@ class CandidateIndex:
         self._compile = _compile if graphs is None else graphs
         records = dataset.records
         log_times = list(map(math.log, map(_DECODE_TIME, records)))
-        log_time = dict(zip(map(id, records), log_times))
-        bounds = bounds_for(dataset, log_times)
-        q_min, q_span = bounds.q_min, bounds.q_max - bounds.q_min
-        d_min, d_span = bounds.log_d_min, bounds.log_d_max - bounds.log_d_min
+        terms = dict(zip(map(id, records), zip(
+            *normalized_terms(dataset, bounds_for(dataset, log_times), log_times))))
         self.pools = tuple(
-            tuple([(r, (r.quality.value - q_min) / q_span if q_span else 0.0,
-                    (log_time[id(r)] - d_min) / d_span if d_span else 0.0,
-                    (r.resolution.height, r.chroma.fidelity_rank))
+            tuple([(r, *terms[id(r)], (r.resolution.height, r.chroma.fidelity_rank))
                    for r in candidates_for(dataset, t, tolerance, cross_target=cross_target)])
             for t in dataset.bitrate_targets
         )
@@ -516,7 +506,9 @@ def _kernel(graph: _Graph):
     ]
     namespace: dict = {}
     exec(compile("\n".join(out), "<dp kernel>", "exec"), namespace)
-    return namespace["kernel"]
+    # Popped, so that the kernel's globals do not hold the kernel: reference
+    # counting alone frees it with its graph.
+    return namespace.pop("kernel")
 
 
 def _solve_greedy(pools, js) -> list[int | None]:
@@ -785,8 +777,3 @@ def chroma_shares(counts: Sequence[int]) -> dict[ChromaFormat, float]:
     if total == 0:
         raise NoPresentRungs("no present rungs in any ladder")
     return {fmt: counts[fmt.fidelity_rank] / total for fmt in ChromaFormat}
-
-
-def chroma_pmf(ladders: Iterable[Ladder]) -> dict[ChromaFormat, float]:
-    """Share of present rungs per chroma format across the given ladders."""
-    return chroma_shares([sum(n) for n in zip(*map(count_chroma, ladders))])

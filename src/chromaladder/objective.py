@@ -1,10 +1,13 @@
-"""Composite quality-complexity objective and its per-title normalized form.
+"""The paper's composite quality-complexity objective, per-title normalized.
 
-The raw objective trades perceptual quality against the natural log of the
-decoding time per frame, weighted by a coefficient ``alpha``. For ladder
-optimization both terms are min-max normalized over *all* records of a title
-(every resolution, chroma format, and target), so the normalized objective is
-``q' - alpha * d'`` with both terms in [0, 1].
+A candidate trades perceptual quality against the natural log of its
+decoding time per frame, weighted by a coefficient ``alpha``. Both terms are
+min-max normalized over *all* records of a title (every resolution, chroma
+format, and target), so the objective is ``q' - alpha * d'`` with both terms
+in [0, 1]. ``bounds_for`` takes a title's extrema and ``_scaled`` is the one
+min-max map: ``normalized_terms`` applies it to every record of a title (the
+ladder builders' q' and d'), and ``normalized_quality``,
+``normalized_log_time`` and ``composite_normalized`` to one value or record.
 
 The log base is fixed to ``e``; any other base only rescales alpha.
 """
@@ -72,29 +75,34 @@ def bounds_for(dataset: TitleDataset, log_times: Sequence[float] | None = None
     return NormalizationBounds(min(qs), max(qs), min(log_times), max(log_times))
 
 
-def composite_raw(q: float, decode_time: float, alpha: Alpha | float) -> float:
-    """Unnormalized objective: ``q - alpha * ln(decode_time)``."""
-    if not decode_time > 0:
-        raise NonPositiveDecodeTime(f"decode_time must be > 0, got {decode_time!r}")
-    return q - as_alpha(alpha).value * math.log(decode_time)
+def _scaled(values: Sequence[float], lo: float, hi: float) -> list[float]:
+    """``values`` mapped from [lo, hi] onto [0, 1]; all 0 when ``lo == hi``."""
+    span = hi - lo
+    if span == 0:
+        return [0.0] * len(values)
+    return [(v - lo) / span for v in values]
+
+
+def normalized_terms(dataset: TitleDataset, bounds: NormalizationBounds,
+                     log_times: Sequence[float]) -> tuple[list[float], list[float]]:
+    """``(q', d')``: each record's normalized quality and log decode time
+    under ``bounds``, one entry per record in record order. ``log_times`` are
+    the records' ``log_decode_time`` in record order.
+    """
+    return (_scaled(list(map(_QUALITY, dataset.records)), bounds.q_min, bounds.q_max),
+            _scaled(log_times, bounds.log_d_min, bounds.log_d_max))
 
 
 def normalized_quality(q: float, bounds: NormalizationBounds) -> float:
     """Quality mapped to [0, 1]; defined as 0 when the bounds are degenerate."""
-    span = bounds.q_max - bounds.q_min
-    if span == 0:
-        return 0.0
-    return (q - bounds.q_min) / span
+    return _scaled((q,), bounds.q_min, bounds.q_max)[0]
 
 
 def normalized_log_time(decode_time: float, bounds: NormalizationBounds) -> float:
     """ln(decode time) mapped to [0, 1]; defined as 0 when bounds are degenerate."""
     if not decode_time > 0:
         raise NonPositiveDecodeTime(f"decode_time must be > 0, got {decode_time!r}")
-    span = bounds.log_d_max - bounds.log_d_min
-    if span == 0:
-        return 0.0
-    return (math.log(decode_time) - bounds.log_d_min) / span
+    return _scaled((math.log(decode_time),), bounds.log_d_min, bounds.log_d_max)[0]
 
 
 def composite_normalized(
@@ -104,16 +112,10 @@ def composite_normalized(
 ) -> float:
     """Normalized objective ``q' - alpha * d'`` for one record.
 
-    The record must lie within ``bounds`` (tolerance ``1e-9``); constant terms
-    from degenerate bounds are mapped to 0, which cannot affect an argmax.
+    The record must lie within ``bounds`` (tolerance ``1e-9``), else
+    ``BoundsMismatch``; constant terms from degenerate bounds are mapped to 0,
+    which cannot affect an argmax.
     """
-    check_in_bounds(record, bounds)
-    q_norm = normalized_quality(record.quality.value, bounds)
-    return q_norm - as_alpha(alpha).value * normalized_log_time(record.decode_time, bounds)
-
-
-def check_in_bounds(record: MeasurementRecord, bounds: NormalizationBounds) -> None:
-    """Raise BoundsMismatch unless the record lies within ``bounds`` (tolerance ``1e-9``)."""
     q = record.quality.value
     ld = record.log_decode_time
     if q < bounds.q_min - BOUNDS_TOLERANCE or q > bounds.q_max + BOUNDS_TOLERANCE:
@@ -125,3 +127,5 @@ def check_in_bounds(record: MeasurementRecord, bounds: NormalizationBounds) -> N
             f"log decode time {ld!r} outside bounds "
             f"[{bounds.log_d_min}, {bounds.log_d_max}]"
         )
+    return normalized_quality(q, bounds) - as_alpha(alpha).value * normalized_log_time(
+        record.decode_time, bounds)

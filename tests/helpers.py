@@ -1,4 +1,5 @@
-"""Shared constructors for hand-built and randomized measurement datasets, a
+"""Shared constructors for hand-built and randomized measurement datasets,
+ladder summaries (present rungs, summed objective, chroma shares), a
 vectorized PCHIP evaluator for quadrature checks, a frozen numpy-scalar PCHIP
 integrator that the float implementation must match, a frozen row-by-row
 ingest that the parser's fast path must match, the frozen per-ladder BD
@@ -37,7 +38,7 @@ from chromaladder.errors import (
     MalformedRow,
     NonPositiveValue,
 )
-from chromaladder.ladder import _Graph, _step_ok
+from chromaladder.ladder import _Graph, _step_ok, chroma_shares, count_chroma
 from chromaladder.measurements import CSV_HEADER
 
 JOD = QualityMetric.CVVDP_JOD
@@ -126,6 +127,21 @@ def random_dataset(
         ds = TitleDataset.from_records(recs)
         if any(candidates_for(ds, t, 0.10) for t in ds.bitrate_targets):
             return ds
+
+
+def present_rungs(ladder):
+    """The ladder's present rungs, in target order."""
+    return tuple(r for r in ladder.rungs if r.present)
+
+
+def sum_j_prime(ladder):
+    """The summed objective of the rungs that carry one."""
+    return sum(r.j_prime for r in ladder.rungs if r.j_prime is not None)
+
+
+def chroma_pmf(ladders):
+    """Share of present rungs per chroma format across ``ladders``."""
+    return chroma_shares([sum(n) for n in zip(*map(count_chroma, ladders))])
 
 
 def ladder_sums(ladder, dataset):

@@ -26,7 +26,6 @@ from chromaladder import (
     build_default,
     build_dynres,
     build_fixed,
-    chroma_pmf,
     composite_normalized,
     default_spec,
     enumerate_optimal,
@@ -39,7 +38,7 @@ from chromaladder import (
 from chromaladder.cli import main as cli_main
 from chromaladder.errors import AllRungsAbsent
 from chromaladder.ladder import OptimizerMode
-from helpers import C420, ladder_sums, pchip_values, random_dataset
+from helpers import C420, chroma_pmf, ladder_sums, pchip_values, random_dataset
 
 SWEEP = (0.0, 0.01, 0.02, 0.04, 0.08)
 

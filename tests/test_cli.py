@@ -32,7 +32,6 @@ from chromaladder import (
     Rung,
     TitleDataset,
     build_dynres,
-    chroma_pmf,
     default_spec,
     enumerate_optimal,
     generate,
@@ -51,12 +50,14 @@ from chromaladder.measurements import CSV_HEADER
 from helpers import (
     C420,
     C444,
+    chroma_pmf,
     grid_dataset,
     oracle_bd_pair,
     oracle_compare_files,
     oracle_json_text,
     oracle_ladder_payload,
     oracle_optimize_payloads,
+    present_rungs,
     record,
 )
 
@@ -728,7 +729,7 @@ class TestPmf:
                 pmf = chroma_pmf(built)
                 rows.append({"method": method, "alpha": alpha,
                              "pmf": {fmt.value: pmf[fmt] for fmt in ChromaFormat},
-                             "present_rungs": sum(len(l.present_rungs) for l in built)})
+                             "present_rungs": sum(len(present_rungs(l)) for l in built)})
         assert payload["pmf"] == rows
         assert ("no444", "dynres", 0.0) in excluded and absent > 0
         assert sorted((x["title"], x["method"], x["alpha"]) for x in payload["excluded"]) == (

@@ -38,7 +38,6 @@ from chromaladder import (
     build_fixed,
     candidates_for,
     chroma_counts,
-    chroma_pmf,
     composite_normalized,
     default_spec,
     enumerate_optimal,
@@ -63,11 +62,14 @@ from helpers import (
     C420,
     C422,
     C444,
+    chroma_pmf,
     grid_dataset,
     ladder_sums,
     oracle_compile,
+    present_rungs,
     random_dataset,
     record,
+    sum_j_prime,
 )
 
 
@@ -283,7 +285,7 @@ class TestOptimizeArcs:
         assert greedy.rungs[1].choice is None
         assert dp.rungs[0].choice.chroma is C420
         assert dp.rungs[1].present
-        assert greedy.sum_j_prime() <= dp.sum_j_prime()
+        assert sum_j_prime(greedy) <= sum_j_prime(dp)
 
     def test_determinism_identical_outputs(self):
         rng = np.random.default_rng(7)
@@ -319,7 +321,7 @@ class TestOracleAgreement:
             alpha = Alpha(float(rng.uniform(0.0, 1.0)))
             dp = optimize_arcs(CandidateIndex(ds), alpha)
             greedy = optimize_arcs(CandidateIndex(ds), alpha, mode=OptimizerMode.GREEDY_SEQUENTIAL)
-            assert greedy.sum_j_prime() <= dp.sum_j_prime() + 1e-12
+            assert sum_j_prime(greedy) <= sum_j_prime(dp) + 1e-12
 
     def test_search_space_guard(self):
         ds = grid_dataset(
@@ -596,7 +598,7 @@ class TestValidator:
             ),
             Alpha(0.0),
         )
-        assert len(ladder.present_rungs) == 2
+        assert len(present_rungs(ladder)) == 2
 
     def test_constraints_apply_across_gaps(self):
         with pytest.raises(InvalidLadder):
@@ -660,7 +662,8 @@ def _kernels(solves):
     """Offer every DP solve to a kernel from a graph's ``solves``-th solve on.
 
     Yields ``(made, results)``: each graph given a kernel, with its solve
-    count then, and each kernel's result, in order. An index compiles its
+    count then, and each kernel's result, in order. A graph's ``kernel``
+    wraps the generated one, kept as its ``generated``. An index compiles its
     graphs, or takes them from the ``graph_memo()`` it is handed, on first
     use, so build indexes and memos inside."""
     made, results = [], []
@@ -673,6 +676,7 @@ def _kernels(solves):
         def run(*args):
             results.append(solve(*args))
             return results[-1]
+        run.generated = solve
         return run
 
     with pytest.MonkeyPatch.context() as patch:
@@ -822,7 +826,7 @@ class TestCandidateIndex:
                                 ladder = self._ladder_or_error(build, index, Alpha(alpha))
                                 if ladder is AllRungsAbsent:
                                     continue
-                                for rung in ladder.present_rungs:
+                                for rung in present_rungs(ladder):
                                     assert rung.j_prime == composite_normalized(
                                         rung.choice, bounds, alpha)
                     solved += results
@@ -1210,7 +1214,7 @@ class TestPresentRungRule:
                 built = build()
             except AllRungsAbsent:
                 continue
-            assert any(built) if isinstance(built, tuple) else built.present_rungs
+            assert any(built) if isinstance(built, tuple) else present_rungs(built)
 
 
 _SOLVES = st.lists(st.tuples(
@@ -1418,22 +1422,26 @@ class TestKernelTrigger:
         assert made == []
 
     def test_evicted_graph_and_kernel_are_freed(self):
-        with _kernels(1) as (made, _):
-            graphs = graph_memo()
-            index = CandidateIndex(generate(default_spec(titles=1))[0], graphs=graphs)
-            optimize_arcs(index, Alpha(0.04))
-            graph = weakref.ref(made[0][0])
-            kernel = weakref.ref(graph().kernel)
-            made.clear()
-            del index
-            # Sparse titles have graphs of their own, enough to evict it.
-            for ds in generate(sparse_spec(seed=0, titles=ladder_module.GRAPH_CACHE_SIZE)):
-                optimize_arcs(CandidateIndex(ds, graphs=graphs), Alpha(0.04))
-            assert len(made) == ladder_module.GRAPH_CACHE_SIZE
-            assert graphs.cache_info().currsize == ladder_module.GRAPH_CACHE_SIZE
-            made.clear()
-            gc.collect()
-            assert graph() is None and kernel() is None
+        # With the collector off, reference counting alone must free them.
+        gc.disable()
+        try:
+            with _kernels(1) as (made, _):
+                graphs = graph_memo()
+                index = CandidateIndex(generate(default_spec(titles=1))[0], graphs=graphs)
+                optimize_arcs(index, Alpha(0.04))
+                graph = weakref.ref(made[0][0])
+                kernel = weakref.ref(graph().kernel.generated)
+                made.clear()
+                del index
+                # Sparse titles have graphs of their own, enough to evict it.
+                for ds in generate(sparse_spec(seed=0, titles=ladder_module.GRAPH_CACHE_SIZE)):
+                    optimize_arcs(CandidateIndex(ds, graphs=graphs), Alpha(0.04))
+                assert len(made) == ladder_module.GRAPH_CACHE_SIZE
+                assert graphs.cache_info().currsize == ladder_module.GRAPH_CACHE_SIZE
+                made.clear()
+                assert graph() is None and kernel() is None
+        finally:
+            gc.enable()
 
 
 def test_greedy_vs_dp_script():

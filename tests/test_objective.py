@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,13 +12,14 @@ from chromaladder import (
     NormalizationBounds,
     TitleDataset,
     bounds_for,
+    candidates_for,
     composite_normalized,
-    composite_raw,
     normalized_log_time,
     normalized_quality,
+    normalized_terms,
 )
 from chromaladder.errors import BoundsMismatch, EmptyDataset, NonPositiveDecodeTime
-from helpers import C420, C422, C444, grid_dataset, record
+from helpers import C420, C422, C444, grid_dataset, random_dataset, record
 
 
 class TestAlpha:
@@ -65,19 +67,37 @@ class TestBounds:
             TitleDataset("t", (), ())
 
 
-class TestCompositeRaw:
-    def test_unit_decode_time_drops_log_term(self):
-        assert composite_raw(8.0, 1.0, Alpha(0.5)) == 8.0
-
-    def test_e_decode_time_costs_alpha(self):
-        assert composite_raw(8.0, math.e, Alpha(0.5)) == 7.5
-
-    def test_alpha_zero_reduces_to_quality(self):
-        assert composite_raw(6.2, 0.3, Alpha(0.0)) == 6.2
-
+class TestNormalizedTerms:
     def test_nonpositive_decode_time_rejected(self):
+        b = NormalizationBounds(3.0, 5.0, math.log(0.1), math.log(0.4))
         with pytest.raises(NonPositiveDecodeTime):
-            composite_raw(6.0, 0.0, Alpha(0.1))
+            normalized_log_time(0.0, b)
+
+    def test_equal_to_scalar_functions_per_record(self):
+        rng = np.random.default_rng(21)
+        corpus = [random_dataset(rng) for _ in range(20)]
+        # Degenerate bounds: every q' and d' is 0.0.
+        corpus.append(grid_dataset(lambda h, c, b: 5.0, lambda h, c, b: 0.05))
+        # The 900 kbps encode lies outside every window, yet sets both maxima.
+        stray = record(chroma=C444, target=600.0, actual=900.0, quality=9.5, decode=0.3)
+        corpus.append(TitleDataset.from_records([
+            record(target=600.0, quality=6.0, decode=0.05), stray,
+            record(target=1200.0, quality=8.0, decode=0.1)]))
+        assert not any(stray in candidates_for(corpus[-1], t, 0.10, cross_target=cross)
+                       for t in (600.0, 1200.0) for cross in (False, True))
+        for ds in corpus:
+            b = bounds_for(ds)
+            qs, dls = normalized_terms(ds, b, [r.log_decode_time for r in ds.records])
+            assert len(qs) == len(dls) == len(ds.records)
+            for r, q, d in zip(ds.records, qs, dls):
+                assert q == normalized_quality(r.quality.value, b)
+                assert d == normalized_log_time(r.decode_time, b)
+        i = corpus[-1].records.index(stray)
+        assert (qs[i], dls[i]) == (1.0, 1.0)
+        flat = corpus[-2]
+        zeros = [0.0] * len(flat.records)
+        assert normalized_terms(flat, bounds_for(flat), [r.log_decode_time for r in flat.records]
+                                ) == (zeros, zeros)
 
 
 class TestCompositeNormalized:
