@@ -9,7 +9,6 @@ greedy scan falls short of the exact dynamic program, and by how much.
 from dataclasses import replace
 
 from chromaladder import (
-    Alpha,
     CandidateIndex,
     OptimizerMode,
     generate,
@@ -27,8 +26,8 @@ def run():
     for alpha in ALPHAS:
         gaps = []
         for index in indexes:
-            dp = optimize_arcs(index, Alpha(alpha))
-            greedy = optimize_arcs(index, Alpha(alpha), OptimizerMode.GREEDY_SEQUENTIAL)
+            dp = optimize_arcs(index, alpha)
+            greedy = optimize_arcs(index, alpha, OptimizerMode.GREEDY_SEQUENTIAL)
             dp_sum, greedy_sum = (sum(r.j_prime for r in ladder.rungs if r.present)
                                   for ladder in (dp, greedy))
             gap = dp_sum - greedy_sum

@@ -41,6 +41,7 @@ from .errors import (
     ChromaLadderError,
     CurveError,
     DatasetError,
+    DuplicateRecord,
     InvalidPlan,
     InvalidSpec,
     LadderError,
@@ -69,8 +70,8 @@ from .measurements import (
     dataset_warnings,
     parse_dataset,
     serialize_dataset,
+    source_records,
 )
-from .objective import Alpha
 from .synth import default_spec, generate, spec_from_json, sparse_spec
 
 EXIT_OK = 0
@@ -124,21 +125,24 @@ class _Parser(argparse.ArgumentParser):
 
 def to_json_text(payload) -> str:
     """``json.dumps(payload, indent=2, ensure_ascii=False, allow_nan=False)``
-    plus a final newline, byte for byte.
+    plus a final newline, byte for byte, for a payload of plain values.
 
     With ``indent`` set, CPython's json skips its C encoder and yields the text
     in millions of small chunks; this writes each dict or list with one join.
-    It fails as json does: ValueError for a non-finite float or a container
-    inside itself, TypeError for a value json cannot encode. Keys must be
-    strings; json would also turn int, float, bool and None keys into strings,
-    but no payload has them.
+    Values are dispatched on their exact type: ``str``, ``int``, ``float``,
+    ``bool``, ``None``, ``list``, ``tuple``, ``dict`` and ``_Deferred``. Any
+    other type, a subclass of one of these too (an enum member, a numpy
+    float), raises json's TypeError; a non-finite float raises its
+    ValueError. Containers are not checked for cycles: every payload is a
+    fresh tree. Keys must be strings; json would also turn int, float, bool
+    and None keys into strings, but no payload has them.
 
     A ``_Deferred`` value is rendered by its own function when it is reached,
     with the indent of its place: compare's title entries and every ladder's
     rungs are rendered that way, one title at a time, from the title's
     ``_RungText``.
     """
-    return _json(payload, "\n", set()) + "\n"
+    return _json(payload, "\n") + "\n"
 
 
 def _finite_float(value: float) -> str:
@@ -149,8 +153,7 @@ def _finite_float(value: float) -> str:
 
 _encode_str = json.encoder.encode_basestring
 
-# JSON text of each scalar type. Subclasses (IntEnum, numpy floats) are encoded
-# as their base type, as json encodes them.
+# JSON text of each scalar type.
 _SCALAR_TEXT = {
     str: _encode_str,
     int: int.__repr__,
@@ -160,36 +163,28 @@ _SCALAR_TEXT = {
 }
 
 
-def _json(value, newline: str, path: set[int]) -> str:
+def _json(value, newline: str) -> str:
     """JSON text of ``value``, whose closing bracket goes after ``newline`` (a
-    newline and the indent of its line). ``path`` holds the ids of the
-    enclosing containers."""
-    encode = _SCALAR_TEXT.get(type(value))
+    newline and the indent of its line)."""
+    kind = type(value)
+    encode = _SCALAR_TEXT.get(kind)
     if encode is not None:
         return encode(value)
-    for base in (str, int, float):
-        if isinstance(value, base):
-            return _SCALAR_TEXT[base](value)
-    if id(value) in path:
-        raise ValueError("Circular reference detected")
     inner = newline + "  "
-    if isinstance(value, (list, tuple)):
+    if kind is list or kind is tuple:
         if not value:
             return "[]"
-        path.add(id(value))
-        items = [_json(item, inner, path) for item in value]
+        items = [_json(item, inner) for item in value]
         brackets = "[]"
-    elif isinstance(value, dict):
+    elif kind is dict:
         if not value:
             return "{}"
-        path.add(id(value))
-        items = [_encode_str(key) + ": " + _json(item, inner, path) for key, item in value.items()]
+        items = [_encode_str(key) + ": " + _json(item, inner) for key, item in value.items()]
         brackets = "{}"
-    elif type(value) is _Deferred:
+    elif kind is _Deferred:
         return value.render(newline)
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    path.remove(id(value))
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     # Brackets join the end items, so the container's text is copied once.
     items[0] = brackets[0] + inner + items[0]
     items[-1] += newline + brackets[1]
@@ -197,14 +192,13 @@ def _json(value, newline: str, path: set[int]) -> str:
 
 
 def _scalar(value) -> str:
-    """JSON text of a scalar, as ``_json`` writes it."""
-    encode = _SCALAR_TEXT.get(type(value))
-    return encode(value) if encode is not None else _json(value, "", set())
+    """JSON text of a plain scalar, as ``_json`` writes it."""
+    return _SCALAR_TEXT[type(value)](value)
 
 
 class _Deferred:
     """A JSON value whose text is made only when ``_json`` reaches it:
-    ``render(newline)`` returns what ``_json(value, newline, ...)`` would."""
+    ``render(newline)`` returns what ``_json(value, newline)`` would."""
 
     __slots__ = ("render",)
 
@@ -219,9 +213,9 @@ class _Deferred:
 # index and the alpha (None for the alpha-free methods). The index fixes the
 # tolerance window, so each entry passes only what its method adds.
 _BUILDERS = {
-    Method.ARCS: lambda cfg, plan, index, alpha: optimize_arcs(index, Alpha(alpha), cfg.mode),
+    Method.ARCS: lambda cfg, plan, index, alpha: optimize_arcs(index, alpha, cfg.mode),
     Method.DYNRES_JOD: lambda cfg, plan, index, alpha: build_dynres(
-        index, Alpha(alpha), cfg.chroma_fixed, cfg.mode),
+        index, alpha, cfg.chroma_fixed, cfg.mode),
     Method.DEFAULT: lambda cfg, plan, index, alpha: build_default(index),
     Method.FIXED_LADDER: lambda cfg, plan, index, alpha: build_fixed(index, plan, cfg.chroma_fixed),
 }
@@ -250,7 +244,9 @@ def _datasets(sources: Iterable[str]) -> list[TitleDataset]:
 def _read_datasets(paths: Iterable[Path]) -> list[TitleDataset]:
     """``_datasets`` of the files at ``paths``. A row error names its file:
     ``parse_dataset`` reads a file only when the parse reaches it, so the row
-    is in the file read last."""
+    is in the file read last. A duplicate record names every file that holds
+    it: its error comes after every row is read, and each file is then read
+    again on its own."""
     read: list[Path] = []
 
     def texts():
@@ -262,6 +258,12 @@ def _read_datasets(paths: Iterable[Path]) -> list[TitleDataset]:
         return _datasets(texts())
     except (MalformedRow, NonPositiveValue) as exc:
         raise DatasetError(f"{read[-1]}: {exc}") from exc
+    except DuplicateRecord as exc:
+        key, metric = exc.key, exc.record.quality.metric
+        holders = [str(path) for path in dict.fromkeys(read)
+                   if any(r.key == key and r.quality.metric is metric
+                          for r in source_records(Path(path).read_text(encoding="utf-8")))]
+        raise DatasetError(f"{', '.join(holders)}: {exc}") from exc
 
 
 def _evaluate(cfg: RunConfig, builders: dict[Method, Callable]
@@ -380,7 +382,7 @@ def _rung_json_head(rung, newline: str) -> str:
     after ``"j_prime": ``."""
     rec = rung.choice
     if rec is None:
-        return _json({"target_kbps": rung.target_bitrate, "present": False}, newline, set())
+        return _json({"target_kbps": rung.target_bitrate, "present": False}, newline)
     text = _json({
         "target_kbps": rung.target_bitrate,
         "present": True,
@@ -391,7 +393,7 @@ def _rung_json_head(rung, newline: str) -> str:
         "quality": rec.quality.value,
         "decode_s_per_frame": rec.decode_time,
         "j_prime": None,
-    }, newline, set())
+    }, newline)
     return text[:-len("null" + newline + "}")]
 
 
@@ -401,7 +403,7 @@ def _ladder_payload(ladder: Ladder, metric: QualityMetric, cfg: RunConfig, rungs
         "title": ladder.title_id,
         "metric": metric.value,
         "method": ladder.method.value,
-        "alpha": None if ladder.alpha is None else ladder.alpha.value,
+        "alpha": ladder.alpha,
         "mode": cfg.mode.value if ladder.method in ALPHA_METHODS else None,
         "tolerance": cfg.tolerance,
         "rungs": _Deferred(functools.partial(rungs.json, ladder)),
@@ -414,7 +416,7 @@ def _title_json(cfg: RunConfig, title: str, metric: QualityMetric, ladders: Sequ
     rungs = _RungText()
     return _json({"title": title, "metric": metric.value,
                   "ladders": [_ladder_payload(ladder, metric, cfg, rungs) for ladder in ladders],
-                  "bd": {"rows": bd_rows}}, newline, set())
+                  "bd": {"rows": bd_rows}}, newline)
 
 
 def _config_payload(cfg: RunConfig) -> dict:
@@ -473,8 +475,7 @@ def _curves_csv(columns: Sequence[str], titles: Sequence[tuple]) -> str:
     for title, metric, ladders, _ in titles:
         rungs = _RungText()
         for ladder in ladders:
-            alpha = None if ladder.alpha is None else ladder.alpha.value
-            prefix = line([title, metric.value, ladder.method.value, alpha])[:-1] + ","
+            prefix = line([title, metric.value, ladder.method.value, ladder.alpha])[:-1] + ","
             parts += rungs.csv(ladder, prefix, line)
     return "".join(parts)
 

@@ -19,9 +19,16 @@ class MalformedRow(DatasetError):
 
 
 class DuplicateRecord(DatasetError):
-    def __init__(self, key):
-        super().__init__(f"duplicate record for {key}")
-        self.key = key
+    """A second ``record`` with the (title, metric, height, chroma, target)
+    of an earlier one; ``key`` is the record's ``key``."""
+
+    def __init__(self, record):
+        super().__init__(
+            f"duplicate record: title {record.title_id!r}, metric {record.quality.metric.value}, "
+            f"height {record.resolution.height}, chroma {record.chroma.value}, "
+            f"target {record.target_bitrate:g} kbps")
+        self.record = record
+        self.key = record.key
 
 
 class NonPositiveValue(DatasetError):

@@ -32,7 +32,7 @@ with its q' and d' from ``objective.normalized_terms``; one index serves
 every method and alpha of the title::
 
     index = CandidateIndex(dataset, 0.10, cross_target=False)
-    ladder = optimize_arcs(index, Alpha(0.04))
+    ladder = optimize_arcs(index, 0.04)
 
 ``chroma_counts`` runs the same solve as ``optimize_arcs``/``build_dynres``
 and counts the chosen rungs by chroma format without building a ladder;
@@ -74,7 +74,7 @@ from .measurements import (
     TitleDataset,
     candidates_for,
 )
-from .objective import Alpha, as_alpha, bounds_for, normalized_terms
+from .objective import bounds_for, checked_alpha, normalized_terms
 
 ENUMERATION_GUARD = 10**7
 
@@ -126,7 +126,7 @@ class Ladder:
     title_id: str
     method: Method
     rungs: tuple[Rung, ...]
-    alpha: Alpha | None = None
+    alpha: float | None = None
 
     def __post_init__(self):
         validate_rungs(self.rungs)
@@ -236,13 +236,13 @@ class _View:
             self.compiled = self._compile(tuple(tuple(c[3] for c in pool) for pool in self.pools))
         return self.compiled
 
-    def choose(self, alpha: Alpha, solver) -> list[int | None]:
+    def choose(self, alpha: float, solver) -> list[int | None]:
         """The solver's candidate position per rung (None for an absent
         rung) at ``alpha``; ``solver`` is ``_relax``, ``_solve_greedy`` or
         ``_solve_enumerate``."""
         if not self.present:
             raise AllRungsAbsent(f"title {self.title_id!r}: no candidate at any target bitrate")
-        pools, a = self.pools, alpha.value
+        pools = self.pools
         if solver is _relax:
             graph = self.graph()
             graph.solves += 1
@@ -252,10 +252,10 @@ class _View:
                 if self.columns is None:
                     self.columns = (tuple(tuple(c[1] for c in pool) for pool in pools),
                                     tuple(tuple(c[2] for c in pool) for pool in pools))
-                choices = graph.kernel(*self.columns, a)
+                choices = graph.kernel(*self.columns, alpha)
                 if choices is not None:
                     return choices
-        js = [[q - a * d for _, q, d, _ in pool] for pool in pools]
+        js = [[q - alpha * d for _, q, d, _ in pool] for pool in pools]
         return _relax(graph, pools, js) if solver is _relax else solver(pools, js)
 
 
@@ -577,27 +577,26 @@ def _solver(mode: OptimizerMode):
 def _build(
     index: CandidateIndex,
     method: Method,
-    alpha: Alpha | float,
+    alpha: float,
     chroma: ChromaFormat | None,
     solver,
 ) -> Ladder:
-    alpha = as_alpha(alpha)
+    alpha = checked_alpha(alpha)
     dataset = index.dataset
     view = index._view(chroma)
-    a = alpha.value
     rungs = []
     for pool, t, k in zip(view.pools, dataset.bitrate_targets, view.choose(alpha, solver)):
         if k is None:
             rungs.append(Rung(t))
         else:
             record, q, d, _ = pool[k]
-            rungs.append(Rung(t, record, q - a * d))
+            rungs.append(Rung(t, record, q - alpha * d))
     return Ladder(dataset.title_id, method, tuple(rungs), alpha)
 
 
 def optimize_arcs(
     index: CandidateIndex,
-    alpha: Alpha | float,
+    alpha: float,
     mode: OptimizerMode = OptimizerMode.GLOBAL_DP,
 ) -> Ladder:
     """Jointly select (resolution, chroma) per target bitrate.
@@ -610,7 +609,7 @@ def optimize_arcs(
     return _build(index, Method.ARCS, alpha, None, _solver(mode))
 
 
-def enumerate_optimal(index: CandidateIndex, alpha: Alpha | float) -> Ladder:
+def enumerate_optimal(index: CandidateIndex, alpha: float) -> Ladder:
     """Exhaustive-search oracle; identical contract and tie-breaking as
     ``optimize_arcs`` with ``GLOBAL_DP``. Guarded against large search spaces."""
     return _build(index, Method.ARCS, alpha, None, _solve_enumerate)
@@ -618,7 +617,7 @@ def enumerate_optimal(index: CandidateIndex, alpha: Alpha | float) -> Ladder:
 
 def build_dynres(
     index: CandidateIndex,
-    alpha: Alpha | float,
+    alpha: float,
     fixed_chroma: ChromaFormat = ChromaFormat.C444,
     mode: OptimizerMode = OptimizerMode.GLOBAL_DP,
 ) -> Ladder:
@@ -629,7 +628,7 @@ def build_dynres(
 
 def chroma_counts(
     index: CandidateIndex,
-    alpha: Alpha | float,
+    alpha: float,
     chroma: ChromaFormat | None = None,
     mode: OptimizerMode = OptimizerMode.GLOBAL_DP,
 ) -> tuple[int, ...]:
@@ -642,7 +641,7 @@ def chroma_counts(
     Targets need no check: a ``TitleDataset``'s are strictly increasing.
     """
     view = index._view(chroma)
-    choices = view.choose(as_alpha(alpha), _solver(mode))
+    choices = view.choose(checked_alpha(alpha), _solver(mode))
     hfs = [pool[k][3] for pool, k in zip(view.pools, choices) if k is not None]
     _check_chain(hfs)
     counts = [0] * len(ChromaFormat)

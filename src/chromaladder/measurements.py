@@ -26,7 +26,6 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -53,23 +52,20 @@ CSV_HEADER = (
 class ChromaFormat(Enum):
     """Chroma subsampling format, ordered by color fidelity.
 
-    Each member carries two plain attributes: ``fidelity_rank`` (0 for 4:2:0
-    up to 2 for 4:4:4) and ``chroma_density``, the chroma samples per luma
-    sample with both chroma planes counted.
+    Each member carries a plain ``fidelity_rank``: 0 for 4:2:0 up to 2 for
+    4:4:4.
     """
 
     fidelity_rank: int
-    chroma_density: Fraction
 
-    C420 = "420", 0, Fraction(1, 2)
-    C422 = "422", 1, Fraction(1, 1)
-    C444 = "444", 2, Fraction(2, 1)
+    C420 = "420", 0
+    C422 = "422", 1
+    C444 = "444", 2
 
-    def __new__(cls, tag: str, fidelity_rank: int, chroma_density: Fraction):
+    def __new__(cls, tag: str, fidelity_rank: int):
         member = object.__new__(cls)
         member._value_ = tag
         member.fidelity_rank = fidelity_rank
-        member.chroma_density = chroma_density
         return member
 
 
@@ -178,7 +174,7 @@ class TitleDataset:
                     f"record title {r.title_id!r} does not match dataset {self.title_id!r}"
                 )
             if r.key in seen:
-                raise DuplicateRecord(r.key)
+                raise DuplicateRecord(r)
             seen.add(r.key)
 
     @classmethod
@@ -218,14 +214,13 @@ _METRIC_BY_TAG = {m.value: m for m in QualityMetric}
 _JSON_KEYS = frozenset(CSV_HEADER)
 
 
-def parse_dataset(source: str | TextIO | Iterable[str | TextIO],
-                  fmt: str = "auto") -> list[TitleDataset]:
+def parse_dataset(source: str | TextIO | Iterable[str | TextIO]) -> list[TitleDataset]:
     """Parse CSV or JSON measurements into per-(title, metric) datasets.
 
     ``source`` is a string or text stream, or an iterable of them, parsed as
     one row stream in order; each is read only when the parse reaches it and
-    dropped once its rows are read. ``fmt`` is ``csv``, ``json`` or ``auto``,
-    which treats a source starting with ``[`` or ``{`` as JSON. One leading
+    dropped once its rows are read. A source starting with ``[`` or ``{`` is
+    JSON, any other CSV: a CSV header starts with a column name. One leading
     UTF-8 byte order mark per source, as spreadsheet exports write, is
     dropped. Datasets are sorted by title, then metric tag; records within a
     dataset by (target, height, chroma fidelity). A title measured in both
@@ -237,19 +232,23 @@ def parse_dataset(source: str | TextIO | Iterable[str | TextIO],
     whose (title, metric, height, chroma, target) repeats an earlier one's
     raise ``DuplicateRecord``, wherever its copies are.
     """
-    if fmt not in ("auto", "csv", "json"):
-        raise ValueError(f"unknown format {fmt!r}")
     sources = (source,) if isinstance(source, str) or hasattr(source, "read") else source
     # chain drops each source's rows before it reads the next source, so one
     # source at a time is in memory.
-    return _datasets_from_rows(chain.from_iterable(map(_source_rows, sources, repeat(fmt))))
+    return _datasets_from_rows(chain.from_iterable(map(_source_rows, sources)))
 
 
-def _source_rows(source: str | TextIO, fmt: str) -> Iterator[tuple[int, Sequence]]:
+def source_records(source: str | TextIO) -> Iterator[MeasurementRecord]:
+    """The records of one source in row order, each row checked as
+    ``parse_dataset`` checks it, neither grouped nor checked for repeats."""
+    resolutions: dict[int, Resolution] = {}
+    for row, values in _source_rows(source):
+        yield _row_record(row, values, resolutions)
+
+
+def _source_rows(source: str | TextIO) -> Iterator[tuple[int, Sequence]]:
     text = (source if isinstance(source, str) else source.read()).removeprefix("\ufeff")
-    if fmt == "auto":
-        fmt = "json" if text.lstrip()[:1] in ("[", "{") else "csv"
-    return _rows_from_json(text) if fmt == "json" else _rows_from_csv(text)
+    return _rows_from_json(text) if text.lstrip()[:1] in ("[", "{") else _rows_from_csv(text)
 
 
 def _rows_from_csv(text: str) -> Iterator[tuple[int, tuple[str, ...]]]:
@@ -445,7 +444,7 @@ def _datasets_from_rows(rows: Iterable[tuple[int, Sequence]]) -> list[TitleDatas
         if group.setdefault((tk, res.height, c.fidelity_rank), rec) is not rec and duplicate is None:
             duplicate = rec
     if duplicate is not None:
-        raise DuplicateRecord(duplicate.key)
+        raise DuplicateRecord(duplicate)
     out = []
     for t, m, group in map(datasets.__getitem__, sorted(datasets)):
         keys = sorted(group)

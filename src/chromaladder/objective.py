@@ -27,23 +27,17 @@ BOUNDS_TOLERANCE = 1e-9
 _QUALITY = operator.attrgetter("quality.value")
 
 
-@dataclass(frozen=True)
-class Alpha:
-    """Quality/complexity trade-off weight; dimensionless, >= 0.
+def checked_alpha(alpha: float) -> float:
+    """``float(alpha)``, the quality/complexity trade-off weight: dimensionless
+    and >= 0, else ``ValueError``.
 
     The evaluation protocol sweeps [0, 1] and the CLI rejects values above 1;
     the library itself only requires non-negativity.
     """
-
-    value: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.value) and self.value >= 0):
-            raise ValueError(f"alpha must be finite and >= 0, got {self.value!r}")
-
-
-def as_alpha(alpha: "Alpha | float") -> Alpha:
-    return alpha if isinstance(alpha, Alpha) else Alpha(float(alpha))
+    alpha = float(alpha)
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -108,7 +102,7 @@ def normalized_log_time(decode_time: float, bounds: NormalizationBounds) -> floa
 def composite_normalized(
     record: MeasurementRecord,
     bounds: NormalizationBounds,
-    alpha: Alpha | float,
+    alpha: float,
 ) -> float:
     """Normalized objective ``q' - alpha * d'`` for one record.
 
@@ -127,5 +121,5 @@ def composite_normalized(
             f"log decode time {ld!r} outside bounds "
             f"[{bounds.log_d_min}, {bounds.log_d_max}]"
         )
-    return normalized_quality(q, bounds) - as_alpha(alpha).value * normalized_log_time(
+    return normalized_quality(q, bounds) - checked_alpha(alpha) * normalized_log_time(
         record.decode_time, bounds)

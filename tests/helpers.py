@@ -255,25 +255,22 @@ def pchip_values(curve, t) -> np.ndarray:
 # built through the public constructors, then grouped by (title, metric) over
 # the rows of every text as one stream. Kept as it was apart from names, from
 # the row that ``NonPositiveValue`` now names (with "finite and" for the three
-# float values), from the grouping, which was by title within one text, and
-# from a ``csv.Error``, which now becomes a ``MalformedRow``.
+# float values), from the grouping, which was by title within one text, from
+# a ``csv.Error``, which now becomes a ``MalformedRow``, and from the format
+# argument, which the parser no longer takes.
 
 
-def oracle_parse_dataset(texts: str | list[str], fmt: str = "auto") -> list[TitleDataset]:
+def oracle_parse_dataset(texts: str | list[str]) -> list[TitleDataset]:
     texts = [texts] if isinstance(texts, str) else texts
     return _oracle_group_records(_oracle_records(
-        row for text in texts for row in _oracle_rows(text, fmt)))
+        row for text in texts for row in _oracle_rows(text)))
 
 
-def _oracle_rows(text: str, fmt: str):
+def _oracle_rows(text: str):
     text = text.removeprefix("\ufeff")
-    if fmt == "auto":
-        fmt = "json" if text.lstrip()[:1] in ("[", "{") else "csv"
-    if fmt == "csv":
-        return _oracle_rows_from_csv(text)
-    if fmt == "json":
+    if text.lstrip()[:1] in ("[", "{"):
         return _oracle_rows_from_json(text)
-    raise ValueError(f"unknown format {fmt!r}")
+    return _oracle_rows_from_csv(text)
 
 
 def _oracle_rows_from_csv(text: str):
@@ -383,7 +380,7 @@ def _oracle_group_records(records) -> list[TitleDataset]:
     by_key: dict[tuple[str, str], list[MeasurementRecord]] = {}
     for rec in records:
         if (rec.key, rec.quality.metric) in seen:
-            raise DuplicateRecord(rec.key)
+            raise DuplicateRecord(rec)
         seen.add((rec.key, rec.quality.metric))
         by_key.setdefault((rec.title_id, rec.quality.metric.value), []).append(rec)
     return [TitleDataset.from_records(by_key[k]) for k in sorted(by_key)]
@@ -477,7 +474,7 @@ def oracle_ladder_payload(ladder, metric, cfg) -> dict:
         "title": ladder.title_id,
         "metric": metric.value,
         "method": ladder.method.value,
-        "alpha": None if ladder.alpha is None else ladder.alpha.value,
+        "alpha": ladder.alpha,
         "mode": cfg.mode.value if ladder.method in cli.ALPHA_METHODS else None,
         "tolerance": cfg.tolerance,
         "rungs": rungs,

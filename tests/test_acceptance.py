@@ -12,7 +12,6 @@ from dataclasses import replace
 import numpy as np
 
 from chromaladder import (
-    Alpha,
     CandidateIndex,
     ChromaFormat,
     CurveAxis,
@@ -54,7 +53,7 @@ def test_oracle_equivalence_on_random_instances():
     n = 220
     for trial in range(n):
         ds = random_dataset(rng, max_targets=6)
-        alpha = Alpha(float(rng.choice([0.0, 0.01, 0.02, 0.04, 0.08, 0.3, 1.0])))
+        alpha = float(rng.choice([0.0, 0.01, 0.02, 0.04, 0.08, 0.3, 1.0]))
         dp = optimize_arcs(CandidateIndex(ds), alpha)
         oracle = enumerate_optimal(CandidateIndex(ds), alpha)
         assert dp.rungs == oracle.rungs, f"divergence on trial {trial}"
@@ -78,7 +77,7 @@ def test_constraint_suite_all_builders():
     built = 0
     for _ in range(1000):
         ds = random_dataset(rng, max_targets=5)
-        alpha = Alpha(float(rng.uniform(0.0, 1.0)))
+        alpha = float(rng.uniform(0.0, 1.0))
         chroma = list(ChromaFormat)[int(rng.integers(0, 3))]
         attempts = [
             lambda: optimize_arcs(CandidateIndex(ds), alpha),
@@ -102,7 +101,7 @@ def test_scalarization_monotonicity():
     corpus = generate(replace(default_spec(seed=777), titles=100))
     violations = 0
     for ds in corpus:
-        sums = [ladder_sums(optimize_arcs(CandidateIndex(ds), Alpha(a)), ds) for a in SWEEP]
+        sums = [ladder_sums(optimize_arcs(CandidateIndex(ds), a), ds) for a in SWEEP]
         for (q1, d1), (q2, d2) in zip(sums, sums[1:]):
             if d2 > d1 + 1e-12 or q2 > q1 + 1e-12:
                 violations += 1
@@ -175,8 +174,8 @@ def test_normalization_terms_and_scale_invariance():
         b1, b2 = bounds_for(ds), bounds_for(scaled)
         for alpha in SWEEP:
             for r1, r2 in zip(ds.records, scaled.records):
-                j1 = composite_normalized(r1, b1, Alpha(alpha))
-                j2 = composite_normalized(r2, b2, Alpha(alpha))
+                j1 = composite_normalized(r1, b1, alpha)
+                j2 = composite_normalized(r2, b2, alpha)
                 assert abs(j1 - j2) <= 1e-12
     ok("normalization", "terms in [0,1]; decode-time scaling leaves J' unchanged")
 
@@ -189,7 +188,7 @@ def test_qualitative_trend_reproduction():
         deltas = []
         for ds in corpus:
             ref = build_curve(build_default(CandidateIndex(ds)), CurveAxis.QUALITY_VS_LOG_TIME)
-            test = build_curve(optimize_arcs(CandidateIndex(ds), Alpha(alpha)), CurveAxis.QUALITY_VS_LOG_TIME)
+            test = build_curve(optimize_arcs(CandidateIndex(ds), alpha), CurveAxis.QUALITY_VS_LOG_TIME)
             deltas.append(bd_delta(ref, test).value_percent)
         means.append(sum(deltas) / len(deltas))
     assert all(m < 0.0 for m in means), f"BDDT_C not all negative: {means}"
@@ -198,7 +197,7 @@ def test_qualitative_trend_reproduction():
 
     share = {}
     for alpha in (0.0, 0.08):
-        ladders = [optimize_arcs(CandidateIndex(ds), Alpha(alpha)) for ds in corpus]
+        ladders = [optimize_arcs(CandidateIndex(ds), alpha) for ds in corpus]
         share[alpha] = chroma_pmf(ladders)[C420]
     assert share[0.08] > share[0.0], f"C420 share did not grow: {share}"
 

@@ -7,7 +7,6 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 
 from chromaladder import (
-    Alpha,
     BDResult,
     CandidateIndex,
     CurveAxis,
@@ -39,7 +38,7 @@ def ladder_from(points):
     recs = [
         record(target=t, actual=a, quality=q, decode=d) for (t, a, q, d) in points
     ]
-    return optimize_arcs(CandidateIndex(TitleDataset.from_records(recs)), Alpha(0.0))
+    return optimize_arcs(CandidateIndex(TitleDataset.from_records(recs)), 0.0)
 
 
 def curve(qualities, ordinates, axis=RATE, metric=JOD):

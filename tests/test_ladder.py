@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 import chromaladder.ladder as ladder_module
 from chromaladder import (
-    Alpha,
     CandidateIndex,
     Ladder,
     Method,
@@ -161,7 +160,7 @@ class TestOptimizeArcs:
             lambda h, c, b: 5.0 + (h / 2160) + 0.3 * c.fidelity_rank + b / 1e5,
             lambda h, c, b: 0.02 * (h / 1080) * (1 + c.fidelity_rank),
         )
-        ladder = optimize_arcs(CandidateIndex(ds), Alpha(0.0))
+        ladder = optimize_arcs(CandidateIndex(ds), 0.0)
         for rung, t in zip(ladder.rungs, ds.bitrate_targets):
             per_target = candidates_for(ds, t, 0.10)
             best = max(per_target, key=lambda r: r.quality.value)
@@ -180,9 +179,9 @@ class TestOptimizeArcs:
         assert (
             ds.records[2].decode_time / ds.records[0].decode_time == 2.0
         )  # C444 vs C420 at 600
-        ladder = optimize_arcs(CandidateIndex(ds), Alpha(0.8))
+        ladder = optimize_arcs(CandidateIndex(ds), 0.8)
         assert ladder.rungs[0].choice.chroma is C420
-        assert choices_of(ladder) == definitional_best(ds, Alpha(0.8))
+        assert choices_of(ladder) == definitional_best(ds, 0.8)
 
     def test_chroma_refresh_chain(self):
         vals = {
@@ -200,10 +199,10 @@ class TestOptimizeArcs:
             for (t, h, c), q in vals.items()
         ]
         ds = TitleDataset.from_records(recs)
-        ladder = optimize_arcs(CandidateIndex(ds), Alpha(0.0))
+        ladder = optimize_arcs(CandidateIndex(ds), 0.0)
         got = [(r.choice.resolution.height, r.choice.chroma) for r in ladder.rungs]
         assert got == [(1080, C444), (2160, C420), (2160, C444)]
-        assert choices_of(ladder) == definitional_best(ds, Alpha(0.0))
+        assert choices_of(ladder) == definitional_best(ds, 0.0)
 
     def test_single_target_is_plain_argmax(self):
         ds = grid_dataset(
@@ -211,11 +210,11 @@ class TestOptimizeArcs:
             lambda h, c, b: 0.05 * (1 + c.fidelity_rank),
             targets=(900.0,),
         )
-        ladder = optimize_arcs(CandidateIndex(ds), Alpha(0.2))
+        ladder = optimize_arcs(CandidateIndex(ds), 0.2)
         bounds = bounds_for(ds)
         best = max(
             candidates_for(ds, 900.0, 0.10),
-            key=lambda r: composite_normalized(r, bounds, Alpha(0.2)),
+            key=lambda r: composite_normalized(r, bounds, 0.2),
         )
         assert ladder.rungs[0].choice == best
 
@@ -227,21 +226,21 @@ class TestOptimizeArcs:
             record(target=900.0, quality=8.0, decode=0.1, chroma=C422),
         ]
         ds = TitleDataset.from_records(recs)
-        ladder = optimize_arcs(CandidateIndex(ds), Alpha(1.0))
+        ladder = optimize_arcs(CandidateIndex(ds), 1.0)
         assert all(r.present for r in ladder.rungs)
 
     def test_conflicting_single_candidates_drop_lower_value_rung(self):
         high = record(height=2160, target=600.0, quality=9.0, decode=0.2)
         low = record(height=1080, target=1200.0, quality=5.0, decode=0.1)
         ds = TitleDataset.from_records([high, low])
-        ladder = optimize_arcs(CandidateIndex(ds), Alpha(0.0))
+        ladder = optimize_arcs(CandidateIndex(ds), 0.0)
         assert ladder.rungs[0].choice == high
         assert ladder.rungs[1].choice is None
         # and the mirror image
         high2 = record(height=2160, target=600.0, quality=5.0, decode=0.2)
         low2 = record(height=1080, target=1200.0, quality=9.0, decode=0.1)
         ds2 = TitleDataset.from_records([high2, low2])
-        ladder2 = optimize_arcs(CandidateIndex(ds2), Alpha(0.0))
+        ladder2 = optimize_arcs(CandidateIndex(ds2), 0.0)
         assert ladder2.rungs[0].choice is None
         assert ladder2.rungs[1].choice == low2
 
@@ -251,13 +250,13 @@ class TestOptimizeArcs:
             record(target=1200.0, actual=1180.0),
         ]
         ds = TitleDataset.from_records(recs)
-        ladder = optimize_arcs(CandidateIndex(ds), Alpha(0.0))
+        ladder = optimize_arcs(CandidateIndex(ds), 0.0)
         assert [r.present for r in ladder.rungs] == [False, True]
 
     def test_all_rungs_absent_raises(self):
         ds = TitleDataset.from_records([record(target=600.0, actual=900.0)])
         with pytest.raises(AllRungsAbsent):
-            optimize_arcs(CandidateIndex(ds), Alpha(0.0))
+            optimize_arcs(CandidateIndex(ds), 0.0)
 
     def test_exact_tie_broken_toward_cheaper_then_lower(self):
         # Identical quality and decode time: lower resolution, then lower
@@ -269,7 +268,7 @@ class TestOptimizeArcs:
             record(height=2160, chroma=C420, target=600.0, quality=7.0, decode=0.25),
         ]
         ds = TitleDataset.from_records(recs)
-        ladder = optimize_arcs(CandidateIndex(ds), Alpha(0.0))
+        ladder = optimize_arcs(CandidateIndex(ds), 0.0)
         assert (ladder.rungs[0].choice.resolution.height, ladder.rungs[0].choice.chroma) == (1080, C420)
 
     def test_greedy_is_feasible_but_can_be_myopic(self):
@@ -279,8 +278,8 @@ class TestOptimizeArcs:
             record(height=1080, chroma=C420, target=1200.0, quality=9.0, decode=0.06),
         ]
         ds = TitleDataset.from_records(recs)
-        greedy = optimize_arcs(CandidateIndex(ds), Alpha(0.0), mode=OptimizerMode.GREEDY_SEQUENTIAL)
-        dp = optimize_arcs(CandidateIndex(ds), Alpha(0.0))
+        greedy = optimize_arcs(CandidateIndex(ds), 0.0, mode=OptimizerMode.GREEDY_SEQUENTIAL)
+        dp = optimize_arcs(CandidateIndex(ds), 0.0)
         assert greedy.rungs[0].choice.chroma is C444  # locks high chroma
         assert greedy.rungs[1].choice is None
         assert dp.rungs[0].choice.chroma is C420
@@ -290,8 +289,8 @@ class TestOptimizeArcs:
     def test_determinism_identical_outputs(self):
         rng = np.random.default_rng(7)
         ds = random_dataset(rng)
-        a = optimize_arcs(CandidateIndex(ds), Alpha(0.3))
-        b = optimize_arcs(CandidateIndex(ds), Alpha(0.3))
+        a = optimize_arcs(CandidateIndex(ds), 0.3)
+        b = optimize_arcs(CandidateIndex(ds), 0.3)
         assert a == b
 
 
@@ -300,7 +299,7 @@ class TestOracleAgreement:
         rng = np.random.default_rng(20250809)
         for trial in range(150):
             ds = random_dataset(rng, max_targets=3, p_missing=0.5)
-            alpha = Alpha(float(rng.choice([0.0, 0.01, 0.08, 0.5, 1.0])))
+            alpha = float(rng.choice([0.0, 0.01, 0.08, 0.5, 1.0]))
             want = definitional_best(ds, alpha)
             assert choices_of(optimize_arcs(CandidateIndex(ds), alpha)) == want, f"trial {trial}"
             assert choices_of(enumerate_optimal(CandidateIndex(ds), alpha)) == want, f"trial {trial}"
@@ -309,7 +308,7 @@ class TestOracleAgreement:
         rng = np.random.default_rng(99)
         for trial in range(60):
             ds = random_dataset(rng, max_targets=6)
-            alpha = Alpha(float(rng.uniform(0.0, 1.0)))
+            alpha = float(rng.uniform(0.0, 1.0))
             dp = optimize_arcs(CandidateIndex(ds), alpha)
             oracle = enumerate_optimal(CandidateIndex(ds), alpha)
             assert dp.rungs == oracle.rungs, f"trial {trial}"
@@ -318,7 +317,7 @@ class TestOracleAgreement:
         rng = np.random.default_rng(4242)
         for _ in range(120):
             ds = random_dataset(rng)
-            alpha = Alpha(float(rng.uniform(0.0, 1.0)))
+            alpha = float(rng.uniform(0.0, 1.0))
             dp = optimize_arcs(CandidateIndex(ds), alpha)
             greedy = optimize_arcs(CandidateIndex(ds), alpha, mode=OptimizerMode.GREEDY_SEQUENTIAL)
             assert sum_j_prime(greedy) <= sum_j_prime(dp) + 1e-12
@@ -330,7 +329,7 @@ class TestOracleAgreement:
             targets=tuple(600.0 * (1.3**i) for i in range(10)),
         )
         with pytest.raises(SearchSpaceTooLarge):
-            enumerate_optimal(CandidateIndex(ds), Alpha(0.0))
+            enumerate_optimal(CandidateIndex(ds), 0.0)
 
 
 class TestScalarizationMonotonicity:
@@ -339,7 +338,7 @@ class TestScalarizationMonotonicity:
         alphas = [0.0, 0.05, 0.2, 0.5, 1.0]
         for _ in range(40):
             ds = random_dataset(rng)
-            sums = [ladder_sums(optimize_arcs(CandidateIndex(ds), Alpha(a)), ds) for a in alphas]
+            sums = [ladder_sums(optimize_arcs(CandidateIndex(ds), a), ds) for a in alphas]
             for (q1, d1), (q2, d2) in zip(sums, sums[1:]):
                 assert d2 <= d1 + 1e-12
                 assert q2 <= q1 + 1e-12
@@ -422,11 +421,11 @@ class TestBuildDynres:
             lambda h, c, b: 0.05 * (h / 1080),
             targets=(600.0, 1200.0, 4800.0, 9600.0),
         )
-        ladder = build_dynres(CandidateIndex(ds), Alpha(0.0))
+        ladder = build_dynres(CandidateIndex(ds), 0.0)
         heights = [r.choice.resolution.height for r in ladder.rungs]
         assert heights == [1080, 1080, 2160, 2160]
         assert all(r.choice.chroma is C444 for r in ladder.rungs)
-        want = definitional_best(ds, Alpha(0.0), chroma=C444)
+        want = definitional_best(ds, 0.0, chroma=C444)
         assert choices_of(ladder) == want
 
     def test_alpha_zero_top_resolution_everywhere(self):
@@ -434,7 +433,7 @@ class TestBuildDynres:
             lambda h, c, b: 5.0 + h / 2160 + b / 1e5,
             lambda h, c, b: 0.05 * (h / 1080),
         )
-        ladder = build_dynres(CandidateIndex(ds), Alpha(0.0))
+        ladder = build_dynres(CandidateIndex(ds), 0.0)
         assert all(r.choice.resolution.height == 2160 for r in ladder.rungs)
 
     def test_missing_pinned_chroma_raises(self):
@@ -444,7 +443,7 @@ class TestBuildDynres:
             chromas=(C420, C422),
         )
         with pytest.raises(AllRungsAbsent):
-            build_dynres(CandidateIndex(ds), Alpha(0.0))
+            build_dynres(CandidateIndex(ds), 0.0)
 
 
 class TestBuildFixed:
@@ -573,7 +572,7 @@ class TestValidator:
                     Rung(600.0, record(height=2160, target=600.0), 0.5),
                     Rung(1200.0, record(height=1080, target=1200.0), 0.5),
                 ),
-                Alpha(0.0),
+                0.0,
             )
 
     def test_chroma_decrease_within_run_rejected(self):
@@ -585,7 +584,7 @@ class TestValidator:
                     Rung(600.0, record(chroma=C444, target=600.0), 0.5),
                     Rung(1200.0, record(chroma=C420, target=1200.0), 0.5),
                 ),
-                Alpha(0.0),
+                0.0,
             )
 
     def test_chroma_refresh_at_resolution_step_allowed(self):
@@ -596,7 +595,7 @@ class TestValidator:
                 Rung(600.0, record(height=1080, chroma=C444, target=600.0), 0.5),
                 Rung(1200.0, record(height=2160, chroma=C420, target=1200.0), 0.5),
             ),
-            Alpha(0.0),
+            0.0,
         )
         assert len(present_rungs(ladder)) == 2
 
@@ -610,12 +609,12 @@ class TestValidator:
                     Rung(1200.0),
                     Rung(2400.0, record(height=1080, target=2400.0), 0.5),
                 ),
-                Alpha(0.0),
+                0.0,
             )
 
     def test_unsorted_targets_rejected(self):
         with pytest.raises(InvalidLadder):
-            Ladder("t", Method.ARCS, (Rung(1200.0), Rung(600.0)), Alpha(0.0))
+            Ladder("t", Method.ARCS, (Rung(1200.0), Rung(600.0)), 0.0)
 
 
 class TestChromaPmf:
@@ -625,7 +624,7 @@ class TestChromaPmf:
             for i in range(n)
         ]
         ds = TitleDataset.from_records(recs)
-        return optimize_arcs(CandidateIndex(ds), Alpha(0.0))
+        return optimize_arcs(CandidateIndex(ds), 0.0)
 
     def test_uniform_case(self):
         pmf = chroma_pmf([self.one_format_ladder(C420)])
@@ -740,9 +739,9 @@ class TestCandidateIndex:
                 )
                 for build in builders:
                     for alpha in self.ALPHAS:
-                        shared = self._ladder_or_error(build, index, Alpha(alpha))
+                        shared = self._ladder_or_error(build, index, alpha)
                         fresh = self._ladder_or_error(
-                            build, CandidateIndex(ds, 0.10, cross_target=cross_target), Alpha(alpha))
+                            build, CandidateIndex(ds, 0.10, cross_target=cross_target), alpha)
                         assert shared == fresh, (ds.title_id, mode, alpha)
 
     def test_sparse_corpus_has_absent_rungs(self):
@@ -750,7 +749,7 @@ class TestCandidateIndex:
         # absent rung (empty window, blocked by the chain) through the DP.
         kinds = set()
         for ds in generate(sparse_spec(seed=0, titles=6)):
-            for r in optimize_arcs(CandidateIndex(ds), Alpha(0.04)).rungs:
+            for r in optimize_arcs(CandidateIndex(ds), 0.04).rungs:
                 if not r.present:
                     kinds.add(bool(candidates_for(ds, r.target_bitrate, 0.10)))
         assert kinds == {False, True}
@@ -767,11 +766,11 @@ class TestCandidateIndex:
     def test_exact_score_tie_broken_by_rung_keys(self, targets):
         ds = _rung_key_tie_title(targets)
         with _path_keys_calls() as calls:
-            dp = optimize_arcs(CandidateIndex(ds), Alpha(0.0))
+            dp = optimize_arcs(CandidateIndex(ds), 0.0)
         assert calls, "the tie-break on rung keys was not reached"
         assert dp.rungs[0].choice.chroma is C420  # equal score: lower fidelity wins
-        assert dp.rungs == enumerate_optimal(CandidateIndex(ds), Alpha(0.0)).rungs
-        assert choices_of(dp) == definitional_best(ds, Alpha(0.0))
+        assert dp.rungs == enumerate_optimal(CandidateIndex(ds), 0.0).rungs
+        assert choices_of(dp) == definitional_best(ds, 0.0)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
     def test_present_rung_of_zero_score_beats_an_equal_absent_one(self, alpha):
@@ -783,10 +782,10 @@ class TestCandidateIndex:
         ds = TitleDataset.from_records(
             [a, c, record(height=1080, chroma=C420, target=900.0, quality=7.0, decode=0.05)])
         with _path_keys_calls() as calls:
-            dp = optimize_arcs(CandidateIndex(ds), Alpha(alpha))
+            dp = optimize_arcs(CandidateIndex(ds), alpha)
         assert calls, "the tie-break on rung keys was not reached"
-        assert choices_of(dp) == (a, c) == definitional_best(ds, Alpha(alpha))
-        assert dp.rungs == enumerate_optimal(CandidateIndex(ds), Alpha(alpha)).rungs
+        assert choices_of(dp) == (a, c) == definitional_best(ds, alpha)
+        assert dp.rungs == enumerate_optimal(CandidateIndex(ds), alpha).rungs
 
     def test_tie_between_candidates_entering_one_state_keeps_the_lower_target(self):
         # With --cross-target both encodes, of one (height, fidelity) and
@@ -795,11 +794,11 @@ class TestCandidateIndex:
         high = record(height=1080, chroma=C420, target=1050.0, quality=7.0, decode=0.05)
         ds = TitleDataset.from_records([low, high])
         with _path_keys_calls() as calls:
-            dp = optimize_arcs(CandidateIndex(ds, 0.10, cross_target=True), Alpha(0.0))
+            dp = optimize_arcs(CandidateIndex(ds, 0.10, cross_target=True), 0.0)
         assert calls, "the tie-break on rung keys was not reached"
         assert choices_of(dp) == (low, low)
         assert dp.rungs == enumerate_optimal(
-            CandidateIndex(ds, 0.10, cross_target=True), Alpha(0.0)).rungs
+            CandidateIndex(ds, 0.10, cross_target=True), 0.0).rungs
 
     def test_index_scores_equal_composite_normalized(self):
         rng = np.random.default_rng(616)
@@ -823,7 +822,7 @@ class TestCandidateIndex:
                         index = CandidateIndex(ds, 0.10, cross_target=cross_target)
                         for alpha in self.ALPHAS:
                             for build in (optimize_arcs, build_dynres):
-                                ladder = self._ladder_or_error(build, index, Alpha(alpha))
+                                ladder = self._ladder_or_error(build, index, alpha)
                                 if ladder is AllRungsAbsent:
                                     continue
                                 for rung in present_rungs(ladder):
@@ -872,8 +871,8 @@ class TestSharedGraph:
         for ds in generate(default_spec(titles=30)):
             index = CandidateIndex(ds, graphs=graphs)
             for alpha in (0.0, 0.04):
-                optimize_arcs(index, Alpha(alpha))
-                build_dynres(index, Alpha(alpha))
+                optimize_arcs(index, alpha)
+                build_dynres(index, alpha)
             shapes |= {_shape(index, None), _shape(index, C444)}
         # One encoding grid: one shape per chroma view.
         assert len(shapes) == 2
@@ -908,10 +907,10 @@ class TestSharedGraph:
         graphs = graph_memo()
         for ds in (first, refidelity, reheight, first, refidelity, reheight):
             for alpha in (0.0, 0.2, 1.0):
-                assert optimize_arcs(CandidateIndex(ds, graphs=graphs), Alpha(alpha)).rungs == (
-                    enumerate_optimal(CandidateIndex(ds), Alpha(alpha)).rungs)
-                assert choices_of(optimize_arcs(CandidateIndex(ds, graphs=graphs), Alpha(alpha))) == (
-                    definitional_best(ds, Alpha(alpha)))
+                assert optimize_arcs(CandidateIndex(ds, graphs=graphs), alpha).rungs == (
+                    enumerate_optimal(CandidateIndex(ds), alpha).rungs)
+                assert choices_of(optimize_arcs(CandidateIndex(ds, graphs=graphs), alpha)) == (
+                    definitional_best(ds, alpha))
         assert graphs.cache_info().misses == 3
 
     @pytest.mark.parametrize("cross_target", [False, True])
@@ -929,8 +928,8 @@ class TestSharedGraph:
             return CandidateIndex(ds, cross_target=cross_target, graphs=graphs)
 
         def ladders(ds, graphs=None):
-            return [(build(optimize_arcs, index(ds, graphs), Alpha(a)),
-                     build(build_dynres, index(ds, graphs), Alpha(a))) for a in alphas]
+            return [(build(optimize_arcs, index(ds, graphs), a),
+                     build(build_dynres, index(ds, graphs), a)) for a in alphas]
 
         graphs = graph_memo()
         shared = []
@@ -943,13 +942,13 @@ class TestSharedGraph:
             # An index without a memo compiles its graphs afresh.
             assert got == ladders(ds), ds.title_id
             for alpha, (arcs, _) in zip(alphas, got):
-                assert arcs == build(enumerate_optimal, index(ds), Alpha(alpha)), (ds.title_id, alpha)
+                assert arcs == build(enumerate_optimal, index(ds), alpha), (ds.title_id, alpha)
 
     def test_memo_is_bounded(self):
         graphs = graph_memo()
         for ds in generate(sparse_spec(seed=0, titles=20)):
-            optimize_arcs(CandidateIndex(ds, graphs=graphs), Alpha(0.0))
-            build_dynres(CandidateIndex(ds, graphs=graphs), Alpha(0.0))
+            optimize_arcs(CandidateIndex(ds, graphs=graphs), 0.0)
+            build_dynres(CandidateIndex(ds, graphs=graphs), 0.0)
         info = graphs.cache_info()
         # Every sparse title has windows of its own.
         assert info.misses == 40
@@ -1136,8 +1135,8 @@ class TestChromaCounts:
     def test_equals_count_chroma_of_the_builders_ladder(self, ds, cross_target, chroma, mode,
                                                          alpha):
         index = CandidateIndex(ds, 0.10, cross_target=cross_target)
-        got = _counted_or_error(lambda: chroma_counts(index, Alpha(alpha), chroma, mode))
-        assert got == _counted_or_error(lambda: _ladder_counts(index, Alpha(alpha), chroma, mode))
+        got = _counted_or_error(lambda: chroma_counts(index, alpha, chroma, mode))
+        assert got == _counted_or_error(lambda: _ladder_counts(index, alpha, chroma, mode))
 
     def test_title_without_the_view_raises_all_rungs_absent(self):
         ds = grid_dataset(lambda h, c, b: h / 1000, lambda h, c, b: 0.05, chromas=(C420,))
@@ -1145,7 +1144,7 @@ class TestChromaCounts:
             got = _counted_or_error(lambda: chroma_counts(CandidateIndex(ds), 0.0, C444, mode))
             assert got[0] is AllRungsAbsent
             assert got == _counted_or_error(
-                lambda: _ladder_counts(CandidateIndex(ds), Alpha(0.0), C444, mode))
+                lambda: _ladder_counts(CandidateIndex(ds), 0.0, C444, mode))
 
     @pytest.mark.parametrize("mode", list(OptimizerMode))
     def test_decreasing_choice_raises_what_validate_rungs_raises(self, monkeypatch, mode):
@@ -1175,7 +1174,7 @@ class TestChromaCounts:
         got = _counted_or_error(lambda: chroma_counts(CandidateIndex(ds), 0.0, None, mode))
         assert got[0] is InvalidLadder
         assert got == _counted_or_error(
-            lambda: _ladder_counts(CandidateIndex(ds), Alpha(0.0), None, mode))
+            lambda: _ladder_counts(CandidateIndex(ds), 0.0, None, mode))
 
 
 @st.composite
@@ -1236,8 +1235,8 @@ class TestView:
             with _kernels(solves) as (made, _):
                 index = CandidateIndex(ds)
                 for alpha in (0.0, 0.04):
-                    optimize_arcs(index, Alpha(alpha))
-                    build_dynres(index, Alpha(alpha), C420)
+                    optimize_arcs(index, alpha)
+                    build_dynres(index, alpha, C420)
                     chroma_counts(index, alpha, C444)
                 build_fixed(index, [(600.0, 1080)], C422)
                 made.clear()
@@ -1266,15 +1265,15 @@ class TestView:
         for kind, chroma, mode, alpha in solves:
             if kind == "arcs":
                 chroma = None
-                run = lambda: optimize_arcs(index, Alpha(alpha), mode)
+                run = lambda: optimize_arcs(index, alpha, mode)
             elif kind == "dynres":
                 chroma = chroma or C444
-                run = lambda: build_dynres(index, Alpha(alpha), chroma, mode)
+                run = lambda: build_dynres(index, alpha, chroma, mode)
             elif kind == "counts":
                 run = lambda: chroma_counts(index, alpha, chroma, mode)
             else:
                 chroma, mode = None, None
-                run = lambda: enumerate_optimal(index, Alpha(alpha))
+                run = lambda: enumerate_optimal(index, alpha)
             _counted_or_error(run)
             if mode is OptimizerMode.GLOBAL_DP and any(index._view(chroma).pools):
                 solved.add(chroma)
@@ -1333,7 +1332,7 @@ class TestKernel:
                 return
             graph = index._view(chroma).graph()
             for alpha in alphas:
-                choices = index._view(chroma).choose(Alpha(alpha), ladder_module._relax)
+                choices = index._view(chroma).choose(alpha, ladder_module._relax)
                 js = [[q - alpha * d for _, q, d, _ in pool] for pool in pools]
                 with _path_keys_calls() as calls:
                     want = ladder_module._relax(graph, pools, js)
@@ -1352,13 +1351,13 @@ class TestKernel:
             if build is build_dynres and not any(CandidateIndex(ds)._view(C444).pools):
                 continue
             with _kernels(1) as (_, results), _path_keys_calls() as calls:
-                dp = build(CandidateIndex(ds), Alpha(0.0))
+                dp = build(CandidateIndex(ds), 0.0)
             assert results == [None]
             assert calls, "the tie-break on rung keys was not reached"
             with _kernels(math.inf):
-                assert dp == build(CandidateIndex(ds), Alpha(0.0))
-        assert optimize_arcs(CandidateIndex(ds), Alpha(0.0)).rungs == (
-            enumerate_optimal(CandidateIndex(ds), Alpha(0.0)).rungs)
+                assert dp == build(CandidateIndex(ds), 0.0)
+        assert optimize_arcs(CandidateIndex(ds), 0.0).rungs == (
+            enumerate_optimal(CandidateIndex(ds), 0.0).rungs)
 
     def test_kernel_source_holds_only_graph_integers(self, monkeypatch):
         # Input values reach a kernel as arguments, never as source text.
@@ -1368,7 +1367,7 @@ class TestKernel:
                             raising=False)
         ds = generate(default_spec(titles=1))[0]
         with _kernels(1):
-            optimize_arcs(CandidateIndex(ds), Alpha(0.04))
+            optimize_arcs(CandidateIndex(ds), 0.04)
         assert len(sources) == 1
         words = set(re.findall(r"[A-Za-z_]\w*", sources[0]))
         generated = {w for w in words if re.fullmatch(r"[qdjvb]\d+(_\d+)?", w)}
@@ -1385,7 +1384,7 @@ class TestKernelTrigger:
     N = ladder_module.KERNEL_SOLVES
 
     def test_shared_grid_makes_one_kernel_per_graph_on_the_nth_solve(self):
-        alphas = [Alpha(i / 100) for i in range(17)]
+        alphas = [i / 100 for i in range(17)]
         corpus = generate(default_spec(titles=30))
         assert len(corpus) * len(alphas) > self.N
         with _kernels(self.N) as (made, results):
@@ -1407,7 +1406,7 @@ class TestKernelTrigger:
                 index = CandidateIndex(ds, graphs=graphs)
                 for alpha in (0.0, 0.01, 0.02, 0.04, 0.08):
                     for build in (optimize_arcs, build_dynres):
-                        TestCandidateIndex._ladder_or_error(build, index, Alpha(alpha))
+                        TestCandidateIndex._ladder_or_error(build, index, alpha)
         assert made == []
 
     def test_shipped_experiment_makes_none(self, tmp_path, capsys):
@@ -1428,14 +1427,14 @@ class TestKernelTrigger:
             with _kernels(1) as (made, _):
                 graphs = graph_memo()
                 index = CandidateIndex(generate(default_spec(titles=1))[0], graphs=graphs)
-                optimize_arcs(index, Alpha(0.04))
+                optimize_arcs(index, 0.04)
                 graph = weakref.ref(made[0][0])
                 kernel = weakref.ref(graph().kernel.generated)
                 made.clear()
                 del index
                 # Sparse titles have graphs of their own, enough to evict it.
                 for ds in generate(sparse_spec(seed=0, titles=ladder_module.GRAPH_CACHE_SIZE)):
-                    optimize_arcs(CandidateIndex(ds, graphs=graphs), Alpha(0.04))
+                    optimize_arcs(CandidateIndex(ds, graphs=graphs), 0.04)
                 assert len(made) == ladder_module.GRAPH_CACHE_SIZE
                 assert graphs.cache_info().currsize == ladder_module.GRAPH_CACHE_SIZE
                 made.clear()

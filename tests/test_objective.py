@@ -8,27 +8,59 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chromaladder import (
-    Alpha,
+    CandidateIndex,
     NormalizationBounds,
     TitleDataset,
     bounds_for,
+    build_dynres,
     candidates_for,
+    chroma_counts,
     composite_normalized,
+    enumerate_optimal,
     normalized_log_time,
     normalized_quality,
     normalized_terms,
+    optimize_arcs,
 )
 from chromaladder.errors import BoundsMismatch, EmptyDataset, NonPositiveDecodeTime
 from helpers import C420, C422, C444, grid_dataset, random_dataset, record
 
 
+def _alpha_entry_points():
+    """Each public function that takes an alpha, as a call on one title."""
+    ds = grid_dataset(lambda h, c, b: 5.0 + h / 2160 + c.fidelity_rank / 10 + b / 20000,
+                      lambda h, c, b: 0.01 * (h / 1080) * (1 + c.fidelity_rank))
+    index, bounds = CandidateIndex(ds), bounds_for(ds)
+    return [
+        lambda alpha: optimize_arcs(index, alpha),
+        lambda alpha: build_dynres(index, alpha),
+        lambda alpha: enumerate_optimal(index, alpha),
+        lambda alpha: chroma_counts(index, alpha),
+        lambda alpha: composite_normalized(ds.records[0], bounds, alpha),
+    ]
+
+
 class TestAlpha:
+    """Every entry point takes alpha as a plain float and checks it."""
+
+    @staticmethod
+    def _rejected(alpha, shown):
+        for call in _alpha_entry_points():
+            with pytest.raises(ValueError, match=f"^alpha must be finite and >= 0, got {shown}$"):
+                call(alpha)
+
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Alpha(-0.1)
+        self._rejected(-0.1, r"-0\.1")
+
+    def test_non_finite_rejected(self):
+        self._rejected(math.nan, "nan")
+        self._rejected(math.inf, "inf")
 
     def test_above_one_allowed_by_library(self):
-        assert Alpha(2.5).value == 2.5
+        arcs, *others = _alpha_entry_points()
+        assert arcs(2.5).alpha == 2.5
+        for call in others:
+            call(2.5)
 
 
 class TestBounds:
@@ -105,32 +137,32 @@ class TestCompositeNormalized:
 
     def test_best_corner_is_one(self):
         rec = record(quality=5.0, decode=0.1)
-        assert composite_normalized(rec, self.bounds, Alpha(0.7)) == 1.0
+        assert composite_normalized(rec, self.bounds, 0.7) == 1.0
 
     def test_worst_corner_alpha_one_is_minus_one(self):
         rec = record(quality=3.0, decode=0.4)
-        assert composite_normalized(rec, self.bounds, Alpha(1.0)) == -1.0
+        assert composite_normalized(rec, self.bounds, 1.0) == -1.0
 
     def test_midpoint_algebra(self):
         rec = record(quality=4.0, decode=0.2)  # 0.2 = sqrt(0.1 * 0.4)
-        got = composite_normalized(rec, self.bounds, Alpha(0.04))
+        got = composite_normalized(rec, self.bounds, 0.04)
         assert got == pytest.approx(0.48, abs=1e-12)
 
     def test_record_outside_bounds_rejected(self):
         rec = record(quality=5.5, decode=0.2)
         with pytest.raises(BoundsMismatch):
-            composite_normalized(rec, self.bounds, Alpha(0.0))
+            composite_normalized(rec, self.bounds, 0.0)
 
     def test_degenerate_quality_bounds_zero_term(self):
         b = NormalizationBounds(4.0, 4.0, math.log(0.1), math.log(0.4))
         rec = record(quality=4.0, decode=0.4)
-        assert composite_normalized(rec, b, Alpha(1.0)) == -1.0
+        assert composite_normalized(rec, b, 1.0) == -1.0
         assert normalized_quality(4.0, b) == 0.0
 
     def test_degenerate_time_bounds_zero_term(self):
         b = NormalizationBounds(3.0, 5.0, math.log(0.2), math.log(0.2))
         rec = record(quality=5.0, decode=0.2)
-        assert composite_normalized(rec, b, Alpha(1.0)) == 1.0
+        assert composite_normalized(rec, b, 1.0) == 1.0
         assert normalized_log_time(0.2, b) == 0.0
 
 
@@ -157,15 +189,15 @@ class TestProperties:
             dn = normalized_log_time(r.decode_time, b)
             assert 0.0 <= qn <= 1.0
             assert 0.0 <= dn <= 1.0
-            j = composite_normalized(r, b, Alpha(alpha))
+            j = composite_normalized(r, b, alpha)
             assert -alpha - 1e-12 <= j <= 1.0 + 1e-12
 
     @given(alpha=st.floats(min_value=1e-3, max_value=1.0))
     def test_strictly_increasing_in_quality_decreasing_in_time(self, alpha):
         b = NormalizationBounds(2.0, 9.0, math.log(0.02), math.log(0.5))
-        base = composite_normalized(record(quality=5.0, decode=0.1), b, Alpha(alpha))
-        assert composite_normalized(record(quality=5.5, decode=0.1), b, Alpha(alpha)) > base
-        assert composite_normalized(record(quality=5.0, decode=0.2), b, Alpha(alpha)) < base
+        base = composite_normalized(record(quality=5.0, decode=0.1), b, alpha)
+        assert composite_normalized(record(quality=5.5, decode=0.1), b, alpha) > base
+        assert composite_normalized(record(quality=5.0, decode=0.2), b, alpha) < base
 
     @given(
         qs=st.lists(st.integers(min_value=0, max_value=100), min_size=2, max_size=8, unique=True),
@@ -183,8 +215,8 @@ class TestProperties:
         ]
         b1 = bounds_for(TitleDataset.from_records(recs))
         b2 = bounds_for(TitleDataset.from_records(scaled))
-        j1 = [composite_normalized(r, b1, Alpha(0.0)) for r in recs]
-        j2 = [composite_normalized(r, b2, Alpha(0.0)) for r in scaled]
+        j1 = [composite_normalized(r, b1, 0.0) for r in recs]
+        j2 = [composite_normalized(r, b2, 0.0) for r in scaled]
         assert j1.index(max(j1)) == j2.index(max(j2))
 
     @given(
@@ -200,6 +232,6 @@ class TestProperties:
         b1 = bounds_for(TitleDataset.from_records(recs))
         b2 = bounds_for(TitleDataset.from_records(scaled))
         for r1, r2 in zip(recs, scaled):
-            j1 = composite_normalized(r1, b1, Alpha(alpha))
-            j2 = composite_normalized(r2, b2, Alpha(alpha))
+            j1 = composite_normalized(r1, b1, alpha)
+            j2 = composite_normalized(r2, b2, alpha)
             assert abs(j1 - j2) <= 1e-12
