@@ -12,6 +12,15 @@ reference at equal quality.
 Classic global cubic fitting is deliberately not used: with ten-rung ladders
 it is ill-conditioned, and PCHIP through the points is the established
 replacement.
+
+A curve is fitted once and measured against many others, so its per-curve
+work is done once: the fit checks the knots and keeps the segment widths
+that the check computes for the slopes, and the first integral integrates
+every whole segment. Each integral then adds the whole segments between its
+ends and evaluates only the one or two partial end segments, with no closure
+per segment. ``bd_delta`` reads the overlap from the fits' knot lists. The float
+operations and their order are those of a numpy evaluation, so every result
+is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -56,7 +66,7 @@ class RQCurve:
     def __post_init__(self):
         if len(self.points) < 2:
             raise TooFewPoints(f"curve needs >= 2 points, got {len(self.points)}")
-        object.__setattr__(self, "fit", PchipCurve(self.qualities, self.ordinates))
+        object.__setattr__(self, "fit", PchipCurve(*zip(*self.points)))
 
     @functools.cached_property
     def qualities(self) -> tuple[float, ...]:
@@ -89,21 +99,20 @@ def build_curve(ladder: Ladder, axis: CurveAxis) -> RQCurve:
     kept = []
     q_best = -math.inf
     for rung in ladder.rungs:
-        if rung.choice is None:
-            continue
-        q = rung.choice.quality.value
-        if q > q_best:
-            kept.append(rung.choice)
-            q_best = q
+        rec = rung.choice
+        if rec is not None and rec.quality.value > q_best:
+            kept.append(rec)
+            q_best = rec.quality.value
     if len(kept) < 2:
         raise TooFewPoints(
             f"ladder {ladder.title_id!r}/{ladder.method.value} has {len(kept)} "
             "usable points after Pareto filtering"
         )
+    log = math.log
     if axis is CurveAxis.QUALITY_VS_LOG_RATE:
-        points = tuple((r.quality.value, math.log(r.actual_bitrate)) for r in kept)
+        points = tuple([(r.quality.value, log(r.actual_bitrate)) for r in kept])
     else:
-        points = tuple((r.quality.value, math.log(r.decode_time)) for r in kept)
+        points = tuple([(r.quality.value, log(r.decode_time)) for r in kept])
     return RQCurve(axis, kept[0].quality.metric, points)
 
 
@@ -123,16 +132,25 @@ class PchipCurve:
     """
 
     def __init__(self, x: Sequence[float], y: Sequence[float]):
-        self.x = [float(v) for v in x]
-        self.y = [float(v) for v in y]
-        if len(self.x) != len(self.y) or len(self.x) < 2:
+        self.x = x = list(map(float, x))
+        self.y = y = list(map(float, y))
+        if len(x) != len(y) or len(x) < 2:
             raise ValueError("need matching 1-d x/y with at least two points")
-        if not all(map(math.isfinite, self.x)) or not all(map(math.isfinite, self.y)):
+        if not all(map(math.isfinite, x)) or not all(map(math.isfinite, y)):
             raise ValueError("knots must be finite")
-        if any(b <= a for a, b in zip(self.x, self.x[1:])):
+        h = list(map(operator.sub, x[1:], x))
+        # Of finite floats, b - a > 0 exactly when b > a.
+        if min(h) <= 0.0:
             raise ValueError("x must be strictly increasing")
-        self.d = _pchip_slopes(self.x, self.y)
-        self._whole: list[float | None] = [None] * (len(self.x) - 1)
+        self.d = _pchip_slopes(h, list(map(operator.truediv, map(operator.sub, y[1:], y), h)))
+
+    @functools.cached_property
+    def whole(self) -> list[float]:
+        """Each segment's whole integral, made for all segments at the first
+        integral: its t runs from 0 to 1."""
+        x, y, d = self.x, self.y, self.d
+        return [_segment_integral(w, y0, y1, d0, d1, _AT_0, _AT_1)
+                for w, y0, y1, d0, d1 in zip(map(operator.sub, x[1:], x), y, y[1:], d, d[1:])]
 
     def integrate(self, a: float, b: float) -> float:
         """Exact integral over [a, b]; both ends must lie within the knots."""
@@ -143,56 +161,71 @@ class PchipCurve:
         lo = min(max(bisect.bisect_right(x, a) - 1, 0), last)
         hi = min(max(bisect.bisect_right(x, b) - 1, 0), last)
         total = 0.0
-        for k in range(lo, hi + 1):
-            if a <= x[k] and x[k + 1] <= b:
-                # A whole segment: its integral is the same on every call.
-                if self._whole[k] is None:
-                    self._whole[k] = self._segment_integral(k, x[k], x[k + 1])
-                total += self._whole[k]
-                continue
-            seg_a = max(a, x[k])
-            seg_b = min(b, x[k + 1])
-            if seg_b <= seg_a:
-                continue
-            total += self._segment_integral(k, seg_a, seg_b)
+        if lo == hi:
+            seg_a, seg_b = max(a, x[lo]), min(b, x[lo + 1])
+            if seg_a < seg_b:
+                total += self._part(lo, seg_a, seg_b)
+            return total
+        # Segments strictly between lo and hi lie inside [a, b]; lo ends at
+        # x[lo + 1] <= b and hi starts at x[hi] > a.
+        whole = self.whole
+        total += whole[lo] if a <= x[lo] else self._part(lo, a, x[lo + 1])
+        for k in range(lo + 1, hi):
+            total += whole[k]
+        if x[hi + 1] <= b:
+            total += whole[hi]
+        elif x[hi] < b:
+            total += self._part(hi, x[hi], b)
         return total
 
-    def _segment_integral(self, k: int, a: float, b: float) -> float:
-        x, y, d = self.x, self.y, self.d
+    def _part(self, k: int, a: float, b: float) -> float:
+        """The integral of segment ``k`` over [a, b], a part of it."""
+        x = self.x
         h = x[k + 1] - x[k]
-        ta = (a - x[k]) / h
-        tb = (b - x[k]) / h
-
-        def antiderivative(t: float) -> float:
-            t2 = t * t
-            t3 = t2 * t
-            t4 = t2 * t2
-            h00 = 0.5 * t4 - t3 + t
-            h10 = 0.25 * t4 - (2.0 / 3.0) * t3 + 0.5 * t2
-            h01 = -0.5 * t4 + t3
-            h11 = 0.25 * t4 - t3 / 3.0
-            # (h10 * h) * d[k], not h10 * (h * d[k]): the order is part of the result.
-            return h00 * y[k] + h10 * h * d[k] + h01 * y[k + 1] + h11 * h * d[k + 1]
-
-        return h * (antiderivative(tb) - antiderivative(ta))
+        return _segment_integral(h, self.y[k], self.y[k + 1], self.d[k], self.d[k + 1],
+                                 _antiderivative_basis((a - x[k]) / h),
+                                 _antiderivative_basis((b - x[k]) / h))
 
 
-def _pchip_slopes(x: list[float], y: list[float]) -> list[float]:
-    n = len(x)
-    h = [x[k + 1] - x[k] for k in range(n - 1)]
-    delta = [(y[k + 1] - y[k]) / h[k] for k in range(n - 1)]
-    if n == 2:
+def _antiderivative_basis(t: float) -> tuple[float, float, float, float]:
+    """The antiderivatives of the Hermite basis h00, h10, h01, h11 at ``t``."""
+    t2 = t * t
+    t3 = t2 * t
+    t4 = t2 * t2
+    return (0.5 * t4 - t3 + t, 0.25 * t4 - (2.0 / 3.0) * t3 + 0.5 * t2,
+            -0.5 * t4 + t3, 0.25 * t4 - t3 / 3.0)
+
+
+def _segment_integral(h: float, y0: float, y1: float, d0: float, d1: float,
+                      at_a: tuple[float, ...], at_b: tuple[float, ...]) -> float:
+    """The integral of the segment of width ``h`` from knot (y0, d0) to knot
+    (y1, d1), between the points whose basis antiderivatives are ``at_a`` and
+    ``at_b``."""
+    a00, a10, a01, a11 = at_a
+    b00, b10, b01, b11 = at_b
+    # (h10 * h) * d0, not h10 * (h * d0): the order is part of the result.
+    return h * ((b00 * y0 + b10 * h * d0 + b01 * y1 + b11 * h * d1)
+                - (a00 * y0 + a10 * h * d0 + a01 * y1 + a11 * h * d1))
+
+
+_AT_0 = _antiderivative_basis(0.0)
+_AT_1 = _antiderivative_basis(1.0)
+
+
+def _pchip_slopes(h: list[float], delta: list[float]) -> list[float]:
+    """Knot slopes from the segment widths ``h`` and secants ``delta``."""
+    if len(h) == 1:
         return [delta[0], delta[0]]
-    d = [0.0] * n
-    for k in range(1, n - 1):
-        if delta[k - 1] == 0.0 or delta[k] == 0.0 or (delta[k - 1] < 0) != (delta[k] < 0):
-            d[k] = 0.0
+    d = [_edge_slope(h[0], h[1], delta[0], delta[1])]
+    # Each interior knot, from the segments on its left (0) and right (1).
+    for h0, h1, s0, s1 in zip(h, h[1:], delta, delta[1:]):
+        if s0 == 0.0 or s1 == 0.0 or (s0 < 0) != (s1 < 0):
+            d.append(0.0)
         else:
-            w1 = 2 * h[k] + h[k - 1]
-            w2 = h[k] + 2 * h[k - 1]
-            d[k] = (w1 + w2) / (w1 / delta[k - 1] + w2 / delta[k])
-    d[0] = _edge_slope(h[0], h[1], delta[0], delta[1])
-    d[-1] = _edge_slope(h[-1], h[-2], delta[-1], delta[-2])
+            w1 = 2 * h1 + h0
+            w2 = h1 + 2 * h0
+            d.append((w1 + w2) / (w1 / s0 + w2 / s1))
+    d.append(_edge_slope(h[-1], h[-2], delta[-1], delta[-2]))
     return d
 
 
@@ -219,12 +252,13 @@ def bd_delta(reference: RQCurve, test: RQCurve) -> BDResult:
         )
     if reference.metric is not test.metric:
         raise MetricMismatch(f"{reference.metric.value} vs {test.metric.value}")
-    q_low = max(reference.qualities[0], test.qualities[0])
-    q_high = min(reference.qualities[-1], test.qualities[-1])
+    ref_x, test_x = reference.fit.x, test.fit.x
+    q_low = max(ref_x[0], test_x[0])
+    q_high = min(ref_x[-1], test_x[-1])
     if not q_low < q_high:
         raise NoQualityOverlap(
-            f"quality ranges [{reference.qualities[0]:.4g}, {reference.qualities[-1]:.4g}] "
-            f"and [{test.qualities[0]:.4g}, {test.qualities[-1]:.4g}] do not overlap"
+            f"quality ranges [{ref_x[0]:.4g}, {ref_x[-1]:.4g}] "
+            f"and [{test_x[0]:.4g}, {test_x[-1]:.4g}] do not overlap"
         )
     int_ref = reference.fit.integrate(q_low, q_high)
     int_test = test.fit.integrate(q_low, q_high)

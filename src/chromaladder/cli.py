@@ -13,9 +13,17 @@ default and fixed count their one built ladder. Every command hands its
 payload to ``_emit``, which prints JSON or, with ``--out``, writes the
 requested files and prints a summary. A value that JSON cannot encode fails
 every command with exit 1 before any file is written, whatever ``--format``
-asks for. Ladders are rendered one title at a time: a title's ``_RungText``
-renders each distinct (record, target) once, and compare's title entries are
-rendered only when ``to_json_text`` reaches them.
+asks for.
+
+Ladders are rendered one title at a time, from ``str.format`` templates made
+once per indent, with no payload dict per ladder or rung. A title's
+``_RungText`` makes the texts of each distinct (record, target) once; they
+fill both the rung's JSON and its ``report_curves.csv`` row, and each rung
+adds only its ``j_prime``. ``_ladder_json`` writes a ladder for compare's
+title entries and for optimize's ladder files alike. compare renders a title
+entry when ``to_json_text`` reaches it, and in the same pass keeps the
+title's ``report_bd.csv`` and ``report_curves.csv`` rows, so each BD value
+is made into text once for both files.
 
 Exit codes: 0 success, 1 input/validation error, 2 computation error.
 All reports are deterministic: titles are processed in lexicographic order and
@@ -127,22 +135,25 @@ def to_json_text(payload) -> str:
     """``json.dumps(payload, indent=2, ensure_ascii=False, allow_nan=False)``
     plus a final newline, byte for byte, for a payload of plain values.
 
-    With ``indent`` set, CPython's json skips its C encoder and yields the text
-    in millions of small chunks; this writes each dict or list with one join.
-    Values are dispatched on their exact type: ``str``, ``int``, ``float``,
-    ``bool``, ``None``, ``list``, ``tuple``, ``dict`` and ``_Deferred``. Any
-    other type, a subclass of one of these too (an enum member, a numpy
-    float), raises json's TypeError; a non-finite float raises its
-    ValueError. Containers are not checked for cycles: every payload is a
-    fresh tree. Keys must be strings; json would also turn int, float, bool
-    and None keys into strings, but no payload has them.
+    With ``indent`` set, CPython's json skips its C encoder for a pure-Python
+    one; this appends the text's pieces to one list and joins it once, so no
+    container's text is copied into its parent's. Values are dispatched on
+    their exact type: ``str``, ``int``, ``float``, ``bool``, ``None``,
+    ``list``, ``tuple``, ``dict`` and ``_Deferred``. Any other type, a
+    subclass of one of these too (an enum member, a numpy float), raises
+    json's TypeError; a non-finite float raises its ValueError. Containers
+    are not checked for cycles: every payload is a fresh tree. Keys must be
+    strings; json would also turn int, float, bool and None keys into
+    strings, but no payload has them.
 
     A ``_Deferred`` value is rendered by its own function when it is reached,
-    with the indent of its place: compare's title entries and every ladder's
-    rungs are rendered that way, one title at a time, from the title's
-    ``_RungText``.
+    with the indent of its place: compare's title entries and optimize's
+    ladders are rendered that way, from text templates, one title at a time.
     """
-    return _json(payload, "\n") + "\n"
+    out: list[str] = []
+    _write_json(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _finite_float(value: float) -> str:
@@ -163,42 +174,46 @@ _SCALAR_TEXT = {
 }
 
 
-def _json(value, newline: str) -> str:
-    """JSON text of ``value``, whose closing bracket goes after ``newline`` (a
-    newline and the indent of its line)."""
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append the JSON text of ``value`` to ``out``; its closing bracket goes
+    after ``newline`` (a newline and the indent of its line)."""
     kind = type(value)
     encode = _SCALAR_TEXT.get(kind)
     if encode is not None:
-        return encode(value)
-    inner = newline + "  "
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        items = [_json(item, inner) for item in value]
-        brackets = "[]"
-    elif kind is dict:
-        if not value:
-            return "{}"
-        items = [_encode_str(key) + ": " + _json(item, inner) for key, item in value.items()]
-        brackets = "{}"
+        out.append(encode(value))
     elif kind is _Deferred:
-        return value.render(newline)
+        out.append(value.render(newline))
+    elif kind is list or kind is tuple or kind is dict:
+        if not value:
+            out.append("{}" if kind is dict else "[]")
+            return
+        inner = newline + "  "
+        if kind is dict:
+            sep = "{" + inner
+            for key, item in value.items():
+                out.append(sep + _encode_str(key) + ": ")
+                _write_json(item, inner, out)
+                sep = "," + inner
+            out.append(newline + "}")
+        else:
+            sep = "[" + inner
+            for item in value:
+                out.append(sep)
+                _write_json(item, inner, out)
+                sep = "," + inner
+            out.append(newline + "]")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    # Brackets join the end items, so the container's text is copied once.
-    items[0] = brackets[0] + inner + items[0]
-    items[-1] += newline + brackets[1]
-    return ("," + inner).join(items)
 
 
 def _scalar(value) -> str:
-    """JSON text of a plain scalar, as ``_json`` writes it."""
+    """JSON text of a plain scalar, as ``to_json_text`` writes it."""
     return _SCALAR_TEXT[type(value)](value)
 
 
 class _Deferred:
-    """A JSON value whose text is made only when ``_json`` reaches it:
-    ``render(newline)`` returns what ``_json(value, newline)`` would."""
+    """A JSON value whose text is made only when ``to_json_text`` reaches it:
+    ``render(newline)`` returns its text, closing after ``newline``."""
 
     __slots__ = ("render",)
 
@@ -324,29 +339,96 @@ def _exclusion(title, metric, method, alpha, exc) -> dict:
 # -- payloads and output ---------------------------------------------------------
 
 
+def _list_json(items: Sequence[str], newline: str) -> str:
+    """The JSON list of the item texts ``items``, closing after ``newline``."""
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
+# A value that a template leaves open: ``_template`` writes a ``{}`` for it.
+_SLOT = _Deferred(lambda newline: "\0")
+
+# The objects that compare and optimize write from templates, a slot for
+# each value that varies, with their keys in report order.
+_SHAPES = {
+    "rung": {"target_kbps": _SLOT, "present": True, "height": _SLOT, "width": _SLOT,
+             "chroma": _SLOT, "actual_kbps": _SLOT, "quality": _SLOT,
+             "decode_s_per_frame": _SLOT, "j_prime": _SLOT},
+    "absent rung": {"target_kbps": _SLOT, "present": False},
+    "ladder": {"title": _SLOT, "metric": _SLOT, "method": _SLOT, "alpha": _SLOT, "mode": _SLOT,
+               "tolerance": _SLOT, "rungs": _SLOT},
+    "title entry": {"title": _SLOT, "metric": _SLOT, "ladders": _SLOT, "bd": {"rows": _SLOT}},
+    "bd row": {"method": _SLOT, "alpha": _SLOT, "metric": _SLOT, "reference": _SLOT,
+               "bdr_percent": _SLOT, "bddt_percent": _SLOT, "overlap_quality": [_SLOT, _SLOT]},
+}
+
+
+@functools.cache
+def _template(shape: str, newline: str) -> str:
+    """The ``str.format`` template of ``_SHAPES[shape]`` closing after
+    ``newline``: its ``to_json_text`` text, with a ``{}`` for each slot."""
+    out: list[str] = []
+    _write_json(_SHAPES[shape], newline, out)
+    return "".join(out).replace("{", "{{").replace("}", "}}").replace("\0", "{}")
+
+
+@functools.cache
+def _rung_head_template(newline: str) -> str:
+    """The template of a present rung's text up to ``"j_prime": ``."""
+    rung = _template("rung", newline)
+    return rung[:rung.rindex("{}")]
+
+
+def _rung_fields(rung) -> tuple[str, ...]:
+    """The JSON texts of a rung's target and record values, made once per
+    distinct (record, target) of a title: (target, height, width, chroma,
+    actual, quality, decode time), or (target,) for an absent rung. Its
+    ``report_curves.csv`` row shares the number texts, since json and csv
+    write ints and finite floats alike; a non-finite value fails as JSON
+    fails."""
+    target = _scalar(rung.target_bitrate)
+    rec = rung.choice
+    if rec is None:
+        return (target,)
+    return (target, _scalar(rec.resolution.height), _scalar(rec.resolution.pixel_width),
+            _encode_str(rec.chroma.value), _scalar(rec.actual_bitrate),
+            _scalar(rec.quality.value), _scalar(rec.decode_time))
+
+
 class _RungText:
-    """One title's rung text, each distinct (record, target) rendered once.
+    """One title's rung text, each distinct (record, target) made once.
 
     Every field of a present rung but ``j_prime`` depends only on its record
-    and its target. So each distinct pair is rendered once as the JSON of the
-    rung up to ``"j_prime": `` (per indent), and once as the CSV fields of its
-    curve row; each rung then adds its own ``j_prime`` or its ladder's row
-    prefix. Absent rungs are rendered once per target. Records are keyed by
-    id and targets by their repr, so values that print differently (1000 and
-    1000.0) never share an entry. Ids are unique only while the title's
-    ladders are alive, so a memo serves one title and is dropped with it.
+    and its target. So each distinct pair's values become texts once
+    (``_rung_fields``); they fill the rung's JSON up to ``"j_prime": `` (per
+    indent, from ``_rung_head_template``) and its curve row's fields. Each rung
+    then adds its own ``j_prime``, or its ladder's row prefix. Absent rungs
+    are keyed by target. Records are keyed by id and targets by their repr,
+    so values that print differently (1000 and 1000.0) never share an entry.
+    Ids are unique only while the title's ladders are alive, so a memo
+    serves one title and is dropped with it.
     """
 
     def __init__(self):
-        self.json_heads: dict[str, dict] = {}
-        self.csv_fields: dict = {}
+        self.fields: dict = {}
+        self.heads: dict[str, dict] = {}
+        self.rows: dict = {}
+
+    def _fields(self, rung, key) -> tuple[str, ...]:
+        fields = self.fields.get(key)
+        if fields is None:
+            fields = self.fields[key] = _rung_fields(rung)
+        return fields
 
     def json(self, ladder: Ladder, newline: str) -> str:
         """The JSON list of the ladder's rungs, closing after ``newline``."""
-        heads = self.json_heads.get(newline)
-        if heads is None:
-            heads = self.json_heads[newline] = {}
         inner = newline + "  "
+        heads = self.heads.get(inner)
+        if heads is None:
+            heads = self.heads[inner] = {}
+        present, absent = _rung_head_template(inner), _template("absent rung", inner)
         close = inner + "}"
         items = []
         for rung in ladder.rungs:
@@ -355,68 +437,104 @@ class _RungText:
             key = target if rec is None else (id(rec), target)
             head = heads.get(key)
             if head is None:
-                head = heads[key] = _rung_json_head(rung, inner)
+                head = heads[key] = (absent if rec is None else present).format(
+                    *self._fields(rung, key))
             items.append(head if rec is None else head + _scalar(rung.j_prime) + close)
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        return _list_json(items, newline)
 
-    def csv(self, ladder: Ladder, prefix: str, line: Callable[[Sequence], str]) -> list[str]:
+    def csv(self, ladder: Ladder, prefix: str) -> str:
         """The curve rows of the ladder's present rungs, each ``prefix`` (its
-        ladder's fields and a comma) plus the rung's fields, as ``line`` writes
-        them."""
-        fields, rows = self.csv_fields, []
+        ladder's fields and a comma) plus the rung's fields."""
+        rows, text = self.rows, []
         for rung in ladder.rungs:
             rec = rung.choice
             if rec is None:
                 continue
             key = (id(rec), repr(rung.target_bitrate))
-            text = fields.get(key)
-            if text is None:
-                text = fields[key] = line([rung.target_bitrate, rec.actual_bitrate, rec.quality.value,
-                                           rec.decode_time, rec.chroma.value, rec.resolution.height])
-            rows.append(prefix + text)
-        return rows
+            row = rows.get(key)
+            if row is None:
+                target, height, _, _, actual, quality, decode = self._fields(rung, key)
+                row = rows[key] = ",".join(
+                    (target, actual, quality, decode, rec.chroma.value, height)) + "\n"
+            text.append(prefix + row)
+        return "".join(text)
 
 
-def _rung_json_head(rung, newline: str) -> str:
-    """JSON text of a rung, closing after ``newline``; a present rung's stops
-    after ``"j_prime": ``."""
-    rec = rung.choice
-    if rec is None:
-        return _json({"target_kbps": rung.target_bitrate, "present": False}, newline)
-    text = _json({
-        "target_kbps": rung.target_bitrate,
-        "present": True,
-        "height": rec.resolution.height,
-        "width": rec.resolution.pixel_width,
-        "chroma": rec.chroma.value,
-        "actual_kbps": rec.actual_bitrate,
-        "quality": rec.quality.value,
-        "decode_s_per_frame": rec.decode_time,
-        "j_prime": None,
-    }, newline)
-    return text[:-len("null" + newline + "}")]
+def _ladder_json(ladder: Ladder, metric: QualityMetric, cfg: RunConfig, rungs: _RungText,
+                 newline: str) -> str:
+    """JSON text of a ladder, closing after ``newline``; its rungs come from
+    the title's ``rungs``. Both compare's title entries and optimize's ladder
+    files are written with it."""
+    return _template("ladder", newline).format(
+        _encode_str(ladder.title_id), _encode_str(metric.value), _encode_str(ladder.method.value),
+        _scalar(ladder.alpha),
+        _scalar(cfg.mode.value if ladder.method in ALPHA_METHODS else None),
+        _scalar(cfg.tolerance), rungs.json(ladder, newline + "  "))
 
 
-def _ladder_payload(ladder: Ladder, metric: QualityMetric, cfg: RunConfig, rungs: _RungText) -> dict:
-    """A ladder's JSON payload; its rungs are rendered from the title's ``rungs``."""
-    return {
-        "title": ladder.title_id,
-        "metric": metric.value,
-        "method": ladder.method.value,
-        "alpha": ladder.alpha,
-        "mode": cfg.mode.value if ladder.method in ALPHA_METHODS else None,
-        "tolerance": cfg.tolerance,
-        "rungs": _Deferred(functools.partial(rungs.json, ladder)),
-    }
+class _ReportText:
+    """compare's per-title text: each title's ``report.json`` entry and its
+    ``report_bd.csv`` and ``report_curves.csv`` rows, made in one pass over
+    the title from one ``_RungText``, with each BD value's text made once for
+    both files.
+
+    A title is rendered where ``to_json_text`` reaches its entry
+    (``entries``) or, when no JSON is written, by the first CSV file
+    (``csv_text``). Its memo is dropped with it; only its CSV rows are kept,
+    one text per title and file, when ``csv`` asks for them.
+    """
+
+    def __init__(self, cfg: RunConfig, titles: Sequence[tuple], csv: bool):
+        self.cfg, self.titles = cfg, titles
+        self.bd_rows: list[str] | None = [] if csv else None
+        self.curve_rows: list[str] | None = [] if csv else None
+        self.line = _csv_line_writer()
+
+    def entries(self) -> list[_Deferred]:
+        return [_Deferred(functools.partial(self._title, entry)) for entry in self.titles]
+
+    def csv_text(self, header: Sequence[str], curves: bool) -> str:
+        """``report_curves.csv`` if ``curves``, else ``report_bd.csv``, under
+        ``header``."""
+        if len(self.bd_rows) < len(self.titles):
+            for entry in self.titles:
+                self._title(entry, None)
+        return "".join([_csv_lines(header, []), *(self.curve_rows if curves else self.bd_rows)])
+
+    def _title(self, entry: tuple, newline: str | None) -> str | None:
+        """The title's JSON entry, closing after ``newline`` (None: no JSON).
+        Its CSV rows are kept first, if asked for."""
+        cfg = self.cfg
+        title, metric, ladders, bd_rows = entry
+        rungs = _RungText()
+        values = [(row, _scalar(row["bdr_percent"]), _scalar(row["bddt_percent"]),
+                   *map(_scalar, row["overlap_quality"])) for row in bd_rows]
+        if self.bd_rows is not None:
+            # Only the title may need quoting: tags and numbers never do.
+            head = self.line([title, metric.value])[:-1] + ","
+            self.bd_rows.append("".join(
+                f"{head}{row['method']},{_csv_alpha(row['alpha'])},{bdr},{bddt},{low},{high}\n"
+                for row, bdr, bddt, low, high in values))
+            self.curve_rows.append("".join(
+                rungs.csv(ladder, f"{head}{ladder.method.value},{_csv_alpha(ladder.alpha)},")
+                for ladder in ladders))
+        if newline is None:
+            return None
+        inner = newline + "  "
+        row_template = _template("bd row", inner + "    ")
+        reference = _encode_str(cfg.reference.value)
+        return _template("title entry", newline).format(
+            _encode_str(title), _encode_str(metric.value),
+            _list_json([_ladder_json(ladder, metric, cfg, rungs, inner + "  ")
+                        for ladder in ladders], inner),
+            _list_json([row_template.format(_encode_str(row["method"]), _scalar(row["alpha"]),
+                                            _encode_str(row["metric"]), reference, *texts)
+                        for row, *texts in values], inner + "  "))
 
 
-def _title_json(cfg: RunConfig, title: str, metric: QualityMetric, ladders: Sequence[Ladder],
-                bd_rows: list[dict], newline: str) -> str:
-    """JSON text of a report's title entry, its rungs from a memo of its own."""
-    rungs = _RungText()
-    return _json({"title": title, "metric": metric.value,
-                  "ladders": [_ladder_payload(ladder, metric, cfg, rungs) for ladder in ladders],
-                  "bd": {"rows": bd_rows}}, newline)
+def _csv_alpha(alpha: float | None) -> str:
+    """An alpha as csv writes it: empty for None."""
+    return "" if alpha is None else _scalar(alpha)
 
 
 def _config_payload(cfg: RunConfig) -> dict:
@@ -441,10 +559,16 @@ def _alpha_label(alpha: float | None) -> str:
     return "-" if alpha is None else f"{alpha:g}"
 
 
+# Characters written per call: a whole report encoded at once would hold its
+# text twice, as str and as UTF-8 bytes.
+_WRITE_SLICE = 1 << 20
+
+
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        for start in range(0, len(text), _WRITE_SLICE):
+            fh.write(text[start:start + _WRITE_SLICE])
 
 
 def _csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -466,18 +590,6 @@ def _csv_line_writer() -> Callable[[Sequence], str]:
         return text
 
     return line
-
-
-def _curves_csv(columns: Sequence[str], titles: Sequence[tuple]) -> str:
-    """``report_curves.csv``: one row per present rung of each title's ladders."""
-    line = _csv_line_writer()
-    parts = [line(columns)]
-    for title, metric, ladders, _ in titles:
-        rungs = _RungText()
-        for ladder in ladders:
-            prefix = line([title, metric.value, ladder.method.value, ladder.alpha])[:-1] + ","
-            parts += rungs.csv(ladder, prefix, line)
-    return "".join(parts)
 
 
 def _check_finite(values: Iterable[float]) -> None:
@@ -597,23 +709,27 @@ def cmd_synth(args) -> int:
 
 def cmd_optimize(args) -> int:
     cfg = _config_from_args(args)
-    payloads, skipped = [], []
+    ladders, skipped = [], []
     for (_, metric), evaluations in _evaluate(cfg, _BUILDERS):
         rungs = _RungText()
-        for _, _, ladders, ex in evaluations:
+        for _, _, built, ex in evaluations:
             if ex is None:
-                payloads.append(_ladder_payload(ladders[0], metric, cfg, rungs))
+                ladders.append((built[0], metric, rungs))
             else:
                 skipped.append(f"{ex['title']}/{ex['metric']}/{ex['method']}{_alpha_tag(ex['alpha'])}: "
                                f"{ex['reason']}")
-    files = [("json", f"{p['title']}__{p['metric']}__{p['method']}{_alpha_tag(p['alpha'])}.json",
-              lambda p=p: to_json_text(p)) for p in payloads]
+    # Each ladder file's text is made where to_json_text reaches it.
+    payloads = [_Deferred(functools.partial(_ladder_json, ladder, metric, cfg, rungs))
+                for ladder, metric, rungs in ladders]
+    files = [("json", f"{ladder.title_id}__{metric.value}__{ladder.method.value}"
+                      f"{_alpha_tag(ladder.alpha)}.json", lambda p=p: to_json_text(p))
+             for (ladder, metric, _), p in zip(ladders, payloads)]
     if cfg.out_dir is not None:
         # A title names its ladder files, so it must not lead out of --out,
         # and no two ladders may share a file.
-        for p in payloads:
-            if "/" in p["title"] or "\0" in p["title"]:
-                raise ValueError(f"title {p['title']!r} contains '/' or NUL and cannot name "
+        for ladder, _, _ in ladders:
+            if "/" in ladder.title_id or "\0" in ladder.title_id:
+                raise ValueError(f"title {ladder.title_id!r} contains '/' or NUL and cannot name "
                                  f"a ladder file in {cfg.out_dir}")
         for name, count in Counter(name for _, name, _ in files).items():
             if count > 1:
@@ -639,11 +755,20 @@ class _TitleMemo:
     """One title's BD curves and deltas, each computed once: ``curves`` maps
     the ids of a ladder's chosen records, in rung order, to its (rate, time)
     curves, whichever ladder chose them, and ``deltas`` maps a (ref, test)
-    pair of such keys to its (rate, time) deltas. Ids are unique only while
-    the title's records are alive, so a memo serves one title."""
+    pair of such keys to its (rate, time) deltas. ``keys`` holds each
+    ladder's key by the ladder's id, so the reference ladder, which every
+    group of a title shares, is keyed once. Ids are unique only while the
+    title's ladders and records are alive, so a memo serves one title."""
 
     def __init__(self):
-        self.curves, self.deltas = {}, {}
+        self.curves, self.deltas, self.keys = {}, {}, {}
+
+    def key(self, ladder: Ladder) -> tuple:
+        key = self.keys.get(id(ladder))
+        if key is None:
+            key = self.keys[id(ladder)] = tuple(
+                id(rung.choice) for rung in ladder.rungs if rung.choice is not None)
+        return key
 
 
 def _bd_pair(memo: _TitleMemo, ref: Ladder, test: Ladder):
@@ -653,8 +778,7 @@ def _bd_pair(memo: _TitleMemo, ref: Ladder, test: Ladder):
     ladder that reaches it, with that ladder's own message. Both axes fit the
     same Pareto-filtered qualities, so they fail together, with one message.
     """
-    keys = tuple(tuple(id(rung.choice) for rung in ladder.rungs if rung.choice is not None)
-                 for ladder in (ref, test))
+    keys = (memo.key(ref), memo.key(test))
     for key, ladder in zip(keys, (ref, test)):
         if key not in memo.curves:
             memo.curves[key] = tuple(build_curve(ladder, axis) for axis in _BD_AXES)
@@ -736,10 +860,10 @@ def cmd_compare(args) -> int:
     _check_finite(value for _, _, _, bd_rows in titles for row in bd_rows
                   for value in (row["bdr_percent"], row["bddt_percent"], *row["overlap_quality"]))
     _check_finite(value for row in rows for value in (row["mean_bdr_percent"], row["mean_bddt_percent"]))
-    # Each title entry is rendered where report.json reaches it.
+    text = _ReportText(cfg, titles, csv=cfg.out_dir is not None and "csv" in cfg.formats)
     report = {
         "config": _config_payload(cfg),
-        "titles": [_Deferred(functools.partial(_title_json, cfg, *entry)) for entry in titles],
+        "titles": text.entries(),
         "aggregate": {"rows": rows, "excluded": excluded},
     }
     bd_columns = ["title", "metric", "method", "alpha", "bdr_percent",
@@ -751,12 +875,9 @@ def cmd_compare(args) -> int:
     files = [
         ("json", "report.json", lambda: to_json_text(report)),
         ("markdown", "report.md", lambda: _render_markdown("report", cfg.reference, rows, excluded)),
-        ("csv", "report_bd.csv", lambda: _csv_lines(bd_columns, [
-            [title, row["metric"], row["method"], row["alpha"], row["bdr_percent"],
-             row["bddt_percent"], row["overlap_quality"][0], row["overlap_quality"][1]]
-            for title, _, _, bd_rows in titles for row in bd_rows
-        ])),
-        ("csv", "report_curves.csv", lambda: _curves_csv(curve_columns, titles)),
+        ("csv", "report_bd.csv", lambda: text.csv_text(bd_columns, curves=False)),
+        ("csv", "report_curves.csv",
+         lambda: text.csv_text(curve_columns, curves=True)),
         ("csv", "report_aggregate.csv", lambda: _csv_lines(
             aggregate_columns, [[r[c] for c in aggregate_columns] for r in rows])),
     ]

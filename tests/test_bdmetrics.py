@@ -155,9 +155,13 @@ def random_knots(rng, n):
 
 
 def sub_intervals(rng, x):
-    """Random, knot-touching and end-slack intervals inside [x0 - 1e-12, xn + 1e-12]."""
+    """Random, knot-touching and end-slack intervals inside [x0 - 1e-12, xn + 1e-12],
+    plus the cases that split whole segments from parts: both ends inside one
+    segment, and zero-width intervals on a knot and inside a segment."""
     i, j = sorted(rng.integers(len(x), size=2))
     a, b = sorted(rng.uniform(x[0], x[-1], size=2).tolist())
+    k = int(rng.integers(len(x) - 1))
+    c, e = sorted(rng.uniform(x[k], x[k + 1], size=2).tolist())
     return [
         (x[0], x[-1]),
         (x[0] - 1e-12, x[-1] + 1e-12),
@@ -166,6 +170,11 @@ def sub_intervals(rng, x):
         (x[i], max(b, x[i])),
         (x[0] - 1e-12, a),
         (b, x[-1] + 1e-12),
+        (c, e),
+        (x[k], e),
+        (c, x[k + 1]),
+        (x[i], x[i]),
+        (c, c),
     ]
 
 
@@ -179,6 +188,27 @@ class TestFloatPchipMatchesNumpy:
             p = PchipCurve(x, y)
             for a, b in sub_intervals(rng, x):
                 assert p.integrate(a, b) == oracle_integrate(x, y, a, b), (x, y, a, b)
+
+    def test_integrate_order_does_not_matter(self):
+        # Intervals in reverse order reach each whole segment in another
+        # order; every result keeps its bits, the sign of a zero too.
+        rng = np.random.default_rng(2027)
+        for _ in range(1000):
+            x, y = random_knots(rng, int(rng.integers(2, 13)))
+            intervals = sub_intervals(rng, x) + sub_intervals(rng, x)
+            want = [oracle_integrate(x, y, a, b).hex() for a, b in intervals]
+            forward, backward = PchipCurve(x, y), PchipCurve(x, y)
+            assert [forward.integrate(a, b).hex() for a, b in intervals] == want
+            assert [backward.integrate(a, b).hex() for a, b in reversed(intervals)] == want[::-1]
+
+    def test_reused_curves_in_reverse_order_match_oracle(self):
+        rng = np.random.default_rng(2028)
+        curves = [curve(*random_knots(rng, int(rng.integers(2, 13)))) for _ in range(40)]
+        pairs = [(ref, test) for ref in curves for test in curves
+                 if max(ref.qualities[0], test.qualities[0]) < min(ref.qualities[-1], test.qualities[-1])]
+        assert len(pairs) > 100
+        for ref, test in reversed(pairs):
+            assert bd_delta(ref, test).value_percent == oracle_bd_percent(ref.points, test.points)
 
     def test_bd_delta_bit_identical(self):
         rng = np.random.default_rng(2025)

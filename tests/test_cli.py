@@ -42,7 +42,7 @@ from chromaladder import (
 import chromaladder.cli as cli
 import chromaladder.ladder as ladder_module
 from chromaladder.cli import main, to_json_text
-from chromaladder.bdmetrics import CurveAxis
+from chromaladder.bdmetrics import BDResult, CurveAxis
 from chromaladder.errors import DuplicateRecord, LadderError
 from chromaladder.measurements import CSV_HEADER
 from helpers import (
@@ -1047,9 +1047,9 @@ class TestCurvesPerTitle:
         ]
 
     def test_sweep_builds_no_ladder_payloads(self, small_corpus, monkeypatch):
-        # Neither sweep nor pmf renders ladder text: no payload, no rung text.
-        payloads = record_calls(monkeypatch, "_ladder_payload")
-        heads = record_calls(monkeypatch, "_rung_json_head")
+        # Neither sweep nor pmf renders ladder text: no ladder, no rung text.
+        payloads = record_calls(monkeypatch, "_ladder_json")
+        heads = record_calls(monkeypatch, "_rung_fields")
         assert run("sweep", "--input", small_corpus, "--alpha", 0, "--alpha", 0.08) == 0
         assert run("pmf", "--input", small_corpus, "--alpha", 0, "--alpha", 0.08) == 0
         assert (payloads, heads) == ([], [])
@@ -1634,19 +1634,20 @@ class TestRungText:
         cfg, metric = cli.RunConfig(inputs=()), QualityMetric.CVVDP_JOD
         rungs = cli._RungText()
         for ladder in ladders:
-            assert to_json_text(cli._ladder_payload(ladder, metric, cfg, rungs)) == (
+            assert cli._ladder_json(ladder, metric, cfg, rungs, "\n") + "\n" == (
                 oracle_json_text(oracle_ladder_payload(ladder, metric, cfg)))
         columns = ["title", "metric", "method", "alpha", "target_kbps", "actual_kbps",
                    "quality", "decode_s_per_frame", "chroma", "height"]
-        assert cli._curves_csv(columns, [("t", metric, ladders, [])]).splitlines()[1:] == [
+        text = cli._ReportText(cfg, [("t", metric, ladders, [])], csv=True)
+        assert text.csv_text(columns, curves=True).splitlines()[1:] == [
             "t,cvvdp,default,,1000,1000.0,7.0,0.05,444,1080",
             "t,cvvdp,arcs,0.0,1000.0,1000.0,7.0,0.05,444,1080",
         ]
 
     def test_one_rung_text_per_record_and_target_per_title(self, small_corpus, monkeypatch):
-        heads, csv_fields, calls, alive = [], [], [], []
+        fields, calls, alive = [], [], []
         memos: dict[str, list] = {}
-        real_json, real_csv, real_head = cli._RungText.json, cli._RungText.csv, cli._rung_json_head
+        real_json, real_csv, real_fields = cli._RungText.json, cli._RungText.csv, cli._rung_fields
 
         def watch(memo, ladder):
             # Ids are unique only within a title: every earlier title's memo is gone.
@@ -1660,23 +1661,18 @@ class TestRungText:
             watch(memo, ladder)
             return real_json(memo, ladder, newline)
 
-        def csv_rows(memo, ladder, prefix, line):
+        def csv_rows(memo, ladder, prefix):
             watch(memo, ladder)
+            return real_csv(memo, ladder, prefix)
 
-            def recorded(row):
-                csv_fields.append((ladder.title_id, row[0]))
-                return line(row)
-
-            return real_csv(memo, ladder, prefix, recorded)
-
-        def head(rung, newline):
-            heads.append((calls[-1].title_id, rung.target_bitrate,
-                          None if rung.choice is None else rung.choice.key))
-            return real_head(rung, newline)
+        def rung_fields(rung):
+            fields.append((calls[-1].title_id, rung.target_bitrate,
+                           None if rung.choice is None else rung.choice.key))
+            return real_fields(rung)
 
         monkeypatch.setattr(cli._RungText, "json", json_text)
         monkeypatch.setattr(cli._RungText, "csv", csv_rows)
-        monkeypatch.setattr(cli, "_rung_json_head", head)
+        monkeypatch.setattr(cli, "_rung_fields", rung_fields)
         out = Path(tempfile.mkdtemp(dir=small_corpus.parent))
         assert run("compare", "--input", small_corpus, "--method", "arcs", "--method", "dynres",
                    "--alpha", 0, "--alpha", 0.001, "--alpha", 0.08, "--format", "json",
@@ -1686,19 +1682,56 @@ class TestRungText:
         ladders = {(l.title_id, l.method, l.alpha): l for l in calls}
         # Each ladder is rendered once as JSON and once as curve rows.
         assert len(calls) == 2 * len(ladders)
+        # One text per distinct (record, target) of a title, shared by the
+        # rung's JSON and its curve row.
         distinct = {(title, rung.target_bitrate, None if rung.choice is None else rung.choice.key)
                     for (title, _, _), ladder in ladders.items() for rung in ladder.rungs}
-        assert Counter(heads) == dict.fromkeys(distinct, 1)
-        present = {key for key in distinct if key[2] is not None}
-        assert Counter(csv_fields) == Counter(
-            (title, target) for title, target, _ in present)
+        assert Counter(fields) == dict.fromkeys(distinct, 1)
         # Ladders share records here: fewer texts than rungs.
-        assert len(heads) < sum(len(l.rungs) for l in ladders.values())
+        assert len(fields) < sum(len(l.rungs) for l in ladders.values())
+
+    def test_awkward_number_texts_equal_frozen_renderer(self, tmp_path, monkeypatch):
+        # Texts that json and csv write in their own ways: huge, tiny,
+        # subnormal and largest floats, negative zero, an int target beside
+        # a float one and a None j_prime beside a float, in one ladder and
+        # one BD row of compare's title entry, optimize's ladder file and
+        # both CSV files.
+        title = "awkward"
+        low = record(title, 1080, C444, 1000.0, actual=1e16, quality=-0.0, decode=5e-324)
+        high = record(title, 2160, C444, 2000.0, actual=1.7976931348623157e+308,
+                      quality=1e-07, decode=1e-07)
+        ladders = {
+            Method.DEFAULT: Ladder(title, Method.DEFAULT, (Rung(1000, low), Rung(2000.0, high))),
+            Method.ARCS: Ladder(title, Method.ARCS, (Rung(1000.0, low, -0.0), Rung(2000.0, high),
+                                                     Rung(4000.0)), 1e-07),
+        }
+        for method, ladder in ladders.items():
+            monkeypatch.setitem(cli._BUILDERS, method,
+                                lambda cfg, plan, index, alpha, ladder=ladder: ladder)
+        values = {CurveAxis.QUALITY_VS_LOG_RATE: 1e16, CurveAxis.QUALITY_VS_LOG_TIME: -0.0}
+        monkeypatch.setattr(cli, "bd_delta", lambda ref, test: BDResult(
+            values[ref.axis_kind], (5e-324, 1.7976931348623157e+308), ref.metric, ref.axis_kind))
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text(serialize_dataset([TitleDataset.from_records(
+            [record(title, 1080, C444, t) for t in (1000.0, 2000.0, 4000.0)])]), encoding="utf-8")
+        flags = ["--input", corpus, "--alpha", 1e-07, "--method", "arcs", "--method", "default"]
+        _assert_matches_oracle(flags, "default", tmp_path)
+        written = {path.name: path.read_text(encoding="utf-8")
+                   for path in (tmp_path / "report").iterdir()}
+        for text in (written["report.json"], written["report_curves.csv"]):
+            for number in ("1e+16", "-0.0", "5e-324", "1.7976931348623157e+308", "1e-07"):
+                assert number in text
+        assert '"target_kbps": 1000,' in written["report.json"]
+        assert '"j_prime": null' in written["report.json"]
+        assert written["report_bd.csv"].splitlines()[1:] == [
+            "awkward,cvvdp,arcs,1e-07,1e+16,-0.0,5e-324,1.7976931348623157e+308",
+            "awkward,cvvdp,default,,1e+16,-0.0,5e-324,1.7976931348623157e+308",
+        ]
 
     @pytest.mark.parametrize("fmt", ["csv", "markdown"])
     def test_report_without_json_renders_no_json(self, small_corpus, tmp_path, monkeypatch, fmt):
         texts = record_calls(monkeypatch, "to_json_text")
-        heads = record_calls(monkeypatch, "_rung_json_head")
+        heads = record_calls(monkeypatch, "_ladder_json")
         assert run("compare", "--input", small_corpus, "--method", "arcs", "--alpha", 0,
                    "--format", fmt, "--out", tmp_path / fmt) == 0
         assert (texts, heads) == ([], [])
