@@ -1,20 +1,21 @@
-"""Shared constructors for hand-built and randomized measurement datasets,
-ladder summaries (present rungs, summed objective, chroma shares), a
-vectorized PCHIP evaluator for quadrature checks, a frozen numpy-scalar PCHIP
-integrator that the float implementation must match, a frozen row-by-row
-ingest that the parser's fast path must match, the frozen per-ladder BD
-curves that the CLI's per-record-set memo must match, a frozen DP graph
-compiler that keeps every reachable state, which the live-state graphs must
-solve alike, and a frozen report renderer (a dict payload per rung, through
-``json.dumps`` and ``csv.writer``) that the per-title rung text must match."""
+"""Shared constructors for hand-built, randomized and edge-case measurement
+datasets, ladder summaries (present rungs, summed objective, chroma shares), a
+vectorized PCHIP evaluator for quadrature checks, and the frozen layers that
+the live ones must match: a numpy-scalar PCHIP integrator for bit-exact BD
+integration, a row-by-row ingest for the parser's fast path, and a DP graph
+compiler that keeps every reachable state for the live-state graphs. The
+ladder commands' bytes are checked against ``reference.py`` instead."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
 import operator
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -30,16 +31,15 @@ from chromaladder import (
     normalized_log_time,
     normalized_quality,
 )
-from chromaladder import cli
-from chromaladder.bdmetrics import CurveAxis, bd_delta, build_curve
 from chromaladder.errors import (
-    DatasetError,
     DuplicateRecord,
     MalformedRow,
     NonPositiveValue,
 )
+from chromaladder.cli import main
 from chromaladder.ladder import _Graph, _step_ok, chroma_shares, count_chroma
 from chromaladder.measurements import CSV_HEADER
+from reference import Outcome
 
 JOD = QualityMetric.CVVDP_JOD
 C420, C422, C444 = ChromaFormat.C420, ChromaFormat.C422, ChromaFormat.C444
@@ -127,6 +127,65 @@ def random_dataset(
         ds = TitleDataset.from_records(recs)
         if any(candidates_for(ds, t, 0.10) for t in ds.bitrate_targets):
             return ds
+
+
+SMALL_TARGETS = (600.0, 1200.0, 2400.0, 4800.0, 9600.0)
+# Targets within 10% of each other, so that with --cross-target one encode
+# can serve two rungs of a ladder.
+CLOSE_TARGETS = (600.0, 640.0, 1200.0, 2400.0, 4800.0)
+SHARED_FAILURE_TARGETS = (600.0, 2400.0, 9000.0)
+
+
+def replace_title(rec, title):
+    return replace(rec, title_id=title)
+
+
+def lonely_title(ds) -> TitleDataset:
+    """``ds`` as "zz-lonely" with its 2160p 4:4:4 encodes above 600 kbps
+    dropped, so that its native-resolution (default) ladder has one point."""
+    return TitleDataset.from_records(
+        replace_title(rec, "zz-lonely") for rec in ds.records
+        if not (rec.resolution.height == 2160 and rec.chroma is C444) or rec.target_bitrate == 600.0)
+
+
+def shared_record_title() -> TitleDataset:
+    """A title whose 640 kbps encode misses its window, so with --cross-target
+    the 600 kbps encode serves both the 600 and the 640 kbps rung."""
+    return TitleDataset.from_records([
+        record("shared, \"x\"", 1080, C444, 600, actual=620, quality=6.0, decode=0.04),
+        record("shared, \"x\"", 1080, C444, 640, actual=900, quality=6.5, decode=0.04),
+        record("shared, \"x\"", 2160, C444, 1200, actual=1210, quality=7.0, decode=0.1),
+        record("shared, \"x\"", 2160, C444, 2400, actual=2390, quality=8.0, decode=0.1),
+        record("shared, \"x\"", 2160, C444, 4800, actual=4800, quality=9.0, decode=0.1),
+    ])
+
+
+def shared_failure_titles() -> list[TitleDataset]:
+    """Two titles whose arcs and dynres ladders fail on the same records.
+
+    1080p beats 2160p on quality and decode time, so arcs and dynres both pick
+    it at every target and alpha, while the default ladder is all 2160p.
+    "flat": 1080p quality never rises, so their curves keep one point.
+    "apart": 1080p quality lies above the whole 2160p range.
+    """
+    targets = SHARED_FAILURE_TARGETS
+
+    def title(name, low_quality):
+        return grid_dataset(
+            lambda h, c, b: 5.0 + targets.index(b) if h == 2160 else low_quality[targets.index(b)],
+            lambda h, c, b: 0.08 if h == 2160 else 0.02,
+            title=name, chromas=(C444,), targets=targets)
+
+    return [title("apart", (8.0, 8.5, 9.0)), title("flat", (9.0, 9.0, 9.0))]
+
+
+def cli_outcome(argv, out: Path | None = None) -> Outcome:
+    """``main(argv)``'s exit code, stdout, stderr and the files it wrote in ``out``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return Outcome(code, stdout.getvalue(), stderr.getvalue(), {} if out is None or not out.exists()
+                   else {path.name: path.read_bytes().decode("utf-8") for path in out.iterdir()})
 
 
 def present_rungs(ladder):
@@ -386,34 +445,6 @@ def _oracle_group_records(records) -> list[TitleDataset]:
     return [TitleDataset.from_records(by_key[k]) for k in sorted(by_key)]
 
 
-def oracle_datasets(texts: list[str]) -> list[TitleDataset]:
-    """The CLI's parse of its input files; an input without a record raises
-    ``DatasetError``."""
-    datasets = oracle_parse_dataset(texts)
-    if not datasets:
-        raise DatasetError("no datasets in input")
-    return datasets
-
-
-# -- frozen per-ladder BD curves --------------------------------------------
-# ``cli._curve`` and ``cli._bd_pair`` as they were before curves were shared
-# by record set: each (method, alpha) ladder's two curves are fitted once per
-# title into ``curves``, a plain dict per title, and every (method, alpha)
-# group computes its deltas afresh.
-
-
-def oracle_curve(curves: dict, ladder, axis: CurveAxis):
-    key = (ladder.method, ladder.alpha, axis)
-    if key not in curves:
-        curves[key] = build_curve(ladder, axis)
-    return curves[key]
-
-
-def oracle_bd_pair(curves: dict, ref, test):
-    return tuple(bd_delta(oracle_curve(curves, ref, axis), oracle_curve(curves, test, axis))
-                 for axis in (CurveAxis.QUALITY_VS_LOG_RATE, CurveAxis.QUALITY_VS_LOG_TIME))
-
-
 # -- frozen DP graph compiler ------------------------------------------------------
 
 
@@ -441,92 +472,3 @@ def oracle_compile(shape) -> _Graph:
         states = nxt
     finals = tuple(i for (_, cap), i in states.items() if cap is None)
     return _Graph(tuple(layers), tuple(widths), finals)
-
-
-# -- frozen report renderer: a dict payload per rung -------------------------------
-
-
-def oracle_json_text(payload) -> str:
-    return json.dumps(payload, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
-
-
-def oracle_ladder_payload(ladder, metric, cfg) -> dict:
-    rungs = []
-    for rung in ladder.rungs:
-        if rung.choice is None:
-            rungs.append({"target_kbps": rung.target_bitrate, "present": False})
-            continue
-        rec = rung.choice
-        rungs.append(
-            {
-                "target_kbps": rung.target_bitrate,
-                "present": True,
-                "height": rec.resolution.height,
-                "width": rec.resolution.pixel_width,
-                "chroma": rec.chroma.value,
-                "actual_kbps": rec.actual_bitrate,
-                "quality": rec.quality.value,
-                "decode_s_per_frame": rec.decode_time,
-                "j_prime": rung.j_prime,
-            }
-        )
-    return {
-        "title": ladder.title_id,
-        "metric": metric.value,
-        "method": ladder.method.value,
-        "alpha": ladder.alpha,
-        "mode": cfg.mode.value if ladder.method in cli.ALPHA_METHODS else None,
-        "tolerance": cfg.tolerance,
-        "rungs": rungs,
-    }
-
-
-def _oracle_csv(header, rows) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
-
-
-def oracle_compare_files(cfg) -> dict[str, str]:
-    """``report.json``, ``report_bd.csv`` and ``report_curves.csv`` of a
-    compare run, rendered from a dict payload per ladder and rung."""
-    titles, rows, excluded = cli._compare(cfg, per_title=True)
-    entries = [{"title": title, "metric": metric.value,
-                "ladders": [oracle_ladder_payload(ladder, metric, cfg) for ladder in ladders],
-                "bd": {"rows": bd_rows}}
-               for title, metric, ladders, bd_rows in titles]
-    report = {"config": cli._config_payload(cfg), "titles": entries,
-              "aggregate": {"rows": rows, "excluded": excluded}}
-    return {
-        "report.json": oracle_json_text(report),
-        "report_bd.csv": _oracle_csv(
-            ["title", "metric", "method", "alpha", "bdr_percent", "bddt_percent",
-             "overlap_q_low", "overlap_q_high"],
-            [[entry["title"], row["metric"], row["method"], row["alpha"], row["bdr_percent"],
-              row["bddt_percent"], row["overlap_quality"][0], row["overlap_quality"][1]]
-             for entry in entries for row in entry["bd"]["rows"]]),
-        "report_curves.csv": _oracle_csv(
-            ["title", "metric", "method", "alpha", "target_kbps", "actual_kbps",
-             "quality", "decode_s_per_frame", "chroma", "height"],
-            [[entry["title"], ladder["metric"], ladder["method"], ladder["alpha"],
-              rung["target_kbps"], rung["actual_kbps"], rung["quality"],
-              rung["decode_s_per_frame"], rung["chroma"], rung["height"]]
-             for entry in entries for ladder in entry["ladders"]
-             for rung in ladder["rungs"] if rung["present"]]),
-    }
-
-
-def oracle_optimize_payloads(cfg) -> tuple[list[dict], str]:
-    """The ladder payloads of an optimize run, in output order, and the
-    ``SKIP`` lines it prints for the excluded ladders."""
-    payloads, skips = [], []
-    for (_, metric), evaluations in cli._evaluate(cfg, cli._BUILDERS):
-        for _, _, ladders, ex in evaluations:
-            if ex is None:
-                payloads.append(oracle_ladder_payload(ladders[0], metric, cfg))
-            else:
-                skips.append(f"SKIP {ex['title']}/{ex['metric']}/{ex['method']}"
-                             f"{cli._alpha_tag(ex['alpha'])}: {ex['reason']}\n")
-    return payloads, "".join(skips)

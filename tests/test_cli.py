@@ -1,6 +1,5 @@
 """End-to-end CLI tests: exit codes, file outputs, report schema, determinism."""
 
-import contextlib
 import csv
 import io
 import json
@@ -22,18 +21,15 @@ from hypothesis import strategies as st
 
 from chromaladder import (
     CandidateIndex,
-    ChromaFormat,
     Ladder,
     Method,
     QualityMetric,
     QualityScore,
     Rung,
     TitleDataset,
-    build_dynres,
     default_spec,
     enumerate_optimal,
     generate,
-    optimize_arcs,
     parse_dataset,
     serialize_dataset,
     sparse_spec,
@@ -43,23 +39,23 @@ import chromaladder.cli as cli
 import chromaladder.ladder as ladder_module
 from chromaladder.cli import main, to_json_text
 from chromaladder.bdmetrics import BDResult, CurveAxis
-from chromaladder.errors import DuplicateRecord, LadderError
+from chromaladder.errors import DuplicateRecord
 from chromaladder.measurements import CSV_HEADER
+import reference
 from helpers import (
     C420,
     C444,
-    chroma_pmf,
+    CLOSE_TARGETS,
+    SHARED_FAILURE_TARGETS,
+    SMALL_TARGETS,
+    cli_outcome,
     grid_dataset,
-    oracle_bd_pair,
-    oracle_compare_files,
-    oracle_json_text,
-    oracle_ladder_payload,
-    oracle_optimize_payloads,
-    present_rungs,
+    lonely_title,
     record,
+    replace_title,
+    shared_failure_titles,
+    shared_record_title,
 )
-
-SMALL_TARGETS = (600.0, 1200.0, 2400.0, 4800.0, 9600.0)
 
 
 @pytest.fixture()
@@ -515,23 +511,8 @@ class TestCompare:
         # Extra title whose (2160, C444) exists at a single target: the
         # reference curve degenerates and the title drops out of the means.
         datasets = parse_dataset(small_corpus.read_text(encoding="utf-8"))
-        crippled = [
-            rec
-            for rec in datasets[0].records
-            if not (rec.resolution.height == 2160 and rec.chroma is C444)
-            or rec.target_bitrate == 600.0
-        ]
-        lone = TitleDataset.from_records(
-            [record(title="zz-lonely", **{}) for _ in range(0)]
-            + [
-                replace_title(rec, "zz-lonely")
-                for rec in crippled
-            ]
-        )
         merged = tmp_path / "merged.csv"
-        merged.write_text(
-            serialize_dataset(datasets + [lone]), encoding="utf-8"
-        )
+        merged.write_text(serialize_dataset(datasets + [lonely_title(datasets[0])]), encoding="utf-8")
         out = tmp_path / "rep"
         code = run("compare", "--input", merged, "--method", "arcs", "--alpha", 0, "--out", out)
         assert code == 0
@@ -590,12 +571,6 @@ class TestCompare:
         assert (out / "report_curves.csv").exists()
         assert (out / "report_aggregate.csv").exists()
         assert "BDR_C" in (out / "report.md").read_text(encoding="utf-8")
-
-
-def replace_title(rec, title):
-    from dataclasses import replace as dc_replace
-
-    return dc_replace(rec, title_id=title)
 
 
 class TestSweep:
@@ -676,21 +651,6 @@ class TestPmf:
         assert [id(l) for l in counted] == [id(l) for l in defaults]
         assert made and {l.method for l in counted} == {Method.DEFAULT}
 
-    @pytest.mark.parametrize("mode", ["dp", "greedy"])
-    @pytest.mark.parametrize("cross_target", [False, True])
-    def test_choice_counts_equal_ladder_counts(self, small_corpus, small_plan, monkeypatch,
-                                               mode, cross_target):
-        argv = ["pmf", "--input", small_corpus, "--plan", small_plan, "--mode", mode,
-                *(f for m in Method for f in ("--method", m.value)),
-                "--alpha", 0, "--alpha", 0.04, "--alpha", 1,
-                *(["--cross-target"] if cross_target else [])]
-        for chroma in ("444", "420"):
-            got = _captured([*argv, "--chroma-fixed", chroma])
-            with monkeypatch.context() as patch:
-                patch.setattr(cli, "_PMF_BUILDERS", _ladder_counting_builders())
-                assert _captured([*argv, "--chroma-fixed", chroma]) == got
-            assert got[0] == 0
-
     def test_decreasing_choice_excludes_the_title(self, small_corpus, monkeypatch):
         # A solver that breaks the chain gets the title excluded with the
         # message validate_rungs gives a ladder built from the same choices.
@@ -732,38 +692,6 @@ class TestPmf:
         # With fixed alone every title is excluded, so no row is left.
         code, _, err = _captured(["pmf", "--input", small_corpus, "--method", "fixed", "--plan", plan])
         assert (code, err) == (2, "error: no ladder could be built\n")
-
-    def test_rows_equal_chroma_pmf_of_directly_built_ladders(self, tmp_path, capsys):
-        # "no444" has no 4:4:4 encode, so its dynres ladders are excluded.
-        datasets = generate(sparse_spec(seed=3, titles=5))
-        datasets.append(grid_dataset(lambda h, c, b: h / 1000 + b / 1000, lambda h, c, b: 0.05,
-                                     title="no444", chromas=(C420,)))
-        corpus = tmp_path / "corpus.csv"
-        corpus.write_text(serialize_dataset(datasets), encoding="utf-8")
-        alphas = (0.0, 0.04, 0.3)
-        assert run("pmf", "--input", corpus, "--method", "dynres", "--method", "arcs",
-                   *(f for a in alphas for f in ("--alpha", a))) == 0
-        payload = json.loads(capsys.readouterr().out)
-        builders = {"dynres": build_dynres, "arcs": optimize_arcs}
-        rows, excluded, absent = [], [], 0
-        for method, build in builders.items():
-            for alpha in alphas:
-                built = []
-                for ds in sorted(datasets, key=lambda d: d.title_id):
-                    try:
-                        built.append(build(CandidateIndex(ds), alpha))
-                    except LadderError:
-                        excluded.append((ds.title_id, method, alpha))
-                absent += sum(not r.present for l in built for r in l.rungs)
-                pmf = chroma_pmf(built)
-                rows.append({"method": method, "alpha": alpha,
-                             "pmf": {fmt.value: pmf[fmt] for fmt in ChromaFormat},
-                             "present_rungs": sum(len(present_rungs(l)) for l in built)})
-        assert payload["pmf"] == rows
-        assert ("no444", "dynres", 0.0) in excluded and absent > 0
-        assert sorted((x["title"], x["method"], x["alpha"]) for x in payload["excluded"]) == (
-            sorted(excluded))
-
 
 class TestGraphsPerRun:
     """Each run compiles its own DP graphs, so a graph's solve count, and with
@@ -901,23 +829,6 @@ class TestExitCodes:
 
 
 class TestOutputModes:
-    """Without --out a ladder command prints the JSON that --out writes."""
-
-    @pytest.mark.parametrize("argv, name", [
-        (("compare", "--method", "arcs", "--method", "default", "--alpha", 0, "--alpha", 0.08),
-         "report.json"),
-        (("sweep", "--alpha", 0, "--alpha", 0.08), "frontier.json"),
-        (("pmf", "--method", "dynres", "--method", "arcs", "--alpha", 0, "--alpha", 0.08),
-         "pmf.json"),
-    ])
-    def test_printed_json_equals_written_json(self, small_corpus, tmp_path, capsys, argv, name):
-        assert run(*argv, "--input", small_corpus) == 0
-        printed = capsys.readouterr().out
-        out = tmp_path / "out"
-        assert run(*argv, "--input", small_corpus, "--out", out) == 0
-        assert capsys.readouterr().out.endswith(f" written to {out}\n")
-        assert (out / name).read_text(encoding="utf-8") == printed
-
     def test_optimize_prints_the_ladder_files_in_order(self, small_corpus, small_plan, tmp_path, capsys):
         argv = ("optimize", "--input", small_corpus, "--alpha", 0, "--alpha", 0.04,
                 "--method", "dynres", "--method", "fixed", "--method", "arcs", "--plan", small_plan)
@@ -934,74 +845,13 @@ class TestOutputModes:
 
 
 @pytest.fixture(scope="module")
-def flag_corpus(tmp_path_factory):
+def lonely_corpus(tmp_path_factory):
     """Two synthetic titles plus one whose native-resolution reference
     degenerates, so some evaluations are excluded."""
-    tmp = tmp_path_factory.mktemp("flags")
     datasets = generate(replace(default_spec(titles=2), targets_kbps=SMALL_TARGETS))
-    lonely = TitleDataset.from_records(
-        replace_title(rec, "zz-lonely")
-        for rec in datasets[0].records
-        if not (rec.resolution.height == 2160 and rec.chroma is C444)
-        or rec.target_bitrate == 600.0
-    )
-    corpus = tmp / "corpus.csv"
-    corpus.write_text(serialize_dataset(datasets + [lonely]), encoding="utf-8")
-    plan = tmp / "plan.csv"
-    plan.write_text(
-        "target_kbps,height\n600,1080\n1200,1080\n2400,1080\n4800,2160\n9600,2160\n",
-        encoding="utf-8",
-    )
-    return corpus, plan, tmp / "out", [ds.title_id for ds in datasets] + ["zz-lonely"]
-
-
-ALPHA_METHODS = {"arcs", "dynres"}
-
-
-class TestFlagCombinations:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        alphas=st.lists(st.sampled_from([0.0, 0.04, 0.08]), min_size=1, max_size=4),
-        methods=st.lists(st.sampled_from([m.value for m in Method]), min_size=1, max_size=4),
-        reference=st.sampled_from([m.value for m in Method]),
-    )
-    @example(alphas=[0.04, 0.04], methods=["arcs"], reference="default")
-    @example(alphas=[0.0, 0.08], methods=["default"], reference="arcs")
-    @example(alphas=[0.04], methods=["arcs", "arcs"], reference="default")
-    def test_each_evaluation_reported_once(self, flag_corpus, alphas, methods, reference):
-        corpus, plan, out, titles = flag_corpus
-        flags = [f for a in alphas for f in ("--alpha", a)]
-        flags += [f for m in methods for f in ("--method", m)]
-        flags += ["--input", corpus, "--plan", plan, "--out", out]
-        alpha_set = list(dict.fromkeys(alphas))
-        method_set = list(dict.fromkeys(methods))
-
-        assert run("compare", "--reference", reference, *flags) == 0
-        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-        seen = [
-            (entry["title"], row["method"], row["alpha"])
-            for entry in report["titles"]
-            for row in entry["bd"]["rows"]
-        ]
-        seen += [(x["title"], x["method"], x["alpha"]) for x in report["aggregate"]["excluded"]]
-        expected = {
-            (title, m, a)
-            for title in titles
-            for m in method_set
-            for a in (alpha_set if ALPHA_METHODS & {m, reference} else [None])
-        }
-        assert sorted(seen, key=str) == sorted(expected, key=str)
-        rows = report["aggregate"]["rows"]
-        assert len({(r["method"], r["alpha"], r["metric"]) for r in rows}) == len(rows)
-        for row in rows:
-            assert row["reference"] == reference
-            assert row["titles_used"] + row["titles_excluded"] == len(titles)
-
-        assert run("pmf", *flags) == 0
-        payload = json.loads((out / "pmf.json").read_text(encoding="utf-8"))
-        assert [(r["method"], r["alpha"]) for r in payload["pmf"]] == [
-            (m, a) for m in method_set for a in (alpha_set if m in ALPHA_METHODS else [None])
-        ]
+    corpus = tmp_path_factory.mktemp("lonely") / "corpus.csv"
+    corpus.write_text(serialize_dataset(datasets + [lonely_title(datasets[0])]), encoding="utf-8")
+    return corpus
 
 
 def record_calls(monkeypatch, name):
@@ -1036,8 +886,8 @@ class TestCurvesPerTitle:
         titles = [ds.title_id for ds in parse_dataset(small_corpus.read_text(encoding="utf-8"))]
         assert Counter(ladder.title_id for ladder, _ in built) == {t: 2 * 5 for t in titles}
 
-    def test_degenerate_reference_excludes_every_group(self, flag_corpus, tmp_path):
-        corpus = flag_corpus[0]
+    def test_degenerate_reference_excludes_every_group(self, lonely_corpus, tmp_path):
+        corpus = lonely_corpus
         out = tmp_path / "rep"
         assert run("compare", "--input", corpus, "--method", "arcs", "--method", "dynres",
                    "--alpha", 0, "--alpha", 0.04, "--out", out) == 0
@@ -1056,28 +906,6 @@ class TestCurvesPerTitle:
         assert run("compare", "--input", small_corpus, "--method", "arcs", "--alpha", 0) == 0
         assert len(payloads) == 4 * 2
         assert heads
-
-
-SHARED_FAILURE_TARGETS = (600.0, 2400.0, 9000.0)
-
-
-def _shared_failure_titles() -> list[TitleDataset]:
-    """Two titles whose arcs and dynres ladders fail on the same records.
-
-    1080p beats 2160p on quality and decode time, so arcs and dynres both pick
-    it at every target and alpha, while the default ladder is all 2160p.
-    "flat": 1080p quality never rises, so their curves keep one point.
-    "apart": 1080p quality lies above the whole 2160p range.
-    """
-    targets = SHARED_FAILURE_TARGETS
-
-    def title(name, low_quality):
-        return grid_dataset(
-            lambda h, c, b: 5.0 + targets.index(b) if h == 2160 else low_quality[targets.index(b)],
-            lambda h, c, b: 0.08 if h == 2160 else 0.02,
-            title=name, chromas=(C444,), targets=targets)
-
-    return [title("apart", (8.0, 8.5, 9.0)), title("flat", (9.0, 9.0, 9.0))]
 
 
 def _chosen(ladder) -> tuple:
@@ -1146,7 +974,7 @@ class TestBdMemo:
     def test_failures_name_each_ladder_and_exclude_each_group(self, tmp_path):
         targets = SHARED_FAILURE_TARGETS
         corpus = tmp_path / "corpus.csv"
-        corpus.write_text(serialize_dataset(_shared_failure_titles()), encoding="utf-8")
+        corpus.write_text(serialize_dataset(shared_failure_titles()), encoding="utf-8")
         out = tmp_path / "rep"
         assert run("compare", "--input", corpus, "--method", "arcs", "--method", "dynres",
                    "--method", "default", "--alpha", 0, "--alpha", 0.04, "--out", out) == 0
@@ -1169,47 +997,15 @@ class TestBdMemo:
         assert [(r["method"], r["titles_used"], r["titles_excluded"])
                 for r in report["aggregate"]["rows"]] == [("default", 2, 0)]
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**16),
-        n_titles=st.integers(1, 4),
-        alphas=st.lists(st.sampled_from([0.0, 0.001, 0.01, 0.02, 0.04, 0.08]),
-                        min_size=2, max_size=5, unique=True),
-        reference=st.sampled_from(["default", "arcs", "dynres"]),
-        cross_target=st.booleans(),
-        failing=st.booleans(),
-    )
-    def test_stdout_matches_per_ladder_curves(self, seed, n_titles, alphas, reference,
-                                              cross_target, failing):
-        datasets = generate(sparse_spec(seed=seed, titles=n_titles))
-        if failing:
-            datasets += _shared_failure_titles()
-        with tempfile.TemporaryDirectory() as tmp:
-            corpus = Path(tmp) / "corpus.csv"
-            corpus.write_text(serialize_dataset(datasets), encoding="utf-8")
-            flags = ["--input", corpus, "--reference", reference,
-                     *(f for a in alphas for f in ("--alpha", a)),
-                     *(["--cross-target"] if cross_target else [])]
-            commands = [("compare", "--method", "arcs", "--method", "dynres", "--method", "default"),
-                        ("sweep",)]
-            outputs = [_captured([*command, *flags]) for command in commands]
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(cli, "_TitleMemo", dict)
-                patch.setattr(cli, "_bd_pair", oracle_bd_pair)
-                assert [_captured([*command, *flags]) for command in commands] == outputs
-
-
 def _captured(argv) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one run."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(*argv)
-    return code, out.getvalue(), err.getvalue()
+    outcome = cli_outcome([str(a) for a in argv])
+    return outcome.code, outcome.stdout, outcome.stderr
 
 
 class TestSummary:
-    def test_exclusion_lines_name_the_alpha(self, flag_corpus, tmp_path, capsys):
-        corpus = flag_corpus[0]
+    def test_exclusion_lines_name_the_alpha(self, lonely_corpus, tmp_path, capsys):
+        corpus = lonely_corpus
         out = tmp_path / "rep"
         assert run("compare", "--input", corpus, "--alpha", 0, "--alpha", 0.04, "--alpha", 0.08,
                    "--format", "markdown", "--out", out) == 0
@@ -1232,10 +1028,9 @@ LAYOUT_COMMANDS = (
 
 def _stdout_without_inputs(argv) -> str:
     """Printed output of ``argv``, with ``config.inputs`` (the file names) blanked."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert run(*argv) == 0
-    payload = json.loads(out.getvalue())
+    code, out, _ = _captured(argv)
+    assert code == 0
+    payload = json.loads(out)
     if isinstance(payload, dict):
         payload["config"]["inputs"] = None
     return to_json_text(payload)
@@ -1243,7 +1038,8 @@ def _stdout_without_inputs(argv) -> str:
 
 def _write_measurements(path: Path, header, rows, fmt: str) -> None:
     if fmt == "csv":
-        path.write_text(cli._csv_lines(header, rows), encoding="utf-8")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
         return
     types = {"title": str, "metric": str, "height": int, "chroma": int}
     objs = [{name: types.get(name, float)(value) for name, value in zip(header, row)}
@@ -1254,8 +1050,8 @@ def _write_measurements(path: Path, header, rows, fmt: str) -> None:
 class TestInputLayout:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), cross_target=st.booleans())
-    def test_stdout_ignores_record_order_columns_and_files(self, flag_corpus, data, cross_target):
-        corpus = flag_corpus[0]
+    def test_stdout_ignores_record_order_columns_and_files(self, lonely_corpus, data, cross_target):
+        corpus = lonely_corpus
         header, *rows = list(csv.reader(io.StringIO(corpus.read_text(encoding="utf-8"))))
         order = data.draw(st.permutations(range(len(rows))))
         n_files = data.draw(st.integers(1, 3))
@@ -1357,10 +1153,6 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
-def _reference_json(payload) -> str:
-    return json.dumps(payload, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
-
-
 _json_scalars = (
     st.text()
     | st.sampled_from(['"', "\\", "\x00", "\x1f", " ", "é", "中文", "😀", 'a "b" \\ c\n\t'])
@@ -1395,12 +1187,12 @@ class TestJsonEmitter:
     @example(-0.0)
     @example(None)
     def test_equals_json_dumps(self, payload):
-        assert to_json_text(payload) == _reference_json(payload)
+        assert to_json_text(payload) == reference.json_text(payload)
 
     def test_repeated_container_is_not_circular(self):
         shared = {"q": [1.5, 2.5]}
         payload = [shared, shared, {"again": shared}]
-        assert to_json_text(payload) == _reference_json(payload)
+        assert to_json_text(payload) == reference.json_text(payload)
 
     @pytest.mark.parametrize("make", [
         lambda: math.nan,
@@ -1413,7 +1205,7 @@ class TestJsonEmitter:
     ], ids=["nan", "inf", "neg-inf", "set", "nested-set", "object", "first-error-wins"])
     def test_fails_as_json_dumps_fails(self, make):
         with pytest.raises((TypeError, ValueError)) as want:
-            _reference_json(make())
+            reference.json_text(make())
         with pytest.raises(want.type) as got:
             to_json_text(make())
         assert str(got.value) == str(want.value)
@@ -1503,25 +1295,6 @@ class TestJsonErrorPath:
         assert not out.exists()
 
 
-# Titles that CSV must quote and JSON must escape.
-AWKWARD_TITLES = ['clip "A", 4k — é', "line\nbreak", "cr\rreturn,comma", "中文 😀", "back\\slash'"]
-# Targets within 10% of each other, so that with --cross-target one encode
-# can serve two rungs of a ladder.
-CLOSE_TARGETS = (600.0, 640.0, 1200.0, 2400.0, 4800.0)
-
-
-def _shared_record_title() -> TitleDataset:
-    """A title whose 640 kbps encode misses its window, so with --cross-target
-    the 600 kbps encode serves both the 600 and the 640 kbps rung."""
-    return TitleDataset.from_records([
-        record("shared, \"x\"", 1080, C444, 600, actual=620, quality=6.0, decode=0.04),
-        record("shared, \"x\"", 1080, C444, 640, actual=900, quality=6.5, decode=0.04),
-        record("shared, \"x\"", 2160, C444, 1200, actual=1210, quality=7.0, decode=0.1),
-        record("shared, \"x\"", 2160, C444, 2400, actual=2390, quality=8.0, decode=0.1),
-        record("shared, \"x\"", 2160, C444, 4800, actual=4800, quality=9.0, decode=0.1),
-    ])
-
-
 def _write_corpus(tmp: Path, datasets, targets) -> tuple[Path, Path]:
     corpus, plan = tmp / "corpus.json", tmp / "plan.csv"
     corpus.write_text(serialize_dataset(datasets, fmt="json"), encoding="utf-8")
@@ -1531,94 +1304,27 @@ def _write_corpus(tmp: Path, datasets, targets) -> tuple[Path, Path]:
     return corpus, plan
 
 
-def _config(argv) -> cli.RunConfig:
-    return cli._config_from_args(cli.build_parser().parse_args([str(a) for a in argv]))
-
-
-def _ladder_file_name(payload) -> str:
-    return (f"{payload['title']}__{payload['metric']}__{payload['method']}"
-            f"{cli._alpha_tag(payload['alpha'])}.json")
-
-
-def _assert_matches_oracle(flags, reference: str, out: Path) -> None:
+def _assert_matches_reference(flags, out: Path) -> None:
     """compare (JSON and CSV, stdout and --out) and optimize (stdout and
-    ladder files) print and write what a dict payload per rung renders."""
-    compare = ["compare", *flags, "--reference", reference]
-    argv = [*compare, "--format", "json", "--format", "csv", "--out", out / "report"]
-    code, _, err = _captured(argv)
-    if code == 0:
-        want = oracle_compare_files(_config(argv))
-        for name, text in want.items():
-            assert (out / "report" / name).read_bytes().decode("utf-8") == text, name
-        assert _captured(compare) == (0, want["report.json"], "")
-    else:
-        # Every comparison was excluded: there is no report to render.
-        assert (code, err) == (2, "error: no comparison could be computed\n")
-
-    argv = ["optimize", *flags, "--out", out / "ladders"]
-    payloads, skips = oracle_optimize_payloads(_config(argv))
-    if not payloads:
-        # Every ladder was excluded: optimize prints why and writes no file.
-        error = "error: every ladder construction failed\n"
-        assert _captured(argv) == (2, skips, error)
-        assert _captured(argv[:-2]) == (2, skips, error)
-        assert not (out / "ladders").exists()
-        return
-    assert _captured(argv)[0] == 0
-    assert _captured(argv[:-2]) == (0, skips + oracle_json_text(payloads), "")
-    written = {path.name: path.read_bytes().decode("utf-8") for path in (out / "ladders").iterdir()}
-    assert written == {_ladder_file_name(p): oracle_json_text(p) for p in payloads}
+    ladder files) print and write what ``reference.run`` gives."""
+    for command, to in (("compare", ["--format", "json", "--format", "csv", "--out", out / "report"]),
+                        ("compare", []), ("optimize", ["--out", out / "ladders"]), ("optimize", [])):
+        argv = [str(a) for a in (command, *flags, *to)]
+        assert cli_outcome(argv, to[-1] if to else None) == reference.run(argv)
 
 
 class TestRungText:
     """The report and ladder files, rendered from one rung text per distinct
-    (record, target) of a title, equal a dict payload per rung rendered by
-    ``json.dumps`` and ``csv.writer``."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        seed=st.integers(0, 2**16),
-        sparse=st.booleans(),
-        targets=st.sampled_from([SMALL_TARGETS, CLOSE_TARGETS]),
-        titles=st.lists(st.sampled_from(AWKWARD_TITLES) | st.text(
-            st.characters(blacklist_categories=("Cs",), blacklist_characters="/\0"),
-            min_size=1, max_size=8).filter(str.strip),
-            min_size=1, max_size=3, unique_by=str.strip),
-        alphas=st.lists(st.sampled_from([0.0, 0.02, 0.08]), min_size=1, max_size=2, unique=True),
-        methods=st.lists(st.sampled_from([m.value for m in Method]), min_size=1, max_size=4),
-        reference=st.sampled_from(["default", "arcs", "fixed"]),
-        cross_target=st.booleans(),
-    )
-    # No sparse seed-869 title has a 1080p or 2160p 444 encode, so its fixed
-    # ladder is excluded: once next to an arcs ladder, with a title that must
-    # stay on one SKIP line, and once as the only ladder.
-    @example(seed=869, sparse=True, targets=SMALL_TARGETS, titles=["line\nbreak", "cr\rreturn,comma"],
-             alphas=[0.0], methods=["arcs", "fixed"], reference="default", cross_target=False)
-    @example(seed=869, sparse=True, targets=SMALL_TARGETS, titles=['clip "A", 4k — é'],
-             alphas=[0.0], methods=["fixed"], reference="default", cross_target=False)
-    def test_outputs_equal_frozen_renderer(self, seed, sparse, targets, titles, alphas, methods,
-                                           reference, cross_target):
-        spec = (sparse_spec if sparse else default_spec)(seed=seed, titles=len(titles))
-        datasets = [
-            TitleDataset.from_records(replace_title(rec, name) for rec in ds.records)
-            for ds, name in zip(generate(replace(spec, targets_kbps=targets)), titles)
-        ]
-        if targets == CLOSE_TARGETS:
-            datasets.append(_shared_record_title())
-        with tempfile.TemporaryDirectory() as tmp:
-            corpus, plan = _write_corpus(Path(tmp), datasets, targets)
-            flags = ["--input", corpus, "--plan", plan,
-                     *(f for a in alphas for f in ("--alpha", a)),
-                     *(f for m in methods for f in ("--method", m)),
-                     *(["--cross-target"] if cross_target else [])]
-            _assert_matches_oracle(flags, reference, Path(tmp))
+    (record, target) of a title, equal what ``reference.run`` renders from a
+    dict payload per rung with ``json.dumps`` and ``csv.writer``; the drawn
+    corpora and command lines are ``test_reference``'s."""
 
     def test_one_record_serves_two_rungs_of_a_ladder(self, tmp_path):
-        datasets = [_shared_record_title()]
+        datasets = [shared_record_title()]
         corpus, plan = _write_corpus(tmp_path, datasets, CLOSE_TARGETS)
         flags = ["--input", corpus, "--plan", plan, "--alpha", 0,
                  "--method", "arcs", "--method", "fixed", "--cross-target"]
-        _assert_matches_oracle(flags, "default", tmp_path)
+        _assert_matches_reference(flags, tmp_path)
         assert (tmp_path / "report" / "report.json").exists()
         shared = json.loads((tmp_path / "ladders" / 'shared, "x"__cvvdp__arcs__alpha0.json')
                             .read_text(encoding="utf-8"))
@@ -1634,8 +1340,8 @@ class TestRungText:
         cfg, metric = cli.RunConfig(inputs=()), QualityMetric.CVVDP_JOD
         rungs = cli._RungText()
         for ladder in ladders:
-            assert cli._ladder_json(ladder, metric, cfg, rungs, "\n") + "\n" == (
-                oracle_json_text(oracle_ladder_payload(ladder, metric, cfg)))
+            assert cli._ladder_json(ladder, metric, cfg, rungs, "\n") + "\n" == reference.json_text(
+                reference.ladder_payload(ladder, metric.value, cfg.mode.value, cfg.tolerance))
         columns = ["title", "metric", "method", "alpha", "target_kbps", "actual_kbps",
                    "quality", "decode_s_per_frame", "chroma", "height"]
         text = cli._ReportText(cfg, [("t", metric, ladders, [])], csv=True)
@@ -1705,17 +1411,18 @@ class TestRungText:
             Method.ARCS: Ladder(title, Method.ARCS, (Rung(1000.0, low, -0.0), Rung(2000.0, high),
                                                      Rung(4000.0)), 1e-07),
         }
-        for method, ladder in ladders.items():
-            monkeypatch.setitem(cli._BUILDERS, method,
-                                lambda cfg, plan, index, alpha, ladder=ladder: ladder)
         values = {CurveAxis.QUALITY_VS_LOG_RATE: 1e16, CurveAxis.QUALITY_VS_LOG_TIME: -0.0}
-        monkeypatch.setattr(cli, "bd_delta", lambda ref, test: BDResult(
-            values[ref.axis_kind], (5e-324, 1.7976931348623157e+308), ref.metric, ref.axis_kind))
+        # The CLI and the reference both call these by their module's name.
+        for module in (cli, reference):
+            monkeypatch.setattr(module, "optimize_arcs", lambda *_: ladders[Method.ARCS])
+            monkeypatch.setattr(module, "build_default", lambda *_: ladders[Method.DEFAULT])
+            monkeypatch.setattr(module, "bd_delta", lambda ref, test: BDResult(
+                values[ref.axis_kind], (5e-324, 1.7976931348623157e+308), ref.metric, ref.axis_kind))
         corpus = tmp_path / "corpus.csv"
         corpus.write_text(serialize_dataset([TitleDataset.from_records(
             [record(title, 1080, C444, t) for t in (1000.0, 2000.0, 4000.0)])]), encoding="utf-8")
         flags = ["--input", corpus, "--alpha", 1e-07, "--method", "arcs", "--method", "default"]
-        _assert_matches_oracle(flags, "default", tmp_path)
+        _assert_matches_reference(flags, tmp_path)
         written = {path.name: path.read_text(encoding="utf-8")
                    for path in (tmp_path / "report").iterdir()}
         for text in (written["report.json"], written["report_curves.csv"]):

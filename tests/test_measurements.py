@@ -30,14 +30,12 @@ from chromaladder.errors import (
     NonPositiveValue,
 )
 from chromaladder import measurements
-from chromaladder.cli import _datasets
 from chromaladder.measurements import CSV_HEADER
 from helpers import (
     C420,
     C422,
     C444,
     grid_dataset,
-    oracle_datasets,
     oracle_parse_dataset,
     record,
 )
@@ -397,7 +395,7 @@ class TestSinglePassIngest:
         for text in texts:
             assert _outcome(lambda: parse_dataset(text)) == _outcome(
                 lambda: oracle_parse_dataset(text))
-        assert _outcome(lambda: _datasets(texts)) == _outcome(lambda: oracle_datasets(texts))
+        assert _outcome(lambda: parse_dataset(texts)) == _outcome(lambda: oracle_parse_dataset(texts))
 
     def test_duplicate_beats_an_earlier_mixed_metric(self):
         with pytest.raises(DuplicateRecord, match="title 'a', .*chroma 422"):
