@@ -1,0 +1,321 @@
+"""Mutation analysis: which test kills each one-place edit of the library.
+
+Run from anywhere, with no flags::
+
+    python scripts/mutation.py
+
+It makes a fixed, seeded sample of mutants of ``ladder.py``, ``bdmetrics.py``,
+``measurements.py``, ``objective.py`` and the renderer of ``cli.py`` (the
+text and file writers, from ``to_json_text`` to ``_render_summary``), at
+most ``PER_MODULE`` per module. A mutant is one edit at one place:
+
+* ``cmp``: flip a comparison, ``<`` and ``<=``, ``>`` and ``>=``, ``==``
+  and ``!=``;
+* ``arith``: swap ``+`` and ``-``, or ``*`` and ``/`` (augmented assignments
+  too);
+* ``int+1``: add 1 to an int constant;
+* ``raise->pass`` and ``continue->pass``: replace the statement with ``pass``;
+* ``swap``: swap two adjacent entries of a returned tuple.
+
+Each module's sites are found with ``ast`` and edited in the source text at
+that place only. The sample takes the operators in turn, each in a seeded
+order, so that every operator with a site in a module is sampled there;
+``PINNED`` mutants are always in it.
+
+Each mutant runs in a fresh temporary copy of the repository (without
+``.git`` or ``.hypothesis``), where pyproject's ``pythonpath = ["src"]``
+imports the mutated file. The module's own test files run first, with
+``pytest -q -x -p no:cacheprovider --hypothesis-seed=0``; the other test files
+run only if they all pass. A row records the first failing test
+(``killed_by``), ``survived``, or, for the mutants in ``EQUIVALENT``,
+``equivalent`` with the reason, and those are not run. The table, with the
+sha256 of each mutated file, is written to ``MUTATION_kill_table.json`` at the
+repository root; nothing else is written in the working tree. Before any
+mutant, the unmutated copy must pass the whole suite.
+"""
+
+from __future__ import annotations
+
+import ast
+import hashlib
+import json
+import random
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TABLE = ROOT / "MUTATION_kill_table.json"
+SEED = 1978
+PER_MODULE = 40
+WORKERS = 2
+TIMEOUT_S = 600
+PYTEST = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0")
+
+# The cli names that render and write text: the renderer.
+RENDERER = frozenset({
+    "to_json_text", "_finite_float", "_encode_str", "_SCALAR_TEXT", "_write_json", "_scalar",
+    "_Deferred", "_list_json", "_SLOT", "_SHAPES", "_template", "_rung_head_template",
+    "_rung_fields", "_RungText", "_ladder_json", "_ReportText", "_csv_alpha", "_config_payload",
+    "_alpha_tag", "_alpha_label", "_WRITE_SLICE", "_write_text", "_csv_lines", "_check_finite",
+    "_emit", "_COLUMN_LABEL", "_title_text", "_render_markdown", "_render_summary",
+})
+
+# Mutated file: (top-level names mutated, None for all; its own test files).
+TARGETS = {
+    "src/chromaladder/ladder.py": (None, ("tests/test_ladder.py",)),
+    "src/chromaladder/bdmetrics.py": (None, ("tests/test_bdmetrics.py",)),
+    "src/chromaladder/measurements.py": (None, ("tests/test_measurements.py",)),
+    "src/chromaladder/objective.py": (None, ("tests/test_objective.py",)),
+    "src/chromaladder/cli.py": (RENDERER, ("tests/test_cli.py", "tests/test_reference.py")),
+}
+
+# Always sampled, as (file, top-level name, operator, original text): the
+# documented tie order's resolution and chroma keys, and the end-slope clamp.
+PINNED = (
+    ("src/chromaladder/ladder.py", "_rung_key", "swap", "-hf[0]"),
+    ("src/chromaladder/bdmetrics.py", "_edge_slope", "cmp", ">"),
+)
+
+# Mutants that no input can tell from the original, by id, with the reason.
+EQUIVALENT = {
+    "ladder.py:353:26:int+1":
+        "sizes[0] only bounds the start layer's state numbers when the backward pass "
+        "renumbers them; the extra state is never used, so it gets no number",
+    "ladder.py:360:60:cmp":
+        "when pool[lo] == cap the new cap is assigned the value it already has",
+    "bdmetrics.py:166:22:cmp":
+        "at seg_a == seg_b the part integral is exactly +0.0, and 0.0 + 0.0 is 0.0",
+    "bdmetrics.py:172:33:cmp":
+        "at a == x[lo] the part integral runs t from (a - x[lo]) / h = 0.0 to "
+        "(x[lo + 1] - x[lo]) / h = 1.0, the operations that make whole[lo], so it equals "
+        "whole[lo] bit for bit",
+    "bdmetrics.py:177:20:cmp":
+        "at x[hi] == b the part integral is exactly +0.0, and a sum that starts at 0.0 "
+        "is never -0.0, so adding it changes nothing",
+    "bdmetrics.py:222:42:cmp":
+        "s0 == 0.0 is handled by the test before it, so s0 <= 0 and s0 < 0 agree here",
+    "bdmetrics.py:222:54:cmp":
+        "s1 == 0.0 is handled by the test before it, so s1 <= 0 and s1 < 0 agree here",
+    "bdmetrics.py:241:42:cmp":
+        "the line runs only when _sign(d) == _sign(d0) != 0, so abs(d) == 3 * abs(d0) "
+        "means d == 3 * d0 and both branches return the same float",
+    "cli.py:570:16:int+1":
+        "_WRITE_SLICE sets how many characters each write call takes; the file's bytes "
+        "are the same",
+    "cli.py:570:21:int+1":
+        "_WRITE_SLICE sets how many characters each write call takes; the file's bytes "
+        "are the same",
+}
+
+_OP = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
+       ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+_FLIP = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
+         "+": "-", "-": "+", "*": "/", "/": "*"}
+_OP_TEXT = re.compile(r"<=|>=|==|!=|<|>|[-+*/]=?")
+
+
+class _Source:
+    """A module's text, with ``ast`` positions (1-based lines, UTF-8 byte
+    columns) turned into string offsets."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.lines = text.splitlines(keepends=True)
+        self.starts = [0]
+        for line in self.lines:
+            self.starts.append(self.starts[-1] + len(line))
+
+    def offset(self, lineno: int, col: int) -> int:
+        line = self.lines[lineno - 1]
+        return self.starts[lineno - 1] + len(line.encode("utf-8")[:col].decode("utf-8"))
+
+    def span(self, node: ast.AST) -> tuple[int, int]:
+        return (self.offset(node.lineno, node.col_offset),
+                self.offset(node.end_lineno, node.end_col_offset))
+
+    def position(self, offset: int) -> tuple[int, int]:
+        """(line, column), both 1-based, of a string offset."""
+        lineno = next(i for i, start in enumerate(self.starts) if start > offset)
+        return lineno, offset - self.starts[lineno - 1] + 1
+
+
+def _operator_site(src: _Source, operator: str, left: ast.AST, op: ast.AST, right: ast.AST,
+                   suffix: str = "") -> list[tuple]:
+    """The site of ``op`` (written with ``suffix``, "=" in an augmented
+    assignment) between two operands, which hold only brackets, spaces and
+    the operator between them; none if ``op`` is not flipped."""
+    text = _OP.get(type(op))
+    if text is not None:
+        for match in _OP_TEXT.finditer(src.text, src.span(left)[1], src.span(right)[0]):
+            if match.group() == text + suffix:
+                return [(operator, match.start(), match.start() + len(text), _FLIP[text])]
+    return []
+
+
+def _sites(src: _Source, tree: ast.Module, names) -> list[tuple]:
+    """Every mutation site of the module's top-level statements that bind one
+    of ``names`` (all when None), as (top-level name, operator, start, end,
+    replacement), a replacement of ``text[start:end]``."""
+    sites = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            name = stmt.name
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            name = targets[0].id if isinstance(targets[0], ast.Name) else None
+        else:
+            continue
+        if name is None or (names is not None and name not in names):
+            continue
+        for node in ast.walk(stmt):
+            sites.extend((name, *site) for site in _node_sites(src, node))
+    return sites
+
+
+def _node_sites(src: _Source, node: ast.AST) -> list[tuple]:
+    out = []
+    if isinstance(node, ast.Compare):
+        for left, op, right in zip([node.left, *node.comparators], node.ops, node.comparators):
+            out += _operator_site(src, "cmp", left, op, right)
+    elif isinstance(node, ast.BinOp):
+        out += _operator_site(src, "arith", node.left, node.op, node.right)
+    elif isinstance(node, ast.AugAssign):
+        out += _operator_site(src, "arith", node.target, node.op, node.value, "=")
+    elif isinstance(node, ast.Constant) and type(node.value) is int:
+        start, end = src.span(node)
+        out.append(("int+1", start, end, repr(node.value + 1)))
+    elif isinstance(node, (ast.Raise, ast.Continue)):
+        start, end = src.span(node)
+        out.append(("raise->pass" if isinstance(node, ast.Raise) else "continue->pass",
+                    start, end, "pass"))
+    elif isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple):
+        for a, b in zip(node.value.elts, node.value.elts[1:]):
+            (a0, a1), (b0, b1) = src.span(a), src.span(b)
+            first, second = src.text[a0:a1], src.text[b0:b1]
+            if first != second:
+                out.append(("swap", a0, b1, second + src.text[a1:b0] + first))
+    return out
+
+
+def mutants(path: str, text: str) -> list[dict]:
+    """The module's sampled mutants, in source order: ``id``
+    (``file:line:col:operator``), ``start``, ``end``, ``replacement`` and
+    ``edit`` (the changed lines before and after)."""
+    names, _ = TARGETS[path]
+    src = _Source(text)
+    sites = _sites(src, ast.parse(text), names)
+    by_operator: dict[str, list] = {}
+    for site in sites:
+        by_operator.setdefault(site[1], []).append(site)
+    for operator, group in sorted(by_operator.items()):
+        random.Random(f"{SEED}:{path}:{operator}").shuffle(group)
+    chosen = {site for site in sites for file, name, operator, original in PINNED
+              if (file, name, operator) == (path, site[0], site[1])
+              and text.startswith(original, site[2])}
+    queues = [group for _, group in sorted(by_operator.items())]
+    while len(chosen) < PER_MODULE and any(queues):
+        for group in queues:
+            if group and len(chosen) < PER_MODULE:
+                chosen.add(group.pop())
+    out = []
+    for name, operator, start, end, replacement in sorted(chosen, key=lambda s: s[2:] + s[:2]):
+        lineno, col = src.position(start)
+        first, last = src.starts[lineno - 1], src.starts[src.position(end)[0]]
+        mutated = text[first:start] + replacement + text[end:last]
+        out.append({
+            "id": f"{Path(path).name}:{lineno}:{col}:{operator}",
+            "start": start, "end": end, "replacement": replacement,
+            "edit": {"from": text[first:last].strip(), "to": mutated.strip()},
+        })
+    return out
+
+
+def _copy(into: Path) -> Path:
+    repo = into / "repo"
+    shutil.copytree(ROOT, repo, ignore=shutil.ignore_patterns(
+        ".git", ".hypothesis", ".pytest_cache", "__pycache__", TABLE.name))
+    return repo
+
+
+def _pytest(repo: Path, files) -> str | None:
+    """The first failing test of ``files`` in ``repo``, or None if all pass."""
+    try:
+        proc = subprocess.run(
+            [sys.executable, *PYTEST, *files], cwd=repo, capture_output=True, text=True,
+            timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return f"timeout after {TIMEOUT_S} s"
+    if proc.returncode == 0:
+        return None
+    found = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", proc.stdout, re.M)
+    return found.group(1) if found else f"pytest exit {proc.returncode}"
+
+
+def _other_tests(own) -> list[str]:
+    return [str(p.relative_to(ROOT)) for p in sorted((ROOT / "tests").glob("test_*.py"))
+            if str(p.relative_to(ROOT)) not in own]
+
+
+def run_mutant(path: str, text: str, mutant: dict) -> dict:
+    """The mutant's row: its id, edit, and ``killed_by`` or ``survived``."""
+    own = TARGETS[path][1]
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        repo = _copy(Path(tmp))
+        (repo / path).write_text(
+            text[:mutant["start"]] + mutant["replacement"] + text[mutant["end"]:], encoding="utf-8")
+        killer = _pytest(repo, own) or _pytest(repo, _other_tests(own))
+    row = {"id": mutant["id"], "edit": mutant["edit"]}
+    if killer is None:
+        row["survived"] = True
+    else:
+        row["killed_by"] = killer
+    return row
+
+
+def main() -> int:
+    texts = {path: (ROOT / path).read_text(encoding="utf-8") for path in TARGETS}
+    jobs = [(path, m) for path, text in texts.items() for m in mutants(path, text)]
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        failing = _pytest(_copy(Path(tmp)), ["tests"])
+    if failing is not None:
+        print(f"the unmutated suite fails ({failing}); no mutant was run", file=sys.stderr)
+        return 1
+    start = time.monotonic()
+
+    def row(job):
+        path, mutant = job
+        if mutant["id"] in EQUIVALENT:
+            return {"id": mutant["id"], "edit": mutant["edit"],
+                    "equivalent": EQUIVALENT[mutant["id"]]}
+        got = run_mutant(path, texts[path], mutant)
+        print(f"{got['id']}: {got.get('killed_by', 'survived')}", file=sys.stderr, flush=True)
+        return got
+
+    with ThreadPoolExecutor(WORKERS) as pool:
+        rows = list(pool.map(row, jobs))
+    status = [next(k for k in ("killed_by", "survived", "equivalent") if k in r) for r in rows]
+    table = {
+        "command": " ".join(["python", *PYTEST]),
+        "seed": SEED,
+        "per_module": PER_MODULE,
+        "files": {path: {"sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+                         "own_tests": list(TARGETS[path][1]),
+                         "mutants": sum(p == path for p, _ in jobs)}
+                  for path, text in texts.items()},
+        "counts": {k: status.count(k) for k in ("killed_by", "survived", "equivalent")},
+        "rows": rows,
+    }
+    TABLE.write_text(json.dumps(table, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    print(f"{len(rows)} mutants in {time.monotonic() - start:.0f} s: {table['counts']}",
+          file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -33,9 +33,7 @@ JSON is emitted with a fixed field order, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -75,6 +73,7 @@ from .measurements import (
     ChromaFormat,
     QualityMetric,
     TitleDataset,
+    csv_line_writer,
     dataset_warnings,
     parse_dataset,
     serialize_dataset,
@@ -267,7 +266,7 @@ def _read_datasets(paths: Iterable[Path]) -> list[TitleDataset]:
     def texts():
         for path in paths:
             read.append(path)
-            yield Path(path).read_text(encoding="utf-8")
+            yield _read_text(path)
 
     try:
         return _datasets(texts())
@@ -277,8 +276,15 @@ def _read_datasets(paths: Iterable[Path]) -> list[TitleDataset]:
         key, metric = exc.key, exc.record.quality.metric
         holders = [str(path) for path in dict.fromkeys(read)
                    if any(r.key == key and r.quality.metric is metric
-                          for r in source_records(Path(path).read_text(encoding="utf-8")))]
+                          for r in source_records(_read_text(path)))]
         raise DatasetError(f"{', '.join(holders)}: {exc}") from exc
+
+
+def _read_text(path: Path) -> str:
+    """The text of an input file with its line ends as written: a quoted
+    ``"\r"`` in a CSV field stays ``"\r"``, as it does in a JSON string."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
 
 
 def _evaluate(cfg: RunConfig, builders: dict[Method, Callable]
@@ -488,7 +494,7 @@ class _ReportText:
         self.cfg, self.titles = cfg, titles
         self.bd_rows: list[str] | None = [] if csv else None
         self.curve_rows: list[str] | None = [] if csv else None
-        self.line = _csv_line_writer()
+        self.line = csv_line_writer()
 
     def entries(self) -> list[_Deferred]:
         return [_Deferred(functools.partial(self._title, entry)) for entry in self.titles]
@@ -572,24 +578,8 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    line = _csv_line_writer()
+    line = csv_line_writer()
     return line(header) + "".join(map(line, rows))
-
-
-def _csv_line_writer() -> Callable[[Sequence], str]:
-    """A function that returns one row as ``_csv_lines`` writes it. Each field
-    is quoted on its own, so rows can be joined from parts."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-
-    def line(row: Sequence) -> str:
-        writer.writerow(row)
-        text = out.getvalue()
-        out.seek(0)
-        out.truncate()
-        return text
-
-    return line
 
 
 def _check_finite(values: Iterable[float]) -> None:
@@ -615,6 +605,13 @@ def _emit(cfg: RunConfig, payload, files: Sequence[tuple[str, str, Callable[[], 
 
 
 _COLUMN_LABEL = {"cvvdp": "BDR_C/BDDT_C", "psnr": "BDR_P/BDDT_P"}
+
+
+def _title_text(title: str) -> str:
+    """A title as a ``SKIP`` or ``excluded`` line prints it: as a JSON string
+    literal if it holds a control character (below U+0020), so that each
+    title keeps to its one line."""
+    return _encode_str(title) if any(c < " " for c in title) else title
 
 
 def _render_markdown(heading: str, reference: Method, rows: list[dict], excluded: list[dict]) -> str:
@@ -644,8 +641,8 @@ def _render_summary(reference: Method, rows: list[dict], excluded: list[dict]) -
             f"{row['mean_bdr_percent']:>10.2f} {row['mean_bddt_percent']:>11.2f} "
             f"{row['titles_used']:>7}"
         )
-    lines += [f"excluded {ex['title']}/{ex['metric']} {ex['method']} alpha={_alpha_label(ex['alpha'])}: "
-              f"{ex['reason']}" for ex in excluded]
+    lines += [f"excluded {_title_text(ex['title'])}/{ex['metric']} {ex['method']} "
+              f"alpha={_alpha_label(ex['alpha'])}: {ex['reason']}" for ex in excluded]
     return lines
 
 
@@ -663,7 +660,7 @@ def cmd_validate(args) -> int:
         datasets, parsed = [], []  # parsed: (path, whether it holds a record)
         for path in cfg.inputs:
             try:
-                parsed.append((path, bool(parse_dataset(Path(path).read_text(encoding="utf-8")))))
+                parsed.append((path, bool(parse_dataset(_read_text(path)))))
             except (DatasetError, OSError) as exc:
                 errors.append(f"{path}: {exc}")
         if any(found for _, found in parsed) or not errors:
@@ -716,8 +713,8 @@ def cmd_optimize(args) -> int:
             if ex is None:
                 ladders.append((built[0], metric, rungs))
             else:
-                skipped.append(f"{ex['title']}/{ex['metric']}/{ex['method']}{_alpha_tag(ex['alpha'])}: "
-                               f"{ex['reason']}")
+                skipped.append(f"{_title_text(ex['title'])}/{ex['metric']}/{ex['method']}"
+                               f"{_alpha_tag(ex['alpha'])}: {ex['reason']}")
     # Each ladder file's text is made where to_json_text reaches it.
     payloads = [_Deferred(functools.partial(_ladder_json, ladder, metric, cfg, rungs))
                 for ladder, metric, rungs in ladders]

@@ -77,10 +77,6 @@ class AllRungsAbsent(LadderError):
     """No target bitrate has any usable candidate."""
 
 
-class SearchSpaceTooLarge(LadderError):
-    pass
-
-
 class PlanTargetUnknown(LadderError):
     def __init__(self, target):
         super().__init__(f"plan names target {target} kbps, not in the dataset")

@@ -65,7 +65,6 @@ from .errors import (
     InvalidPlan,
     NoPresentRungs,
     PlanTargetUnknown,
-    SearchSpaceTooLarge,
 )
 from .measurements import (
     ChromaFormat,
@@ -75,8 +74,6 @@ from .measurements import (
     candidates_for,
 )
 from .objective import bounds_for, checked_alpha, normalized_terms
-
-ENUMERATION_GUARD = 10**7
 
 _DECODE_TIME = operator.attrgetter("decode_time")
 
@@ -238,8 +235,7 @@ class _View:
 
     def choose(self, alpha: float, solver) -> list[int | None]:
         """The solver's candidate position per rung (None for an absent
-        rung) at ``alpha``; ``solver`` is ``_relax``, ``_solve_greedy`` or
-        ``_solve_enumerate``."""
+        rung) at ``alpha``; ``solver`` is ``_relax`` or ``_solve_greedy``."""
         if not self.present:
             raise AllRungsAbsent(f"title {self.title_id!r}: no candidate at any target bitrate")
         pools = self.pools
@@ -285,7 +281,7 @@ _ABSENT_KEY = (0, 0.0, 0.0, 0, 0, 0.0, 0.0)
 # absent rung). A graph's kernel (see below) returns the same from the view's
 # q'/d' columns and alpha.
 #
-# Both exact solvers search the space of maximal assignments. An absent rung
+# The exact solver searches the space of maximal assignments. An absent rung
 # whose pool still holds candidates feasible w.r.t. the previous present rung
 # is allowed only if the *next* present rung blocks every such candidate
 # (i.e. stepping from the candidate to that rung would violate the chain);
@@ -295,8 +291,7 @@ _ABSENT_KEY = (0, 0.0, 0.0, 0, 0, 0.0, 0.0)
 # Blocking has a convenient shape: choice y blocks candidate x exactly when
 # (height, fidelity) of y is lexicographically below x. The DP therefore only
 # needs the lexicographic minimum of the pending candidates as a cap on the
-# next present choice, while the enumeration oracle keeps the literal pending
-# list and applies the definition directly.
+# next present choice.
 #
 # The DP states are (last present (height, fidelity), cap), each None when
 # unset. Which states are reachable, and the edges between them, depend only
@@ -525,47 +520,6 @@ def _solve_greedy(pools, js) -> list[int | None]:
     return out
 
 
-def _solve_enumerate(pools, js) -> list[int | None]:
-    size = 1
-    for pool in pools:
-        size *= max(1, len(pool))
-    if size > ENUMERATION_GUARD:
-        raise SearchSpaceTooLarge(
-            f"candidate-count product {size} exceeds {ENUMERATION_GUARD}"
-        )
-    n = len(pools)
-    best: tuple | None = None
-
-    def walk(i, last, pending, score, keys, choices):
-        nonlocal best
-        if i == n:
-            if pending:
-                return  # a trailing absence could still be flipped in
-            if best is None or (score, keys) > (best[0], best[1]):
-                best = (score, keys, choices)
-            return
-        pool, jl = pools[i], js[i]
-        feasible = tuple(k for k, c in enumerate(pool) if last is None or _step_ok(last, c[3]))
-        walk(
-            i + 1,
-            last,
-            pending + tuple(pool[k][3] for k in feasible),
-            score,
-            keys + (_ABSENT_KEY,),
-            choices + (None,),
-        )
-        for k in feasible:
-            hf = pool[k][3]
-            if any(_step_ok(x, hf) for x in pending):
-                continue  # some skipped candidate would still fit before this one
-            walk(i + 1, hf, (), score + jl[k], keys + (_rung_key(pool[k], jl[k]),),
-                 choices + (k,))
-
-    walk(0, None, (), 0.0, (), ())
-    assert best is not None
-    return list(best[2])
-
-
 # -- builders -----------------------------------------------------------------
 
 
@@ -607,12 +561,6 @@ def optimize_arcs(
     candidates feasible w.r.t. the previous present rung.
     """
     return _build(index, Method.ARCS, alpha, None, _solver(mode))
-
-
-def enumerate_optimal(index: CandidateIndex, alpha: float) -> Ladder:
-    """Exhaustive-search oracle; identical contract and tie-breaking as
-    ``optimize_arcs`` with ``GLOBAL_DP``. Guarded against large search spaces."""
-    return _build(index, Method.ARCS, alpha, None, _solve_enumerate)
 
 
 def build_dynres(

@@ -27,7 +27,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import (
     DuplicateRecord,
@@ -456,6 +456,26 @@ def _datasets_from_rows(rows: Iterable[tuple[int, Sequence]]) -> list[TitleDatas
 # -- serialization ----------------------------------------------------------
 
 
+def csv_line_writer() -> Callable[[Sequence], str]:
+    """A function that returns one row as CSV text ending in ``"\n"``. Each
+    field is quoted on its own, so rows can be joined from parts, and a field
+    that holds ``"\r"`` or ``"\n"`` is quoted on every interpreter: csv
+    quotes the characters of its line terminator (Python 3.13 quotes both
+    whatever the terminator), so lines are written ending in ``"\r\n"`` and
+    end in ``"\n"`` when returned."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\r\n")
+
+    def line(row: Sequence) -> str:
+        writer.writerow(row)
+        text = out.getvalue()
+        out.seek(0)
+        out.truncate()
+        return text[:-2] + "\n"
+
+    return line
+
+
 def serialize_dataset(datasets: Iterable[TitleDataset], fmt: str = "csv") -> str:
     """Serialize datasets back to the CSV or JSON wire form (round-trip exact)."""
     rows = []
@@ -463,23 +483,20 @@ def serialize_dataset(datasets: Iterable[TitleDataset], fmt: str = "csv") -> str
         for r in ds.records:
             rows.append(r)
     if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.title_id,
-                    r.resolution.height,
-                    r.chroma.value,
-                    repr(r.target_bitrate),
-                    repr(r.actual_bitrate),
-                    r.quality.metric.value,
-                    repr(r.quality.value),
-                    repr(r.decode_time),
-                ]
-            )
-        return out.getvalue()
+        line = csv_line_writer()
+        return line(CSV_HEADER) + "".join(
+            line([
+                r.title_id,
+                r.resolution.height,
+                r.chroma.value,
+                repr(r.target_bitrate),
+                repr(r.actual_bitrate),
+                r.quality.metric.value,
+                repr(r.quality.value),
+                repr(r.decode_time),
+            ])
+            for r in rows
+        )
     if fmt == "json":
         objs = [
             {

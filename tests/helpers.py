@@ -1,6 +1,7 @@
 """Shared constructors for hand-built, randomized and edge-case measurement
-datasets, ladder summaries (present rungs, summed objective, chroma shares), a
-vectorized PCHIP evaluator for quadrature checks, and the frozen layers that
+datasets, ladder summaries (present rungs, summed objective, chroma shares),
+the exhaustive ladder oracle ``definitional_best``, a vectorized PCHIP
+evaluator for quadrature checks, and the frozen layers that
 the live ones must match: a numpy-scalar PCHIP integrator for bit-exact BD
 integration, a row-by-row ingest for the parser's fast path, and a DP graph
 compiler that keeps every reachable state for the live-state graphs. The
@@ -28,6 +29,7 @@ from chromaladder import (
     TitleDataset,
     bounds_for,
     candidates_for,
+    composite_normalized,
     normalized_log_time,
     normalized_quality,
 )
@@ -217,6 +219,77 @@ def ladder_sums(ladder, dataset):
         if r.choice is not None
     )
     return sq, sd
+
+
+# -- exhaustive ladder oracle: the documented rules, from public names only ----------
+
+
+def _rises(prev, nxt) -> bool:
+    """The chain rule between consecutive present rungs, each (height,
+    fidelity rank): resolution never decreases, and within one resolution
+    chroma fidelity never decreases."""
+    if nxt[0] != prev[0]:
+        return nxt[0] > prev[0]
+    return nxt[1] >= prev[1]
+
+
+def chain_feasible(chosen) -> bool:
+    """Whether the present rungs of ``chosen`` (a record or None per target)
+    keep the chain rule, pair by pair."""
+    hfs = [(rec.resolution.height, rec.chroma.fidelity_rank) for rec in chosen if rec is not None]
+    return all(_rises(a, b) for a, b in zip(hfs, hfs[1:]))
+
+
+def is_maximal(chosen, pools) -> bool:
+    """Whether no absent rung of ``chosen`` could take a candidate of its pool
+    and keep the chain feasible."""
+    return not any(
+        chain_feasible([*chosen[:i], cand, *chosen[i + 1:]])
+        for i, rec in enumerate(chosen) if rec is None for cand in pools[i])
+
+
+def definitional_best(dataset, alpha, tolerance=0.10, chroma=None, cross_target=False):
+    """The best maximal ladder, as one record or None per target, by
+    exhaustive enumeration of every chain-feasible choice per rung.
+
+    It is ranked by its summed ``composite_normalized`` objective, added in
+    target order, then by its rung keys in target order, each rung's key
+    being the documented tie order: present, higher objective, lower decode
+    time, lower resolution, lower chroma fidelity, then lower target and
+    actual bitrate. All rungs are None when no target has a candidate."""
+    pools = [[r for r in candidates_for(dataset, t, tolerance, cross_target=cross_target)
+              if chroma is None or r.chroma is chroma] for t in dataset.bitrate_targets]
+    bounds = bounds_for(dataset)
+    best = None
+
+    def walk(chosen):
+        nonlocal best
+        if len(chosen) < len(pools):
+            for rec in (None, *pools[len(chosen)]):
+                if rec is None or chain_feasible((*chosen, rec)):
+                    walk((*chosen, rec))
+            return
+        if not is_maximal(chosen, pools):
+            return
+        score, keys = 0.0, []
+        for rec in chosen:
+            if rec is None:
+                keys.append((0, 0.0, 0.0, 0, 0, 0.0, 0.0))
+                continue
+            j = composite_normalized(rec, bounds, alpha)
+            score += j
+            keys.append((1, j, -rec.decode_time, -rec.resolution.height,
+                         -rec.chroma.fidelity_rank, -rec.target_bitrate, -rec.actual_bitrate))
+        if best is None or (score, keys) > best[:2]:
+            best = (score, keys, chosen)
+
+    walk(())
+    return best[2]
+
+
+def choices_of(ladder):
+    """The ladder's choice per rung: a record, or None for an absent rung."""
+    return tuple(r.choice for r in ladder.rungs)
 
 
 # -- frozen numpy-scalar PCHIP: the reference for bit-exact BD integration --------

@@ -4,15 +4,15 @@ and ``pmf``, from chromaladder's public API alone.
 ``run(argv)`` returns what ``cli.main(argv)`` gives: the exit code, stdout,
 stderr and the text of each file written under ``--out``. Each (method, alpha)
 builds its ladders and BD deltas afresh; pmf counts the rungs of the built
-ladders. Text comes from ``json.dumps``, ``csv.writer`` and f-strings. It
-covers the command lines that the CLI accepts, with readable inputs, titles
-without ``/`` and alphas whose ladder file names differ.
+ladders. Text comes from ``json.dumps``, f-strings and ``csv_text``, which
+quotes a field that holds ``,``, ``"``, ``\r`` or ``\n``. Inputs are read
+with their line ends as written. It covers the command lines that the CLI
+accepts, with readable inputs, titles without ``/`` and alphas whose ladder
+file names differ.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -69,7 +69,7 @@ def run(argv) -> Outcome:
         if len(cfg.alphas) < 2:
             return Outcome(1, stderr="error: sweep needs at least two --alpha values\n")
         cfg.alphas.sort()
-    datasets = parse_dataset([Path(p).read_text(encoding="utf-8") for p in cfg.inputs])
+    datasets = parse_dataset([read_text(p) for p in cfg.inputs])
     if not datasets:
         return Outcome(1, stderr="error: no datasets in input\n")
     if cfg.plan is None and "fixed" in (*cfg.methods, cfg.reference):
@@ -136,7 +136,7 @@ def _optimize(cfg, datasets, evaluated) -> Outcome:
                if built]
     excluded = [x for evaluations in evaluated for *_, x in evaluations if x]
     payload = {"ladders": ladders, "excluded": excluded}
-    stdout = "".join(f"SKIP {x['title']}/{x['metric']}/{x['method']}{_tag(x['alpha'])}: "
+    stdout = "".join(f"SKIP {_title(x['title'])}/{x['metric']}/{x['method']}{_tag(x['alpha'])}: "
                      f"{x['reason']}\n" for x in excluded)
     if not ladders:
         return Outcome(2, stdout, "error: every ladder construction failed\n", payload=payload)
@@ -206,7 +206,7 @@ def _compare(cfg, datasets, evaluated) -> Outcome:
     summary += [f"{r['method']:<8} {_label(r['alpha']):>6} {r['metric']:<6} "
                 f"{r['mean_bdr_percent']:>10.2f} {r['mean_bddt_percent']:>11.2f} "
                 f"{r['titles_used']:>7}" for r in rows]
-    summary += [f"excluded {_excluded_line(x)}" for x in excluded]
+    summary += [f"excluded {_excluded_line(dict(x, title=_title(x['title'])))}" for x in excluded]
     return _emit(cfg, payload, files[:3] if sweep else files,
                  [*summary, f"{name} written to {cfg.out}"])
 
@@ -242,10 +242,17 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
+def read_text(path) -> str:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
 def csv_text(header, rows) -> str:
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows([header, *rows])
-    return out.getvalue()
+    def field(value) -> str:
+        text = "" if value is None else str(value)
+        return f'"{text.replace(chr(34), 2 * chr(34))}"' if any(c in text for c in ',"\r\n') else text
+
+    return "".join(",".join(map(field, row)) + "\n" for row in [header, *rows])
 
 
 def _emit(cfg, payload, files, summary) -> Outcome:
@@ -261,6 +268,11 @@ def _tag(alpha) -> str:
 
 def _label(alpha) -> str:
     return "-" if alpha is None else f"{alpha:g}"
+
+
+def _title(title: str) -> str:
+    """A title as a printed line shows it: a JSON string if it holds a control character."""
+    return json.dumps(title, ensure_ascii=False) if any(ord(c) < 32 for c in title) else title
 
 
 def _excluded_line(x: dict) -> str:

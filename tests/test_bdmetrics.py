@@ -72,6 +72,8 @@ class TestBuildCurve:
         lad = ladder_from([(600, 610, 5.0, 0.05), (1200, 1190, 4.0, 0.07)])
         with pytest.raises(TooFewPoints):
             build_curve(lad, RATE)
+        with pytest.raises(TooFewPoints, match="got 1$"):
+            RQCurve(RATE, JOD, ((5.0, 6.4),))
 
 
 class TestPchip:
@@ -235,6 +237,17 @@ class TestFloatPchipMatchesNumpy:
                                                    curve(ref.qualities, ref.ordinates))
         assert ref.fit is fit
 
+    @pytest.mark.parametrize("x, y", [([0.0], [1.0]), ([0.0, 1.0, 2.0], [0.0, 1.0])])
+    def test_needs_two_knots_of_each_coordinate(self, x, y):
+        with pytest.raises(ValueError, match="at least two points"):
+            PchipCurve(x, y)
+
+    def test_interval_outside_the_knots_rejected(self):
+        fit = PchipCurve([0.0, 1.0, 2.0], [0.0, 1.0, 3.0])
+        for a, b in ((-0.5, 1.0), (1.0, 2.5), (1.5, 0.5)):
+            with pytest.raises(ValueError, match="outside the interpolation range"):
+                fit.integrate(a, b)
+
     @pytest.mark.parametrize("x, y", [
         ([0.0, math.nan, 2.0], [0.0, 1.0, 2.0]),
         ([0.0, 1.0, 2.0], [0.0, math.inf, 2.0]),
@@ -310,6 +323,8 @@ class TestBdDelta:
         test = rate_curve([5.0, 7.0, 9.0], [450, 1400, 3800])
         out = bd_delta(ref, test)
         assert out.overlap == (5.0, 8.0)
+        with pytest.raises(ValueError, match="overlap interval must be non-empty"):
+            BDResult(0.0, (5.0, 5.0), JOD, RATE)
 
     def test_disjoint_ranges_rejected(self):
         ref = rate_curve([4.0, 5.0], [500, 1000])
@@ -401,3 +416,8 @@ class TestAggregate:
         )
         with pytest.raises(AxisMismatch):
             aggregate([a, b])
+
+    def test_mixed_metric_rejected(self):
+        results = [BDResult(1.0, (4.0, 6.0), metric, RATE) for metric in QualityMetric]
+        with pytest.raises(MetricMismatch):
+            aggregate(results)

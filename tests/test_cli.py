@@ -28,7 +28,6 @@ from chromaladder import (
     Rung,
     TitleDataset,
     default_spec,
-    enumerate_optimal,
     generate,
     parse_dataset,
     serialize_dataset,
@@ -49,6 +48,7 @@ from helpers import (
     SHARED_FAILURE_TARGETS,
     SMALL_TARGETS,
     cli_outcome,
+    definitional_best,
     grid_dataset,
     lonely_title,
     record,
@@ -116,12 +116,16 @@ class TestValidate:
     def test_title_split_over_files_counts_once(self, small_corpus, tmp_path, capsys):
         ds = parse_dataset(small_corpus.read_text(encoding="utf-8"))[0]
         half = len(ds.records) // 2
-        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-        for path, part in zip(paths, (ds.records[:half], ds.records[half:])):
-            path.write_text(serialize_dataset([TitleDataset.from_records(part)]), encoding="utf-8")
-        assert run("validate", "--input", paths[0], "--input", paths[1]) == 0
-        assert (f"validated 2 file(s): 1 title dataset(s), {len(ds.records)} record(s), "
-                "0 error(s)") in capsys.readouterr().out
+        # A CSV-quoted "\r" in a title is read as written, as a JSON string's is.
+        for title, formats in ((ds.title_id, ("csv", "csv")), ("a\rb", ("csv", "json"))):
+            records = [replace(r, title_id=title) for r in ds.records]
+            paths = [tmp_path / f"a.{formats[0]}", tmp_path / f"b.{formats[1]}"]
+            for path, fmt, part in zip(paths, formats, (records[:half], records[half:])):
+                path.write_text(serialize_dataset([TitleDataset.from_records(part)], fmt),
+                                encoding="utf-8")
+            assert run("validate", "--input", paths[0], "--input", paths[1]) == 0
+            assert (f"validated 2 file(s): 1 title dataset(s), {len(ds.records)} record(s), "
+                    "0 error(s)") in capsys.readouterr().out
 
     def test_record_repeated_across_files_exits_one_as_compare_does(self, small_corpus, capsys):
         assert run("validate", "--input", small_corpus, "--input", small_corpus) == 1
@@ -288,32 +292,14 @@ class TestOptimize:
             payload = json.loads(
                 (out / f"{ds.title_id}__cvvdp__arcs__alpha0.json").read_text(encoding="utf-8")
             )
-            want = enumerate_optimal(CandidateIndex(ds), 0.0)
             got = [
                 (r["height"], r["chroma"]) if r["present"] else None
                 for r in payload["rungs"]
             ]
             assert got == [
-                (r.choice.resolution.height, r.choice.chroma.value) if r.present else None
-                for r in want.rungs
+                None if rec is None else (rec.resolution.height, rec.chroma.value)
+                for rec in definitional_best(ds, 0.0)
             ]
-
-    def test_alpha_sweep_writes_five_ladder_sets(self, small_corpus, tmp_path):
-        out = tmp_path / "ladders"
-        code = run(
-            "optimize", "--input", small_corpus,
-            "--alpha", 0, "--alpha", 0.01, "--alpha", 0.02, "--alpha", 0.04, "--alpha", 0.08,
-            "--out", out,
-        )
-        assert code == 0
-        files = sorted(p.name for p in out.glob("synth000__cvvdp__arcs__alpha*.json"))
-        assert files == [
-            "synth000__cvvdp__arcs__alpha0.01.json",
-            "synth000__cvvdp__arcs__alpha0.02.json",
-            "synth000__cvvdp__arcs__alpha0.04.json",
-            "synth000__cvvdp__arcs__alpha0.08.json",
-            "synth000__cvvdp__arcs__alpha0.json",
-        ]
 
     @pytest.mark.parametrize("command", ["optimize", "compare", "sweep", "pmf"])
     def test_empty_input_exits_one(self, tmp_path, capsys, command):
@@ -324,22 +310,6 @@ class TestOptimize:
         )
         assert run(command, "--input", path, "--out", tmp_path / "o") == 1
         assert "error: no datasets in input" in capsys.readouterr().err
-
-    def test_all_methods_produce_files(self, small_corpus, small_plan, tmp_path):
-        out = tmp_path / "ladders"
-        code = run(
-            "optimize", "--input", small_corpus, "--alpha", 0.02,
-            "--method", "arcs", "--method", "dynres", "--method", "fixed", "--method", "default",
-            "--plan", small_plan, "--out", out,
-        )
-        assert code == 0
-        names = {p.name for p in out.glob("synth001__cvvdp__*.json")}
-        assert names == {
-            "synth001__cvvdp__arcs__alpha0.02.json",
-            "synth001__cvvdp__dynres__alpha0.02.json",
-            "synth001__cvvdp__fixed.json",
-            "synth001__cvvdp__default.json",
-        }
 
     @pytest.mark.parametrize("title", ["../../escaped", "<absolute>"])
     def test_title_cannot_lead_out_of_out_dir(self, tmp_path, capsys, title):
@@ -560,18 +530,6 @@ class TestCompare:
             assert rows and all(len(row) == len(header) for row in rows), name
             assert {row[0] for row in rows} == {title}, name
 
-    def test_csv_and_markdown_outputs(self, small_corpus, tmp_path):
-        out = tmp_path / "rep"
-        code = run(
-            "compare", "--input", small_corpus, "--method", "arcs", "--alpha", 0,
-            "--format", "json", "--format", "csv", "--format", "markdown", "--out", out,
-        )
-        assert code == 0
-        assert (out / "report_bd.csv").exists()
-        assert (out / "report_curves.csv").exists()
-        assert (out / "report_aggregate.csv").exists()
-        assert "BDR_C" in (out / "report.md").read_text(encoding="utf-8")
-
 
 class TestSweep:
     def test_bddt_non_increasing_between_endpoints(self, small_corpus, tmp_path):
@@ -737,18 +695,6 @@ class TestGraphsPerRun:
         assert [ref() for ref in compiled] == [None] * len(compiled)
 
 
-class TestConfigBlock:
-    def test_config_names_what_the_command_evaluated(self, small_corpus, capsys):
-        assert run("sweep", "--input", small_corpus, "--alpha", 0, "--alpha", 0.08) == 0
-        config = json.loads(capsys.readouterr().out)["config"]
-        assert config["methods"] == ["arcs", "dynres"]
-        assert config["reference"] == "default"
-        assert run("pmf", "--input", small_corpus, "--alpha", 0) == 0
-        config = json.loads(capsys.readouterr().out)["config"]
-        assert config["methods"] == ["arcs"]
-        assert config["reference"] is None
-
-
 class TestNegativeZero:
     """``-0`` reads as ``0`` wherever a weight or tolerance is echoed."""
 
@@ -826,22 +772,6 @@ class TestExitCodes:
         path = tmp_path / "miss.csv"
         path.write_text(serialize_dataset([TitleDataset.from_records(recs)]), encoding="utf-8")
         assert run("compare", "--input", path, "--method", "arcs", "--out", tmp_path / "r") == 2
-
-
-class TestOutputModes:
-    def test_optimize_prints_the_ladder_files_in_order(self, small_corpus, small_plan, tmp_path, capsys):
-        argv = ("optimize", "--input", small_corpus, "--alpha", 0, "--alpha", 0.04,
-                "--method", "dynres", "--method", "fixed", "--method", "arcs", "--plan", small_plan)
-        assert run(*argv) == 0
-        printed = json.loads(capsys.readouterr().out)
-        out = tmp_path / "ladders"
-        assert run(*argv, "--out", out) == 0
-        assert capsys.readouterr().out == f"wrote {len(printed)} ladder file(s) to {out}\n"
-        titles = sorted(ds.title_id for ds in parse_dataset(small_corpus.read_text(encoding="utf-8")))
-        tags = {"dynres": ["__alpha0", "__alpha0.04"], "fixed": [""], "arcs": ["__alpha0", "__alpha0.04"]}
-        names = [f"{t}__cvvdp__{m}{tag}.json" for t in titles for m in tags for tag in tags[m]]
-        assert sorted(p.name for p in out.iterdir()) == sorted(names)
-        assert [json.loads((out / n).read_text(encoding="utf-8")) for n in names] == printed
 
 
 @pytest.fixture(scope="module")

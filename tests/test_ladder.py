@@ -1,11 +1,12 @@
 """Ladder optimizer, oracle, benchmark builders, and constraint tests.
 
-The definitional oracle here re-derives everything from the documented rules:
-it enumerates every per-rung choice combination, keeps those whose present
-rungs satisfy the chain constraints and where no absent rung could be flipped
-to a present candidate (absences only where forced), and picks the best by
-(summed objective, documented tie order). It shares nothing with the package's
-dynamic program or its pruned enumeration beyond the objective values.
+The DP is checked against ``helpers.definitional_best``, which re-derives
+everything from the documented rules: it enumerates every per-rung choice
+combination, keeps those whose present rungs satisfy the chain constraints
+and where no absent rung could be flipped to a present candidate (absences
+only where forced), and picks the best by (summed objective, documented tie
+order). It shares nothing with the package's dynamic program beyond the
+public names it reads.
 """
 
 import contextlib
@@ -39,7 +40,6 @@ from chromaladder import (
     chroma_counts,
     composite_normalized,
     default_spec,
-    enumerate_optimal,
     generate,
     load_plan,
     optimize_arcs,
@@ -53,7 +53,6 @@ from chromaladder.errors import (
     InvalidPlan,
     NoPresentRungs,
     PlanTargetUnknown,
-    SearchSpaceTooLarge,
 )
 from chromaladder.ladder import graph_memo
 from chromaladder.measurements import QualityScore
@@ -61,8 +60,12 @@ from helpers import (
     C420,
     C422,
     C444,
+    chain_feasible,
+    choices_of,
     chroma_pmf,
+    definitional_best,
     grid_dataset,
+    is_maximal,
     ladder_sums,
     oracle_compile,
     present_rungs,
@@ -70,83 +73,6 @@ from helpers import (
     record,
     sum_j_prime,
 )
-
-
-# -- definitional oracle -------------------------------------------------------
-
-
-def _hf(rec):
-    return (rec.resolution.height, rec.chroma.fidelity_rank)
-
-
-def _step_ok(prev, nxt):
-    if nxt[0] != prev[0]:
-        return nxt[0] > prev[0]
-    return nxt[1] >= prev[1]
-
-
-def _chain_feasible(chosen):
-    prev = None
-    for rec in chosen:
-        if rec is None:
-            continue
-        cur = _hf(rec)
-        if prev is not None and not _step_ok(prev, cur):
-            return False
-        prev = cur
-    return True
-
-
-def _is_maximal(chosen, pools):
-    for i, rec in enumerate(chosen):
-        if rec is not None:
-            continue
-        for cand in pools[i]:
-            trial = list(chosen)
-            trial[i] = cand
-            if _chain_feasible(trial):
-                return False
-    return True
-
-
-def definitional_best(dataset, alpha, tolerance=0.10, chroma=None):
-    """Best maximal assignment by exhaustive subset enumeration."""
-    pools = [candidates_for(dataset, t, tolerance) for t in dataset.bitrate_targets]
-    if chroma is not None:
-        pools = [[r for r in pool if r.chroma is chroma] for pool in pools]
-    bounds = bounds_for(dataset)
-    jval = {r.key: composite_normalized(r, bounds, alpha) for p in pools for r in p}
-    best = None
-    for combo in itertools.product(*[[None] + list(p) for p in pools]):
-        if not _chain_feasible(combo) or not _is_maximal(combo, pools):
-            continue
-        score = 0.0
-        keys = []
-        for rec in combo:
-            if rec is None:
-                keys.append((0, 0.0, 0.0, 0, 0, 0.0, 0.0))
-            else:
-                score += jval[rec.key]
-                keys.append(
-                    (
-                        1,
-                        jval[rec.key],
-                        -rec.decode_time,
-                        -rec.resolution.height,
-                        -rec.chroma.fidelity_rank,
-                        -rec.target_bitrate,
-                        -rec.actual_bitrate,
-                    )
-                )
-        entry = (score, tuple(keys), combo)
-        if best is None or entry[:2] > best[:2]:
-            best = entry
-    assert best is not None
-    return best[2]
-
-
-def choices_of(ladder):
-    return tuple(r.choice for r in ladder.rungs)
 
 
 # -- engineered fixtures -------------------------------------------------------
@@ -260,16 +186,34 @@ class TestOptimizeArcs:
 
     def test_exact_tie_broken_toward_cheaper_then_lower(self):
         # Identical quality and decode time: lower resolution, then lower
-        # fidelity wins. Distinct decode time wins outright.
-        recs = [
-            record(height=2160, chroma=C444, target=600.0, quality=7.0, decode=0.2),
-            record(height=1080, chroma=C422, target=600.0, quality=7.0, decode=0.2),
-            record(height=1080, chroma=C420, target=600.0, quality=7.0, decode=0.2),
-            record(height=2160, chroma=C420, target=600.0, quality=7.0, decode=0.25),
+        # fidelity wins. Distinct decode time wins outright. In the second
+        # title the lower resolution has the higher fidelity, so resolution
+        # must break the tie before chroma. In the third, with --cross-target,
+        # the lower fidelity has the higher target, so chroma must break the
+        # tie before the target.
+        titles = [
+            ((1080, C420), False, [
+                record(height=2160, chroma=C444, target=600.0, quality=7.0, decode=0.2),
+                record(height=1080, chroma=C422, target=600.0, quality=7.0, decode=0.2),
+                record(height=1080, chroma=C420, target=600.0, quality=7.0, decode=0.2),
+                record(height=2160, chroma=C420, target=600.0, quality=7.0, decode=0.25),
+            ]),
+            ((1080, C444), False, [
+                record(height=2160, chroma=C420, target=600.0, quality=7.0, decode=0.2),
+                record(height=1080, chroma=C444, target=600.0, quality=7.0, decode=0.2),
+            ]),
+            ((1080, C420), True, [
+                record(height=1080, chroma=C444, target=1000.0, quality=7.0, decode=0.2),
+                record(height=1080, chroma=C420, target=1050.0, actual=1000.0, quality=7.0,
+                       decode=0.2),
+            ]),
         ]
-        ds = TitleDataset.from_records(recs)
-        ladder = optimize_arcs(CandidateIndex(ds), 0.0)
-        assert (ladder.rungs[0].choice.resolution.height, ladder.rungs[0].choice.chroma) == (1080, C420)
+        for want, cross_target, recs in titles:
+            ds = TitleDataset.from_records(recs)
+            ladder = optimize_arcs(CandidateIndex(ds, cross_target=cross_target), 0.0)
+            choice = ladder.rungs[0].choice
+            assert (choice.resolution.height, choice.chroma) == want
+            assert choices_of(ladder) == definitional_best(ds, 0.0, cross_target=cross_target)
 
     def test_greedy_is_feasible_but_can_be_myopic(self):
         recs = [
@@ -302,7 +246,6 @@ class TestOracleAgreement:
             alpha = float(rng.choice([0.0, 0.01, 0.08, 0.5, 1.0]))
             want = definitional_best(ds, alpha)
             assert choices_of(optimize_arcs(CandidateIndex(ds), alpha)) == want, f"trial {trial}"
-            assert choices_of(enumerate_optimal(CandidateIndex(ds), alpha)) == want, f"trial {trial}"
 
     def test_enumerate_matches_dp_on_larger_instances(self):
         rng = np.random.default_rng(99)
@@ -310,8 +253,7 @@ class TestOracleAgreement:
             ds = random_dataset(rng, max_targets=6)
             alpha = float(rng.uniform(0.0, 1.0))
             dp = optimize_arcs(CandidateIndex(ds), alpha)
-            oracle = enumerate_optimal(CandidateIndex(ds), alpha)
-            assert dp.rungs == oracle.rungs, f"trial {trial}"
+            assert choices_of(dp) == definitional_best(ds, alpha), f"trial {trial}"
 
     def test_greedy_never_beats_dp(self):
         rng = np.random.default_rng(4242)
@@ -321,15 +263,6 @@ class TestOracleAgreement:
             dp = optimize_arcs(CandidateIndex(ds), alpha)
             greedy = optimize_arcs(CandidateIndex(ds), alpha, mode=OptimizerMode.GREEDY_SEQUENTIAL)
             assert sum_j_prime(greedy) <= sum_j_prime(dp) + 1e-12
-
-    def test_search_space_guard(self):
-        ds = grid_dataset(
-            lambda h, c, b: 5.0 + b / 20000,
-            lambda h, c, b: 0.05,
-            targets=tuple(600.0 * (1.3**i) for i in range(10)),
-        )
-        with pytest.raises(SearchSpaceTooLarge):
-            enumerate_optimal(CandidateIndex(ds), 0.0)
 
 
 class TestScalarizationMonotonicity:
@@ -498,6 +431,8 @@ class TestBuildFixed:
         assert plan == [(600.0, 1080), (2400.0, 2160)]
         with pytest.raises(InvalidPlan):
             load_plan("bad,header\n1,2\n")
+        with pytest.raises(InvalidPlan, match="^plan row 2 is not numeric$"):
+            load_plan("target_kbps,height\n600,1080\n900,tall\n")
 
     # Plans that no title can use: load_plan and build_fixed share one check.
     BAD_PLANS = {
@@ -769,7 +704,6 @@ class TestCandidateIndex:
             dp = optimize_arcs(CandidateIndex(ds), 0.0)
         assert calls, "the tie-break on rung keys was not reached"
         assert dp.rungs[0].choice.chroma is C420  # equal score: lower fidelity wins
-        assert dp.rungs == enumerate_optimal(CandidateIndex(ds), 0.0).rungs
         assert choices_of(dp) == definitional_best(ds, 0.0)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
@@ -785,20 +719,34 @@ class TestCandidateIndex:
             dp = optimize_arcs(CandidateIndex(ds), alpha)
         assert calls, "the tie-break on rung keys was not reached"
         assert choices_of(dp) == (a, c) == definitional_best(ds, alpha)
-        assert dp.rungs == enumerate_optimal(CandidateIndex(ds), alpha).rungs
+
+    def test_present_rung_of_negative_score_beats_an_equal_absent_one(self):
+        # At alpha 1 the 600 kbps encode scores 0 - 1 = -1 and the 900 kbps
+        # 444 encode 1 - 0 = 1, so taking both scores 0, as does skipping the
+        # first for the 420 encode, which blocks it and scores 0 - 0.
+        a = record(height=1080, chroma=C422, target=600.0, quality=7.0, decode=0.2)
+        c = record(height=1080, chroma=C444, target=900.0, quality=9.0, decode=0.05)
+        ds = TitleDataset.from_records(
+            [a, c, record(height=1080, chroma=C420, target=900.0, quality=7.0, decode=0.05)])
+        with _path_keys_calls() as calls:
+            dp = optimize_arcs(CandidateIndex(ds), 1.0)
+        assert calls, "the tie-break on rung keys was not reached"
+        assert [r.j_prime for r in dp.rungs] == [-1.0, 1.0]
+        assert choices_of(dp) == (a, c) == definitional_best(ds, 1.0)
 
     def test_tie_between_candidates_entering_one_state_keeps_the_lower_target(self):
         # With --cross-target both encodes, of one (height, fidelity) and
-        # equal score, serve both rungs and enter the same DP state.
-        low = record(height=1080, chroma=C420, target=1000.0, quality=7.0, decode=0.05)
-        high = record(height=1080, chroma=C420, target=1050.0, quality=7.0, decode=0.05)
+        # equal score, serve both rungs and enter the same DP state. The
+        # lower target's encode has the higher actual bitrate.
+        low = record(height=1080, chroma=C420, target=1000.0, actual=1040.0, quality=7.0,
+                     decode=0.05)
+        high = record(height=1080, chroma=C420, target=1050.0, actual=990.0, quality=7.0,
+                      decode=0.05)
         ds = TitleDataset.from_records([low, high])
         with _path_keys_calls() as calls:
             dp = optimize_arcs(CandidateIndex(ds, 0.10, cross_target=True), 0.0)
         assert calls, "the tie-break on rung keys was not reached"
-        assert choices_of(dp) == (low, low)
-        assert dp.rungs == enumerate_optimal(
-            CandidateIndex(ds, 0.10, cross_target=True), 0.0).rungs
+        assert choices_of(dp) == (low, low) == definitional_best(ds, 0.0, cross_target=True)
 
     def test_index_scores_equal_composite_normalized(self):
         rng = np.random.default_rng(616)
@@ -907,8 +855,6 @@ class TestSharedGraph:
         graphs = graph_memo()
         for ds in (first, refidelity, reheight, first, refidelity, reheight):
             for alpha in (0.0, 0.2, 1.0):
-                assert optimize_arcs(CandidateIndex(ds, graphs=graphs), alpha).rungs == (
-                    enumerate_optimal(CandidateIndex(ds), alpha).rungs)
                 assert choices_of(optimize_arcs(CandidateIndex(ds, graphs=graphs), alpha)) == (
                     definitional_best(ds, alpha))
         assert graphs.cache_info().misses == 3
@@ -942,7 +888,9 @@ class TestSharedGraph:
             # An index without a memo compiles its graphs afresh.
             assert got == ladders(ds), ds.title_id
             for alpha, (arcs, _) in zip(alphas, got):
-                assert arcs == build(enumerate_optimal, index(ds), alpha), (ds.title_id, alpha)
+                want = definitional_best(ds, alpha, cross_target=cross_target)
+                got = (None,) * len(want) if arcs is AllRungsAbsent else choices_of(arcs)
+                assert got == want, (ds.title_id, alpha)
 
     def test_memo_is_bounded(self):
         graphs = graph_memo()
@@ -982,7 +930,7 @@ def _maximal_assignments(pools):
     """Number of chain-feasible maximal assignments, by the definition."""
     return sum(
         1 for combo in itertools.product(*[[None] + list(p) for p in pools])
-        if _chain_feasible(combo) and _is_maximal(combo, pools)
+        if chain_feasible(combo) and is_maximal(combo, pools)
     )
 
 
@@ -1082,7 +1030,8 @@ class TestLiveStateGraphSolves:
             js = [[q - alpha * d for _, q, d, _ in pool] for pool in pools]
             choices = ladder_module._relax(graph, pools, js)
             assert choices == ladder_module._relax(old, pools, js)
-            assert choices == ladder_module._solve_enumerate(pools, js)
+            assert [None if k is None else pool[k][0] for pool, k in zip(pools, choices)] == list(
+                definitional_best(ds, alpha, chroma=chroma, cross_target=cross_target))
 
     def test_sparse_and_cross_target_titles(self):
         titles = generate(sparse_spec(seed=11, titles=8))
@@ -1217,7 +1166,7 @@ class TestPresentRungRule:
 
 
 _SOLVES = st.lists(st.tuples(
-    st.sampled_from(["arcs", "dynres", "counts", "enumerate"]),
+    st.sampled_from(["arcs", "dynres", "counts"]),
     st.sampled_from([None, C420, C444]),
     st.sampled_from(list(OptimizerMode)),
     st.sampled_from([0.0, 0.01, 0.04, 0.3, 1.0]),
@@ -1269,11 +1218,8 @@ class TestView:
             elif kind == "dynres":
                 chroma = chroma or C444
                 run = lambda: build_dynres(index, alpha, chroma, mode)
-            elif kind == "counts":
-                run = lambda: chroma_counts(index, alpha, chroma, mode)
             else:
-                chroma, mode = None, None
-                run = lambda: enumerate_optimal(index, alpha)
+                run = lambda: chroma_counts(index, alpha, chroma, mode)
             _counted_or_error(run)
             if mode is OptimizerMode.GLOBAL_DP and any(index._view(chroma).pools):
                 solved.add(chroma)
@@ -1356,8 +1302,7 @@ class TestKernel:
             assert calls, "the tie-break on rung keys was not reached"
             with _kernels(math.inf):
                 assert dp == build(CandidateIndex(ds), 0.0)
-        assert optimize_arcs(CandidateIndex(ds), 0.0).rungs == (
-            enumerate_optimal(CandidateIndex(ds), 0.0).rungs)
+        assert choices_of(optimize_arcs(CandidateIndex(ds), 0.0)) == definitional_best(ds, 0.0)
 
     def test_kernel_source_holds_only_graph_integers(self, monkeypatch):
         # Input values reach a kernel as arguments, never as source text.

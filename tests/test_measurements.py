@@ -64,6 +64,8 @@ class TestResolution:
 
     def test_explicit_width_kept(self):
         assert Resolution(1080, 1440).pixel_width == 1440
+        with pytest.raises(NonPositiveValue, match="width"):
+            Resolution(1080, 0)
 
     def test_nonpositive_height_rejected(self):
         with pytest.raises(NonPositiveValue):
@@ -126,8 +128,9 @@ class TestParsing:
             "movie,2160,444,4500,4400,cvvdp,8.5,0.2\n"
             "movie,2160,444,4500,4600,cvvdp,8.6,0.21\n"
         )
-        with pytest.raises(DuplicateRecord):
+        with pytest.raises(DuplicateRecord) as got:
             parse_dataset(text)
+        assert got.value.key == ("movie", Resolution(2160), C444, 4500.0)
 
     def test_title_in_both_metrics_gives_two_datasets(self):
         header = "title,height,chroma,target_kbps,actual_kbps,metric,quality,decode_s_per_frame\n"
@@ -171,6 +174,8 @@ class TestParsing:
         text = serialize_dataset([full_grid()], fmt="json")
         datasets = parse_dataset(text)
         assert len(datasets[0].records) == 60
+        # One object per record, two-space indented.
+        assert text.startswith('[\n  {\n    "title": "movie",\n    "height": 1080,\n')
 
     def test_titles_sorted_lexicographically(self):
         text = serialize_dataset([full_grid("zeta"), full_grid("alpha")])
@@ -381,6 +386,8 @@ class TestSinglePassIngest:
     @example(files=[(False, _json_pair(decode_s_per_frame=math.inf))])
     @example(files=[(False, _json_pair(actual_kbps=-math.inf))])
     @example(files=[(False, _json_pair(quality=math.nan))])
+    @example(files=[(False, _json_pair(quality=math.inf))])
+    @example(files=[(False, _json_pair(decode_s_per_frame=0))])
     # Line breaks other than "\n", quoted newlines, characters outside the
     # ASCII and the Basic Multilingual Plane, and a lone surrogate.
     @example(files=[(False, HEADER_LINE + '"\u00e9\U0001f600\u2028t\x0bx",1080,420,600,610,cvvdp,7,1\r\n'
@@ -507,6 +514,16 @@ class TestRoundTrip:
         )
         assert parse_dataset(serialize_dataset([ds])) == [ds]
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        title=st.lists(st.sampled_from(["\r", "\n", "\r\n", '"', ",", " ", "é", "中文", "x"]),
+                       min_size=1, max_size=6).map("".join).filter(lambda t: t.strip() == t != ""),
+        fmt=st.sampled_from(["csv", "json"]),
+    )
+    def test_any_title_survives(self, title, fmt):
+        ds = TitleDataset.from_records([record(title, target=600.0), record(title, target=900.0)])
+        assert parse_dataset(serialize_dataset([ds], fmt)) == [ds]
+
 
 class TestCandidates:
     def test_window_arithmetic_ten_percent(self):
@@ -584,6 +601,9 @@ class TestWarnings:
         ds = TitleDataset.from_records([record(quality=10.3)])
         warns = dataset_warnings(ds)
         assert len(warns) == 1 and "plausible" in warns[0]
+        # The range's ends are plausible.
+        for quality in (0.0, 10.0):
+            assert dataset_warnings(TitleDataset.from_records([record(quality=quality)])) == []
 
     def test_uncovered_target_warns(self):
         ds = TitleDataset.from_records([record(target=600, actual=800)])

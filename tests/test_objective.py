@@ -16,7 +16,6 @@ from chromaladder import (
     candidates_for,
     chroma_counts,
     composite_normalized,
-    enumerate_optimal,
     normalized_log_time,
     normalized_quality,
     normalized_terms,
@@ -34,7 +33,6 @@ def _alpha_entry_points():
     return [
         lambda alpha: optimize_arcs(index, alpha),
         lambda alpha: build_dynres(index, alpha),
-        lambda alpha: enumerate_optimal(index, alpha),
         lambda alpha: chroma_counts(index, alpha),
         lambda alpha: composite_normalized(ds.records[0], bounds, alpha),
     ]
@@ -92,6 +90,12 @@ class TestBounds:
             lds.append(math.log(r.decode_time))
         assert (b.q_min, b.q_max) == (min(qs), max(qs))
         assert (b.log_d_min, b.log_d_max) == (min(lds), max(lds))
+
+    def test_inverted_bounds_rejected(self):
+        with pytest.raises(ValueError, match="q_min must be <= q_max"):
+            NormalizationBounds(5.0, 3.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="log_d_min must be <= log_d_max"):
+            NormalizationBounds(3.0, 5.0, 1.0, 0.0)
 
     def test_empty_dataset_rejected(self):
         # Rejected where it is made, so bounds_for never sees one.
@@ -152,6 +156,19 @@ class TestCompositeNormalized:
         rec = record(quality=5.5, decode=0.2)
         with pytest.raises(BoundsMismatch):
             composite_normalized(rec, self.bounds, 0.0)
+        rec = record(quality=4.0, decode=0.5)
+        with pytest.raises(BoundsMismatch, match="log decode time"):
+            composite_normalized(rec, self.bounds, 0.0)
+
+    def test_record_at_the_tolerance_edge_accepted(self):
+        tolerance, ld = 1e-9, math.log(0.2)
+        for rec, bounds in (
+            (record(quality=3.0 - tolerance, decode=0.2), self.bounds),
+            (record(quality=5.0 + tolerance, decode=0.2), self.bounds),
+            (record(quality=4.0, decode=0.2), NormalizationBounds(3.0, 5.0, ld + tolerance, 1.0)),
+            (record(quality=4.0, decode=0.2), NormalizationBounds(3.0, 5.0, -5.0, ld - tolerance)),
+        ):
+            composite_normalized(rec, bounds, 0.5)
 
     def test_degenerate_quality_bounds_zero_term(self):
         b = NormalizationBounds(4.0, 4.0, math.log(0.1), math.log(0.4))

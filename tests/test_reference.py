@@ -4,7 +4,6 @@ commands built from the public API: on drawn corpora and command lines of
 code, stdout, stderr and written bytes, and every (title, metric, method,
 alpha) is reported once."""
 
-import csv
 import json
 import random
 import tempfile
@@ -69,10 +68,8 @@ class Corpus(NamedTuple):
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 if path.suffix == ".json":
                     json.dump(rows, fh)
-                else:  # "\r\n" lines, so that csv quotes a title's bare "\r"
-                    writer = csv.DictWriter(fh, CSV_HEADER, lineterminator="\r\n")
-                    writer.writeheader()
-                    writer.writerows(rows)
+                else:
+                    fh.write(reference.csv_text(CSV_HEADER, [row.values() for row in rows]))
         # Heights that rise once, as a plan's must; titles on other targets fail it.
         (tmp / "plan.csv").write_text("target_kbps,height\n" + "".join(
             f"{t:g},{1080 if i < 3 else 2160}\n" for i, t in enumerate(self.targets)))
@@ -163,7 +160,7 @@ def test_commands_equal_reference(corpus, commands):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         inputs = [f for path in corpus.write(tmp) for f in ("--input", path)]
-        datasets = parse_dataset([path.read_text(encoding="utf-8") for path in tmp.glob("part*")])
+        datasets = parse_dataset([reference.read_text(path) for path in tmp.glob("part*")])
         for i, command in enumerate(commands):
             out = tmp / f"out{i}"
             argv = [str(a) for a in (*command.argv, *inputs, *["--out", out] * command.out,
