@@ -5,9 +5,11 @@ Run from anywhere, with no flags::
     python scripts/mutation.py
 
 It makes a fixed, seeded sample of mutants of ``ladder.py``, ``bdmetrics.py``,
-``measurements.py``, ``objective.py`` and the renderer of ``cli.py`` (the
-text and file writers, from ``to_json_text`` to ``_render_summary``), at
-most ``PER_MODULE`` per module. A mutant is one edit at one place:
+``measurements.py``, ``objective.py`` and two parts of ``cli.py``: its
+renderer (the text and file writers, from ``to_json_text`` to
+``_render_summary``) and its command code (``RunConfig``, the evaluation
+pass, the ``cmd_*`` functions and ``main``), at most ``PER_SAMPLE`` per
+sample. A mutant is one edit at one place:
 
 * ``cmp``: flip a comparison, ``<`` and ``<=``, ``>`` and ``>=``, ``==``
   and ``!=``;
@@ -17,14 +19,14 @@ most ``PER_MODULE`` per module. A mutant is one edit at one place:
 * ``raise->pass`` and ``continue->pass``: replace the statement with ``pass``;
 * ``swap``: swap two adjacent entries of a returned tuple.
 
-Each module's sites are found with ``ast`` and edited in the source text at
+Each sample's sites are found with ``ast`` and edited in the source text at
 that place only. The sample takes the operators in turn, each in a seeded
-order, so that every operator with a site in a module is sampled there;
+order, so that every operator with a site in a sample is sampled there;
 ``PINNED`` mutants are always in it.
 
 Each mutant runs in a fresh temporary copy of the repository (without
 ``.git`` or ``.hypothesis``), where pyproject's ``pythonpath = ["src"]``
-imports the mutated file. The module's own test files run first, with
+imports the mutated file. The sample's own test files run first, with
 ``pytest -q -x -p no:cacheprovider --hypothesis-seed=0``; the other test files
 run only if they all pass. A row records the first failing test
 (``killed_by``), ``survived``, or, for the mutants in ``EQUIVALENT``,
@@ -52,7 +54,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TABLE = ROOT / "MUTATION_kill_table.json"
 SEED = 1978
-PER_MODULE = 40
+PER_SAMPLE = 40
 WORKERS = 2
 TIMEOUT_S = 600
 PYTEST = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0")
@@ -66,14 +68,22 @@ RENDERER = frozenset({
     "_emit", "_COLUMN_LABEL", "_title_text", "_render_markdown", "_render_summary",
 })
 
-# Mutated file: (top-level names mutated, None for all; its own test files).
-TARGETS = {
-    "src/chromaladder/ladder.py": (None, ("tests/test_ladder.py",)),
-    "src/chromaladder/bdmetrics.py": (None, ("tests/test_bdmetrics.py",)),
-    "src/chromaladder/measurements.py": (None, ("tests/test_measurements.py",)),
-    "src/chromaladder/objective.py": (None, ("tests/test_objective.py",)),
-    "src/chromaladder/cli.py": (RENDERER, ("tests/test_cli.py", "tests/test_reference.py")),
-}
+# The cli names that read the inputs, evaluate the titles and run the commands.
+COMMAND_CODE = frozenset({
+    "RunConfig", "_read_datasets", "_evaluate", "_compare", "cmd_validate", "cmd_synth",
+    "cmd_optimize", "cmd_compare", "cmd_sweep", "cmd_pmf", "main",
+})
+
+CLI_TESTS = ("tests/test_cli.py", "tests/test_reference.py")
+# Each sample: (mutated file, top-level names mutated, None for all; its own test files).
+SAMPLES = (
+    ("src/chromaladder/ladder.py", None, ("tests/test_ladder.py",)),
+    ("src/chromaladder/bdmetrics.py", None, ("tests/test_bdmetrics.py",)),
+    ("src/chromaladder/measurements.py", None, ("tests/test_measurements.py",)),
+    ("src/chromaladder/objective.py", None, ("tests/test_objective.py",)),
+    ("src/chromaladder/cli.py", RENDERER, CLI_TESTS),
+    ("src/chromaladder/cli.py", COMMAND_CODE, CLI_TESTS),
+)
 
 # Always sampled, as (file, top-level name, operator, original text): the
 # documented tie order's resolution and chroma keys, and the end-slope clamp.
@@ -105,12 +115,16 @@ EQUIVALENT = {
     "bdmetrics.py:241:42:cmp":
         "the line runs only when _sign(d) == _sign(d0) != 0, so abs(d) == 3 * abs(d0) "
         "means d == 3 * d0 and both branches return the same float",
-    "cli.py:570:16:int+1":
+    "cli.py:567:16:int+1":
         "_WRITE_SLICE sets how many characters each write call takes; the file's bytes "
         "are the same",
-    "cli.py:570:21:int+1":
+    "cli.py:567:21:int+1":
         "_WRITE_SLICE sets how many characters each write call takes; the file's bytes "
         "are the same",
+    "cli.py:831:61:int+1":
+        "it keys an alpha-free group by None instead of -1.0; a method's groups all have an "
+        "alpha or all have none, so keys that tie on the method compare two equal Nones, "
+        "which need no ordering, or two floats as before, and the rows keep their order",
 }
 
 _OP = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
@@ -203,11 +217,11 @@ def _node_sites(src: _Source, node: ast.AST) -> list[tuple]:
     return out
 
 
-def mutants(path: str, text: str) -> list[dict]:
-    """The module's sampled mutants, in source order: ``id``
+def mutants(path: str, names, text: str) -> list[dict]:
+    """The sampled mutants of ``names`` (all when None) in the module
+    ``path``, whose source is ``text``, in source order: ``id``
     (``file:line:col:operator``), ``start``, ``end``, ``replacement`` and
     ``edit`` (the changed lines before and after)."""
-    names, _ = TARGETS[path]
     src = _Source(text)
     sites = _sites(src, ast.parse(text), names)
     by_operator: dict[str, list] = {}
@@ -219,9 +233,9 @@ def mutants(path: str, text: str) -> list[dict]:
               if (file, name, operator) == (path, site[0], site[1])
               and text.startswith(original, site[2])}
     queues = [group for _, group in sorted(by_operator.items())]
-    while len(chosen) < PER_MODULE and any(queues):
+    while len(chosen) < PER_SAMPLE and any(queues):
         for group in queues:
-            if group and len(chosen) < PER_MODULE:
+            if group and len(chosen) < PER_SAMPLE:
                 chosen.add(group.pop())
     out = []
     for name, operator, start, end, replacement in sorted(chosen, key=lambda s: s[2:] + s[:2]):
@@ -262,9 +276,9 @@ def _other_tests(own) -> list[str]:
             if str(p.relative_to(ROOT)) not in own]
 
 
-def run_mutant(path: str, text: str, mutant: dict) -> dict:
-    """The mutant's row: its id, edit, and ``killed_by`` or ``survived``."""
-    own = TARGETS[path][1]
+def run_mutant(path: str, own, text: str, mutant: dict) -> dict:
+    """The mutant's row: its id, edit, and ``killed_by`` or ``survived``,
+    its own test files ``own`` run first."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         repo = _copy(Path(tmp))
         (repo / path).write_text(
@@ -279,8 +293,8 @@ def run_mutant(path: str, text: str, mutant: dict) -> dict:
 
 
 def main() -> int:
-    texts = {path: (ROOT / path).read_text(encoding="utf-8") for path in TARGETS}
-    jobs = [(path, m) for path, text in texts.items() for m in mutants(path, text)]
+    texts = {path: (ROOT / path).read_text(encoding="utf-8") for path, _, _ in SAMPLES}
+    jobs = [(path, own, m) for path, names, own in SAMPLES for m in mutants(path, names, texts[path])]
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         failing = _pytest(_copy(Path(tmp)), ["tests"])
     if failing is not None:
@@ -289,11 +303,11 @@ def main() -> int:
     start = time.monotonic()
 
     def row(job):
-        path, mutant = job
+        path, own, mutant = job
         if mutant["id"] in EQUIVALENT:
             return {"id": mutant["id"], "edit": mutant["edit"],
                     "equivalent": EQUIVALENT[mutant["id"]]}
-        got = run_mutant(path, texts[path], mutant)
+        got = run_mutant(path, own, texts[path], mutant)
         print(f"{got['id']}: {got.get('killed_by', 'survived')}", file=sys.stderr, flush=True)
         return got
 
@@ -303,10 +317,10 @@ def main() -> int:
     table = {
         "command": " ".join(["python", *PYTEST]),
         "seed": SEED,
-        "per_module": PER_MODULE,
+        "per_sample": PER_SAMPLE,
         "files": {path: {"sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-                         "own_tests": list(TARGETS[path][1]),
-                         "mutants": sum(p == path for p, _ in jobs)}
+                         "own_tests": list(next(own for p, _, own in SAMPLES if p == path)),
+                         "mutants": sum(p == path for p, _, _ in jobs)}
                   for path, text in texts.items()},
         "counts": {k: status.count(k) for k in ("killed_by", "survived", "equivalent")},
         "rows": rows,

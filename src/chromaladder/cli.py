@@ -115,9 +115,6 @@ class RunConfig:
                 raise ValueError(f"--alpha must be in [0, 1], got {a}")
         if not 0.0 <= self.tolerance <= 0.5:
             raise ValueError(f"--tolerance must be in [0, 0.5], got {self.tolerance}")
-        for f in self.formats:
-            if f not in ("json", "csv", "markdown"):
-                raise ValueError(f"unknown format {f!r}")
 
 
 class _UsageError(Exception):
@@ -608,9 +605,9 @@ _COLUMN_LABEL = {"cvvdp": "BDR_C/BDDT_C", "psnr": "BDR_P/BDDT_P"}
 
 
 def _title_text(title: str) -> str:
-    """A title as a ``SKIP`` or ``excluded`` line prints it: as a JSON string
-    literal if it holds a control character (below U+0020), so that each
-    title keeps to its one line."""
+    """A title as a ``SKIP``, ``excluded`` or markdown list line prints it: as a
+    JSON string literal if it holds a control character (below U+0020), so
+    that each title keeps to its one line."""
     return _encode_str(title) if any(c < " " for c in title) else title
 
 
@@ -626,8 +623,8 @@ def _render_markdown(heading: str, reference: Method, rows: list[dict], excluded
         )
     if excluded:
         lines += ["", "Excluded title evaluations:"]
-        lines += [f"- {ex['title']}/{ex['metric']} {ex['method']} alpha={_alpha_label(ex['alpha'])}: "
-                  f"{ex['reason']}" for ex in excluded]
+        lines += [f"- {_title_text(ex['title'])}/{ex['metric']} {ex['method']} "
+                  f"alpha={_alpha_label(ex['alpha'])}: {ex['reason']}" for ex in excluded]
     lines.append("")
     return "\n".join(lines)
 
@@ -722,12 +719,13 @@ def cmd_optimize(args) -> int:
                       f"{_alpha_tag(ladder.alpha)}.json", lambda p=p: to_json_text(p))
              for (ladder, metric, _), p in zip(ladders, payloads)]
     if cfg.out_dir is not None:
-        # A title names its ladder files, so it must not lead out of --out,
-        # and no two ladders may share a file.
+        # A title names its ladder files, so it must not lead out of --out or
+        # put a control character (NUL and line breaks among them) in a file
+        # name, and no two ladders may share a file.
         for ladder, _, _ in ladders:
-            if "/" in ladder.title_id or "\0" in ladder.title_id:
-                raise ValueError(f"title {ladder.title_id!r} contains '/' or NUL and cannot name "
-                                 f"a ladder file in {cfg.out_dir}")
+            if "/" in ladder.title_id or any(c < " " for c in ladder.title_id):
+                raise ValueError(f"title {ladder.title_id!r} contains '/' or a control character "
+                                 f"and cannot name a ladder file in {cfg.out_dir}")
         for name, count in Counter(name for _, name, _ in files).items():
             if count > 1:
                 raise ValueError(f"{count} ladders would be written to the same file "

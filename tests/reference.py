@@ -6,9 +6,13 @@ stderr and the text of each file written under ``--out``. Each (method, alpha)
 builds its ladders and BD deltas afresh; pmf counts the rungs of the built
 ladders. Text comes from ``json.dumps``, f-strings and ``csv_text``, which
 quotes a field that holds ``,``, ``"``, ``\r`` or ``\n``. Inputs are read
-with their line ends as written. It covers the command lines that the CLI
-accepts, with readable inputs, titles without ``/`` and alphas whose ladder
-file names differ.
+with their line ends as written, a plan without its byte-order mark. It
+covers the command lines that the CLI accepts, with readable inputs, and
+the input errors that exit 1 with an ``error:`` line: an alpha outside
+[0, 1] or a tolerance outside [0, 0.5], sweep with one alpha, inputs without
+a record, a plan that ``load_plan`` rejects or none for the fixed method,
+and, with ``optimize --out``, a title that holds ``/`` or a control
+character, or two ladders that would share a file name.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from types import SimpleNamespace
 from chromaladder import (CandidateIndex, ChromaFormat, CurveAxis, OptimizerMode, aggregate,
                           bd_delta, build_curve, build_default, build_dynres, build_fixed,
                           load_plan, optimize_arcs, parse_dataset)
-from chromaladder.errors import CurveError, LadderError
+from chromaladder.errors import CurveError, InvalidPlan, LadderError
 from chromaladder.ladder import chroma_shares, count_chroma
 
 ALPHA_METHODS = ("arcs", "dynres")
@@ -65,6 +69,11 @@ def parse_argv(argv) -> SimpleNamespace:
 
 def run(argv) -> Outcome:
     cfg = parse_argv(argv)
+    errors = [f"--alpha must be in [0, 1], got {a}" for a in cfg.alphas if not 0 <= a <= 1]
+    errors += [f"--tolerance must be in [0, 0.5], got {cfg.tolerance}"] * (
+        not 0 <= cfg.tolerance <= 0.5)
+    if errors:
+        return Outcome(1, stderr=f"error: {errors[0]}\n")
     if cfg.command == "sweep":
         if len(cfg.alphas) < 2:
             return Outcome(1, stderr="error: sweep needs at least two --alpha values\n")
@@ -74,7 +83,10 @@ def run(argv) -> Outcome:
         return Outcome(1, stderr="error: no datasets in input\n")
     if cfg.plan is None and "fixed" in (*cfg.methods, cfg.reference):
         return Outcome(1, stderr="error: --plan is required for the fixed method\n")
-    plan = cfg.plan and load_plan(Path(cfg.plan).read_text(encoding="utf-8"))
+    try:
+        plan = cfg.plan and load_plan(Path(cfg.plan).read_text(encoding="utf-8-sig"))
+    except InvalidPlan as exc:
+        return Outcome(1, stderr=f"error: {exc}\n")
     command = {"optimize": _optimize, "pmf": _pmf}.get(cfg.command, _compare)
     return command(cfg, datasets, [_evaluate(cfg, ds, plan) for ds in datasets])
 
@@ -142,9 +154,18 @@ def _optimize(cfg, datasets, evaluated) -> Outcome:
         return Outcome(2, stdout, "error: every ladder construction failed\n", payload=payload)
     if cfg.out is None:
         return Outcome(0, stdout + json_text(ladders), payload=payload)
+    for l in ladders:
+        if "/" in l["title"] or any(ord(c) < 32 for c in l["title"]):
+            return Outcome(1, stderr=f"error: title {l['title']!r} contains '/' or a control "
+                                     f"character and cannot name a ladder file in {cfg.out}\n")
+    names = [f"{l['title']}__{l['metric']}__{l['method']}{_tag(l['alpha'])}.json" for l in ladders]
+    for name, n in Counter(names).items():
+        if n > 1:
+            return Outcome(1, stderr=f"error: {n} ladders would be written to the same file "
+                                     f"{Path(cfg.out) / name}; file names give an alpha to 6 "
+                                     "significant digits\n")
     return Outcome(0, stdout + f"wrote {len(ladders)} ladder file(s) to {cfg.out}\n", payload=payload,
-                   files={f"{l['title']}__{l['metric']}__{l['method']}{_tag(l['alpha'])}.json":
-                          json_text(l) for l in ladders})
+                   files=dict(zip(names, map(json_text, ladders))))
 
 
 def _compare(cfg, datasets, evaluated) -> Outcome:
@@ -206,7 +227,7 @@ def _compare(cfg, datasets, evaluated) -> Outcome:
     summary += [f"{r['method']:<8} {_label(r['alpha']):>6} {r['metric']:<6} "
                 f"{r['mean_bdr_percent']:>10.2f} {r['mean_bddt_percent']:>11.2f} "
                 f"{r['titles_used']:>7}" for r in rows]
-    summary += [f"excluded {_excluded_line(dict(x, title=_title(x['title'])))}" for x in excluded]
+    summary += [f"excluded {_excluded_line(x)}" for x in excluded]
     return _emit(cfg, payload, files[:3] if sweep else files,
                  [*summary, f"{name} written to {cfg.out}"])
 
@@ -276,7 +297,7 @@ def _title(title: str) -> str:
 
 
 def _excluded_line(x: dict) -> str:
-    return f"{x['title']}/{x['metric']} {x['method']} alpha={_label(x['alpha'])}: {x['reason']}"
+    return f"{_title(x['title'])}/{x['metric']} {x['method']} alpha={_label(x['alpha'])}: {x['reason']}"
 
 
 def _markdown(heading: str, reference: str, rows, excluded) -> str:

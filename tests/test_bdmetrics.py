@@ -327,9 +327,9 @@ class TestBdDelta:
             BDResult(0.0, (5.0, 5.0), JOD, RATE)
 
     def test_disjoint_ranges_rejected(self):
-        ref = rate_curve([4.0, 5.0], [500, 1000])
-        test = rate_curve([6.0, 7.0], [500, 1000])
-        with pytest.raises(NoQualityOverlap):
+        ref = rate_curve([4.0, 4.5, 5.0], [500, 800, 1000])
+        test = rate_curve([6.0, 6.5, 7.0], [500, 800, 1000])
+        with pytest.raises(NoQualityOverlap, match=r"^quality ranges \[4, 5\] and \[6, 7\] do not"):
             bd_delta(ref, test)
 
     def test_touching_ranges_rejected(self):

@@ -1,4 +1,10 @@
-"""End-to-end CLI tests: exit codes, file outputs, report schema, determinism."""
+"""End-to-end CLI tests of what ``test_reference``'s outcome check cannot
+state: ``validate`` and ``synth``, argparse's usage errors, the paper's
+properties of the reports, invariance to the input layout, the call-count
+pins that guard speed, injected faults, and the JSON emitter. What the four
+ladder commands print, write and exit with is checked there, by
+``commands_equal_reference``; the named cases of those commands here are
+calls of it on one corpus and a few command lines."""
 
 import csv
 import io
@@ -20,11 +26,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chromaladder import (
-    CandidateIndex,
     Ladder,
     Method,
     QualityMetric,
-    QualityScore,
     Rung,
     TitleDataset,
     default_spec,
@@ -45,17 +49,14 @@ from helpers import (
     C420,
     C444,
     CLOSE_TARGETS,
-    SHARED_FAILURE_TARGETS,
     SMALL_TARGETS,
     cli_outcome,
     definitional_best,
     grid_dataset,
     lonely_title,
     record,
-    replace_title,
-    shared_failure_titles,
-    shared_record_title,
 )
+from test_reference import LONELY, SMALL, Command, commands_equal_reference
 
 
 @pytest.fixture()
@@ -67,18 +68,22 @@ def small_corpus(tmp_path):
     return path
 
 
-@pytest.fixture()
-def small_plan(tmp_path):
-    path = tmp_path / "plan.csv"
-    path.write_text(
-        "target_kbps,height\n600,1080\n1200,1080\n2400,1080\n4800,2160\n9600,2160\n",
-        encoding="utf-8",
-    )
-    return path
-
-
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def codes(corpus, *commands) -> list[int]:
+    """Exit codes of ``commands`` on ``corpus``, each outcome checked by
+    ``commands_equal_reference``."""
+    return [outcome.code for outcome in commands_equal_reference(corpus, commands)]
+
+
+PLAN_720 = "target_kbps,height\n600,720\n1200,720\n"  # a height that no title has
+# Titles in both metrics, split over a CSV and a JSON file; one title CSV quotes.
+REPORTS = SMALL._replace(titles=('clip "A", 4k', "synth001"), metrics=("cvvdp", "psnr"),
+                         files=("csv", "json"))
+# One encode that serves two close targets.
+SHARED = SMALL._replace(targets=CLOSE_TARGETS, titles=(), edges=("shared",))
 
 
 class TestValidate:
@@ -302,47 +307,24 @@ class TestOptimize:
             ]
 
     @pytest.mark.parametrize("command", ["optimize", "compare", "sweep", "pmf"])
-    def test_empty_input_exits_one(self, tmp_path, capsys, command):
-        path = tmp_path / "empty.csv"
-        path.write_text(
-            "title,height,chroma,target_kbps,actual_kbps,metric,quality,decode_s_per_frame\n",
-            encoding="utf-8",
-        )
-        assert run(command, "--input", path, "--out", tmp_path / "o") == 1
-        assert "error: no datasets in input" in capsys.readouterr().err
+    def test_empty_input_exits_one(self, command):
+        assert codes(SMALL._replace(titles=(), files=("csv", "json")),
+                     Command((command,), out=True)) == [1]
 
     @pytest.mark.parametrize("title", ["../../escaped", "<absolute>"])
-    def test_title_cannot_lead_out_of_out_dir(self, tmp_path, capsys, title):
+    def test_title_cannot_lead_out_of_out_dir(self, tmp_path, title):
         if title == "<absolute>":
             title = str(tmp_path / "abs" / "escaped")
-        work = tmp_path / "work"
-        work.mkdir()
-        path = work / "in.json"
-        ds = grid_dataset(lambda h, c, b: 6.0, lambda h, c, b: 0.05, title=title)
-        path.write_text(serialize_dataset([ds], fmt="json"), encoding="utf-8")
-        assert run("optimize", "--input", path, "--out", work / "a" / "out") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and repr(title) in err
-        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+        assert codes(SMALL._replace(titles=(title,)), Command(("optimize",), out=True)) == [1]
+        assert not any(tmp_path.iterdir())
 
-    def test_alphas_sharing_a_file_name_exit_one_before_writing(self, small_corpus, tmp_path, capsys):
+    def test_alphas_sharing_a_file_name_exit_one_before_writing(self):
         # Both alphas are named "0.1" by the :g tag of the ladder file names.
-        out = tmp_path / "ladders"
-        argv = ("optimize", "--input", small_corpus, "--alpha", 0.1, "--alpha", 0.1000001)
-        assert run(*argv, "--out", out) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: 2 ladders would be written to the same file "
-                                       f"{out / 'synth000__cvvdp__arcs__alpha0.1.json'};")
-        assert not out.exists()
-        assert run(*argv) == 0
-        printed = json.loads(capsys.readouterr().out)
-        assert [p["alpha"] for p in printed if p["title"] == "synth000"] == [0.1, 0.1000001]
+        argv = ("optimize", "--alpha", "0.1", "--alpha", "0.1000001")
+        assert codes(SMALL, Command(argv, out=True), Command(argv)) == [1, 0]
 
-    def test_fixed_without_plan_exits_one(self, small_corpus, tmp_path):
-        assert run(
-            "optimize", "--input", small_corpus, "--method", "fixed", "--out", tmp_path / "o"
-        ) == 1
+    def test_fixed_without_plan_exits_one(self):
+        assert codes(SMALL, Command(("optimize", "--method", "fixed"), plan=False, out=True)) == [1]
 
 
 class TestPlan:
@@ -356,89 +338,38 @@ class TestPlan:
         ("600,0\n", "plan height 0 is not positive"),
         ("nan,1080\n", "plan target nan is not a positive bitrate"),
     ])
-    def test_unusable_plan_exits_one(self, small_corpus, tmp_path, capsys, rows, message):
-        plan = tmp_path / "bad_plan.csv"
-        plan.write_text("target_kbps,height\n" + rows, encoding="utf-8")
-        out = tmp_path / "rep"
-        assert run("compare", "--input", small_corpus, "--method", "arcs", "--method", "fixed",
-                   "--plan", plan, "--out", out) == 1
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", f"error: {message}\n")
-        assert not out.exists()
+    def test_unusable_plan_exits_one(self, rows, message):
+        [outcome] = commands_equal_reference(SMALL, [Command(
+            ("compare", "--method", "arcs", "--method", "fixed"),
+            plan="target_kbps,height\n" + rows, out=True)])
+        assert (outcome.code, outcome.stderr) == (1, f"error: {message}\n")
 
     @pytest.mark.parametrize("command", ["optimize", "compare", "sweep", "pmf"])
-    def test_plan_without_rows_exits_one_before_any_title_is_built(self, small_corpus, tmp_path,
-                                                                   monkeypatch, command):
-        plan = tmp_path / "header_only.csv"
-        plan.write_text("target_kbps,height\n", encoding="utf-8")
-
+    def test_plan_without_rows_exits_one_before_any_title_is_built(self, monkeypatch, command):
         def no_index(*args, **kwargs):
             raise AssertionError("a title was built")
 
         monkeypatch.setattr(cli, "CandidateIndex", no_index)
-        out = tmp_path / "o"
         methods = () if command == "sweep" else ("--method", "arcs", "--method", "fixed")
-        assert _captured([command, "--input", small_corpus, *methods, "--plan", plan,
-                          "--alpha", 0, "--alpha", 0.04, "--out", out]) == (
-            1, "", "error: plan has no rows\n")
-        assert not out.exists()
+        assert codes(SMALL, Command((command, *methods, "--alpha", "0", "--alpha", "0.04"),
+                                    plan="target_kbps,height\n", out=True)) == [1]
 
-    def test_plan_without_a_present_rung_excludes_each_title_alike(self, tmp_path):
-        # No title of the default spec has a 720p encode, so no rung of the
-        # plan is present: optimize, compare and pmf exclude each title once,
-        # with the reason build_fixed gives.
-        corpus = tmp_path / "c3.csv"
-        corpus.write_text(serialize_dataset(generate(default_spec(titles=3))), encoding="utf-8")
-        plan = tmp_path / "plan720.csv"
-        plan.write_text("target_kbps,height\n600,720\n900,720\n", encoding="utf-8")
-        titles = [f"synth{i:03d}" for i in range(3)]
-        reason = "title '{}': no (720, 444) encode within tolerance at any target"
-        argv = ["--input", corpus, "--method", "arcs", "--method", "fixed", "--plan", plan]
+    def test_plan_without_a_present_rung_excludes_each_title_alike(self):
+        # No title has a 720p encode, so no rung of the plan is present:
+        # optimize, compare and pmf exclude each title's fixed ladder.
+        methods = ("--method", "arcs", "--method", "fixed")
+        assert codes(SMALL, Command(("optimize", *methods), plan=PLAN_720, out=True),
+                     *(Command((command, *methods), plan=PLAN_720)
+                       for command in ("compare", "pmf"))) == [0, 0, 0]
 
-        out = tmp_path / "ladders"
-        code, stdout, _ = _captured(["optimize", *argv, "--out", out])
-        assert code == 0
-        assert [line for line in stdout.splitlines() if line.startswith("SKIP ")] == [
-            f"SKIP {t}/cvvdp/fixed: {reason.format(t)}" for t in titles]
-        assert sorted(p.name for p in out.iterdir()) == [
-            f"{t}__cvvdp__arcs__alpha0.json" for t in titles]
+    def test_plan_with_byte_order_mark_is_read(self):
+        assert codes(SMALL, Command(("compare", "--method", "fixed", "--alpha", "0"),
+                                    plan="\ufeff" + SMALL.plan())) == [0]
 
-        payloads = {}
-        for command in ("compare", "pmf"):
-            code, stdout, _ = _captured([command, *argv])
-            assert code == 0
-            payloads[command] = json.loads(stdout)
-        for excluded in (payloads["compare"]["aggregate"]["excluded"],
-                         payloads["pmf"]["excluded"]):
-            assert [(x["title"], x["method"], x["reason"]) for x in excluded] == [
-                (t, "fixed", reason.format(t)) for t in titles]
-        assert [[ladder["method"] for ladder in entry["ladders"]]
-                for entry in payloads["compare"]["titles"]] == [["default", "arcs"]] * 3
-
-    def test_plan_with_byte_order_mark_is_read(self, small_corpus, small_plan, tmp_path, capsys):
-        bom_plan = tmp_path / "bom_plan.csv"
-        bom_plan.write_text("\ufeff" + small_plan.read_text(encoding="utf-8"), encoding="utf-8")
-        argv = ("compare", "--input", small_corpus, "--method", "fixed", "--alpha", 0)
-        assert run(*argv, "--plan", small_plan) == 0
-        want = capsys.readouterr().out
-        assert run(*argv, "--plan", bom_plan) == 0
-        got = capsys.readouterr().out
-        assert got.replace(str(bom_plan), str(small_plan)) == want
-
-    def test_unknown_planned_target_excludes_the_title(self, small_corpus, small_plan, tmp_path, capsys):
-        wide = tmp_path / "wide.csv"
-        wide.write_text(serialize_dataset([grid_dataset(
-            lambda h, c, b: 5.0 + h / 2160 + b / 20000, lambda h, c, b: 0.05 * h / 1080,
-            title="wide", targets=(*SMALL_TARGETS, 7000.0))]), encoding="utf-8")
-        plan = tmp_path / "plan_7000.csv"
-        plan.write_text(small_plan.read_text(encoding="utf-8") + "7000,2160\n", encoding="utf-8")
-        assert run("compare", "--input", small_corpus, "--input", wide, "--method", "fixed",
-                   "--plan", plan) == 0
-        aggregate = json.loads(capsys.readouterr().out)["aggregate"]
-        assert [(e["title"], e["method"], e["reason"]) for e in aggregate["excluded"]] == [
-            (f"synth00{i}", "fixed", "plan names target 7000.0 kbps, not in the dataset")
-            for i in range(4)]
-        assert [(r["method"], r["titles_used"]) for r in aggregate["rows"]] == [("fixed", 1)]
+    def test_unknown_planned_target_excludes_the_title(self):
+        # The lonely title has no 640 kbps encode; the synthetic ones do.
+        assert codes(LONELY._replace(targets=CLOSE_TARGETS),
+                     Command(("compare", "--method", "fixed"))) == [0]
 
 
 class TestCompare:
@@ -467,68 +398,23 @@ class TestCompare:
         assert all(r["mean_bddt_percent"] < 0 for r in rows)
         assert all(r["titles_used"] == 4 and r["titles_excluded"] == 0 for r in rows)
 
-    def test_report_schema_and_round_trip(self, small_corpus, tmp_path):
-        out = tmp_path / "rep"
-        run("compare", "--input", small_corpus, "--method", "arcs", "--alpha", 0.04, "--out", out)
-        raw = (out / "report.json").read_text(encoding="utf-8")
-        report = json.loads(raw)
-        assert set(report) == {"config", "titles", "aggregate"}
-        entry = report["titles"][0]
-        assert set(entry) == {"title", "metric", "ladders", "bd"}
-        assert to_json_text(report) == raw  # parse(emit(report)) round-trip
+    def test_report_schema_and_round_trip(self):
+        assert codes(SMALL, Command(("compare", "--method", "arcs", "--alpha", "0.04"),
+                                    out=True)) == [0]
 
-    def test_title_without_usable_reference_excluded(self, small_corpus, tmp_path, capsys):
-        # Extra title whose (2160, C444) exists at a single target: the
-        # reference curve degenerates and the title drops out of the means.
-        datasets = parse_dataset(small_corpus.read_text(encoding="utf-8"))
-        merged = tmp_path / "merged.csv"
-        merged.write_text(serialize_dataset(datasets + [lonely_title(datasets[0])]), encoding="utf-8")
-        out = tmp_path / "rep"
-        code = run("compare", "--input", merged, "--method", "arcs", "--alpha", 0, "--out", out)
-        assert code == 0
-        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-        excluded = report["aggregate"]["excluded"]
-        assert any(e["title"] == "zz-lonely" for e in excluded)
-        row = report["aggregate"]["rows"][0]
-        assert row["titles_used"] == 4 and row["titles_excluded"] == 1
+    def test_title_without_usable_reference_excluded(self):
+        # The lonely title's native-resolution reference has one point.
+        assert codes(LONELY, Command(("compare", "--method", "arcs", "--alpha", "0"),
+                                     out=True)) == [0]
 
-    def test_titles_counted_per_metric(self, small_corpus, tmp_path):
-        # The same titles measured in both metrics, in two files.
-        datasets = parse_dataset(small_corpus.read_text(encoding="utf-8"))
-        psnr = [
-            TitleDataset.from_records(
-                replace(r, quality=QualityScore(QualityMetric.YUVPSNR_DB, 30.0 + r.quality.value))
-                for r in ds.records
-            )
-            for ds in datasets
-        ]
-        psnr_path = tmp_path / "psnr.csv"
-        psnr_path.write_text(serialize_dataset(psnr), encoding="utf-8")
-        out = tmp_path / "rep"
-        code = run(
-            "compare", "--input", small_corpus, "--input", psnr_path, "--method", "arcs",
-            "--alpha", 0, "--out", out,
-        )
-        assert code == 0
-        rows = json.loads((out / "report.json").read_text(encoding="utf-8"))["aggregate"]["rows"]
-        assert sorted(r["metric"] for r in rows) == ["cvvdp", "psnr"]
-        assert all(r["titles_used"] == 4 and r["titles_excluded"] == 0 for r in rows)
+    def test_titles_counted_per_metric(self):
+        # The same titles measured in both metrics, split over two files.
+        assert codes(REPORTS, Command(("compare", "--method", "arcs", "--alpha", "0"),
+                                      out=True)) == [0]
 
-    def test_csv_fields_are_quoted(self, small_corpus, tmp_path):
-        title = 'clip "A", 4k'
-        ds = parse_dataset(small_corpus.read_text(encoding="utf-8"))[0]
-        path = tmp_path / "quoted.csv"
-        path.write_text(serialize_dataset([TitleDataset.from_records(
-            replace_title(r, title) for r in ds.records)]), encoding="utf-8")
-        out = tmp_path / "rep"
-        code = run("compare", "--input", path, "--method", "arcs", "--alpha", 0,
-                   "--format", "csv", "--out", out)
-        assert code == 0
-        for name in ("report_bd.csv", "report_curves.csv"):
-            with open(out / name, encoding="utf-8", newline="") as fh:
-                header, *rows = csv.reader(fh)
-            assert rows and all(len(row) == len(header) for row in rows), name
-            assert {row[0] for row in rows} == {title}, name
+    def test_csv_fields_are_quoted(self):
+        assert codes(REPORTS, Command(("compare", "--method", "arcs", "--alpha", "0",
+                                       "--format", "csv"), out=True)) == [0]
 
 
 class TestSweep:
@@ -544,8 +430,8 @@ class TestSweep:
         methods = {r["method"] for r in frontier}
         assert methods == {"arcs", "dynres"}
 
-    def test_single_alpha_exits_one(self, small_corpus, tmp_path):
-        assert run("sweep", "--input", small_corpus, "--alpha", 0, "--out", tmp_path / "x") == 1
+    def test_single_alpha_exits_one(self):
+        assert codes(SMALL, Command(("sweep", "--alpha", "0"), out=True)) == [1]
 
     def test_alpha_zero_row_matches_compare(self, small_corpus, tmp_path):
         sweep_out = tmp_path / "sw"
@@ -560,25 +446,10 @@ class TestSweep:
         assert sweep_row["mean_bddt_percent"] == cmp_row["mean_bddt_percent"]
 
 
-def _ladder_counting_builders():
-    """pmf's table with every method's rungs counted from its built ladder."""
-    return {m: lambda cfg, plan, index, alpha, build=build: cli.count_chroma(
-        build(cfg, plan, index, alpha)) for m, build in cli._BUILDERS.items()}
-
-
 class TestPmf:
-    def test_pmf_rows_per_alpha(self, small_corpus, tmp_path):
-        out = tmp_path / "pmf"
-        code = run(
-            "pmf", "--input", small_corpus, "--alpha", 0, "--alpha", 0.08,
-            "--format", "json", "--format", "csv", "--out", out,
-        )
-        assert code == 0
-        payload = json.loads((out / "pmf.json").read_text(encoding="utf-8"))
-        assert [r["alpha"] for r in payload["pmf"]] == [0.0, 0.08]
-        for row in payload["pmf"]:
-            assert abs(sum(row["pmf"].values()) - 1.0) <= 1e-12
-        assert (out / "pmf.csv").exists()
+    def test_pmf_rows_per_alpha(self):
+        assert codes(SMALL, Command(("pmf", "--alpha", "0", "--alpha", "0.08", "--format", "json",
+                                     "--format", "csv"), out=True)) == [0]
 
     def test_only_benchmark_methods_build_ladders(self, small_corpus, monkeypatch):
         # arcs and dynres are counted from the solver's choices; default and
@@ -611,7 +482,8 @@ class TestPmf:
 
     def test_decreasing_choice_excludes_the_title(self, small_corpus, monkeypatch):
         # A solver that breaks the chain gets the title excluded with the
-        # message validate_rungs gives a ladder built from the same choices.
+        # message validate_rungs gives a ladder built from the same choices,
+        # as the reference builds it.
         real = ladder_module._relax
 
         def decreasing(graph, pools, js):
@@ -622,34 +494,21 @@ class TestPmf:
             return choices
 
         monkeypatch.setattr(ladder_module, "_relax", decreasing)
-        argv = ["pmf", "--input", small_corpus, "--method", "arcs", "--method", "dynres",
-                "--alpha", 0, "--alpha", 0.08]
-        code, out, _ = _captured(argv)
-        monkeypatch.setattr(cli, "_PMF_BUILDERS", _ladder_counting_builders())
-        assert (code, out) == _captured(argv)[:2]
-        assert code == 0
-        excluded = json.loads(out)["excluded"]
+        argv = [str(a) for a in ("pmf", "--input", small_corpus, "--method", "arcs", "--method",
+                                 "dynres", "--alpha", 0, "--alpha", 0.08)]
+        outcome = cli_outcome(argv)
+        assert outcome == reference.run(argv)
+        assert outcome.code == 0
+        excluded = json.loads(outcome.stdout)["excluded"]
         assert [(x["title"], x["method"], x["alpha"]) for x in excluded] == [
             ("synth001", method, alpha) for method in ("arcs", "dynres") for alpha in (0.0, 0.08)]
         assert {x["reason"] for x in excluded} == {"resolution decreases 2160 -> 1080 with rising bitrate"}
 
-    def test_fixed_ladder_without_present_rung_excludes_the_title(self, small_corpus, tmp_path):
-        # No title has a 720p encode, so every fixed ladder is all absent.
-        plan = tmp_path / "plan720.csv"
-        plan.write_text("target_kbps,height\n600,720\n1200,720\n", encoding="utf-8")
-        argv = ["pmf", "--input", small_corpus, "--method", "arcs", "--plan", plan]
-        code, out, _ = _captured([*argv, "--method", "fixed"])
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["pmf"] == json.loads(_captured(argv)[1])["pmf"]
-        assert [(x["title"], x["method"]) for x in payload["excluded"]] == [
-            (f"synth{i:03d}", "fixed") for i in range(4)]
-        assert {x["reason"] for x in payload["excluded"]} == {
-            f"title 'synth{i:03d}': no (720, 444) encode within tolerance at any target"
-            for i in range(4)}
+    def test_fixed_ladder_without_present_rung_excludes_the_title(self):
         # With fixed alone every title is excluded, so no row is left.
-        code, _, err = _captured(["pmf", "--input", small_corpus, "--method", "fixed", "--plan", plan])
-        assert (code, err) == (2, "error: no ladder could be built\n")
+        assert codes(SMALL, Command(("pmf", "--method", "arcs", "--method", "fixed"), plan=PLAN_720),
+                     Command(("pmf", "--method", "fixed"), plan=PLAN_720)) == [0, 2]
+
 
 class TestGraphsPerRun:
     """Each run compiles its own DP graphs, so a graph's solve count, and with
@@ -704,20 +563,12 @@ class TestNegativeZero:
         ("sweep",),
         ("pmf", "--method", "arcs"),
     ], ids=lambda argv: argv[0])
-    def test_minus_zero_alpha_prints_as_zero(self, small_corpus, capsys, command):
-        printed = []
-        for alphas in (("-0", 0.02), (0, 0.02), ("-0", 0, 0.02), (0, "-0", 0.02)):
-            assert run(*command, "--input", small_corpus,
-                       *(f for a in alphas for f in ("--alpha", a))) == 0
-            printed.append(capsys.readouterr().out)
-        assert printed[1:] == printed[:1] * 3
-        assert '"alpha": -0.0' not in printed[0]
+    def test_minus_zero_alpha_prints_as_zero(self, command):
+        assert codes(SMALL, Command((*command, "--alpha", "-0", "--alpha", "0.02")),
+                     Command((*command, "--alpha", "0", "--alpha", "-0", "--alpha", "0.02"))) == [0, 0]
 
-    def test_minus_zero_names_no_file_alpha_minus_zero(self, small_corpus, tmp_path):
-        out = tmp_path / "ladders"
-        assert run("optimize", "--input", small_corpus, "--alpha", "-0", "--out", out) == 0
-        names = sorted(p.name for p in out.iterdir())
-        assert names and all(name.endswith("__arcs__alpha0.json") for name in names)
+    def test_minus_zero_names_no_file_alpha_minus_zero(self):
+        assert codes(SMALL, Command(("optimize", "--alpha", "-0"), out=True)) == [0]
 
     def test_validate_minus_zero_tolerance_prints_as_zero(self, small_corpus, capsys):
         printed = []
@@ -727,10 +578,9 @@ class TestNegativeZero:
         assert printed[0] == printed[1]
         assert "±0% of 600 kbps" in printed[0]
 
-    def test_minus_zero_tolerance_is_zero(self, small_corpus):
-        args = cli.build_parser().parse_args(
-            ["pmf", "--input", str(small_corpus), "--tolerance", "-0"])
-        assert math.copysign(1.0, cli._config_from_args(args).tolerance) == 1.0
+    def test_minus_zero_tolerance_is_zero(self):
+        # One encode of the shared title meets a zero tolerance.
+        assert codes(SHARED, Command(("pmf", "--tolerance", "-0"))) == [0]
 
 
 class TestExitCodes:
@@ -757,21 +607,18 @@ class TestExitCodes:
         assert run(*argv, "--input", small_corpus) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_alpha_out_of_range_is_input_error(self, small_corpus, tmp_path):
-        assert run("optimize", "--input", small_corpus, "--alpha", 1.5, "--out", tmp_path / "o") == 1
+    def test_alpha_out_of_range_is_input_error(self):
+        assert codes(SMALL, Command(("optimize", "--alpha", "1.5"), out=True),
+                     Command(("optimize", "--alpha", "1"))) == [1, 0]
 
-    def test_tolerance_out_of_range_is_input_error(self, small_corpus, tmp_path):
-        assert run("optimize", "--input", small_corpus, "--tolerance", 0.9, "--out", tmp_path / "o") == 1
+    def test_tolerance_out_of_range_is_input_error(self):
+        assert codes(SMALL, Command(("optimize", "--tolerance", "0.9"), out=True),
+                     Command(("optimize", "--tolerance", "0.5"))) == [1, 0]
 
-    def test_uncomputable_comparison_is_compute_error(self, tmp_path):
+    def test_uncomputable_comparison_is_compute_error(self):
         # Every encode misses its window: no ladder can be built at all.
-        recs = [
-            record(target=600.0, actual=900.0, quality=5.0),
-            record(target=1200.0, actual=1700.0, quality=6.0),
-        ]
-        path = tmp_path / "miss.csv"
-        path.write_text(serialize_dataset([TitleDataset.from_records(recs)]), encoding="utf-8")
-        assert run("compare", "--input", path, "--method", "arcs", "--out", tmp_path / "r") == 2
+        assert codes(SMALL._replace(titles=(), edges=("miss",)),
+                     Command(("compare", "--method", "arcs"), out=True)) == [2]
 
 
 @pytest.fixture(scope="module")
@@ -796,9 +643,6 @@ def record_calls(monkeypatch, name):
     return calls
 
 
-LONELY_REASON = "ladder 'zz-lonely'/default has 1 usable points after Pareto filtering"
-
-
 class TestCurvesPerTitle:
     """Each ladder's two BD curves are built once per title and shared by every
     (method, alpha) group that compares it."""
@@ -816,15 +660,9 @@ class TestCurvesPerTitle:
         titles = [ds.title_id for ds in parse_dataset(small_corpus.read_text(encoding="utf-8"))]
         assert Counter(ladder.title_id for ladder, _ in built) == {t: 2 * 5 for t in titles}
 
-    def test_degenerate_reference_excludes_every_group(self, lonely_corpus, tmp_path):
-        corpus = lonely_corpus
-        out = tmp_path / "rep"
-        assert run("compare", "--input", corpus, "--method", "arcs", "--method", "dynres",
-                   "--alpha", 0, "--alpha", 0.04, "--out", out) == 0
-        excluded = json.loads((out / "report.json").read_text(encoding="utf-8"))["aggregate"]["excluded"]
-        assert [(x["title"], x["method"], x["alpha"], x["reason"]) for x in excluded] == [
-            ("zz-lonely", m, a, LONELY_REASON) for m in ("arcs", "dynres") for a in (0.0, 0.04)
-        ]
+    def test_degenerate_reference_excludes_every_group(self):
+        assert codes(LONELY, Command(("compare", "--method", "arcs", "--method", "dynres",
+                                      "--alpha", "0", "--alpha", "0.04"), out=True)) == [0]
 
     def test_sweep_builds_no_ladder_payloads(self, small_corpus, monkeypatch):
         # Neither sweep nor pmf renders ladder text: no ladder, no rung text.
@@ -901,31 +739,12 @@ class TestBdMemo:
         assert len(fits) < 2 * len(ladders)
         assert len(deltas) < 2 * len(groups)
 
-    def test_failures_name_each_ladder_and_exclude_each_group(self, tmp_path):
-        targets = SHARED_FAILURE_TARGETS
-        corpus = tmp_path / "corpus.csv"
-        corpus.write_text(serialize_dataset(shared_failure_titles()), encoding="utf-8")
-        out = tmp_path / "rep"
-        assert run("compare", "--input", corpus, "--method", "arcs", "--method", "dynres",
-                   "--method", "default", "--alpha", 0, "--alpha", 0.04, "--out", out) == 0
-        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-        for entry in report["titles"]:
-            chosen = Counter(
-                (ladder["method"], tuple((r["height"], r["chroma"], r["target_kbps"])
-                                         for r in ladder["rungs"] if r["present"]))
-                for ladder in entry["ladders"])
-            low = tuple((1080, "444", t) for t in targets)
-            assert chosen == {("arcs", low): 2, ("dynres", low): 2,
-                              ("default", tuple((2160, "444", t) for t in targets)): 1}
-        apart = "quality ranges [5, 7] and [8, 9] do not overlap"
-        flat = "ladder 'flat'/{} has 1 usable points after Pareto filtering"
-        assert [(x["title"], x["method"], x["alpha"], x["reason"])
-                for x in report["aggregate"]["excluded"]] == [
-            *(("apart", m, a, apart) for m in ("arcs", "dynres") for a in (0.0, 0.04)),
-            *(("flat", m, a, flat.format(m)) for m in ("arcs", "dynres") for a in (0.0, 0.04)),
-        ]
-        assert [(r["method"], r["titles_used"], r["titles_excluded"])
-                for r in report["aggregate"]["rows"]] == [("default", 2, 0)]
+    def test_failures_name_each_ladder_and_exclude_each_group(self):
+        # Curves with one point, and curves apart from the reference's.
+        assert codes(SMALL._replace(titles=(), edges=("failing",)),
+                     Command(("compare", "--method", "arcs", "--method", "dynres", "--method",
+                              "default", "--alpha", "0", "--alpha", "0.04"), out=True)) == [0]
+
 
 def _captured(argv) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one run."""
@@ -934,18 +753,9 @@ def _captured(argv) -> tuple[int, str, str]:
 
 
 class TestSummary:
-    def test_exclusion_lines_name_the_alpha(self, lonely_corpus, tmp_path, capsys):
-        corpus = lonely_corpus
-        out = tmp_path / "rep"
-        assert run("compare", "--input", corpus, "--alpha", 0, "--alpha", 0.04, "--alpha", 0.08,
-                   "--format", "markdown", "--out", out) == 0
-        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("excluded ")]
-        assert lines == [f"excluded zz-lonely/cvvdp arcs alpha={a}: {LONELY_REASON}"
-                         for a in ("0", "0.04", "0.08")]
-        report = (out / "report.md").read_text(encoding="utf-8")
-        assert [l for l in report.splitlines() if l.startswith("- ")] == [
-            f"- zz-lonely/cvvdp arcs alpha={a}: {LONELY_REASON}" for a in ("0", "0.04", "0.08")
-        ]
+    def test_exclusion_lines_name_the_alpha(self):
+        assert codes(LONELY, Command(("compare", "--alpha", "0", "--alpha", "0.04", "--alpha",
+                                      "0.08", "--format", "markdown"), out=True)) == [0]
 
 
 LAYOUT_COMMANDS = (
@@ -1070,17 +880,10 @@ def _without_inputs(outcome: tuple[int, str, str]) -> tuple[int, str, str]:
 
 
 class TestDeterminism:
-    def test_two_runs_byte_identical(self, small_corpus, tmp_path):
-        outs = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            code = run(
-                "compare", "--input", small_corpus, "--method", "arcs",
-                "--alpha", 0, "--alpha", 0.04, "--out", out,
-            )
-            assert code == 0
-            outs.append((out / "report.json").read_bytes())
-        assert outs[0] == outs[1]
+    def test_two_runs_byte_identical(self):
+        command = Command(("compare", "--method", "arcs", "--alpha", "0", "--alpha", "0.04"),
+                          out=True)
+        assert codes(SMALL, command, command) == [0, 0]
 
 
 _json_scalars = (
@@ -1157,6 +960,15 @@ class TestJsonEmitter:
             to_json_text({"ok": [1], "nested": {key: 0}})
 
 
+def _nan_j_primes(build):
+    """``build`` with every rung's ``j_prime`` made NaN."""
+    def nan_ladder(*args):
+        ladder = build(*args)
+        return replace(ladder, rungs=tuple(replace(r, j_prime=math.nan) for r in ladder.rungs))
+
+    return nan_ladder
+
+
 class TestJsonErrorPath:
     """A report value json cannot encode is an input error, reported before any
     file is written."""
@@ -1189,13 +1001,7 @@ class TestJsonErrorPath:
                                           command, to_dir):
         # A rung's j_prime is spliced into its cached text, not encoded by
         # _json, so it is checked on its own.
-        real = cli._BUILDERS[Method.ARCS]
-
-        def nan_ladder(cfg, plan, index, alpha):
-            ladder = real(cfg, plan, index, alpha)
-            return replace(ladder, rungs=tuple(replace(r, j_prime=math.nan) for r in ladder.rungs))
-
-        monkeypatch.setitem(cli._BUILDERS, Method.ARCS, nan_ladder)
+        monkeypatch.setattr(cli, "optimize_arcs", _nan_j_primes(cli.optimize_arcs))
         out = tmp_path / "rep"
         argv = [*command, "--input", small_corpus, "--alpha", 0, "--alpha", 0.08,
                 *(["--out", out] if to_dir else [])]
@@ -1209,13 +1015,7 @@ class TestJsonErrorPath:
                                                                 capsys, monkeypatch):
         # Only dynres, the second method, has NaN j_primes: the arcs ladder
         # file that comes first must not be written either.
-        real = cli._BUILDERS[Method.DYNRES_JOD]
-
-        def nan_ladder(cfg, plan, index, alpha):
-            ladder = real(cfg, plan, index, alpha)
-            return replace(ladder, rungs=tuple(replace(r, j_prime=math.nan) for r in ladder.rungs))
-
-        monkeypatch.setitem(cli._BUILDERS, Method.DYNRES_JOD, nan_ladder)
+        monkeypatch.setattr(cli, "build_dynres", _nan_j_primes(cli.build_dynres))
         out = tmp_path / "ladders"
         assert run("optimize", "--input", small_corpus, "--method", "arcs", "--method", "dynres",
                    "--alpha", 0, "--out", out) == 1
@@ -1223,15 +1023,6 @@ class TestJsonErrorPath:
         assert captured.out == ""
         assert captured.err == "error: Out of range float values are not JSON compliant: nan\n"
         assert not out.exists()
-
-
-def _write_corpus(tmp: Path, datasets, targets) -> tuple[Path, Path]:
-    corpus, plan = tmp / "corpus.json", tmp / "plan.csv"
-    corpus.write_text(serialize_dataset(datasets, fmt="json"), encoding="utf-8")
-    heights = [1080] * (len(targets) - 2) + [2160] * 2
-    plan.write_text("target_kbps,height\n" + "".join(
-        f"{t:g},{h}\n" for t, h in zip(targets, heights)), encoding="utf-8")
-    return corpus, plan
 
 
 def _assert_matches_reference(flags, out: Path) -> None:
@@ -1249,18 +1040,12 @@ class TestRungText:
     dict payload per rung with ``json.dumps`` and ``csv.writer``; the drawn
     corpora and command lines are ``test_reference``'s."""
 
-    def test_one_record_serves_two_rungs_of_a_ladder(self, tmp_path):
-        datasets = [shared_record_title()]
-        corpus, plan = _write_corpus(tmp_path, datasets, CLOSE_TARGETS)
-        flags = ["--input", corpus, "--plan", plan, "--alpha", 0,
-                 "--method", "arcs", "--method", "fixed", "--cross-target"]
-        _assert_matches_reference(flags, tmp_path)
-        assert (tmp_path / "report" / "report.json").exists()
-        shared = json.loads((tmp_path / "ladders" / 'shared, "x"__cvvdp__arcs__alpha0.json')
-                            .read_text(encoding="utf-8"))
-        rungs = shared["rungs"]
-        assert [r["target_kbps"] for r in rungs[:2]] == [600.0, 640.0]
-        assert rungs[0]["actual_kbps"] == rungs[1]["actual_kbps"] == 620.0
+    def test_one_record_serves_two_rungs_of_a_ladder(self):
+        argv = ("--alpha", "0", "--method", "arcs", "--method", "fixed", "--cross-target")
+        commands = [Command((command, *argv, *formats * out), out=out)
+                    for command, formats in (("compare", ("--format", "json", "--format", "csv")),
+                                             ("optimize", ())) for out in (True, False)]
+        assert codes(SHARED, *commands) == [0] * 4
 
     def test_targets_that_print_differently_do_not_share_text(self):
         # 1000 and 1000.0 are equal keys in a dict but print differently.

@@ -7,9 +7,10 @@ float and string handling and the report encoders must agree from 3.10 to
 ``pmf`` on the shipped corpus in one process, ``sweep`` once more on the
 shipped corpus plus a PSNR copy of it, so that each title's two metrics come
 from two files, ``compare`` on the shipped corpus plus a file with a bad
-row, which fails, and each command with ``--out`` on titles that hold
-``\r``, ``\n``, ``\r\n``, ``"``, ``,`` and non-ASCII text, whose records are
-split over one CSV and one JSON file. The exit codes, what they print on
+row, which fails, and each command on titles that hold ``\r``, ``\n``,
+``\r\n``, ``"``, ``,`` and non-ASCII text, whose records are split over one
+CSV and one JSON file: ``optimize`` prints their ladders, since such titles
+cannot name ladder files, and the others write them with ``--out``. The exit codes, what they print on
 stdout and stderr, and the bytes of every file written under ``--out`` must
 equal those of the running interpreter. None of these commands needs numpy.
 A version that is not installed is skipped.
@@ -73,8 +74,9 @@ def _interpreter(minor: int) -> str | None:
 @pytest.fixture(scope="module")
 def commands(tmp_path_factory) -> list[list[str]]:
     """``COMMANDS``, a ``sweep`` of the shipped corpus next to a PSNR copy of
-    it (each quality q read as 20 + 5q dB), each command with ``--out`` on the
-    shipped corpus's first titles renamed to ``AWKWARD_TITLES``, their records
+    it (each quality q read as 20 + 5q dB), each command on the shipped
+    corpus's first titles renamed to ``AWKWARD_TITLES`` (with ``--out`` but
+    for ``optimize``), their records
     split over a CSV and a JSON file, and, last, a ``compare`` of the shipped
     corpus next to a file whose first row has quality ``oops``."""
     with open(ROOT / CORPUS, encoding="utf-8", newline="") as fh:
@@ -100,8 +102,8 @@ def commands(tmp_path_factory) -> list[list[str]]:
     with open(split[1], "w", encoding="utf-8", newline="") as fh:
         json.dump([dict(zip(header, row)) for row in renamed[1::2]], fh, ensure_ascii=False)
     awkward = ["--input", str(split[0]), "--input", str(split[1]), "--alpha", "0", "--alpha",
-               "0.04", "--out", "{out}"]
-    reports = ["--format", "json", "--format", "csv"]
+               "0.04"]
+    reports = ["--out", "{out}", "--format", "json", "--format", "csv"]
     return [*COMMANDS, ["sweep", *INPUT, "--input", str(psnr), "--format", "json"],
             ["optimize", *awkward, "--method", "arcs", "--method", "dynres"],
             ["compare", *awkward, "--method", "arcs", "--method", "dynres", *reports,

@@ -2,10 +2,13 @@
 commands built from the public API: on drawn corpora and command lines of
 ``optimize``, ``compare``, ``sweep`` and ``pmf``, both give the same exit
 code, stdout, stderr and written bytes, and every (title, metric, method,
-alpha) is reported once."""
+alpha) is reported once. ``commands_equal_reference`` is that check; the
+named cases of these commands in ``test_cli`` call it too. A new output case
+is one more pinned ``@example`` here, not hand-written assertions."""
 
 import json
 import random
+import re
 import tempfile
 from collections import Counter
 from dataclasses import replace
@@ -20,13 +23,14 @@ import reference
 from chromaladder import QualityMetric, TitleDataset, default_spec, generate, parse_dataset
 from chromaladder.measurements import CSV_HEADER
 from helpers import (C420, CLOSE_TARGETS, SMALL_TARGETS, cli_outcome, grid_dataset, lonely_title,
-                     replace_title, shared_failure_titles, shared_record_title)
+                     record, replace_title, shared_failure_titles, shared_record_title)
 
 # Titles that CSV must quote and JSON must escape.
 AWKWARD_TITLES = ['clip "A", 4k — é', "line\nbreak", "cr\rreturn,comma", "中文 😀", "back\\slash'"]
 # Titles that some evaluations exclude: one encode serving two rungs with
 # --cross-target; curves with one point or apart from the reference's; no
-# 4:4:4 encode; a native-resolution (default) ladder with one point.
+# 4:4:4 encode; a native-resolution (default) ladder with one point; every
+# encode outside its target's window.
 EDGE_TITLES = {
     "shared": lambda: [shared_record_title()],
     "failing": shared_failure_titles,
@@ -34,6 +38,8 @@ EDGE_TITLES = {
                                    title="no444", chromas=(C420,))],
     "lonely": lambda: [lonely_title(
         generate(replace(default_spec(titles=1), targets_kbps=SMALL_TARGETS))[0])],
+    "miss": lambda: [TitleDataset.from_records([record("miss", target=600, actual=900, quality=5),
+                                                record("miss", target=1200, actual=1700)])],
 }
 EDGE_NAMES = {ds.title_id for make in EDGE_TITLES.values() for ds in make()}
 METHODS = ("arcs", "dynres", "default", "fixed")
@@ -43,7 +49,7 @@ class Corpus(NamedTuple):
     sparse: bool  # sparse_spec's jitter, else default_spec's
     seed: int
     targets: tuple
-    titles: tuple  # the synthetic titles' names
+    titles: tuple  # the synthetic titles' names; none: the edge titles alone
     metrics: tuple = ("cvvdp",)  # each synthetic title is measured in these
     edges: tuple = ()  # keys of EDGE_TITLES
     files: tuple = ("csv",)  # one format per input file
@@ -51,7 +57,7 @@ class Corpus(NamedTuple):
 
     def write(self, tmp: Path) -> list[Path]:
         datasets = [ds for edge in self.edges for ds in EDGE_TITLES[edge]()]
-        for metric in map(QualityMetric, self.metrics):
+        for metric in map(QualityMetric, self.metrics if self.titles else ()):
             spec = default_spec(self.seed, len(self.titles), metric)
             spec = replace(spec, targets_kbps=self.targets, jitter=0.15 if self.sparse else spec.jitter)
             datasets += [TitleDataset.from_records(replace_title(rec, name) for rec in ds.records)
@@ -70,22 +76,24 @@ class Corpus(NamedTuple):
                     json.dump(rows, fh)
                 else:
                     fh.write(reference.csv_text(CSV_HEADER, [row.values() for row in rows]))
-        # Heights that rise once, as a plan's must; titles on other targets fail it.
-        (tmp / "plan.csv").write_text("target_kbps,height\n" + "".join(
-            f"{t:g},{1080 if i < 3 else 2160}\n" for i, t in enumerate(self.targets)))
         return paths
+
+    def plan(self) -> str:
+        """Heights that rise once, as a plan's must; titles on other targets fail it."""
+        return "target_kbps,height\n" + "".join(
+            f"{t:g},{1080 if i < 3 else 2160}\n" for i, t in enumerate(self.targets))
 
 
 class Command(NamedTuple):
     argv: tuple  # the command and its flags but --input, --plan and --out
-    plan: bool = True
+    plan: bool | str = True  # the corpus's plan, none, or the plan file's text
     out: bool = False
 
 
 corpora = st.builds(
     Corpus, st.booleans(), st.integers(0, 2**16), st.sampled_from([SMALL_TARGETS, CLOSE_TARGETS]),
     st.lists(st.sampled_from(AWKWARD_TITLES) | st.text(
-        st.characters(blacklist_categories=("Cs",), blacklist_characters="/\0"), min_size=1,
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"), min_size=1,
         max_size=8).filter(lambda t: t.strip() and t.strip() not in EDGE_NAMES),
         min_size=1, max_size=4, unique_by=str.strip).map(tuple),
     st.sampled_from([("cvvdp",), ("psnr",), ("cvvdp", "psnr")]),
@@ -113,10 +121,11 @@ def command_lines(draw, command: str) -> Command:
     return Command(tuple(argv), plan=draw(st.sampled_from([True, True, True, False])), out=out)
 
 
-def _assert_each_evaluation_once(argv, datasets, payload) -> None:
+def _assert_each_evaluation_once(argv, datasets, want) -> None:
     """Each (title, metric, method, alpha) is reported once, as a result or an
-    exclusion, and each aggregate row counts every dataset of its metric."""
-    cfg = reference.parse_argv(argv)
+    exclusion, each aggregate row counts every dataset of its metric, and a
+    markdown report lists each exclusion on one line."""
+    cfg, payload = reference.parse_argv(argv), want.payload
     excluded = payload["aggregate"]["excluded"] if "aggregate" in payload else payload["excluded"]
     results = [*payload.get("ladders", []), *(dict(row, title=entry["title"])
                                               for entry in payload.get("titles", [])
@@ -132,12 +141,47 @@ def _assert_each_evaluation_once(argv, datasets, payload) -> None:
     group_excluded = Counter(itemgetter("method", "alpha", "metric")(x) for x in excluded)
     assert all(r["titles_excluded"] == group_excluded[r["method"], r["alpha"], r["metric"]]
                and r["titles_used"] + r["titles_excluded"] == n_titles[r["metric"]] for r in rows)
+    for text in filter(None, map(want.files.get, ["report.md", "frontier.md"] * bool(excluded))):
+        lines = re.split("[\r\n]", text)
+        assert lines[-len(excluded) - 2] == "Excluded title evaluations:"
+        assert all(line.startswith("- ") for line in lines[-len(excluded) - 1:-1])
 
 
+SMALL = Corpus(False, 0, SMALL_TARGETS, ("synth000", "synth001", "synth002", "synth003"))
 LONELY = Corpus(False, 0, SMALL_TARGETS, ("synth000", "synth001"), edges=("lonely",))
 # No sparse seed-869 title has a 1080p or 2160p 444 encode, so its fixed
 # ladder is excluded.
 SEED_869 = Corpus(True, 869, SMALL_TARGETS, ("line\nbreak", "cr\rreturn,comma"))
+
+
+def commands_equal_reference(corpus: Corpus, commands) -> list[reference.Outcome]:
+    """Run each command on ``corpus`` through ``cli.main`` and ``reference.run``:
+    both give the same exit code, stdout, stderr and written bytes, nothing is
+    written outside ``--out``, which exists only when files are written, and
+    each evaluation is reported once. Returns the outcomes."""
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        inputs = [f for path in corpus.write(tmp) for f in ("--input", path)]
+        datasets = parse_dataset([reference.read_text(path) for path in tmp.glob("part*")])
+        runs = tmp / "runs"
+        for i, command in enumerate(commands):
+            # Two levels below runs, so that a title "../../x" stays in tmp.
+            out, plan = runs / str(i) / "out", tmp / f"plan{i}.csv"
+            if command.plan:
+                plan.write_text(corpus.plan() if command.plan is True else command.plan,
+                                encoding="utf-8")
+            argv = [str(a) for a in (*command.argv, *inputs, *["--out", out] * command.out,
+                                     *["--plan", plan] * bool(command.plan))]
+            want = reference.run(argv)
+            assert cli_outcome(argv, out) == want
+            assert out.exists() == bool(want.files)
+            if want.payload is not None:  # None: it stopped before it evaluated a title
+                _assert_each_evaluation_once(argv, datasets, want)
+            outcomes.append(want)
+        assert {path.parent for path in runs.rglob("*") if path.is_file()} <= {
+            runs / str(i) / "out" for i in range(len(commands))}
+    return outcomes
 
 
 @settings(max_examples=100, deadline=None)
@@ -151,21 +195,13 @@ SEED_869 = Corpus(True, 869, SMALL_TARGETS, ("line\nbreak", "cr\rreturn,comma"))
 @example(LONELY, [Command(("pmf", "--alpha", "0.04", "--method", "arcs", "--method", "arcs",
                            "--method", "fixed"), out=True)])
 # The fixed ladder excluded next to an arcs ladder, with titles that hold line
-# breaks, and as the only ladder, so that optimize fails.
-@example(SEED_869, [Command(("optimize", "--alpha", "0", "--method", "arcs", "--method", "fixed"),
-                            out=True)])
+# breaks, in SKIP lines and frontier.md; such titles cannot name ladder files;
+# and the fixed ladder as the only one, so that optimize fails.
+@example(SEED_869, [Command(("optimize", "--alpha", "0", "--method", "arcs", "--method", "fixed")),
+                    Command(("optimize", "--alpha", "0"), out=True),
+                    Command(("sweep", "--alpha", "0", "--alpha", "0.04", "--reference", "fixed",
+                             "--format", "markdown"), out=True)])
 @example(SEED_869._replace(titles=('clip "A", 4k — é',)),
          [Command(("optimize", "--alpha", "0", "--method", "fixed"))])
 def test_commands_equal_reference(corpus, commands):
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        inputs = [f for path in corpus.write(tmp) for f in ("--input", path)]
-        datasets = parse_dataset([reference.read_text(path) for path in tmp.glob("part*")])
-        for i, command in enumerate(commands):
-            out = tmp / f"out{i}"
-            argv = [str(a) for a in (*command.argv, *inputs, *["--out", out] * command.out,
-                                     *["--plan", tmp / "plan.csv"] * command.plan)]
-            want = reference.run(argv)
-            assert cli_outcome(argv, out) == want
-            if want.payload is not None:  # None: it stopped before it evaluated a title
-                _assert_each_evaluation_once(argv, datasets, want.payload)
+    commands_equal_reference(corpus, commands)
