@@ -35,6 +35,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     AxisMismatch,
+    CurveError,
     EmptyInput,
     MetricMismatch,
     NoQualityOverlap,
@@ -263,8 +264,15 @@ def bd_delta(reference: RQCurve, test: RQCurve) -> BDResult:
     int_ref = reference.fit.integrate(q_low, q_high)
     int_test = test.fit.integrate(q_low, q_high)
     mean_log_diff = (int_test - int_ref) / (q_high - q_low)
+    try:
+        percent = (math.exp(mean_log_diff) - 1.0) * 100.0
+    except OverflowError:
+        percent = math.inf
+    if not math.isfinite(percent):
+        raise CurveError(f"the BD value is not a finite float "
+                         f"(mean log difference {mean_log_diff:.4g})")
     return BDResult(
-        value_percent=(math.exp(mean_log_diff) - 1.0) * 100.0,
+        value_percent=percent,
         overlap=(q_low, q_high),
         metric=reference.metric,
         axis_kind=reference.axis_kind,

@@ -20,10 +20,11 @@ once per indent, with no payload dict per ladder or rung. A title's
 ``_RungText`` makes the texts of each distinct (record, target) once; they
 fill both the rung's JSON and its ``report_curves.csv`` row, and each rung
 adds only its ``j_prime``. ``_ladder_json`` writes a ladder for compare's
-title entries and for optimize's ladder files alike. compare renders a title
-entry when ``to_json_text`` reaches it, and in the same pass keeps the
-title's ``report_bd.csv`` and ``report_curves.csv`` rows, so each BD value
-is made into text once for both files.
+title entries and for optimize's ladder files alike. compare and optimize
+make a title's text once, while the title is evaluated, and keep only that
+text: compare its ``report.json`` entry and its ``report_bd.csv`` and
+``report_curves.csv`` rows (``_report_title``), each BD value made into text
+once for both files, and optimize each ladder's file or printed list item.
 
 Exit codes: 0 success, 1 input/validation error, 2 computation error.
 All reports are deterministic: titles are processed in lexicographic order and
@@ -135,16 +136,16 @@ def to_json_text(payload) -> str:
     one; this appends the text's pieces to one list and joins it once, so no
     container's text is copied into its parent's. Values are dispatched on
     their exact type: ``str``, ``int``, ``float``, ``bool``, ``None``,
-    ``list``, ``tuple``, ``dict`` and ``_Deferred``. Any other type, a
+    ``list``, ``tuple``, ``dict`` and ``_JsonText``. Any other type, a
     subclass of one of these too (an enum member, a numpy float), raises
     json's TypeError; a non-finite float raises its ValueError. Containers
     are not checked for cycles: every payload is a fresh tree. Keys must be
     strings; json would also turn int, float, bool and None keys into
     strings, but no payload has them.
 
-    A ``_Deferred`` value is rendered by its own function when it is reached,
-    with the indent of its place: compare's title entries and optimize's
-    ladders are rendered that way, from text templates, one title at a time.
+    A ``_JsonText`` value is written as its text, which was made for the
+    indent of its place: compare's title entries and optimize's printed
+    ladders come that way, each made while its title was evaluated.
     """
     out: list[str] = []
     _write_json(payload, "\n", out)
@@ -177,8 +178,8 @@ def _write_json(value, newline: str, out: list[str]) -> None:
     encode = _SCALAR_TEXT.get(kind)
     if encode is not None:
         out.append(encode(value))
-    elif kind is _Deferred:
-        out.append(value.render(newline))
+    elif kind is _JsonText:
+        out.append(value.text)
     elif kind is list or kind is tuple or kind is dict:
         if not value:
             out.append("{}" if kind is dict else "[]")
@@ -207,14 +208,15 @@ def _scalar(value) -> str:
     return _SCALAR_TEXT[type(value)](value)
 
 
-class _Deferred:
-    """A JSON value whose text is made only when ``to_json_text`` reaches it:
-    ``render(newline)`` returns its text, closing after ``newline``."""
+class _JsonText:
+    """A JSON value given as its finished text, made for the indent of its
+    place. The text is held, not subclassed: a ``str`` subclass would copy
+    it."""
 
-    __slots__ = ("render",)
+    __slots__ = ("text",)
 
-    def __init__(self, render: Callable[[str], str]):
-        self.render = render
+    def __init__(self, text: str):
+        self.text = text
 
 
 # -- the evaluation pass ---------------------------------------------------------
@@ -351,7 +353,7 @@ def _list_json(items: Sequence[str], newline: str) -> str:
 
 
 # A value that a template leaves open: ``_template`` writes a ``{}`` for it.
-_SLOT = _Deferred(lambda newline: "\0")
+_SLOT = _JsonText("\0")
 
 # The objects that compare and optimize write from templates, a slot for
 # each value that varies, with their keys in report order.
@@ -475,64 +477,42 @@ def _ladder_json(ladder: Ladder, metric: QualityMetric, cfg: RunConfig, rungs: _
         _scalar(cfg.tolerance), rungs.json(ladder, newline + "  "))
 
 
-class _ReportText:
-    """compare's per-title text: each title's ``report.json`` entry and its
-    ``report_bd.csv`` and ``report_curves.csv`` rows, made in one pass over
-    the title from one ``_RungText``, with each BD value's text made once for
-    both files.
-
-    A title is rendered where ``to_json_text`` reaches its entry
-    (``entries``) or, when no JSON is written, by the first CSV file
-    (``csv_text``). Its memo is dropped with it; only its CSV rows are kept,
-    one text per title and file, when ``csv`` asks for them.
-    """
-
-    def __init__(self, cfg: RunConfig, titles: Sequence[tuple], csv: bool):
-        self.cfg, self.titles = cfg, titles
-        self.bd_rows: list[str] | None = [] if csv else None
-        self.curve_rows: list[str] | None = [] if csv else None
-        self.line = csv_line_writer()
-
-    def entries(self) -> list[_Deferred]:
-        return [_Deferred(functools.partial(self._title, entry)) for entry in self.titles]
-
-    def csv_text(self, header: Sequence[str], curves: bool) -> str:
-        """``report_curves.csv`` if ``curves``, else ``report_bd.csv``, under
-        ``header``."""
-        if len(self.bd_rows) < len(self.titles):
-            for entry in self.titles:
-                self._title(entry, None)
-        return "".join([_csv_lines(header, []), *(self.curve_rows if curves else self.bd_rows)])
-
-    def _title(self, entry: tuple, newline: str | None) -> str | None:
-        """The title's JSON entry, closing after ``newline`` (None: no JSON).
-        Its CSV rows are kept first, if asked for."""
-        cfg = self.cfg
-        title, metric, ladders, bd_rows = entry
-        rungs = _RungText()
-        values = [(row, _scalar(row["bdr_percent"]), _scalar(row["bddt_percent"]),
-                   *map(_scalar, row["overlap_quality"])) for row in bd_rows]
-        if self.bd_rows is not None:
-            # Only the title may need quoting: tags and numbers never do.
-            head = self.line([title, metric.value])[:-1] + ","
-            self.bd_rows.append("".join(
-                f"{head}{row['method']},{_csv_alpha(row['alpha'])},{bdr},{bddt},{low},{high}\n"
-                for row, bdr, bddt, low, high in values))
-            self.curve_rows.append("".join(
-                rungs.csv(ladder, f"{head}{ladder.method.value},{_csv_alpha(ladder.alpha)},")
-                for ladder in ladders))
-        if newline is None:
-            return None
-        inner = newline + "  "
-        row_template = _template("bd row", inner + "    ")
-        reference = _encode_str(cfg.reference.value)
-        return _template("title entry", newline).format(
-            _encode_str(title), _encode_str(metric.value),
-            _list_json([_ladder_json(ladder, metric, cfg, rungs, inner + "  ")
-                        for ladder in ladders], inner),
-            _list_json([row_template.format(_encode_str(row["method"]), _scalar(row["alpha"]),
-                                            _encode_str(row["metric"]), reference, *texts)
-                        for row, *texts in values], inner + "  "))
+def _report_title(cfg: RunConfig, title: str, metric: QualityMetric, ladders: Sequence[Ladder],
+                  bd_rows: Sequence[tuple]) -> tuple[_JsonText | None, str, str]:
+    """compare's text of one evaluated title: its ``report.json`` entry (None
+    when no JSON is written) and its ``report_bd.csv`` and
+    ``report_curves.csv`` rows (empty without ``--format csv``), all from one
+    ``_RungText``. ``bd_rows`` are ``(method, alpha, rate, time)``. Each BD
+    value becomes text once, for both files and in every run, so a value
+    that JSON cannot encode fails every ``--format``."""
+    rungs = _RungText()
+    values = [(method.value, alpha,
+               *map(_scalar, (rate.value_percent, time.value_percent, *rate.overlap)))
+              for method, alpha, rate, time in bd_rows]
+    bd_csv = curves_csv = ""
+    if cfg.out_dir is not None and "csv" in cfg.formats:
+        # Only the title may need quoting: tags and numbers never do.
+        head = csv_line_writer()([title, metric.value])[:-1] + ","
+        bd_csv = "".join(f"{head}{method},{_csv_alpha(alpha)},{bdr},{bddt},{low},{high}\n"
+                         for method, alpha, bdr, bddt, low, high in values)
+        curves_csv = "".join(
+            rungs.csv(ladder, f"{head}{ladder.method.value},{_csv_alpha(ladder.alpha)},")
+            for ladder in ladders)
+    if cfg.out_dir is not None and "json" not in cfg.formats:
+        return None, bd_csv, curves_csv
+    # A title entry is an item of report.json's "titles" list.
+    newline = "\n    "
+    inner = newline + "  "
+    row_template = _template("bd row", inner + "    ")
+    metric_text, reference = _encode_str(metric.value), _encode_str(cfg.reference.value)
+    entry = _template("title entry", newline).format(
+        _encode_str(title), metric_text,
+        _list_json([_ladder_json(ladder, metric, cfg, rungs, inner + "  ")
+                    for ladder in ladders], inner),
+        _list_json([row_template.format(_encode_str(method), _scalar(alpha), metric_text,
+                                        reference, *texts)
+                    for method, alpha, *texts in values], inner + "  "))
+    return _JsonText(entry), bd_csv, curves_csv
 
 
 def _csv_alpha(alpha: float | None) -> str:
@@ -701,46 +681,52 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+# The longest file name, in UTF-8 bytes, that a ladder may have: the limit of
+# the common file systems, fixed so that the outcome is the same everywhere.
+_NAME_BYTES = 255
+
+
 def cmd_optimize(args) -> int:
     cfg = _config_from_args(args)
-    ladders, skipped = [], []
+    # Each ladder's text is made for its place while its title is evaluated:
+    # a file of its own with --out, else an item of the printed list.
+    place = "\n  " if cfg.out_dir is None else "\n"
+    ladders, skipped = [], []  # ladders: (title, file name, text)
     for (_, metric), evaluations in _evaluate(cfg, _BUILDERS):
         rungs = _RungText()
         for _, _, built, ex in evaluations:
-            if ex is None:
-                ladders.append((built[0], metric, rungs))
-            else:
+            if ex is not None:
                 skipped.append(f"{_title_text(ex['title'])}/{ex['metric']}/{ex['method']}"
                                f"{_alpha_tag(ex['alpha'])}: {ex['reason']}")
-    # Each ladder file's text is made where to_json_text reaches it.
-    payloads = [_Deferred(functools.partial(_ladder_json, ladder, metric, cfg, rungs))
-                for ladder, metric, rungs in ladders]
-    files = [("json", f"{ladder.title_id}__{metric.value}__{ladder.method.value}"
-                      f"{_alpha_tag(ladder.alpha)}.json", lambda p=p: to_json_text(p))
-             for (ladder, metric, _), p in zip(ladders, payloads)]
+                continue
+            ladder = built[0]
+            ladders.append((ladder.title_id, f"{ladder.title_id}__{metric.value}__"
+                            f"{ladder.method.value}{_alpha_tag(ladder.alpha)}.json",
+                            _ladder_json(ladder, metric, cfg, rungs, place)))
     if cfg.out_dir is not None:
-        # A title names its ladder files, so it must not lead out of --out or
+        # A title names its ladder files, so it must not lead out of --out,
         # put a control character (NUL and line breaks among them) in a file
-        # name, and no two ladders may share a file.
-        for ladder, _, _ in ladders:
-            if "/" in ladder.title_id or any(c < " " for c in ladder.title_id):
-                raise ValueError(f"title {ladder.title_id!r} contains '/' or a control character "
+        # name or make one too long, and no two ladders may share a file.
+        for title, name, _ in ladders:
+            if "/" in title or any(c < " " for c in title):
+                raise ValueError(f"title {title!r} contains '/' or a control character "
                                  f"and cannot name a ladder file in {cfg.out_dir}")
-        for name, count in Counter(name for _, name, _ in files).items():
+            if len(name.encode("utf-8")) > _NAME_BYTES:
+                raise ValueError(f"title {title!r} is too long to name a ladder file in "
+                                 f"{cfg.out_dir}: a file name has at most {_NAME_BYTES} bytes")
+        for name, count in Counter(name for _, name, _ in ladders).items():
             if count > 1:
                 raise ValueError(f"{count} ladders would be written to the same file "
                                  f"{cfg.out_dir / name}; file names give an alpha to 6 "
                                  "significant digits")
     for line in skipped:
         print(f"SKIP {line}")
-    if not payloads:
+    if not ladders:
         print("error: every ladder construction failed", file=sys.stderr)
         return EXIT_COMPUTE
-    if cfg.out_dir is not None:
-        # Every file is rendered before any is written, so a value that JSON
-        # cannot encode leaves no file behind.
-        files = [(fmt, name, lambda text=render(): text) for fmt, name, render in files]
-    return _emit(cfg, payloads, files, [f"wrote {len(payloads)} ladder file(s) to {cfg.out_dir}"])
+    return _emit(cfg, [_JsonText(text) for _, _, text in ladders],
+                 [("json", name, lambda text=text: text + "\n") for _, name, text in ladders],
+                 [f"wrote {len(ladders)} ladder file(s) to {cfg.out_dir}"])
 
 
 _BD_AXES = (CurveAxis.QUALITY_VS_LOG_RATE, CurveAxis.QUALITY_VS_LOG_TIME)
@@ -783,17 +769,19 @@ def _bd_pair(memo: _TitleMemo, ref: Ladder, test: Ladder):
     return memo.deltas[keys]
 
 
-def _compare(cfg: RunConfig, per_title: bool) -> tuple[list[tuple], list[dict], list[dict]]:
+def _compare(cfg: RunConfig, title_done: Callable[..., None] | None = None
+             ) -> tuple[list[dict], list[dict]]:
     """Bjontegaard deltas of ``cfg.methods`` against ``cfg.reference``.
 
-    Returns the per-title entries ``(title, metric, ladders, BD rows)``, each
-    distinct (method, alpha) ladder once (empty unless ``per_title``), the
-    aggregate rows per (method, alpha, metric), and the
-    exclusions in title order. Within a title, each distinct set of chosen
-    records is fitted once per axis and each distinct pair of curves is
-    compared once, whichever groups share them.
+    Returns the aggregate rows per (method, alpha, metric) and the exclusions
+    in title order. Once a title is evaluated, ``title_done``, if given, is
+    called with the title, its metric, each distinct (method, alpha) ladder
+    once, and its BD rows ``(method, alpha, rate, time)``; no more of the
+    title is kept. Within a title, each distinct set of chosen records is
+    fitted once per axis and each distinct pair of curves is compared once,
+    whichever groups share them.
     """
-    titles, excluded = [], []
+    excluded = []
     rows_by_group: dict[tuple, list[tuple[float, float]]] = {}
     # Titles are counted per metric: a title measured in both metrics has a
     # dataset, and a row, for each.
@@ -812,20 +800,10 @@ def _compare(cfg: RunConfig, per_title: bool) -> tuple[list[tuple], list[dict], 
             if exclusion is not None:
                 excluded.append(exclusion)
                 continue
-            bd_rows.append(
-                {
-                    "method": method.value,
-                    "alpha": alpha,
-                    "metric": metric.value,
-                    "reference": cfg.reference.value,
-                    "bdr_percent": rate.value_percent,
-                    "bddt_percent": time.value_percent,
-                    "overlap_quality": [rate.overlap[0], rate.overlap[1]],
-                }
-            )
+            bd_rows.append((method, alpha, rate, time))
             rows_by_group.setdefault((method, alpha, metric), []).append((rate, time))
-        if per_title:
-            titles.append((title, metric, tuple(ladders.values()), bd_rows))
+        if title_done is not None:
+            title_done(title, metric, tuple(ladders.values()), bd_rows)
     agg_rows = []
     for method, alpha, metric in sorted(
         rows_by_group, key=lambda g: (g[0].value, -1.0 if g[1] is None else g[1], g[2].value)
@@ -843,22 +821,20 @@ def _compare(cfg: RunConfig, per_title: bool) -> tuple[list[tuple], list[dict], 
                 "titles_excluded": n_titles[metric] - len(vals),
             }
         )
-    return titles, agg_rows, excluded
+    return agg_rows, excluded
 
 
 def cmd_compare(args) -> int:
     cfg = _config_from_args(args)
-    titles, rows, excluded = _compare(cfg, per_title=True)
+    texts = []  # per title: its report.json entry, report_bd.csv and report_curves.csv rows
+    rows, excluded = _compare(cfg, lambda *title: texts.append(_report_title(cfg, *title)))
     if not rows:
         print("error: no comparison could be computed", file=sys.stderr)
         return EXIT_COMPUTE
-    _check_finite(value for _, _, _, bd_rows in titles for row in bd_rows
-                  for value in (row["bdr_percent"], row["bddt_percent"], *row["overlap_quality"]))
     _check_finite(value for row in rows for value in (row["mean_bdr_percent"], row["mean_bddt_percent"]))
-    text = _ReportText(cfg, titles, csv=cfg.out_dir is not None and "csv" in cfg.formats)
     report = {
         "config": _config_payload(cfg),
-        "titles": text.entries(),
+        "titles": [entry for entry, _, _ in texts],
         "aggregate": {"rows": rows, "excluded": excluded},
     }
     bd_columns = ["title", "metric", "method", "alpha", "bdr_percent",
@@ -870,9 +846,10 @@ def cmd_compare(args) -> int:
     files = [
         ("json", "report.json", lambda: to_json_text(report)),
         ("markdown", "report.md", lambda: _render_markdown("report", cfg.reference, rows, excluded)),
-        ("csv", "report_bd.csv", lambda: text.csv_text(bd_columns, curves=False)),
-        ("csv", "report_curves.csv",
-         lambda: text.csv_text(curve_columns, curves=True)),
+        ("csv", "report_bd.csv", lambda: "".join([_csv_lines(bd_columns, []),
+                                                  *(bd for _, bd, _ in texts)])),
+        ("csv", "report_curves.csv", lambda: "".join([_csv_lines(curve_columns, []),
+                                                      *(curves for _, _, curves in texts)])),
         ("csv", "report_aggregate.csv", lambda: _csv_lines(
             aggregate_columns, [[r[c] for c in aggregate_columns] for r in rows])),
     ]
@@ -886,7 +863,7 @@ def cmd_sweep(args) -> int:
         print("error: sweep needs at least two --alpha values", file=sys.stderr)
         return EXIT_INPUT
     cfg = replace(cfg, alphas=tuple(sorted(cfg.alphas)), methods=(Method.ARCS, Method.DYNRES_JOD))
-    _, rows, excluded = _compare(cfg, per_title=False)
+    rows, excluded = _compare(cfg)
     if not rows:
         print("error: no comparison could be computed", file=sys.stderr)
         return EXIT_COMPUTE

@@ -140,25 +140,17 @@ def validate_rungs(rungs: Sequence[Rung]) -> None:
 
 def _check_chain(hfs: Sequence[tuple[int, int]]) -> None:
     """Raise InvalidLadder unless the (height, fidelity_rank) pairs of the
-    present rungs, in target order, pass ``_step_ok`` pair by pair, which is
-    to say that they never decrease."""
+    present rungs, in target order, never decrease as tuples: that is the
+    chain rule between consecutive present rungs, under which a resolution
+    increase allows any chroma (refresh) and equal resolution requires
+    non-decreasing fidelity. ``_compile`` and ``_solve_greedy`` use the same
+    tuple order."""
     if all(map(operator.le, hfs, hfs[1:])):
         return
     prev, hf = next((a, b) for a, b in zip(hfs, hfs[1:]) if a > b)
     if hf[0] < prev[0]:
         raise InvalidLadder(f"resolution decreases {prev[0]} -> {hf[0]} with rising bitrate")
     raise InvalidLadder(f"chroma fidelity decreases within the {hf[0]}p run")
-
-
-def _step_ok(prev: tuple[int, int], nxt: tuple[int, int]) -> bool:
-    """Chain constraint between consecutive present rungs.
-
-    ``prev``/``nxt`` are (height, fidelity_rank). A resolution increase allows
-    any chroma (refresh); equal resolution requires non-decreasing fidelity.
-    """
-    if nxt[0] != prev[0]:
-        return nxt[0] > prev[0]
-    return nxt[1] >= prev[1]
 
 
 # -- candidate index -----------------------------------------------------------
@@ -346,9 +338,9 @@ def _compile(shape: tuple[tuple[tuple[int, int], ...], ...]) -> _Graph:
     fidelity_rank) pairs, pool by pool in candidate order, cut down to the
     states from which a maximal ladder can still be finished."""
     # Forward: the reachable states and their edges. A pool's pairs never
-    # decrease and ``_step_ok(last, hf)`` is ``hf >= last``, so the candidates
-    # feasible after ``last`` are a suffix whose first pair is their minimum,
-    # and those below ``cap`` are a prefix.
+    # decrease and the chain rule after ``last`` is ``hf >= last``, so the
+    # candidates feasible after ``last`` are a suffix whose first pair is
+    # their minimum, and those below ``cap`` are a prefix.
     states: dict[tuple, int] = {(None, None): 0}
     layers, sizes = [], [1]
     for pool in shape:
@@ -510,7 +502,7 @@ def _solve_greedy(pools, js) -> list[int | None]:
     last: tuple[int, int] | None = None
     out: list[int | None] = []
     for pool, jl in zip(pools, js):
-        feasible = [k for k, c in enumerate(pool) if last is None or _step_ok(last, c[3])]
+        feasible = [k for k, c in enumerate(pool) if last is None or c[3] >= last]
         if feasible:
             pick = max(feasible, key=lambda k: _rung_key(pool[k], jl[k]))
             out.append(pick)

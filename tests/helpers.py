@@ -39,7 +39,7 @@ from chromaladder.errors import (
     NonPositiveValue,
 )
 from chromaladder.cli import main
-from chromaladder.ladder import _Graph, _step_ok, chroma_shares, count_chroma
+from chromaladder.ladder import _Graph, chroma_shares, count_chroma
 from chromaladder.measurements import CSV_HEADER
 from reference import Outcome
 
@@ -530,7 +530,7 @@ def oracle_compile(shape) -> _Graph:
         nxt: dict[tuple, int] = {}
         edges = []
         for (last, cap), src in states.items():
-            feasible = [k for k, hf in enumerate(pool) if last is None or _step_ok(last, hf)]
+            feasible = [k for k, hf in enumerate(pool) if last is None or _rises(last, hf)]
             new_cap = cap
             if feasible:
                 m = min(pool[k] for k in feasible)

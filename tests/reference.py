@@ -12,7 +12,8 @@ the input errors that exit 1 with an ``error:`` line: an alpha outside
 [0, 1] or a tolerance outside [0, 0.5], sweep with one alpha, inputs without
 a record, a plan that ``load_plan`` rejects or none for the fixed method,
 and, with ``optimize --out``, a title that holds ``/`` or a control
-character, or two ladders that would share a file name.
+character or makes a file name longer than 255 UTF-8 bytes, or two ladders
+that would share a file name.
 """
 
 from __future__ import annotations
@@ -154,11 +155,14 @@ def _optimize(cfg, datasets, evaluated) -> Outcome:
         return Outcome(2, stdout, "error: every ladder construction failed\n", payload=payload)
     if cfg.out is None:
         return Outcome(0, stdout + json_text(ladders), payload=payload)
-    for l in ladders:
+    names = [f"{l['title']}__{l['metric']}__{l['method']}{_tag(l['alpha'])}.json" for l in ladders]
+    for l, name in zip(ladders, names):
         if "/" in l["title"] or any(ord(c) < 32 for c in l["title"]):
             return Outcome(1, stderr=f"error: title {l['title']!r} contains '/' or a control "
                                      f"character and cannot name a ladder file in {cfg.out}\n")
-    names = [f"{l['title']}__{l['metric']}__{l['method']}{_tag(l['alpha'])}.json" for l in ladders]
+        if len(name.encode("utf-8")) > 255:
+            return Outcome(1, stderr=f"error: title {l['title']!r} is too long to name a ladder "
+                                     f"file in {cfg.out}: a file name has at most 255 bytes\n")
     for name, n in Counter(names).items():
         if n > 1:
             return Outcome(1, stderr=f"error: {n} ladders would be written to the same file "

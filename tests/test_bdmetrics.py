@@ -21,6 +21,7 @@ from chromaladder import (
 )
 from chromaladder.errors import (
     AxisMismatch,
+    CurveError,
     EmptyInput,
     MetricMismatch,
     NoQualityOverlap,
@@ -339,6 +340,17 @@ class TestBdDelta:
         for a, b in ((ref, test), (test, ref)):
             with pytest.raises(NoQualityOverlap):
                 bd_delta(a, b)
+
+    @pytest.mark.parametrize("ref, test, mean", [
+        # exp of the mean log difference overflows.
+        (([1.0, 2.0], [-690.8, -690.1]), ([1.2, 2.5], [690.8, 691.5]), "1381"),
+        # The quality span overflows, and the mean is inf / inf.
+        (([-1e308, 1e308], [0.0, 1.0]), ([-1e308, 1e308], [1.0, 2.0]), "nan"),
+    ], ids=["overflow", "nan"])
+    def test_value_beyond_float_range_rejected(self, ref, test, mean):
+        with pytest.raises(CurveError, match=rf"^the BD value is not a finite float "
+                                             rf"\(mean log difference {mean}\)$"):
+            bd_delta(curve(*ref), curve(*test))
 
     def test_axis_mismatch_rejected(self):
         a = curve([4.0, 5.0], [6.0, 7.0], axis=RATE)

@@ -1057,13 +1057,8 @@ class TestRungText:
         for ladder in ladders:
             assert cli._ladder_json(ladder, metric, cfg, rungs, "\n") + "\n" == reference.json_text(
                 reference.ladder_payload(ladder, metric.value, cfg.mode.value, cfg.tolerance))
-        columns = ["title", "metric", "method", "alpha", "target_kbps", "actual_kbps",
-                   "quality", "decode_s_per_frame", "chroma", "height"]
-        text = cli._ReportText(cfg, [("t", metric, ladders, [])], csv=True)
-        assert text.csv_text(columns, curves=True).splitlines()[1:] == [
-            "t,cvvdp,default,,1000,1000.0,7.0,0.05,444,1080",
-            "t,cvvdp,arcs,0.0,1000.0,1000.0,7.0,0.05,444,1080",
-        ]
+        assert [rungs.csv(ladder, "") for ladder in ladders] == [
+            "1000,1000.0,7.0,0.05,444,1080\n", "1000.0,1000.0,7.0,0.05,444,1080\n"]
 
     def test_one_rung_text_per_record_and_target_per_title(self, small_corpus, monkeypatch):
         fields, calls, alive = [], [], []
@@ -1160,6 +1155,29 @@ class TestRungText:
         assert run("compare", "--input", small_corpus, "--method", "arcs", "--alpha", 0,
                    "--out", tmp_path / "json") == 0
         assert len(texts) == 1 and heads
+
+    def test_no_ladder_is_alive_when_the_report_is_written(self, tmp_path, monkeypatch):
+        # Each title's text is made while the title is evaluated; then its
+        # ladders go, before report.json is rendered.
+        ladders, alive = [], []
+        for name in ("optimize_arcs", "build_default"):
+            def kept(*args, build=getattr(cli, name)):
+                ladder = build(*args)
+                ladders.append(weakref.ref(ladder))
+                return ladder
+
+            monkeypatch.setattr(cli, name, kept)
+        real = cli.to_json_text
+
+        def to_json_text(payload):
+            alive.append(sum(ref() is not None for ref in ladders))
+            return real(payload)
+
+        monkeypatch.setattr(cli, "to_json_text", to_json_text)
+        corpus = Path(__file__).resolve().parents[1] / "results" / "corpus.csv"
+        assert run("compare", "--input", corpus, "--alpha", 0, "--alpha", 0.04,
+                   "--out", tmp_path) == 0
+        assert (len(ladders), alive) == (45, [0])
 
 
 def test_tracer_wraps_every_cli_binding_but_chroma_pmf():

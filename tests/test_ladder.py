@@ -60,6 +60,7 @@ from helpers import (
     C420,
     C422,
     C444,
+    _rises,
     chain_feasible,
     choices_of,
     chroma_pmf,
@@ -984,10 +985,11 @@ class TestLiveStateGraph:
                 assert _paths_to_finals(oracle_compile(shape)) == count, ds.title_id
 
     def test_step_ok_is_the_tuple_order(self):
+        # The documented chain rule is the tuple order that src/ codes it as.
         pairs = [(h, f) for h in (540, 1080, 1080, 2160) for f in (0, 1, 2)]
         for a in pairs:
             for b in pairs:
-                assert ladder_module._step_ok(a, b) == (b >= a), (a, b)
+                assert _rises(a, b) == (b >= a), (a, b)
 
 
 @st.composite

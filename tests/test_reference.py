@@ -22,15 +22,17 @@ from hypothesis import strategies as st
 import reference
 from chromaladder import QualityMetric, TitleDataset, default_spec, generate, parse_dataset
 from chromaladder.measurements import CSV_HEADER
-from helpers import (C420, CLOSE_TARGETS, SMALL_TARGETS, cli_outcome, grid_dataset, lonely_title,
-                     record, replace_title, shared_failure_titles, shared_record_title)
+from helpers import (C420, C444, CLOSE_TARGETS, SMALL_TARGETS, cli_outcome, grid_dataset,
+                     lonely_title, record, replace_title, shared_failure_titles,
+                     shared_record_title)
 
 # Titles that CSV must quote and JSON must escape.
 AWKWARD_TITLES = ['clip "A", 4k — é', "line\nbreak", "cr\rreturn,comma", "中文 😀", "back\\slash'"]
 # Titles that some evaluations exclude: one encode serving two rungs with
 # --cross-target; curves with one point or apart from the reference's; no
 # 4:4:4 encode; a native-resolution (default) ladder with one point; every
-# encode outside its target's window.
+# encode outside its target's window; rates so far apart that a BD value
+# overflows.
 EDGE_TITLES = {
     "shared": lambda: [shared_record_title()],
     "failing": shared_failure_titles,
@@ -40,6 +42,11 @@ EDGE_TITLES = {
         generate(replace(default_spec(titles=1), targets_kbps=SMALL_TARGETS))[0])],
     "miss": lambda: [TitleDataset.from_records([record("miss", target=600, actual=900, quality=5),
                                                 record("miss", target=1200, actual=1700)])],
+    "overflow": lambda: [TitleDataset.from_records([
+        record("overflow", 2160, C444, 1e-300, quality=1.0), record("overflow", 2160, C444, 2e-300,
+                                                                    quality=2.0),
+        record("overflow", 1080, C420, 1e300, quality=1.2), record("overflow", 1080, C420, 2e300,
+                                                                   quality=2.5)])],
 }
 EDGE_NAMES = {ds.title_id for make in EDGE_TITLES.values() for ds in make()}
 METHODS = ("arcs", "dynres", "default", "fixed")
@@ -203,5 +210,15 @@ def commands_equal_reference(corpus: Corpus, commands) -> list[reference.Outcome
                              "--format", "markdown"), out=True)])
 @example(SEED_869._replace(titles=('clip "A", 4k — é',)),
          [Command(("optimize", "--alpha", "0", "--method", "fixed"))])
+# A BD value beyond float range excludes its group.
+@example(SMALL._replace(titles=("synth000",), edges=("overflow",)),
+         [Command(("compare", "--alpha", "0", "--method", "arcs")),
+          Command(("sweep", "--alpha", "0", "--alpha", "0.04"), out=True)])
+# A file name of 256 UTF-8 bytes (141 characters): no file is written, not even
+# the one of the title before it; one of 255 bytes is written.
+@example(SMALL._replace(titles=("synth000", "é" * 115)),
+         [Command(("optimize", "--alpha", "0"), out=True)])
+@example(SMALL._replace(titles=("synth000", "é" * 115), metrics=("psnr",)),
+         [Command(("optimize", "--alpha", "0"), out=True)])
 def test_commands_equal_reference(corpus, commands):
     commands_equal_reference(corpus, commands)
