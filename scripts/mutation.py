@@ -20,9 +20,19 @@ sample. A mutant is one edit at one place:
 * ``swap``: swap two adjacent entries of a returned tuple.
 
 Each sample's sites are found with ``ast`` and edited in the source text at
-that place only. The sample takes the operators in turn, each in a seeded
-order, so that every operator with a site in a sample is sampled there;
-``PINNED`` mutants are always in it.
+that place only. A mutant's id names its site without a line or column, so
+that an edit elsewhere in the module leaves it as it is::
+
+    ladder.py:_relax:cmp:> => >=#2
+
+that is the file, the top-level name (function, class or assigned name) that
+holds the site, the operator, the original text and its replacement (runs of
+white space as one space), and ``#n`` for the n-th such edit within that name,
+in source order. The sample takes the operators in turn, each in the order of
+a seeded hash of its sites' ids, so that every operator with a site in a
+sample is sampled there and a new site displaces at most one other;
+``PINNED`` mutants are always in it. ``PINNED`` and ``EQUIVALENT`` are keyed
+by id, and the script stops if one of their ids names no site.
 
 Each mutant runs in a fresh temporary copy of the repository (without
 ``.git`` or ``.hypothesis``), where pyproject's ``pythonpath = ["src"]``
@@ -41,13 +51,13 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
-import random
 import re
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -65,7 +75,7 @@ RENDERER = frozenset({
     "_JsonText", "_list_json", "_SLOT", "_SHAPES", "_template", "_rung_head_template",
     "_rung_fields", "_RungText", "_ladder_json", "_report_title", "_csv_alpha", "_config_payload",
     "_alpha_tag", "_alpha_label", "_WRITE_SLICE", "_write_text", "_csv_lines", "_check_finite",
-    "_emit", "_COLUMN_LABEL", "_title_text", "_render_markdown", "_render_summary",
+    "_emit", "_COLUMN_LABEL", "_render_markdown", "_render_summary",
 })
 
 # The cli names that read the inputs, evaluate the titles and run the commands.
@@ -85,46 +95,54 @@ SAMPLES = (
     ("src/chromaladder/cli.py", COMMAND_CODE, CLI_TESTS),
 )
 
-# Always sampled, as (file, top-level name, operator, original text): the
-# documented tie order's resolution and chroma keys, and the end-slope clamp.
+# Always sampled: the documented tie order's resolution and chroma keys, and
+# the end-slope clamp.
 PINNED = (
-    ("src/chromaladder/ladder.py", "_rung_key", "swap", "-hf[0]"),
-    ("src/chromaladder/bdmetrics.py", "_edge_slope", "cmp", ">"),
+    "ladder.py:_rung_key:swap:-hf[0], -hf[1] => -hf[1], -hf[0]#1",
+    "bdmetrics.py:_edge_slope:cmp:> => >=#1",
 )
 
 # Mutants that no input can tell from the original, by id, with the reason.
 EQUIVALENT = {
-    "ladder.py:265:29:int+1":
+    "ladder.py:_ABSENT_KEY:int+1:0 => 1#2":
         "_ABSENT_KEY is compared only with itself, which ties whatever it holds, or with a "
         "present rung's key, from which its first entry (0 against 1) already differs",
-    "ladder.py:345:26:int+1":
+    "ladder.py:_compile:int+1:1 => 2#1":
         "sizes[0] only bounds the start layer's state numbers when the backward pass "
         "renumbers them; the extra state is never used, so it gets no number",
-    "ladder.py:352:60:cmp":
+    "ladder.py:_compile:cmp:< => <=#2":
         "when pool[lo] == cap the new cap is assigned the value it already has",
-    "bdmetrics.py:167:22:cmp":
+    "ladder.py:_relax:cmp:> => >=#4":
+        "two final states are reached by paths that differ at some rung, and rung keys are "
+        "unique per record (a record's key holds its target, height and fidelity) and absent "
+        "against present differs in the first entry, so their key sequences are never equal",
+    "bdmetrics.py:PchipCurve:cmp:< => <=#2":
         "at seg_a == seg_b the part integral is exactly +0.0, and 0.0 + 0.0 is 0.0",
-    "bdmetrics.py:173:33:cmp":
+    "bdmetrics.py:PchipCurve:cmp:<= => <#5":
         "at a == x[lo] the part integral runs t from (a - x[lo]) / h = 0.0 to "
         "(x[lo + 1] - x[lo]) / h = 1.0, the operations that make whole[lo], so it equals "
         "whole[lo] bit for bit",
-    "bdmetrics.py:178:20:cmp":
+    "bdmetrics.py:PchipCurve:cmp:<= => <#6":
+        "at x[hi + 1] == b the part integral runs t from (x[hi] - x[hi]) / h = 0.0 to "
+        "(x[hi + 1] - x[hi]) / h = 1.0, the operations that make whole[hi], so it equals "
+        "whole[hi] bit for bit",
+    "bdmetrics.py:PchipCurve:cmp:< => <=#3":
         "at x[hi] == b the part integral is exactly +0.0, and a sum that starts at 0.0 "
         "is never -0.0, so adding it changes nothing",
-    "bdmetrics.py:223:42:cmp":
+    "bdmetrics.py:_pchip_slopes:cmp:< => <=#1":
         "s0 == 0.0 is handled by the test before it, so s0 <= 0 and s0 < 0 agree here",
-    "bdmetrics.py:223:54:cmp":
+    "bdmetrics.py:_pchip_slopes:cmp:< => <=#2":
         "s1 == 0.0 is handled by the test before it, so s1 <= 0 and s1 < 0 agree here",
-    "bdmetrics.py:242:42:cmp":
+    "bdmetrics.py:_edge_slope:cmp:> => >=#1":
         "the line runs only when _sign(d) == _sign(d0) != 0, so abs(d) == 3 * abs(d0) "
         "means d == 3 * d0 and both branches return the same float",
-    "cli.py:547:16:int+1":
+    "cli.py:_WRITE_SLICE:int+1:1 => 2#1":
         "_WRITE_SLICE sets how many characters each write call takes; the file's bytes "
         "are the same",
-    "cli.py:547:21:int+1":
+    "cli.py:_WRITE_SLICE:int+1:20 => 21#1":
         "_WRITE_SLICE sets how many characters each write call takes; the file's bytes "
         "are the same",
-    "cli.py:809:61:int+1":
+    "cli.py:_compare:int+1:1 => 2#2":
         "it keys an alpha-free group by None instead of -1.0; a method's groups all have an "
         "alpha or all have none, so keys that tie on the method compare two equal Nones, "
         "which need no ordering, or two floats as before, and the rows keep their order",
@@ -220,34 +238,49 @@ def _node_sites(src: _Source, node: ast.AST) -> list[tuple]:
     return out
 
 
+def keyed_sites(path: str, names, text: str) -> list[tuple]:
+    """Every mutation site of ``names`` (all when None) in the module
+    ``path``, whose source is ``text``, in source order, as (id, start, end,
+    replacement, operator)."""
+    sites = sorted(_sites(_Source(text), ast.parse(text), names), key=lambda s: s[2:] + s[:2])
+    seen: Counter = Counter()
+    out = []
+    for name, operator, start, end, replacement in sites:
+        edit = f"{' '.join(text[start:end].split())} => {' '.join(replacement.split())}"
+        seen[name, operator, edit] += 1
+        site_id = f"{Path(path).name}:{name}:{operator}:{edit}#{seen[name, operator, edit]}"
+        out.append((site_id, start, end, replacement, operator))
+    return out
+
+
+def _rank(site: tuple) -> str:
+    return hashlib.sha256(f"{SEED}:{site[0]}".encode("utf-8")).hexdigest()
+
+
 def mutants(path: str, names, text: str) -> list[dict]:
     """The sampled mutants of ``names`` (all when None) in the module
-    ``path``, whose source is ``text``, in source order: ``id``
-    (``file:line:col:operator``), ``start``, ``end``, ``replacement`` and
-    ``edit`` (the changed lines before and after)."""
-    src = _Source(text)
-    sites = _sites(src, ast.parse(text), names)
+    ``path``, whose source is ``text``, in source order: ``id``, ``start``,
+    ``end``, ``replacement`` and ``edit`` (the changed lines before and
+    after)."""
+    sites = keyed_sites(path, names, text)
     by_operator: dict[str, list] = {}
     for site in sites:
-        by_operator.setdefault(site[1], []).append(site)
-    for operator, group in sorted(by_operator.items()):
-        random.Random(f"{SEED}:{path}:{operator}").shuffle(group)
-    chosen = {site for site in sites for file, name, operator, original in PINNED
-              if (file, name, operator) == (path, site[0], site[1])
-              and text.startswith(original, site[2])}
-    queues = [group for _, group in sorted(by_operator.items())]
+        by_operator.setdefault(site[4], []).append(site)
+    # Each operator's sites, lowest rank last, as ``pop`` takes them.
+    queues = [sorted(group, key=_rank, reverse=True) for _, group in sorted(by_operator.items())]
+    chosen = {site for site in sites if site[0] in PINNED}
     while len(chosen) < PER_SAMPLE and any(queues):
         for group in queues:
             if group and len(chosen) < PER_SAMPLE:
                 chosen.add(group.pop())
+    src = _Source(text)
     out = []
-    for name, operator, start, end, replacement in sorted(chosen, key=lambda s: s[2:] + s[:2]):
-        lineno, col = src.position(start)
+    for site_id, start, end, replacement, _ in sorted(chosen, key=lambda s: s[1:3] + s[:1]):
+        lineno, _ = src.position(start)
         first, last = src.starts[lineno - 1], src.starts[src.position(end)[0]]
         mutated = text[first:start] + replacement + text[end:last]
         out.append({
-            "id": f"{Path(path).name}:{lineno}:{col}:{operator}",
-            "start": start, "end": end, "replacement": replacement,
+            "id": site_id, "start": start, "end": end, "replacement": replacement,
             "edit": {"from": text[first:last].strip(), "to": mutated.strip()},
         })
     return out
@@ -297,6 +330,11 @@ def run_mutant(path: str, own, text: str, mutant: dict) -> dict:
 
 def main() -> int:
     texts = {path: (ROOT / path).read_text(encoding="utf-8") for path, _, _ in SAMPLES}
+    known = {site[0] for path, names, _ in SAMPLES for site in keyed_sites(path, names, texts[path])}
+    stale = sorted({*PINNED, *EQUIVALENT} - known)
+    if stale:
+        print(f"PINNED or EQUIVALENT names no site: {stale}", file=sys.stderr)
+        return 1
     jobs = [(path, own, m) for path, names, own in SAMPLES for m in mutants(path, names, texts[path])]
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         failing = _pytest(_copy(Path(tmp)), ["tests"])

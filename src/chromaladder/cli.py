@@ -79,6 +79,7 @@ from .measurements import (
     parse_dataset,
     serialize_dataset,
     source_records,
+    title_text,
 )
 from .synth import default_spec, generate, spec_from_json, sparse_spec
 
@@ -584,13 +585,6 @@ def _emit(cfg: RunConfig, payload, files: Sequence[tuple[str, str, Callable[[], 
 _COLUMN_LABEL = {"cvvdp": "BDR_C/BDDT_C", "psnr": "BDR_P/BDDT_P"}
 
 
-def _title_text(title: str) -> str:
-    """A title as a ``SKIP``, ``excluded`` or markdown list line prints it: as a
-    JSON string literal if it holds a control character (below U+0020), so
-    that each title keeps to its one line."""
-    return _encode_str(title) if any(c < " " for c in title) else title
-
-
 def _render_markdown(heading: str, reference: Method, rows: list[dict], excluded: list[dict]) -> str:
     lines = [f"# {heading}", "", f"Reference method: `{reference.value}`", "",
              "| method | alpha | metric | mean BDR [%] | mean BDDT [%] | titles | excluded |",
@@ -603,7 +597,7 @@ def _render_markdown(heading: str, reference: Method, rows: list[dict], excluded
         )
     if excluded:
         lines += ["", "Excluded title evaluations:"]
-        lines += [f"- {_title_text(ex['title'])}/{ex['metric']} {ex['method']} "
+        lines += [f"- {title_text(ex['title'])}/{ex['metric']} {ex['method']} "
                   f"alpha={_alpha_label(ex['alpha'])}: {ex['reason']}" for ex in excluded]
     lines.append("")
     return "\n".join(lines)
@@ -618,7 +612,7 @@ def _render_summary(reference: Method, rows: list[dict], excluded: list[dict]) -
             f"{row['mean_bdr_percent']:>10.2f} {row['mean_bddt_percent']:>11.2f} "
             f"{row['titles_used']:>7}"
         )
-    lines += [f"excluded {_title_text(ex['title'])}/{ex['metric']} {ex['method']} "
+    lines += [f"excluded {title_text(ex['title'])}/{ex['metric']} {ex['method']} "
               f"alpha={_alpha_label(ex['alpha'])}: {ex['reason']}" for ex in excluded]
     return lines
 
@@ -696,7 +690,7 @@ def cmd_optimize(args) -> int:
         rungs = _RungText()
         for _, _, built, ex in evaluations:
             if ex is not None:
-                skipped.append(f"{_title_text(ex['title'])}/{ex['metric']}/{ex['method']}"
+                skipped.append(f"{title_text(ex['title'])}/{ex['metric']}/{ex['method']}"
                                f"{_alpha_tag(ex['alpha'])}: {ex['reason']}")
                 continue
             ladder = built[0]

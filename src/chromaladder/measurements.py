@@ -552,21 +552,32 @@ def candidates_for(
     return out
 
 
+def title_text(title: str) -> str:
+    """A title as a one-line message prints it: as a JSON string literal if it
+    holds a control character (below U+0020), so that each title keeps to its
+    one line."""
+    return json.encoder.encode_basestring(title) if any(c < " " for c in title) else title
+
+
 def dataset_warnings(dataset: TitleDataset, tolerance: float = 0.10) -> list[str]:
-    """Non-fatal data-quality findings: implausible scores, uncovered targets."""
+    """Non-fatal data-quality findings, one line each: implausible scores and
+    uncovered targets, with the tolerance in percent exactly as given."""
     warns = []
+    title = title_text(dataset.title_id)
     for r in dataset.records:
         if not r.quality.plausible():
             lo, hi = PLAUSIBLE_RANGE[r.quality.metric]
             warns.append(
-                f"{r.title_id}: quality {r.quality.value!r} outside plausible "
+                f"{title}: quality {r.quality.value!r} outside plausible "
                 f"[{lo}, {hi}] for {r.quality.metric.value} "
                 f"({r.resolution.height}p/{r.chroma.value} @ {r.target_bitrate:g} kbps)"
             )
-    for t in dataset.bitrate_targets:
-        if not candidates_for(dataset, t, tolerance):
-            warns.append(
-                f"{dataset.title_id}: no encode within ±{tolerance:.0%} of "
-                f"{t:g} kbps; this rung will be absent"
-            )
+    uncovered = [t for t in dataset.bitrate_targets if not candidates_for(dataset, t, tolerance)]
+    if uncovered:
+        # Imported here: the ladder commands do not pay for loading it.
+        from decimal import Decimal
+
+        percent = format(Decimal(repr(tolerance)).scaleb(2), "f")
+        warns += [f"{title}: no encode within ±{percent}% of {t:g} kbps; this rung will be absent"
+                  for t in uncovered]
     return warns

@@ -27,7 +27,13 @@ from chromaladder.errors import (
     NoQualityOverlap,
     TooFewPoints,
 )
-from helpers import oracle_bd_percent, oracle_integrate, pchip_values, record
+from helpers import (
+    oracle_bd_percent,
+    oracle_integrate,
+    oracle_pchip_slopes,
+    pchip_values,
+    record,
+)
 
 RATE = CurveAxis.QUALITY_VS_LOG_RATE
 TIME = CurveAxis.QUALITY_VS_LOG_TIME
@@ -71,7 +77,7 @@ class TestBuildCurve:
 
     def test_single_survivor_rejected(self):
         lad = ladder_from([(600, 610, 5.0, 0.05), (1200, 1190, 4.0, 0.07)])
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(TooFewPoints, match="has 1 usable points after Pareto filtering$"):
             build_curve(lad, RATE)
         with pytest.raises(TooFewPoints, match="got 1$"):
             RQCurve(RATE, JOD, ((5.0, 6.4),))
@@ -237,6 +243,13 @@ class TestFloatPchipMatchesNumpy:
             assert bd_delta(test, ref) == bd_delta(curve(test.qualities, test.ordinates),
                                                    curve(ref.qualities, ref.ordinates))
         assert ref.fit is fit
+
+    @pytest.mark.parametrize("y", [[0.0, -0.0, 1.0], [-1.0, 0.0, -0.0]])
+    def test_end_slope_of_a_signed_zero_secant_is_the_oracles(self, y):
+        # The end secant is -0.0, and the end slope +0.0, as the oracle's.
+        x = [2.0, 3.0, 5.0]
+        assert [v.hex() for v in PchipCurve(x, y).d] == [
+            float(v).hex() for v in oracle_pchip_slopes(np.array(x), np.array(y))]
 
     @pytest.mark.parametrize("x, y", [([0.0], [1.0]), ([0.0, 1.0, 2.0], [0.0, 1.0])])
     def test_needs_two_knots_of_each_coordinate(self, x, y):

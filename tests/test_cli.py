@@ -111,6 +111,17 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "WARN" in out and "plausible" in out
 
+    def test_warnings_print_a_title_with_a_line_break_on_one_line(self, tmp_path, capsys):
+        ds = TitleDataset.from_records([record("two\nlines", quality=11.0, actual=900.0)])
+        path = tmp_path / "warn.csv"
+        path.write_text(serialize_dataset([ds]), encoding="utf-8")
+        assert run("validate", "--input", path) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            'WARN "two\\nlines": quality 11.0 outside plausible [0.0, 10.0] for cvvdp '
+            "(1080p/420 @ 600 kbps)",
+            'WARN "two\\nlines": no encode within ±10% of 600 kbps; this rung will be absent',
+        ]
+
     def test_missing_file_exits_one(self, tmp_path):
         assert run("validate", "--input", tmp_path / "nope.csv") == 1
 

@@ -191,7 +191,8 @@ class TestOptimizeArcs:
         # title the lower resolution has the higher fidelity, so resolution
         # must break the tie before chroma. In the third, with --cross-target,
         # the lower fidelity has the higher target, so chroma must break the
-        # tie before the target.
+        # tie before the target. In the fourth the cheaper encode has the
+        # higher resolution, so decode time must break the tie before it.
         titles = [
             ((1080, C420), False, [
                 record(height=2160, chroma=C444, target=600.0, quality=7.0, decode=0.2),
@@ -207,6 +208,10 @@ class TestOptimizeArcs:
                 record(height=1080, chroma=C444, target=1000.0, quality=7.0, decode=0.2),
                 record(height=1080, chroma=C420, target=1050.0, actual=1000.0, quality=7.0,
                        decode=0.2),
+            ]),
+            ((2160, C420), False, [
+                record(height=1080, chroma=C420, target=600.0, quality=7.0, decode=0.2),
+                record(height=2160, chroma=C420, target=600.0, quality=7.0, decode=0.1),
             ]),
         ]
         for want, cross_target, recs in titles:
@@ -237,33 +242,6 @@ class TestOptimizeArcs:
         a = optimize_arcs(CandidateIndex(ds), 0.3)
         b = optimize_arcs(CandidateIndex(ds), 0.3)
         assert a == b
-
-
-class TestOracleAgreement:
-    def test_dp_matches_definitional_oracle_on_random_instances(self):
-        rng = np.random.default_rng(20250809)
-        for trial in range(150):
-            ds = random_dataset(rng, max_targets=3, p_missing=0.5)
-            alpha = float(rng.choice([0.0, 0.01, 0.08, 0.5, 1.0]))
-            want = definitional_best(ds, alpha)
-            assert choices_of(optimize_arcs(CandidateIndex(ds), alpha)) == want, f"trial {trial}"
-
-    def test_enumerate_matches_dp_on_larger_instances(self):
-        rng = np.random.default_rng(99)
-        for trial in range(60):
-            ds = random_dataset(rng, max_targets=6)
-            alpha = float(rng.uniform(0.0, 1.0))
-            dp = optimize_arcs(CandidateIndex(ds), alpha)
-            assert choices_of(dp) == definitional_best(ds, alpha), f"trial {trial}"
-
-    def test_greedy_never_beats_dp(self):
-        rng = np.random.default_rng(4242)
-        for _ in range(120):
-            ds = random_dataset(rng)
-            alpha = float(rng.uniform(0.0, 1.0))
-            dp = optimize_arcs(CandidateIndex(ds), alpha)
-            greedy = optimize_arcs(CandidateIndex(ds), alpha, mode=OptimizerMode.GREEDY_SEQUENTIAL)
-            assert sum_j_prime(greedy) <= sum_j_prime(dp) + 1e-12
 
 
 class TestScalarizationMonotonicity:
@@ -487,32 +465,36 @@ class TestBuildFixed:
     def test_cross_target_borrows_the_encode_nearest_the_target(self):
         # The 700 kbps encode missed its window; of the two encodes of other
         # targets inside it, the one at 705 kbps is nearer 700 than the one
-        # at 650, though its bitrate is the higher.
+        # at 650, though its bitrate is the higher. The 600 kbps rung keeps
+        # its own encode, though the 650 kbps one's is nearer 600.
         ds = TitleDataset.from_records([
             record(chroma=C444, target=600.0, actual=650.0),
+            record(chroma=C444, target=650.0, actual=605.0),
             record(chroma=C444, target=700.0, actual=900.0),
             record(chroma=C444, target=800.0, actual=705.0),
         ])
-        ladder = build_fixed(CandidateIndex(ds, cross_target=True), [(700.0, 1080)])
-        assert (ladder.rungs[0].choice.target_bitrate, ladder.rungs[0].choice.actual_bitrate) == (
-            800.0, 705.0)
+        ladder = build_fixed(CandidateIndex(ds, cross_target=True), [(600.0, 1080), (700.0, 1080)])
+        assert [(r.choice.target_bitrate, r.choice.actual_bitrate) for r in ladder.rungs] == [
+            (600.0, 650.0), (800.0, 705.0)]
 
 
 class TestValidator:
     def test_resolution_decrease_rejected(self):
-        with pytest.raises(InvalidLadder):
+        # The message names the decreasing pair, not the equal pair before it.
+        with pytest.raises(InvalidLadder, match="^resolution decreases 2160 -> 1080 with"):
             Ladder(
                 "t",
                 Method.ARCS,
                 (
                     Rung(600.0, record(height=2160, target=600.0), 0.5),
+                    Rung(900.0, record(height=2160, target=900.0), 0.5),
                     Rung(1200.0, record(height=1080, target=1200.0), 0.5),
                 ),
                 0.0,
             )
 
     def test_chroma_decrease_within_run_rejected(self):
-        with pytest.raises(InvalidLadder):
+        with pytest.raises(InvalidLadder, match="^chroma fidelity decreases within the 1080p run$"):
             Ladder(
                 "t",
                 Method.ARCS,
@@ -640,49 +622,9 @@ class TestCandidateIndex:
 
     ALPHAS = (0.0, 0.01, 0.02, 0.04, 0.08, 0.3, 1.0)
 
-    @staticmethod
-    def _ladder_or_error(build, *args, **kwargs):
-        try:
-            return build(*args, **kwargs)
-        except AllRungsAbsent:
-            return AllRungsAbsent
-
-    @staticmethod
-    def _rising_plan(ds):
-        # Every target, at heights that rise from the smallest to the largest.
-        heights = sorted({r.resolution.height for r in ds.records})
-        n = len(ds.bitrate_targets)
-        return [(t, heights[i * len(heights) // n]) for i, t in enumerate(ds.bitrate_targets)]
-
-    @pytest.mark.parametrize("cross_target", [False, True])
-    def test_shared_index_equals_fresh_builds(self, cross_target):
-        # One index per title shared across all builders, modes and alphas,
-        # as the CLI loops; every ladder must equal a build from a fresh index.
-        rng = np.random.default_rng(515)
-        corpus = [random_dataset(rng) for _ in range(25)]
-        corpus += generate(sparse_spec(seed=0, titles=6))
-        for ds in corpus:
-            index = CandidateIndex(ds, 0.10, cross_target=cross_target)
-            plan = self._rising_plan(ds)
-            for mode in OptimizerMode:
-                builders = (
-                    lambda ix, a: optimize_arcs(ix, a, mode),
-                    lambda ix, a: build_dynres(ix, a, C444, mode),
-                    lambda ix, a: build_dynres(ix, a, C420, mode),
-                    lambda ix, a: build_default(ix),
-                    lambda ix, a: build_fixed(ix, plan, C444),
-                    lambda ix, a: build_fixed(ix, plan, C420),
-                )
-                for build in builders:
-                    for alpha in self.ALPHAS:
-                        shared = self._ladder_or_error(build, index, alpha)
-                        fresh = self._ladder_or_error(
-                            build, CandidateIndex(ds, 0.10, cross_target=cross_target), alpha)
-                        assert shared == fresh, (ds.title_id, mode, alpha)
-
     def test_sparse_corpus_has_absent_rungs(self):
-        # Guards the test above: the sparse titles must put both kinds of
-        # absent rung (empty window, blocked by the chain) through the DP.
+        # Guards ``TestSolvePaths``' sparse titles: they must put both kinds
+        # of absent rung (empty window, blocked by the chain) through the DP.
         kinds = set()
         for ds in generate(sparse_spec(seed=0, titles=6)):
             for r in optimize_arcs(CandidateIndex(ds), 0.04).rungs:
@@ -771,8 +713,9 @@ class TestCandidateIndex:
                         index = CandidateIndex(ds, 0.10, cross_target=cross_target)
                         for alpha in self.ALPHAS:
                             for build in (optimize_arcs, build_dynres):
-                                ladder = self._ladder_or_error(build, index, alpha)
-                                if ladder is AllRungsAbsent:
+                                try:
+                                    ladder = build(index, alpha)
+                                except AllRungsAbsent:
                                     continue
                                 for rung in present_rungs(ladder):
                                     assert rung.j_prime == composite_normalized(
@@ -859,39 +802,6 @@ class TestSharedGraph:
                 assert choices_of(optimize_arcs(CandidateIndex(ds, graphs=graphs), alpha)) == (
                     definitional_best(ds, alpha))
         assert graphs.cache_info().misses == 3
-
-    @pytest.mark.parametrize("cross_target", [False, True])
-    def test_shared_graph_ladders_equal_oracle_and_fresh_compile(self, cross_target):
-        rng = np.random.default_rng(929)
-        corpus = [random_dataset(rng, title=f"r{i}") for i in range(30)]
-        corpus += generate(replace(sparse_spec(seed=5, titles=6),
-                                   targets_kbps=(600.0, 1600.0, 3400.0, 8100.0)))
-        # Each title is followed by one with its windows and other values.
-        titles = [t for ds in corpus for t in (ds, _with_other_values(ds, rng, ds.title_id + "'"))]
-        alphas = (0.0, 0.05, 0.3)
-        build = TestCandidateIndex._ladder_or_error
-
-        def index(ds, graphs=None):
-            return CandidateIndex(ds, cross_target=cross_target, graphs=graphs)
-
-        def ladders(ds, graphs=None):
-            return [(build(optimize_arcs, index(ds, graphs), a),
-                     build(build_dynres, index(ds, graphs), a)) for a in alphas]
-
-        graphs = graph_memo()
-        shared = []
-        for ds in titles:
-            misses = graphs.cache_info().misses
-            shared.append(ladders(ds, graphs))
-            if ds.title_id.endswith("'"):
-                assert graphs.cache_info().misses == misses, ds.title_id
-        for ds, got in zip(titles, shared):
-            # An index without a memo compiles its graphs afresh.
-            assert got == ladders(ds), ds.title_id
-            for alpha, (arcs, _) in zip(alphas, got):
-                want = definitional_best(ds, alpha, cross_target=cross_target)
-                got = (None,) * len(want) if arcs is AllRungsAbsent else choices_of(arcs)
-                assert got == want, (ds.title_id, alpha)
 
     def test_memo_is_bounded(self):
         graphs = graph_memo()
@@ -984,7 +894,7 @@ class TestLiveStateGraph:
                 assert _paths_to_finals(ladder_module._compile(shape)) == count, ds.title_id
                 assert _paths_to_finals(oracle_compile(shape)) == count, ds.title_id
 
-    def test_step_ok_is_the_tuple_order(self):
+    def test_rises_is_the_tuple_order(self):
         # The documented chain rule is the tuple order that src/ codes it as.
         pairs = [(h, f) for h in (540, 1080, 1080, 2160) for f in (0, 1, 2)]
         for a in pairs:
@@ -1011,94 +921,136 @@ def _titles(draw):
     return TitleDataset.from_records(recs)
 
 
-class TestLiveStateGraphSolves:
-    """Relaxing the live-state graph chooses what relaxing every reachable
-    state chose, and what the enumeration oracle chooses."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        ds=_titles(),
-        cross_target=st.booleans(),
-        chroma=st.sampled_from([None, C420, C444]),
-        alphas=st.lists(st.sampled_from([0.0, 0.01, 0.04, 0.3, 1.0]), min_size=1, max_size=3),
-    )
-    def test_same_choices_as_frozen_compile_and_enumeration(self, ds, cross_target, chroma,
-                                                              alphas):
-        index = CandidateIndex(ds, 0.10, cross_target=cross_target)
-        pools = index._view(chroma).pools
-        shape = _shape(index, chroma)
-        graph, old = ladder_module._compile(shape), oracle_compile(shape)
-        for alpha in alphas:
-            js = [[q - alpha * d for _, q, d, _ in pool] for pool in pools]
-            choices = ladder_module._relax(graph, pools, js)
-            assert choices == ladder_module._relax(old, pools, js)
-            assert [None if k is None else pool[k][0] for pool, k in zip(pools, choices)] == list(
-                definitional_best(ds, alpha, chroma=chroma, cross_target=cross_target))
-
-    def test_sparse_and_cross_target_titles(self):
-        titles = generate(sparse_spec(seed=11, titles=8))
-        for ds in titles:
-            for index, chroma in _views(ds):
-                pools = index._view(chroma).pools
-                shape = _shape(index, chroma)
-                graph, old = ladder_module._compile(shape), oracle_compile(shape)
-                for alpha in (0.0, 0.02, 0.08, 0.5):
-                    js = [[q - alpha * d for _, q, d, _ in pool] for pool in pools]
-                    assert ladder_module._relax(graph, pools, js) == (
-                        ladder_module._relax(old, pools, js)), (ds.title_id, alpha)
-
-
-def _counted_or_error(count):
-    """``count()``, or the class and message of the ``LadderError`` it raises."""
+def _or_error(make):
+    """``make()``, or the class and message of the ``LadderError`` it raises."""
     try:
-        return count()
+        return make()
     except LadderError as exc:
         return type(exc), str(exc)
 
 
-def _ladder_counts(index, alpha, chroma, mode):
-    """``count_chroma`` of the public builder's ladder."""
+def _built(index, alpha, chroma, mode):
+    """The ladder of ``chroma``'s view: ``optimize_arcs``'s for None, else
+    ``build_dynres``'s with ``chroma`` pinned."""
     if chroma is None:
-        return ladder_module.count_chroma(optimize_arcs(index, alpha, mode))
-    return ladder_module.count_chroma(build_dynres(index, alpha, chroma, mode))
+        return optimize_arcs(index, alpha, mode)
+    return build_dynres(index, alpha, chroma, mode)
 
 
 def _one_sparse_title(seed):
     return generate(sparse_spec(seed=seed, titles=1))[0]
 
 
-# The cases of ``TestChromaCounts``' property, also run on kernels.
-_COUNT_CASES = dict(
-    ds=_titles() | st.integers(0, 2**16).map(_one_sparse_title),
-    cross_target=st.booleans(),
-    chroma=st.sampled_from([None, C444]),
-    mode=st.sampled_from(list(OptimizerMode)),
-    alpha=st.sampled_from([0.0, 0.01, 0.04, 0.3, 1.0]),
-)
+@st.composite
+def _planned_titles(draw):
+    """A small, random or sparse title, and a plan over some of its targets
+    whose heights, 540p and 720p among them, the title may lack."""
+    ds = draw(_titles()
+              | st.integers(0, 2**32 - 1).map(lambda seed: random_dataset(np.random.default_rng(seed)))
+              | st.integers(0, 2**16).map(_one_sparse_title))
+    targets = draw(st.lists(st.sampled_from(ds.bitrate_targets), unique=True))
+    heights = draw(st.lists(st.sampled_from([540, 720, 1080, 2160]),
+                            min_size=len(targets), max_size=len(targets)))
+    return ds, list(zip(sorted(targets), sorted(heights)))
+
+
+# A view with at most this many choice combinations (a candidate or None per
+# rung) is checked against the enumeration oracle, which takes about 1 ms on it.
+ENUMERABLE = 10_000
+
+
+class TestSolvePaths:
+    """Every path that solves a title makes the same choices: one index on a
+    shared ``graph_memo`` or a fresh index per solve, the generated kernel or
+    ``_relax``, ``_compile``'s graph or ``oracle_compile``'s, a ladder or
+    ``chroma_counts``. In dp mode they are the enumeration oracle's, and
+    greedy never scores more. Every builder returns a ladder with a present
+    rung or raises ``AllRungsAbsent``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        case=_planned_titles(),
+        cross_target=st.booleans(),
+        chroma=st.sampled_from([None, C420, C444]),
+        alphas=st.lists(st.sampled_from([0.0, 0.01, 0.04, 0.08, 0.3, 0.5, 1.0]),
+                        min_size=1, max_size=3),
+        solves=st.sampled_from([1, math.inf]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_solve_path_makes_the_oracles_choices(self, case, cross_target, chroma, alphas,
+                                                        solves, seed):
+        ds, plan = case
+        dp = OptimizerMode.GLOBAL_DP
+        with _kernels(solves) as (_, results):
+            # The memo first serves a title with the same windows and other
+            # values, so the title's solves compile no graph.
+            graphs = graph_memo()
+            twin = _with_other_values(ds, np.random.default_rng(seed), ds.title_id + "'")
+            _or_error(lambda: _built(
+                CandidateIndex(twin, cross_target=cross_target, graphs=graphs), 0.0, chroma, dp))
+            misses = graphs.cache_info().misses
+            index = CandidateIndex(ds, cross_target=cross_target, graphs=graphs)
+
+            def outcome(build):
+                # The shared index's ladder or error, which a fresh index's equals.
+                got = _or_error(lambda: build(index))
+                assert got == _or_error(lambda: build(CandidateIndex(ds, cross_target=cross_target)))
+                assert present_rungs(got) if isinstance(got, Ladder) else got[0] is AllRungsAbsent
+                return got
+
+            outcome(build_default)
+            outcome(lambda ix: build_fixed(ix, plan, chroma or C444))
+            pools = index._view(chroma).pools
+            shape = _shape(index, chroma)
+            graph, old = ladder_module._compile(shape), oracle_compile(shape)
+            enumerable = math.prod(len(pool) + 1 for pool in pools) <= ENUMERABLE
+            for alpha in alphas:
+                js = [[q - alpha * d for _, q, d, _ in pool] for pool in pools]
+                with _path_keys_calls() as calls:
+                    relaxed = ladder_module._relax(graph, pools, js)
+                assert ladder_module._relax(old, pools, js) == relaxed
+                ladders = {}
+                for mode in OptimizerMode:
+                    solved = len(results)
+                    got = ladders[mode] = outcome(lambda ix: _built(ix, alpha, chroma, mode))
+                    counts = _or_error(lambda: chroma_counts(index, alpha, chroma, mode))
+                    assert counts == (ladder_module.count_chroma(got) if isinstance(got, Ladder)
+                                      else got)
+                    # A kernel solves the shared and the fresh index's build and
+                    # the count alike: it declines exactly at a tie of _relax's.
+                    kernel_solves = 3 if solves == 1 and mode is dp and any(pools) else 0
+                    assert results[solved:] == [None if calls else relaxed] * kernel_solves
+                    if mode is dp:
+                        choices = (choices_of(got) if isinstance(got, Ladder)
+                                   else (None,) * len(pools))
+                        assert choices == tuple(
+                            None if k is None else pool[k][0] for pool, k in zip(pools, relaxed))
+                        if enumerable:
+                            assert choices == definitional_best(
+                                ds, alpha, chroma=chroma, cross_target=cross_target)
+                if isinstance(ladders[dp], Ladder):
+                    greedy = ladders[OptimizerMode.GREEDY_SEQUENTIAL]
+                    assert sum_j_prime(greedy) <= sum_j_prime(ladders[dp]) + 1e-12
+            assert graphs.cache_info().misses == misses
 
 
 class TestChromaCounts:
-    """``chroma_counts`` counts the chosen rungs as ``count_chroma`` counts
-    the public builders' ladders, and fails as they fail."""
+    """``chroma_counts`` fails as the public builders fail, with no DP solve
+    offered to a kernel (``TestSolvePaths`` checks that it counts as
+    ``count_chroma`` counts)."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(**_COUNT_CASES)
-    def test_equals_count_chroma_of_the_builders_ladder(self, ds, cross_target, chroma, mode,
-                                                         alpha):
-        index = CandidateIndex(ds, 0.10, cross_target=cross_target)
-        got = _counted_or_error(lambda: chroma_counts(index, alpha, chroma, mode))
-        assert got == _counted_or_error(lambda: _ladder_counts(index, alpha, chroma, mode))
+    SOLVES = math.inf  # the ``KERNEL_SOLVES`` the tests run with
 
     def test_title_without_the_view_raises_all_rungs_absent(self):
         ds = grid_dataset(lambda h, c, b: h / 1000, lambda h, c, b: 0.05, chromas=(C420,))
-        for mode in OptimizerMode:
-            got = _counted_or_error(lambda: chroma_counts(CandidateIndex(ds), 0.0, C444, mode))
-            assert got[0] is AllRungsAbsent
-            assert got == _counted_or_error(
-                lambda: _ladder_counts(CandidateIndex(ds), 0.0, C444, mode))
+        with _kernels(self.SOLVES):
+            for mode in OptimizerMode:
+                got = _or_error(lambda: chroma_counts(CandidateIndex(ds), 0.0, C444, mode))
+                assert got[0] is AllRungsAbsent
+                assert got == _or_error(lambda: _built(CandidateIndex(ds), 0.0, C444, mode))
 
     @pytest.mark.parametrize("mode", list(OptimizerMode))
-    def test_decreasing_choice_raises_what_validate_rungs_raises(self, monkeypatch, mode):
+    def test_decreasing_choice_raises_what_validate_rungs_raises(self, mode):
         ds = grid_dataset(lambda h, c, b: h / 1000 + b / 1000, lambda h, c, b: 0.05)
         pools = CandidateIndex(ds)._view(None).pools
 
@@ -1113,58 +1065,25 @@ class TestChromaCounts:
                 return choices
             return run
 
-        if mode is OptimizerMode.GLOBAL_DP:
-            # A DP solve runs the graph's kernel, if it has one, or ``_relax``;
-            # the index's fresh graph gets its kernel from the patched ``_kernel``.
-            kernel = ladder_module._kernel
-            monkeypatch.setattr(ladder_module, "_kernel", lambda graph: swapped(kernel(graph)))
-            monkeypatch.setattr(ladder_module, "_relax", swapped(ladder_module._relax))
-        else:
-            monkeypatch.setattr(ladder_module, "_solve_greedy",
-                                swapped(ladder_module._solve_greedy))
-        got = _counted_or_error(lambda: chroma_counts(CandidateIndex(ds), 0.0, None, mode))
-        assert got[0] is InvalidLadder
-        assert got == _counted_or_error(
-            lambda: _ladder_counts(CandidateIndex(ds), 0.0, None, mode))
+        with _kernels(self.SOLVES), pytest.MonkeyPatch.context() as patch:
+            if mode is OptimizerMode.GLOBAL_DP:
+                # A DP solve runs the graph's kernel, if it has one, or
+                # ``_relax``; the index's fresh graph gets its kernel from the
+                # patched ``_kernel``.
+                kernel = ladder_module._kernel
+                patch.setattr(ladder_module, "_kernel", lambda graph: swapped(kernel(graph)))
+                patch.setattr(ladder_module, "_relax", swapped(ladder_module._relax))
+            else:
+                patch.setattr(ladder_module, "_solve_greedy", swapped(ladder_module._solve_greedy))
+            got = _or_error(lambda: chroma_counts(CandidateIndex(ds), 0.0, None, mode))
+            assert got[0] is InvalidLadder
+            assert got == _or_error(lambda: _built(CandidateIndex(ds), 0.0, None, mode))
 
 
-@st.composite
-def _planned_titles(draw):
-    """A random or sparse title and a plan over some of its targets whose
-    heights, 540p and 720p among them, the title may lack."""
-    ds = draw(st.integers(0, 2**16).map(lambda seed: random_dataset(np.random.default_rng(seed)))
-              | st.integers(0, 2**16).map(_one_sparse_title))
-    targets = draw(st.lists(st.sampled_from(ds.bitrate_targets), unique=True))
-    heights = draw(st.lists(st.sampled_from([540, 720, 1080, 2160]),
-                            min_size=len(targets), max_size=len(targets)))
-    return ds, list(zip(sorted(targets), sorted(heights)))
+class TestChromaCountsOnKernels(TestChromaCounts):
+    """``TestChromaCounts`` with every DP solve offered to a kernel first."""
 
-
-class TestPresentRungRule:
-    """Every builder returns a ladder with a present rung or raises
-    ``AllRungsAbsent``, so ``chroma_counts`` never counts zero rungs."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(case=_planned_titles(), cross_target=st.booleans(),
-           mode=st.sampled_from(list(OptimizerMode)), chroma=st.sampled_from([C420, C422, C444]),
-           alpha=st.sampled_from([0.0, 0.04, 1.0]))
-    def test_every_ladder_has_a_present_rung(self, case, cross_target, mode, chroma, alpha):
-        ds, plan = case
-        index = CandidateIndex(ds, 0.10, cross_target=cross_target)
-        builds = (
-            lambda: optimize_arcs(index, alpha, mode),
-            lambda: build_dynres(index, alpha, chroma, mode),
-            lambda: build_default(index),
-            lambda: build_fixed(index, plan, chroma),
-            lambda: chroma_counts(index, alpha, None, mode),
-            lambda: chroma_counts(index, alpha, chroma, mode),
-        )
-        for build in builds:
-            try:
-                built = build()
-            except AllRungsAbsent:
-                continue
-            assert any(built) if isinstance(built, tuple) else present_rungs(built)
+    SOLVES = 1
 
 
 _SOLVES = st.lists(st.tuples(
@@ -1222,7 +1141,7 @@ class TestView:
                 run = lambda: build_dynres(index, alpha, chroma, mode)
             else:
                 run = lambda: chroma_counts(index, alpha, chroma, mode)
-            _counted_or_error(run)
+            _or_error(run)
             if mode is OptimizerMode.GLOBAL_DP and any(index._view(chroma).pools):
                 solved.add(chroma)
         assert len(shapes) == len(solved)
@@ -1236,57 +1155,9 @@ class TestView:
 # -- generated relaxation kernels ----------------------------------------------------
 
 
-class TestOracleAgreementOnKernels(TestOracleAgreement):
-    """``TestOracleAgreement`` with every DP solve offered to a kernel first."""
-
-    @pytest.fixture(autouse=True, scope="class")
-    def _kernel_on_every_solve(self):
-        with _kernels(1):
-            yield
-
-
-class TestChromaCountsOnKernels(TestChromaCounts):
-    """``TestChromaCounts`` with every DP solve offered to a kernel first."""
-
-    @pytest.fixture(autouse=True, scope="class")
-    def _kernel_on_every_solve(self):
-        with _kernels(1):
-            yield
-
-    # Hypothesis runs a property for one class only: this class's is its own.
-    test_equals_count_chroma_of_the_builders_ladder = settings(max_examples=200, deadline=None)(
-        given(**_COUNT_CASES)(
-            TestChromaCounts.test_equals_count_chroma_of_the_builders_ladder.hypothesis.inner_test))
-
-
 class TestKernel:
     """A graph's kernel makes ``_relax``'s choices, or declines at the first
     exact score tie, and ``_relax`` then breaks the tie."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        ds=st.integers(0, 2**32 - 1).map(lambda seed: random_dataset(np.random.default_rng(seed)))
-        | st.integers(0, 2**16).map(_one_sparse_title),
-        cross_target=st.booleans(),
-        chroma=st.sampled_from([None, C444]),
-        alphas=st.lists(st.sampled_from([0.0, 0.01, 0.04, 0.3, 1.0]), min_size=1, max_size=3),
-    )
-    def test_kernel_makes_relax_choices_or_declines_at_a_tie(self, ds, cross_target, chroma,
-                                                             alphas):
-        with _kernels(1) as (made, results):
-            index = CandidateIndex(ds, 0.10, cross_target=cross_target)
-            pools = index._view(chroma).pools
-            if not any(pools):
-                return
-            graph = index._view(chroma).graph()
-            for alpha in alphas:
-                choices = index._view(chroma).choose(alpha, ladder_module._relax)
-                js = [[q - alpha * d for _, q, d, _ in pool] for pool in pools]
-                with _path_keys_calls() as calls:
-                    want = ladder_module._relax(graph, pools, js)
-                assert choices == want
-                assert (results[-1] is None) == bool(calls)
-            assert [g for g, _ in made] == [graph] and len(results) == len(alphas)
 
     @pytest.mark.parametrize("ds", [
         _rung_key_tie_title((600.0, 2400.0)),
@@ -1353,7 +1224,8 @@ class TestKernelTrigger:
                 index = CandidateIndex(ds, graphs=graphs)
                 for alpha in (0.0, 0.01, 0.02, 0.04, 0.08):
                     for build in (optimize_arcs, build_dynres):
-                        TestCandidateIndex._ladder_or_error(build, index, alpha)
+                        with contextlib.suppress(AllRungsAbsent):
+                            build(index, alpha)
         assert made == []
 
     def test_shipped_experiment_makes_none(self, tmp_path, capsys):

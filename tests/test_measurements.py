@@ -131,6 +131,8 @@ class TestParsing:
         with pytest.raises(DuplicateRecord) as got:
             parse_dataset(text)
         assert got.value.key == ("movie", Resolution(2160), C444, 4500.0)
+        with pytest.raises(DuplicateRecord):
+            TitleDataset.from_records([record(), record(quality=8.0)])
 
     def test_title_in_both_metrics_gives_two_datasets(self):
         header = "title,height,chroma,target_kbps,actual_kbps,metric,quality,decode_s_per_frame\n"
@@ -385,6 +387,7 @@ class TestSinglePassIngest:
     @example(files=[(False, _json_pair(quality=False))])
     @example(files=[(False, _json_pair(decode_s_per_frame=math.inf))])
     @example(files=[(False, _json_pair(actual_kbps=-math.inf))])
+    @example(files=[(False, _json_pair(actual_kbps=math.inf))])
     @example(files=[(False, _json_pair(quality=math.nan))])
     @example(files=[(False, _json_pair(quality=math.inf))])
     @example(files=[(False, _json_pair(decode_s_per_frame=0))])
@@ -609,6 +612,12 @@ class TestWarnings:
         ds = TitleDataset.from_records([record(target=600, actual=800)])
         warns = dataset_warnings(ds)
         assert any("absent" in w for w in warns)
+
+    def test_tolerance_prints_as_given(self):
+        ds = TitleDataset.from_records([record(target=600, actual=900)])
+        for tolerance, text in ((0.005, "0.5"), (0.125, "12.5"), (0.10, "10")):
+            assert dataset_warnings(ds, tolerance) == [
+                f"t: no encode within ±{text}% of 600 kbps; this rung will be absent"]
 
     def test_psnr_has_no_upper_bound(self):
         ds = TitleDataset.from_records([record(quality=55.0, metric=QualityMetric.YUVPSNR_DB)])
