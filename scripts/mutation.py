@@ -95,11 +95,12 @@ SAMPLES = (
     ("src/chromaladder/cli.py", COMMAND_CODE, CLI_TESTS),
 )
 
-# Always sampled: the documented tie order's resolution and chroma keys, and
-# the end-slope clamp.
+# Always sampled: the documented tie order's resolution and chroma keys, the
+# end-slope clamp, and the smallest plan height.
 PINNED = (
     "ladder.py:_rung_key:swap:-hf[0], -hf[1] => -hf[1], -hf[0]#1",
     "bdmetrics.py:_edge_slope:cmp:> => >=#1",
+    "ladder.py:_sorted_plan:int+1:0 => 1#2",
 )
 
 # Mutants that no input can tell from the original, by id, with the reason.

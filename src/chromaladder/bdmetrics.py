@@ -69,14 +69,6 @@ class RQCurve:
             raise TooFewPoints(f"curve needs >= 2 points, got {len(self.points)}")
         object.__setattr__(self, "fit", PchipCurve(*zip(*self.points)))
 
-    @functools.cached_property
-    def qualities(self) -> tuple[float, ...]:
-        return tuple(p[0] for p in self.points)
-
-    @functools.cached_property
-    def ordinates(self) -> tuple[float, ...]:
-        return tuple(p[1] for p in self.points)
-
 
 @dataclass(frozen=True)
 class BDResult:

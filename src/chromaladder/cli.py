@@ -256,11 +256,11 @@ def _datasets(sources: Iterable[str]) -> list[TitleDataset]:
 
 
 def _read_datasets(paths: Iterable[Path]) -> list[TitleDataset]:
-    """``_datasets`` of the files at ``paths``. A row error names its file:
-    ``parse_dataset`` reads a file only when the parse reaches it, so the row
-    is in the file read last. A duplicate record names every file that holds
-    it: its error comes after every row is read, and each file is then read
-    again on its own."""
+    """``_datasets`` of the files at ``paths``. A row error, or text that is
+    not UTF-8, names its file: ``parse_dataset`` reads a file only when the
+    parse reaches it, so the fault is in the file read last. A duplicate
+    record names every file that holds it: its error comes after every row
+    is read, and each file is then read again on its own."""
     read: list[Path] = []
 
     def texts():
@@ -270,7 +270,7 @@ def _read_datasets(paths: Iterable[Path]) -> list[TitleDataset]:
 
     try:
         return _datasets(texts())
-    except (MalformedRow, NonPositiveValue) as exc:
+    except (MalformedRow, NonPositiveValue, UnicodeDecodeError) as exc:
         raise DatasetError(f"{read[-1]}: {exc}") from exc
     except DuplicateRecord as exc:
         key, metric = exc.key, exc.record.quality.metric
@@ -632,7 +632,7 @@ def cmd_validate(args) -> int:
         for path in cfg.inputs:
             try:
                 parsed.append((path, bool(parse_dataset(_read_text(path)))))
-            except (DatasetError, OSError) as exc:
+            except (DatasetError, OSError, UnicodeDecodeError) as exc:
                 errors.append(f"{path}: {exc}")
         if any(found for _, found in parsed) or not errors:
             try:

@@ -63,17 +63,17 @@ class TestBuildCurve:
         )
         c = build_curve(lad, RATE)
         assert len(c.points) == 4
-        assert c.ordinates == tuple(math.log(r.choice.actual_bitrate) for r in lad.rungs)
+        assert c.fit.y == [math.log(r.choice.actual_bitrate) for r in lad.rungs]
 
     def test_quality_dip_dropped(self):
         lad = ladder_from([(600, 600, 5.0, 0.05), (1200, 1200, 4.9, 0.06), (2400, 2400, 6.0, 0.08)])
         c = build_curve(lad, RATE)
-        assert c.qualities == (5.0, 6.0)
+        assert c.fit.x == [5.0, 6.0]
 
     def test_time_axis_uses_decode_time(self):
         lad = ladder_from([(600, 610, 5.0, 0.05), (1200, 1190, 6.0, 0.07)])
         c = build_curve(lad, TIME)
-        assert c.ordinates == (math.log(0.05), math.log(0.07))
+        assert c.fit.y == [math.log(0.05), math.log(0.07)]
 
     def test_single_survivor_rejected(self):
         lad = ladder_from([(600, 610, 5.0, 0.05), (1200, 1190, 4.0, 0.07)])
@@ -214,7 +214,7 @@ class TestFloatPchipMatchesNumpy:
         rng = np.random.default_rng(2028)
         curves = [curve(*random_knots(rng, int(rng.integers(2, 13)))) for _ in range(40)]
         pairs = [(ref, test) for ref in curves for test in curves
-                 if max(ref.qualities[0], test.qualities[0]) < min(ref.qualities[-1], test.qualities[-1])]
+                 if max(ref.fit.x[0], test.fit.x[0]) < min(ref.fit.x[-1], test.fit.x[-1])]
         assert len(pairs) > 100
         for ref, test in reversed(pairs):
             assert bd_delta(ref, test).value_percent == oracle_bd_percent(ref.points, test.points)
@@ -225,7 +225,7 @@ class TestFloatPchipMatchesNumpy:
         while checked < 2000:
             ref = curve(*random_knots(rng, int(rng.integers(2, 13))))
             test = curve(*random_knots(rng, int(rng.integers(2, 13))))
-            if not max(ref.qualities[0], test.qualities[0]) < min(ref.qualities[-1], test.qualities[-1]):
+            if not max(ref.fit.x[0], test.fit.x[0]) < min(ref.fit.x[-1], test.fit.x[-1]):
                 continue
             assert bd_delta(ref, test).value_percent == oracle_bd_percent(ref.points, test.points)
             checked += 1
@@ -236,12 +236,12 @@ class TestFloatPchipMatchesNumpy:
         fit = ref.fit
         for _ in range(200):
             test = curve(*random_knots(rng, int(rng.integers(2, 13))))
-            if not max(ref.qualities[0], test.qualities[0]) < min(ref.qualities[-1], test.qualities[-1]):
+            if not max(ref.fit.x[0], test.fit.x[0]) < min(ref.fit.x[-1], test.fit.x[-1]):
                 continue
-            fresh = bd_delta(curve(ref.qualities, ref.ordinates), curve(test.qualities, test.ordinates))
+            fresh = bd_delta(curve(ref.fit.x, ref.fit.y), curve(test.fit.x, test.fit.y))
             assert bd_delta(ref, test) == fresh
-            assert bd_delta(test, ref) == bd_delta(curve(test.qualities, test.ordinates),
-                                                   curve(ref.qualities, ref.ordinates))
+            assert bd_delta(test, ref) == bd_delta(curve(test.fit.x, test.fit.y),
+                                                   curve(ref.fit.x, ref.fit.y))
         assert ref.fit is fit
 
     @pytest.mark.parametrize("y", [[0.0, -0.0, 1.0], [-1.0, 0.0, -0.0]])

@@ -455,9 +455,9 @@ class TestBuildFixed:
             (600.0, 1080), (2400.0, 2160)]
 
     def test_plan_target_below_one_kbps_accepted(self):
-        # Any positive bitrate is a target, 1 kbps and below included.
-        assert load_plan("target_kbps,height\n0.5,1080\n1,2160\n") == [
-            (0.5, 1080), (1.0, 2160)]
+        # Any positive bitrate is a target, 1 kbps and below included, and
+        # any positive height, 1 px included.
+        assert load_plan("target_kbps,height\n0.5,1\n1,2160\n") == [(0.5, 1), (1.0, 2160)]
         ds = TitleDataset.from_records([record(target=0.5), record(target=1.0, height=2160)])
         ladder = build_fixed(CandidateIndex(ds), [(0.5, 1080), (1.0, 2160)], fixed_chroma=C420)
         assert [r.choice.target_bitrate for r in ladder.rungs] == [0.5, 1.0]

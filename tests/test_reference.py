@@ -2,9 +2,10 @@
 commands built from the public API: on drawn corpora and command lines of
 ``optimize``, ``compare``, ``sweep`` and ``pmf``, both give the same exit
 code, stdout, stderr and written bytes, and every (title, metric, method,
-alpha) is reported once. ``commands_equal_reference`` is that check; the
-named cases of these commands in ``test_cli`` call it too. A new output case
-is one more pinned ``@example`` here, not hand-written assertions."""
+alpha) is reported once. ``commands_equal_reference`` is that check. The
+named cases of these commands are pinned ``@example``s here, each with a
+comment that names it and the exit code it pins (``Command.code``); a new
+output case is one more, not hand-written assertions."""
 
 import json
 import random
@@ -95,6 +96,7 @@ class Command(NamedTuple):
     argv: tuple  # the command and its flags but --input, --plan and --out
     plan: bool | str = True  # the corpus's plan, none, or the plan file's text
     out: bool = False
+    code: int | None = None  # the exit code a pinned example expects
 
 
 corpora = st.builds(
@@ -156,17 +158,24 @@ def _assert_each_evaluation_once(argv, datasets, want) -> None:
 
 SMALL = Corpus(False, 0, SMALL_TARGETS, ("synth000", "synth001", "synth002", "synth003"))
 LONELY = Corpus(False, 0, SMALL_TARGETS, ("synth000", "synth001"), edges=("lonely",))
+# Titles in both metrics, split over a CSV and a JSON file; one title CSV quotes.
+REPORTS = SMALL._replace(titles=('clip "A", 4k', "synth001"), metrics=("cvvdp", "psnr"),
+                         files=("csv", "json"))
+# One encode that serves two close targets.
+SHARED = SMALL._replace(targets=CLOSE_TARGETS, titles=(), edges=("shared",))
+PLAN_720 = "target_kbps,height\n600,720\n1200,720\n"  # a height that no title has
+FIXED = ("--method", "arcs", "--method", "fixed")
 # No sparse seed-869 title has a 1080p or 2160p 444 encode, so its fixed
 # ladder is excluded.
 SEED_869 = Corpus(True, 869, SMALL_TARGETS, ("line\nbreak", "cr\rreturn,comma"))
 
 
-def commands_equal_reference(corpus: Corpus, commands) -> list[reference.Outcome]:
+def commands_equal_reference(corpus: Corpus, commands) -> None:
     """Run each command on ``corpus`` through ``cli.main`` and ``reference.run``:
-    both give the same exit code, stdout, stderr and written bytes, nothing is
-    written outside ``--out``, which exists only when files are written, and
-    each evaluation is reported once. Returns the outcomes."""
-    outcomes = []
+    both give the same exit code, stdout, stderr and written bytes, the exit
+    code is the one the command pins, if any, nothing is written outside
+    ``--out``, which exists only when files are written, and each evaluation
+    is reported once."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         inputs = [f for path in corpus.write(tmp) for f in ("--input", path)]
@@ -182,13 +191,12 @@ def commands_equal_reference(corpus: Corpus, commands) -> list[reference.Outcome
                                      *["--plan", plan] * bool(command.plan))]
             want = reference.run(argv)
             assert cli_outcome(argv, out) == want
+            assert command.code in (None, want.code)
             assert out.exists() == bool(want.files)
             if want.payload is not None:  # None: it stopped before it evaluated a title
                 _assert_each_evaluation_once(argv, datasets, want)
-            outcomes.append(want)
         assert {path.parent for path in runs.rglob("*") if path.is_file()} <= {
             runs / str(i) / "out" for i in range(len(commands))}
-    return outcomes
 
 
 @settings(max_examples=100, deadline=None)
@@ -220,5 +228,81 @@ def commands_equal_reference(corpus: Corpus, commands) -> list[reference.Outcome
          [Command(("optimize", "--alpha", "0"), out=True)])
 @example(SMALL._replace(titles=("synth000", "é" * 115), metrics=("psnr",)),
          [Command(("optimize", "--alpha", "0"), out=True)])
+# The named cases of the ladder commands, each with the exit code it pins.
+# test_empty_input_exits_one: no record, in a CSV and a JSON file.
+@example(SMALL._replace(titles=(), files=("csv", "json")),
+         [Command((command,), out=True, code=1) for command in ("optimize", "compare", "sweep", "pmf")])
+# test_alphas_sharing_a_file_name_exit_one_before_writing: both are "0.1" in a file name.
+@example(SMALL, [Command(("optimize", "--alpha", "0.1", "--alpha", "0.1000001"), out=True, code=1),
+                 Command(("optimize", "--alpha", "0.1", "--alpha", "0.1000001"), code=0)])
+# test_fixed_without_plan_exits_one
+@example(SMALL, [Command(("optimize", "--method", "fixed"), plan=False, out=True, code=1)])
+# test_unusable_plan_exits_one: load_plan's messages are test_ladder's.
+@example(SMALL, [Command(("compare", *FIXED), plan="target_kbps,height\n" + rows, out=True, code=1)
+                 for rows in ("600,2160\n900,1080\n", "600,1080\n600,2160\n", "600,1080\n900,1080,extra\n",
+                              "600,0\n", "nan,1080\n")])
+# test_plan_without_a_present_rung_excludes_each_title_alike: no title has 720p.
+@example(SMALL, [Command(("optimize", *FIXED), plan=PLAN_720, out=True, code=0),
+                 Command(("compare", *FIXED), plan=PLAN_720, code=0),
+                 Command(("pmf", *FIXED), plan=PLAN_720, code=0)])
+# test_plan_with_byte_order_mark_is_read
+@example(SMALL, [Command(("compare", "--method", "fixed", "--alpha", "0"), plan="\ufeff" + SMALL.plan(),
+                         code=0)])
+# test_unknown_planned_target_excludes_the_title: the lonely title lacks 640 kbps.
+@example(LONELY._replace(targets=CLOSE_TARGETS), [Command(("compare", "--method", "fixed"), code=0)])
+# test_report_schema_and_round_trip
+@example(SMALL, [Command(("compare", "--method", "arcs", "--alpha", "0.04"), out=True, code=0)])
+# test_title_without_usable_reference_excluded: the lonely title's reference has one point.
+@example(LONELY, [Command(("compare", "--method", "arcs", "--alpha", "0"), out=True, code=0)])
+# test_titles_counted_per_metric
+@example(REPORTS, [Command(("compare", "--method", "arcs", "--alpha", "0"), out=True, code=0)])
+# test_csv_fields_are_quoted
+@example(REPORTS, [Command(("compare", "--method", "arcs", "--alpha", "0", "--format", "csv"),
+                           out=True, code=0)])
+# test_single_alpha_exits_one
+@example(SMALL, [Command(("sweep", "--alpha", "0"), out=True, code=1)])
+# test_pmf_rows_per_alpha
+@example(SMALL, [Command(("pmf", "--alpha", "0", "--alpha", "0.08", "--format", "json", "--format",
+                          "csv"), out=True, code=0)])
+# test_fixed_ladder_without_present_rung_excludes_the_title: with fixed alone, no row is left.
+@example(SMALL, [Command(("pmf", *FIXED), plan=PLAN_720, code=0),
+                 Command(("pmf", "--method", "fixed"), plan=PLAN_720, code=2)])
+# test_minus_zero_alpha_prints_as_zero[optimize|compare|sweep|pmf]
+@example(SMALL, [Command((*argv, *alphas), code=0)
+                 for argv in (("optimize", "--method", "arcs", "--method", "dynres"),
+                              ("compare", "--method", "arcs"), ("sweep",), ("pmf", "--method", "arcs"))
+                 for alphas in (("--alpha", "-0", "--alpha", "0.02"),
+                                ("--alpha", "0", "--alpha", "-0", "--alpha", "0.02"))])
+# test_minus_zero_names_no_file_alpha_minus_zero
+@example(SMALL, [Command(("optimize", "--alpha", "-0"), out=True, code=0)])
+# test_minus_zero_tolerance_is_zero: one encode of the shared title meets it.
+@example(SHARED, [Command(("pmf", "--tolerance", "-0"), code=0)])
+# test_alpha_out_of_range_is_input_error
+@example(SMALL, [Command(("optimize", "--alpha", "1.5"), out=True, code=1),
+                 Command(("optimize", "--alpha", "1"), code=0)])
+# test_tolerance_out_of_range_is_input_error
+@example(SMALL, [Command(("optimize", "--tolerance", "0.9"), out=True, code=1),
+                 Command(("optimize", "--tolerance", "0.5"), code=0)])
+# test_uncomputable_comparison_is_compute_error: every encode misses its window.
+@example(SMALL._replace(titles=(), edges=("miss",)),
+         [Command(("compare", "--method", "arcs"), out=True, code=2)])
+# test_degenerate_reference_excludes_every_group
+@example(LONELY, [Command(("compare", "--method", "arcs", "--method", "dynres", "--alpha", "0",
+                           "--alpha", "0.04"), out=True, code=0)])
+# test_exclusion_lines_name_the_alpha
+@example(LONELY, [Command(("compare", "--alpha", "0", "--alpha", "0.04", "--alpha", "0.08", "--format",
+                           "markdown"), out=True, code=0)])
+# test_failures_name_each_ladder_and_exclude_each_group: curves with one point or apart.
+@example(SMALL._replace(titles=(), edges=("failing",)),
+         [Command(("compare", "--method", "arcs", "--method", "dynres", "--method", "default",
+                   "--alpha", "0", "--alpha", "0.04"), out=True, code=0)])
+# test_two_runs_byte_identical
+@example(SMALL, [Command(("compare", "--method", "arcs", "--alpha", "0", "--alpha", "0.04"), out=True,
+                         code=0)] * 2)
+# test_one_record_serves_two_rungs_of_a_ladder
+@example(SHARED, [Command((command, "--alpha", "0", *FIXED, "--cross-target", *formats * out), out=out,
+                          code=0)
+                  for command, formats in (("compare", ("--format", "json", "--format", "csv")),
+                                           ("optimize", ())) for out in (True, False)])
 def test_commands_equal_reference(corpus, commands):
     commands_equal_reference(corpus, commands)
