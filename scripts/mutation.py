@@ -5,11 +5,12 @@ Run from anywhere, with no flags::
     python scripts/mutation.py
 
 It makes a fixed, seeded sample of mutants of ``ladder.py``, ``bdmetrics.py``,
-``measurements.py``, ``objective.py`` and two parts of ``cli.py``: its
-renderer (the text and file writers, from ``to_json_text`` to
-``_render_summary``) and its command code (``RunConfig``, the evaluation
-pass, the ``cmd_*`` functions and ``main``), at most ``PER_SAMPLE`` per
-sample. A mutant is one edit at one place:
+``measurements.py``, ``objective.py``, the random stream of ``synth.py``
+(``_Stream`` and its constants) and two parts of ``cli.py``: its renderer
+(the text and file writers, from ``to_json_text`` to ``_render_summary``)
+and its command code (``RunConfig``, the evaluation pass, the ``cmd_*``
+functions and ``main``), at most ``PER_SAMPLE`` per sample. A mutant is one
+edit at one place:
 
 * ``cmp``: flip a comparison, ``<`` and ``<=``, ``>`` and ``>=``, ``==``
   and ``!=``;
@@ -80,8 +81,14 @@ RENDERER = frozenset({
 
 # The cli names that read the inputs, evaluate the titles and run the commands.
 COMMAND_CODE = frozenset({
-    "RunConfig", "_read_datasets", "_evaluate", "_compare", "cmd_validate", "cmd_synth",
-    "_NAME_BYTES", "cmd_optimize", "cmd_compare", "cmd_sweep", "cmd_pmf", "main",
+    "RunConfig", "_read_datasets", "_read_utf8", "_evaluate", "_compare", "cmd_validate",
+    "cmd_synth", "_NAME_BYTES", "cmd_optimize", "cmd_compare", "cmd_sweep", "cmd_pmf", "main",
+})
+
+# The synth names that make the seeded random stream.
+STREAM = frozenset({
+    "_INIT_A", "_MULT_A", "_INIT_B", "_MULT_B", "_MIX_L", "_MIX_R", "_PCG_MULT", "_M32", "_M64",
+    "_M128", "_Stream",
 })
 
 CLI_TESTS = ("tests/test_cli.py", "tests/test_reference.py")
@@ -91,6 +98,7 @@ SAMPLES = (
     ("src/chromaladder/bdmetrics.py", None, ("tests/test_bdmetrics.py",)),
     ("src/chromaladder/measurements.py", None, ("tests/test_measurements.py",)),
     ("src/chromaladder/objective.py", None, ("tests/test_objective.py",)),
+    ("src/chromaladder/synth.py", STREAM, ("tests/test_synth.py",)),
     ("src/chromaladder/cli.py", RENDERER, CLI_TESTS),
     ("src/chromaladder/cli.py", COMMAND_CODE, CLI_TESTS),
 )
@@ -137,6 +145,9 @@ EQUIVALENT = {
     "bdmetrics.py:_edge_slope:cmp:> => >=#1":
         "the line runs only when _sign(d) == _sign(d0) != 0, so abs(d) == 3 * abs(d0) "
         "means d == 3 * d0 and both branches return the same float",
+    "synth.py:_Stream:int+1:1 => 2#1":
+        "the `or` operand is read only for n == 0, where range(0, 2, 32) holds the one "
+        "shift 0, as range(0, 1, 32) does",
     "cli.py:_WRITE_SLICE:int+1:1 => 2#1":
         "_WRITE_SLICE sets how many characters each write call takes; the file's bytes "
         "are the same",

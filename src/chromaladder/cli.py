@@ -287,6 +287,15 @@ def _read_text(path: Path) -> str:
         return fh.read()
 
 
+def _read_utf8(path: Path, error: type[ChromaLadderError]) -> str:
+    """The text of a plan or spec file. Text that is not UTF-8 raises
+    ``error``, naming the file as a measurement file's error does."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from exc
+
+
 def _evaluate(cfg: RunConfig, builders: dict[Method, Callable]
               ) -> Iterator[tuple[tuple[str, QualityMetric], list[tuple]]]:
     """Run ``builders`` (``_BUILDERS`` or ``_PMF_BUILDERS``) for every
@@ -303,7 +312,7 @@ def _evaluate(cfg: RunConfig, builders: dict[Method, Callable]
     """
     datasets = _read_datasets(cfg.inputs)
     if cfg.plan_path is not None:
-        plan = load_plan(Path(cfg.plan_path).read_text(encoding="utf-8"))
+        plan = load_plan(_read_utf8(Path(cfg.plan_path), InvalidPlan))
     elif Method.FIXED_LADDER in (*cfg.methods, cfg.reference):
         raise InvalidPlan("--plan is required for the fixed method")
     else:
@@ -655,7 +664,7 @@ def cmd_validate(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.spec is not None:
-        spec = spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
+        spec = spec_from_json(_read_utf8(Path(args.spec), InvalidSpec))
     elif args.preset == "sparse":
         spec = sparse_spec()
     else:

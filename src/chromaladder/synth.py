@@ -193,11 +193,78 @@ def generate(spec: SynthSpec) -> list[TitleDataset]:
     return [_generate_title(spec, i) for i in range(spec.titles)]
 
 
-def _generate_title(spec: SynthSpec, index: int) -> TitleDataset:
-    # numpy is imported here so the other commands do not pay for loading it.
-    import numpy as np
+# NumPy's SeedSequence constants (O'Neill's seed_seq mixing) and PCG64's
+# 128-bit LCG multiplier.
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_L = 0xCA01F9DD
+_MIX_R = 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32 = 0xFFFFFFFF
+_M64 = 0xFFFFFFFFFFFFFFFF
+_M128 = (1 << 128) - 1
 
-    rng = np.random.default_rng([spec.seed, index])
+
+class _Stream:
+    """``numpy.random.default_rng(entropy).uniform(lo, hi)``, bit for bit,
+    in plain Python: ``SeedSequence(entropy)`` with its default 4-word pool
+    seeds a PCG64 (PCG XSL-RR 128/64), whose 64-bit outputs make the
+    uniform draws. ``entropy`` is a sequence of non-negative ints."""
+
+    __slots__ = ("_state", "_inc")
+
+    def __init__(self, entropy):
+        words = []
+        for n in entropy:
+            if n < 0:
+                raise ValueError("expected non-negative integer")
+            words += (n >> shift & _M32 for shift in range(0, n.bit_length() or 1, 32))
+        hash_const = _INIT_A
+
+        def hashmix(value):
+            nonlocal hash_const
+            value ^= hash_const
+            hash_const = hash_const * _MULT_A & _M32
+            value = value * hash_const & _M32
+            return value ^ value >> 16
+
+        def mix(x, y):
+            result = (_MIX_L * x - _MIX_R * y) & _M32
+            return result ^ result >> 16
+
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        # generate_state(4, uint64): eight 32-bit words, paired little-endian.
+        hash_const, state = _INIT_B, []
+        for word in pool * 2:
+            value = word ^ hash_const
+            hash_const = hash_const * _MULT_B & _M32
+            value = value * hash_const & _M32
+            state.append(value ^ value >> 16)
+        seed_hi, seed_lo, inc_hi, inc_lo = (
+            lo | hi << 32 for lo, hi in zip(state[::2], state[1::2]))
+        # PCG64's srandom: state 0, inc 2·seq + 1, step, add the seed, step.
+        self._inc = (inc_hi << 64 | inc_lo) << 1 & _M128 | 1
+        self._state = ((self._inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + self._inc) & _M128
+
+    def uniform(self, lo: float, hi: float) -> float:
+        state = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        rot = state >> 122
+        x = (state >> 64 ^ state) & _M64
+        x = (x >> rot | x << (-rot & 63)) & _M64
+        return lo + (hi - lo) * ((x >> 11) * 2.0**-53)
+
+
+def _generate_title(spec: SynthSpec, index: int) -> TitleDataset:
+    rng = _Stream((spec.seed, index))
     v = spec.title_variation
     combos = [
         (r, c)

@@ -286,6 +286,14 @@ class TestSynth:
         spec_path.write_text("{}", encoding="utf-8")
         assert run("synth", "--spec", spec_path, "--out", tmp_path / "x.csv") == 1
 
+    def test_spec_that_is_not_utf8_names_its_file(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_bytes(b"\xff" + spec_to_json(default_spec()).encode("utf-8"))
+        assert _captured(["synth", "--spec", spec_path, "--out", tmp_path / "x.csv"]) == (
+            1, "", f"error: {spec_path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                   "invalid start byte\n")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_sparse_preset(self, tmp_path):
         out = tmp_path / "sparse.csv"
         assert run("synth", "--preset", "sparse", "--titles", 2, "--out", out) == 0
@@ -321,7 +329,8 @@ class TestOptimize:
 
 
 class TestPlan:
-    """A plan without rows is an input error before any title is built."""
+    """A plan without rows is an input error before any title is built, and
+    a plan that is not UTF-8 names its file."""
 
     @pytest.mark.parametrize("command", ["optimize", "compare", "sweep", "pmf"])
     def test_plan_without_rows_exits_one_before_any_title_is_built(self, monkeypatch, command):
@@ -332,6 +341,13 @@ class TestPlan:
         methods = () if command == "sweep" else ("--method", "arcs", "--method", "fixed")
         commands_equal_reference(SMALL, [Command((command, *methods, "--alpha", "0", "--alpha", "0.04"),
                                                  plan="target_kbps,height\n", out=True, code=1)])
+
+    def test_plan_that_is_not_utf8_names_its_file(self, small_corpus, tmp_path):
+        plan = tmp_path / "plan.csv"
+        plan.write_bytes(b"target_kbps,height\n\xff600,1080\n")
+        assert _captured(["compare", "--input", small_corpus, "--method", "fixed", "--plan", plan]) == (
+            1, "", f"error: {plan}: 'utf-8' codec can't decode byte 0xff in position 19: "
+                   "invalid start byte\n")
 
 
 class TestCompare:
@@ -1078,25 +1094,28 @@ def test_tracer_wraps_every_cli_binding_but_chroma_pmf():
 
 
 def test_ladder_commands_do_not_import_numpy(small_corpus, tmp_path):
-    """numpy is for synthesis only: importing the CLI and running a comparison
-    must not load it, nor ``fractions`` and the ``decimal`` and ``numbers``
-    modules it imports."""
+    """No command needs numpy: importing the CLI, running a comparison and
+    synthesizing a corpus must not load it, nor ``fractions`` and the
+    ``decimal`` and ``numbers`` modules it imports."""
     script = (
-        "import sys\n"
+        "import json, sys\n"
         "import chromaladder.cli as cli\n"
         "unused = ('numpy', 'fractions', 'decimal', 'numbers')\n"
         "loaded = [m for m in unused if m in sys.modules]\n"
         "if loaded: sys.exit(f'import chromaladder.cli loaded {loaded}')\n"
-        "if cli.main(sys.argv[1:]) != 0: sys.exit('compare failed')\n"
-        "loaded = [m for m in unused if m in sys.modules]\n"
-        "if loaded: sys.exit(f'compare loaded {loaded}')\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    if cli.main(argv) != 0: sys.exit(f'{argv[0]} failed')\n"
+        "    loaded = [m for m in unused if m in sys.modules]\n"
+        "    if loaded: sys.exit(f'{argv[0]} loaded {loaded}')\n"
     )
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    commands = [["compare", "--input", str(small_corpus), "--method", "arcs", "--alpha", "0",
+                 "--out", str(tmp_path / "rep")],
+                ["synth", "--titles", "2", "--out", str(tmp_path / "corpus.csv")]]
     proc = subprocess.run(
-        [sys.executable, "-c", script, "compare", "--input", str(small_corpus), "--method", "arcs",
-         "--alpha", "0", "--out", str(tmp_path / "rep")],
+        [sys.executable, "-c", script, json.dumps(commands)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -1,19 +1,21 @@
-"""The ladder commands print the same bytes on every supported Python.
+"""The commands print the same bytes on every supported Python.
 
 Records are slotted dataclasses, which need Python 3.10, and the parser's
-float and string handling and the report encoders must agree from 3.10 to
-3.13. Each other interpreter found (pyenv's ``versions/3.1x.*``, else
-``python3.1x`` on the PATH) runs ``optimize``, ``compare``, ``sweep`` and
-``pmf`` on the shipped corpus in one process, ``sweep`` once more on the
-shipped corpus plus a PSNR copy of it, so that each title's two metrics come
-from two files, ``compare`` on the shipped corpus plus a file with a bad
-row, which fails, and each command on titles that hold ``\r``, ``\n``,
-``\r\n``, ``"``, ``,`` and non-ASCII text, whose records are split over one
-CSV and one JSON file: ``optimize`` prints their ladders, since such titles
-cannot name ladder files, and the others write them with ``--out``. The exit codes, what they print on
-stdout and stderr, and the bytes of every file written under ``--out`` must
-equal those of the running interpreter. None of these commands needs numpy.
-A version that is not installed is skipped.
+float and string handling, the report encoders and the synthetic corpus's
+random stream must agree from 3.10 to 3.13. Each other interpreter found
+(pyenv's ``versions/3.1x.*``, else ``python3.1x`` on the PATH) runs
+``optimize``, ``compare``, ``sweep`` and ``pmf`` on the shipped corpus in one
+process, ``synth`` with and without ``--spec``, to CSV and to JSON, ``sweep``
+once more on the shipped corpus plus a PSNR copy of it, so that each title's
+two metrics come from two files, ``compare`` on the shipped corpus plus a
+file with a bad row, which fails, and each command on titles that hold
+``\r``, ``\n``, ``\r\n``, ``"``, ``,`` and non-ASCII text, whose records are
+split over one CSV and one JSON file: ``optimize`` prints their ladders,
+since such titles cannot name ladder files, and the others write them with
+``--out``. The exit codes, what they print on stdout and stderr, and the
+bytes of every file written under ``--out`` must equal those of the running
+interpreter. None of these commands needs numpy. A version that is not
+installed is skipped.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ COMMANDS = [
      "--plan", PLAN, "--format", "json"],
     ["sweep", *INPUT, "--format", "json"],
     ["pmf", *INPUT, "--format", "json"],
+    ["synth"],
+    ["synth", "--format", "json", "--seed", str(2**64)],
+    ["synth", "--spec", "configs/synth_sparse.json", "--seed", "7919"],
+    ["synth", "--spec", "configs/synth_sparse.json", "--format", "json"],
 ]
 # Runs every command through cli.main and prints each one's exit code,
 # stdout and stderr, under a header line, then the name and bytes of each

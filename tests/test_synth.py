@@ -3,7 +3,10 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from chromaladder import (
     ChromaFormat,
@@ -18,6 +21,7 @@ from chromaladder import (
     spec_to_json,
 )
 from chromaladder.errors import InvalidSpec
+from chromaladder.synth import _Stream
 from helpers import C420, C444
 
 
@@ -38,6 +42,38 @@ class TestDeterminism:
         small = generate(default_spec(titles=2))
         large = generate(default_spec(titles=5))
         assert large[:2] == small
+
+
+# Ordered (lo, hi) pairs, as synth draws them: numpy's uniform refuses hi < lo.
+BOUNDS = st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)).map(sorted),
+                  min_size=1, max_size=200)
+SYNTH_BOUNDS = [(-0.12, 0.12), (0.94, 1.06), (-1.0, 1.0)] * 20
+
+
+class TestStream:
+    @given(st.integers(0, 2**64 - 1), st.integers(min_value=0), BOUNDS)
+    @example(0, 0, SYNTH_BOUNDS)
+    @example(2**64 - 1, 0, SYNTH_BOUNDS)
+    # The first seed of three 32-bit words, and an index of two.
+    @example(2**64, 0, SYNTH_BOUNDS)
+    @example(20250809, 2**32, SYNTH_BOUNDS)
+    # More than the pool's four words of entropy.
+    @example(2**200 - 1, 2**150 + 7, SYNTH_BOUNDS)
+    @example(-1, 0, SYNTH_BOUNDS)
+    def test_equals_numpy_default_rng_uniform(self, seed, index, bounds):
+        """The stream draws what ``default_rng([seed, index]).uniform`` draws,
+        bit for bit, and refuses a negative seed with numpy's error."""
+        try:
+            want = np.random.default_rng([seed, index])
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                _Stream((seed, index))
+            assert str(got.value) == str(exc) == "expected non-negative integer"
+            return
+        stream = _Stream((seed, index))
+        for lo, hi in bounds:
+            got = stream.uniform(lo, hi)
+            assert type(got) is float and got.hex() == float(want.uniform(lo, hi)).hex()
 
 
 class TestClosedFormModels:
