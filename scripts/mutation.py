@@ -39,7 +39,8 @@ Each mutant runs in a fresh temporary copy of the repository (without
 ``.git`` or ``.hypothesis``), where pyproject's ``pythonpath = ["src"]``
 imports the mutated file. The sample's own test files run first, with
 ``pytest -q -x -p no:cacheprovider --hypothesis-seed=0``; the other test files
-run only if they all pass. A row records the first failing test
+run only if they all pass. Each pytest child may map at most ``MEMORY_BYTES``
+of address space. A row records the first failing test
 (``killed_by``), ``survived``, or, for the mutants in ``EQUIVALENT``,
 ``equivalent`` with the reason, and those are not run. The table, with the
 sha256 of each mutated file, is written to ``MUTATION_kill_table.json`` at the
@@ -50,9 +51,11 @@ mutant, the unmutated copy must pass the whole suite.
 from __future__ import annotations
 
 import ast
+import functools
 import hashlib
 import json
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -68,6 +71,10 @@ SEED = 1978
 PER_SAMPLE = 40
 WORKERS = 2
 TIMEOUT_S = 600
+# The address space of each pytest child, about five times the whole suite's
+# peak: a mutant that allocates without end fails with MemoryError in
+# seconds instead of growing until the kernel kills it.
+MEMORY_BYTES = 2 << 30
 PYTEST = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0")
 
 # The cli names that render and write text: the renderer.
@@ -308,9 +315,12 @@ def _copy(into: Path) -> Path:
 def _pytest(repo: Path, files) -> str | None:
     """The first failing test of ``files`` in ``repo``, or None if all pass."""
     try:
+        # The child only calls setrlimit between fork and exec, which is safe
+        # beside this script's worker threads.
         proc = subprocess.run(
             [sys.executable, *PYTEST, *files], cwd=repo, capture_output=True, text=True,
-            timeout=TIMEOUT_S)
+            timeout=TIMEOUT_S, preexec_fn=functools.partial(
+                resource.setrlimit, resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES)))
     except subprocess.TimeoutExpired:
         return f"timeout after {TIMEOUT_S} s"
     if proc.returncode == 0:

@@ -37,6 +37,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -77,11 +78,11 @@ from .measurements import (
     csv_line_writer,
     dataset_warnings,
     parse_dataset,
-    serialize_dataset,
+    serialized_pieces,
     source_records,
     title_text,
 )
-from .synth import default_spec, generate, spec_from_json, sparse_spec
+from .synth import default_spec, spec_from_json, sparse_spec, titles_in_order
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -673,14 +674,40 @@ def cmd_synth(args) -> int:
         spec = replace(spec, seed=args.seed)
     if args.titles is not None:
         spec = replace(spec, titles=args.titles)
-    datasets = generate(spec)
-    text = serialize_dataset(datasets, fmt=args.format)
+    # Each title is written as it is made, then dropped. The text goes to a
+    # temporary file first, so a title that fails leaves no output. Imported
+    # here: the ladder commands do not pay for loading them.
+    import shutil
+    import tempfile
+
+    pieces = serialized_pieces(titles_in_order(spec), args.format)
     if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_text(Path(args.out), text)
-        n = sum(len(d.records) for d in datasets)
-        print(f"wrote {len(datasets)} title(s), {n} record(s) to {args.out}")
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spool:
+            spool.writelines(pieces)
+            spool.seek(0)
+            shutil.copyfileobj(spool, sys.stdout)
+        return EXIT_OK
+    path = Path(args.out)
+    # The text is renamed onto --out, which would replace a device or pipe
+    # and fail on a directory: refuse them before any title is made.
+    if path.exists() and not path.is_file():
+        raise ValueError(f"{args.out}: not a regular file; to write to a pipe, use stdout")
+    path = path.resolve()  # a symlink's target is replaced, not the link
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, temp = tempfile.mkstemp(prefix=".synth-", suffix=".tmp", dir=path.parent)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(pieces)
+        # mkstemp's file is private; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(temp, 0o666 & ~umask)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
+    n = spec.titles * len(spec.resolutions) * len(spec.chromas) * len(spec.targets_kbps)
+    print(f"wrote {spec.titles} title(s), {n} record(s) to {args.out}")
     return EXIT_OK
 
 

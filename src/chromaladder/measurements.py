@@ -477,42 +477,53 @@ def csv_line_writer() -> Callable[[Sequence], str]:
 
 
 def serialize_dataset(datasets: Iterable[TitleDataset], fmt: str = "csv") -> str:
-    """Serialize datasets back to the CSV or JSON wire form (round-trip exact)."""
-    rows = []
-    for ds in sorted(datasets, key=lambda d: d.title_id):
-        for r in ds.records:
-            rows.append(r)
+    """Serialize datasets, in title order, back to the CSV or JSON wire form
+    (round-trip exact)."""
+    return "".join(serialized_pieces(sorted(datasets, key=_TITLE_ID), fmt))
+
+
+# One record in CSV_HEADER order, given its title as the format writes it.
+# Numbers are written by repr, as json writes them, and need no CSV quoting;
+# a JSON record is an array entry as json.dumps(indent=2) writes it.
+_CSV_RECORD = "{},{},{},{!r},{!r},{},{!r},{!r}\n"
+_JSON_RECORD = (
+    '\n  {{\n    "title": {},\n    "height": {},\n    "chroma": {},\n    "target_kbps": {!r},'
+    '\n    "actual_kbps": {!r},\n    "metric": "{}",\n    "quality": {!r},'
+    '\n    "decode_s_per_frame": {!r}\n  }}')
+_TITLE_ID = operator.attrgetter("title_id")
+
+
+def serialized_pieces(datasets: Iterable[TitleDataset], fmt: str) -> Iterator[str]:
+    """The wire form of ``datasets`` in the order given, as the pieces that
+    ``serialize_dataset`` joins: a head, one piece per dataset, made when it
+    is reached, and a tail. Each record becomes text through one template,
+    its title quoted once per dataset: by csv, or as json's ``ensure_ascii``
+    string literal."""
+    # Each format's head, the text between two records, its tail, and its
+    # whole text when there is no record.
     if fmt == "csv":
         line = csv_line_writer()
-        return line(CSV_HEADER) + "".join(
-            line([
-                r.title_id,
-                r.resolution.height,
-                r.chroma.value,
-                repr(r.target_bitrate),
-                repr(r.actual_bitrate),
-                r.quality.metric.value,
-                repr(r.quality.value),
-                repr(r.decode_time),
-            ])
-            for r in rows
-        )
-    if fmt == "json":
-        objs = [
-            {
-                "title": r.title_id,
-                "height": r.resolution.height,
-                "chroma": int(r.chroma.value),
-                "target_kbps": r.target_bitrate,
-                "actual_kbps": r.actual_bitrate,
-                "metric": r.quality.metric.value,
-                "quality": r.quality.value,
-                "decode_s_per_frame": r.decode_time,
-            }
-            for r in rows
-        ]
-        return json.dumps(objs, indent=2) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+        header = line(CSV_HEADER)
+        head, template, between, tail, empty = header, _CSV_RECORD, "", "", header
+
+        def quote(title: str) -> str:
+            # Not alone in its row, where csv would quote an empty title.
+            return line((title, ""))[:-2]
+    elif fmt == "json":
+        head, template, between, tail, empty = "[", _JSON_RECORD, ",", "\n]\n", "[]\n"
+        quote = json.encoder.encode_basestring_ascii
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    written = False
+    for ds in datasets:
+        title = quote(ds.title_id)
+        yield (between if written else head) + between.join([
+            template.format(title, r.resolution.height, r.chroma.value, r.target_bitrate,
+                            r.actual_bitrate, r.quality.metric.value, r.quality.value,
+                            r.decode_time)
+            for r in ds.records])
+        written = True
+    yield tail if written else empty
 
 
 # -- candidate filtering ----------------------------------------------------

@@ -24,7 +24,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, TextIO
+from functools import partial
+from typing import Iterator, Mapping, TextIO
 
 from .errors import InvalidSpec
 from .measurements import (
@@ -193,6 +194,30 @@ def generate(spec: SynthSpec) -> list[TitleDataset]:
     return [_generate_title(spec, i) for i in range(spec.titles)]
 
 
+def titles_in_order(spec: SynthSpec) -> Iterator[TitleDataset]:
+    """The titles of ``generate(spec)`` one at a time, each made when it is
+    reached, in title-id order, as ``serialize_dataset`` writes them:
+    synth099 < synth100 < synth1000 < synth101."""
+    return map(partial(_generate_title, spec), _in_title_order(spec.titles))
+
+
+def _title_id(index: int) -> str:
+    return f"synth{index:03d}"
+
+
+def _in_title_order(n: int, indices: range = range(1000)) -> Iterator[int]:
+    """``range(n)`` sorted by ``_title_id``, one index at a time. Ids below
+    1000 have three digits; each longer id extends one of 100 and up, so each
+    index of 100 and up is followed by those that extend its id by a digit,
+    ``10 * index`` to ``10 * index + 9``, each followed by its own."""
+    for index in indices:
+        if index >= n:
+            return
+        yield index
+        if index >= 100:
+            yield from _in_title_order(n, range(10 * index, 10 * index + 10))
+
+
 # NumPy's SeedSequence constants (O'Neill's seed_seq mixing) and PCG64's
 # 128-bit LCG multiplier.
 _INIT_A = 0x43B0D7E5
@@ -266,48 +291,40 @@ class _Stream:
 def _generate_title(spec: SynthSpec, index: int) -> TitleDataset:
     rng = _Stream((spec.seed, index))
     v = spec.title_variation
-    combos = [
-        (r, c)
-        for r in sorted(spec.resolutions)
-        for c in sorted(spec.chromas, key=lambda c: c.fidelity_rank)
-    ]
+    heights = sorted(spec.resolutions)
+    combos = [(r, c) for r in heights for c in sorted(spec.chromas, key=lambda c: c.fidelity_rank)]
     # Slopes/knees shift per title (moves the crossover points); ceilings only
     # shift globally so their resolution/chroma ordering is preserved.
     ceiling_shift = rng.uniform(-2 * v, 2 * v)
-    slope_mult = {rc: rng.uniform(1 - v, 1 + v) for rc in combos}
-    knee_mult = {rc: rng.uniform(1 - v, 1 + v) for rc in combos}
-    base_mult = {r: rng.uniform(1 - v, 1 + v) for r in sorted(spec.resolutions)}
+    slope_mult = [rng.uniform(1 - v, 1 + v) for _ in combos]
+    knee_mult = [rng.uniform(1 - v, 1 + v) for _ in combos]
+    base_mult = {r: rng.uniform(1 - v, 1 + v) for r in heights}
 
     lo, hi = PLAUSIBLE_RANGE[spec.metric]
-    title_id = f"synth{index:03d}"
+    hi = min(hi, 1e9)
+    noise, jitter, rate_slope = spec.noise, spec.jitter, spec.time_rate_slope
+    title_id = _title_id(index)
     records = []
-    for r, c in combos:
+    for (r, c), slope_m, knee_m in zip(combos, slope_mult, knee_mult):
+        # The factors of each target's values that depend on (r, c) alone.
+        # Every corpus's bytes fix the float operations and their order:
+        # q = (ceiling + shift) - (slope * slope_m) / log1p(b / (knee * knee_m))
+        # and tau = ((base * base_mult) * chroma_factor) * (1 + rate_slope * b).
         model = spec.quality[(r, c)]
+        ceiling = model.ceiling + ceiling_shift
+        slope = model.slope * slope_m
+        knee = model.knee_kbps * knee_m
+        time_base = spec.time_base_s[r] * base_mult[r] * spec.time_chroma_factor[c]
+        resolution = Resolution(r)
         for b in spec.targets_kbps:
-            q = (model.ceiling + ceiling_shift) - model.slope * slope_mult[(r, c)] / math.log1p(
-                b / (model.knee_kbps * knee_mult[(r, c)])
-            )
-            q += spec.noise * rng.uniform(-1.0, 1.0)
-            q = min(max(q, lo), min(hi, 1e9))
-            tau = (
-                spec.time_base_s[r]
-                * base_mult[r]
-                * spec.time_chroma_factor[c]
-                * (1.0 + spec.time_rate_slope * b)
-            )
-            tau *= 1.0 + spec.noise * rng.uniform(-1.0, 1.0)
-            actual = b * (1.0 + spec.jitter * rng.uniform(-1.0, 1.0))
-            records.append(
-                MeasurementRecord(
-                    title_id=title_id,
-                    resolution=Resolution(r),
-                    chroma=c,
-                    target_bitrate=b,
-                    actual_bitrate=actual,
-                    quality=QualityScore(spec.metric, q),
-                    decode_time=tau,
-                )
-            )
+            q = ceiling - slope / math.log1p(b / knee)
+            q += noise * rng.uniform(-1.0, 1.0)
+            q = min(max(q, lo), hi)
+            tau = time_base * (1.0 + rate_slope * b)
+            tau *= 1.0 + noise * rng.uniform(-1.0, 1.0)
+            actual = b * (1.0 + jitter * rng.uniform(-1.0, 1.0))
+            records.append(MeasurementRecord(
+                title_id, resolution, c, b, actual, QualityScore(spec.metric, q), tau))
     return TitleDataset.from_records(records)
 
 

@@ -3,7 +3,8 @@ datasets, ladder summaries (present rungs, summed objective, chroma shares),
 the exhaustive ladder oracle ``definitional_best``, a vectorized PCHIP
 evaluator for quadrature checks, and the frozen layers that
 the live ones must match: a numpy-scalar PCHIP integrator for bit-exact BD
-integration, a row-by-row ingest for the parser's fast path, and a DP graph
+integration, a row-by-row ingest for the parser's fast path, a serializer
+of one dict or row per record for the per-title templates, and a DP graph
 compiler that keeps every reachable state for the live-state graphs. The
 ladder commands' bytes are checked against ``reference.py`` instead."""
 
@@ -40,7 +41,7 @@ from chromaladder.errors import (
 )
 from chromaladder.cli import main
 from chromaladder.ladder import _Graph, chroma_shares, count_chroma
-from chromaladder.measurements import CSV_HEADER
+from chromaladder.measurements import CSV_HEADER, csv_line_writer
 from reference import Outcome
 
 JOD = QualityMetric.CVVDP_JOD
@@ -516,6 +517,32 @@ def _oracle_group_records(records) -> list[TitleDataset]:
         seen.add((rec.key, rec.quality.metric))
         by_key.setdefault((rec.title_id, rec.quality.metric.value), []).append(rec)
     return [TitleDataset.from_records(by_key[k]) for k in sorted(by_key)]
+
+
+# -- frozen serializer: the reference for the per-title templates ----------------
+#
+# ``serialize_dataset`` as it was before records became text through
+# templates: one row or dict per record, then csv rows and the pure-Python
+# ``json.dumps(indent=2)`` encoder over the whole list.
+
+
+def oracle_serialize_dataset(datasets, fmt: str = "csv") -> str:
+    rows = [r for ds in sorted(datasets, key=lambda d: d.title_id) for r in ds.records]
+    if fmt == "csv":
+        line = csv_line_writer()
+        return line(CSV_HEADER) + "".join(
+            line([r.title_id, r.resolution.height, r.chroma.value, repr(r.target_bitrate),
+                  repr(r.actual_bitrate), r.quality.metric.value, repr(r.quality.value),
+                  repr(r.decode_time)])
+            for r in rows)
+    if fmt == "json":
+        return json.dumps([
+            {"title": r.title_id, "height": r.resolution.height, "chroma": int(r.chroma.value),
+             "target_kbps": r.target_bitrate, "actual_kbps": r.actual_bitrate,
+             "metric": r.quality.metric.value, "quality": r.quality.value,
+             "decode_s_per_frame": r.decode_time}
+            for r in rows], indent=2) + "\n"
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 # -- frozen DP graph compiler ------------------------------------------------------

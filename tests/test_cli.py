@@ -294,11 +294,81 @@ class TestSynth:
                    "invalid start byte\n")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("make", [Path.mkdir, os.mkfifo])
+    def test_out_that_is_not_a_regular_file_is_refused(self, tmp_path, make):
+        out = tmp_path / "corpus"
+        make(out)
+        assert _captured(["synth", "--out", out]) == (
+            1, "", f"error: {out}: not a regular file; to write to a pipe, use stdout\n")
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_out_through_a_symlink_writes_its_target(self, tmp_path):
+        target, link = tmp_path / "corpus.csv", tmp_path / "link.csv"
+        target.write_text("old", encoding="utf-8")
+        link.symlink_to(target)
+        assert run("synth", "--titles", 2, "--out", link) == 0
+        assert link.is_symlink()
+        assert target.read_text(encoding="utf-8") == serialize_dataset(generate(default_spec(titles=2)))
+
     def test_sparse_preset(self, tmp_path):
         out = tmp_path / "sparse.csv"
         assert run("synth", "--preset", "sparse", "--titles", 2, "--out", out) == 0
         datasets = parse_dataset(out.read_text(encoding="utf-8"))
         assert len(datasets) == 2
+
+    @staticmethod
+    def tiny_spec(**changes):
+        """One height, one chroma and one target; 1002 titles, so that
+        synth1000 and synth1001 come between synth100 and synth101."""
+        spec = default_spec(titles=1002)
+        return replace(spec, **{
+            "resolutions": (1080,), "chromas": (C420,), "targets_kbps": (600.0,),
+            "quality": {(1080, C420): spec.quality[1080, C420]}, "time_base_s": {1080: 0.04},
+            "time_chroma_factor": {C420: 1.0}, **changes})
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_streamed_corpus_is_the_serialized_one(self, tmp_path, fmt):
+        spec = self.tiny_spec()
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec_to_json(spec), encoding="utf-8")
+        want = serialize_dataset(generate(spec), fmt)
+        argv = ["synth", "--spec", spec_path, "--format", fmt]
+        assert _captured(argv) == (0, want, "")
+        out = tmp_path / "new" / "corpus"
+        got = cli_outcome([*map(str, argv), "--out", str(out)], out.parent)
+        assert got == reference.Outcome(
+            0, f"wrote 1002 title(s), 1002 record(s) to {out}\n", "", {"corpus": want})
+        assert out.read_bytes() == want.encode("utf-8")
+        # The file has the mode of any new file that open() makes.
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        assert out.stat().st_mode == plain.stat().st_mode
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_title_that_fails_late_leaves_no_output(self, tmp_path, fmt):
+        # Without noise or rate term, each title's decode time is
+        # time_base_s[1080] times its base multiplier: only the title of the
+        # largest multiplier overflows to inf.
+        exact = dict(noise=0.0, time_rate_slope=0.0)
+        mults = {ds.title_id: ds.records[0].decode_time
+                 for ds in generate(self.tiny_spec(time_base_s={1080: 1.0}, **exact))}
+        second, top = sorted(mults.values())[-2:]
+        spec = self.tiny_spec(time_base_s={1080: sys.float_info.max / ((top + second) / 2)},
+                              **exact)
+        (late,) = [title for title, mult in mults.items() if mult == top]
+        assert sorted(mults).index(late) > 0  # titles before it are written first
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec_to_json(spec), encoding="utf-8")
+        error = f"error: decode_s_per_frame must be finite and > 0 (title '{late}')\n"
+        argv = ["synth", "--spec", spec_path, "--format", fmt]
+        assert _captured(argv) == (1, "", error)
+        out = tmp_path / "new" / "corpus"
+        assert cli_outcome([*map(str, argv), "--out", str(out)], out.parent) == reference.Outcome(
+            1, "", error, {})
+        # A file already there is left as it was.
+        out.write_text("kept", encoding="utf-8")
+        assert cli_outcome([*map(str, argv), "--out", str(out)], out.parent) == reference.Outcome(
+            1, "", error, {"corpus": "kept"})
 
 
 class TestOptimize:

@@ -37,6 +37,7 @@ from helpers import (
     C444,
     grid_dataset,
     oracle_parse_dataset,
+    oracle_serialize_dataset,
     record,
 )
 
@@ -64,6 +65,7 @@ class TestResolution:
 
     def test_explicit_width_kept(self):
         assert Resolution(1080, 1440).pixel_width == 1440
+        assert Resolution(1080, 1).pixel_width == 1
         with pytest.raises(NonPositiveValue, match="width"):
             Resolution(1080, 0)
 
@@ -116,6 +118,19 @@ class TestParsing:
         assert TitleDataset("t", (low, high), (600.0, 900.0)).records == (low, high)
         with pytest.raises(ValueError, match="order"):
             TitleDataset("t", (high, low), (600.0, 900.0))
+
+    @pytest.mark.parametrize("targets", [(600.0, 600.0), (900.0, 600.0)])
+    def test_dataset_targets_must_strictly_increase(self, targets):
+        with pytest.raises(ValueError, match="^bitrate_targets must be strictly increasing$"):
+            TitleDataset("t", (record(),), targets)
+
+    def test_dataset_records_must_carry_its_title(self):
+        with pytest.raises(ValueError, match="^record title 't' does not match dataset 'u'$"):
+            TitleDataset("u", (record("t"),), (600.0,))
+
+    def test_dataset_needs_a_record(self):
+        with pytest.raises(ValueError, match="^from_records needs at least one record$"):
+            TitleDataset.from_records([])
 
     def test_dataset_of_two_metrics_rejected(self):
         # The parser splits them; a library caller's dataset is checked.
@@ -528,6 +543,62 @@ class TestRoundTrip:
         assert parse_dataset(serialize_dataset([ds], fmt)) == [ds]
 
 
+# Titles that csv must quote and json must escape: quotes, commas, line
+# breaks, control characters, non-ASCII text and a lone surrogate.
+AWKWARD_CHARS = ['"', ",", "\r", "\n", " ", "\x00", "\x1f", "\x7f", "\x85", "\u2028", "é", "中文",
+                 "😀", "\ud800"]
+# Numbers as a library caller may give them: floats and ints.
+POSITIVE = st.one_of(st.floats(0.0, math.inf, exclude_min=True, exclude_max=True),
+                     st.integers(1, 10**20))
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-10**6, 10**6))
+
+
+@st.composite
+def title_datasets(draw) -> list[TitleDataset]:
+    """A few datasets, whose titles may repeat with another metric."""
+    datasets = []
+    for _ in range(draw(st.integers(0, 4))):
+        title = draw(st.lists(st.one_of(st.sampled_from(AWKWARD_CHARS), st.characters()),
+                              max_size=5).map("".join))
+        metric = draw(st.sampled_from(QualityMetric))
+        points = draw(st.lists(
+            st.tuples(st.sampled_from([1, 1080, 2160]), st.sampled_from(ChromaFormat), POSITIVE,
+                      POSITIVE, FINITE, POSITIVE),
+            min_size=1, max_size=3, unique_by=lambda p: p[:3]))
+        datasets.append(TitleDataset.from_records(
+            MeasurementRecord(title, Resolution(h), c, target, actual, QualityScore(metric, q), d)
+            for h, c, target, actual, q, d in points))
+    return datasets
+
+
+def _int_valued(title: str) -> TitleDataset:
+    return TitleDataset.from_records([MeasurementRecord(
+        title, Resolution(1080), C420, 600, 612, QualityScore(QualityMetric.CVVDP_JOD, 7), 1)])
+
+
+class TestSerialization:
+    """``serialize_dataset`` against the frozen one-dict-per-record
+    serializer in ``helpers``: the same text, or the same exception (Python
+    3.10's csv cannot write a NUL)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(datasets=title_datasets(), fmt=st.sampled_from(["csv", "json"]))
+    @example(datasets=[], fmt="csv")
+    @example(datasets=[], fmt="json")
+    @example(datasets=[full_grid("zeta"), _int_valued(""), full_grid("alpha")], fmt="csv")
+    @example(datasets=[full_grid("zeta"), _int_valued(""), full_grid("alpha")], fmt="json")
+    @example(datasets=[_int_valued('a "b",\r\n\x00é😀\ud800')], fmt="csv")
+    @example(datasets=[_int_valued('a "b",\r\n\x1fé😀\ud800')], fmt="json")
+    def test_equals_one_dict_per_record(self, datasets, fmt):
+        assert _outcome(lambda: serialize_dataset(datasets, fmt)) == _outcome(
+            lambda: oracle_serialize_dataset(datasets, fmt))
+
+    def test_unknown_format_rejected(self):
+        for datasets in ([], [full_grid()]):
+            with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+                serialize_dataset(datasets, "xml")
+
+
 class TestCandidates:
     def test_window_arithmetic_ten_percent(self):
         ds = TitleDataset.from_records(
@@ -564,6 +635,17 @@ class TestCandidates:
             (2160, C422),
             (2160, C444),
         ]
+
+    @pytest.mark.parametrize("target,tolerance,message", [
+        (600.0, -0.01, "tolerance must be >= 0"),
+        (0.0, 0.10, "target must be > 0"),
+        (math.nan, 0.10, "target must be > 0"),
+    ])
+    def test_window_arguments_checked(self, target, tolerance, message):
+        for cross_target in (False, True):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                candidates_for(TitleDataset.from_records([record()]), target, tolerance,
+                               cross_target=cross_target)
 
     def test_other_targets_excluded_without_cross_target(self):
         ds = TitleDataset.from_records(

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chromaladder import (
@@ -21,7 +21,7 @@ from chromaladder import (
     spec_to_json,
 )
 from chromaladder.errors import InvalidSpec
-from chromaladder.synth import _Stream
+from chromaladder.synth import _Stream, _in_title_order, _title_id
 from helpers import C420, C444
 
 
@@ -104,6 +104,20 @@ class TestClosedFormModels:
         q444 = spec.quality[(2160, C444)]
         assert q420.score(600.0) > q444.score(600.0)
         assert q444.score(16800.0) > q420.score(16800.0)
+
+
+class TestTitleOrder:
+    @settings(deadline=None)
+    @given(st.integers(1, 12000))
+    @example(1)
+    @example(100)
+    @example(1000)
+    @example(1002)
+    @example(1011)
+    @example(10000)
+    @example(10001)
+    def test_indices_come_in_title_id_order(self, n):
+        assert list(_in_title_order(n)) == sorted(range(n), key=_title_id)
 
 
 class TestMeasurementsIntegration:
