@@ -33,7 +33,9 @@ in source order. The sample takes the operators in turn, each in the order of
 a seeded hash of its sites' ids, so that every operator with a site in a
 sample is sampled there and a new site displaces at most one other;
 ``PINNED`` mutants are always in it. ``PINNED`` and ``EQUIVALENT`` are keyed
-by id, and the script stops if one of their ids names no site.
+by id, and the script stops if one of their ids names no site, or if a name
+of ``RENDERER``, ``COMMAND_CODE`` or ``STREAM`` binds nothing at the top level
+of its module, which would sample nothing there.
 
 Each mutant runs in a fresh temporary copy of the repository (without
 ``.git`` or ``.hypothesis``), where pyproject's ``pythonpath = ["src"]``
@@ -79,7 +81,7 @@ PYTEST = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-se
 
 # The cli names that render and write text: the renderer.
 RENDERER = frozenset({
-    "to_json_text", "_finite_float", "_encode_str", "_SCALAR_TEXT", "_write_json", "_scalar",
+    "to_json_text", "_value_json", "_finite_float", "_encode_str", "_SCALAR_TEXT", "_scalar",
     "_JsonText", "_list_json", "_SLOT", "_SHAPES", "_template", "_rung_head_template",
     "_rung_fields", "_RungText", "_ladder_json", "_report_title", "_csv_alpha", "_config_payload",
     "_alpha_tag", "_alpha_label", "_WRITE_SLICE", "_write_text", "_csv_lines", "_check_finite",
@@ -212,20 +214,24 @@ def _operator_site(src: _Source, operator: str, left: ast.AST, op: ast.AST, righ
     return []
 
 
+def _top_level(tree: ast.Module):
+    """(name, statement) of each top-level function, class or assignment to a name."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield stmt.name, stmt
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            if isinstance(targets[0], ast.Name):
+                yield targets[0].id, stmt
+
+
 def _sites(src: _Source, tree: ast.Module, names) -> list[tuple]:
     """Every mutation site of the module's top-level statements that bind one
     of ``names`` (all when None), as (top-level name, operator, start, end,
     replacement), a replacement of ``text[start:end]``."""
     sites = []
-    for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-            name = stmt.name
-        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            name = targets[0].id if isinstance(targets[0], ast.Name) else None
-        else:
-            continue
-        if name is None or (names is not None and name not in names):
+    for name, stmt in _top_level(tree):
+        if names is not None and name not in names:
             continue
         for node in ast.walk(stmt):
             sites.extend((name, *site) for site in _node_sites(src, node))
@@ -352,6 +358,11 @@ def run_mutant(path: str, own, text: str, mutant: dict) -> dict:
 
 def main() -> int:
     texts = {path: (ROOT / path).read_text(encoding="utf-8") for path, _, _ in SAMPLES}
+    unbound = sorted(f"{Path(path).name}:{name}" for path, names, _ in SAMPLES if names is not None
+                     for name in names - {name for name, _ in _top_level(ast.parse(texts[path]))})
+    if unbound:
+        print(f"a sample's name binds nothing in its module: {unbound}", file=sys.stderr)
+        return 1
     known = {site[0] for path, names, _ in SAMPLES for site in keyed_sites(path, names, texts[path])}
     stale = sorted({*PINNED, *EQUIVALENT} - known)
     if stale:

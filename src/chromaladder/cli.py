@@ -132,27 +132,40 @@ class _Parser(argparse.ArgumentParser):
 
 def to_json_text(payload) -> str:
     """``json.dumps(payload, indent=2, ensure_ascii=False, allow_nan=False)``
-    plus a final newline, byte for byte, for a payload of plain values.
-
-    With ``indent`` set, CPython's json skips its C encoder for a pure-Python
-    one; this appends the text's pieces to one list and joins it once, so no
-    container's text is copied into its parent's. Values are dispatched on
-    their exact type: ``str``, ``int``, ``float``, ``bool``, ``None``,
-    ``list``, ``tuple``, ``dict`` and ``_JsonText``. Any other type, a
-    subclass of one of these too (an enum member, a numpy float), raises
-    json's TypeError; a non-finite float raises its ValueError. Containers
-    are not checked for cycles: every payload is a fresh tree. Keys must be
-    strings; json would also turn int, float, bool and None keys into
-    strings, but no payload has them.
-
-    A ``_JsonText`` value is written as its text, which was made for the
-    indent of its place: compare's title entries and optimize's printed
-    ladders come that way, each made while its title was evaluated.
+    plus a final newline, byte for byte, except that a list of ``_JsonText``
+    items, as the payload or as a value of a top-level dict (whose keys must
+    be strings), is written as the items' texts: compare's title entries and
+    optimize's printed ladders, each made for its place while its title was
+    evaluated. The pieces are joined once, so no item's text is copied.
     """
     out: list[str] = []
-    _write_json(payload, "\n", out)
+    if type(payload) is dict and payload:
+        sep = "{\n  "
+        for key, value in payload.items():
+            out += (sep, _encode_str(key), ": ")
+            _value_json(value, "\n  ", out)
+            sep = ",\n  "
+        out.append("\n}")
+    else:
+        _value_json(payload, "\n", out)
     out.append("\n")
     return "".join(out)
+
+
+def _value_json(value, newline: str, out: list[str]) -> None:
+    """Append the JSON text of ``value`` to ``out``, its lines after the
+    first indented as ``newline``: a non-empty list of ``_JsonText`` items
+    as their texts, anything else as ``json.dumps`` writes it."""
+    if type(value) is list and value and all(type(item) is _JsonText for item in value):
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out += (sep, item.text)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value, indent=2, ensure_ascii=False, allow_nan=False)
+                   .replace("\n", newline))
 
 
 def _finite_float(value: float) -> str:
@@ -163,7 +176,7 @@ def _finite_float(value: float) -> str:
 
 _encode_str = json.encoder.encode_basestring
 
-# JSON text of each scalar type.
+# JSON text of each scalar type, as ``json.dumps`` writes it.
 _SCALAR_TEXT = {
     str: _encode_str,
     int: int.__repr__,
@@ -171,38 +184,6 @@ _SCALAR_TEXT = {
     bool: lambda value: "true" if value else "false",
     type(None): lambda value: "null",
 }
-
-
-def _write_json(value, newline: str, out: list[str]) -> None:
-    """Append the JSON text of ``value`` to ``out``; its closing bracket goes
-    after ``newline`` (a newline and the indent of its line)."""
-    kind = type(value)
-    encode = _SCALAR_TEXT.get(kind)
-    if encode is not None:
-        out.append(encode(value))
-    elif kind is _JsonText:
-        out.append(value.text)
-    elif kind is list or kind is tuple or kind is dict:
-        if not value:
-            out.append("{}" if kind is dict else "[]")
-            return
-        inner = newline + "  "
-        if kind is dict:
-            sep = "{" + inner
-            for key, item in value.items():
-                out.append(sep + _encode_str(key) + ": ")
-                _write_json(item, inner, out)
-                sep = "," + inner
-            out.append(newline + "}")
-        else:
-            sep = "[" + inner
-            for item in value:
-                out.append(sep)
-                _write_json(item, inner, out)
-                sep = "," + inner
-            out.append(newline + "]")
-    else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _scalar(value) -> str:
@@ -260,8 +241,9 @@ def _read_datasets(paths: Iterable[Path]) -> list[TitleDataset]:
     """``_datasets`` of the files at ``paths``. A row error, or text that is
     not UTF-8, names its file: ``parse_dataset`` reads a file only when the
     parse reaches it, so the fault is in the file read last. A duplicate
-    record names every file that holds it: its error comes after every row
-    is read, and each file is then read again on its own."""
+    record, or a title with a lone surrogate (a JSON escape such as
+    ``"\\ud800"``), which no UTF-8 report can hold, names every file that
+    holds it: each file is then read again on its own."""
     read: list[Path] = []
 
     def texts():
@@ -269,16 +251,27 @@ def _read_datasets(paths: Iterable[Path]) -> list[TitleDataset]:
             read.append(path)
             yield _read_text(path)
 
+    def holders(match) -> str:
+        return ", ".join(str(path) for path in dict.fromkeys(read)
+                         if any(map(match, source_records(_read_text(path)))))
+
     try:
-        return _datasets(texts())
+        datasets = _datasets(texts())
     except (MalformedRow, NonPositiveValue, UnicodeDecodeError) as exc:
         raise DatasetError(f"{read[-1]}: {exc}") from exc
     except DuplicateRecord as exc:
         key, metric = exc.key, exc.record.quality.metric
-        holders = [str(path) for path in dict.fromkeys(read)
-                   if any(r.key == key and r.quality.metric is metric
-                          for r in source_records(_read_text(path)))]
-        raise DatasetError(f"{', '.join(holders)}: {exc}") from exc
+        raise DatasetError(f"{holders(lambda r: r.key == key and r.quality.metric is metric)}: "
+                           f"{exc}") from exc
+    for ds in datasets:
+        title = ds.title_id
+        try:
+            title.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DatasetError(f"{holders(lambda r: r.title_id == title)}: title "
+                               f"{json.dumps(title)} holds a lone surrogate, which UTF-8 "
+                               "cannot encode") from None
+    return datasets
 
 
 def _read_text(path: Path) -> str:
@@ -364,7 +357,7 @@ def _list_json(items: Sequence[str], newline: str) -> str:
 
 
 # A value that a template leaves open: ``_template`` writes a ``{}`` for it.
-_SLOT = _JsonText("\0")
+_SLOT = "\0"
 
 # The objects that compare and optimize write from templates, a slot for
 # each value that varies, with their keys in report order.
@@ -384,10 +377,10 @@ _SHAPES = {
 @functools.cache
 def _template(shape: str, newline: str) -> str:
     """The ``str.format`` template of ``_SHAPES[shape]`` closing after
-    ``newline``: its ``to_json_text`` text, with a ``{}`` for each slot."""
-    out: list[str] = []
-    _write_json(_SHAPES[shape], newline, out)
-    return "".join(out).replace("{", "{{").replace("}", "}}").replace("\0", "{}")
+    ``newline``: its ``json.dumps`` text, re-indented for its place, with a
+    ``{}`` for each slot."""
+    text = json.dumps(_SHAPES[shape], indent=2).replace("\n", newline)
+    return text.replace("{", "{{").replace("}", "}}").replace('"\\u0000"', "{}")
 
 
 @functools.cache

@@ -10,7 +10,8 @@ with their line ends as written, a plan without its byte-order mark. It
 covers the command lines that the CLI accepts, with readable inputs, and
 the input errors that exit 1 with an ``error:`` line: an alpha outside
 [0, 1] or a tolerance outside [0, 0.5], sweep with one alpha, inputs without
-a record, a plan that ``load_plan`` rejects or none for the fixed method,
+a record, a title that holds a lone surrogate (named with each file that
+holds it), a plan that ``load_plan`` rejects or none for the fixed method,
 and, with ``optimize --out``, a title that holds ``/`` or a control
 character or makes a file name longer than 255 UTF-8 bytes, or two ladders
 that would share a file name.
@@ -82,6 +83,12 @@ def run(argv) -> Outcome:
     datasets = parse_dataset([read_text(p) for p in cfg.inputs])
     if not datasets:
         return Outcome(1, stderr="error: no datasets in input\n")
+    for title in (ds.title_id for ds in datasets):
+        if any("\ud800" <= c <= "\udfff" for c in title):
+            files = [p for p in dict.fromkeys(cfg.inputs)
+                     if title in {ds.title_id for ds in parse_dataset(read_text(p))}]
+            return Outcome(1, stderr=f"error: {', '.join(files)}: title {json.dumps(title)} holds "
+                                     "a lone surrogate, which UTF-8 cannot encode\n")
     if cfg.plan is None and "fixed" in (*cfg.methods, cfg.reference):
         return Outcome(1, stderr="error: --plan is required for the fixed method\n")
     try:

@@ -75,36 +75,9 @@ class TestResolution:
 
 
 class TestParsing:
-    def test_sixty_row_grid_parses_to_one_dataset(self):
-        text = serialize_dataset([full_grid()])
-        datasets = parse_dataset(text)
-        assert len(datasets) == 1
-        assert len(datasets[0].records) == 60
-        assert datasets[0].bitrate_targets == TEN_TARGETS
-
-    def test_zero_decode_time_is_nonpositive_value(self):
-        text = (
-            "title,height,chroma,target_kbps,actual_kbps,metric,quality,decode_s_per_frame\n"
-            "movie,1080,420,600,612,cvvdp,6.5,0\n"
-        )
-        with pytest.raises(NonPositiveValue):
-            parse_dataset(text)
-
-    @pytest.mark.parametrize("row,message", [
-        ("m,1080,420,600,612,cvvdp,6.5,inf",
-         "row 2: decode_s_per_frame must be finite and > 0 (title 'm')"),
-        ("m,1080,420,nan,612,cvvdp,6.5,0.02",
-         "row 2: target_kbps must be finite and > 0 (title 'm')"),
-        ("m,1080,420,600,-612,cvvdp,6.5,0.02",
-         "row 2: actual_kbps must be finite and > 0 (title 'm')"),
-        ("m,0,420,600,612,cvvdp,6.5,0",
-         "row 2: height must be > 0"),
-    ])
-    def test_nonpositive_value_names_its_row(self, row, message):
-        text = HEADER_LINE + "m,2160,420,600,612,cvvdp,6.5,0.02\n\n" + row + "\n"
-        with pytest.raises(NonPositiveValue) as exc:
-            parse_dataset(text)
-        assert (exc.value.row, str(exc.value)) == (2, message)
+    """What a library caller's records and datasets are checked for. Parsed
+    inputs are pinned examples of ``TestSinglePassIngest``; two parse cases
+    stay here as well, checked against stated values rather than the oracle."""
 
     def test_constructed_record_needs_finite_positive_numbers(self):
         with pytest.raises(NonPositiveValue, match="^decode_s_per_frame must be finite and > 0"):
@@ -136,113 +109,27 @@ class TestParsing:
         # The parser splits them; a library caller's dataset is checked.
         with pytest.raises(MixedQualityMetric, match="'t'"):
             TitleDataset.from_records([record(), record(target=900.0, metric=QualityMetric.YUVPSNR_DB)])
+        # So is a repeated record, which names its key.
+        with pytest.raises(DuplicateRecord) as got:
+            TitleDataset.from_records([record(), record(quality=8.0)])
+        assert got.value.key == ("t", Resolution(1080), C420, 600.0)
 
     def test_duplicate_key_rejected(self):
         text = (
-            "title,height,chroma,target_kbps,actual_kbps,metric,quality,decode_s_per_frame\n"
-            "movie,2160,444,4500,4400,cvvdp,8.5,0.2\n"
-            "movie,2160,444,4500,4600,cvvdp,8.6,0.21\n"
+            HEADER_LINE
+            + "movie,2160,444,4500,4400,cvvdp,8.5,0.2\n"
+            + "movie,2160,444,4500,4600,cvvdp,8.6,0.21\n"
         )
         with pytest.raises(DuplicateRecord) as got:
             parse_dataset(text)
         assert got.value.key == ("movie", Resolution(2160), C444, 4500.0)
-        with pytest.raises(DuplicateRecord):
-            TitleDataset.from_records([record(), record(quality=8.0)])
-
-    def test_title_in_both_metrics_gives_two_datasets(self):
-        header = "title,height,chroma,target_kbps,actual_kbps,metric,quality,decode_s_per_frame\n"
-        cvvdp = "movie,1080,420,600,612,cvvdp,6.5,0.02\n"
-        psnr = "movie,1080,422,600,615,psnr,38.2,0.03\n"
-        datasets = parse_dataset(header + cvvdp + psnr)
-        assert [(ds.title_id, ds.metric) for ds in datasets] == [
-            ("movie", QualityMetric.CVVDP_JOD), ("movie", QualityMetric.YUVPSNR_DB)]
-        assert datasets == parse_dataset([header + psnr, header + cvvdp])
-
-    def test_same_encode_in_both_metrics_is_not_a_duplicate(self):
-        header = "title,height,chroma,target_kbps,actual_kbps,metric,quality,decode_s_per_frame\n"
-        datasets = parse_dataset(header + "movie,1080,420,600,612,cvvdp,6.5,0.02\n"
-                                 + "movie,1080,420,600,612,psnr,38.2,0.02\n")
-        assert [len(ds.records) for ds in datasets] == [1, 1]
-
-    def test_bad_header_reports_row_zero(self):
-        with pytest.raises(MalformedRow) as exc:
-            parse_dataset("title,height\nmovie,1080\n")
-        assert exc.value.row == 0
-
-    def test_non_numeric_field_reports_row(self):
-        text = (
-            "title,height,chroma,target_kbps,actual_kbps,metric,quality,decode_s_per_frame\n"
-            "movie,1080,420,600,612,cvvdp,6.5,0.02\n"
-            "movie,1080,422,600,oops,cvvdp,6.6,0.03\n"
-        )
-        with pytest.raises(MalformedRow) as exc:
-            parse_dataset(text)
-        assert exc.value.row == 2
 
     def test_unknown_chroma_rejected(self):
-        text = (
-            "title,height,chroma,target_kbps,actual_kbps,metric,quality,decode_s_per_frame\n"
-            "movie,1080,411,600,612,cvvdp,6.5,0.02\n"
-        )
         with pytest.raises(MalformedRow):
-            parse_dataset(text)
-
-    def test_json_form_accepted(self):
-        text = serialize_dataset([full_grid()], fmt="json")
-        datasets = parse_dataset(text)
-        assert len(datasets[0].records) == 60
-        # One object per record, two-space indented.
-        assert text.startswith('[\n  {\n    "title": "movie",\n    "height": 1080,\n')
-
-    def test_titles_sorted_lexicographically(self):
-        text = serialize_dataset([full_grid("zeta"), full_grid("alpha")])
-        assert [d.title_id for d in parse_dataset(text)] == ["alpha", "zeta"]
+            parse_dataset(HEADER_LINE + "movie,1080,411,600,612,cvvdp,6.5,0.02\n")
 
 
 HEADER_LINE = ",".join(CSV_HEADER) + "\n"
-
-
-class TestJsonAndBom:
-    def json_text(self, **changes):
-        obj = {"title": "movie", "height": 1080, "chroma": 420, "target_kbps": 600.0,
-               "actual_kbps": 612.0, "metric": "cvvdp", "quality": 6.5,
-               "decode_s_per_frame": 0.02}
-        good = dict(obj, height=2160)
-        return json.dumps([good, {**obj, **changes}])
-
-    @pytest.mark.parametrize("title", [None, 7, ["movie"]])
-    def test_title_must_be_a_json_string(self, title):
-        with pytest.raises(MalformedRow) as exc:
-            parse_dataset(self.json_text(title=title))
-        assert exc.value.row == 2
-        assert str(exc.value) == f"row 2: title {title!r} is not a string"
-
-    @pytest.mark.parametrize("field", ["target_kbps", "actual_kbps", "quality",
-                                       "decode_s_per_frame"])
-    @pytest.mark.parametrize("value", [True, False])
-    def test_bool_is_not_a_number(self, field, value):
-        with pytest.raises(MalformedRow) as exc:
-            parse_dataset(self.json_text(**{field: value}))
-        assert str(exc.value) == f"row 2: {field} {value!r} is not a number"
-
-    def test_numeric_strings_and_integer_chroma_accepted(self):
-        text = self.json_text(height="1080", chroma=420, target_kbps="600", quality=" 6.5 ")
-        (ds,) = parse_dataset(text)
-        rec = ds.records[0]
-        assert (rec.resolution.height, rec.chroma, rec.target_bitrate, rec.quality.value) == (
-            1080, C420, 600.0, 6.5)
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_leading_byte_order_mark_is_dropped(self, fmt):
-        text = serialize_dataset([full_grid()], fmt=fmt)
-        assert parse_dataset("\ufeff" + text) == parse_dataset(text)
-        assert parse_dataset(io.StringIO("\ufeff" + text)) == parse_dataset(text)
-
-    def test_only_one_byte_order_mark_is_dropped(self):
-        with pytest.raises(MalformedRow) as exc:
-            parse_dataset("\ufeff\ufeff" + HEADER_LINE)
-        assert exc.value.row == 0
-
 
 # Small value pools, so that records repeat within and across files and titles
 # mix metrics; each file may carry bad cells and one malformed row.
@@ -367,6 +254,10 @@ def _json_pair(**changes):
     return json.dumps([row, {**row, "target_kbps": 900, **changes}])
 
 
+FULL_GRID_CSV = serialize_dataset([full_grid()])
+FULL_GRID_JSON = serialize_dataset([full_grid()], fmt="json")
+CVVDP_ROW = "movie,1080,420,600,612,cvvdp,6.5,0.02\n"
+PSNR_ROW = "movie,1080,422,600,615,psnr,38.2,0.03\n"
 DUPLICATE_AND_MIXED = (
     HEADER_LINE
     + "b,1080,420,600,610,cvvdp,7,0.02\n"
@@ -380,7 +271,9 @@ DUPLICATE_AND_MIXED = (
 class TestSinglePassIngest:
     """``parse_dataset`` and the CLI's file merge against the frozen
     row-by-row ingest in ``helpers``: equal datasets, or the same exception,
-    row and message."""
+    row and message, for each file alone and for all of them in one parse.
+    The named parse cases are pinned examples of that one property, each
+    under a comment that names it; a new parse case is one more example."""
 
     @settings(max_examples=400, deadline=None)
     @given(files=ingest_files())
@@ -389,6 +282,8 @@ class TestSinglePassIngest:
     @example(files=[(True, "[]")])
     @example(files=[(False, "{}")])
     @example(files=[(False, "[{")])
+    # test_duplicate_beats_an_earlier_mixed_metric: the duplicate, then the
+    # same rows without it, each title's two metrics two datasets.
     @example(files=[(False, DUPLICATE_AND_MIXED)])
     @example(files=[(False, DUPLICATE_AND_MIXED.replace("a,1080,422,600,605", "a,2160,422,600,605"))])
     @example(files=[(False, HEADER_LINE + "a,1080,420,600,610,cvvdp,7,0.02\n")] * 2)
@@ -398,14 +293,21 @@ class TestSinglePassIngest:
     @example(files=[(False, _json_pair(height=True))])
     @example(files=[(False, _json_pair(height=1.0))])
     @example(files=[(False, _json_pair(chroma=420.0))])
-    @example(files=[(False, _json_pair(target_kbps=True))])
-    @example(files=[(False, _json_pair(quality=False))])
     @example(files=[(False, _json_pair(decode_s_per_frame=math.inf))])
     @example(files=[(False, _json_pair(actual_kbps=-math.inf))])
     @example(files=[(False, _json_pair(actual_kbps=math.inf))])
     @example(files=[(False, _json_pair(quality=math.nan))])
     @example(files=[(False, _json_pair(quality=math.inf))])
     @example(files=[(False, _json_pair(decode_s_per_frame=0))])
+    # test_bool_is_not_a_number[True|False-target_kbps|actual_kbps|quality|decode_s_per_frame]
+    @example(files=[(False, _json_pair(**{name: value}))
+                    for value in (True, False)
+                    for name in ("target_kbps", "actual_kbps", "quality", "decode_s_per_frame")])
+    # test_title_must_be_a_json_string[None|7|title2]
+    @example(files=[(False, _json_pair(title=title)) for title in (None, 7, ["movie"])])
+    # test_numeric_strings_and_integer_chroma_accepted
+    @example(files=[(False, _json_pair(height="1080", chroma=420, target_kbps="900",
+                                       quality=" 6.5 "))])
     # Line breaks other than "\n", quoted newlines, characters outside the
     # ASCII and the Basic Multilingual Plane, and a lone surrogate.
     @example(files=[(False, HEADER_LINE + '"\u00e9\U0001f600\u2028t\x0bx",1080,420,600,610,cvvdp,7,1\r\n'
@@ -415,26 +317,49 @@ class TestSinglePassIngest:
     @example(files=[(False, HEADER_LINE + '\u00e9,1080,420,600,610,cvvdp,7,1\n'
                      + '"\u00e9",1080,420,900,910,cvvdp,7,1\r'
                      + '\u00e9\u2029,1080,420,600,610,cvvdp,7,1\n')])
+    # test_bare_carriage_return_in_a_field_is_a_malformed_row
+    @example(files=[(False, HEADER_LINE + '"e",1080,420,900,910,cvvdp,7,1\rf,1080,420,600,610,cvvdp,7,1\n')])
+    # test_sixty_row_grid_parses_to_one_dataset and
+    # test_leading_byte_order_mark_is_dropped[csv]; then [json] and
+    # test_json_form_accepted.
+    @example(files=[(False, FULL_GRID_CSV), (True, FULL_GRID_CSV)])
+    @example(files=[(False, FULL_GRID_JSON), (True, FULL_GRID_JSON)])
+    # test_only_one_byte_order_mark_is_dropped
+    @example(files=[(True, "\ufeff" + HEADER_LINE)])
+    # test_titles_sorted_lexicographically: zeta's rows come first.
+    @example(files=[(False, serialize_dataset([full_grid("zeta")])
+                     + serialize_dataset([full_grid("alpha")]).split("\n", 1)[1])])
+    # test_zero_decode_time_is_nonpositive_value
+    @example(files=[(False, HEADER_LINE + "movie,1080,420,600,612,cvvdp,6.5,0\n")])
+    # test_nonpositive_value_names_its_row[decode|target|actual|height]: the
+    # blank line is not counted.
+    @example(files=[(False, HEADER_LINE + "m,2160,420,600,612,cvvdp,6.5,0.02\n\n" + row + "\n")
+                    for row in ("m,1080,420,600,612,cvvdp,6.5,inf", "m,1080,420,nan,612,cvvdp,6.5,0.02",
+                                "m,1080,420,600,-612,cvvdp,6.5,0.02", "m,0,420,600,612,cvvdp,6.5,0")])
+    # test_duplicate_key_rejected
+    @example(files=[(False, HEADER_LINE + "movie,2160,444,4500,4400,cvvdp,8.5,0.2\n"
+                     + "movie,2160,444,4500,4600,cvvdp,8.6,0.21\n")])
+    # test_title_in_both_metrics_gives_two_datasets: in one file, and split
+    # over two in the other order.
+    @example(files=[(False, HEADER_LINE + CVVDP_ROW + PSNR_ROW)])
+    @example(files=[(False, HEADER_LINE + PSNR_ROW), (False, HEADER_LINE + CVVDP_ROW)])
+    # test_same_encode_in_both_metrics_is_not_a_duplicate
+    @example(files=[(False, HEADER_LINE + CVVDP_ROW + CVVDP_ROW.replace("cvvdp,6.5", "psnr,38.2"))])
+    # test_bad_header_reports_row_zero
+    @example(files=[(False, "title,height\nmovie,1080\n")])
+    # test_non_numeric_field_reports_row
+    @example(files=[(False, HEADER_LINE + CVVDP_ROW + "movie,1080,422,600,oops,cvvdp,6.6,0.03\n")])
+    # test_unknown_chroma_rejected
+    @example(files=[(False, HEADER_LINE + "movie,1080,411,600,612,cvvdp,6.5,0.02\n")])
+    # test_row_error_in_a_later_source_beats_a_duplicate
+    @example(files=[(False, HEADER_LINE + "a,1080,420,600,610,cvvdp,7,0.02\n" * 2),
+                    (False, HEADER_LINE + "a,x,420,600,610,cvvdp,7,0.02\n")])
     def test_matches_row_by_row_ingest(self, files):
         texts = ["\ufeff" + text if bom else text for bom, text in files]
         for text in texts:
             assert _outcome(lambda: parse_dataset(text)) == _outcome(
                 lambda: oracle_parse_dataset(text))
         assert _outcome(lambda: parse_dataset(texts)) == _outcome(lambda: oracle_parse_dataset(texts))
-
-    def test_duplicate_beats_an_earlier_mixed_metric(self):
-        with pytest.raises(DuplicateRecord, match="title 'a', .*chroma 422"):
-            parse_dataset(DUPLICATE_AND_MIXED)
-        # Without the duplicate, each title's two metrics are two datasets.
-        datasets = parse_dataset(
-            DUPLICATE_AND_MIXED.replace("a,1080,422,600,605", "a,2160,422,600,605"))
-        assert [(ds.title_id, ds.metric.value, len(ds.records)) for ds in datasets] == [
-            ("a", "cvvdp", 2), ("a", "psnr", 1), ("b", "cvvdp", 1), ("b", "psnr", 1)]
-
-    def test_row_error_in_a_later_source_beats_a_duplicate(self):
-        row = "a,1080,420,600,610,cvvdp,7,0.02\n"
-        with pytest.raises(MalformedRow, match="row 1: height"):
-            parse_dataset([HEADER_LINE + row + row, HEADER_LINE + row.replace("1080", "x")])
 
     def test_each_source_is_read_when_reached_and_dropped_after_its_rows(self, monkeypatch):
         readers, real = [], measurements._rows_from_csv
@@ -456,14 +381,12 @@ class TestSinglePassIngest:
         # The first text is read only when the parse starts, and its rows
         # are gone before the second is read.
         assert alive == [[], [False]]
-        stream = io.StringIO(HEADER_LINE + "a,1080,420,600,610,psnr,38,0.02\n")
-        (ds,) = parse_dataset(stream)
-        assert ds.metric is QualityMetric.YUVPSNR_DB and stream.read() == ""
-
-    def test_bare_carriage_return_in_a_field_is_a_malformed_row(self):
-        text = HEADER_LINE + '"e",1080,420,900,910,cvvdp,7,1\rf,1080,420,600,610,cvvdp,7,1\n'
-        with pytest.raises(MalformedRow, match="row 1: invalid CSV: new-line character"):
-            parse_dataset(text)
+        # A stream is read whole, its byte-order mark dropped as a string's is.
+        text = HEADER_LINE + "a,1080,420,600,610,psnr,38,0.02\n"
+        for text in (text, serialize_dataset(parse_dataset(text), fmt="json")):
+            stream = io.StringIO("\ufeff" + text)
+            (ds,) = parse_dataset(stream)
+            assert ds.metric is QualityMetric.YUVPSNR_DB and stream.read() == ""
 
     def test_parsed_records_share_one_resolution_per_height(self):
         (ds,) = parse_dataset(serialize_dataset([full_grid()]))

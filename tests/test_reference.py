@@ -259,6 +259,10 @@ def commands_equal_reference(corpus: Corpus, commands) -> None:
 # test_csv_fields_are_quoted
 @example(REPORTS, [Command(("compare", "--method", "arcs", "--alpha", "0", "--format", "csv"),
                            out=True, code=0)])
+# A title that holds a lone surrogate, which only a JSON escape can give:
+# every command exits 1 before writing, naming each file that holds it.
+@example(SMALL._replace(titles=("synth000", "x\ud800"), files=("json", "json", "json")),
+         [Command((command,), out=True, code=1) for command in ("optimize", "compare", "sweep", "pmf")])
 # test_single_alpha_exits_one
 @example(SMALL, [Command(("sweep", "--alpha", "0"), out=True, code=1)])
 # test_pmf_rows_per_alpha
